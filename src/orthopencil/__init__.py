@@ -29,7 +29,6 @@ from .basis import (
 from .blocksym import (
     OpCounter,
     build_dm,
-    build_dm_dg,
     build_dm_generic,
     build_dm_pencil,
     dm_basis,
@@ -54,14 +53,8 @@ from .oracle import (
 )
 from .pencil import (
     Pencil,
-    RowBlockPencil,
     anchor_pencil,
     block_transpose,
-    build_anchor,
-    build_anchor_dg,
-    build_poly_row,
-    build_poly_row_dg,
-    build_recurrence_rows,
     eval_pencil,
     leading_principal,
     pencil_block_transpose,

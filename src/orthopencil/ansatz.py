@@ -29,8 +29,6 @@ from .basis import phi_vector
 
 __all__ = [
     "AnsatzFactor",
-    "MembershipReport",
-    "LinearizationCheck",
     "multiplier_matrix",
     "side_multiplier",
     "identity_factor",

@@ -13,6 +13,15 @@ for i >= 1, where the sum is empty for i = 1.  Built-in three-term kinds are
 generated lazily from closed-form rules; custom tables must be long enough for
 any degree requested.
 
+Both families answer one question, ``step(i) -> (a_i, s_i, {j: c_ij})``:
+
+    a_i * phi_i(x) = (x - s_i) * phi_{i-1}(x) + sum_j c_ij * phi_j(x),  j <= i-2
+
+A three-term basis gives (alpha_{i-1}, beta_{i-1}, {i-2: -gamma_{i-1}}) and a
+degree-graded one (1, shift_i, lower_i).  Everything downstream (evaluation,
+the change to monomials, the anchor pencil, the block-symmetric solver) is
+written against ``step`` and never asks which family it holds.
+
 Evaluation uses the forward recurrence, which is adequate for the small
 degrees (k <= ~20) this package targets.  The argument x may be complex; the
 recurrence coefficients are always real.
@@ -27,7 +36,6 @@ import numpy as np
 from .errors import BasisCoefficientError
 
 __all__ = [
-    "BUILTIN_KINDS",
     "ThreeTermBasis",
     "DegreeGradedBasis",
     "builtin_basis",
@@ -92,6 +100,15 @@ class ThreeTermBasis:
         gamma = self.gamma[j] if 0 < j < len(self.gamma) else 0.0
         return self.alpha[j], beta, gamma
 
+    def step(self, i: int) -> tuple[float, float, dict]:
+        """(a_i, s_i, {j: c_ij}) of the recurrence producing phi_i, i >= 1.
+
+        The gamma term is kept when gamma is zero, so the anchor's recurrence
+        rows hold -gamma = -0.0 there, as the three-term formula gives.
+        """
+        a, b, g = self.recurrence(i - 1)
+        return a, b, ({i - 2: -g} if i >= 2 else {})
+
 
 @dataclass(frozen=True)
 class DegreeGradedBasis:
@@ -115,24 +132,21 @@ class DegreeGradedBasis:
         if len(self.lower) > max(len(self.shift) - 1, 0):
             raise ValueError("lower table extends beyond the supplied shifts")
 
-    def shift_at(self, i: int) -> float:
+    def step(self, i: int) -> tuple[float, float, dict]:
+        """(1, shift_i, {j: lower_i^j}) of the recurrence producing phi_i, i >= 1;
+        the lower coefficients are empty for i = 1."""
         if i < 1 or i > len(self.shift):
             raise BasisCoefficientError(
                 f"degree-graded basis supplies shifts up to i={len(self.shift)}, "
                 f"index {i} requested"
             )
-        return self.shift[i - 1]
-
-    def lower_at(self, i: int) -> tuple:
-        """Coefficients (lower_i^0, ..., lower_i^{i-2}); empty for i = 1."""
-        if i == 1:
-            return ()
-        if i < 1 or i - 2 >= len(self.lower):
+        if i - 2 >= len(self.lower):
             raise BasisCoefficientError(
                 f"degree-graded basis supplies lower rows up to i={len(self.lower) + 1}, "
                 f"index {i} requested"
             )
-        return self.lower[i - 2]
+        lower = self.lower[i - 2] if i >= 2 else ()
+        return 1.0, self.shift[i - 1], dict(enumerate(lower))
 
 
 BasisSpec = ThreeTermBasis | DegreeGradedBasis
@@ -161,19 +175,14 @@ def builtin_basis(kind: str, nodes=None) -> ThreeTermBasis:
 def _phi_sequence(spec: BasisSpec, jmax: int, lam) -> list:
     """Values [phi_0(lam), ..., phi_jmax(lam)] by forward recurrence."""
     values = [1.0 + 0.0 * lam]
-    if isinstance(spec, ThreeTermBasis):
-        prev = 0.0
-        for j in range(jmax):
-            a, b, g = spec.recurrence(j)
-            nxt = ((lam - b) * values[-1] - g * prev) / a
-            prev = values[-1]
-            values.append(nxt)
-        return values
     for i in range(1, jmax + 1):
-        nxt = (lam - spec.shift_at(i)) * values[-1]
-        for j, c in enumerate(spec.lower_at(i)):
-            nxt = nxt + c * values[j]
-        values.append(nxt)
+        a, s, lower = spec.step(i)
+        nxt = (lam - s) * values[-1]
+        for j, c in lower.items():
+            # subtracting -c keeps the three-term update (x - beta) phi - gamma phi
+            # bit for bit, signed zeros of complex arguments included
+            nxt = nxt - (-c) * values[j]
+        values.append(nxt / a)
     return values
 
 
@@ -205,22 +214,12 @@ def to_monomial(spec: BasisSpec, k: int) -> np.ndarray:
         raise ValueError("k must be nonnegative")
     C = np.zeros((k + 1, k + 1))
     C[0, 0] = 1.0
-    if isinstance(spec, ThreeTermBasis):
-        prev = np.zeros(k + 1)
-        for j in range(k):
-            shifted = np.zeros(k + 1)
-            shifted[1 : j + 2] = C[j, : j + 1]
-            a, b, g = spec.recurrence(j)
-            nxt = (shifted - b * C[j] - g * prev) / a
-            prev = C[j].copy()
-            C[j + 1] = nxt
-        return C
     for i in range(1, k + 1):
-        shifted = np.zeros(k + 1)
-        shifted[1 : i + 1] = C[i - 1, :i]
-        row = shifted - spec.shift_at(i) * C[i - 1]
-        for j, c in enumerate(spec.lower_at(i)):
+        a, s, lower = spec.step(i)
+        row = np.zeros(k + 1)
+        row[1 : i + 1] = C[i - 1, :i]
+        row = row - s * C[i - 1]
+        for j, c in lower.items():
             row = row + c * C[j]
-        C[i] = row
-        assert C[i, i] == 1.0, "degree-graded basis must be monic"
+        C[i] = row / a
     return C

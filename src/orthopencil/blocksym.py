@@ -7,12 +7,13 @@ the top row Z = [v_2 .. v_k] kron (c * P_k) is forced by symmetry of the
 lam-coefficient and B* is a block-symmetric grid determined column by column
 from the symmetry equations of the constant coefficient.
 
-Two builders are provided: closed-form recurrences for three-term bases, and
-a generic solver that works for any basis family by eliminating the symmetry
-equations sequentially.  Both use only scalar-times-matrix products, so the
-cost is O(k^2 n^2).  Out-of-range recurrence references carry a zero
-coefficient and are skipped, matching the conventions v_{k+1} = 0 and
-alpha_{-1} = 0.  Blocks on or above the grid diagonal are never computed
+The builder is ``build_dm_generic``: it eliminates the symmetry equations
+column by column and works for both basis families, since it only reads the
+anchor's reconstruction row and recurrence rows.  ``build_dm`` is the paper's
+explicit recurrence for three-term bases; it is kept as the independent
+reference the solver is tested against and is not used by the pencil
+builders.  Both use only scalar-times-matrix products, so the cost is
+O(k^2 n^2).  Blocks on or above the grid diagonal are never computed
 independently; they alias their mirror images, which rules out
 inconsistencies by construction.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzFactor
-from .basis import DegreeGradedBasis, ThreeTermBasis
+from .basis import ThreeTermBasis
 from .errors import DimensionMismatchError
 from .matpoly import MatrixPolynomial, require_ansatz_degree
 from .pencil import (
@@ -37,10 +38,8 @@ from .pencil import (
 
 __all__ = [
     "OpCounter",
-    "BlockSymmetryReport",
     "build_dm",
     "build_dm_generic",
-    "build_dm_dg",
     "dm_basis",
     "build_dm_pencil",
     "is_block_symmetric",
@@ -98,15 +97,19 @@ def _prepare(P: MatrixPolynomial, v) -> tuple[np.ndarray, float]:
 
 
 def build_dm(P: MatrixPolynomial, v, counter: OpCounter | None = None) -> AnsatzFactor:
-    """Closed-form construction for three-term bases.
+    """The paper's explicit recurrence for three-term bases (reference only).
 
     Column 1 of the grid comes from the first symmetry equation, column 2
     reuses column 1, and later columns follow a three-term update in the
-    blocks of the two previous columns.  The output factor, fed through the
+    blocks of the two previous columns.  Out-of-range recurrence references
+    carry a zero coefficient and are skipped, matching the conventions
+    v_{k+1} = 0 and alpha_{-1} = 0.  The output factor, fed through the
     anchor, yields the unique block-symmetric pencil with ansatz vector v.
+    The pencil builders use build_dm_generic; this closed form is kept as the
+    independent reference the tests compare the solver against.
     """
     if not isinstance(P.basis, ThreeTermBasis):
-        raise TypeError("three-term basis required; use build_dm_dg")
+        raise TypeError("the closed form needs a three-term basis; use build_dm_generic")
     v, c = _prepare(P, v)
     k, basis = P.k, P.basis
 
@@ -214,17 +217,17 @@ def build_dm_generic(P: MatrixPolynomial, v,
             grid.set_strict(i, j, smul(1.0 / pivot, rhs - partial))
 
     factor = AnsatzFactor(v, grid.materialize(), "M1")
-    _self_check(P, factor, grid, m0, M0)
+    _self_check(P, factor)
     return factor
 
 
-def _self_check(P, factor, grid, m0, M0):
+def _self_check(P, factor):
     """Verify the assembled constant coefficient is block-symmetric.
 
     The elimination uses each off-diagonal symmetry equation exactly once, so
     a violation here indicates an internal error; raise with diagnostics.
     """
-    Y = _constant_coefficient(P, factor.v, grid, m0, M0, mirror=False)
+    Y = _constant_coefficient(P, factor, mirror=False)
     asym = float(np.max(np.abs(Y - block_transpose(Y, P.n))))
     scale = max(float(np.max(np.abs(Y))), 1.0)
     if asym > 1e-8 * scale:
@@ -234,14 +237,18 @@ def _self_check(P, factor, grid, m0, M0):
         )
 
 
-def _constant_coefficient(P, v, grid, m0, M0, mirror: bool) -> np.ndarray:
+def _constant_coefficient(P, factor, mirror: bool) -> np.ndarray:
     """Y = multiplier @ anchor(0) assembled blockwise from scalar products.
 
-    With mirror=True only blocks with i >= j are computed and the upper
-    triangle is copied from the lower one, making the result bitwise
-    block-symmetric.
+    The blocks are read straight from the materialized B, whose blocks on and
+    above the grid diagonal already hold their mirror images.  With
+    mirror=True only blocks with i >= j are computed and the upper triangle
+    is copied from the lower one, making the result bitwise block-symmetric.
     """
     k, n = P.k, P.n
+    v, B = factor.v, factor.B
+    _, m0 = poly_row_blocks(P)
+    _, M0 = recurrence_rows_scalar(P.basis, k)
     Y = np.zeros((k * n, k * n))
     for i in range(1, k + 1):
         for j in range(1, (i + 1 if mirror else k + 1)):
@@ -249,7 +256,7 @@ def _constant_coefficient(P, v, grid, m0, M0, mirror: bool) -> np.ndarray:
             for r in range(1, k):
                 coeff = M0[r - 1, j - 1]
                 if coeff != 0.0:
-                    blk = blk + coeff * grid.get(i, r)
+                    blk = blk + coeff * B[(i - 1) * n : i * n, (r - 1) * n : r * n]
             Y[(i - 1) * n : i * n, (j - 1) * n : j * n] = blk
     if mirror:
         for i in range(1, k + 1):
@@ -260,27 +267,10 @@ def _constant_coefficient(P, v, grid, m0, M0, mirror: bool) -> np.ndarray:
     return Y
 
 
-def build_dm_dg(P: MatrixPolynomial, v,
-                counter: OpCounter | None = None) -> AnsatzFactor:
-    """Block-symmetric construction for degree-graded bases.
-
-    No closed form is hard-coded; the generic symmetry solver is used.
-    """
-    if not isinstance(P.basis, DegreeGradedBasis):
-        raise TypeError("degree-graded basis required; use build_dm")
-    return build_dm_generic(P, v, counter)
-
-
-def _build_for(P: MatrixPolynomial, v, counter=None) -> AnsatzFactor:
-    if isinstance(P.basis, ThreeTermBasis):
-        return build_dm(P, v, counter)
-    return build_dm_dg(P, v, counter)
-
-
 def dm_basis(P: MatrixPolynomial) -> list:
     """The k unit-vector constructions; they span the block-symmetric space."""
     require_ansatz_degree(P)
-    return [_build_for(P, np.eye(P.k)[j]) for j in range(P.k)]
+    return [build_dm_generic(P, np.eye(P.k)[j]) for j in range(P.k)]
 
 
 def build_dm_pencil(P: MatrixPolynomial, v,
@@ -291,22 +281,12 @@ def build_dm_pencil(P: MatrixPolynomial, v,
     because B aliases its mirror blocks; the constant coefficient is computed
     for the lower block triangle only and mirrored.
     """
-    factor = _build_for(P, v, counter)
+    factor = build_dm_generic(P, v, counter)
     k, n = P.k, P.n
-    c = leading_multiplier(P.basis, k)
-    cPk = c * P.coeffs[k]
     X = np.zeros((k * n, k * n))
-    X[:, :n] = np.kron(factor.v.reshape(-1, 1), cPk)
+    X[:, :n] = np.kron(factor.v.reshape(-1, 1), leading_multiplier(P.basis, k) * P.coeffs[k])
     X[:, n:] = factor.B
-    _, m0 = poly_row_blocks(P)
-    _, M0 = recurrence_rows_scalar(P.basis, k)
-    grid = _Grid(k, n, [factor.v[t] * cPk for t in range(1, k)])
-    Bv = factor.B
-    for i in range(2, k + 1):
-        for j in range(1, i):
-            grid.set_strict(i, j, Bv[(i - 1) * n : i * n, (j - 1) * n : j * n])
-    Y = _constant_coefficient(P, factor.v, grid, m0, M0, mirror=True)
-    return factor, Pencil(X, Y, n, k)
+    return factor, Pencil(X, _constant_coefficient(P, factor, mirror=True), n, k)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .ansatz import check_linearization, dimension_m, make_m1, make_m2, verify_membership
-from .basis import DegreeGradedBasis, builtin_basis
+from .basis import builtin_basis
 from .blocksym import build_dm_pencil
 from .errors import (
     DimensionMismatchError,
@@ -72,10 +72,7 @@ def _emit(obj):
 
 
 def _cmd_anchor(args) -> int:
-    P = _load_problem(args)
-    if args.degree_graded and not isinstance(P.basis, DegreeGradedBasis):
-        raise ValueError("--degree-graded requires a degree_graded basis in the problem")
-    _emit(pencil_to_obj(anchor_pencil(P)))
+    _emit(pencil_to_obj(anchor_pencil(_load_problem(args))))
     return 0
 
 
@@ -204,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("anchor", help="emit the anchor pencil of a problem")
     _add_problem_args(s)
-    s.add_argument("--degree-graded", action="store_true")
     s.set_defaults(func=_cmd_anchor)
 
     s = subs.add_parser("ansatz", help="emit the pencil of a (v, B) factor")

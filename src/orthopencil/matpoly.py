@@ -11,7 +11,6 @@ from .errors import DimensionMismatchError
 
 __all__ = [
     "MatrixPolynomial",
-    "RegularityVerdict",
     "monomial_coefficients",
     "reversal_monomial",
     "is_regular",

@@ -26,7 +26,6 @@ __all__ = [
     "poly_roots",
     "Spectrum",
     "reference_spectrum",
-    "SpectrumComparison",
     "compare_spectra",
 ]
 

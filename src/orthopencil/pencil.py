@@ -4,6 +4,12 @@ A pencil is a linear matrix polynomial X*lam + Y.  For a matrix polynomial of
 degree k >= 2 the anchor pencil stacks an n x kn row that reconstructs P from
 the basis vector with a (k-1)n x kn block that encodes the basis recurrence;
 the product of the anchor with (Phi_k(lam) kron I_n) is e_1 kron P(lam).
+
+There is one anchor builder, ``anchor_pencil``, for both basis families: the
+row and the recurrence block are read off the basis's ``step``.  The row
+helpers (``poly_row_blocks``, ``recurrence_rows_scalar``,
+``leading_multiplier``) return plain arrays and scalars; the block-symmetric
+solver reuses them.
 """
 
 from __future__ import annotations
@@ -12,25 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DegreeGradedBasis, ThreeTermBasis
 from .errors import DimensionMismatchError
 from .matpoly import MatrixPolynomial, require_ansatz_degree
 
 __all__ = [
     "Pencil",
-    "RowBlockPencil",
     "eval_pencil",
     "reversal_pencil",
     "block_transpose",
     "pencil_block_transpose",
     "sample_points",
-    "leading_multiplier",
-    "recurrence_rows_scalar",
-    "poly_row_blocks",
-    "build_poly_row",
-    "build_recurrence_rows",
-    "build_anchor",
-    "build_anchor_dg",
     "anchor_pencil",
     "leading_principal",
 ]
@@ -57,36 +54,14 @@ class Pencil:
         object.__setattr__(self, "Y", Y)
 
 
-@dataclass(frozen=True)
-class RowBlockPencil:
-    """Rectangular pencil with r rows and k block columns of width n."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    n: int
-    k: int
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if X.shape != Y.shape or X.shape[1] != self.k * self.n:
-            raise DimensionMismatchError("row block pencil must have kn columns")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-
-    @property
-    def rows(self) -> int:
-        return self.X.shape[0]
-
-
-def eval_pencil(L, lam) -> np.ndarray:
-    """X*lam + Y for a Pencil or RowBlockPencil."""
+def eval_pencil(L: Pencil, lam) -> np.ndarray:
+    """X*lam + Y."""
     return L.X * lam + L.Y
 
 
-def reversal_pencil(L):
+def reversal_pencil(L: Pencil) -> Pencil:
     """Swap the two coefficients: the reversal of X*lam + Y is Y*lam + X."""
-    return type(L)(X=L.Y, Y=L.X, n=L.n, k=L.k)
+    return Pencil(X=L.Y, Y=L.X, n=L.n, k=L.k)
 
 
 def block_transpose(A: np.ndarray, n: int) -> np.ndarray:
@@ -119,10 +94,7 @@ def sample_points(count: int, radius: float = 1.5) -> np.ndarray:
 
 def leading_multiplier(basis, k: int) -> float:
     """Scalar c with X-block (1,1) of the anchor equal to c * P_k."""
-    if isinstance(basis, ThreeTermBasis):
-        a, _, _ = basis.recurrence(k - 1)
-        return 1.0 / a
-    return 1.0
+    return 1.0 / basis.step(k)[0]
 
 
 def recurrence_rows_scalar(basis, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,104 +107,49 @@ def recurrence_rows_scalar(basis, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("recurrence rows require k >= 2")
     Xs = np.zeros((k - 1, k))
     Ys = np.zeros((k - 1, k))
-    if isinstance(basis, ThreeTermBasis):
-        for i in range(k - 1):
-            a, b, g = basis.recurrence(k - 2 - i)
-            Ys[i, i] = -a
-            Xs[i, i + 1] = 1.0
-            Ys[i, i + 1] = -b
-            if i + 2 < k:
-                Ys[i, i + 2] = -g
-        return Xs, Ys
-    if isinstance(basis, DegreeGradedBasis):
-        for i in range(k - 1):
-            d = k - 1 - i
-            Ys[i, i] = -1.0
-            Xs[i, i + 1] = 1.0
-            Ys[i, i + 1] = -basis.shift_at(d)
-            for j, c in enumerate(basis.lower_at(d)):
-                Ys[i, k - 1 - j] = c
-        return Xs, Ys
-    raise TypeError("unsupported basis type")
+    for r in range(k - 1):
+        a, s, lower = basis.step(k - 1 - r)
+        Ys[r, r] = -a
+        Xs[r, r + 1] = 1.0
+        Ys[r, r + 1] = -s
+        for j, c in lower.items():
+            Ys[r, k - 1 - j] = c
+    return Xs, Ys
 
 
 def poly_row_blocks(P: MatrixPolynomial) -> tuple[np.ndarray, list]:
-    """The n x kn row reconstructing P: X-block 1 (= c * P_k) and the k Y-blocks."""
+    """The n x kn row reconstructing P: X-block 1 (= c * P_k) and the k Y-blocks.
+
+    Y-block j (0-based) multiplies phi_{k-1-j}; the recurrence of phi_k folds
+    c * P_k into the blocks of phi_{k-1} and of every phi_j it references.
+    """
     require_ansatz_degree(P)
     k = P.k
-    basis = P.basis
-    if isinstance(basis, ThreeTermBasis):
-        a, b, g = basis.recurrence(k - 1)
-        c = 1.0 / a  # same product as everywhere else, so X blocks match bitwise
-        xblock = c * P.coeffs[k]
-        yblocks = [(-b * c) * P.coeffs[k] + P.coeffs[k - 1],
-                   P.coeffs[k - 2] - (g * c) * P.coeffs[k]]
-        yblocks += [P.coeffs[k - 1 - j] for j in range(2, k)]
-        return xblock, yblocks
-    xblock = P.coeffs[k].copy()
-    yblocks = [-basis.shift_at(k) * P.coeffs[k] + P.coeffs[k - 1]]
-    low = basis.lower_at(k)
-    yblocks += [low[k - 1 - j] * P.coeffs[k] + P.coeffs[k - 1 - j] for j in range(1, k)]
-    return xblock, yblocks
-
-
-def build_poly_row(P: MatrixPolynomial) -> RowBlockPencil:
-    """The n x kn pencil m with m(lam) @ (Phi_k(lam) kron I_n) = P(lam).
-
-    Three-term bases only; degree-graded polynomials use build_poly_row_dg.
-    """
-    if not isinstance(P.basis, ThreeTermBasis):
-        raise TypeError("three-term basis required; use build_poly_row_dg")
-    return _assemble_poly_row(P)
-
-
-def build_poly_row_dg(P: MatrixPolynomial) -> RowBlockPencil:
-    """Degree-graded counterpart of build_poly_row."""
-    if not isinstance(P.basis, DegreeGradedBasis):
-        raise TypeError("degree-graded basis required; use build_poly_row")
-    return _assemble_poly_row(P)
-
-
-def _assemble_poly_row(P: MatrixPolynomial) -> RowBlockPencil:
-    xblock, yblocks = poly_row_blocks(P)
-    n, k = P.n, P.k
-    X = np.zeros((n, k * n))
-    X[:, :n] = xblock
-    Y = np.hstack(yblocks)
-    return RowBlockPencil(X, Y, n, k)
-
-
-def build_recurrence_rows(basis, k: int, n: int) -> RowBlockPencil:
-    """The (k-1)n x kn pencil M with M(lam) @ (Phi_k(lam) kron I_n) = 0."""
-    Xs, Ys = recurrence_rows_scalar(basis, k)
-    eye = np.eye(n)
-    return RowBlockPencil(np.kron(Xs, eye), np.kron(Ys, eye), n, k)
-
-
-def _stack_anchor(P: MatrixPolynomial, row: RowBlockPencil) -> Pencil:
-    rows = build_recurrence_rows(P.basis, P.k, P.n)
-    X = np.vstack([row.X, rows.X])
-    Y = np.vstack([row.Y, rows.Y])
-    return Pencil(X, Y, P.n, P.k)
-
-
-def build_anchor(P: MatrixPolynomial) -> Pencil:
-    """Anchor pencil for a three-term basis: the stack of build_poly_row and
-    build_recurrence_rows.  Satisfies F(lam) (Phi_k(lam) kron I_n) = e_1 kron P(lam)
-    and is a strong linearization of P (regular or singular)."""
-    return _stack_anchor(P, build_poly_row(P))
-
-
-def build_anchor_dg(P: MatrixPolynomial) -> Pencil:
-    """Anchor pencil for a degree-graded basis."""
-    return _stack_anchor(P, build_poly_row_dg(P))
+    a, s, lower = P.basis.step(k)
+    c = 1.0 / a  # same product as everywhere else, so X blocks match bitwise
+    Pk = P.coeffs[k]
+    yblocks = [(-s * c) * Pk + P.coeffs[k - 1]]
+    for j in range(1, k):
+        d = k - 1 - j
+        yblocks.append((lower[d] * c) * Pk + P.coeffs[d] if d in lower else P.coeffs[d])
+    return c * Pk, yblocks
 
 
 def anchor_pencil(P: MatrixPolynomial) -> Pencil:
-    """Anchor pencil for either basis family."""
-    if isinstance(P.basis, ThreeTermBasis):
-        return build_anchor(P)
-    return build_anchor_dg(P)
+    """Anchor pencil: the reconstruction row of P over the recurrence rows.
+
+    Satisfies F(lam) (Phi_k(lam) kron I_n) = e_1 kron P(lam) and is a strong
+    linearization of P (regular or singular), for either basis family.
+    """
+    xblock, yblocks = poly_row_blocks(P)
+    n, k = P.n, P.k
+    Xs, Ys = recurrence_rows_scalar(P.basis, k)
+    eye = np.eye(n)
+    row = np.zeros((n, k * n))
+    row[:, :n] = xblock
+    X = np.vstack([row, np.kron(Xs, eye)])
+    Y = np.vstack([np.hstack(yblocks), np.kron(Ys, eye)])
+    return Pencil(X, Y, n, k)
 
 
 def leading_principal(L: Pencil, s: int) -> tuple[np.ndarray, np.ndarray]:

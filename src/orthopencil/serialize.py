@@ -121,25 +121,18 @@ def _complex_pairs(vec) -> list:
 
 
 def spectrum_report_obj(triples, recovered_right=None, recovered_left=None) -> dict:
-    """Report for a list of pencil eigentriples, sorted by (re, im).
+    """Report for a list of pencil eigentriples in the order given.
 
-    Finite eigenvalues are emitted as {re, im, residual}; infinite ones only
-    contribute to the count.  Recovered eigenvectors of P, when supplied,
-    are aligned with the finite list and encoded as [re, im] pairs.
+    The triples must already be sorted by (re, im) with infinite eigenvalues
+    last, as pencil_eigen returns them.  Finite eigenvalues are emitted as
+    {re, im, residual}; infinite ones only contribute to the count.
+    Recovered eigenvectors of P, when supplied, are aligned with the triples
+    and encoded as [re, im] pairs.
     """
-    order = sorted(
-        range(len(triples)),
-        key=lambda i: (
-            triples[i].is_infinite,
-            triples[i].eigenvalue.real,
-            triples[i].eigenvalue.imag,
-        ),
-    )
     finite = []
     eigenvectors = {}
     rights, lefts = [], []
-    for i in order:
-        t = triples[i]
+    for i, t in enumerate(triples):
         if t.is_infinite:
             continue
         finite.append(

@@ -23,16 +23,13 @@ from .oracle import Spectrum, reference_spectrum, trim_poly
 from .pencil import Pencil, eval_pencil
 
 __all__ = [
-    "GeneralizedEigenResult",
     "Eigentriple",
     "qz_solve",
     "pencil_eigen",
     "spectrum_of",
     "recover_right",
     "recover_left",
-    "ExclusionLeftReport",
     "exclusion_left",
-    "EigenvalueExclusionReport",
     "eigenvalue_exclusion",
 ]
 

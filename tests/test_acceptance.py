@@ -12,8 +12,7 @@ import pytest
 from orthopencil import (
     AnsatzFactor,
     MatrixPolynomial,
-    build_anchor,
-    build_anchor_dg,
+    anchor_pencil,
     build_dm,
     build_dm_pencil,
     builtin_basis,
@@ -63,7 +62,7 @@ def test_criterion_01_golden_chebyshev_anchor():
     with criterion(1, "golden Chebyshev anchor reproduced exactly"):
         P = _integer_cheb_problem(rng)
         P0, P1, P2, P3 = P.coeffs
-        F = build_anchor(P)
+        F = anchor_pencil(P)
         n = 2
         I, Z = np.eye(n), np.zeros((n, n))
         Xexp = np.block([[2 * P3, Z, Z], [Z, I, Z], [Z, Z, I]])
@@ -98,7 +97,7 @@ def test_criterion_03_golden_degree_graded_anchor():
         dg = stepped_dg_basis(4)
         coeffs = tuple(rng.integers(-4, 5, (2, 2)).astype(float) for _ in range(5))
         P = MatrixPolynomial(coeffs, dg)
-        G = build_anchor_dg(P)
+        G = anchor_pencil(P)
         P0, P1, P2, P3, P4 = coeffs
         I, Z = np.eye(2), np.zeros((2, 2))
         Xexp = np.block([[P4, Z, Z, Z], [Z, I, Z, Z], [Z, Z, I, Z], [Z, Z, Z, I]])

@@ -5,7 +5,7 @@ from orthopencil import (
     AnsatzFactor,
     DimensionMismatchError,
     MatrixPolynomial,
-    build_anchor,
+    anchor_pencil,
     builtin_basis,
     check_linearization,
     dimension_m,
@@ -44,7 +44,7 @@ def _ansatz_residual(P, L, v, side):
 
 def test_identity_factor_reproduces_anchor(rng):
     P = random_problem(rng, 2, 3)
-    F = build_anchor(P)
+    F = anchor_pencil(P)
     L = make_m1(P, identity_factor(3, 2))
     assert np.array_equal(L.X, F.X)
     assert np.array_equal(L.Y, F.Y)
@@ -76,7 +76,7 @@ def test_m2_identity_and_block_transpose_relation(rng):
 def test_identity_factor_m2(rng):
     P = random_problem(rng, 2, 3)
     L = make_m2(P, identity_factor(3, 2, side="M2"))
-    FB = pencil_block_transpose(build_anchor(P))
+    FB = pencil_block_transpose(anchor_pencil(P))
     assert np.allclose(L.X, FB.X) and np.allclose(L.Y, FB.Y)
 
 
@@ -99,7 +99,7 @@ def test_recover_round_trip_m2(rng):
 
 def test_recover_anchor_gives_unit_vector(rng):
     P = random_problem(rng, 2, 4)
-    f = recover_factors(build_anchor(P), P)
+    f = recover_factors(anchor_pencil(P), P)
     assert np.allclose(f.v, np.eye(4)[0], atol=1e-14)
     expected_B = np.vstack([np.zeros((2, 6)), np.eye(6)])
     assert np.array_equal(f.B, expected_B)
@@ -116,7 +116,7 @@ def test_recover_robust_to_zero_entries_in_leading_coefficient(rng):
 
 def test_verify_membership_anchor(rng):
     P = random_problem(rng, 2, 3)
-    F = build_anchor(P)
+    F = anchor_pencil(P)
     report = verify_membership(F, P)
     assert report.member and report.residual <= 1e-12
     assert np.allclose(report.v, [1.0, 0.0, 0.0], atol=1e-13)
@@ -124,7 +124,7 @@ def test_verify_membership_anchor(rng):
 
 def test_verify_membership_detects_perturbation(rng):
     P = random_problem(rng, 2, 3)
-    F = build_anchor(P)
+    F = anchor_pencil(P)
     Y = F.Y.copy()
     Y[3, 1] += 1.0
     broken = type(F)(F.X, Y, F.n, F.k)

@@ -5,9 +5,8 @@ from orthopencil import (
     AnsatzFactor,
     MatrixPolynomial,
     OpCounter,
-    build_anchor,
+    anchor_pencil,
     build_dm,
-    build_dm_dg,
     build_dm_generic,
     build_dm_pencil,
     builtin_basis,
@@ -44,7 +43,7 @@ def test_chebyshev_unit_vector_golden(rng):
 
 
 def test_closed_form_matches_generic_solver(rng):
-    for kind in BASIS_KINDS + ("newton",):
+    for kind in BASIS_KINDS + ("newton", "custom"):
         for k in (2, 3, 4, 6):
             nodes = rng.uniform(-1, 1, k + 1) if kind == "newton" else None
             P = random_problem(rng, 2, k, kind, nodes=nodes)
@@ -53,6 +52,12 @@ def test_closed_form_matches_generic_solver(rng):
             generic = build_dm_generic(P, v)
             scale = max(np.max(np.abs(closed.B)), 1.0)
             assert np.max(np.abs(closed.B - generic.B)) <= 1e-11 * scale
+            # the pencil builder (generic solver) against the closed form's pencil
+            _, L = build_dm_pencil(P, v)
+            ref = make_m1(P, closed)
+            for got, want in ((L.X, ref.X), (L.Y, ref.Y)):
+                scale = max(np.max(np.abs(want)), 1.0)
+                assert np.max(np.abs(got - want)) <= 1e-11 * scale
 
 
 def test_degree_graded_example_formulas(rng):
@@ -60,7 +65,7 @@ def test_degree_graded_example_formulas(rng):
     coeffs = tuple(rng.uniform(-1, 1, (2, 2)) for _ in range(5))
     P = MatrixPolynomial(coeffs, dg)
     v = rng.uniform(-1, 1, 4)
-    f = build_dm_dg(P, v)
+    f = build_dm_generic(P, v)
     n = 2
     B = f.B
     blk = lambda i, j: B[(i - 1) * n : i * n, (j - 1) * n : j * n]
@@ -86,7 +91,7 @@ def test_monomial_agrees_across_basis_families(rng):
     coeffs = tuple(rng.uniform(-1, 1, (n, n)) for _ in range(k + 1))
     v = rng.standard_normal(k)
     f3t = build_dm(MatrixPolynomial(coeffs, builtin_basis("monomial")), v)
-    fdg = build_dm_dg(MatrixPolynomial(coeffs, monomial_dg_basis(k)), v)
+    fdg = build_dm_generic(MatrixPolynomial(coeffs, monomial_dg_basis(k)), v)
     assert np.allclose(f3t.B, fdg.B, atol=1e-12)
 
 
@@ -149,7 +154,7 @@ def test_double_membership_and_factor_relation(rng):
 
 def test_anchor_is_not_block_symmetric(rng):
     P = random_problem(rng, 2, 3)
-    assert not is_block_symmetric(build_anchor(P), tol=1e-12).symmetric
+    assert not is_block_symmetric(anchor_pencil(P), tol=1e-12).symmetric
 
 
 def test_scalar_case_coincides_with_matrix_symmetry(rng):
@@ -236,13 +241,13 @@ def test_operation_count_is_quadratic_in_k(rng):
 
 
 def test_dispatch_errors(rng):
-    P = random_problem(rng, 2, 3)
-    with pytest.raises(TypeError):
-        build_dm_dg(P, np.ones(3))
     dg = MatrixPolynomial(
         tuple(rng.uniform(-1, 1, (2, 2)) for _ in range(4)), stepped_dg_basis(3)
     )
     with pytest.raises(TypeError):
         build_dm(dg, np.ones(3))
+    linear = MatrixPolynomial((np.eye(2), np.eye(2)), builtin_basis("monomial"))
     with pytest.raises(ValueError):
-        build_dm(MatrixPolynomial((np.eye(2), np.eye(2)), builtin_basis("monomial")), np.ones(1))
+        build_dm(linear, np.ones(1))
+    with pytest.raises(ValueError):
+        build_dm_generic(linear, np.ones(1))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -116,7 +117,7 @@ def test_degree_graded_flag(capsys, tmp_path, rng):
     )
     path = tmp_path / "dg.json"
     path.write_text(dump_json(problem_to_obj(P)))
-    code, obj = _run(capsys, ["anchor", "-p", str(path), "--degree-graded"])
+    code, obj = _run(capsys, ["anchor", "-p", str(path)])
     assert code == 0
     L = pencil_from_obj(obj)
     assert np.array_equal(L.Y[6:8, 6:8], np.eye(2))  # the shifted corner block
@@ -167,10 +168,16 @@ def test_emitted_json_reparses_identically(capsys):
 
 
 def test_module_entry_point():
+    # the child interpreter finds the package where this one imported it from
+    import orthopencil
+
+    src = os.path.dirname(os.path.dirname(orthopencil.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "orthopencil", "oracle", "--random", "2,2,1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)

@@ -7,11 +7,6 @@ from orthopencil import (
     Pencil,
     anchor_pencil,
     block_transpose,
-    build_anchor,
-    build_anchor_dg,
-    build_poly_row,
-    build_poly_row_dg,
-    build_recurrence_rows,
     builtin_basis,
     eval_pencil,
     leading_principal,
@@ -20,7 +15,7 @@ from orthopencil import (
     reversal_pencil,
     sample_points,
 )
-from conftest import BASIS_KINDS, monomial_dg_basis, random_problem, stepped_dg_basis
+from conftest import ALL_KINDS, BASIS_KINDS, monomial_dg_basis, random_problem, stepped_dg_basis
 
 
 def _cheb3(rng, n=2):
@@ -31,66 +26,79 @@ def _kron_phi(P, lam):
     return np.kron(phi_vector(P.basis, P.k, lam).reshape(-1, 1), np.eye(P.n))
 
 
+def _poly_row(F):
+    """The anchor's first block row: the n x kn pencil reconstructing P."""
+    return F.X[: F.n], F.Y[: F.n]
+
+
+def _recurrence_rows(F):
+    """The anchor's block rows 2..k: the pencil annihilating Phi_k kron I_n."""
+    return F.X[F.n :], F.Y[F.n :]
+
+
+def _scalar_anchor(kind, k):
+    return anchor_pencil(MatrixPolynomial(tuple(np.ones((1, 1)) for _ in range(k + 1)),
+                                          builtin_basis(kind)))
+
+
 def test_poly_row_chebyshev_golden(rng):
     P = _cheb3(rng)
-    m = build_poly_row(P)
+    mX, mY = _poly_row(anchor_pencil(P))
     n = P.n
     P0, P1, P2, P3 = P.coeffs
-    assert np.array_equal(m.X[:, :n], 2 * P3)
-    assert np.array_equal(m.X[:, n:], np.zeros((n, 2 * n)))
-    assert np.array_equal(m.Y[:, :n], P2)
-    assert np.array_equal(m.Y[:, n : 2 * n], P1 - P3)
-    assert np.array_equal(m.Y[:, 2 * n :], P0)
+    assert np.array_equal(mX[:, :n], 2 * P3)
+    assert np.array_equal(mX[:, n:], np.zeros((n, 2 * n)))
+    assert np.array_equal(mY[:, :n], P2)
+    assert np.array_equal(mY[:, n : 2 * n], P1 - P3)
+    assert np.array_equal(mY[:, 2 * n :], P0)
 
 
 def test_poly_row_monomial_golden(rng):
     P = random_problem(rng, 2, 4, "monomial")
-    m = build_poly_row(P)
+    mX, mY = _poly_row(anchor_pencil(P))
     n = P.n
-    assert np.array_equal(m.X[:, :n], P.coeffs[4])
+    assert np.array_equal(mX[:, :n], P.coeffs[4])
     for j in range(4):
         expected = P.coeffs[3 - j]
-        assert np.array_equal(m.Y[:, j * n : (j + 1) * n], expected)
+        assert np.array_equal(mY[:, j * n : (j + 1) * n], expected)
 
 
 def test_poly_row_reconstructs_polynomial(rng):
     for kind in BASIS_KINDS:
         P = random_problem(rng, 2, 4, kind)
-        m = build_poly_row(P)
+        mX, mY = _poly_row(anchor_pencil(P))
         for lam in rng.uniform(-1.5, 1.5, 5):
-            lhs = eval_pencil(m, lam) @ _kron_phi(P, lam)
+            lhs = (mX * lam + mY) @ _kron_phi(P, lam)
             assert np.allclose(lhs, P.evaluate(lam), atol=1e-12)
 
 
 def test_recurrence_rows_chebyshev_golden():
-    rows = build_recurrence_rows(builtin_basis("chebyshev1"), 3, 1)
+    X, Y = _recurrence_rows(_scalar_anchor("chebyshev1", 3))
     lam = 0.77
-    M = eval_pencil(rows, lam)
+    M = X * lam + Y
     assert np.allclose(M, [[-0.5, lam, -0.5], [0.0, -1.0, lam]])
 
 
 def test_recurrence_rows_monomial_golden():
-    rows = build_recurrence_rows(builtin_basis("monomial"), 3, 1)
+    X, Y = _recurrence_rows(_scalar_anchor("monomial", 3))
     lam = 0.3
-    assert np.allclose(eval_pencil(rows, lam), [[-1.0, lam, 0.0], [0.0, -1.0, lam]])
+    assert np.allclose(X * lam + Y, [[-1.0, lam, 0.0], [0.0, -1.0, lam]])
 
 
 def test_recurrence_rows_annihilate_basis_vector(rng):
-    for kind in BASIS_KINDS:
-        basis = builtin_basis(kind)
-        rows = build_recurrence_rows(basis, 5, 2)
+    for kind in ALL_KINDS:
+        P = random_problem(rng, 2, 5, kind)
+        X, Y = _recurrence_rows(anchor_pencil(P))
         for lam in rng.uniform(-1.5, 1.5, 5):
-            out = eval_pencil(rows, lam) @ np.kron(
-                phi_vector(basis, 5, lam).reshape(-1, 1), np.eye(2)
-            )
+            out = (X * lam + Y) @ _kron_phi(P, lam)
             assert np.max(np.abs(out)) < 1e-12
 
 
 def test_anchor_identity_across_bases(rng):
-    for kind in BASIS_KINDS:
+    for kind in ALL_KINDS:
         for (n, k) in [(1, 2), (3, 3), (5, 8), (2, 5)]:
             P = random_problem(rng, n, k, kind)
-            F = build_anchor(P)
+            F = anchor_pencil(P)
             e1 = np.zeros((k, 1))
             e1[0] = 1.0
             scale = P.coefficient_scale()
@@ -102,7 +110,7 @@ def test_anchor_identity_across_bases(rng):
 
 def test_monomial_anchor_is_frobenius_companion(rng):
     P = random_problem(rng, 2, 4, "monomial")
-    F = build_anchor(P)
+    F = anchor_pencil(P)
     n, k = P.n, P.k
     X = np.zeros((k * n, k * n))
     X[:n, :n] = P.coeffs[k]
@@ -117,7 +125,7 @@ def test_monomial_anchor_is_frobenius_companion(rng):
 
 def test_anchor_x_sparsity_pattern(rng):
     P = random_problem(rng, 3, 4, "legendre")
-    F = build_anchor(P)
+    F = anchor_pencil(P)
     n, k = P.n, P.k
     a, _, _ = P.basis.recurrence(k - 1)
     expected = np.zeros_like(F.X)
@@ -132,7 +140,7 @@ def test_degree_graded_anchor_golden(rng):
     n = 2
     coeffs = tuple(rng.integers(-3, 4, (n, n)).astype(float) for _ in range(5))
     P = MatrixPolynomial(coeffs, dg)
-    G = build_anchor_dg(P)
+    G = anchor_pencil(P)
     P0, P1, P2, P3, P4 = coeffs
     I, Z = np.eye(n), np.zeros((n, n))
     Yexp = np.block([
@@ -155,7 +163,7 @@ def test_degree_graded_anchor_identity(rng):
     dg = stepped_dg_basis(4)
     coeffs = tuple(rng.uniform(-1, 1, (3, 3)) for _ in range(5))
     P = MatrixPolynomial(coeffs, dg)
-    G = build_anchor_dg(P)
+    G = anchor_pencil(P)
     e1 = np.zeros((4, 1))
     e1[0] = 1.0
     for lam in sample_points(5):
@@ -169,25 +177,15 @@ def test_monomial_as_degree_graded_matches_three_term(rng):
     coeffs = tuple(rng.uniform(-1, 1, (n, n)) for _ in range(k + 1))
     P3t = MatrixPolynomial(coeffs, builtin_basis("monomial"))
     Pdg = MatrixPolynomial(coeffs, monomial_dg_basis(k))
-    F = build_anchor(P3t)
-    G = build_anchor_dg(Pdg)
+    F = anchor_pencil(P3t)
+    G = anchor_pencil(Pdg)
     assert np.array_equal(F.X, G.X)
     assert np.array_equal(F.Y, G.Y)
 
 
-def test_basis_type_dispatch_errors(rng):
-    P = _cheb3(rng)
-    with pytest.raises(TypeError):
-        build_poly_row_dg(P)
-    with pytest.raises(TypeError):
-        build_anchor_dg(P)
-    dg = MatrixPolynomial(
-        tuple(rng.uniform(-1, 1, (2, 2)) for _ in range(4)), stepped_dg_basis(3)
-    )
-    with pytest.raises(TypeError):
-        build_anchor(dg)
+def test_basis_type_dispatch_errors():
     with pytest.raises(ValueError):
-        build_anchor(MatrixPolynomial((np.eye(2), np.eye(2)), builtin_basis("monomial")))
+        anchor_pencil(MatrixPolynomial((np.eye(2), np.eye(2)), builtin_basis("monomial")))
 
 
 def test_block_transpose_basics(rng):
@@ -203,7 +201,7 @@ def test_block_transpose_basics(rng):
 
 def test_eval_and_reversal(rng):
     P = _cheb3(rng)
-    F = build_anchor(P)
+    F = anchor_pencil(P)
     assert np.array_equal(eval_pencil(F, 0.0), F.Y)
     assert np.array_equal(eval_pencil(F, 1.0), F.X + F.Y)
     R = reversal_pencil(F)
@@ -218,7 +216,7 @@ def test_reversal_nullvectors_have_first_block_form(rng):
     coeffs = [rng.uniform(-1, 1, (3, 3)) for _ in range(4)]
     coeffs[-1][2] = coeffs[-1][0]
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev1"))
-    F = build_anchor(P)
+    F = anchor_pencil(P)
     rev0 = eval_pencil(reversal_pencil(F), 0.0)
     _, s, Vh = np.linalg.svd(rev0)
     null = Vh[-1].conj()
@@ -228,7 +226,7 @@ def test_reversal_nullvectors_have_first_block_form(rng):
 
 def test_leading_principal(rng):
     P = _cheb3(rng)
-    F = build_anchor(P)
+    F = anchor_pencil(P)
     n = P.n
     Xs, Ys = leading_principal(F, n)
     assert np.array_equal(Xs, 2 * P.coeffs[3])
@@ -263,11 +261,14 @@ def test_block_transpose_swaps_ansatz_sides(rng):
 
 
 def test_anchor_dispatch(rng):
+    # one builder for both families: X is diag(c * P_k, I) with c = 1 / alpha_{k-1}
+    # for a three-term basis and c = 1 for a (monic) degree-graded one
     P = _cheb3(rng)
-    F = anchor_pencil(P)
-    assert np.array_equal(F.X, build_anchor(P).X)
     dg = MatrixPolynomial(
         tuple(rng.uniform(-1, 1, (2, 2)) for _ in range(4)), stepped_dg_basis(3)
     )
-    G = anchor_pencil(dg)
-    assert np.array_equal(G.X, build_anchor_dg(dg).X)
+    for Q, c in ((P, 2.0), (dg, 1.0)):
+        F = anchor_pencil(Q)
+        expected = np.eye(6)
+        expected[:2, :2] = c * Q.coeffs[3]
+        assert np.array_equal(F.X, expected)

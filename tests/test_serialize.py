@@ -7,7 +7,7 @@ from orthopencil import (
     AnsatzFactor,
     DimensionMismatchError,
     ThreeTermBasis,
-    build_anchor,
+    anchor_pencil,
     builtin_basis,
     pencil_eigen,
 )
@@ -65,7 +65,7 @@ def test_problem_declared_dimensions_must_match(rng):
 
 
 def test_pencil_round_trip(rng):
-    L = build_anchor(random_problem(rng, 2, 3, "legendre"))
+    L = anchor_pencil(random_problem(rng, 2, 3, "legendre"))
     M = pencil_from_obj(_through_json(pencil_to_obj(L)))
     assert np.array_equal(L.X, M.X) and np.array_equal(L.Y, M.Y)
     assert (M.n, M.k) == (L.n, L.k)
@@ -80,7 +80,7 @@ def test_factor_round_trip(rng):
 
 def test_spectrum_report_sorted_and_complete(rng):
     P = random_problem(rng, 2, 3)
-    triples = pencil_eigen(build_anchor(P))
+    triples = pencil_eigen(anchor_pencil(P))
     report = _through_json(spectrum_report_obj(triples))
     finite = report["finite"]
     keys = [(e["re"], e["im"]) for e in finite]
@@ -91,7 +91,7 @@ def test_spectrum_report_sorted_and_complete(rng):
 
 def test_spectrum_report_with_vectors(rng):
     P = random_problem(rng, 2, 2)
-    triples = pencil_eigen(build_anchor(P))
+    triples = pencil_eigen(anchor_pencil(P))
     rights = [np.ones(2) for _ in triples]
     report = spectrum_report_obj(triples, recovered_right=rights)
     assert len(report["eigenvectors"]["right"]) == len(report["finite"])

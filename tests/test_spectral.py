@@ -8,7 +8,7 @@ from orthopencil import (
     Pencil,
     RecoveryError,
     SingularPencilError,
-    build_anchor,
+    anchor_pencil,
     build_dm,
     builtin_basis,
     check_linearization,
@@ -52,7 +52,7 @@ def test_scalar_monomial_companion_roots():
     P = MatrixPolynomial(
         (np.array([[2.0]]), np.array([[-3.0]]), np.array([[1.0]])), builtin_basis("monomial")
     )
-    triples = pencil_eigen(build_anchor(P))
+    triples = pencil_eigen(anchor_pencil(P))
     got = sorted(t.eigenvalue.real for t in triples)
     assert np.allclose(got, [1.0, 2.0], atol=1e-12)
 
@@ -69,7 +69,7 @@ def test_infinite_count_matches_oracle(rng):
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev1"))
     spec = reference_spectrum(P)
     assert spec.infinite_count >= 1
-    ps = spectrum_of(pencil_eigen(build_anchor(P)))
+    ps = spectrum_of(pencil_eigen(anchor_pencil(P)))
     assert ps.infinite_count == spec.infinite_count
     assert compare_spectra(ps, spec, tol=1e-6).matched
 
@@ -89,7 +89,7 @@ def test_plain_eigenvalue_solver_path(rng):
     coeffs[-1][1] = coeffs[-1][0]
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("monomial"))
     ref = reference_spectrum(P)
-    ps = spectrum_of(pencil_eigen(build_anchor(P), solver=plain))
+    ps = spectrum_of(pencil_eigen(anchor_pencil(P), solver=plain))
     assert ps.infinite_count == ref.infinite_count
     assert compare_spectra(ps, ref, tol=1e-6).matched
 
@@ -98,7 +98,7 @@ def test_recover_right_scalar_basis_vector():
     P = MatrixPolynomial(
         (np.array([[2.0]]), np.array([[-3.0]]), np.array([[1.0]])), builtin_basis("monomial")
     )
-    for t in pencil_eigen(build_anchor(P)):
+    for t in pencil_eigen(anchor_pencil(P)):
         u = recover_right(P, t.eigenvalue, t.right)
         assert abs(abs(u[0]) - 1.0) < 1e-12
         # the pencil eigenvector itself must be proportional to Phi_k(alpha)
@@ -110,7 +110,7 @@ def test_recover_right_scalar_basis_vector():
 def test_recover_right_residuals(rng):
     for n in (2, 3, 4):
         P = random_problem(rng, n, 3, "chebyshev1")
-        for t in pencil_eigen(build_anchor(P)):
+        for t in pencil_eigen(anchor_pencil(P)):
             u = recover_right(P, t.eigenvalue, t.right)
             Pa = P.evaluate(t.eigenvalue)
             assert np.linalg.norm(Pa @ u) <= 1e-6 * np.linalg.norm(Pa)
@@ -120,7 +120,7 @@ def test_recover_right_infinite(rng):
     coeffs = [rng.uniform(-1, 1, (3, 3)) for _ in range(4)]
     coeffs[-1][:, 0] = 0.0
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("legendre"))
-    triples = [t for t in pencil_eigen(build_anchor(P)) if t.is_infinite]
+    triples = [t for t in pencil_eigen(anchor_pencil(P)) if t.is_infinite]
     assert triples
     from orthopencil import reversal_monomial
 
@@ -243,7 +243,7 @@ def test_eigenvector_inclusion_anchor_to_member(rng):
     # every right eigenvector of the anchor is an eigenvector of any member,
     # rank-deficient factors included
     P = random_problem(rng, 2, 3)
-    F = build_anchor(P)
+    F = anchor_pencil(P)
     v = rng.standard_normal(3)
     B = rng.standard_normal((6, 4))
     B[:, 1] = np.kron(v, np.eye(2)[:, 0])
@@ -258,7 +258,7 @@ def test_eigenvector_inclusion_anchor_to_member(rng):
 
 def test_linearization_iff_shared_eigenvectors(rng):
     P = random_problem(rng, 2, 3)
-    F = build_anchor(P)
+    F = anchor_pencil(P)
     f = _full_rank_factor(rng, 3, 2)
     L = make_m1(P, f)
     for t in pencil_eigen(L):
@@ -339,7 +339,7 @@ def test_spectrum_equality_random_members(rng):
 
 def test_eigentriple_fields(rng):
     P = random_problem(rng, 2, 2)
-    t = pencil_eigen(build_anchor(P))[0]
+    t = pencil_eigen(anchor_pencil(P))[0]
     assert isinstance(t, Eigentriple)
     assert abs(np.linalg.norm(t.right) - 1.0) < 1e-12
     assert abs(np.linalg.norm(t.left) - 1.0) < 1e-12
