@@ -134,7 +134,8 @@ def _cmd_eig(args) -> int:
         L = anchor_pencil(P)
         v = np.zeros(P.k)
         v[0] = 1.0
-    triples = pencil_eigen(L)
+    # without recovery no left eigenvector is used, so QZ skips them
+    triples = pencil_eigen(L, left=args.recover)
     rights = lefts = None
     if args.recover:
         # Kronecker structure sits in the right eigenvectors for side M1 and

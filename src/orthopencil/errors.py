@@ -16,9 +16,9 @@ class BasisCoefficientError(OrthopencilError):
 class SingularPencilError(OrthopencilError):
     """A matrix pencil was found to be singular where regularity is required."""
 
-    def __init__(self, message, max_ratio=None):
+    def __init__(self, message, rcond=None):
         super().__init__(message)
-        self.max_ratio = max_ratio
+        self.rcond = rcond
 
 
 class SingularMatrixPolynomialError(OrthopencilError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .basis import BasisSpec, DegreeGradedBasis, ThreeTermBasis, _phi_sequence, to_monomial
 from .errors import DimensionMismatchError
@@ -80,12 +81,59 @@ class MatrixPolynomial:
 
 @dataclass(frozen=True)
 class RegularityVerdict:
-    """Outcome of the randomized regularity test (probabilistic)."""
+    """Outcome of the sampled regularity test (probabilistic).
+
+    ``rcond`` is the largest reciprocal condition number seen, ``witness``
+    the point where it was seen and ``trials`` the number of points
+    evaluated."""
 
     regular: bool
     witness: complex | None
-    max_ratio: float
+    rcond: float
     trials: int
+
+
+# Points of the disk |lam| < 2 at which the regularity test evaluates M(lam).
+REGULARITY_POINTS = 3
+
+
+def _rcond(M: np.ndarray) -> float:
+    """LAPACK estimate of 1 / (||M||_1 ||M^-1||_1): getrf, then gecon.
+
+    A zero norm or an exactly zero pivot gives 0."""
+    anorm = float(np.linalg.norm(M, 1))
+    if anorm == 0.0:
+        return 0.0
+    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (M,))
+    lu, _, info = getrf(M)
+    if info > 0:
+        return 0.0
+    value, _ = gecon(lu, anorm, norm="1")
+    return float(value)
+
+
+def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:
+    """Regularity of the size x size matrix function evaluate(lam).
+
+    M(lam) is LU-factored at up to REGULARITY_POINTS random points of the
+    disk |lam| < 2; it is regular as soon as one point has
+    rcond(M(lam)) > 10 * size * eps.  The test is scale-invariant: rcond of a
+    random regular matrix decays only polynomially with its size, where the
+    scaled determinant decays exponentially.  A singular matrix function
+    gives rcond at rounding level (an exactly singular M(lam) gives 0) at
+    every point.
+    """
+    threshold = 10.0 * size * np.finfo(float).eps
+    best, witness = -1.0, None
+    for trial in range(1, REGULARITY_POINTS + 1):
+        r = 2.0 * np.sqrt(rng.uniform())
+        lam = complex(r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        value = _rcond(evaluate(lam))
+        if value > best:
+            best, witness = value, lam
+        if value > threshold:
+            return RegularityVerdict(True, lam, value, trial)
+    return RegularityVerdict(False, witness, best, REGULARITY_POINTS)
 
 
 def require_ansatz_degree(P: MatrixPolynomial):
@@ -113,33 +161,15 @@ def reversal_monomial(P: MatrixPolynomial) -> np.ndarray:
     return monomial_coefficients(P)[::-1].copy()
 
 
-def is_regular(P: MatrixPolynomial, trials: int | None = None, tol: float = 1e-10,
-               rng=None) -> RegularityVerdict:
-    """Randomized regularity test: sample det P at points in the disk |x| < 2.
+def is_regular(P: MatrixPolynomial, rng=None) -> RegularityVerdict:
+    """Randomized regularity test of P: rcond(P(x)) at points of the disk |x| < 2.
 
-    Each |det| is compared against tol times the Hadamard bound (product of
-    row norms) at that point, so badly scaled inputs do not read as singular.
-    The verdict is probabilistic: det P has degree <= kn, so kn + 1 samples
-    cannot all be accidental zeros of a nonzero determinant (up to rounding).
+    P is regular as soon as one of the 3 sampled points has a reciprocal
+    1-norm condition number above 10 * n * eps (see sampled_regularity).  The
+    verdict is probabilistic: det P is a nonzero polynomial for regular P, so
+    random points are almost surely not its roots, and rcond does not depend
+    on the scale of P.
     """
-    if trials is None:
-        trials = P.k * P.n + 1
     if rng is None:
         rng = np.random.default_rng(2024)
-    max_ratio = 0.0
-    witness = None
-    for _ in range(trials):
-        r = 2.0 * np.sqrt(rng.uniform())
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        lam = r * np.exp(1j * theta)
-        M = P.evaluate(lam)
-        scale = float(np.prod(np.linalg.norm(M, axis=1)))
-        if scale == 0.0:
-            continue
-        ratio = abs(np.linalg.det(M)) / scale
-        if ratio > max_ratio:
-            max_ratio = ratio
-            witness = complex(lam)
-        if ratio > tol:
-            return RegularityVerdict(True, complex(lam), max_ratio, trials)
-    return RegularityVerdict(False, witness, max_ratio, trials)
+    return sampled_regularity(P.evaluate, P.n, rng)

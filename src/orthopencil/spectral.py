@@ -1,11 +1,13 @@
 """Pencil eigenproblems, eigenvector recovery, and exclusion checks.
 
 The dense generalized eigensolver is an injected dependency: any callable
-mapping (X, Y) to a GeneralizedEigenResult can be used, and the default wraps
-scipy's QZ-based solver.  Infinite eigenvalues are recognized either from the
-homogeneous (alpha, beta) form when the solver provides it, or by magnitude
-thresholding otherwise; they correspond to zero eigenvalues of the reversal
-Y*lam + X.
+``solver(X, Y, left)`` returning a GeneralizedEigenResult for the pencil
+X*lam + Y can be used, and the default wraps scipy's QZ-based solver.  With
+``left`` false the caller uses no left eigenvectors, so the solver may skip
+them and return ``left=None``.  Infinite eigenvalues are recognized either
+from the homogeneous (alpha, beta) form when the solver provides it, or by
+magnitude thresholding otherwise; they correspond to zero eigenvalues of the
+reversal Y*lam + X.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ import scipy.linalg
 from .ansatz import AnsatzFactor, check_linearization, make_m1, make_m2, side_multiplier
 from .basis import phi_vector, to_monomial
 from .errors import RecoveryError, SingularPencilError
-from .matpoly import MatrixPolynomial, require_ansatz_degree, reversal_monomial
+from .matpoly import (
+    MatrixPolynomial,
+    require_ansatz_degree,
+    reversal_monomial,
+    sampled_regularity,
+)
 from .oracle import Spectrum, reference_spectrum, trim_poly
 from .pencil import Pencil, eval_pencil
 
@@ -50,8 +57,15 @@ class GeneralizedEigenResult:
     left: np.ndarray | None
 
 
-def qz_solve(X: np.ndarray, Y: np.ndarray) -> GeneralizedEigenResult:
-    """Default dense solver: scipy's QZ on the pair (Y, -X)."""
+def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True) -> GeneralizedEigenResult:
+    """Default dense solver: scipy's QZ on the pair (Y, -X).
+
+    With left false no left eigenvectors are computed (``left`` is None in
+    the result); eigenvalues and right eigenvectors are the same either way.
+    """
+    if not left:
+        w, vr = scipy.linalg.eig(Y, -X, left=False, right=True, homogeneous_eigvals=True)
+        return GeneralizedEigenResult(alpha=w[0], beta=w[1], right=vr, left=None)
     w, vl, vr = scipy.linalg.eig(Y, -X, left=True, right=True, homogeneous_eigvals=True)
     return GeneralizedEigenResult(alpha=w[0], beta=w[1], right=vr, left=np.conj(vl))
 
@@ -74,69 +88,112 @@ class Eigentriple:
         return bool(np.isinf(self.eigenvalue))
 
 
-def _pencil_regularity(L: Pencil, tol: float, rng) -> tuple[bool, float]:
-    size = L.k * L.n
-    max_ratio = 0.0
-    for _ in range(size + 1):
-        r = 2.0 * np.sqrt(rng.uniform())
-        lam = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        M = eval_pencil(L, lam)
-        scale = float(np.prod(np.linalg.norm(M, axis=1)))
-        if scale == 0.0:
-            continue
-        ratio = abs(np.linalg.det(M)) / scale
-        max_ratio = max(max_ratio, ratio)
-        if ratio > tol:
-            return True, max_ratio
-    return False, max_ratio
+# Columns per block of the residual GEMMs: bounds their temporaries.
+_RESIDUAL_BLOCK = 64
+# Finite eigenvalues whose real parts differ by at most this many ulps of
+# their modulus are ordered by imaginary part (see _sort_triples).
+_ORDER_ULPS = 8
 
 
-def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8,
-                 reg_tol: float = 1e-10, rng=None) -> list[Eigentriple]:
+def _residual_norms(X, Y, V, lam, infinite):
+    """||(X*lam_j + Y) v_j|| for every column v_j of V (||X v_j|| where infinite).
+
+    Two real GEMMs per column block, on the real and imaginary parts side by
+    side, replace one kn x kn matrix per eigenvalue."""
+    c1 = np.where(infinite, 1.0, lam)
+    c0 = np.where(infinite, 0.0, 1.0)
+    out = np.empty(V.shape[1])
+    for start in range(0, V.shape[1], _RESIDUAL_BLOCK):
+        cols = slice(start, start + _RESIDUAL_BLOCK)
+        block = V[:, cols]
+        b = block.shape[1]
+        parts = np.hstack([block.real, block.imag])
+        XV = X @ parts
+        YV = Y @ parts
+        R = (XV[:, :b] + 1j * XV[:, b:]) * c1[cols] + (YV[:, :b] + 1j * YV[:, b:]) * c0[cols]
+        out[cols] = np.linalg.norm(R, axis=0)
+    return out
+
+
+def _sort_triples(triples):
+    """Sort by (real, imag) with infinite eigenvalues last, in solver order.
+
+    Real parts within _ORDER_ULPS ulps of the first of a run are one group,
+    ordered by imaginary part: the two members of a conjugate pair whose
+    computed real parts differ in the last bits are then always listed
+    negative-imaginary first.  Equal real parts keep the (real, imag) order."""
+    finite = sorted((t for t in triples if not t.is_infinite),
+                    key=lambda t: (t.eigenvalue.real, t.eigenvalue.imag))
+    tol = _ORDER_ULPS * np.finfo(float).eps
+    head = None
+    keyed = []
+    for t in finite:
+        z = t.eigenvalue
+        if head is None or z.real - head.real > tol * max(abs(head), abs(z)):
+            head = z
+        keyed.append(((head.real, z.imag, z.real), t))
+    keyed.sort(key=lambda pair: pair[0])
+    return [t for _, t in keyed] + [t for t in triples if t.is_infinite]
+
+
+def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
+                 left: bool = True) -> list[Eigentriple]:
     """All kn eigenvalues of a regular pencil, infinite ones included.
 
-    Raises SingularPencilError when sampled determinants flag the pencil as
-    singular; eigenvalues of a singular pencil are meaningless.  Results are
-    sorted by (real, imag) with infinite eigenvalues last.
+    Regularity is tested first, by LU factorizations of X*lam + Y at up to 3
+    random points of the disk |lam| < 2: the pencil is regular as soon as
+    one has a reciprocal condition number (LAPACK gecon, 1-norm) above
+    10 * kn * eps.  Otherwise SingularPencilError is raised, carrying the
+    largest rcond seen; eigenvalues of a singular pencil are meaningless.
+
+    The solver is called as solver(X, Y, left).  With left false no left
+    eigenvectors are asked for and every triple's ``left`` is None.
+    Residuals are ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||) for unit right
+    vectors u (||X u|| / ||X|| at infinite eigenvalues).  Results are sorted
+    by (real, imag) with infinite eigenvalues last; real parts equal up to
+    rounding are ordered by imaginary part.
     """
     if solver is None:
         solver = qz_solve
     if rng is None:
         rng = np.random.default_rng(90210)
-    regular, max_ratio = _pencil_regularity(L, reg_tol, rng)
-    if not regular:
+    verdict = sampled_regularity(lambda lam: eval_pencil(L, lam), L.k * L.n, rng)
+    if not verdict.regular:
         raise SingularPencilError(
-            f"pencil is singular to sampled-determinant tolerance {reg_tol:g} "
-            f"(max scaled |det| = {max_ratio:.3e})",
-            max_ratio=max_ratio,
+            f"pencil is singular: rcond of X*lam + Y is at most {verdict.rcond:.3e} "
+            f"at {verdict.trials} sampled points (threshold 10*kn*eps)",
+            rcond=verdict.rcond,
         )
-    res = solver(L.X, L.Y)
-    nx = np.linalg.norm(L.X)
-    ny = np.linalg.norm(L.Y)
-    triples = []
-    for idx in range(res.alpha.size):
+    res = solver(L.X, L.Y, left)
+    size = res.alpha.size
+    lams = []
+    infinite = np.zeros(size, dtype=bool)
+    for idx in range(size):
+        # Python complex division: numpy's vectorized one differs in the last
+        # bits, which would change the reported eigenvalues
         a = complex(res.alpha[idx])
-        if res.beta is not None:
-            b = complex(res.beta[idx])
-            infinite = abs(b) <= inf_tol * (abs(a) + abs(b))
-            lam = complex(np.inf) if infinite else a / b
+        if res.beta is None:
+            infinite[idx] = abs(a) > 1.0 / inf_tol
+            lams.append(complex(np.inf) if infinite[idx] else a)
         else:
-            infinite = abs(a) > 1.0 / inf_tol
-            lam = complex(np.inf) if infinite else a
-        u = res.right[:, idx]
-        u = u / np.linalg.norm(u)
+            b = complex(res.beta[idx])
+            infinite[idx] = abs(b) <= inf_tol * (abs(a) + abs(b))
+            lams.append(complex(np.inf) if infinite[idx] else a / b)
+    finite_lams = np.where(infinite, 0.0, np.array(lams, dtype=complex))
+    norms = np.array([np.linalg.norm(res.right[:, idx]) for idx in range(size)])
+    nx = np.linalg.norm(L.X)
+    scales = np.where(infinite, nx, nx * np.abs(finite_lams) + np.linalg.norm(L.Y))
+    residuals = _residual_norms(L.X, L.Y, res.right, finite_lams, infinite)
+    residuals /= norms * np.maximum(scales, 1e-300)
+    triples = []
+    for idx in range(size):
         w = None
         if res.left is not None:
             w = res.left[:, idx]
             w = w / np.linalg.norm(w)
-        if infinite:
-            residual = float(np.linalg.norm(L.X @ u)) / max(nx, 1e-300)
-        else:
-            residual = float(np.linalg.norm((L.X * lam + L.Y) @ u))
-            residual /= max(nx * abs(lam) + ny, 1e-300)
-        triples.append(Eigentriple(lam, u, w, residual))
-    triples.sort(key=lambda t: (t.is_infinite, t.eigenvalue.real, t.eigenvalue.imag))
-    return triples
+        u = res.right[:, idx] / norms[idx]
+        triples.append(Eigentriple(lams[idx], u, w, float(residuals[idx])))
+    return _sort_triples(triples)
 
 
 def spectrum_of(triples) -> Spectrum:
@@ -148,11 +205,11 @@ def recover_right(P: MatrixPolynomial, eigenvalue: complex, w: np.ndarray,
                   tol: float = 1e-6, nullside: str = "right") -> np.ndarray:
     """Extract an eigenvector of P from a Kronecker-structured pencil eigenvector.
 
-    Finite eigenvalues: w must be (basis vector at alpha) kron u; u is read
-    from the block with the largest basis value (best conditioning) and the
-    remaining blocks are checked for consistency.  Infinite eigenvalues: w
-    must be e_1 kron u with u in the nullspace of the leading monomial
-    coefficient.  Raises RecoveryError when w lacks the Kronecker structure,
+    Finite eigenvalues: w must be (basis vector phi at alpha) kron u; u is
+    the least-squares fit over every block, sum_i conj(phi_i) w_i /
+    sum_i |phi_i|^2, and w is checked against phi kron u.  Infinite
+    eigenvalues: w must be e_1 kron u with u in the nullspace of the leading
+    monomial coefficient.  Raises RecoveryError when w lacks the Kronecker structure,
     which signals the source pencil is not a linearization.
 
     nullside selects the final residual check: "right" tests P(alpha) u = 0,
@@ -182,8 +239,7 @@ def recover_right(P: MatrixPolynomial, eigenvalue: complex, w: np.ndarray,
             raise RecoveryError("recovered vector is not in the leading-coefficient nullspace")
         return u / np.linalg.norm(u)
     phi = phi_vector(P.basis, k, eigenvalue)
-    best = int(np.argmax(np.abs(phi)))
-    u = blocks[best] / phi[best]
+    u = (phi.conj() @ blocks) / np.vdot(phi, phi).real
     reconstructed = np.kron(phi.reshape(-1, 1), u.reshape(-1, 1)).reshape(-1)
     mismatch = float(np.linalg.norm(w - reconstructed)) / np.linalg.norm(w)
     if mismatch > tol:

@@ -99,6 +99,13 @@ def test_eig_oracle_agree(capsys):
     assert eig["infinite_count"] == ref["infinite_count"]
 
 
+def test_eig_at_kn_240(capsys):
+    # refused as a singular pencil (exit code 4) by the scaled-determinant test
+    code, obj = _run(capsys, ["eig", "--random", "40,6,1"])
+    assert code == 0
+    assert len(obj["finite"]) + obj["infinite_count"] == 240
+
+
 def test_recover_alias(capsys):
     code, obj = _run(capsys, ["recover", "--random", "2,3,5"])
     assert code == 0

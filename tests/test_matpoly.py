@@ -10,7 +10,7 @@ from orthopencil import (
     monomial_coefficients,
     reversal_monomial,
 )
-from conftest import BASIS_KINDS, random_problem
+from conftest import ALL_KINDS, BASIS_KINDS, random_problem
 
 
 def test_constant_identity_polynomial():
@@ -104,6 +104,15 @@ def test_is_regular_zero_column_is_singular(rng):
 def test_is_regular_random_chebyshev(rng):
     P = random_problem(rng, 3, 3, "chebyshev1")
     assert is_regular(P, rng=rng).regular
+
+
+def test_is_regular_at_n50(rng):
+    # the scaled-determinant test read some of these as singular
+    for kind in ALL_KINDS:
+        for k in (2, 6):
+            verdict = is_regular(random_problem(rng, 50, k, kind))
+            assert verdict.regular and verdict.trials <= 3
+            assert verdict.rcond > 10 * 50 * np.finfo(float).eps
 
 
 def test_determinant_matches_oracle_pointwise(rng):

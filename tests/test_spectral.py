@@ -10,6 +10,7 @@ from orthopencil import (
     SingularPencilError,
     anchor_pencil,
     build_dm,
+    build_dm_pencil,
     builtin_basis,
     check_linearization,
     compare_spectra,
@@ -28,7 +29,11 @@ from orthopencil import (
     reference_spectrum,
     spectrum_of,
 )
-from conftest import random_problem
+from orthopencil.cli import _random_problem
+from orthopencil.spectral import GeneralizedEigenResult
+from conftest import BASIS_KINDS, random_problem
+
+EPS = np.finfo(float).eps
 
 
 def _full_rank_factor(rng, k, n, side="M1"):
@@ -76,8 +81,8 @@ def test_infinite_count_matches_oracle(rng):
 
 def test_plain_eigenvalue_solver_path(rng):
     # a solver without the homogeneous form: infinite eigenvalues by magnitude
-    def plain(X, Y):
-        res = qz_solve(X, Y)
+    def plain(X, Y, left):
+        res = qz_solve(X, Y, left)
         lam = np.where(
             np.abs(res.beta) > 1e-13 * np.abs(res.alpha),
             res.alpha / np.where(res.beta == 0, 1.0, res.beta),
@@ -363,3 +368,123 @@ def test_exclusion_left_singular_polynomial_sampled_path(rng):
     B[:, 4] = np.kron(v, np.eye(3)[:, 2])
     bad = exclusion_left(P, AnsatzFactor(v, B))
     assert not bad.passed and not bad.rank_full and bad.witness is not None
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+def test_pencil_eigen_regular_at_large_sizes(kind):
+    # the scaled-determinant test flagged these regular pencils as singular:
+    # |det| over the row-norm product decays exponentially with kn
+    rng = np.random.default_rng(4096)
+    for n, k in ((50, 6), (16, 15)):
+        P = random_problem(rng, n, k, kind)
+        _, dm = build_dm_pencil(P, rng.uniform(-1.0, 1.0, k))
+        for L in (anchor_pencil(P), dm):
+            triples = pencil_eigen(L, left=False)
+            assert len(triples) == k * n
+            assert max(t.residual for t in triples) <= 100 * k * n * EPS
+
+
+def test_singular_verdicts_at_large_size(rng):
+    n, k = 40, 5
+    coeffs = [rng.uniform(-1, 1, (n, n)) for _ in range(k + 1)]
+    for c in coeffs:
+        c[:, 3] = 0.0
+    zero_column = MatrixPolynomial(tuple(coeffs), builtin_basis("legendre"))
+    P = random_problem(rng, n, k, "chebyshev2")
+    v = rng.standard_normal(k)
+    B = rng.standard_normal((k * n, (k - 1) * n))
+    B[:, 7] = np.kron(v, np.eye(n)[:, 2])  # [v kron I, B] loses rank
+    for L in (anchor_pencil(zero_column), make_m1(P, AnsatzFactor(v, B))):
+        with pytest.raises(SingularPencilError) as exc:
+            pencil_eigen(L, left=False)
+        assert exc.value.rcond <= 10 * k * n * EPS
+
+
+def test_residuals_match_per_pair_formula(rng):
+    # kn = 90 spans two column blocks; the rank-deficient leading
+    # coefficient adds infinite eigenvalues
+    n, k = 10, 9
+    coeffs = [rng.uniform(-1, 1, (n, n)) for _ in range(k + 1)]
+    coeffs[-1][:, 0] = 0.0
+    P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev1"))
+    L = anchor_pencil(P)
+    triples = pencil_eigen(L)
+    assert any(t.is_infinite for t in triples)
+    nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
+    for t in triples:
+        if t.is_infinite:
+            old = np.linalg.norm(L.X @ t.right) / nx
+        else:
+            lam = t.eigenvalue
+            old = np.linalg.norm((L.X * lam + L.Y) @ t.right) / (nx * abs(lam) + ny)
+        assert abs(t.residual - old) <= k * n * EPS
+
+
+def test_right_only_solve_is_bit_identical(rng):
+    for kind in ("monomial", "legendre"):
+        L = anchor_pencil(random_problem(rng, 6, 8, kind))
+        both = pencil_eigen(L)
+        right = pencil_eigen(L, left=False)
+        assert [t.eigenvalue for t in right] == [t.eigenvalue for t in both]
+        for a, b in zip(right, both):
+            assert np.array_equal(a.right, b.right)
+            assert a.left is None and b.left is not None
+
+
+def _fixed_solver(values):
+    """A solver that reports the given eigenvalues of a diagonal pencil."""
+    values = np.array(values, dtype=complex)
+
+    def solver(X, Y, left):
+        finite = np.isfinite(values)
+        alpha = np.where(finite, values, 1.0)
+        beta = finite.astype(complex)
+        vecs = np.eye(values.size, dtype=complex)
+        return GeneralizedEigenResult(alpha, beta, vecs, vecs.copy() if left else None)
+
+    return solver
+
+
+def _regular_pencil(size):
+    return Pencil(np.eye(size), np.zeros((size, size)), n=1, k=size)
+
+
+def test_conjugate_pair_order_ignores_last_bit_noise():
+    x, y = 0.3, 1.7
+    up = np.nextafter(x, 1.0)
+    for plus_re, minus_re in ((x, up), (up, x)):
+        solver = _fixed_solver([complex(plus_re, y), complex(minus_re, -y), -2.0])
+        triples = pencil_eigen(_regular_pencil(3), solver=solver)
+        assert [t.eigenvalue for t in triples] == [
+            -2.0, complex(minus_re, -y), complex(plus_re, y)]
+        # the eigenvectors travel with their eigenvalues
+        assert [int(np.argmax(abs(t.right))) for t in triples] == [2, 1, 0]
+
+
+def test_equal_real_parts_keep_report_order():
+    values = [1 + 2j, np.inf, 0.5 - 1j, 1.0, 0.5 + 1j, 1 - 2j, 2.0, np.nextafter(2.0, 3.0)]
+    triples = pencil_eigen(_regular_pencil(len(values)), solver=_fixed_solver(values))
+    got = [t.eigenvalue for t in triples]
+    finite = sorted((complex(v) for v in values if np.isfinite(v)),
+                    key=lambda z: (z.real, z.imag))
+    assert got[:-1] == finite
+    assert np.isinf(got[-1])
+
+
+def test_recover_uses_every_block():
+    # recover-deep op "recover/blocksym-M2 chebyshev1 n=8 k=12": reading u
+    # from the single largest block left a backward error of 2.7e-12 on a
+    # left eigenvector, above 100 * kn * eps = 2.1e-12
+    P = _random_problem("8,12,1616616104", "chebyshev1")
+    v = np.array([-0.32359245204972065, -0.14392855808892335, 0.4422038344681012,
+                  -0.9370933374078141, -0.8972755604144227, -0.18231299812313306,
+                  -0.022939886269559784, 0.28674659278957404, -0.42119525449294115,
+                  0.756397300596402, -0.5131338786908735, -0.020625086527533254])
+    f, _ = build_dm_pencil(P, v)
+    L = make_m2(P, AnsatzFactor(f.v, f.B, "M2"))
+    worst = 0.0
+    for t in pencil_eigen(L):
+        x = recover_right(P, t.eigenvalue, t.left, nullside="left")
+        eta = np.linalg.norm(x @ P.evaluate(t.eigenvalue)) / P.evaluation_scale(t.eigenvalue)
+        worst = max(worst, eta)
+    assert worst <= 100 * P.k * P.n * EPS
