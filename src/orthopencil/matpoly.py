@@ -98,12 +98,15 @@ REGULARITY_POINTS = 3
 
 
 def _rcond(M: np.ndarray) -> float:
-    """LAPACK estimate of 1 / (||M||_1 ||M^-1||_1): getrf, then gecon.
+    """LAPACK estimate of 1 / (||D M||_1 ||(D M)^-1||_1): getrf, then gecon.
 
-    A zero norm or an exactly zero pivot gives 0."""
-    anorm = float(np.linalg.norm(M, 1))
-    if anorm == 0.0:
+    D scales every row of M to unit 2-norm, so the estimate does not depend
+    on the units of any row.  A zero row or an exactly zero pivot gives 0."""
+    rows = np.linalg.norm(M, axis=1)
+    if not np.all(rows > 0.0):
         return 0.0
+    M = M / rows[:, None]
+    anorm = float(np.linalg.norm(M, 1))
     getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (M,))
     lu, _, info = getrf(M)
     if info > 0:
@@ -117,11 +120,12 @@ def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:
 
     M(lam) is LU-factored at up to REGULARITY_POINTS random points of the
     disk |lam| < 2; it is regular as soon as one point has
-    rcond(M(lam)) > 10 * size * eps.  The test is scale-invariant: rcond of a
-    random regular matrix decays only polynomially with its size, where the
-    scaled determinant decays exponentially.  A singular matrix function
-    gives rcond at rounding level (an exactly singular M(lam) gives 0) at
-    every point.
+    rcond(M(lam)) > 10 * size * eps, rows scaled to unit norm first.  The
+    test is invariant to the scale of every row, and it does not read large
+    matrices as singular: rcond of a random regular matrix decays only
+    polynomially with its size, where the scaled determinant decays
+    exponentially.  A singular matrix function gives rcond at rounding level
+    (an exactly singular M(lam) gives 0) at every point.
     """
     threshold = 10.0 * size * np.finfo(float).eps
     best, witness = -1.0, None
@@ -165,10 +169,10 @@ def is_regular(P: MatrixPolynomial, rng=None) -> RegularityVerdict:
     """Randomized regularity test of P: rcond(P(x)) at points of the disk |x| < 2.
 
     P is regular as soon as one of the 3 sampled points has a reciprocal
-    1-norm condition number above 10 * n * eps (see sampled_regularity).  The
-    verdict is probabilistic: det P is a nonzero polynomial for regular P, so
-    random points are almost surely not its roots, and rcond does not depend
-    on the scale of P.
+    1-norm condition number of the row-scaled P(x) above 10 * n * eps (see
+    sampled_regularity).  The verdict is probabilistic: det P is a nonzero
+    polynomial for regular P, so random points are almost surely not its
+    roots, and rcond does not depend on the scale of P or of any of its rows.
     """
     if rng is None:
         rng = np.random.default_rng(2024)

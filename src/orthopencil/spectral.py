@@ -63,11 +63,10 @@ def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True) -> GeneralizedEige
     With left false no left eigenvectors are computed (``left`` is None in
     the result); eigenvalues and right eigenvectors are the same either way.
     """
-    if not left:
-        w, vr = scipy.linalg.eig(Y, -X, left=False, right=True, homogeneous_eigvals=True)
-        return GeneralizedEigenResult(alpha=w[0], beta=w[1], right=vr, left=None)
-    w, vl, vr = scipy.linalg.eig(Y, -X, left=True, right=True, homogeneous_eigvals=True)
-    return GeneralizedEigenResult(alpha=w[0], beta=w[1], right=vr, left=np.conj(vl))
+    out = scipy.linalg.eig(Y, -X, left=left, right=True, homogeneous_eigvals=True)
+    w, vr = out[0], out[-1]
+    vl = np.conj(out[1]) if left else None
+    return GeneralizedEigenResult(alpha=w[0], beta=w[1], right=vr, left=vl)
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,8 @@ class Eigentriple:
 
 # Columns per block of the residual GEMMs: bounds their temporaries.
 _RESIDUAL_BLOCK = 64
-# Finite eigenvalues whose real parts differ by at most this many ulps of
-# their modulus are ordered by imaginary part (see _sort_triples).
+# Finite eigenvalues whose real parts are chained by steps of at most this
+# many ulps of their modulus are ordered by imaginary part (see _sort_triples).
 _ORDER_ULPS = 8
 
 
@@ -118,20 +117,22 @@ def _residual_norms(X, Y, V, lam, infinite):
 def _sort_triples(triples):
     """Sort by (real, imag) with infinite eigenvalues last, in solver order.
 
-    Real parts within _ORDER_ULPS ulps of the first of a run are one group,
-    ordered by imaginary part: the two members of a conjugate pair whose
-    computed real parts differ in the last bits are then always listed
-    negative-imaginary first.  Equal real parts keep the (real, imag) order."""
+    A run of real parts, each within _ORDER_ULPS ulps of the one before it,
+    is one group, ordered by imaginary part: the two members of a conjugate
+    pair whose computed real parts differ in the last bits are then always
+    listed negative-imaginary first, whatever other eigenvalues lie between
+    them.  Equal real parts keep the (real, imag) order."""
     finite = sorted((t for t in triples if not t.is_infinite),
                     key=lambda t: (t.eigenvalue.real, t.eigenvalue.imag))
     tol = _ORDER_ULPS * np.finfo(float).eps
-    head = None
+    group, prev = -1, None
     keyed = []
     for t in finite:
         z = t.eigenvalue
-        if head is None or z.real - head.real > tol * max(abs(head), abs(z)):
-            head = z
-        keyed.append(((head.real, z.imag, z.real), t))
+        if prev is None or z.real - prev.real > tol * max(abs(prev), abs(z)):
+            group += 1
+        prev = z
+        keyed.append(((group, z.imag, z.real), t))
     keyed.sort(key=lambda pair: pair[0])
     return [t for _, t in keyed] + [t for t in triples if t.is_infinite]
 
@@ -142,9 +143,10 @@ def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
 
     Regularity is tested first, by LU factorizations of X*lam + Y at up to 3
     random points of the disk |lam| < 2: the pencil is regular as soon as
-    one has a reciprocal condition number (LAPACK gecon, 1-norm) above
-    10 * kn * eps.  Otherwise SingularPencilError is raised, carrying the
-    largest rcond seen; eigenvalues of a singular pencil are meaningless.
+    one has a reciprocal condition number (LAPACK gecon, 1-norm, rows scaled
+    to unit norm) above 10 * kn * eps.  Otherwise SingularPencilError is
+    raised, carrying the largest rcond seen; eigenvalues of a singular
+    pencil are meaningless.
 
     The solver is called as solver(X, Y, left).  With left false no left
     eigenvectors are asked for and every triple's ``left`` is None.

@@ -115,6 +115,20 @@ def test_is_regular_at_n50(rng):
             assert verdict.rcond > 10 * 50 * np.finfo(float).eps
 
 
+def test_is_regular_ignores_row_units(rng):
+    # one row of P in other units must not read as singular, nor a scaled
+    # singular P as regular
+    P = random_problem(rng, 50, 4, "legendre")
+    for s in (1e-12, 1e12):
+        coeffs = [c.copy() for c in P.coeffs]
+        for c in coeffs:
+            c[7] *= s
+        assert is_regular(MatrixPolynomial(tuple(coeffs), P.basis)).regular
+        for c in coeffs:
+            c[:, 3] = 0.0
+        assert not is_regular(MatrixPolynomial(tuple(coeffs), P.basis)).regular
+
+
 def test_determinant_matches_oracle_pointwise(rng):
     P = random_problem(rng, 3, 3, "legendre")
     det = det_poly(P)

@@ -29,7 +29,6 @@ from orthopencil import (
     reference_spectrum,
     spectrum_of,
 )
-from orthopencil.cli import _random_problem
 from orthopencil.spectral import GeneralizedEigenResult
 from conftest import BASIS_KINDS, random_problem
 
@@ -400,6 +399,36 @@ def test_singular_verdicts_at_large_size(rng):
         assert exc.value.rcond <= 10 * k * n * EPS
 
 
+def _scaled(P, s):
+    return MatrixPolynomial(tuple(s * c for c in P.coeffs), P.basis)
+
+
+@pytest.mark.parametrize("s", (1e-12, 1e12))
+def test_regularity_verdict_ignores_the_scale_of_P(rng, s):
+    # the recurrence rows of the anchor pencil stay O(1) while the rows of P
+    # scale with s; kn = 240 is checked up to the verdict, kn = 12 solved
+    P = random_problem(rng, 4, 3, "chebyshev2")
+    triples = pencil_eigen(anchor_pencil(_scaled(P, s)), left=False)
+    assert len(triples) == 12
+    assert max(t.residual for t in triples) <= 100 * 12 * EPS
+    calls = []
+
+    def no_qz(X, Y, left):
+        calls.append(X.shape[0])
+        raise RuntimeError("regularity test passed")
+
+    with pytest.raises(RuntimeError, match="regularity test passed"):
+        pencil_eigen(anchor_pencil(_scaled(random_problem(rng, 40, 6, "legendre"), s)),
+                     solver=no_qz, left=False)
+    assert calls == [240]
+    coeffs = [s * rng.uniform(-1, 1, (40, 40)) for _ in range(7)]
+    for c in coeffs:
+        c[:, 3] = 0.0
+    zero_column = MatrixPolynomial(tuple(coeffs), builtin_basis("legendre"))
+    with pytest.raises(SingularPencilError):
+        pencil_eigen(anchor_pencil(zero_column), solver=no_qz, left=False)
+
+
 def test_residuals_match_per_pair_formula(rng):
     # kn = 90 spans two column blocks; the rank-deficient leading
     # coefficient adds infinite eigenvalues
@@ -461,6 +490,21 @@ def test_conjugate_pair_order_ignores_last_bit_noise():
         assert [int(np.argmax(abs(t.right))) for t in triples] == [2, 1, 0]
 
 
+def test_conjugate_pair_with_a_real_eigenvalue_between():
+    # a real eigenvalue within rounding of the pair's real part joins the
+    # pair's group instead of splitting it; near 1 the grouping tolerance is
+    # 8 ulps, so x + 9 ulps is only reached through x + 7 ulps
+    x, y = 1.0, 1e-3
+    ulps = [x]
+    for _ in range(9):
+        ulps.append(np.nextafter(ulps[-1], 2.0))
+    for real, a, b in ((x, ulps[7], ulps[9]), (x, ulps[9], ulps[7]),
+                       (ulps[8], x, ulps[9]), (ulps[8], ulps[9], x)):
+        solver = _fixed_solver([complex(a, y), complex(real, 0.0), complex(b, -y)])
+        got = [t.eigenvalue for t in pencil_eigen(_regular_pencil(3), solver=solver)]
+        assert got == [complex(b, -y), complex(real, 0.0), complex(a, y)]
+
+
 def test_equal_real_parts_keep_report_order():
     values = [1 + 2j, np.inf, 0.5 - 1j, 1.0, 0.5 + 1j, 1 - 2j, 2.0, np.nextafter(2.0, 3.0)]
     triples = pencil_eigen(_regular_pencil(len(values)), solver=_fixed_solver(values))
@@ -475,7 +519,7 @@ def test_recover_uses_every_block():
     # recover-deep op "recover/blocksym-M2 chebyshev1 n=8 k=12": reading u
     # from the single largest block left a backward error of 2.7e-12 on a
     # left eigenvector, above 100 * kn * eps = 2.1e-12
-    P = _random_problem("8,12,1616616104", "chebyshev1")
+    P = random_problem(np.random.default_rng(1616616104), 8, 12, "chebyshev1")
     v = np.array([-0.32359245204972065, -0.14392855808892335, 0.4422038344681012,
                   -0.9370933374078141, -0.8972755604144227, -0.18231299812313306,
                   -0.022939886269559784, 0.28674659278957404, -0.42119525449294115,
