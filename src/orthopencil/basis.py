@@ -23,8 +23,9 @@ the change to monomials, the anchor pencil, the block-symmetric solver) is
 written against ``step`` and never asks which family it holds.
 
 Evaluation uses the forward recurrence, which is adequate for the small
-degrees (k <= ~20) this package targets.  The argument x may be complex; the
-recurrence coefficients are always real.
+degrees (k <= ~20) this package targets.  The argument x may be complex, and
+it may be an array of points, evaluated elementwise by the same arithmetic;
+the recurrence coefficients are always real.
 """
 
 from __future__ import annotations
@@ -173,7 +174,10 @@ def builtin_basis(kind: str, nodes=None) -> ThreeTermBasis:
 
 
 def _phi_sequence(spec: BasisSpec, jmax: int, lam) -> list:
-    """Values [phi_0(lam), ..., phi_jmax(lam)] by forward recurrence."""
+    """Values [phi_0(lam), ..., phi_jmax(lam)] by forward recurrence.
+
+    For an array lam every value is an array of lam's shape; each point
+    gets the arithmetic a scalar lam gets."""
     values = [1.0 + 0.0 * lam]
     for i in range(1, jmax + 1):
         a, s, lower = spec.step(i)
@@ -196,7 +200,8 @@ def eval_phi(spec: BasisSpec, j: int, lam):
 def phi_vector(spec: BasisSpec, k: int, lam) -> np.ndarray:
     """The stacked basis vector [phi_{k-1}(lam), ..., phi_1(lam), phi_0(lam)].
 
-    Entries are in descending degree order; the last entry is always 1.
+    Entries are in descending degree order; the last entry is always 1.  For
+    a 1-D array of m points the result is k x m, one column per point.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

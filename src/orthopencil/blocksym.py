@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 
+# build_dm_pencil accepts a block asymmetry of the assembled constant
+# coefficient up to this many kn * eps * max|Y|.
+SYMMETRY_ULPS = 100
+
+
 @dataclass
 class OpCounter:
     """Counts scalar-times-matrix products; the builders perform no
@@ -216,34 +221,14 @@ def build_dm_generic(P: MatrixPolynomial, v,
             partial = y_block(i, j, skip_r=j)
             grid.set_strict(i, j, smul(1.0 / pivot, rhs - partial))
 
-    factor = AnsatzFactor(v, grid.materialize(), "M1")
-    _self_check(P, factor)
-    return factor
+    return AnsatzFactor(v, grid.materialize(), "M1")
 
 
-def _self_check(P, factor):
-    """Verify the assembled constant coefficient is block-symmetric.
-
-    The elimination uses each off-diagonal symmetry equation exactly once, so
-    a violation here indicates an internal error; raise with diagnostics.
-    """
-    Y = _constant_coefficient(P, factor, mirror=False)
-    asym = float(np.max(np.abs(Y - block_transpose(Y, P.n))))
-    scale = max(float(np.max(np.abs(Y))), 1.0)
-    if asym > 1e-8 * scale:
-        raise RuntimeError(
-            f"symmetry solver produced an asymmetric pencil (max deviation {asym:.3e}); "
-            "this should not happen for a valid basis"
-        )
-
-
-def _constant_coefficient(P, factor, mirror: bool) -> np.ndarray:
+def _constant_coefficient(P, factor) -> np.ndarray:
     """Y = multiplier @ anchor(0) assembled blockwise from scalar products.
 
     The blocks are read straight from the materialized B, whose blocks on and
-    above the grid diagonal already hold their mirror images.  With
-    mirror=True only blocks with i >= j are computed and the upper triangle
-    is copied from the lower one, making the result bitwise block-symmetric.
+    above the grid diagonal already hold their mirror images.
     """
     k, n = P.k, P.n
     v, B = factor.v, factor.B
@@ -251,19 +236,13 @@ def _constant_coefficient(P, factor, mirror: bool) -> np.ndarray:
     _, M0 = recurrence_rows_scalar(P.basis, k)
     Y = np.zeros((k * n, k * n))
     for i in range(1, k + 1):
-        for j in range(1, (i + 1 if mirror else k + 1)):
+        for j in range(1, k + 1):
             blk = v[i - 1] * m0[j - 1]
             for r in range(1, k):
                 coeff = M0[r - 1, j - 1]
                 if coeff != 0.0:
                     blk = blk + coeff * B[(i - 1) * n : i * n, (r - 1) * n : r * n]
             Y[(i - 1) * n : i * n, (j - 1) * n : j * n] = blk
-    if mirror:
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                Y[(i - 1) * n : i * n, (j - 1) * n : j * n] = Y[
-                    (j - 1) * n : j * n, (i - 1) * n : i * n
-                ]
     return Y
 
 
@@ -275,18 +254,34 @@ def dm_basis(P: MatrixPolynomial) -> list:
 
 def build_dm_pencil(P: MatrixPolynomial, v,
                     counter: OpCounter | None = None) -> tuple[AnsatzFactor, Pencil]:
-    """Factor plus the assembled pencil, exactly block-symmetric by aliasing.
+    """Factor plus the assembled pencil, exactly block-symmetric.
 
     The lam-coefficient is [v kron (c * P_k), B] and is bitwise symmetric
-    because B aliases its mirror blocks; the constant coefficient is computed
-    for the lower block triangle only and mirrored.
+    because B aliases its mirror blocks.  The constant coefficient Y is
+    assembled once, in full, and checked: the elimination uses each
+    off-diagonal symmetry equation exactly once, so a block asymmetry above
+    100 * kn * eps * max|Y| is an internal error.  The lower block triangle
+    is then copied onto the upper one, making Y bitwise block-symmetric.
     """
     factor = build_dm_generic(P, v, counter)
     k, n = P.k, P.n
     X = np.zeros((k * n, k * n))
     X[:, :n] = np.kron(factor.v.reshape(-1, 1), leading_multiplier(P.basis, k) * P.coeffs[k])
     X[:, n:] = factor.B
-    return factor, Pencil(X, _constant_coefficient(P, factor, mirror=True), n, k)
+    Y = _constant_coefficient(P, factor)
+    asym = float(np.max(np.abs(Y - block_transpose(Y, n))))
+    bound = SYMMETRY_ULPS * k * n * np.finfo(float).eps * float(np.max(np.abs(Y)))
+    if asym > bound:
+        raise RuntimeError(
+            f"symmetry solver produced an asymmetric pencil (max deviation {asym:.3e}, "
+            f"bound {bound:.3e}); this should not happen for a valid basis"
+        )
+    for i in range(1, k):
+        for j in range(i + 1, k + 1):
+            Y[(i - 1) * n : i * n, (j - 1) * n : j * n] = Y[
+                (j - 1) * n : j * n, (i - 1) * n : i * n
+            ]
+    return factor, Pencil(X, Y, n, k)
 
 
 @dataclass(frozen=True)

@@ -140,19 +140,17 @@ def _cmd_eig(args) -> int:
     if args.recover:
         # Kronecker structure sits in the right eigenvectors for side M1 and
         # in the left eigenvectors for side M2; the other side recovers by the
-        # blockwise v-weighted sum.
-        rights, lefts = [], []
-        for t in triples:
-            if side == "M1":
-                rights.append(recover_right(P, t.eigenvalue, t.right, tol=args.tol))
-                lefts.append(recover_left(v, t.left) if t.left is not None
-                             else np.zeros(P.n))
-            else:
-                rights.append(recover_left(v, t.right))
-                lefts.append(
-                    recover_right(P, t.eigenvalue, t.left, tol=args.tol, nullside="left")
-                    if t.left is not None else np.zeros(P.n)
-                )
+        # blockwise v-weighted sum.  Columns follow the sorted triples.
+        lams = np.array([t.eigenvalue for t in triples])
+        right = np.stack([t.right for t in triples], axis=1)
+        left = np.stack([t.left for t in triples], axis=1)
+        if side == "M1":
+            rights = recover_right(P, lams, right, tol=args.tol)
+            lefts = recover_left(v, left)
+        else:
+            rights = recover_left(v, right)
+            lefts = recover_right(P, lams, left, tol=args.tol, nullside="left")
+        rights, lefts = rights.T, lefts.T
     _emit(spectrum_report_obj(triples, rights, lefts))
     return 0
 

@@ -57,11 +57,11 @@ class MatrixPolynomial:
         return len(self.coeffs) - 1
 
     def evaluate(self, lam) -> np.ndarray:
-        """P(lam) as a complex n x n matrix."""
+        """P(lam) as a complex n x n matrix; m x n x n for a 1-D array of m points."""
         phis = _phi_sequence(self.basis, self.k, lam)
-        out = np.zeros((self.n, self.n), dtype=complex)
+        out = np.zeros(np.shape(lam) + (self.n, self.n), dtype=complex)
         for Pi, phi in zip(self.coeffs, phis):
-            out += phi * Pi
+            out += np.asarray(phi)[..., None, None] * Pi
         return out
 
     def coefficient_scale(self) -> float:
@@ -73,10 +73,12 @@ class MatrixPolynomial:
 
         This is the backward-error denominator for eigenvector residuals: the
         norm of the evaluated matrix itself vanishes at eigenvalues when
-        n = 1, so it cannot serve as a scale there.
+        n = 1, so it cannot serve as a scale there.  A 1-D array of m points
+        gives an array of m scales.
         """
         phis = _phi_sequence(self.basis, self.k, lam)
-        return float(sum(abs(phi) * np.linalg.norm(Pi) for phi, Pi in zip(phis, self.coeffs)))
+        total = sum(np.abs(phi) * np.linalg.norm(Pi) for phi, Pi in zip(phis, self.coeffs))
+        return total if np.ndim(total) else float(total)
 
 
 @dataclass(frozen=True)

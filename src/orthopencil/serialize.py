@@ -8,6 +8,7 @@ ascending degree order P_0 .. P_k.  Floats round-trip exactly through json
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -116,45 +117,34 @@ def factor_from_obj(obj: dict) -> AnsatzFactor:
     )
 
 
-def _complex_pairs(vec) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec).reshape(-1)]
-
-
 def spectrum_report_obj(triples, recovered_right=None, recovered_left=None) -> dict:
     """Report for a list of pencil eigentriples in the order given.
 
     The triples must already be sorted by (re, im) with infinite eigenvalues
     last, as pencil_eigen returns them.  Finite eigenvalues are emitted as
     {re, im, residual}; infinite ones only contribute to the count.
-    Recovered eigenvectors of P, when supplied, are aligned with the triples
-    and encoded as [re, im] pairs.
+    Recovered eigenvectors of P, when supplied, are one vector per triple (a
+    sequence of vectors, or an array with one row per triple) and are
+    encoded as [re, im] pairs.
     """
-    finite = []
-    eigenvectors = {}
-    rights, lefts = [], []
-    for i, t in enumerate(triples):
-        if t.is_infinite:
-            continue
-        finite.append(
-            {
-                "re": float(t.eigenvalue.real),
-                "im": float(t.eigenvalue.imag),
-                "residual": float(t.residual),
-            }
-        )
-        if recovered_right is not None:
-            rights.append(_complex_pairs(recovered_right[i]))
-        if recovered_left is not None:
-            lefts.append(_complex_pairs(recovered_left[i]))
+    finite = [i for i, t in enumerate(triples) if not t.is_infinite]
     report = {
-        "finite": finite,
-        "infinite_count": int(sum(t.is_infinite for t in triples)),
+        "finite": [
+            {
+                "re": float(triples[i].eigenvalue.real),
+                "im": float(triples[i].eigenvalue.imag),
+                "residual": float(triples[i].residual),
+            }
+            for i in finite
+        ],
+        "infinite_count": len(triples) - len(finite),
     }
-    if recovered_right is not None or recovered_left is not None:
-        if recovered_right is not None:
-            eigenvectors["right"] = rights
-        if recovered_left is not None:
-            eigenvectors["left"] = lefts
+    eigenvectors = {}
+    for name, vectors in (("right", recovered_right), ("left", recovered_left)):
+        if vectors is not None:
+            V = np.asarray(vectors)[finite]
+            eigenvectors[name] = np.stack([V.real, V.imag], -1).tolist()
+    if eigenvectors:
         report["eigenvectors"] = eigenvectors
     return report
 
@@ -169,5 +159,77 @@ def _coerce_scalars(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
+# Placeholder for a spliced eigenvector list; json writes its NUL characters
+# as \u0000, text that no report of this package contains.
+_PLACEHOLDER = "\x00eigenvectors.%s\x00"
+
+
+def _number_texts(vectors):
+    """The texts json writes for the numbers of a list of vectors of [re, im]
+    pairs, in order, from one json.dumps of them all in the C encoder; None
+    if the value has any other shape."""
+    if type(vectors) is not list or set(map(type, vectors)) - {list}:
+        return None
+    pairs = list(chain.from_iterable(vectors))
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        return None
+    text = json.dumps(list(chain.from_iterable(pairs)), default=_coerce_scalars)
+    # a string or list in place of a number shows in the text; so does an
+    # object with keys, and an empty one is "{}" in both encoders
+    if '"' in text or "[" in text[1:]:
+        return None
+    return text[1:-1].split(", ") if pairs else []
+
+
+def _splice_vectors(vectors, numbers, indent: int) -> str:
+    """Indented text of a list of vectors of [re, im] pairs whose key line is
+    indented by ``indent``: the layout json.dumps(indent=2) gives it.  Each
+    vector gets the template of its length, and one % fills the joined
+    templates with the texts of the list's numbers, in order."""
+    if not vectors:
+        return "[]"
+    outer, vec_ind, pair_ind, num_ind = (" " * (indent + d) for d in (0, 2, 4, 6))
+    pair = f"[\n{num_ind}%s,\n{num_ind}%s\n{pair_ind}]"
+    templates = {
+        size: f"[\n{pair_ind}" + f",\n{pair_ind}".join([pair] * size) + f"\n{vec_ind}]"
+        if size else "[]"
+        for size in set(map(len, vectors))
+    }
+    body = f",\n{vec_ind}".join([templates[len(vec)] for vec in vectors])
+    return (f"[\n{vec_ind}" + body + f"\n{outer}]") % tuple(numbers)
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_coerce_scalars)
+    """json.dumps(obj, indent=2, sort_keys=True), numpy scalars coerced.
+
+    CPython's json falls back to its pure-Python encoder whenever indent is
+    set, and the eigenvector lists of a spectrum report hold nearly all its
+    numbers.  So each list obj["eigenvectors"][side] of vectors of [re, im]
+    pairs is spliced in:
+    - one json.dumps of the list's numbers, without indent, runs in the C
+      encoder and gives the text of every number (both encoders write floats
+      by float.__repr__, and NaN and the infinities by the same names);
+    - a % template per vector lays out its pairs, and one % fills all the
+      templates of a list;
+    - the list's text replaces a placeholder string in the indented text of
+      the rest of obj, which json.dumps encodes as before.
+    Values of any other shape stay in the rest.  The result is
+    byte-identical to json.dumps(obj, indent=2, sort_keys=True).
+    """
+    spliced = {}
+    vectors = obj.get("eigenvectors") if type(obj) is dict else None
+    if type(vectors) is dict:
+        vectors = dict(vectors)
+        for side, value in vectors.items():
+            numbers = _number_texts(value)
+            if numbers is not None:
+                vectors[side] = _PLACEHOLDER % (side,)
+                spliced[vectors[side]] = (value, numbers)
+        obj = {**obj, "eigenvectors": vectors}
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_coerce_scalars)
+    for placeholder, (value, numbers) in spliced.items():
+        head, tail = text.split(json.dumps(placeholder), 1)
+        line = head[head.rfind("\n") + 1:]
+        indent = len(line) - len(line.lstrip(" "))
+        text = head + _splice_vectors(value, numbers, indent) + tail
+    return text

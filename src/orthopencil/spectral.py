@@ -8,6 +8,14 @@ them and return ``left=None``.  Infinite eigenvalues are recognized either
 from the homogeneous (alpha, beta) form when the solver provides it, or by
 magnitude thresholding otherwise; they correspond to zero eigenvalues of the
 reversal Y*lam + X.
+
+Eigenvector recovery is batched: ``recover_right`` takes the m eigenvalues
+and the kn x m matrix of their pencil eigenvectors and returns the n x m
+eigenvectors of P, and ``recover_left`` maps kn x m to n x m the same way.
+One call costs one ``phi_vector`` and one ``MatrixPolynomial.evaluate`` on
+all m eigenvalues, whatever m is; every structure and residual check is made
+for every column, and a failure names the first failing column.  A scalar
+eigenvalue with a 1-D vector is the case m = 1 and returns a 1-D vector.
 """
 
 from __future__ import annotations
@@ -182,19 +190,18 @@ def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
             infinite[idx] = abs(b) <= inf_tol * (abs(a) + abs(b))
             lams.append(complex(np.inf) if infinite[idx] else a / b)
     finite_lams = np.where(infinite, 0.0, np.array(lams, dtype=complex))
-    norms = np.array([np.linalg.norm(res.right[:, idx]) for idx in range(size)])
+    norms = np.linalg.norm(res.right, axis=0)
     nx = np.linalg.norm(L.X)
     scales = np.where(infinite, nx, nx * np.abs(finite_lams) + np.linalg.norm(L.Y))
     residuals = _residual_norms(L.X, L.Y, res.right, finite_lams, infinite)
     residuals /= norms * np.maximum(scales, 1e-300)
-    triples = []
-    for idx in range(size):
-        w = None
-        if res.left is not None:
-            w = res.left[:, idx]
-            w = w / np.linalg.norm(w)
-        u = res.right[:, idx] / norms[idx]
-        triples.append(Eigentriple(lams[idx], u, w, float(residuals[idx])))
+    right = res.right / norms
+    left = None if res.left is None else res.left / np.linalg.norm(res.left, axis=0)
+    triples = [
+        Eigentriple(lams[idx], right[:, idx], None if left is None else left[:, idx],
+                    float(residuals[idx]))
+        for idx in range(size)
+    ]
     return _sort_triples(triples)
 
 
@@ -203,74 +210,87 @@ def spectrum_of(triples) -> Spectrum:
     return Spectrum(finite, sum(t.is_infinite for t in triples))
 
 
-def recover_right(P: MatrixPolynomial, eigenvalue: complex, w: np.ndarray,
-                  tol: float = 1e-6, nullside: str = "right") -> np.ndarray:
-    """Extract an eigenvector of P from a Kronecker-structured pencil eigenvector.
+def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
+                  nullside: str = "right") -> np.ndarray:
+    """Eigenvectors of P from Kronecker-structured pencil eigenvectors.
 
-    Finite eigenvalues: w must be (basis vector phi at alpha) kron u; u is
-    the least-squares fit over every block, sum_i conj(phi_i) w_i /
-    sum_i |phi_i|^2, and w is checked against phi kron u.  Infinite
-    eigenvalues: w must be e_1 kron u with u in the nullspace of the leading
-    monomial coefficient.  Raises RecoveryError when w lacks the Kronecker structure,
-    which signals the source pencil is not a linearization.
+    Column j of W (kn x m) belongs to eigenvalues[j] and yields column j of
+    the n x m result, each of unit norm; a scalar eigenvalue with a 1-D w is
+    the case m = 1 and yields a 1-D vector.  Finite eigenvalues: w must be
+    (basis vector phi at alpha) kron u; u is the least-squares fit over every
+    block, sum_i conj(phi_i) w_i / sum_i |phi_i|^2, and w is checked against
+    phi kron u.  Infinite eigenvalues: w must be e_1 kron u with u in the
+    nullspace of the leading monomial coefficient.  Raises RecoveryError,
+    naming the first failing column and its eigenvalue, when a w lacks the
+    Kronecker structure (which signals the source pencil is not a
+    linearization) or u fails the residual check.
 
-    nullside selects the final residual check: "right" tests P(alpha) u = 0,
+    nullside selects the residual check: "right" tests P(alpha) u = 0,
     "left" tests u^T P(alpha) = 0 (for left eigenvectors of transposed-ansatz
-    pencils, which carry the same Kronecker structure).
+    pencils, which carry the same Kronecker structure).  Its scale is
+    sum_i |phi_i(alpha)| ||P_i||, or the norm of the leading coefficient at
+    infinite eigenvalues.
     """
     if nullside not in ("right", "left"):
         raise ValueError("nullside must be 'right' or 'left'")
     require_ansatz_degree(P)
     n, k = P.n, P.k
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    if w.size != k * n:
-        raise RecoveryError(f"eigenvector must have length {k * n}")
-    blocks = w.reshape(k, n)
-    if np.isinf(eigenvalue):
-        u = blocks[0]
-        rest = float(np.linalg.norm(blocks[1:])) if k > 1 else 0.0
-        if rest > tol * np.linalg.norm(w):
-            raise RecoveryError(
-                "eigenvector for the infinite eigenvalue is not e_1 kron u "
-                f"(trailing block norm {rest:.3e})"
-            )
+    lams = np.asarray(eigenvalues, dtype=complex)
+    single = lams.ndim == 0
+    lams = lams.reshape(-1)
+    W = np.asarray(W, dtype=complex)
+    W = W.reshape(-1, 1) if single else W
+    if W.shape != (k * n, lams.size):
+        raise RecoveryError(f"eigenvectors must be {k * n} x {lams.size}, got {W.shape}")
+    blocks = W.reshape(k, n, -1)
+    infinite = np.isinf(lams)
+    alpha = np.where(infinite, 0.0, lams)
+    phi = phi_vector(P.basis, k, alpha)
+    U = np.einsum("im,iam->am", phi.conj(), blocks) / np.sum(np.abs(phi) ** 2, axis=0)
+    U = np.where(infinite, blocks[0], U)
+    # finite: w - phi kron u; infinite: w - e_1 kron u, the blocks below the first
+    recon = np.einsum("im,am->iam", np.where(infinite, np.eye(k, 1), phi), U)
+    mismatch = np.linalg.norm(blocks - recon, axis=(0, 1)) / np.linalg.norm(W, axis=0)
+    M = P.evaluate(alpha)
+    scale = P.evaluation_scale(alpha)
+    if infinite.any():
         lead = reversal_monomial(P)[0]
-        scale = max(float(np.linalg.norm(lead)), 1e-300)
-        res = lead @ u if nullside == "right" else u @ lead
-        if np.linalg.norm(res) > tol * scale * np.linalg.norm(u):
-            raise RecoveryError("recovered vector is not in the leading-coefficient nullspace")
-        return u / np.linalg.norm(u)
-    phi = phi_vector(P.basis, k, eigenvalue)
-    u = (phi.conj() @ blocks) / np.vdot(phi, phi).real
-    reconstructed = np.kron(phi.reshape(-1, 1), u.reshape(-1, 1)).reshape(-1)
-    mismatch = float(np.linalg.norm(w - reconstructed)) / np.linalg.norm(w)
-    if mismatch > tol:
+        M[infinite] = lead
+        scale[infinite] = np.linalg.norm(lead)
+    R = np.einsum("mab,bm->am" if nullside == "right" else "mba,bm->am", M, U)
+    unorm = np.linalg.norm(U, axis=0)
+    residual = np.linalg.norm(R, axis=0) / (np.maximum(scale, 1e-300) * unorm)
+    bad = np.flatnonzero((mismatch > tol) | (residual > tol))
+    if bad.size:
+        j = bad[0]
+        where = f"column {j} (eigenvalue {complex(lams[j])})"
+        if mismatch[j] > tol:
+            shape = "e_1 kron u" if infinite[j] else "phi kron u"
+            raise RecoveryError(
+                f"eigenvector {where} is not {shape} (mismatch {mismatch[j]:.3e}); "
+                "the source pencil is not a linearization"
+            )
         raise RecoveryError(
-            f"eigenvector lacks Kronecker block structure (mismatch {mismatch:.3e}); "
-            "the source pencil is not a linearization"
+            f"recovered vector {where} fails the eigenvector residual check "
+            f"(relative residual {residual[j]:.3e})"
         )
-    Pa = P.evaluate(eigenvalue)
-    # backward-error scale: the evaluated matrix itself is (near) zero at
-    # eigenvalues when n = 1, so it cannot normalize its own residual
-    scale = max(P.evaluation_scale(eigenvalue), 1e-300)
-    res = Pa @ u if nullside == "right" else u @ Pa
-    if np.linalg.norm(res) > tol * scale * np.linalg.norm(u):
-        raise RecoveryError("recovered vector fails the eigenvector residual check")
-    return u / np.linalg.norm(u)
+    U = U / unorm
+    return U[:, 0] if single else U
 
 
-def recover_left(v, u: np.ndarray) -> np.ndarray:
-    """Blockwise weighted sum w = sum_i v_i u_i of a pencil left eigenvector.
+def recover_left(v, U) -> np.ndarray:
+    """Blockwise weighted sums sum_i v_i u_i of pencil left eigenvectors.
 
-    For a strong linearization with ansatz vector v this is a left
-    eigenvector of P; a near-zero result signals the exclusion condition
-    failed."""
+    U is kn x m, one eigenvector per column, and the result n x m; a 1-D u
+    gives a 1-D result.  For a strong linearization with ansatz vector v
+    each column is a left eigenvector of P; a near-zero column signals the
+    exclusion condition failed."""
     v = np.asarray(v, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=complex).reshape(-1)
+    U = np.asarray(U, dtype=complex)
     k = v.size
-    if u.size % k:
+    if U.shape[0] % k:
         raise RecoveryError("eigenvector length must be a multiple of len(v)")
-    return v @ u.reshape(k, -1)
+    return (v @ U.reshape(k, -1)).reshape((U.shape[0] // k,) + U.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -310,22 +330,18 @@ def exclusion_left(P: MatrixPolynomial, factor: AnsatzFactor, tol: float = 1e-8,
         # singular pencil despite a full-rank factor: P itself is singular;
         # fall back to nullvectors sampled at a few points
         return _sampled_nullvector_exclusion(P, factor, L, tol)
-    margins = []
-    values = []
-    witness = None
-    for t in triples:
-        vec = t.left if factor.side == "M1" else t.right
-        if vec is None:
-            continue
-        margin = float(np.linalg.norm(recover_left(factor.v, vec)))
-        margins.append(margin)
-        values.append(t.eigenvalue)
-        if margin <= tol and witness is None:
-            witness = vec
-    passed = bool(margins) and min(margins) > tol
+    pairs = [(t.eigenvalue, t.left if factor.side == "M1" else t.right) for t in triples]
+    pairs = [(lam, vec) for lam, vec in pairs if vec is not None]
+    margins = np.zeros(0)
+    if pairs:
+        vecs = np.stack([vec for _, vec in pairs], axis=1)
+        margins = np.linalg.norm(recover_left(factor.v, vecs), axis=0)
+    low = np.flatnonzero(margins <= tol)
+    witness = pairs[low[0]][1] if low.size else None
+    passed = bool(margins.size and margins.min() > tol)
     return ExclusionLeftReport(
-        passed, min(margins) if margins else 0.0, tuple(margins), tuple(values),
-        chk.is_strong_linearization, witness,
+        passed, float(margins.min()) if margins.size else 0.0, tuple(margins.tolist()),
+        tuple(lam for lam, _ in pairs), chk.is_strong_linearization, witness,
     )
 
 

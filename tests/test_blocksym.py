@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from orthopencil import blocksym
 from orthopencil import (
     AnsatzFactor,
     MatrixPolynomial,
     OpCounter,
     anchor_pencil,
+    block_transpose,
     build_dm,
     build_dm_generic,
     build_dm_pencil,
@@ -18,7 +20,9 @@ from orthopencil import (
     recover_factors,
     verify_membership,
 )
-from conftest import BASIS_KINDS, monomial_dg_basis, random_problem, stepped_dg_basis
+from conftest import ALL_KINDS, BASIS_KINDS, monomial_dg_basis, random_problem, stepped_dg_basis
+
+EPS = np.finfo(float).eps
 
 
 def _cheb_problem(rng, n=2, k=3):
@@ -251,3 +255,31 @@ def test_dispatch_errors(rng):
         build_dm(linear, np.ones(1))
     with pytest.raises(ValueError):
         build_dm_generic(linear, np.ones(1))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_constant_coefficient_is_checked_then_mirrored(rng, kind):
+    # the mirrored Y agrees with the independent product multiplier @ anchor,
+    # whose own block asymmetry sits far inside the kn*eps bound of the check
+    for n, k in ((1, 2), (3, 5), (6, 8)):
+        P = random_problem(rng, n, k, kind)
+        factor, L = build_dm_pencil(P, rng.uniform(-1.0, 1.0, k))
+        assert is_block_symmetric(L).max_asymmetry == 0.0
+        direct = make_m1(P, factor).Y
+        bound = k * n * EPS * np.max(np.abs(direct))
+        assert np.max(np.abs(direct - block_transpose(direct, n))) <= bound
+        assert np.max(np.abs(L.Y - direct)) <= 10 * bound
+
+
+def test_asymmetric_constant_coefficient_is_an_internal_error(rng, monkeypatch):
+    P = random_problem(rng, 2, 4, "legendre")
+    assemble = blocksym._constant_coefficient
+
+    def skewed(P, factor):
+        Y = assemble(P, factor)
+        Y[0, -1] += 1e3 * blocksym.SYMMETRY_ULPS * Y.shape[0] * EPS * np.max(np.abs(Y))
+        return Y
+
+    monkeypatch.setattr(blocksym, "_constant_coefficient", skewed)
+    with pytest.raises(RuntimeError, match="asymmetric"):
+        build_dm_pencil(P, rng.uniform(-1.0, 1.0, 4))

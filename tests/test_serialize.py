@@ -2,16 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthopencil import (
     AnsatzFactor,
     DimensionMismatchError,
+    Eigentriple,
     ThreeTermBasis,
     anchor_pencil,
     builtin_basis,
     pencil_eigen,
 )
 from orthopencil.serialize import (
+    _coerce_scalars,
     basis_from_obj,
     basis_to_obj,
     dump_json,
@@ -96,3 +100,73 @@ def test_spectrum_report_with_vectors(rng):
     report = spectrum_report_obj(triples, recovered_right=rights)
     assert len(report["eigenvectors"]["right"]) == len(report["finite"])
     assert report["eigenvectors"]["right"][0][0] == [1.0, 0.0]
+
+
+# Floats where the two json encoders could part: NaN, the infinities, signed
+# zero, the extremes of the normal range and subnormals.
+SPECIAL_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, -1e300,
+                  5e-324, 2.2250738585072014e-308 / 3, 1.0, 0.1, 123456789.0, 1e16)
+# numpy scalars (np.float64 is a float; the others json cannot encode by
+# itself, so dump_json coerces them)
+NUMPY_SCALARS = (np.float64, lambda x: np.float32(np.clip(x, -1e38, 1e38)),
+                 lambda x: np.int64(np.clip(x, -1e18, 1e18)), lambda x: np.bool_(x > 0))
+
+
+@st.composite
+def _reports(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 40))
+    sides = draw(st.sampled_from((("right",), ("left",), ("right", "left"))))
+    pool = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8))
+    pool += list(SPECIAL_FLOATS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def number():
+        x = pool[rng.integers(len(pool))] if rng.uniform() < 0.3 else float(rng.standard_normal())
+        if rng.uniform() < 0.05:
+            return NUMPY_SCALARS[rng.integers(len(NUMPY_SCALARS))](x if np.isfinite(x) else 1.5)
+        return x
+
+    report = {
+        "finite": [{"re": number(), "im": number(), "residual": np.float64(abs(number()))}
+                   for _ in range(m)],
+        "infinite_count": np.int64(rng.integers(0, 3)),
+        "eigenvectors": {
+            side: [[[number(), number()] for _ in range(n)] for _ in range(m)] for side in sides
+        },
+    }
+    return report
+
+
+@settings(max_examples=100)
+@given(report=_reports())
+def test_dump_json_is_byte_identical_to_indented_json(report):
+    expected = json.dumps(report, indent=2, sort_keys=True, default=_coerce_scalars)
+    assert dump_json(report) == expected
+
+
+def test_dump_json_leaves_other_shapes_to_json():
+    cases = [
+        {"eigenvectors": {"right": [[["a", 1.0]]], "left": [[[1.0, [2.0]]]]}},
+        {"eigenvectors": {"right": [[["x, y", 1.0]]], "left": [[[{"z": 1}, 2.0]]]}},
+        {"eigenvectors": {"right": [[{1: 2.0, 3: 4.0}]], "left": [[[1.0, 2.0, 3.0]]]}},
+        {"eigenvectors": {"right": [[(1.0, 2.0)]], "left": [(1.0, 2.0)]}},
+        {"eigenvectors": {"right": [[[{}, 1.0], [[], 2.0]]]}},
+        {"eigenvectors": {"right": [[]], "left": []}, "finite": []},
+        {"eigenvectors": [[[1.0, 2.0]]]},
+        {"outer": {"eigenvectors": {"right": [[[1.0, 2.0]]]}}},
+        [[[1.0, 2.0]]],
+    ]
+    for obj in cases:
+        assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_spectrum_report_drops_vectors_of_infinite_eigenvalues():
+    u = np.array([1.0, 0.0])
+    triples = [Eigentriple(0.5 + 0j, u, u, 1e-16), Eigentriple(-1j, u, u, 2e-16),
+               Eigentriple(complex(np.inf), u, u, 0.0)]
+    vectors = np.array([[1.0, 2.0], [3.0 + 1j, 4.0], [5.0, 6.0]])
+    report = spectrum_report_obj(triples, recovered_right=vectors, recovered_left=list(vectors))
+    assert report["infinite_count"] == 1
+    expected = [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 1.0], [4.0, 0.0]]]
+    assert report["eigenvectors"] == {"right": expected, "left": expected}
