@@ -135,7 +135,7 @@ def _cmd_eig(args) -> int:
         v = np.zeros(P.k)
         v[0] = 1.0
     # without recovery no left eigenvector is used, so QZ skips them
-    triples = pencil_eigen(L, left=args.recover)
+    triples = pencil_eigen(L, left=args.recover, anchor=None if args.factor else P)
     rights = lefts = None
     if args.recover:
         # Kronecker structure sits in the right eigenvectors for side M1 and

@@ -159,26 +159,43 @@ def _coerce_scalars(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
-# Placeholder for a spliced eigenvector list; json writes its NUL characters
-# as \u0000, text that no report of this package contains.
-_PLACEHOLDER = "\x00eigenvectors.%s\x00"
+# Placeholder for a spliced list; json writes its NUL characters as \u0000,
+# text that no report of this package contains.
+_PLACEHOLDER = "\x00%s\x00"
+# The keys of an entry of a report's "finite" list, in sort_keys order.
+_FINITE_KEYS = ("im", "re", "residual")
+
+
+def _texts(numbers):
+    """The texts json writes for a flat list of numbers, in order, from one
+    json.dumps in the C encoder; None if any of them is a string, a list or
+    an object with keys."""
+    text = json.dumps(numbers, default=_coerce_scalars)
+    # a string or list in place of a number shows in the text; so does an
+    # object with keys, and an empty one is "{}" in both encoders
+    if '"' in text or "[" in text[1:]:
+        return None
+    return text[1:-1].split(", ") if numbers else []
 
 
 def _number_texts(vectors):
-    """The texts json writes for the numbers of a list of vectors of [re, im]
-    pairs, in order, from one json.dumps of them all in the C encoder; None
-    if the value has any other shape."""
+    """The number texts of a list of vectors of [re, im] pairs, in order;
+    None if the value has any other shape."""
     if type(vectors) is not list or set(map(type, vectors)) - {list}:
         return None
     pairs = list(chain.from_iterable(vectors))
     if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
         return None
-    text = json.dumps(list(chain.from_iterable(pairs)), default=_coerce_scalars)
-    # a string or list in place of a number shows in the text; so does an
-    # object with keys, and an empty one is "{}" in both encoders
-    if '"' in text or "[" in text[1:]:
+    return _texts(list(chain.from_iterable(pairs)))
+
+
+def _finite_texts(entries):
+    """The number texts of a list of {im, re, residual} dicts, key by key in
+    that order; None if the value has any other shape."""
+    if type(entries) is not list or any(
+            type(e) is not dict or e.keys() != set(_FINITE_KEYS) for e in entries):
         return None
-    return text[1:-1].split(", ") if pairs else []
+    return _texts([e[key] for e in entries for key in _FINITE_KEYS])
 
 
 def _splice_vectors(vectors, numbers, indent: int) -> str:
@@ -199,37 +216,54 @@ def _splice_vectors(vectors, numbers, indent: int) -> str:
     return (f"[\n{vec_ind}" + body + f"\n{outer}]") % tuple(numbers)
 
 
+def _splice_finite(entries, numbers, indent: int) -> str:
+    """Indented text of a "finite" list whose key line is indented by
+    ``indent``: one template per entry, filled by one %."""
+    if not entries:
+        return "[]"
+    outer, entry_ind, key_ind = (" " * (indent + d) for d in (0, 2, 4))
+    entry = ("{\n" + ",\n".join(f'{key_ind}"{key}": %s' for key in _FINITE_KEYS)
+             + f"\n{entry_ind}}}")
+    return (f"[\n{entry_ind}" + f",\n{entry_ind}".join([entry] * len(entries))
+            + f"\n{outer}]") % tuple(numbers)
+
+
 def dump_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), numpy scalars coerced.
 
     CPython's json falls back to its pure-Python encoder whenever indent is
-    set, and the eigenvector lists of a spectrum report hold nearly all its
-    numbers.  So each list obj["eigenvectors"][side] of vectors of [re, im]
-    pairs is spliced in:
+    set, and the lists of a spectrum report hold nearly all its numbers.  So
+    obj["finite"], a list of {im, re, residual} dicts, and each list
+    obj["eigenvectors"][side] of vectors of [re, im] pairs are spliced in:
     - one json.dumps of the list's numbers, without indent, runs in the C
       encoder and gives the text of every number (both encoders write floats
       by float.__repr__, and NaN and the infinities by the same names);
-    - a % template per vector lays out its pairs, and one % fills all the
-      templates of a list;
+    - a % template per entry or vector lays out its numbers, and one % fills
+      all the templates of a list;
     - the list's text replaces a placeholder string in the indented text of
       the rest of obj, which json.dumps encodes as before.
     Values of any other shape stay in the rest.  The result is
     byte-identical to json.dumps(obj, indent=2, sort_keys=True).
     """
     spliced = {}
-    vectors = obj.get("eigenvectors") if type(obj) is dict else None
-    if type(vectors) is dict:
-        vectors = dict(vectors)
-        for side, value in vectors.items():
-            numbers = _number_texts(value)
-            if numbers is not None:
-                vectors[side] = _PLACEHOLDER % (side,)
-                spliced[vectors[side]] = (value, numbers)
-        obj = {**obj, "eigenvectors": vectors}
+    if type(obj) is dict:
+        obj = dict(obj)
+        numbers = _finite_texts(obj.get("finite"))
+        if numbers is not None:
+            spliced[_PLACEHOLDER % "finite"] = (_splice_finite, obj["finite"], numbers)
+            obj["finite"] = _PLACEHOLDER % "finite"
+        vectors = obj.get("eigenvectors")
+        if type(vectors) is dict:
+            vectors = obj["eigenvectors"] = dict(vectors)
+            for side, value in vectors.items():
+                numbers = _number_texts(value)
+                if numbers is not None:
+                    vectors[side] = _PLACEHOLDER % f"eigenvectors.{side}"
+                    spliced[vectors[side]] = (_splice_vectors, value, numbers)
     text = json.dumps(obj, indent=2, sort_keys=True, default=_coerce_scalars)
-    for placeholder, (value, numbers) in spliced.items():
+    for placeholder, (splice, value, numbers) in spliced.items():
         head, tail = text.split(json.dumps(placeholder), 1)
         line = head[head.rfind("\n") + 1:]
         indent = len(line) - len(line.lstrip(" "))
-        text = head + _splice_vectors(value, numbers, indent) + tail
+        text = head + splice(value, numbers, indent) + tail
     return text

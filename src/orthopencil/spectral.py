@@ -2,19 +2,32 @@
 
 The dense generalized eigensolver is an injected dependency: any callable
 ``solver(X, Y, left)`` returning a GeneralizedEigenResult for the pencil
-X*lam + Y can be used, and the default wraps scipy's QZ-based solver.  With
-``left`` false the caller uses no left eigenvectors, so the solver may skip
-them and return ``left=None``.  Infinite eigenvalues are recognized either
-from the homogeneous (alpha, beta) form when the solver provides it, or by
-magnitude thresholding otherwise; they correspond to zero eigenvalues of the
-reversal Y*lam + X.
+X*lam + Y can be used, and the default is ``qz_solve``.  With ``left`` false
+the caller uses no left eigenvectors, so the solver may skip them and return
+``left=None``.  Infinite eigenvalues are recognized either from the
+homogeneous (alpha, beta) form when the solver provides it, or by magnitude
+thresholding otherwise; they correspond to zero eigenvalues of the reversal
+Y*lam + X.
+
+``qz_solve`` has two branches.  The general one is scipy's QZ.  The other is
+for the anchor pencil of a polynomial P, named by ``anchor=P``, when no left
+eigenvectors are asked for: there X = diag(c*P_k, I), so for invertible P_k
+the pencil's eigenpairs are those of the companion (comrade, colleague)
+matrix -X^-1 Y, which one n x n LU and LAPACK geev solve.  That result is
+accepted only under a certificate: for every eigenvalue the backward error
+eta_P of the polynomial eigenpair read off its eigenvector (see
+``backward_errors``) is at most 10 * kn * eps.  Otherwise, or when an
+eigenvalue is not finite or would be classed infinite, QZ runs instead, so
+both branches are one call of ``qz_solve``.  ``pencil_eigen`` passes the
+anchor on only when the row-scaled rcond of P_k clears 10 * n * eps, which
+also proves the pencil regular (det X = c^n det P_k != 0).
 
 Eigenvector recovery is batched: ``recover_right`` takes the m eigenvalues
 and the kn x m matrix of their pencil eigenvectors and returns the n x m
 eigenvectors of P, and ``recover_left`` maps kn x m to n x m the same way.
-One call costs one ``phi_vector`` and one ``MatrixPolynomial.evaluate`` on
-all m eigenvalues, whatever m is; every structure and residual check is made
-for every column, and a failure names the first failing column.  A scalar
+One call costs one ``phi_vector`` and k + 1 GEMMs for the residuals of all m
+eigenvalues, whatever m is; every structure and residual check is made for
+every column, and a failure names the first failing column.  A scalar
 eigenvalue with a 1-D vector is the case m = 1 and returns a 1-D vector.
 """
 
@@ -26,10 +39,11 @@ import numpy as np
 import scipy.linalg
 
 from .ansatz import AnsatzFactor, check_linearization, make_m1, make_m2, side_multiplier
-from .basis import phi_vector, to_monomial
+from .basis import _phi_sequence, phi_vector, to_monomial
 from .errors import RecoveryError, SingularPencilError
 from .matpoly import (
     MatrixPolynomial,
+    _rcond,
     require_ansatz_degree,
     reversal_monomial,
     sampled_regularity,
@@ -42,6 +56,7 @@ __all__ = [
     "qz_solve",
     "pencil_eigen",
     "spectrum_of",
+    "backward_errors",
     "recover_right",
     "recover_left",
     "exclusion_left",
@@ -65,16 +80,66 @@ class GeneralizedEigenResult:
     left: np.ndarray | None
 
 
-def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True) -> GeneralizedEigenResult:
-    """Default dense solver: scipy's QZ on the pair (Y, -X).
+# A companion-form solve of an anchor pencil is accepted when eta_P is at most
+# this many kn * eps at every eigenvalue.
+_CERTIFIED_ETA = 10.0
 
-    With left false no left eigenvectors are computed (``left`` is None in
-    the result); eigenvalues and right eigenvectors are the same either way.
+
+def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
+             inf_tol: float = 1e-8) -> GeneralizedEigenResult:
+    """Default dense solver for the pencil X*lam + Y, in one of two branches.
+
+    - General: scipy's QZ on the pair (Y, -X).  With left false no left
+      eigenvectors are computed (``left`` is None in the result); eigenvalues
+      and right eigenvectors are the same either way.
+    - Anchor: when ``anchor`` is the polynomial P whose anchor pencil is
+      (X, Y) and left is false, X = diag(c*P_k, I).  One n x n LU of the
+      row-scaled c*P_k forms the companion matrix -X^-1 Y, which LAPACK geev
+      solves; beta is 1.  The result is kept only if every eigenvalue is
+      finite and not classed infinite by inf_tol (the rule of pencil_eigen),
+      and if it passes the certificate: ``backward_errors`` of every
+      eigenvalue with the Kronecker fit of its eigenvector is at most
+      10 * kn * eps.  Otherwise the general branch runs.
+
+    The two branches agree to within the eigenvalues' condition numbers
+    times their backward errors, not bit for bit.
     """
+    if anchor is not None and not left:
+        res = _companion_solve(X, Y, anchor, inf_tol)
+        if res is not None:
+            return res
     out = scipy.linalg.eig(Y, -X, left=left, right=True, homogeneous_eigvals=True)
     w, vr = out[0], out[-1]
     vl = np.conj(out[1]) if left else None
     return GeneralizedEigenResult(alpha=w[0], beta=w[1], right=vr, left=vl)
+
+
+def _companion_solve(X, Y, P, inf_tol):
+    """The certified geev solve of qz_solve's anchor branch, or None."""
+    n, size = P.n, X.shape[0]
+    rows = np.linalg.norm(X[:n, :n], axis=1)
+    if not np.all(rows > 0.0):
+        return None
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (X,))
+    lu, piv, info = getrf(X[:n, :n] / rows[:, None])
+    if info > 0:
+        return None
+    Z, _ = getrs(lu, piv, Y[:n] / rows[:, None])
+    if not np.all(np.isfinite(Z)):
+        return None
+    # only the first block row of -X^-1 Y differs from -Y
+    A = np.negative(Y, order="F")
+    A[:n] = -Z
+    try:
+        lams, V = scipy.linalg.eig(A, left=False, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError:  # geev did not converge; QZ may
+        return None
+    if not np.all(np.isfinite(lams)) or np.any(inf_tol * (np.abs(lams) + 1.0) >= 1.0):
+        return None
+    _, U = _kron_fit(P, lams, V.reshape(P.k, n, -1))
+    if not np.all(backward_errors(P, lams, U) <= _CERTIFIED_ETA * size * np.finfo(float).eps):
+        return None
+    return GeneralizedEigenResult(alpha=lams, beta=np.ones(size), right=V, left=None)
 
 
 @dataclass(frozen=True)
@@ -146,35 +211,44 @@ def _sort_triples(triples):
 
 
 def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
-                 left: bool = True) -> list[Eigentriple]:
+                 left: bool = True, anchor=None) -> list[Eigentriple]:
     """All kn eigenvalues of a regular pencil, infinite ones included.
 
-    Regularity is tested first, by LU factorizations of X*lam + Y at up to 3
-    random points of the disk |lam| < 2: the pencil is regular as soon as
-    one has a reciprocal condition number (LAPACK gecon, 1-norm, rows scaled
-    to unit norm) above 10 * kn * eps.  Otherwise SingularPencilError is
-    raised, carrying the largest rcond seen; eigenvalues of a singular
-    pencil are meaningless.
+    ``anchor`` is the polynomial P when L is its anchor pencil.  If the
+    reciprocal condition number of P_k (LAPACK gecon, 1-norm, rows scaled to
+    unit norm) is above 10 * n * eps, X = diag(c*P_k, I) is invertible and
+    the pencil regular, and the default solver gets the anchor (see
+    qz_solve).  Otherwise regularity is tested by LU factorizations of
+    X*lam + Y at up to 3 random points of the disk |lam| < 2: the pencil is
+    regular as soon as one has a row-scaled rcond above 10 * kn * eps.  If
+    none has, SingularPencilError is raised, carrying the largest rcond
+    seen; eigenvalues of a singular pencil are meaningless.
 
-    The solver is called as solver(X, Y, left).  With left false no left
-    eigenvectors are asked for and every triple's ``left`` is None.
+    The solver is called as solver(X, Y, left), the default one as
+    qz_solve(X, Y, left, anchor=..., inf_tol=inf_tol).  With left false no
+    left eigenvectors are asked for and every triple's ``left`` is None.
     Residuals are ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||) for unit right
     vectors u (||X u|| / ||X|| at infinite eigenvalues).  Results are sorted
     by (real, imag) with infinite eigenvalues last; real parts equal up to
     rounding are ordered by imaginary part.
     """
+    n = L.n
+    if anchor is not None and _rcond(L.X[:n, :n]) <= 10.0 * n * np.finfo(float).eps:
+        anchor = None
+    if anchor is None:
+        if rng is None:
+            rng = np.random.default_rng(90210)
+        verdict = sampled_regularity(lambda lam: eval_pencil(L, lam), L.k * n, rng)
+        if not verdict.regular:
+            raise SingularPencilError(
+                f"pencil is singular: rcond of X*lam + Y is at most {verdict.rcond:.3e} "
+                f"at {verdict.trials} sampled points (threshold 10*kn*eps)",
+                rcond=verdict.rcond,
+            )
     if solver is None:
-        solver = qz_solve
-    if rng is None:
-        rng = np.random.default_rng(90210)
-    verdict = sampled_regularity(lambda lam: eval_pencil(L, lam), L.k * L.n, rng)
-    if not verdict.regular:
-        raise SingularPencilError(
-            f"pencil is singular: rcond of X*lam + Y is at most {verdict.rcond:.3e} "
-            f"at {verdict.trials} sampled points (threshold 10*kn*eps)",
-            rcond=verdict.rcond,
-        )
-    res = solver(L.X, L.Y, left)
+        res = qz_solve(L.X, L.Y, left, anchor=anchor, inf_tol=inf_tol)
+    else:
+        res = solver(L.X, L.Y, left)
     size = res.alpha.size
     lams = []
     infinite = np.zeros(size, dtype=bool)
@@ -210,6 +284,46 @@ def spectrum_of(triples) -> Spectrum:
     return Spectrum(finite, sum(t.is_infinite for t in triples))
 
 
+def _check_nullside(nullside):
+    if nullside not in ("right", "left"):
+        raise ValueError("nullside must be 'right' or 'left'")
+
+
+def backward_errors(P: MatrixPolynomial, lams, U, nullside: str = "right") -> np.ndarray:
+    """eta_P(lam_j, u_j) for every finite eigenvalue lam_j and column u_j of U.
+
+    eta_P(lam, u) = ||P(lam) u|| / (sum_i |phi_i(lam)| ||P_i||_F ||u||), the
+    normwise backward error of an approximate eigenpair (Tisseur, LAA 309,
+    2000); its denominator is MatrixPolynomial.evaluation_scale.  nullside
+    "left" takes u^T P(lam) instead.  It bounds sigma_min(P(lam)) / (sum_i
+    |phi_i(lam)| ||P_i||_F), the backward error of lam alone, from above.
+    The residuals of all m columns cost k + 1 real GEMMs, P_i times the real
+    and imaginary parts of U side by side, each scaled by its row of phi;
+    no m x n x n tensor of P(lam_j) is built.
+    """
+    _check_nullside(nullside)
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    U = np.asarray(U, dtype=complex)
+    m = lams.size
+    phis = _phi_sequence(P.basis, P.k, lams)
+    parts = np.hstack([U.real, U.imag])
+    R = np.zeros(U.shape, dtype=complex)
+    for Pi, phi in zip(P.coeffs, phis):
+        T = (Pi if nullside == "right" else Pi.T) @ parts
+        R += phi * (T[:, :m] + 1j * T[:, m:])
+    scale = np.maximum(P.evaluation_scale(lams), 1e-300)
+    return np.linalg.norm(R, axis=0) / (scale * np.linalg.norm(U, axis=0))
+
+
+def _kron_fit(P, alpha, blocks):
+    """(phi, U): the k x m basis vectors at the m finite points alpha, and the
+    least-squares fit u_j = sum_i conj(phi_ij) w_ij / sum_i |phi_ij|^2 of
+    phi_j kron u_j to the k x n x m blocks w_ij of the pencil eigenvectors."""
+    phi = phi_vector(P.basis, P.k, alpha)
+    U = np.einsum("im,iam->am", phi.conj(), blocks) / np.sum(np.abs(phi) ** 2, axis=0)
+    return phi, U
+
+
 def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
                   nullside: str = "right") -> np.ndarray:
     """Eigenvectors of P from Kronecker-structured pencil eigenvectors.
@@ -227,12 +341,11 @@ def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
 
     nullside selects the residual check: "right" tests P(alpha) u = 0,
     "left" tests u^T P(alpha) = 0 (for left eigenvectors of transposed-ansatz
-    pencils, which carry the same Kronecker structure).  Its scale is
-    sum_i |phi_i(alpha)| ||P_i||, or the norm of the leading coefficient at
-    infinite eigenvalues.
+    pencils, which carry the same Kronecker structure).  It is
+    ``backward_errors``, or at infinite eigenvalues the residual of the
+    leading monomial coefficient relative to its norm.
     """
-    if nullside not in ("right", "left"):
-        raise ValueError("nullside must be 'right' or 'left'")
+    _check_nullside(nullside)
     require_ansatz_degree(P)
     n, k = P.n, P.k
     lams = np.asarray(eigenvalues, dtype=complex)
@@ -245,21 +358,19 @@ def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
     blocks = W.reshape(k, n, -1)
     infinite = np.isinf(lams)
     alpha = np.where(infinite, 0.0, lams)
-    phi = phi_vector(P.basis, k, alpha)
-    U = np.einsum("im,iam->am", phi.conj(), blocks) / np.sum(np.abs(phi) ** 2, axis=0)
+    phi, U = _kron_fit(P, alpha, blocks)
     U = np.where(infinite, blocks[0], U)
     # finite: w - phi kron u; infinite: w - e_1 kron u, the blocks below the first
     recon = np.einsum("im,am->iam", np.where(infinite, np.eye(k, 1), phi), U)
     mismatch = np.linalg.norm(blocks - recon, axis=(0, 1)) / np.linalg.norm(W, axis=0)
-    M = P.evaluate(alpha)
-    scale = P.evaluation_scale(alpha)
+    residual = backward_errors(P, alpha, U, nullside)
+    unorm = np.linalg.norm(U, axis=0)
     if infinite.any():
         lead = reversal_monomial(P)[0]
-        M[infinite] = lead
-        scale[infinite] = np.linalg.norm(lead)
-    R = np.einsum("mab,bm->am" if nullside == "right" else "mba,bm->am", M, U)
-    unorm = np.linalg.norm(U, axis=0)
-    residual = np.linalg.norm(R, axis=0) / (np.maximum(scale, 1e-300) * unorm)
+        lead = lead if nullside == "right" else lead.T
+        R = lead @ U[:, infinite]
+        residual[infinite] = np.linalg.norm(R, axis=0) / (
+            max(np.linalg.norm(lead), 1e-300) * unorm[infinite])
     bad = np.flatnonzero((mismatch > tol) | (residual > tol))
     if bad.size:
         j = bad[0]

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthopencil import (
@@ -116,7 +116,7 @@ NUMPY_SCALARS = (np.float64, lambda x: np.float32(np.clip(x, -1e38, 1e38)),
 def _reports(draw):
     n = draw(st.integers(1, 12))
     m = draw(st.integers(0, 40))
-    sides = draw(st.sampled_from((("right",), ("left",), ("right", "left"))))
+    sides = draw(st.sampled_from(((), ("right",), ("left",), ("right", "left"))))
     pool = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8))
     pool += list(SPECIAL_FLOATS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -128,18 +128,22 @@ def _reports(draw):
         return x
 
     report = {
-        "finite": [{"re": number(), "im": number(), "residual": np.float64(abs(number()))}
-                   for _ in range(m)],
+        # residuals as the pool draws them: NaN, the infinities and -0.0 too
+        "finite": [{"re": number(), "im": number(), "residual": number()} for _ in range(m)],
         "infinite_count": np.int64(rng.integers(0, 3)),
-        "eigenvectors": {
-            side: [[[number(), number()] for _ in range(n)] for _ in range(m)] for side in sides
-        },
     }
+    if sides:
+        report["eigenvectors"] = {
+            side: [[[number(), number()] for _ in range(n)] for _ in range(m)] for side in sides
+        }
     return report
 
 
 @settings(max_examples=100)
 @given(report=_reports())
+@example(report={"finite": [], "infinite_count": 0})
+@example(report={"finite": [{"im": -0.0, "re": float("nan"), "residual": -float("inf")}],
+                 "infinite_count": 2, "eigenvectors": {"right": [[[0.0, -0.0]]]}})
 def test_dump_json_is_byte_identical_to_indented_json(report):
     expected = json.dumps(report, indent=2, sort_keys=True, default=_coerce_scalars)
     assert dump_json(report) == expected
@@ -153,6 +157,14 @@ def test_dump_json_leaves_other_shapes_to_json():
         {"eigenvectors": {"right": [[(1.0, 2.0)]], "left": [(1.0, 2.0)]}},
         {"eigenvectors": {"right": [[[{}, 1.0], [[], 2.0]]]}},
         {"eigenvectors": {"right": [[]], "left": []}, "finite": []},
+        {"finite": [{"im": 1.0, "re": 2.0}], "infinite_count": 0},
+        {"finite": [{"im": 1.0, "re": 2.0, "residual": 0.0, "x": 1}]},
+        {"finite": [{"im": "1", "re": 2.0, "residual": 0.0}]},
+        {"finite": [{"im": [1.0], "re": 2.0, "residual": {}}, {"im": 1, "re": True,
+                                                              "residual": None}]},
+        {"finite": [{"im": 1, "re": True, "residual": None}, {"im": {}, "re": 0, "residual": 1}]},
+        {"finite": [[1.0, 2.0, 3.0]]},
+        {"finite": ({"im": 1.0, "re": 2.0, "residual": 0.0},)},
         {"eigenvectors": [[[1.0, 2.0]]]},
         {"outer": {"eigenvectors": {"right": [[[1.0, 2.0]]]}}},
         [[[1.0, 2.0]]],
