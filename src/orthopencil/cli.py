@@ -124,32 +124,36 @@ def _cmd_membership(args) -> int:
 
 def _cmd_eig(args) -> int:
     P = _load_problem(args)
-    side = "M1"
+    f = None
     if args.factor:
         f = factor_from_obj(_load_json(args.factor))
-        side = f.side
-        L = make_m1(P, f) if side == "M1" else make_m2(P, f)
+        L = make_m1(P, f) if f.side == "M1" else make_m2(P, f)
         v = f.v
     else:
         L = anchor_pencil(P)
         v = np.zeros(P.k)
         v[0] = 1.0
-    # without recovery no left eigenvector is used, so QZ skips them
-    triples = pencil_eigen(L, left=args.recover, anchor=None if args.factor else P)
+    side = "M1" if f is None else f.side
+    # without recovery no left eigenvector is used, so the solver skips them
+    triples = pencil_eigen(L, left=args.recover, anchor=P, factor=f)
     rights = lefts = None
     if args.recover:
         # Kronecker structure sits in the right eigenvectors for side M1 and
         # in the left eigenvectors for side M2; the other side recovers by the
-        # blockwise v-weighted sum.  Columns follow the sorted triples.
+        # blockwise v-weighted sum, and both are checked against --tol.
+        # Columns follow the sorted triples.
         lams = np.array([t.eigenvalue for t in triples])
         right = np.stack([t.right for t in triples], axis=1)
         left = np.stack([t.left for t in triples], axis=1)
-        if side == "M1":
-            rights = recover_right(P, lams, right, tol=args.tol)
-            lefts = recover_left(v, left)
-        else:
-            rights = recover_left(v, right)
-            lefts = recover_right(P, lams, left, tol=args.tol, nullside="left")
+        kron, other = (right, left) if side == "M1" else (left, right)
+        nullside, flipped = ("right", "left") if side == "M1" else ("left", "right")
+        fitted = recover_right(P, lams, kron, tol=args.tol, nullside=nullside)
+        if triples[0].weighted_sum is not None:
+            # the companion solve formed the sums without cancellation; a sum
+            # over one block returns them as they are
+            v, other = np.ones(1), np.stack([t.weighted_sum for t in triples], axis=1)
+        summed = recover_left(v, other, P, lams, tol=args.tol, nullside=flipped)
+        rights, lefts = (fitted, summed) if side == "M1" else (summed, fitted)
         rights, lefts = rights.T, lefts.T
     _emit(spectrum_report_obj(triples, rights, lefts))
     return 0

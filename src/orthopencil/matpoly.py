@@ -99,22 +99,28 @@ class RegularityVerdict:
 REGULARITY_POINTS = 3
 
 
-def _rcond(M: np.ndarray) -> float:
-    """LAPACK estimate of 1 / (||D M||_1 ||(D M)^-1||_1): getrf, then gecon.
+def _scaled_lu(M: np.ndarray):
+    """(rcond, (lu, piv, rows)): getrf of D M and gecon's estimate of its rcond.
 
-    D scales every row of M to unit 2-norm, so the estimate does not depend
-    on the units of any row.  A zero row or an exactly zero pivot gives 0."""
+    D = diag(1 / rows) scales every row of M to unit 2-norm, so the estimate
+    1 / (||D M||_1 ||(D M)^-1||_1) does not depend on the units of any row.
+    A zero row or an exactly zero pivot gives (0.0, None)."""
     rows = np.linalg.norm(M, axis=1)
     if not np.all(rows > 0.0):
-        return 0.0
+        return 0.0, None
     M = M / rows[:, None]
     anorm = float(np.linalg.norm(M, 1))
     getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (M,))
-    lu, _, info = getrf(M)
+    lu, piv, info = getrf(M)
     if info > 0:
-        return 0.0
+        return 0.0, None
     value, _ = gecon(lu, anorm, norm="1")
-    return float(value)
+    return float(value), (lu, piv, rows)
+
+
+def _rcond(M: np.ndarray) -> float:
+    """The row-scaled rcond of M (see _scaled_lu)."""
+    return _scaled_lu(M)[0]
 
 
 def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:

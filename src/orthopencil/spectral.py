@@ -9,18 +9,34 @@ homogeneous (alpha, beta) form when the solver provides it, or by magnitude
 thresholding otherwise; they correspond to zero eigenvalues of the reversal
 Y*lam + X.
 
-``qz_solve`` has two branches.  The general one is scipy's QZ.  The other is
-for the anchor pencil of a polynomial P, named by ``anchor=P``, when no left
-eigenvectors are asked for: there X = diag(c*P_k, I), so for invertible P_k
-the pencil's eigenpairs are those of the companion (comrade, colleague)
-matrix -X^-1 Y, which one n x n LU and LAPACK geev solve.  That result is
-accepted only under a certificate: for every eigenvalue the backward error
-eta_P of the polynomial eigenpair read off its eigenvector (see
-``backward_errors``) is at most 10 * kn * eps.  Otherwise, or when an
-eigenvalue is not finite or would be classed infinite, QZ runs instead, so
-both branches are one call of ``qz_solve``.  ``pencil_eigen`` passes the
-anchor on only when the row-scaled rcond of P_k clears 10 * n * eps, which
-also proves the pencil regular (det X = c^n det P_k != 0).
+``qz_solve`` has two branches.  The general one is scipy's QZ.  The other,
+the companion branch, serves every pencil that ``pencil_eigen`` can tie to
+an anchor pencil F, with or without left eigenvectors:
+
+- the anchor pencil of P itself, X = diag(c*P_k, I);
+- an M1 pencil L = T F, with T = [v kron I_n, B];
+- an M2 pencil L = F^B S, with S = [v^T kron I_n; B^B].  F^B is bitwise the
+  transpose of the anchor pencil G of P^T, so L = G^T S.
+
+For invertible P_k the anchor's eigenpairs are those of the companion
+(comrade, colleague) matrix -X^-1 Y, which one n x n LU and LAPACK geev
+solve.  For invertible T (or S) the pencil has the anchor's eigenvalues: L
+has F's right eigenvectors and left eigenvectors T^-T z for F's left ones z
+(M1), and G's right eigenvectors as left ones and S^-1 z for G's left ones
+z as right ones (M2).  The eigenvectors of P come straight from the anchor:
+the Kronecker fit of its right eigenvectors gives one side, and the first
+block of z, which is the block sum (v kron I_n)^T of L's eigenvector on the
+other side, gives the other, free of the cancellation that forming that sum
+from L's eigenvector suffers when T is ill-conditioned.
+
+The companion result is accepted only under a certificate, at every
+eigenvalue: eta_L, the residual that pencil_eigen reports, is at most
+10 * kn * eps; the backward error eta_P of each eigenvector of P it gives
+(see ``backward_errors``) is at most 10 * kn * eps; and no eigenvalue is
+classed infinite.  Otherwise QZ runs instead, in the same ``qz_solve`` call.
+``pencil_eigen`` takes the companion branch only when the row-scaled rcond
+of P_k clears 10 * n * eps and, for M1/M2 pencils, that of T (or S) clears
+10 * kn * eps; together they prove the pencil regular (det L = det T det F).
 
 Eigenvector recovery is batched: ``recover_right`` takes the m eigenvalues
 and the kn x m matrix of their pencil eigenvectors and returns the n x m
@@ -44,12 +60,13 @@ from .errors import RecoveryError, SingularPencilError
 from .matpoly import (
     MatrixPolynomial,
     _rcond,
+    _scaled_lu,
     require_ansatz_degree,
     reversal_monomial,
     sampled_regularity,
 )
 from .oracle import Spectrum, reference_spectrum, trim_poly
-from .pencil import Pencil, eval_pencil
+from .pencil import Pencil, anchor_pencil, eval_pencil
 
 __all__ = [
     "Eigentriple",
@@ -71,41 +88,61 @@ class GeneralizedEigenResult:
     ``alpha``/``beta`` give eigenvalues alpha/beta (beta may be None when the
     solver only reports plain eigenvalues in which case alpha holds them);
     ``right`` and ``left`` hold eigenvectors as columns, with the convention
-    (X*lam + Y) right = 0 and left^T (X*lam + Y) = 0.
+    (X*lam + Y) right = 0 and left^T (X*lam + Y) = 0.  The companion branch
+    of qz_solve also gives ``residual``, the normalized right residuals it
+    certified, and for M1/M2 pencils ``sums``, the n x m block sums
+    (v kron I_n)^T w / ||w|| of the eigenvectors w on the side without
+    Kronecker structure (left for M1, right for M2); other solvers leave both
+    None.
     """
 
     alpha: np.ndarray
     beta: np.ndarray | None
     right: np.ndarray
     left: np.ndarray | None
+    residual: np.ndarray | None = None
+    sums: np.ndarray | None = None
 
 
-# A companion-form solve of an anchor pencil is accepted when eta_P is at most
-# this many kn * eps at every eigenvalue.
+@dataclass(frozen=True)
+class _Multiplier:
+    """The constant multiplier of an M1 pencil (T, with L = T F) or of an M2
+    pencil (S, with L = G^T S), and the row-scaled LU of pencil_eigen's gate."""
+
+    side: str
+    matrix: np.ndarray
+    lu: tuple
+
+
+# A companion-form solve is accepted when eta_L and eta_P are at most this
+# many kn * eps at every eigenvalue.
 _CERTIFIED_ETA = 10.0
 
 
 def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
-             inf_tol: float = 1e-8) -> GeneralizedEigenResult:
+             inf_tol: float = 1e-8, multiplier=None) -> GeneralizedEigenResult:
     """Default dense solver for the pencil X*lam + Y, in one of two branches.
 
     - General: scipy's QZ on the pair (Y, -X).  With left false no left
       eigenvectors are computed (``left`` is None in the result); eigenvalues
       and right eigenvectors are the same either way.
-    - Anchor: when ``anchor`` is the polynomial P whose anchor pencil is
-      (X, Y) and left is false, X = diag(c*P_k, I).  One n x n LU of the
-      row-scaled c*P_k forms the companion matrix -X^-1 Y, which LAPACK geev
-      solves; beta is 1.  The result is kept only if every eigenvalue is
-      finite and not classed infinite by inf_tol (the rule of pencil_eigen),
-      and if it passes the certificate: ``backward_errors`` of every
-      eigenvalue with the Kronecker fit of its eigenvector is at most
-      10 * kn * eps.  Otherwise the general branch runs.
+    - Companion: ``anchor`` is the polynomial P, and (X, Y) is its anchor
+      pencil, or, when ``multiplier`` (made by pencil_eigen) is given, its M1
+      or M2 pencil with that multiplier.  One n x n LU of the row-scaled
+      c*P_k (c*P_k^T for M2) forms the companion matrix, which LAPACK geev
+      solves, with left eigenvectors when they are asked for or the pencil
+      is M2; beta is 1.  L's eigenvectors are mapped from the anchor's with
+      the multiplier's LU.  The result is kept only if it passes the
+      certificate of the module docstring (eta_L and the eta_P of both
+      sides of P at most 10 * kn * eps, no eigenvalue infinite or classed
+      infinite by inf_tol, the rule of pencil_eigen).  Otherwise the general
+      branch runs.
 
     The two branches agree to within the eigenvalues' condition numbers
     times their backward errors, not bit for bit.
     """
-    if anchor is not None and not left:
-        res = _companion_solve(X, Y, anchor, inf_tol)
+    if anchor is not None:
+        res = _companion_solve(X, Y, anchor, inf_tol, left, multiplier)
         if res is not None:
             return res
     out = scipy.linalg.eig(Y, -X, left=left, right=True, homogeneous_eigvals=True)
@@ -114,32 +151,116 @@ def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
     return GeneralizedEigenResult(alpha=w[0], beta=w[1], right=vr, left=vl)
 
 
-def _companion_solve(X, Y, P, inf_tol):
-    """The certified geev solve of qz_solve's anchor branch, or None."""
-    n, size = P.n, X.shape[0]
-    rows = np.linalg.norm(X[:n, :n], axis=1)
-    if not np.all(rows > 0.0):
+def _lu_solve(factors, B, trans=0):
+    """M^-1 B (trans 0) or M^-T B (trans 1) from the row-scaled LU of M
+    (D M = LU with D = diag(1 / rows), see matpoly._scaled_lu).  A complex B
+    is solved as its real and imaginary parts side by side."""
+    lu, piv, rows = factors
+    if not trans:
+        B = B / rows[:, None]
+    m = B.shape[1]
+    cplx = np.iscomplexobj(B)
+    getrs = scipy.linalg.get_lapack_funcs("getrs", (lu,))
+    out, _ = getrs(lu, piv, np.hstack([B.real, B.imag]) if cplx else B, trans=trans)
+    if cplx:
+        out = out[:, :m] + 1j * out[:, m:]
+    return out / rows[:, None] if trans else out
+
+
+def _real_matmul(M, V):
+    """M @ V for real M and complex V, as one real GEMM on [Re V, Im V]."""
+    m = V.shape[1]
+    R = M @ np.hstack([V.real, V.imag])
+    return R[:, :m] + 1j * R[:, m:]
+
+
+def _apply_anchor(F, lams, U, transpose=False):
+    """F(lam_j) u_j, or F(lam_j)^T u_j, for every column u_j of U.
+
+    Read off the anchor's structure, X = diag(c*P_k, I) and Y = kron(Ys, I_n)
+    below the first block row, so no kn x kn product is formed."""
+    n, k, m = F.n, F.k, U.shape[1]
+    lead, top = F.X[:n, :n], F.Y[:n]
+    Ys = F.Y[n::n, ::n]
+    if transpose:
+        R = top.T @ U[:n] + (Ys.T @ U[n:].reshape(k - 1, n * m)).reshape(-1, m)
+        R[:n] += (lead.T @ U[:n]) * lams
+    else:
+        R = np.empty(U.shape, dtype=complex)
+        R[:n] = (lead @ U[:n]) * lams + top @ U
+        R[n:] = (Ys @ U.reshape(k, n * m)).reshape(-1, m)
+    R[n:] += U[n:] * lams
+    return R
+
+
+def _structured_residuals(X, Y, F, lams, U, multiplier=None):
+    """||(X*lam_j + Y) u_j|| / ((||X|| |lam_j| + ||Y||) ||u_j||) for every column
+    u_j of U, where the pencil (X, Y) is the anchor F itself, T F (M1) or
+    F^T S (M2, F the anchor of P^T): one GEMM with the multiplier, and the
+    anchor's structure for the rest."""
+    side = "anchor" if multiplier is None else multiplier.side
+    if side == "M2":
+        R = _apply_anchor(F, lams, _real_matmul(multiplier.matrix, U), transpose=True)
+    else:
+        R = _apply_anchor(F, lams, U)
+        if side == "M1":
+            R = _real_matmul(multiplier.matrix, R)
+    scales = np.linalg.norm(X) * np.abs(lams) + np.linalg.norm(Y)
+    return np.linalg.norm(R, axis=0) / (np.linalg.norm(U, axis=0) * np.maximum(scales, 1e-300))
+
+
+def _companion_solve(X, Y, P, inf_tol, left=False, multiplier=None):
+    """The certified geev solve of qz_solve's companion branch, or None."""
+    side = "anchor" if multiplier is None else multiplier.side
+    if side == "M2":
+        P = MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis)
+    F = Pencil(X, Y, P.n, P.k) if multiplier is None else anchor_pencil(P)
+    n, k, size = P.n, P.k, X.shape[0]
+    _, lead = _scaled_lu(F.X[:n, :n])
+    if lead is None:
         return None
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (X,))
-    lu, piv, info = getrf(X[:n, :n] / rows[:, None])
-    if info > 0:
-        return None
-    Z, _ = getrs(lu, piv, Y[:n] / rows[:, None])
-    if not np.all(np.isfinite(Z)):
+    first = _lu_solve(lead, F.Y[:n])
+    if not np.all(np.isfinite(first)):
         return None
     # only the first block row of -X^-1 Y differs from -Y
-    A = np.negative(Y, order="F")
-    A[:n] = -Z
+    A = np.negative(F.Y, order="F")
+    A[:n] = -first
+    # an M2 pencil's right eigenvectors come from the anchor's left ones
+    want_left, want_right = left or side == "M2", left or side != "M2"
     try:
-        lams, V = scipy.linalg.eig(A, left=False, overwrite_a=True, check_finite=False)
+        out = scipy.linalg.eig(A, left=want_left, right=want_right, overwrite_a=True,
+                               check_finite=False)
     except scipy.linalg.LinAlgError:  # geev did not converge; QZ may
         return None
+    lams = out[0]
     if not np.all(np.isfinite(lams)) or np.any(inf_tol * (np.abs(lams) + 1.0) >= 1.0):
         return None
-    _, U = _kron_fit(P, lams, V.reshape(P.k, n, -1))
-    if not np.all(backward_errors(P, lams, U) <= _CERTIFIED_ETA * size * np.finfo(float).eps):
+    bound = _CERTIFIED_ETA * size * np.finfo(float).eps
+    VR = out[-1] if want_right else None
+    if VR is not None:
+        _, U = _kron_fit(P, lams, VR.reshape(k, n, -1))
+        if not np.all(backward_errors(P, lams, U) <= bound):
+            return None
+    Z = None
+    if want_left:
+        # from y^H A = lam y^H the anchor's left eigenvector is z = X^-T conj(y);
+        # only its first block, a left eigenvector of P, needs a solve
+        Z = np.conj(out[1])
+        Z[:n] = _lu_solve(lead, Z[:n], trans=1)
+        if not np.all(backward_errors(P, lams, Z[:n], "left") <= bound):
+            return None
+    right, left_vecs, sums = VR, Z, None
+    if side == "M1" and left:
+        left_vecs = _lu_solve(multiplier.lu, Z, trans=1)
+        sums = Z[:n] / np.linalg.norm(left_vecs, axis=0)
+    elif side == "M2":
+        right, left_vecs = _lu_solve(multiplier.lu, Z), VR
+        sums = Z[:n] / np.linalg.norm(right, axis=0)
+    residual = _structured_residuals(X, Y, F, lams, right, multiplier)
+    if not np.all(residual <= bound):
         return None
-    return GeneralizedEigenResult(alpha=lams, beta=np.ones(size), right=V, left=None)
+    return GeneralizedEigenResult(alpha=lams, beta=np.ones(size), right=right,
+                                  left=left_vecs, residual=residual, sums=sums)
 
 
 @dataclass(frozen=True)
@@ -148,12 +269,17 @@ class Eigentriple:
 
     Infinite eigenvalues are stored as complex infinity; their vectors are
     eigenvectors of the reversal at zero.  ``residual`` is the normalized
-    right residual."""
+    right residual.  ``weighted_sum`` is set when the companion branch solved
+    an M1 or M2 pencil: the block sum (v kron I_n)^T w of the unit
+    eigenvector w on the side without Kronecker structure (left for M1,
+    right for M2), read off the anchor's eigenvector, which is the
+    eigenvector of P that ``recover_left`` would form from w."""
 
     eigenvalue: complex
     right: np.ndarray
     left: np.ndarray | None
     residual: float
+    weighted_sum: np.ndarray | None = None
 
     @property
     def is_infinite(self) -> bool:
@@ -211,30 +337,45 @@ def _sort_triples(triples):
 
 
 def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
-                 left: bool = True, anchor=None) -> list[Eigentriple]:
+                 left: bool = True, anchor=None, factor: AnsatzFactor | None = None
+                 ) -> list[Eigentriple]:
     """All kn eigenvalues of a regular pencil, infinite ones included.
 
-    ``anchor`` is the polynomial P when L is its anchor pencil.  If the
+    ``anchor`` is the polynomial P when L is its anchor pencil or, with
+    ``factor`` (v, B), its M1 or M2 pencil with that factor.  If the
     reciprocal condition number of P_k (LAPACK gecon, 1-norm, rows scaled to
-    unit norm) is above 10 * n * eps, X = diag(c*P_k, I) is invertible and
-    the pencil regular, and the default solver gets the anchor (see
-    qz_solve).  Otherwise regularity is tested by LU factorizations of
+    unit norm; P_k^T for M2) is above 10 * n * eps and, with a factor, that
+    of the side multiplier T (or S) is above 10 * kn * eps, then L = T F is
+    regular and the default solver gets the anchor and the multiplier's LU
+    (see qz_solve).  Otherwise regularity is tested by LU factorizations of
     X*lam + Y at up to 3 random points of the disk |lam| < 2: the pencil is
     regular as soon as one has a row-scaled rcond above 10 * kn * eps.  If
     none has, SingularPencilError is raised, carrying the largest rcond
     seen; eigenvalues of a singular pencil are meaningless.
 
     The solver is called as solver(X, Y, left), the default one as
-    qz_solve(X, Y, left, anchor=..., inf_tol=inf_tol).  With left false no
-    left eigenvectors are asked for and every triple's ``left`` is None.
-    Residuals are ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||) for unit right
-    vectors u (||X u|| / ||X|| at infinite eigenvalues).  Results are sorted
-    by (real, imag) with infinite eigenvalues last; real parts equal up to
-    rounding are ordered by imaginary part.
+    qz_solve(X, Y, left, anchor=..., inf_tol=inf_tol, multiplier=...).  With
+    left false no left eigenvectors are asked for and every triple's
+    ``left`` is None.  Residuals are ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||)
+    for unit right vectors u (||X u|| / ||X|| at infinite eigenvalues).
+    Results are sorted by (real, imag) with infinite eigenvalues last; real
+    parts equal up to rounding are ordered by imaginary part.
     """
-    n = L.n
-    if anchor is not None and _rcond(L.X[:n, :n]) <= 10.0 * n * np.finfo(float).eps:
-        anchor = None
+    n, eps = L.n, np.finfo(float).eps
+    multiplier = None
+    if anchor is not None:
+        lead = L.X[:n, :n] if factor is None else anchor.coeffs[-1]
+        if factor is not None and factor.side == "M2":
+            lead = lead.T  # the companion branch solves the anchor of P^T
+        if _rcond(lead) <= 10.0 * n * eps:
+            anchor = None
+        elif factor is not None:
+            T = side_multiplier(factor)
+            rcond, lu = _scaled_lu(T)
+            if rcond > 10.0 * L.k * n * eps:
+                multiplier = _Multiplier(factor.side, T, lu)
+            else:
+                anchor = None
     if anchor is None:
         if rng is None:
             rng = np.random.default_rng(90210)
@@ -246,7 +387,7 @@ def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
                 rcond=verdict.rcond,
             )
     if solver is None:
-        res = qz_solve(L.X, L.Y, left, anchor=anchor, inf_tol=inf_tol)
+        res = qz_solve(L.X, L.Y, left, anchor=anchor, inf_tol=inf_tol, multiplier=multiplier)
     else:
         res = solver(L.X, L.Y, left)
     size = res.alpha.size
@@ -263,17 +404,19 @@ def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
             b = complex(res.beta[idx])
             infinite[idx] = abs(b) <= inf_tol * (abs(a) + abs(b))
             lams.append(complex(np.inf) if infinite[idx] else a / b)
-    finite_lams = np.where(infinite, 0.0, np.array(lams, dtype=complex))
     norms = np.linalg.norm(res.right, axis=0)
-    nx = np.linalg.norm(L.X)
-    scales = np.where(infinite, nx, nx * np.abs(finite_lams) + np.linalg.norm(L.Y))
-    residuals = _residual_norms(L.X, L.Y, res.right, finite_lams, infinite)
-    residuals /= norms * np.maximum(scales, 1e-300)
+    residuals = res.residual
+    if residuals is None:
+        finite_lams = np.where(infinite, 0.0, np.array(lams, dtype=complex))
+        nx = np.linalg.norm(L.X)
+        scales = np.where(infinite, nx, nx * np.abs(finite_lams) + np.linalg.norm(L.Y))
+        residuals = _residual_norms(L.X, L.Y, res.right, finite_lams, infinite)
+        residuals /= norms * np.maximum(scales, 1e-300)
     right = res.right / norms
     left = None if res.left is None else res.left / np.linalg.norm(res.left, axis=0)
     triples = [
         Eigentriple(lams[idx], right[:, idx], None if left is None else left[:, idx],
-                    float(residuals[idx]))
+                    float(residuals[idx]), None if res.sums is None else res.sums[:, idx])
         for idx in range(size)
     ]
     return _sort_triples(triples)
@@ -363,45 +506,80 @@ def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
     # finite: w - phi kron u; infinite: w - e_1 kron u, the blocks below the first
     recon = np.einsum("im,am->iam", np.where(infinite, np.eye(k, 1), phi), U)
     mismatch = np.linalg.norm(blocks - recon, axis=(0, 1)) / np.linalg.norm(W, axis=0)
-    residual = backward_errors(P, alpha, U, nullside)
-    unorm = np.linalg.norm(U, axis=0)
+    residual = _vector_residuals(P, lams, U, nullside)
+    bad = np.flatnonzero((mismatch > tol) | ~(residual <= tol))
+    if bad.size and mismatch[bad[0]] > tol:
+        j = bad[0]
+        shape = "e_1 kron u" if infinite[j] else "phi kron u"
+        raise RecoveryError(
+            f"eigenvector {_column(lams, j)} is not {shape} (mismatch {mismatch[j]:.3e}); "
+            "the source pencil is not a linearization"
+        )
+    _require_residuals(lams, residual, tol)
+    U = U / np.linalg.norm(U, axis=0)
+    return U[:, 0] if single else U
+
+
+def _column(lams, j):
+    return f"column {j} (eigenvalue {complex(lams[j])})"
+
+
+def _vector_residuals(P, lams, U, nullside):
+    """``backward_errors`` of every column of U at its eigenvalue; at an
+    infinite one, the residual of the leading monomial coefficient relative
+    to its norm."""
+    infinite = np.isinf(lams)
+    with np.errstate(invalid="ignore"):  # a zero column gives NaN, which fails
+        residual = backward_errors(P, np.where(infinite, 0.0, lams), U, nullside)
     if infinite.any():
         lead = reversal_monomial(P)[0]
         lead = lead if nullside == "right" else lead.T
         R = lead @ U[:, infinite]
         residual[infinite] = np.linalg.norm(R, axis=0) / (
-            max(np.linalg.norm(lead), 1e-300) * unorm[infinite])
-    bad = np.flatnonzero((mismatch > tol) | (residual > tol))
+            max(np.linalg.norm(lead), 1e-300) * np.linalg.norm(U[:, infinite], axis=0))
+    return residual
+
+
+def _require_residuals(lams, residual, tol):
+    """RecoveryError naming the first column whose residual is not at most tol."""
+    bad = np.flatnonzero(~(residual <= tol))
     if bad.size:
         j = bad[0]
-        where = f"column {j} (eigenvalue {complex(lams[j])})"
-        if mismatch[j] > tol:
-            shape = "e_1 kron u" if infinite[j] else "phi kron u"
-            raise RecoveryError(
-                f"eigenvector {where} is not {shape} (mismatch {mismatch[j]:.3e}); "
-                "the source pencil is not a linearization"
-            )
         raise RecoveryError(
-            f"recovered vector {where} fails the eigenvector residual check "
+            f"recovered vector {_column(lams, j)} fails the eigenvector residual check "
             f"(relative residual {residual[j]:.3e})"
         )
-    U = U / unorm
-    return U[:, 0] if single else U
 
 
-def recover_left(v, U) -> np.ndarray:
+def recover_left(v, U, P: MatrixPolynomial | None = None, eigenvalues=None,
+                 tol: float = 1e-6, nullside: str = "left") -> np.ndarray:
     """Blockwise weighted sums sum_i v_i u_i of pencil left eigenvectors.
 
     U is kn x m, one eigenvector per column, and the result n x m; a 1-D u
     gives a 1-D result.  For a strong linearization with ansatz vector v
     each column is a left eigenvector of P; a near-zero column signals the
-    exclusion condition failed."""
+    exclusion condition failed.  For side M2 the same sums of right
+    eigenvectors are right eigenvectors of P.
+
+    With P and the eigenvalues, every column is checked as recover_right
+    checks its own: ``backward_errors`` with ``nullside`` ("left" tests
+    u^T P(lam) = 0, "right" P(lam) u = 0; at infinite eigenvalues the leading
+    monomial coefficient) must be at most tol, or RecoveryError names the
+    first column that fails.  A zero column fails."""
     v = np.asarray(v, dtype=float).reshape(-1)
     U = np.asarray(U, dtype=complex)
     k = v.size
     if U.shape[0] % k:
         raise RecoveryError("eigenvector length must be a multiple of len(v)")
-    return (v @ U.reshape(k, -1)).reshape((U.shape[0] // k,) + U.shape[1:])
+    sums = (v @ U.reshape(k, -1)).reshape((U.shape[0] // k,) + U.shape[1:])
+    if P is not None:
+        _check_nullside(nullside)
+        lams = np.asarray(eigenvalues, dtype=complex).reshape(-1)
+        cols = sums.reshape(sums.shape[0], -1)
+        if cols.shape != (P.n, lams.size):
+            raise RecoveryError(f"sums must be {P.n} x {lams.size}, got {cols.shape}")
+        _require_residuals(lams, _vector_residuals(P, lams, cols, nullside), tol)
+    return sums
 
 
 @dataclass(frozen=True)

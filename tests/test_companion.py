@@ -1,28 +1,44 @@
-"""The companion-form branch of qz_solve for anchor pencils, and its fallback.
+"""The companion-form branch of qz_solve, and its fallback to QZ.
 
-An anchor pencil with invertible P_k is solved by geev on -X^-1 Y, and the
-result is kept only under the eta_P certificate; otherwise QZ runs.  The
-reference here is sigma_min(P(lam)) / sum_i |phi_i(lam)| ||P_i||_F from an
-SVD of the evaluated polynomial, which shares no code with the certificate.
+An anchor pencil with invertible P_k, and an M1 or M2 pencil whose
+multiplier is invertible too, is solved by geev on the anchor's companion
+matrix, and the result is kept only under the eta_L and eta_P certificate;
+otherwise QZ runs.  The references here are sigma_min(P(lam)) /
+sum_i |phi_i(lam)| ||P_i||_F from an SVD of the evaluated polynomial, and
+residuals of recovered vectors from the evaluated polynomial; neither shares
+code with the certificate.
 """
 
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthopencil import (
+    AnsatzFactor,
     MatrixPolynomial,
     anchor_pencil,
+    build_dm_pencil,
     builtin_basis,
+    check_linearization,
+    exclusion_left,
+    make_m1,
+    make_m2,
     pencil_eigen,
+    recover_left,
     recover_right,
 )
 from orthopencil import cli, spectral
-from orthopencil.matpoly import _rcond
-from orthopencil.serialize import dump_json, problem_to_obj, spectrum_report_obj
+from orthopencil.ansatz import side_multiplier
+from orthopencil.matpoly import _rcond, _scaled_lu
+from orthopencil.serialize import dump_json, factor_to_obj, problem_to_obj, spectrum_report_obj
 from orthopencil.spectral import backward_errors
 from conftest import ALL_KINDS, random_problem
 
@@ -108,6 +124,29 @@ def test_singular_lead_gives_infinite_eigenvalues_by_qz(monkeypatch, rng):
     assert _report(triples) == _report(pencil_eigen(L, left=False))
 
 
+# Leads on which geev's result fails exactly one check of the certificate
+# (measured): (kind, cond, seed, side) -> the check.
+SINGLE_FAILURES = {
+    ("chebyshev1", 300.0, 0, "M2"): "eta_P of the left eigenvectors of P^T",
+    ("chebyshev1", 300.0, 1, "anchor"): "eta_P of the right eigenvectors",
+    ("monomial", 300.0, 2, "anchor"): "eta_L",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_FAILURES))
+def test_each_certificate_check_rejects_on_its_own(case):
+    kind, cond, seed, side = case
+    P = _ill_conditioned_lead(cond, seed, kind=kind)
+    f = None
+    if side != "anchor":
+        f, _ = build_dm_pencil(P, np.random.default_rng(seed).uniform(-1.0, 1.0, P.k))
+        f = AnsatzFactor(f.v, f.B, side)
+    L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
+    assert spectral._companion_solve(L.X, L.Y, P, 1e-8, False, _gate(f)) is None
+    assert _report(pencil_eigen(L, left=False, anchor=P, factor=f)) == _report(
+        pencil_eigen(L, left=False))
+
+
 def _write_problem(tmp_path, P, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(problem_to_obj(P)))
@@ -146,14 +185,281 @@ def test_one_qz_solve_per_eig_op(tmp_path, rng, monkeypatch, capsys):
     fast = anchor_pencil(problems["fast"])
     assert spectral._companion_solve(fast.X, fast.Y, problems["fast"], 1e-8) is not None
     for name, P in problems.items():
-        calls = {"qz_solve": 0, "eval_pencil": 0}
-        _counting(monkeypatch, "qz_solve", calls)
-        _counting(monkeypatch, "eval_pencil", calls)
-        assert cli.run(["eig", "-p", _write_problem(tmp_path, P, name)]) == 0
-        monkeypatch.undo()
-        capsys.readouterr()
-        assert calls["qz_solve"] == 1, name
-        if name != "singular_lead":
-            assert calls["eval_pencil"] == 0, name
-        else:
-            assert calls["eval_pencil"] >= 1
+        path = _write_problem(tmp_path, P, name)
+        factors = [_write_factor(tmp_path, f"{name}-{side}", _block_symmetric(P, side, rng))
+                   for side in ("M1", "M2")]
+        argvs = [["eig", "-p", path], ["recover", "-p", path]]
+        argvs += [[cmd, "-p", path, "--factor", f] for cmd in ("eig", "recover") for f in factors]
+        for argv in argvs:
+            calls = {"qz_solve": 0, "eval_pencil": 0}
+            _counting(monkeypatch, "qz_solve", calls)
+            _counting(monkeypatch, "eval_pencil", calls)
+            assert cli.run(argv) == 0, argv
+            monkeypatch.undo()
+            capsys.readouterr()
+            assert calls["qz_solve"] == 1, argv
+            if name != "singular_lead":
+                assert calls["eval_pencil"] == 0, argv
+            else:
+                assert calls["eval_pencil"] >= 1, argv
+
+
+def _block_symmetric(P, side, rng):
+    f, _ = build_dm_pencil(P, rng.uniform(-1.0, 1.0, P.k))
+    return AnsatzFactor(f.v, f.B, side)
+
+
+def _write_factor(tmp_path, name, f):
+    path = tmp_path / f"{name}.factor.json"
+    path.write_text(json.dumps(factor_to_obj(f)))
+    return str(path)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(argv)
+    return rc, out.getvalue()
+
+
+def _vector_eta(P, lams, vectors, side):
+    """||P(lam) x|| (or ||x^T P(lam)||) / (sum_i |phi_i| ||P_i||_F ||x||) per row of vectors."""
+    values = P.evaluate(lams)
+    if side == "left":
+        values = values.transpose(0, 2, 1)
+    res = np.linalg.norm(np.einsum("mrc,mc->mr", values, vectors), axis=1)
+    return res / (P.evaluation_scale(lams) * np.linalg.norm(vectors, axis=1))
+
+
+def _recover_argv(tmp_dir, P, side, rng):
+    """(argv of the recover command, the pencil it solves) for an anchor or a
+    block-symmetric M1/M2 factor of P."""
+    argv = ["recover", "-p", _write_problem(tmp_dir, P, "p")]
+    if side == "anchor":
+        return argv, anchor_pencil(P)
+    f = _block_symmetric(P, side, rng)
+    argv += ["--factor", _write_factor(tmp_dir, "f", f)]
+    return argv, make_m1(P, f) if side == "M1" else make_m2(P, f)
+
+
+def _vectors(report, side):
+    return np.array([[complex(re, im) for re, im in x] for x in report["eigenvectors"][side]])
+
+
+def _qz_pencil_eigen(L, left, anchor, factor):
+    """cli's pencil_eigen without the anchor: no companion branch."""
+    return pencil_eigen(L, left=left)
+
+
+@settings(max_examples=12)
+@given(kind=st.sampled_from(ALL_KINDS), side=st.sampled_from(("anchor", "M1", "M2")),
+       shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
+@example(kind="degree_graded", side="M2", shape=(12, 20), seed=3)
+@example(kind="newton", side="M1", shape=(40, 6), seed=4)
+# geev's eta_P is 27 kn eps here, so QZ runs (its own is 34 kn eps)
+@example(kind="custom", side="anchor", shape=(10, 12), seed=5)
+def test_recover_is_certified_on_every_pencil(kind, side, shape, seed):
+    n, k = shape
+    bound = 10 * k * n * EPS
+    rng = np.random.default_rng(seed)
+    P = random_problem(rng, n, k, kind)
+    kept = []
+    inner = spectral._companion_solve
+
+    def spy(*args):
+        kept.append(inner(*args))
+        return kept[-1]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, L = _recover_argv(pathlib.Path(tmp), P, side, rng)
+        with mock.patch.object(spectral, "_companion_solve", spy):
+            rc, out = _run(argv)
+        assert rc == 0
+        if not kept or kept[0] is None:
+            # not certified: the report is QZ's
+            with mock.patch.object(cli, "pencil_eigen", _qz_pencil_eigen):
+                assert _run(argv) == (rc, out)
+            return
+    report = json.loads(out)
+    assert report["infinite_count"] == 0
+    lams = np.array([complex(e["re"], e["im"]) for e in report["finite"]])
+    assert max(e["residual"] for e in report["finite"]) <= bound
+    for vec_side in ("right", "left"):
+        assert _vector_eta(P, lams, _vectors(report, vec_side), vec_side).max() <= bound, vec_side
+    # the same spectrum as QZ's, matched nearest to nearest both ways
+    qz = np.array([t.eigenvalue for t in pencil_eigen(L, left=False)])
+    dist = np.abs(lams[:, None] - qz[None, :]) / np.maximum(1.0, np.abs(qz[None, :]))
+    assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-8
+
+
+def test_block_sums_are_read_off_the_anchor(tmp_path):
+    # The right vectors of P from this M2 pencil are block sums of its right
+    # eigenvectors.  Summed from QZ's eigenvectors they cancel to an eta_P of
+    # 190 kn eps, above the 100 kn eps a backward-stable solve should give.
+    n, k = 5, 12
+    rng = np.random.default_rng(20)
+    P = random_problem(rng, n, k, "chebyshev2")
+    f, _ = build_dm_pencil(P, rng.uniform(-1.0, 1.0, k))
+    f = AnsatzFactor(f.v, f.B, "M2")
+    triples = pencil_eigen(make_m2(P, f))
+    lams = np.array([t.eigenvalue for t in triples])
+    summed = recover_left(f.v, np.stack([t.right for t in triples], axis=1))
+    assert _vector_eta(P, lams, summed.T, "right").max() > 100 * k * n * EPS
+    rc, out = _run(["recover", "-p", _write_problem(tmp_path, P, "p"),
+                    "--factor", _write_factor(tmp_path, "f", f)])
+    assert rc == 0
+    report = json.loads(out)
+    lams = np.array([complex(e["re"], e["im"]) for e in report["finite"]])
+    for side in ("right", "left"):
+        assert _vector_eta(P, lams, _vectors(report, side), side).max() <= 10 * k * n * EPS
+    # the printed right vectors are the certified first blocks of the anchor's
+    # eigenvectors, not sums formed from the pencil's own eigenvectors
+    triples = pencil_eigen(make_m2(P, f), anchor=P, factor=f)
+    assert np.array_equal(_vectors(report, "right"),
+                          np.stack([t.weighted_sum for t in triples]))
+
+
+def _qz_only(monkeypatch):
+    monkeypatch.setattr(cli, "pencil_eigen", _qz_pencil_eigen)
+
+
+def _recover_argvs(tmp_path, P, rng):
+    path = _write_problem(tmp_path, P, "p")
+    argvs = [["recover", "-p", path]]
+    for side in ("M1", "M2"):
+        f = _write_factor(tmp_path, side, _block_symmetric(P, side, rng))
+        argvs.append(["recover", "-p", path, "--factor", f])
+    return argvs
+
+
+def test_ill_conditioned_lead_is_the_qz_report(tmp_path, monkeypatch, rng):
+    P = _ill_conditioned_lead(1e4)
+    results = []
+    inner = spectral._companion_solve
+    monkeypatch.setattr(spectral, "_companion_solve",
+                        lambda *a: results.append(inner(*a)) or results[-1])
+    argvs = _recover_argvs(tmp_path, P, rng)
+    # eig asks for one side only: the right one for the anchor and M1, the
+    # left one (of the anchor of P^T) for M2
+    argvs += [["eig", *argv[1:]] for argv in argvs]
+    fast = [_run(argv) for argv in argvs]
+    # every solve was tried (P_k and the multipliers are invertible) and failed
+    assert len(results) == 6 and all(r is None for r in results)
+    monkeypatch.undo()
+    _qz_only(monkeypatch)
+    assert [_run(argv) for argv in argvs] == fast
+    assert all(rc == 0 for rc, _ in fast)
+
+
+def test_singular_lead_recover_gets_infinite_eigenvalues_by_qz(tmp_path, monkeypatch, rng):
+    coeffs = [rng.uniform(-1.0, 1.0, (4, 4)) for _ in range(4)]
+    coeffs[-1][:, 1] = 0.0
+    P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev1"))
+    argvs = _recover_argvs(tmp_path, P, rng)
+    calls = []
+    monkeypatch.setattr(spectral, "_companion_solve", lambda *a: calls.append(a))
+    outs = [_run(argv) for argv in argvs]
+    assert calls == []
+    for rc, out in outs:
+        assert rc == 0 and json.loads(out)["infinite_count"] >= 1
+    monkeypatch.undo()
+    _qz_only(monkeypatch)
+    assert [_run(argv) for argv in argvs] == outs
+
+
+@pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
+def test_companion_vectors_are_eigenvectors_of_the_pencil(rng, side):
+    P = random_problem(rng, 6, 8, "legendre")
+    f = None if side == "anchor" else _block_symmetric(P, side, rng)
+    L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
+    assert spectral._companion_solve(L.X, L.Y, P, 1e-8, True, _gate(f)) is not None
+    kn = L.k * L.n
+    nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
+    for t in pencil_eigen(L, anchor=P, factor=f):
+        M = L.X * t.eigenvalue + L.Y
+        scale = nx * abs(t.eigenvalue) + ny
+        residual = np.linalg.norm(M @ t.right) / scale
+        # the reported residual is the structured one, equal up to rounding
+        assert abs(t.residual - residual) <= kn * EPS
+        assert residual <= 10 * kn * EPS
+        assert np.linalg.norm(t.left @ M) / scale <= 10 * kn * EPS
+
+
+@pytest.mark.parametrize("kind", ("monomial", "newton", "degree_graded"))
+@pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
+def test_structured_residuals_match_the_dense_pencil(rng, kind, side):
+    # random vectors, not eigenvectors: the residuals are far above rounding
+    P = random_problem(rng, 4, 6, kind)
+    f = None if side == "anchor" else _block_symmetric(P, side, rng)
+    L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
+    F = anchor_pencil(P if side != "M2" else MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis))
+    m = 7
+    lams = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    U = rng.standard_normal((24, m)) + 1j * rng.standard_normal((24, m))
+    got = spectral._structured_residuals(L.X, L.Y, F, lams, U, _gate(f))
+    nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
+    for j in range(m):
+        dense = np.linalg.norm((L.X * lams[j] + L.Y) @ U[:, j]) / (
+            (nx * abs(lams[j]) + ny) * np.linalg.norm(U[:, j]))
+        assert abs(got[j] - dense) <= 1e-12 * dense
+
+
+def _gate(f):
+    """The multiplier pencil_eigen hands to qz_solve for factor f, or None."""
+    if f is None:
+        return None
+    T = side_multiplier(f)
+    return spectral._Multiplier(f.side, T, _scaled_lu(T)[1])
+
+
+def _deficient(f, rng, noise=0.0):
+    """f with a zero column in its side multiplier, up to noise: column n of
+    T for M1, and the last column of S for M2 (v_k and the last column of
+    every block in B's last block row)."""
+    n, v, B = f.n, f.v.copy(), f.B.copy()
+    if f.side == "M1":
+        B[:, 0] = noise * rng.standard_normal(B.shape[0])
+    else:
+        v[-1] = 0.0
+        B[-n:, n - 1::n] = noise * rng.standard_normal((n, B.shape[1] // n))
+    f = AnsatzFactor(v, B, f.side)
+    assert not check_linearization(f).is_strong_linearization
+    return f
+
+
+@pytest.mark.parametrize("noise", (0.0, 1e-17))
+@pytest.mark.parametrize("side", ("M1", "M2"))
+def test_rank_deficient_multiplier_still_exits_4(tmp_path, rng, side, noise):
+    P = random_problem(rng, 3, 4, "legendre")
+    f = _write_factor(tmp_path, side, _deficient(_block_symmetric(P, side, rng), rng, noise))
+    for cmd in ("eig", "recover"):
+        assert _run([cmd, "-p", _write_problem(tmp_path, P, "p"), "--factor", f])[0] == 4
+
+
+@pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
+def test_injected_solver_is_called_with_the_pencil_only(rng, side):
+    P = random_problem(rng, 3, 5, "chebyshev2")
+    f = None if side == "anchor" else _block_symmetric(P, side, rng)
+    L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
+    seen = []
+
+    def solver(*args, **kwargs):
+        seen.append((args, kwargs))
+        return spectral.qz_solve(*args)
+
+    triples = pencil_eigen(L, solver=solver, anchor=P, factor=f)
+    assert len(seen) == 1
+    (X, Y, left), kwargs = seen[0]
+    assert X is L.X and Y is L.Y and left is True and kwargs == {}
+    assert _report(triples) == _report(pencil_eigen(L))
+
+
+def test_exclusion_left_stays_on_qz(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral, "_companion_solve", lambda *a: calls.append(a))
+    P = random_problem(rng, 3, 4, "chebyshev1")
+    for side in ("M1", "M2"):
+        good = _block_symmetric(P, side, rng)
+        assert exclusion_left(P, good).passed
+        assert not exclusion_left(P, _deficient(good, rng)).passed
+    assert calls == []

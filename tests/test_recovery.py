@@ -168,3 +168,45 @@ def test_infinite_column_outside_the_leading_nullspace_is_named(rng):
     assert np.array_equal(recover_right(P, lams[:1], W[:, :1])[:, 0], [1.0, 0.0, 0.0])
     with pytest.raises(RecoveryError, match=r"column 1 \(eigenvalue .*residual"):
         recover_right(P, lams, W)
+
+
+@pytest.mark.parametrize("side", ("M1", "M2"))
+def test_recover_left_checks_the_other_side(rng, side):
+    # the block sums are eigenvectors of P on the side opposite the
+    # Kronecker structure: left ones for M1, right ones for M2
+    P = random_problem(rng, 3, 4, "chebyshev2")
+    k, n = P.k, P.n
+    f = AnsatzFactor(rng.uniform(-1, 1, k), rng.uniform(-1, 1, (k * n, (k - 1) * n)), side)
+    triples = pencil_eigen(make_m1(P, f) if side == "M1" else make_m2(P, f))
+    lams = np.array([t.eigenvalue for t in triples])
+    U = np.stack([t.left if side == "M1" else t.right for t in triples], axis=1)
+    nullside = "left" if side == "M1" else "right"
+    sums = recover_left(f.v, U, P, lams, nullside=nullside)
+    assert np.array_equal(sums, recover_left(f.v, U))
+    with pytest.raises(RecoveryError, match=r"column 0 \(eigenvalue .*residual"):
+        recover_left(f.v, U, P, lams, tol=1e-30, nullside=nullside)
+    bad = U.copy()
+    bad[:, 3] = rng.standard_normal(k * n)
+    with pytest.raises(RecoveryError, match=r"column 3 \(eigenvalue .*residual"):
+        recover_left(f.v, bad, P, lams, nullside=nullside)
+    # a zero sum has no direction at all: it fails rather than passing as NaN
+    zero = U.copy()
+    zero[:, 1] = 0.0
+    with pytest.raises(RecoveryError, match=r"column 1 \(eigenvalue .*residual nan"):
+        recover_left(f.v, zero, P, lams, nullside=nullside)
+
+
+def test_recover_left_checks_infinite_columns_by_the_lead(rng):
+    P = random_problem(rng, 3, 4, "legendre")
+    coeffs = list(P.coeffs)
+    coeffs[-1] = coeffs[-1].copy()
+    coeffs[-1][0] = 0.0  # e_1^T P_k = 0
+    P = MatrixPolynomial(tuple(coeffs), P.basis)
+    v = np.eye(4)[0]
+    lams = np.array([np.inf, np.inf], dtype=complex)
+    U = np.zeros((12, 2), dtype=complex)
+    U[0, 0] = 1.0  # e_1^T annihilates P_k from the left
+    U[1, 1] = 1.0  # e_2^T does not
+    assert np.array_equal(recover_left(v, U[:, :1], P, lams[:1]), U[:3, :1])
+    with pytest.raises(RecoveryError, match=r"column 1 \(eigenvalue .*residual"):
+        recover_left(v, U, P, lams)
