@@ -45,7 +45,9 @@ SIDES = ("M1", "M2")
 
 @dataclass(frozen=True)
 class AnsatzFactor:
-    """The pair (v, B) identifying a pencil in one of the ansatz spaces."""
+    """The pair (v, B) identifying a pencil in one of the ansatz spaces.
+
+    v and B must be finite, and B must have n >= 1 rows per block."""
 
     v: np.ndarray
     B: np.ndarray
@@ -63,6 +65,10 @@ class AnsatzFactor:
             raise DimensionMismatchError(
                 f"B must be kn x (k-1)n for k = {k}, got {B.shape}"
             )
+        if B.shape[0] == 0:
+            raise ValueError("B must have n >= 1 rows per block")
+        if not (np.isfinite(v).all() and np.isfinite(B).all()):
+            raise ValueError("v and B must be finite")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "B", B)
 
@@ -125,8 +131,7 @@ def make_m2(P: MatrixPolynomial, f: AnsatzFactor) -> Pencil:
         raise ValueError("factor side must be M2")
     _check_factor_dims(P, f)
     FB = pencil_block_transpose(anchor_pencil(P))
-    top = np.kron(f.v.reshape(1, -1), np.eye(P.n))
-    S = np.vstack([top, block_transpose(f.B, P.n)])
+    S = side_multiplier(f)
     return Pencil(FB.X @ S, FB.Y @ S, P.n, P.k)
 
 

@@ -50,7 +50,9 @@ BUILTIN_KINDS = ("monomial", "chebyshev1", "chebyshev2", "legendre", "newton", "
 
 @dataclass(frozen=True)
 class ThreeTermBasis:
-    """A polynomial basis given by three-term recurrence coefficients."""
+    """A polynomial basis given by three-term recurrence coefficients.
+
+    The coefficients and the Newton nodes must be finite."""
 
     kind: str
     alpha: tuple = ()
@@ -65,6 +67,8 @@ class ThreeTermBasis:
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
         object.__setattr__(self, "nodes", tuple(float(x) for x in self.nodes))
+        if not np.isfinite(self.alpha + self.beta + self.gamma + self.nodes).all():
+            raise ValueError("basis coefficients and nodes must be finite")
         if self.kind == "newton" and not self.nodes:
             raise ValueError("newton basis requires interpolation nodes")
         if self.kind == "custom":
@@ -114,7 +118,8 @@ class ThreeTermBasis:
 @dataclass(frozen=True)
 class DegreeGradedBasis:
     """A monic degree-graded basis; ``shift[i-1]`` shifts step i, ``lower[i-2]``
-    holds the coefficients of phi_0 .. phi_{i-2} in step i."""
+    holds the coefficients of phi_0 .. phi_{i-2} in step i.  All of them must
+    be finite."""
 
     shift: tuple = ()
     lower: tuple = ()
@@ -124,6 +129,8 @@ class DegreeGradedBasis:
         object.__setattr__(
             self, "lower", tuple(tuple(float(c) for c in row) for row in self.lower)
         )
+        if not np.isfinite(self.shift + sum(self.lower, ())).all():
+            raise ValueError("basis coefficients must be finite")
         for idx, row in enumerate(self.lower):
             i = idx + 2
             if len(row) != i - 1:

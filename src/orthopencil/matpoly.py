@@ -22,8 +22,9 @@ __all__ = [
 class MatrixPolynomial:
     """Coefficients P_0 .. P_k (ascending degree) in a given basis.
 
-    The leading coefficient must be nonzero.  Degree k >= 1 is accepted for
-    storage; the pencil-space constructions additionally require k >= 2.
+    The coefficients must be finite and at least 1 x 1, and the leading one
+    nonzero.  Degree k >= 1 is accepted for storage; the pencil-space
+    constructions additionally require k >= 2.
     """
 
     coeffs: tuple
@@ -42,6 +43,10 @@ class MatrixPolynomial:
         n = mats[0].shape[0]
         if any(m.shape != (n, n) for m in mats):
             raise DimensionMismatchError("all coefficients must have the same shape")
+        if n == 0:
+            raise ValueError("coefficients must be at least 1 x 1")
+        if not all(np.isfinite(m).all() for m in mats):
+            raise ValueError("coefficients must be finite")
         if np.max(np.abs(mats[-1])) == 0.0:
             raise ValueError("the leading coefficient P_k must be nonzero")
         object.__setattr__(self, "coeffs", tuple(mats))

@@ -35,7 +35,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Pencil:
-    """Square pencil X*lam + Y with k x k block structure of n x n blocks."""
+    """Square pencil X*lam + Y with k x k block structure of n x n blocks.
+
+    X and Y must be finite, and n and k at least 1."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -50,6 +52,10 @@ class Pencil:
             raise DimensionMismatchError(
                 f"pencil matrices must be {size} x {size}, got {X.shape} and {Y.shape}"
             )
+        if self.n < 1 or self.k < 1:
+            raise ValueError("a pencil needs n >= 1 and k >= 1")
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+            raise ValueError("pencil matrices must be finite")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 

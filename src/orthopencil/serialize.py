@@ -3,6 +3,11 @@
 All matrices are row-major nested lists.  Problem coefficients are stored in
 ascending degree order P_0 .. P_k.  Floats round-trip exactly through json
 (shortest-repr serialization preserves every double).
+
+The ``*_to_obj`` functions and ``spectrum_report_obj`` build the plain
+objects; ``dump_json`` writes any of them, or any other JSON value, as
+json.dumps(indent=2, sort_keys=True) does, from the shape of the value
+alone: it knows no report's keys.
 """
 
 from __future__ import annotations
@@ -159,13 +164,6 @@ def _coerce_scalars(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
-# Placeholder for a spliced list; json writes its NUL characters as \u0000,
-# text that no report of this package contains.
-_PLACEHOLDER = "\x00%s\x00"
-# The keys of an entry of a report's "finite" list, in sort_keys order.
-_FINITE_KEYS = ("im", "re", "residual")
-
-
 def _texts(numbers):
     """The texts json writes for a flat list of numbers, in order, from one
     json.dumps in the C encoder; None if any of them is a string, a list or
@@ -178,92 +176,76 @@ def _texts(numbers):
     return text[1:-1].split(", ") if numbers else []
 
 
-def _number_texts(vectors):
-    """The number texts of a list of vectors of [re, im] pairs, in order;
-    None if the value has any other shape."""
-    if type(vectors) is not list or set(map(type, vectors)) - {list}:
-        return None
-    pairs = list(chain.from_iterable(vectors))
-    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
-        return None
-    return _texts(list(chain.from_iterable(pairs)))
+def _block(items, indent: int, brackets: str = "[]") -> str:
+    """The layout json.dumps(indent=2) gives a list (brackets "{}": an object)
+    whose item texts are ``items`` and whose first line is indented by
+    ``indent``."""
+    if not items:
+        return brackets
+    inner = "\n" + " " * (indent + 2)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * indent + brackets[1]
 
 
-def _finite_texts(entries):
-    """The number texts of a list of {im, re, residual} dicts, key by key in
-    that order; None if the value has any other shape."""
-    if type(entries) is not list or any(
-            type(e) is not dict or e.keys() != set(_FINITE_KEYS) for e in entries):
-        return None
-    return _texts([e[key] for e in entries for key in _FINITE_KEYS])
+def _template(value: list, indent: int):
+    """(template, leaves) of a list that one % can fill, or None.
+
+    Two shapes qualify: a non-empty list of dicts with the same string keys
+    (one template per record, keys in sort order), and a rectangular nested
+    list (one template for the whole shape, joined level by level).  The
+    leaves are the values the template's %s stand for, in order; _texts
+    decides whether they are scalars."""
+    first = value[0] if value else None
+    if type(first) is dict:
+        keys = first.keys()
+        if not all(type(key) is str for key in keys) or any(
+                type(record) is not dict or record.keys() != keys for record in value):
+            return None
+        keys = sorted(keys)
+        record = _block([json.dumps(key).replace("%", "%%") + ": %s" for key in keys],
+                        indent + 2, "{}")
+        return _block([record] * len(value), indent), [r[key] for r in value for key in keys]
+    shape, level = [], [value]
+    while level and type(level[0]) is list:
+        if set(map(type, level)) != {list} or len(set(map(len, level))) != 1:
+            return None
+        shape.append(len(level[0]))
+        level = list(chain.from_iterable(level))
+    template = "%s"
+    for depth in reversed(range(len(shape))):
+        template = _block([template] * shape[depth], indent + 2 * depth)
+    return template, level
 
 
-def _splice_vectors(vectors, numbers, indent: int) -> str:
-    """Indented text of a list of vectors of [re, im] pairs whose key line is
-    indented by ``indent``: the layout json.dumps(indent=2) gives it.  Each
-    vector gets the template of its length, and one % fills the joined
-    templates with the texts of the list's numbers, in order."""
-    if not vectors:
-        return "[]"
-    outer, vec_ind, pair_ind, num_ind = (" " * (indent + d) for d in (0, 2, 4, 6))
-    pair = f"[\n{num_ind}%s,\n{num_ind}%s\n{pair_ind}]"
-    templates = {
-        size: f"[\n{pair_ind}" + f",\n{pair_ind}".join([pair] * size) + f"\n{vec_ind}]"
-        if size else "[]"
-        for size in set(map(len, vectors))
-    }
-    body = f",\n{vec_ind}".join([templates[len(vec)] for vec in vectors])
-    return (f"[\n{vec_ind}" + body + f"\n{outer}]") % tuple(numbers)
-
-
-def _splice_finite(entries, numbers, indent: int) -> str:
-    """Indented text of a "finite" list whose key line is indented by
-    ``indent``: one template per entry, filled by one %."""
-    if not entries:
-        return "[]"
-    outer, entry_ind, key_ind = (" " * (indent + d) for d in (0, 2, 4))
-    entry = ("{\n" + ",\n".join(f'{key_ind}"{key}": %s' for key in _FINITE_KEYS)
-             + f"\n{entry_ind}}}")
-    return (f"[\n{entry_ind}" + f",\n{entry_ind}".join([entry] * len(entries))
-            + f"\n{outer}]") % tuple(numbers)
+def _encode(value, indent: int) -> str:
+    """The text of value as json.dumps(indent=2, sort_keys=True) writes it at
+    an item whose first line is indented by ``indent``."""
+    if type(value) is dict and all(type(key) is str for key in value):
+        return _block([f"{json.dumps(key)}: {_encode(value[key], indent + 2)}"
+                       for key in sorted(value)], indent, "{}")
+    if type(value) is list:
+        layout = _template(value, indent)
+        texts = None if layout is None else _texts(layout[1])
+        if texts is not None:
+            return layout[0] % tuple(texts)
+        return _block([_encode(item, indent + 2) for item in value], indent)
+    text = json.dumps(value, indent=2, sort_keys=True, default=_coerce_scalars)
+    return text.replace("\n", "\n" + " " * indent)
 
 
 def dump_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), numpy scalars coerced.
 
     CPython's json falls back to its pure-Python encoder whenever indent is
-    set, and the lists of a spectrum report hold nearly all its numbers.  So
-    obj["finite"], a list of {im, re, residual} dicts, and each list
-    obj["eigenvectors"][side] of vectors of [re, im] pairs are spliced in:
-    - one json.dumps of the list's numbers, without indent, runs in the C
-      encoder and gives the text of every number (both encoders write floats
-      by float.__repr__, and NaN and the infinities by the same names);
-    - a % template per entry or vector lays out its numbers, and one % fills
-      all the templates of a list;
-    - the list's text replaces a placeholder string in the indented text of
-      the rest of obj, which json.dumps encodes as before.
-    Values of any other shape stay in the rest.  The result is
-    byte-identical to json.dumps(obj, indent=2, sort_keys=True).
+    set, so the layout is built here from the shape of obj alone, and every
+    number's text comes from the C encoder:
+    - a rectangular nested list, or a list of records (dicts with the same
+      string keys), whose leaves are scalars gets a % template of its
+      shape, filled by one % with the texts of one json.dumps of its
+      leaves without indent (both encoders write floats by float.__repr__,
+      and NaN and the infinities by the same names);
+    - a dict with string keys, and any other list, is laid out item by item;
+    - anything else (a string, a lone scalar, a tuple, a dict with a
+      non-string key) is json.dumps with indent, re-indented to its depth.
+    The result is byte-identical to json.dumps(obj, indent=2, sort_keys=True).
     """
-    spliced = {}
-    if type(obj) is dict:
-        obj = dict(obj)
-        numbers = _finite_texts(obj.get("finite"))
-        if numbers is not None:
-            spliced[_PLACEHOLDER % "finite"] = (_splice_finite, obj["finite"], numbers)
-            obj["finite"] = _PLACEHOLDER % "finite"
-        vectors = obj.get("eigenvectors")
-        if type(vectors) is dict:
-            vectors = obj["eigenvectors"] = dict(vectors)
-            for side, value in vectors.items():
-                numbers = _number_texts(value)
-                if numbers is not None:
-                    vectors[side] = _PLACEHOLDER % f"eigenvectors.{side}"
-                    spliced[vectors[side]] = (_splice_vectors, value, numbers)
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_coerce_scalars)
-    for placeholder, (splice, value, numbers) in spliced.items():
-        head, tail = text.split(json.dumps(placeholder), 1)
-        line = head[head.rfind("\n") + 1:]
-        indent = len(line) - len(line.lstrip(" "))
-        text = head + splice(value, numbers, indent) + tail
-    return text
+    return _encode(obj, 0)

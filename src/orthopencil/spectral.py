@@ -4,10 +4,9 @@ The dense generalized eigensolver is an injected dependency: any callable
 ``solver(X, Y, left)`` returning a GeneralizedEigenResult for the pencil
 X*lam + Y can be used, and the default is ``qz_solve``.  With ``left`` false
 the caller uses no left eigenvectors, so the solver may skip them and return
-``left=None``.  Infinite eigenvalues are recognized either from the
-homogeneous (alpha, beta) form when the solver provides it, or by magnitude
-thresholding otherwise; they correspond to zero eigenvalues of the reversal
-Y*lam + X.
+``left=None``.  The solver gives each eigenvalue in homogeneous form
+(alpha, beta); an eigenvalue is infinite when |beta| <= 1e-8 (|alpha| +
+|beta|), which makes it a zero eigenvalue of the reversal Y*lam + X.
 
 ``qz_solve`` has two branches.  The general one is scipy's QZ.  The other,
 the companion branch, serves every pencil that ``pencil_eigen`` can tie to
@@ -56,7 +55,7 @@ import scipy.linalg
 
 from .ansatz import AnsatzFactor, check_linearization, make_m1, make_m2, side_multiplier
 from .basis import _phi_sequence, phi_vector, to_monomial
-from .errors import RecoveryError, SingularPencilError
+from .errors import DimensionMismatchError, RecoveryError, SingularPencilError
 from .matpoly import (
     MatrixPolynomial,
     _rcond,
@@ -85,10 +84,9 @@ __all__ = [
 class GeneralizedEigenResult:
     """Raw solver output for the pencil X*lam + Y.
 
-    ``alpha``/``beta`` give eigenvalues alpha/beta (beta may be None when the
-    solver only reports plain eigenvalues in which case alpha holds them);
-    ``right`` and ``left`` hold eigenvectors as columns, with the convention
-    (X*lam + Y) right = 0 and left^T (X*lam + Y) = 0.  The companion branch
+    ``alpha``/``beta`` give eigenvalues alpha/beta; ``right`` and ``left``
+    hold eigenvectors as columns, with the convention (X*lam + Y) right = 0
+    and left^T (X*lam + Y) = 0.  The companion branch
     of qz_solve also gives ``residual``, the normalized right residuals it
     certified, and for M1/M2 pencils ``sums``, the n x m block sums
     (v kron I_n)^T w / ||w|| of the eigenvectors w on the side without
@@ -97,7 +95,7 @@ class GeneralizedEigenResult:
     """
 
     alpha: np.ndarray
-    beta: np.ndarray | None
+    beta: np.ndarray
     right: np.ndarray
     left: np.ndarray | None
     residual: np.ndarray | None = None
@@ -117,10 +115,14 @@ class _Multiplier:
 # A companion-form solve is accepted when eta_L and eta_P are at most this
 # many kn * eps at every eigenvalue.
 _CERTIFIED_ETA = 10.0
+# An eigenvalue alpha / beta is infinite when |beta| <= _INF_TOL (|alpha| + |beta|).
+_INF_TOL = 1e-8
+# Seed of the points at which pencil_eigen tests regularity.
+_REGULARITY_SEED = 90210
 
 
 def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
-             inf_tol: float = 1e-8, multiplier=None) -> GeneralizedEigenResult:
+             multiplier=None) -> GeneralizedEigenResult:
     """Default dense solver for the pencil X*lam + Y, in one of two branches.
 
     - General: scipy's QZ on the pair (Y, -X).  With left false no left
@@ -135,14 +137,14 @@ def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
       the multiplier's LU.  The result is kept only if it passes the
       certificate of the module docstring (eta_L and the eta_P of both
       sides of P at most 10 * kn * eps, no eigenvalue infinite or classed
-      infinite by inf_tol, the rule of pencil_eigen).  Otherwise the general
+      infinite by the rule of pencil_eigen).  Otherwise the general
       branch runs.
 
     The two branches agree to within the eigenvalues' condition numbers
     times their backward errors, not bit for bit.
     """
     if anchor is not None:
-        res = _companion_solve(X, Y, anchor, inf_tol, left, multiplier)
+        res = _companion_solve(X, Y, anchor, left, multiplier)
         if res is not None:
             return res
     out = scipy.linalg.eig(Y, -X, left=left, right=True, homogeneous_eigvals=True)
@@ -209,7 +211,7 @@ def _structured_residuals(X, Y, F, lams, U, multiplier=None):
     return np.linalg.norm(R, axis=0) / (np.linalg.norm(U, axis=0) * np.maximum(scales, 1e-300))
 
 
-def _companion_solve(X, Y, P, inf_tol, left=False, multiplier=None):
+def _companion_solve(X, Y, P, left=False, multiplier=None):
     """The certified geev solve of qz_solve's companion branch, or None."""
     side = "anchor" if multiplier is None else multiplier.side
     if side == "M2":
@@ -233,7 +235,7 @@ def _companion_solve(X, Y, P, inf_tol, left=False, multiplier=None):
     except scipy.linalg.LinAlgError:  # geev did not converge; QZ may
         return None
     lams = out[0]
-    if not np.all(np.isfinite(lams)) or np.any(inf_tol * (np.abs(lams) + 1.0) >= 1.0):
+    if not np.all(np.isfinite(lams)) or np.any(_INF_TOL * (np.abs(lams) + 1.0) >= 1.0):
         return None
     bound = _CERTIFIED_ETA * size * np.finfo(float).eps
     VR = out[-1] if want_right else None
@@ -336,9 +338,8 @@ def _sort_triples(triples):
     return [t for _, t in keyed] + [t for t in triples if t.is_infinite]
 
 
-def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
-                 left: bool = True, anchor=None, factor: AnsatzFactor | None = None
-                 ) -> list[Eigentriple]:
+def pencil_eigen(L: Pencil, solver=None, left: bool = True, anchor=None,
+                 factor: AnsatzFactor | None = None) -> list[Eigentriple]:
     """All kn eigenvalues of a regular pencil, infinite ones included.
 
     ``anchor`` is the polynomial P when L is its anchor pencil or, with
@@ -348,16 +349,17 @@ def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
     of the side multiplier T (or S) is above 10 * kn * eps, then L = T F is
     regular and the default solver gets the anchor and the multiplier's LU
     (see qz_solve).  Otherwise regularity is tested by LU factorizations of
-    X*lam + Y at up to 3 random points of the disk |lam| < 2: the pencil is
-    regular as soon as one has a row-scaled rcond above 10 * kn * eps.  If
-    none has, SingularPencilError is raised, carrying the largest rcond
-    seen; eigenvalues of a singular pencil are meaningless.
+    X*lam + Y at up to 3 points of the disk |lam| < 2, the same pseudo-random
+    ones on every call: the pencil is regular as soon as one has a
+    row-scaled rcond above 10 * kn * eps.  If none has, SingularPencilError
+    is raised, carrying the largest rcond seen; eigenvalues of a singular
+    pencil are meaningless.
 
     The solver is called as solver(X, Y, left), the default one as
-    qz_solve(X, Y, left, anchor=..., inf_tol=inf_tol, multiplier=...).  With
-    left false no left eigenvectors are asked for and every triple's
-    ``left`` is None.  Residuals are ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||)
-    for unit right vectors u (||X u|| / ||X|| at infinite eigenvalues).
+    qz_solve(X, Y, left, anchor=..., multiplier=...).  With left false no
+    left eigenvectors are asked for and every triple's ``left`` is None.
+    Residuals are ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||) for unit right
+    vectors u (||X u|| / ||X|| at infinite eigenvalues).
     Results are sorted by (real, imag) with infinite eigenvalues last; real
     parts equal up to rounding are ordered by imaginary part.
     """
@@ -377,9 +379,8 @@ def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
             else:
                 anchor = None
     if anchor is None:
-        if rng is None:
-            rng = np.random.default_rng(90210)
-        verdict = sampled_regularity(lambda lam: eval_pencil(L, lam), L.k * n, rng)
+        verdict = sampled_regularity(lambda lam: eval_pencil(L, lam), L.k * n,
+                                     np.random.default_rng(_REGULARITY_SEED))
         if not verdict.regular:
             raise SingularPencilError(
                 f"pencil is singular: rcond of X*lam + Y is at most {verdict.rcond:.3e} "
@@ -387,7 +388,7 @@ def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
                 rcond=verdict.rcond,
             )
     if solver is None:
-        res = qz_solve(L.X, L.Y, left, anchor=anchor, inf_tol=inf_tol, multiplier=multiplier)
+        res = qz_solve(L.X, L.Y, left, anchor=anchor, multiplier=multiplier)
     else:
         res = solver(L.X, L.Y, left)
     size = res.alpha.size
@@ -396,14 +397,9 @@ def pencil_eigen(L: Pencil, solver=None, inf_tol: float = 1e-8, rng=None,
     for idx in range(size):
         # Python complex division: numpy's vectorized one differs in the last
         # bits, which would change the reported eigenvalues
-        a = complex(res.alpha[idx])
-        if res.beta is None:
-            infinite[idx] = abs(a) > 1.0 / inf_tol
-            lams.append(complex(np.inf) if infinite[idx] else a)
-        else:
-            b = complex(res.beta[idx])
-            infinite[idx] = abs(b) <= inf_tol * (abs(a) + abs(b))
-            lams.append(complex(np.inf) if infinite[idx] else a / b)
+        a, b = complex(res.alpha[idx]), complex(res.beta[idx])
+        infinite[idx] = abs(b) <= _INF_TOL * (abs(a) + abs(b))
+        lams.append(complex(np.inf) if infinite[idx] else a / b)
     norms = np.linalg.norm(res.right, axis=0)
     residuals = res.residual
     if residuals is None:
@@ -689,7 +685,7 @@ def eigenvalue_exclusion(P: MatrixPolynomial, v, tol: float = 1e-8) -> Eigenvalu
     require_ansatz_degree(P)
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size != P.k:
-        raise ValueError(f"ansatz vector must have length {P.k}")
+        raise DimensionMismatchError(f"ansatz vector must have length {P.k}")
     if np.max(np.abs(v)) == 0.0:
         raise ValueError("the zero ansatz vector is rejected (its polynomial vanishes)")
     C = to_monomial(P.basis, P.k - 1)

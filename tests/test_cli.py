@@ -6,15 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from orthopencil import builtin_basis, identity_factor, MatrixPolynomial
+from orthopencil import AnsatzFactor, anchor_pencil, builtin_basis, identity_factor, MatrixPolynomial
 from orthopencil.cli import run
 from orthopencil.serialize import (
     dump_json,
     factor_to_obj,
     pencil_from_obj,
+    pencil_to_obj,
     problem_to_obj,
 )
-from conftest import stepped_dg_basis
+from conftest import random_problem, stepped_dg_basis
 
 
 @pytest.fixture
@@ -189,3 +190,93 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["infinite_count"] == 0
+
+
+def _command_files(tmp_path, rng):
+    """A degree-graded problem, M1 and M2 factors and an anchor pencil for it,
+    each written as JSON whose entries 0.125 can be replaced by other tokens."""
+    P = random_problem(rng, 2, 3, "degree_graded")
+    P = MatrixPolynomial((np.full((2, 2), 0.125),) + P.coeffs[1:], P.basis)
+    objs = {"problem": problem_to_obj(P), "pencil": pencil_to_obj(anchor_pencil(P))}
+    objs["pencil"]["X"][0][0] = 0.125
+    for side in ("M1", "M2"):
+        f = AnsatzFactor(rng.standard_normal(3), rng.standard_normal((6, 4)), side)
+        objs[side] = factor_to_obj(f)
+        objs[side]["v"][1] = objs[side]["B"][0][0] = 0.125
+    paths = {}
+    for name, obj in objs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dump_json(obj))
+    return paths
+
+
+def _every_command(paths):
+    """argv of each of the 9 commands on the files of _command_files."""
+    p = ["-p", str(paths["problem"])]
+    m1, m2 = str(paths["M1"]), str(paths["M2"])
+    return [
+        ["anchor", *p], ["ansatz", *p, "-f", m1], ["ansatz", *p, "-f", m2],
+        ["blocksym", *p, "--v", "1,0.5,-2"], ["check", *p, "-f", m1], ["check", *p, "-f", m2],
+        ["membership", *p, "--pencil", str(paths["pencil"])],
+        ["eig", *p], ["eig", *p, "--factor", m1], ["eig", *p, "--factor", m2],
+        ["recover", *p], ["recover", *p, "--factor", m1], ["recover", *p, "--factor", m2],
+        ["exclusion", *p, "--v", "1,0.5,-2"], ["oracle", *p],
+    ]
+
+
+def test_every_report_is_indented_sorted_json(tmp_path, rng, capsys):
+    argvs = _every_command(_command_files(tmp_path, rng))
+    argvs += [["eig", "--random", "3,4,1", "--basis", "legendre"], ["recover", "--random", "4,5,2"]]
+    for argv in argvs:
+        assert run(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_input_is_malformed(tmp_path, rng, capsys, token):
+    # json reads all four; 1e400 overflows to inf
+    paths = _command_files(tmp_path, rng)
+    good = _every_command(paths)
+    for name in ("problem", "pencil", "M1", "M2"):
+        bad = tmp_path / f"bad-{name}.json"
+        text = paths[name].read_text()
+        assert "0.125" in text
+        bad.write_text(text.replace("0.125", token))
+        for argv in good:
+            if str(paths[name]) in argv:
+                argv = [str(bad) if a == str(paths[name]) else a for a in argv]
+                assert run(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == "" and "finite" in captured.err, argv
+
+
+@pytest.mark.parametrize("basis", [
+    {"kind": "newton", "nodes": [0.0, "NaN", 1.0, 2.0]},
+    {"kind": "custom", "alpha": [1.0, "Infinity", 1.0], "beta": [0.0] * 3, "gamma": [0.0] * 3},
+    {"kind": "degree_graded", "shift": [0.0, 0.5, 0.0], "lower": [[0.0], [0.0, "1e400"]]},
+])
+def test_non_finite_basis_is_malformed(tmp_path, capsys, basis):
+    path = tmp_path / "problem.json"
+    obj = {"basis": basis, "n": 1, "k": 3, "coefficients": [[[1.0]], [[2.0]], [[3.0]], [[4.0]]]}
+    path.write_text(json.dumps(obj).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
+                    .replace('"1e400"', "1e400"))
+    for command in ("anchor", "eig", "oracle"):
+        assert run([command, "-p", str(path)]) == 2, command
+        assert "must be finite" in capsys.readouterr().err
+
+
+def test_empty_problem_is_malformed(capsys):
+    for argv in _every_command(dict.fromkeys(("problem", "pencil", "M1", "M2"), "unused.json")):
+        argv = [argv[0], "--random", "0,3,1", *argv[3:]]  # in place of -p problem.json
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "1 x 1" in captured.err, argv
+
+
+def test_wrong_vector_length_is_a_dimension_mismatch(capsys):
+    for command in ("blocksym", "exclusion"):
+        assert run([command, "--random", "2,3,5", "--v", "1,2"]) == 3
+        capsys.readouterr()
+    assert run(["exclusion", "--random", "2,3,5", "--v", "0,0,0"]) == 2  # the zero vector
+    capsys.readouterr()

@@ -139,14 +139,62 @@ def _reports(draw):
     return report
 
 
-@settings(max_examples=100)
-@given(report=_reports())
-@example(report={"finite": [], "infinite_count": 0})
-@example(report={"finite": [{"im": -0.0, "re": float("nan"), "residual": -float("inf")}],
-                 "infinite_count": 2, "eigenvectors": {"right": [[[0.0, -0.0]]]}})
-def test_dump_json_is_byte_identical_to_indented_json(report):
-    expected = json.dumps(report, indent=2, sort_keys=True, default=_coerce_scalars)
-    assert dump_json(report) == expected
+# Strings and keys with % in them: a template must not read them as format
+# specifiers.
+_STRINGS = st.one_of(st.text(max_size=6), st.sampled_from(("%", "%s", "%%", "a%d", "re", "")))
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL_FLOATS),
+    st.integers(), st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+)
+_SCALARS = st.one_of(_NUMBERS, _STRINGS)
+# mostly numbers: a string among the leaves sends the list item by item
+_LEAVES = st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, _SCALARS)
+
+
+@st.composite
+def _grids(draw):
+    """A rectangular nested list of depth 1 to 3."""
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+
+    def fill(dims):
+        return [fill(dims[1:]) for _ in range(dims[0])] if dims else draw(_LEAVES)
+
+    return fill(shape)
+
+
+@st.composite
+def _records(draw):
+    """A non-empty list of dicts with the same string keys."""
+    keys = draw(st.lists(_STRINGS, max_size=4, unique=True))
+    return [{key: draw(_LEAVES) for key in keys} for _ in range(draw(st.integers(1, 4)))]
+
+
+# Any JSON value: scalars, grids and records at the leaves, and lists, dicts
+# with string keys, tuples and dicts with integer keys around them.
+_TREES = st.recursive(
+    st.one_of(_SCALARS, _grids(), _records()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_STRINGS, children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=1000)
+@given(obj=st.one_of(_reports(), _TREES))
+@example(obj={"finite": [], "infinite_count": 0})
+@example(obj={"finite": [{"im": -0.0, "re": float("nan"), "residual": -float("inf")}],
+              "infinite_count": 2, "eigenvectors": {"right": [[[0.0, -0.0]]]}})
+@example(obj={"a%s": [{"%": 1.0, "b": np.int64(2)}], "c": [[[]], [[]]], "d": [{}, {}]})
+def test_dump_json_is_byte_identical_to_indented_json(obj):
+    expected = json.dumps(obj, indent=2, sort_keys=True, default=_coerce_scalars)
+    assert dump_json(obj) == expected
 
 
 def test_dump_json_leaves_other_shapes_to_json():

@@ -23,7 +23,6 @@ from orthopencil import (
     multiplier_matrix,
     pencil_eigen,
     phi_vector,
-    qz_solve,
     recover_left,
     recover_right,
     reference_spectrum,
@@ -76,26 +75,6 @@ def test_infinite_count_matches_oracle(rng):
     ps = spectrum_of(pencil_eigen(anchor_pencil(P)))
     assert ps.infinite_count == spec.infinite_count
     assert compare_spectra(ps, spec, tol=1e-6).matched
-
-
-def test_plain_eigenvalue_solver_path(rng):
-    # a solver without the homogeneous form: infinite eigenvalues by magnitude
-    def plain(X, Y, left):
-        res = qz_solve(X, Y, left)
-        lam = np.where(
-            np.abs(res.beta) > 1e-13 * np.abs(res.alpha),
-            res.alpha / np.where(res.beta == 0, 1.0, res.beta),
-            1e300,
-        )
-        return type(res)(alpha=lam, beta=None, right=res.right, left=res.left)
-
-    coeffs = [rng.uniform(-1, 1, (2, 2)) for _ in range(4)]
-    coeffs[-1][1] = coeffs[-1][0]
-    P = MatrixPolynomial(tuple(coeffs), builtin_basis("monomial"))
-    ref = reference_spectrum(P)
-    ps = spectrum_of(pencil_eigen(anchor_pencil(P), solver=plain))
-    assert ps.infinite_count == ref.infinite_count
-    assert compare_spectra(ps, ref, tol=1e-6).matched
 
 
 def test_recover_right_scalar_basis_vector():
