@@ -64,7 +64,10 @@ def _load_problem(args) -> MatrixPolynomial:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(t) for t in text.split(",")], dtype=float)
+    v = np.array([float(t) for t in text.split(",")], dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"--v must be finite, got {text}")
+    return v
 
 
 def _emit(obj):
@@ -124,35 +127,24 @@ def _cmd_membership(args) -> int:
 
 def _cmd_eig(args) -> int:
     P = _load_problem(args)
-    f = None
-    if args.factor:
-        f = factor_from_obj(_load_json(args.factor))
-        L = make_m1(P, f) if f.side == "M1" else make_m2(P, f)
-        v = f.v
-    else:
-        L = anchor_pencil(P)
-        v = np.zeros(P.k)
-        v[0] = 1.0
+    f = factor_from_obj(_load_json(args.factor)) if args.factor else None
+    L = anchor_pencil(P) if f is None else (make_m1(P, f) if f.side == "M1" else make_m2(P, f))
     side = "M1" if f is None else f.side
     # without recovery no left eigenvector is used, so the solver skips them
     triples = pencil_eigen(L, left=args.recover, anchor=P, factor=f)
     rights = lefts = None
     if args.recover:
-        # Kronecker structure sits in the right eigenvectors for side M1 and
-        # in the left eigenvectors for side M2; the other side recovers by the
-        # blockwise v-weighted sum, and both are checked against --tol.
-        # Columns follow the sorted triples.
+        # pencil_eigen read P's vectors on both sides off the anchor: L's
+        # Kronecker-structured eigenvectors (right for side M1, left for M2)
+        # are fitted, and the other side's block sums pass through a one-block
+        # recover_left, which returns them as they are and checks them.  Both
+        # face --tol.  Columns follow the sorted triples.
         lams = np.array([t.eigenvalue for t in triples])
-        right = np.stack([t.right for t in triples], axis=1)
-        left = np.stack([t.left for t in triples], axis=1)
-        kron, other = (right, left) if side == "M1" else (left, right)
+        kron = np.stack([t.right if side == "M1" else t.left for t in triples], axis=1)
+        sums = np.stack([t.weighted_sum for t in triples], axis=1)
         nullside, flipped = ("right", "left") if side == "M1" else ("left", "right")
         fitted = recover_right(P, lams, kron, tol=args.tol, nullside=nullside)
-        if triples[0].weighted_sum is not None:
-            # the companion solve formed the sums without cancellation; a sum
-            # over one block returns them as they are
-            v, other = np.ones(1), np.stack([t.weighted_sum for t in triples], axis=1)
-        summed = recover_left(v, other, P, lams, tol=args.tol, nullside=flipped)
+        summed = recover_left(np.ones(1), sums, P, lams, tol=args.tol, nullside=flipped)
         rights, lefts = (fitted, summed) if side == "M1" else (summed, fitted)
         rights, lefts = rights.T, lefts.T
     _emit(spectrum_report_obj(triples, rights, lefts))

@@ -8,34 +8,34 @@ the caller uses no left eigenvectors, so the solver may skip them and return
 (alpha, beta); an eigenvalue is infinite when |beta| <= 1e-8 (|alpha| +
 |beta|), which makes it a zero eigenvalue of the reversal Y*lam + X.
 
-``qz_solve`` has two branches.  The general one is scipy's QZ.  The other,
-the companion branch, serves every pencil that ``pencil_eigen`` can tie to
-an anchor pencil F, with or without left eigenvectors:
+``qz_solve`` runs scipy's QZ on a pencil's own (X, Y) only when it has no
+anchor.  Every pencil that ``pencil_eigen`` can tie to an anchor pencil F is
+solved through F, with or without left eigenvectors:
 
 - the anchor pencil of P itself, X = diag(c*P_k, I);
 - an M1 pencil L = T F, with T = [v kron I_n, B];
 - an M2 pencil L = F^B S, with S = [v^T kron I_n; B^B].  F^B is bitwise the
   transpose of the anchor pencil G of P^T, so L = G^T S.
 
-For invertible P_k the anchor's eigenpairs are those of the companion
-(comrade, colleague) matrix -X^-1 Y, which one n x n LU and LAPACK geev
-solve.  For invertible T (or S) the pencil has the anchor's eigenvalues: L
-has F's right eigenvectors and left eigenvectors T^-T z for F's left ones z
-(M1), and G's right eigenvectors as left ones and S^-1 z for G's left ones
-z as right ones (M2).  The eigenvectors of P come straight from the anchor:
-the Kronecker fit of its right eigenvectors gives one side, and the first
-block of z, which is the block sum (v kron I_n)^T of L's eigenvector on the
-other side, gives the other, free of the cancellation that forming that sum
-from L's eigenvector suffers when T is ill-conditioned.
+Two solvers find F's eigentriples.  When the row-scaled rcond of P_k clears
+10 * n * eps, geev solves the companion (comrade, colleague) matrix -X^-1 Y
+after one n x n LU, and its result is kept only under a certificate at every
+eigenvalue: eta_L, the residual that pencil_eigen reports, and the backward
+error eta_P of each eigenvector of P it gives (see ``backward_errors``) are
+at most 10 * kn * eps, and no eigenvalue is classed infinite.  Otherwise
+scipy's QZ solves F itself (G for M2), which is backward stable for P
+(Lawrence, Van Barel and Van Dooren, SIMAX 37, 2016) and gives the infinite
+eigenvalues of a singular P_k.
 
-The companion result is accepted only under a certificate, at every
-eigenvalue: eta_L, the residual that pencil_eigen reports, is at most
-10 * kn * eps; the backward error eta_P of each eigenvector of P it gives
-(see ``backward_errors``) is at most 10 * kn * eps; and no eigenvalue is
-classed infinite.  Otherwise QZ runs instead, in the same ``qz_solve`` call.
-``pencil_eigen`` takes the companion branch only when the row-scaled rcond
-of P_k clears 10 * n * eps and, for M1/M2 pencils, that of T (or S) clears
-10 * kn * eps; together they prove the pencil regular (det L = det T det F).
+Both go through one map to L, which has the anchor's eigenvalues: F's right
+eigenvectors and left eigenvectors T^-T z for F's left ones z (M1), and G's
+right eigenvectors as left ones and S^-1 z for G's left ones z as right ones
+(M2).  The eigenvectors of P come straight from the anchor: the Kronecker
+fit of its right eigenvectors gives one side, and the first block of z,
+which is the block sum (v kron I_n)^T of L's eigenvector on the other side,
+gives the other, free of the cancellation that forming that sum from L's
+eigenvector suffers when T is ill-conditioned.  Residuals are read off the
+anchor's structure and one GEMM by the multiplier.
 
 Eigenvector recovery is batched: ``recover_right`` takes the m eigenvalues
 and the kn x m matrix of their pencil eigenvectors and returns the n x m
@@ -86,12 +86,12 @@ class GeneralizedEigenResult:
 
     ``alpha``/``beta`` give eigenvalues alpha/beta; ``right`` and ``left``
     hold eigenvectors as columns, with the convention (X*lam + Y) right = 0
-    and left^T (X*lam + Y) = 0.  The companion branch
-    of qz_solve also gives ``residual``, the normalized right residuals it
-    certified, and for M1/M2 pencils ``sums``, the n x m block sums
-    (v kron I_n)^T w / ||w|| of the eigenvectors w on the side without
-    Kronecker structure (left for M1, right for M2); other solvers leave both
-    None.
+    and left^T (X*lam + Y) = 0.  A pencil solved through its anchor also
+    gets ``residual``, the normalized right residuals read off the anchor,
+    and, when the side without Kronecker structure is solved (left for the
+    anchor and M1, right for M2), ``sums``: the n x m block sums
+    (v kron I_n)^T w / ||w|| of its eigenvectors w, read off the anchor.
+    Other solvers leave both None.
     """
 
     alpha: np.ndarray
@@ -105,7 +105,7 @@ class GeneralizedEigenResult:
 @dataclass(frozen=True)
 class _Multiplier:
     """The constant multiplier of an M1 pencil (T, with L = T F) or of an M2
-    pencil (S, with L = G^T S), and the row-scaled LU of pencil_eigen's gate."""
+    pencil (S, with L = G^T S), and its row-scaled LU."""
 
     side: str
     matrix: np.ndarray
@@ -123,34 +123,32 @@ _REGULARITY_SEED = 90210
 
 def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
              multiplier=None) -> GeneralizedEigenResult:
-    """Default dense solver for the pencil X*lam + Y, in one of two branches.
+    """Default dense solver for the pencil X*lam + Y.
 
-    - General: scipy's QZ on the pair (Y, -X).  With left false no left
-      eigenvectors are computed (``left`` is None in the result); eigenvalues
-      and right eigenvectors are the same either way.
-    - Companion: ``anchor`` is the polynomial P, and (X, Y) is its anchor
-      pencil, or, when ``multiplier`` (made by pencil_eigen) is given, its M1
-      or M2 pencil with that multiplier.  One n x n LU of the row-scaled
-      c*P_k (c*P_k^T for M2) forms the companion matrix, which LAPACK geev
-      solves, with left eigenvectors when they are asked for or the pencil
-      is M2; beta is 1.  L's eigenvectors are mapped from the anchor's with
-      the multiplier's LU.  The result is kept only if it passes the
-      certificate of the module docstring (eta_L and the eta_P of both
-      sides of P at most 10 * kn * eps, no eigenvalue infinite or classed
-      infinite by the rule of pencil_eigen).  Otherwise the general
-      branch runs.
-
-    The two branches agree to within the eigenvalues' condition numbers
+    With no ``anchor``, scipy's QZ on the pair (Y, -X); with left false no
+    left eigenvectors are computed (``left`` is None in the result), and the
+    rest is the same either way.  Otherwise ``anchor`` is the polynomial P,
+    and (X, Y) is its anchor pencil or, with ``multiplier`` (made by
+    pencil_eigen), its M1 or M2 pencil with that multiplier; it is solved
+    through the anchor (module docstring), by the certified geev or else QZ
+    on the anchor, which agree to within the eigenvalues' condition numbers
     times their backward errors, not bit for bit.
     """
-    if anchor is not None:
-        res = _companion_solve(X, Y, anchor, left, multiplier)
-        if res is not None:
-            return res
-    out = scipy.linalg.eig(Y, -X, left=left, right=True, homogeneous_eigvals=True)
-    w, vr = out[0], out[-1]
-    vl = np.conj(out[1]) if left else None
-    return GeneralizedEigenResult(alpha=w[0], beta=w[1], right=vr, left=vl)
+    if anchor is None:
+        return _qz(X, Y, left)
+    res = _companion_solve(X, Y, anchor, left, multiplier)
+    if res is None:
+        _, F, want_left, want_right = _tied_anchor(X, Y, anchor, left, multiplier)
+        res = _through_anchor(X, Y, F, _qz(F.X, F.Y, want_left, want_right), left, multiplier)
+    return res
+
+
+def _qz(X, Y, left, right=True):
+    """scipy's QZ on the pair (Y, -X), with left vectors z^T (X*lam + Y) = 0."""
+    out = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
+    return GeneralizedEigenResult(alpha=out[0][0], beta=out[0][1],
+                                  right=out[-1] if right else None,
+                                  left=np.conj(out[1]) if left else None)
 
 
 def _lu_solve(factors, B, trans=0):
@@ -177,49 +175,93 @@ def _real_matmul(M, V):
 
 
 def _apply_anchor(F, lams, U, transpose=False):
-    """F(lam_j) u_j, or F(lam_j)^T u_j, for every column u_j of U.
+    """F(lam_j) u_j, or F(lam_j)^T u_j, for every column u_j of U, and X u_j
+    (X^T u_j) where lam_j is infinite.
 
     Read off the anchor's structure, X = diag(c*P_k, I) and Y = kron(Ys, I_n)
     below the first block row, so no kn x kn product is formed."""
     n, k, m = F.n, F.k, U.shape[1]
     lead, top = F.X[:n, :n], F.Y[:n]
     Ys = F.Y[n::n, ::n]
+    infinite = np.isinf(lams)
+    V = np.where(infinite, 0.0, U) if infinite.any() else U  # Y's operand
+    lams = np.where(infinite, 1.0, lams)
     if transpose:
-        R = top.T @ U[:n] + (Ys.T @ U[n:].reshape(k - 1, n * m)).reshape(-1, m)
+        R = top.T @ V[:n] + (Ys.T @ V[n:].reshape(k - 1, n * m)).reshape(-1, m)
         R[:n] += (lead.T @ U[:n]) * lams
     else:
         R = np.empty(U.shape, dtype=complex)
-        R[:n] = (lead @ U[:n]) * lams + top @ U
-        R[n:] = (Ys @ U.reshape(k, n * m)).reshape(-1, m)
+        R[:n] = (lead @ U[:n]) * lams + top @ V
+        R[n:] = (Ys @ V.reshape(k, n * m)).reshape(-1, m)
     R[n:] += U[n:] * lams
     return R
 
 
 def _structured_residuals(X, Y, F, lams, U, multiplier=None):
     """||(X*lam_j + Y) u_j|| / ((||X|| |lam_j| + ||Y||) ||u_j||) for every column
-    u_j of U, where the pencil (X, Y) is the anchor F itself, T F (M1) or
-    F^T S (M2, F the anchor of P^T): one GEMM with the multiplier, and the
-    anchor's structure for the rest."""
+    u_j of U, and ||X u_j|| / (||X|| ||u_j||) where lam_j is infinite, where
+    the pencil (X, Y) is the anchor F itself, T F (M1) or F^T S (M2, F the
+    anchor of P^T): one GEMM with the multiplier, and the anchor's structure
+    for the rest."""
     side = "anchor" if multiplier is None else multiplier.side
+    lams = np.asarray(lams, dtype=complex)
     if side == "M2":
         R = _apply_anchor(F, lams, _real_matmul(multiplier.matrix, U), transpose=True)
     else:
         R = _apply_anchor(F, lams, U)
         if side == "M1":
             R = _real_matmul(multiplier.matrix, R)
-    scales = np.linalg.norm(X) * np.abs(lams) + np.linalg.norm(Y)
+    return _relative(R, X, Y, lams, U)
+
+
+def _relative(R, X, Y, lams, U):
+    """||r_j|| / ((||X|| |lam_j| + ||Y||) ||u_j||) for the columns r_j of the
+    residual R of the columns u_j of U, and ||r_j|| / (||X|| ||u_j||) where
+    lam_j is infinite."""
+    nx = np.linalg.norm(X)
+    scales = np.where(np.isinf(lams), nx, nx * np.abs(lams) + np.linalg.norm(Y))
     return np.linalg.norm(R, axis=0) / (np.linalg.norm(U, axis=0) * np.maximum(scales, 1e-300))
 
 
-def _companion_solve(X, Y, P, left=False, multiplier=None):
-    """The certified geev solve of qz_solve's companion branch, or None."""
+def _tied_anchor(X, Y, P, left, multiplier):
+    """(P, F, want_left, want_right): the polynomial whose anchor pencil F the
+    pencil (X, Y) is tied to (P^T for M2), F, and the sides of F's
+    eigenvectors that the pencil's asked-for sides need."""
     side = "anchor" if multiplier is None else multiplier.side
     if side == "M2":
         P = MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis)
     F = Pencil(X, Y, P.n, P.k) if multiplier is None else anchor_pencil(P)
+    # an M2 pencil's right eigenvectors come from the anchor's left ones
+    return P, F, left or side == "M2", left or side != "M2"
+
+
+def _through_anchor(X, Y, F, eigs, left, multiplier):
+    """The result for the pencil (X, Y) from the eigentriples ``eigs`` of the
+    anchor F it is tied to (right vectors, and left vectors z with
+    z^T F(lam) = 0): the map and the residuals of the module docstring."""
+    n, side = F.n, "anchor" if multiplier is None else multiplier.side
+    right, left_vecs, sums, Z = eigs.right, eigs.left, None, eigs.left
+    if side == "M2":
+        right, left_vecs = _lu_solve(multiplier.lu, Z), eigs.right
+        sums = Z[:n] / np.linalg.norm(right, axis=0)
+    elif left:
+        if side == "M1":
+            left_vecs = _lu_solve(multiplier.lu, Z, trans=1)
+        sums = Z[:n] / np.linalg.norm(left_vecs, axis=0)
+    lams, _ = _eigenvalues(eigs.alpha, eigs.beta)
+    residual = _structured_residuals(X, Y, F, lams, right, multiplier)
+    return GeneralizedEigenResult(alpha=eigs.alpha, beta=eigs.beta, right=right,
+                                  left=left_vecs, residual=residual, sums=sums)
+
+
+def _companion_solve(X, Y, P, left=False, multiplier=None):
+    """The certified geev solve of the anchor route, mapped to the pencil
+    (X, Y), or None: when P_k fails its gate, geev does not converge, or the
+    certificate fails."""
+    P, F, want_left, want_right = _tied_anchor(X, Y, P, left, multiplier)
     n, k, size = P.n, P.k, X.shape[0]
-    _, lead = _scaled_lu(F.X[:n, :n])
-    if lead is None:
+    rcond, lead = _scaled_lu(F.X[:n, :n])
+    if not rcond > 10.0 * n * np.finfo(float).eps:
         return None
     first = _lu_solve(lead, F.Y[:n])
     if not np.all(np.isfinite(first)):
@@ -227,8 +269,6 @@ def _companion_solve(X, Y, P, left=False, multiplier=None):
     # only the first block row of -X^-1 Y differs from -Y
     A = np.negative(F.Y, order="F")
     A[:n] = -first
-    # an M2 pencil's right eigenvectors come from the anchor's left ones
-    want_left, want_right = left or side == "M2", left or side != "M2"
     try:
         out = scipy.linalg.eig(A, left=want_left, right=want_right, overwrite_a=True,
                                check_finite=False)
@@ -251,18 +291,22 @@ def _companion_solve(X, Y, P, left=False, multiplier=None):
         Z[:n] = _lu_solve(lead, Z[:n], trans=1)
         if not np.all(backward_errors(P, lams, Z[:n], "left") <= bound):
             return None
-    right, left_vecs, sums = VR, Z, None
-    if side == "M1" and left:
-        left_vecs = _lu_solve(multiplier.lu, Z, trans=1)
-        sums = Z[:n] / np.linalg.norm(left_vecs, axis=0)
-    elif side == "M2":
-        right, left_vecs = _lu_solve(multiplier.lu, Z), VR
-        sums = Z[:n] / np.linalg.norm(right, axis=0)
-    residual = _structured_residuals(X, Y, F, lams, right, multiplier)
-    if not np.all(residual <= bound):
-        return None
-    return GeneralizedEigenResult(alpha=lams, beta=np.ones(size), right=right,
-                                  left=left_vecs, residual=residual, sums=sums)
+    eigs = GeneralizedEigenResult(alpha=lams, beta=np.ones(size), right=VR, left=Z)
+    res = _through_anchor(X, Y, F, eigs, left, multiplier)
+    return res if np.all(res.residual <= bound) else None
+
+
+def _eigenvalues(alpha, beta):
+    """(lams, infinite): alpha_j / beta_j as Python complex numbers, complex
+    infinity where |beta_j| <= _INF_TOL (|alpha_j| + |beta_j|)."""
+    lams, infinite = [], []
+    for a, b in zip(np.asarray(alpha, dtype=complex).tolist(),
+                    np.asarray(beta, dtype=complex).tolist()):
+        # Python complex division: numpy's vectorized one (and its abs)
+        # differs in the last bits, which would change the reported eigenvalues
+        infinite.append(abs(b) <= _INF_TOL * (abs(a) + abs(b)))
+        lams.append(complex(np.inf) if infinite[-1] else a / b)
+    return lams, np.array(infinite, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -271,11 +315,11 @@ class Eigentriple:
 
     Infinite eigenvalues are stored as complex infinity; their vectors are
     eigenvectors of the reversal at zero.  ``residual`` is the normalized
-    right residual.  ``weighted_sum`` is set when the companion branch solved
-    an M1 or M2 pencil: the block sum (v kron I_n)^T w of the unit
-    eigenvector w on the side without Kronecker structure (left for M1,
-    right for M2), read off the anchor's eigenvector, which is the
-    eigenvector of P that ``recover_left`` would form from w."""
+    right residual.  ``weighted_sum`` is set when pencil_eigen solved the
+    pencil through its anchor and the side without Kronecker structure
+    (left for the anchor and M1, right for M2): the block sum
+    (v kron I_n)^T w of that side's unit eigenvector w, read off the
+    anchor's eigenvector, an eigenvector of P (v = e_1 for the anchor)."""
 
     eigenvalue: complex
     right: np.ndarray
@@ -288,31 +332,9 @@ class Eigentriple:
         return bool(np.isinf(self.eigenvalue))
 
 
-# Columns per block of the residual GEMMs: bounds their temporaries.
-_RESIDUAL_BLOCK = 64
 # Finite eigenvalues whose real parts are chained by steps of at most this
 # many ulps of their modulus are ordered by imaginary part (see _sort_triples).
 _ORDER_ULPS = 8
-
-
-def _residual_norms(X, Y, V, lam, infinite):
-    """||(X*lam_j + Y) v_j|| for every column v_j of V (||X v_j|| where infinite).
-
-    Two real GEMMs per column block, on the real and imaginary parts side by
-    side, replace one kn x kn matrix per eigenvalue."""
-    c1 = np.where(infinite, 1.0, lam)
-    c0 = np.where(infinite, 0.0, 1.0)
-    out = np.empty(V.shape[1])
-    for start in range(0, V.shape[1], _RESIDUAL_BLOCK):
-        cols = slice(start, start + _RESIDUAL_BLOCK)
-        block = V[:, cols]
-        b = block.shape[1]
-        parts = np.hstack([block.real, block.imag])
-        XV = X @ parts
-        YV = Y @ parts
-        R = (XV[:, :b] + 1j * XV[:, b:]) * c1[cols] + (YV[:, :b] + 1j * YV[:, b:]) * c0[cols]
-        out[cols] = np.linalg.norm(R, axis=0)
-    return out
 
 
 def _sort_triples(triples):
@@ -343,17 +365,17 @@ def pencil_eigen(L: Pencil, solver=None, left: bool = True, anchor=None,
     """All kn eigenvalues of a regular pencil, infinite ones included.
 
     ``anchor`` is the polynomial P when L is its anchor pencil or, with
-    ``factor`` (v, B), its M1 or M2 pencil with that factor.  If the
-    reciprocal condition number of P_k (LAPACK gecon, 1-norm, rows scaled to
-    unit norm; P_k^T for M2) is above 10 * n * eps and, with a factor, that
-    of the side multiplier T (or S) is above 10 * kn * eps, then L = T F is
-    regular and the default solver gets the anchor and the multiplier's LU
-    (see qz_solve).  Otherwise regularity is tested by LU factorizations of
+    ``factor`` (v, B), its M1 or M2 pencil with that factor; the default
+    solver then solves L through its anchor (see qz_solve).  L is regular if
+    the reciprocal condition number of P_k (LAPACK gecon, 1-norm, rows
+    scaled to unit norm; P_k^T for M2) is above 10 * n * eps and, with a
+    factor, that of the side multiplier T (or S) is above 10 * kn * eps, as
+    L = T F.  Otherwise regularity is tested by LU factorizations of
     X*lam + Y at up to 3 points of the disk |lam| < 2, the same pseudo-random
     ones on every call: the pencil is regular as soon as one has a
-    row-scaled rcond above 10 * kn * eps.  If none has, SingularPencilError
-    is raised, carrying the largest rcond seen; eigenvalues of a singular
-    pencil are meaningless.
+    row-scaled rcond above 10 * kn * eps.  If none has, or the multiplier
+    has an exactly zero pivot, SingularPencilError is raised, carrying the
+    largest rcond seen; eigenvalues of a singular pencil are meaningless.
 
     The solver is called as solver(X, Y, left), the default one as
     qz_solve(X, Y, left, anchor=..., multiplier=...).  With left false no
@@ -364,21 +386,18 @@ def pencil_eigen(L: Pencil, solver=None, left: bool = True, anchor=None,
     parts equal up to rounding are ordered by imaginary part.
     """
     n, eps = L.n, np.finfo(float).eps
-    multiplier = None
+    multiplier, regular = None, False
     if anchor is not None:
         lead = L.X[:n, :n] if factor is None else anchor.coeffs[-1]
         if factor is not None and factor.side == "M2":
-            lead = lead.T  # the companion branch solves the anchor of P^T
-        if _rcond(lead) <= 10.0 * n * eps:
-            anchor = None
-        elif factor is not None:
+            lead = lead.T  # the anchor route solves the anchor of P^T
+        regular = _rcond(lead) > 10.0 * n * eps
+        if factor is not None:
             T = side_multiplier(factor)
             rcond, lu = _scaled_lu(T)
-            if rcond > 10.0 * L.k * n * eps:
-                multiplier = _Multiplier(factor.side, T, lu)
-            else:
-                anchor = None
-    if anchor is None:
+            multiplier = _Multiplier(factor.side, T, lu)
+            regular = regular and rcond > 10.0 * L.k * n * eps
+    if not regular:
         verdict = sampled_regularity(lambda lam: eval_pencil(L, lam), L.k * n,
                                      np.random.default_rng(_REGULARITY_SEED))
         if not verdict.regular:
@@ -387,33 +406,26 @@ def pencil_eigen(L: Pencil, solver=None, left: bool = True, anchor=None,
                 f"at {verdict.trials} sampled points (threshold 10*kn*eps)",
                 rcond=verdict.rcond,
             )
+    if multiplier is not None and multiplier.lu is None:
+        raise SingularPencilError("pencil is singular: its multiplier is singular", rcond=0.0)
     if solver is None:
         res = qz_solve(L.X, L.Y, left, anchor=anchor, multiplier=multiplier)
     else:
         res = solver(L.X, L.Y, left)
-    size = res.alpha.size
-    lams = []
-    infinite = np.zeros(size, dtype=bool)
-    for idx in range(size):
-        # Python complex division: numpy's vectorized one differs in the last
-        # bits, which would change the reported eigenvalues
-        a, b = complex(res.alpha[idx]), complex(res.beta[idx])
-        infinite[idx] = abs(b) <= _INF_TOL * (abs(a) + abs(b))
-        lams.append(complex(np.inf) if infinite[idx] else a / b)
+    lams, infinite = _eigenvalues(res.alpha, res.beta)
     norms = np.linalg.norm(res.right, axis=0)
     residuals = res.residual
-    if residuals is None:
-        finite_lams = np.where(infinite, 0.0, np.array(lams, dtype=complex))
-        nx = np.linalg.norm(L.X)
-        scales = np.where(infinite, nx, nx * np.abs(finite_lams) + np.linalg.norm(L.Y))
-        residuals = _residual_norms(L.X, L.Y, res.right, finite_lams, infinite)
-        residuals /= norms * np.maximum(scales, 1e-300)
+    if residuals is None:  # no anchor: the dense residuals of L itself
+        values = np.array(lams, dtype=complex)
+        R = (_real_matmul(L.X, res.right) * np.where(infinite, 1.0, values)
+             + _real_matmul(L.Y, res.right) * ~infinite)
+        residuals = _relative(R, L.X, L.Y, values, res.right)
     right = res.right / norms
     left = None if res.left is None else res.left / np.linalg.norm(res.left, axis=0)
     triples = [
         Eigentriple(lams[idx], right[:, idx], None if left is None else left[:, idx],
                     float(residuals[idx]), None if res.sums is None else res.sums[:, idx])
-        for idx in range(size)
+        for idx in range(len(lams))
     ]
     return _sort_triples(triples)
 
@@ -588,8 +600,8 @@ class ExclusionLeftReport:
     witness: np.ndarray | None
 
 
-def exclusion_left(P: MatrixPolynomial, factor: AnsatzFactor, tol: float = 1e-8,
-                   solver=None) -> ExclusionLeftReport:
+def exclusion_left(P: MatrixPolynomial, factor: AnsatzFactor,
+                   tol: float = 1e-8) -> ExclusionLeftReport:
     """Left-eigenvector exclusion test for a factored pencil.
 
     For side M1 the pencil is a strong linearization iff u^T (v kron I_n) != 0
@@ -603,7 +615,7 @@ def exclusion_left(P: MatrixPolynomial, factor: AnsatzFactor, tol: float = 1e-8,
     chk = check_linearization(factor)
     L = make_m1(P, factor) if factor.side == "M1" else make_m2(P, factor)
     try:
-        triples = pencil_eigen(L, solver=solver)
+        triples = pencil_eigen(L)
     except SingularPencilError:
         if not chk.is_strong_linearization:
             # M1: a left nullvector of the multiplier annihilates the pencil
@@ -686,6 +698,8 @@ def eigenvalue_exclusion(P: MatrixPolynomial, v, tol: float = 1e-8) -> Eigenvalu
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size != P.k:
         raise DimensionMismatchError(f"ansatz vector must have length {P.k}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("the ansatz vector v must be finite")
     if np.max(np.abs(v)) == 0.0:
         raise ValueError("the zero ansatz vector is rejected (its polynomial vanishes)")
     C = to_monomial(P.basis, P.k - 1)

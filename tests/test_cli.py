@@ -280,3 +280,12 @@ def test_wrong_vector_length_is_a_dimension_mismatch(capsys):
         capsys.readouterr()
     assert run(["exclusion", "--random", "2,3,5", "--v", "0,0,0"]) == 2  # the zero vector
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("command", ["blocksym", "exclusion"])
+def test_non_finite_v_is_malformed(capsys, command, token):
+    # 1e400 overflows to inf
+    assert run([command, "--random", "2,3,1", "--v", f"{token},1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--v must be finite" in captured.err

@@ -1,12 +1,13 @@
-"""The companion-form branch of qz_solve, and its fallback to QZ.
+"""The anchor route of qz_solve: the companion-form geev and QZ on the anchor.
 
-An anchor pencil with invertible P_k, and an M1 or M2 pencil whose
-multiplier is invertible too, is solved by geev on the anchor's companion
-matrix, and the result is kept only under the eta_L and eta_P certificate;
-otherwise QZ runs.  The references here are sigma_min(P(lam)) /
-sum_i |phi_i(lam)| ||P_i||_F from an SVD of the evaluated polynomial, and
-residuals of recovered vectors from the evaluated polynomial; neither shares
-code with the certificate.
+An anchor pencil, or an M1 or M2 pencil of P, is solved through the anchor.
+When P_k is well conditioned geev solves the anchor's companion matrix, and
+its result is kept only under the eta_L and eta_P certificate; otherwise QZ
+solves the anchor itself.  The references here are sigma_min(P(lam)) /
+sum_i |phi_i(lam)| ||P_i||_F from an SVD of the evaluated polynomial,
+residuals of recovered vectors from the evaluated polynomial, and QZ on the
+pencil's own matrices (``pencil_eigen`` with no anchor); none shares code
+with the anchor route.
 """
 
 import contextlib
@@ -37,7 +38,8 @@ from orthopencil import (
 )
 from orthopencil import cli, spectral
 from orthopencil.ansatz import side_multiplier
-from orthopencil.matpoly import _rcond, _scaled_lu
+from orthopencil.errors import SingularPencilError
+from orthopencil.matpoly import RegularityVerdict, _rcond, _scaled_lu
 from orthopencil.serialize import dump_json, factor_to_obj, problem_to_obj, spectrum_report_obj
 from orthopencil.spectral import backward_errors
 from conftest import ALL_KINDS, random_problem
@@ -70,6 +72,49 @@ def _ill_conditioned_lead(cond, seed=0, n=3, k=4, kind="chebyshev1"):
 
 def _report(triples):
     return dump_json(spectrum_report_obj(triples))
+
+
+def _assert_same_spectrum(lams, ref):
+    """lams and ref agree to 1e-8 relative, matched nearest to nearest both ways."""
+    assert lams.size == ref.size
+    if lams.size:
+        dist = np.abs(lams[:, None] - ref[None, :]) / np.maximum(1.0, np.abs(ref[None, :]))
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-8
+
+
+def _assert_matches_qz(L, side, lams, infinite_count, residuals):
+    """The anchor route's finite eigenvalues, infinite count and residuals
+    against QZ on L's own matrices: the same eigenvalues bit for bit and
+    residuals within kn eps for an anchor pencil; for M1/M2 the spectrum
+    within 1e-8 relative and residuals at most 10 kn eps."""
+    kn = L.k * L.n
+    qz = pencil_eigen(L, left=False)
+    ref = [t for t in qz if not t.is_infinite]
+    assert infinite_count == len(qz) - len(ref)
+    if side == "anchor":
+        assert list(lams) == [t.eigenvalue for t in ref]
+        assert np.all(np.abs(np.subtract(residuals, [t.residual for t in ref])) <= kn * EPS)
+    else:
+        _assert_same_spectrum(np.array(lams, dtype=complex), np.array([t.eigenvalue for t in ref]))
+        assert max(residuals, default=0.0) <= 10 * kn * EPS
+
+
+def _assert_triples_match_qz(L, side, triples):
+    finite = [t for t in triples if not t.is_infinite]
+    _assert_matches_qz(L, side, [t.eigenvalue for t in finite], len(triples) - len(finite),
+                       [t.residual for t in finite])
+
+
+def _spy_eig(monkeypatch):
+    """Record the matrices of every scipy.linalg.eig call: (a, b), b None for geev."""
+    calls, inner = [], spectral.scipy.linalg.eig
+
+    def spy(a, b=None, *args, **kwargs):
+        calls.append((np.array(a), None if b is None else np.array(b)))
+        return inner(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.scipy.linalg, "eig", spy)
+    return calls
 
 
 @settings(max_examples=12)
@@ -107,7 +152,7 @@ def test_ill_conditioned_lead_falls_back_to_qz(cond):
     assert _rcond(L.X[:3, :3]) > 10 * 3 * EPS
     assert spectral._companion_solve(L.X, L.Y, P) is None
     triples = pencil_eigen(L, left=False, anchor=P)
-    assert _report(triples) == _report(pencil_eigen(L, left=False))
+    _assert_triples_match_qz(L, "anchor", triples)
     assert _sigma_eta(P, np.array([t.eigenvalue for t in triples])).max() <= 100 * 12 * EPS
 
 
@@ -116,12 +161,13 @@ def test_singular_lead_gives_infinite_eigenvalues_by_qz(monkeypatch, rng):
     coeffs[-1][:, 1] = 0.0
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev2"))
     L = anchor_pencil(P)
-    calls = []
-    monkeypatch.setattr(spectral, "_companion_solve", lambda *a: calls.append(a))
+    calls = _spy_eig(monkeypatch)
     triples = pencil_eigen(L, left=False, anchor=P)
-    assert calls == []
+    # no geev: QZ alone, on the anchor
+    assert len(calls) == 1 and calls[0][1] is not None
     assert sum(t.is_infinite for t in triples) >= 1
-    assert _report(triples) == _report(pencil_eigen(L, left=False))
+    monkeypatch.undo()
+    _assert_triples_match_qz(L, "anchor", triples)
 
 
 # Leads on which geev's result fails exactly one check of the certificate
@@ -143,8 +189,7 @@ def test_each_certificate_check_rejects_on_its_own(case):
         f = AnsatzFactor(f.v, f.B, side)
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
     assert spectral._companion_solve(L.X, L.Y, P, False, _gate(f)) is None
-    assert _report(pencil_eigen(L, left=False, anchor=P, factor=f)) == _report(
-        pencil_eigen(L, left=False))
+    _assert_triples_match_qz(L, side, pencil_eigen(L, left=False, anchor=P, factor=f))
 
 
 def _write_problem(tmp_path, P, name):
@@ -246,9 +291,17 @@ def _vectors(report, side):
     return np.array([[complex(re, im) for re, im in x] for x in report["eigenvectors"][side]])
 
 
-def _qz_pencil_eigen(L, left, anchor, factor):
-    """cli's pencil_eigen without the anchor: no companion branch."""
-    return pencil_eigen(L, left=left)
+def _assert_report_matches_qz(P, L, side, out):
+    """A CLI report of the anchor route against QZ on L (see _assert_matches_qz);
+    printed eigenvectors of P must have eta_P at most 100 kn eps."""
+    report = json.loads(out)
+    lams = [complex(e["re"], e["im"]) for e in report["finite"]]
+    _assert_matches_qz(L, side, lams, report["infinite_count"],
+                       [e["residual"] for e in report["finite"]])
+    if "eigenvectors" in report and lams:
+        for vec_side in ("right", "left"):
+            eta = _vector_eta(P, np.array(lams), _vectors(report, vec_side), vec_side)
+            assert eta.max() <= 100 * L.k * L.n * EPS, vec_side
 
 
 @settings(max_examples=12)
@@ -276,9 +329,8 @@ def test_recover_is_certified_on_every_pencil(kind, side, shape, seed):
             rc, out = _run(argv)
         assert rc == 0
         if not kept or kept[0] is None:
-            # not certified: the report is QZ's
-            with mock.patch.object(cli, "pencil_eigen", _qz_pencil_eigen):
-                assert _run(argv) == (rc, out)
+            # not certified: QZ solved the anchor
+            _assert_report_matches_qz(P, L, side, out)
             return
     report = json.loads(out)
     assert report["infinite_count"] == 0
@@ -287,9 +339,7 @@ def test_recover_is_certified_on_every_pencil(kind, side, shape, seed):
     for vec_side in ("right", "left"):
         assert _vector_eta(P, lams, _vectors(report, vec_side), vec_side).max() <= bound, vec_side
     # the same spectrum as QZ's, matched nearest to nearest both ways
-    qz = np.array([t.eigenvalue for t in pencil_eigen(L, left=False)])
-    dist = np.abs(lams[:, None] - qz[None, :]) / np.maximum(1.0, np.abs(qz[None, :]))
-    assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-8
+    _assert_same_spectrum(lams, np.array([t.eigenvalue for t in pencil_eigen(L, left=False)]))
 
 
 def test_block_sums_are_read_off_the_anchor(tmp_path):
@@ -319,17 +369,33 @@ def test_block_sums_are_read_off_the_anchor(tmp_path):
                           np.stack([t.weighted_sum for t in triples]))
 
 
-def _qz_only(monkeypatch):
-    monkeypatch.setattr(cli, "pencil_eigen", _qz_pencil_eigen)
+def test_block_sums_are_read_off_the_anchor_by_qz(tmp_path, monkeypatch):
+    # the pencil of test_block_sums_are_read_off_the_anchor with geev's
+    # result refused: QZ on the anchor gives the sums, with no cancellation
+    n, k = 5, 12
+    rng = np.random.default_rng(20)
+    P = random_problem(rng, n, k, "chebyshev2")
+    f, _ = build_dm_pencil(P, rng.uniform(-1.0, 1.0, k))
+    f = AnsatzFactor(f.v, f.B, "M2")
+    monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
+    rc, out = _run(["recover", "-p", _write_problem(tmp_path, P, "p"),
+                    "--factor", _write_factor(tmp_path, "f", f)])
+    assert rc == 0
+    report = json.loads(out)
+    lams = np.array([complex(e["re"], e["im"]) for e in report["finite"]])
+    for side in ("right", "left"):
+        assert _vector_eta(P, lams, _vectors(report, side), side).max() <= 100 * k * n * EPS
 
 
-def _recover_argvs(tmp_path, P, rng):
+def _recover_cases(tmp_path, P, rng):
+    """(side, recover argv, pencil) for the anchor and block-symmetric M1/M2 factors of P."""
     path = _write_problem(tmp_path, P, "p")
-    argvs = [["recover", "-p", path]]
+    cases = [("anchor", ["recover", "-p", path], anchor_pencil(P))]
     for side in ("M1", "M2"):
-        f = _write_factor(tmp_path, side, _block_symmetric(P, side, rng))
-        argvs.append(["recover", "-p", path, "--factor", f])
-    return argvs
+        f = _block_symmetric(P, side, rng)
+        cases.append((side, ["recover", "-p", path, "--factor", _write_factor(tmp_path, side, f)],
+                      make_m1(P, f) if side == "M1" else make_m2(P, f)))
+    return cases
 
 
 def test_ill_conditioned_lead_is_the_qz_report(tmp_path, monkeypatch, rng):
@@ -338,33 +404,32 @@ def test_ill_conditioned_lead_is_the_qz_report(tmp_path, monkeypatch, rng):
     inner = spectral._companion_solve
     monkeypatch.setattr(spectral, "_companion_solve",
                         lambda *a: results.append(inner(*a)) or results[-1])
-    argvs = _recover_argvs(tmp_path, P, rng)
+    cases = _recover_cases(tmp_path, P, rng)
     # eig asks for one side only: the right one for the anchor and M1, the
     # left one (of the anchor of P^T) for M2
-    argvs += [["eig", *argv[1:]] for argv in argvs]
-    fast = [_run(argv) for argv in argvs]
+    cases += [(side, ["eig", *argv[1:]], L) for side, argv, L in cases]
+    outs = [_run(argv) for _, argv, _ in cases]
     # every solve was tried (P_k and the multipliers are invertible) and failed
     assert len(results) == 6 and all(r is None for r in results)
     monkeypatch.undo()
-    _qz_only(monkeypatch)
-    assert [_run(argv) for argv in argvs] == fast
-    assert all(rc == 0 for rc, _ in fast)
+    for (side, _, L), (rc, out) in zip(cases, outs):
+        assert rc == 0
+        _assert_report_matches_qz(P, L, side, out)
 
 
 def test_singular_lead_recover_gets_infinite_eigenvalues_by_qz(tmp_path, monkeypatch, rng):
     coeffs = [rng.uniform(-1.0, 1.0, (4, 4)) for _ in range(4)]
     coeffs[-1][:, 1] = 0.0
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev1"))
-    argvs = _recover_argvs(tmp_path, P, rng)
-    calls = []
-    monkeypatch.setattr(spectral, "_companion_solve", lambda *a: calls.append(a))
-    outs = [_run(argv) for argv in argvs]
-    assert calls == []
-    for rc, out in outs:
-        assert rc == 0 and json.loads(out)["infinite_count"] >= 1
+    cases = _recover_cases(tmp_path, P, rng)
+    calls = _spy_eig(monkeypatch)
+    outs = [_run(argv) for _, argv, _ in cases]
+    # no geev: one QZ per op, on the anchor
+    assert len(calls) == 3 and all(b is not None for _, b in calls)
     monkeypatch.undo()
-    _qz_only(monkeypatch)
-    assert [_run(argv) for argv in argvs] == outs
+    for (side, _, L), (rc, out) in zip(cases, outs):
+        assert rc == 0 and json.loads(out)["infinite_count"] >= 1
+        _assert_report_matches_qz(P, L, side, out)
 
 
 @pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
@@ -395,12 +460,16 @@ def test_structured_residuals_match_the_dense_pencil(rng, kind, side):
     F = anchor_pencil(P if side != "M2" else MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis))
     m = 7
     lams = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    lams[[1, 4]] = np.inf  # beta = 0: the residual is ||X u|| / (||X|| ||u||)
     U = rng.standard_normal((24, m)) + 1j * rng.standard_normal((24, m))
     got = spectral._structured_residuals(L.X, L.Y, F, lams, U, _gate(f))
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
     for j in range(m):
-        dense = np.linalg.norm((L.X * lams[j] + L.Y) @ U[:, j]) / (
-            (nx * abs(lams[j]) + ny) * np.linalg.norm(U[:, j]))
+        if np.isinf(lams[j]):
+            dense = np.linalg.norm(L.X @ U[:, j]) / (nx * np.linalg.norm(U[:, j]))
+        else:
+            dense = np.linalg.norm((L.X * lams[j] + L.Y) @ U[:, j]) / (
+                (nx * abs(lams[j]) + ny) * np.linalg.norm(U[:, j]))
         assert abs(got[j] - dense) <= 1e-12 * dense
 
 
@@ -412,8 +481,8 @@ def _gate(f):
     return spectral._Multiplier(f.side, T, _scaled_lu(T)[1])
 
 
-def _deficient(f, rng, noise=0.0):
-    """f with a zero column in its side multiplier, up to noise: column n of
+def _small_column(f, rng, noise):
+    """f with a column of its side multiplier replaced by noise: column n of
     T for M1, and the last column of S for M2 (v_k and the last column of
     every block in B's last block row)."""
     n, v, B = f.n, f.v.copy(), f.B.copy()
@@ -422,7 +491,13 @@ def _deficient(f, rng, noise=0.0):
     else:
         v[-1] = 0.0
         B[-n:, n - 1::n] = noise * rng.standard_normal((n, B.shape[1] // n))
-    f = AnsatzFactor(v, B, f.side)
+    return AnsatzFactor(v, B, f.side)
+
+
+def _deficient(f, rng, noise=0.0):
+    """f with a zero column in its side multiplier, up to noise below the rank
+    test's threshold (see _small_column)."""
+    f = _small_column(f, rng, noise)
     assert not check_linearization(f).is_strong_linearization
     return f
 
@@ -434,6 +509,75 @@ def test_rank_deficient_multiplier_still_exits_4(tmp_path, rng, side, noise):
     f = _write_factor(tmp_path, side, _deficient(_block_symmetric(P, side, rng), rng, noise))
     for cmd in ("eig", "recover"):
         assert _run([cmd, "-p", _write_problem(tmp_path, P, "p"), "--factor", f])[0] == 4
+
+
+@pytest.mark.parametrize("solver", ("geev", "qz"))
+@pytest.mark.parametrize("noise", (1e-9, 1e-6))
+@pytest.mark.parametrize("side", ("M1", "M2"))
+def test_ill_conditioned_multiplier_recovers_from_the_anchor(tmp_path, monkeypatch, side,
+                                                             noise, solver):
+    # QZ on L = T F itself loses digits to cond(T) in its eigenvalues and
+    # vectors; through the anchor only F's conditioning counts, whether geev
+    # or (with geev's result refused) QZ solves it
+    n, k = 10, 12
+    rng = np.random.default_rng(7)
+    P = random_problem(rng, n, k, "chebyshev2")
+    f = _small_column(_block_symmetric(P, side, rng), rng, noise)
+    assert check_linearization(f).sigma_min <= 1e3 * noise
+    if solver == "qz":
+        monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
+    rc, out = _run(["recover", "-p", _write_problem(tmp_path, P, "p"),
+                    "--factor", _write_factor(tmp_path, "f", f)])
+    assert rc == 0
+    report = json.loads(out)
+    assert report["infinite_count"] == 0
+    lams = np.array([complex(e["re"], e["im"]) for e in report["finite"]])
+    assert lams.size == k * n
+    assert _sigma_eta(P, lams).max() <= 100 * k * n * EPS
+    for vec_side in ("right", "left"):
+        eta = _vector_eta(P, lams, _vectors(report, vec_side), vec_side)
+        assert eta.max() <= 100 * k * n * EPS, vec_side
+
+
+@pytest.mark.parametrize("lead", ("ill_conditioned", "singular"))
+def test_factor_pencils_never_reach_qz(tmp_path, monkeypatch, rng, lead):
+    # geev is refused (kappa(P_k) = 1e4) or not tried (singular P_k): QZ
+    # solves the anchor, never the M1/M2 pencil's own matrices
+    P = _ill_conditioned_lead(1e4)
+    if lead == "singular":
+        coeffs = list(P.coeffs)
+        coeffs[-1] = coeffs[-1].copy()
+        coeffs[-1][:, 1] = 0.0
+        P = MatrixPolynomial(tuple(coeffs), P.basis)
+    path = _write_problem(tmp_path, P, "p")
+    for side in ("M1", "M2"):
+        f = _block_symmetric(P, side, rng)
+        L = make_m1(P, f) if side == "M1" else make_m2(P, f)
+        F = anchor_pencil(P if side == "M1" else MatrixPolynomial(
+            tuple(c.T for c in P.coeffs), P.basis))
+        for cmd in ("eig", "recover"):
+            calls = _spy_eig(monkeypatch)
+            rc, _ = _run([cmd, "-p", path, "--factor", _write_factor(tmp_path, side, f)])
+            monkeypatch.undo()
+            assert rc == 0
+            pairs = [(a, b) for a, b in calls if b is not None]
+            assert len(pairs) == 1 and len(calls) == (1 if lead == "singular" else 2)
+            assert not any(np.array_equal(a, L.Y) or np.array_equal(b, -L.X) for a, b in pairs)
+            assert np.array_equal(pairs[0][0], F.Y) and np.array_equal(pairs[0][1], -F.X)
+
+
+def test_multiplier_with_a_zero_pivot_is_singular(rng, monkeypatch):
+    # the map to L needs the multiplier's LU, so a multiplier with an exactly
+    # zero pivot is a singular pencil even where sampling would pass it
+    P = random_problem(rng, 3, 4, "legendre")
+    monkeypatch.setattr(spectral, "sampled_regularity",
+                        lambda *a: RegularityVerdict(True, 0j, 1.0, 1))
+    for side in ("M1", "M2"):
+        f = _deficient(_block_symmetric(P, side, rng), rng)
+        assert _scaled_lu(side_multiplier(f))[1] is None
+        L = make_m1(P, f) if side == "M1" else make_m2(P, f)
+        with pytest.raises(SingularPencilError):
+            pencil_eigen(L, anchor=P, factor=f)
 
 
 @pytest.mark.parametrize("side", ("anchor", "M1", "M2"))

@@ -311,6 +311,13 @@ def test_eigenvalue_exclusion_rejects_zero_vector(rng):
         eigenvalue_exclusion(P, np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_eigenvalue_exclusion_rejects_non_finite_v(rng, bad):
+    P = random_problem(rng, 2, 3)
+    with pytest.raises(ValueError, match="must be finite"):
+        eigenvalue_exclusion(P, np.array([bad, 1.0, 1.0]))
+
+
 def test_spectrum_equality_random_members(rng):
     P = random_problem(rng, 2, 3, "legendre")
     ref = reference_spectrum(P)
