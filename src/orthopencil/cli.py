@@ -1,5 +1,11 @@
 """Command-line front end: JSON in, JSON report out.
 
+Each call builds only the parser of the subcommand that its first argument
+names, so a small op does not pay for the other commands' options.  The
+full parser is built when the first argument names no command (no
+arguments, --help, an unknown name) or when arguments are left over; help,
+errors and exit codes are the same either way.
+
 Exit codes: 0 success (verdict payloads carry pass/fail, not exit codes),
 2 malformed input, 3 dimension mismatch, 4 singular pencil / singular
 polynomial where regularity is required.
@@ -70,6 +76,12 @@ def _parse_vector(text: str) -> np.ndarray:
     return v
 
 
+def _tolerance(tol: float) -> float:
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"--tol must be finite and positive, got {tol}")
+    return tol
+
+
 def _emit(obj):
     sys.stdout.write(dump_json(obj) + "\n")
 
@@ -118,14 +130,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    tol = _tolerance(args.tol)
     P = _load_problem(args)
     L = pencil_from_obj(_load_json(args.pencil))
-    report = verify_membership(L, P, side=args.side.upper(), tol=args.tol)
+    report = verify_membership(L, P, side=args.side.upper(), tol=tol)
     _emit({"member": report.member, "v": report.v.tolist(), "residual": report.residual})
     return 0
 
 
 def _cmd_eig(args) -> int:
+    tol = _tolerance(args.tol)
     P = _load_problem(args)
     f = factor_from_obj(_load_json(args.factor)) if args.factor else None
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if f.side == "M1" else make_m2(P, f))
@@ -143,8 +157,8 @@ def _cmd_eig(args) -> int:
         kron = np.stack([t.right if side == "M1" else t.left for t in triples], axis=1)
         sums = np.stack([t.weighted_sum for t in triples], axis=1)
         nullside, flipped = ("right", "left") if side == "M1" else ("left", "right")
-        fitted = recover_right(P, lams, kron, tol=args.tol, nullside=nullside)
-        summed = recover_left(np.ones(1), sums, P, lams, tol=args.tol, nullside=flipped)
+        fitted = recover_right(P, lams, kron, tol=tol, nullside=nullside)
+        summed = recover_left(np.ones(1), sums, P, lams, tol=tol, nullside=flipped)
         rights, lefts = (fitted, summed) if side == "M1" else (summed, fitted)
         rights, lefts = rights.T, lefts.T
     _emit(spectrum_report_obj(triples, rights, lefts))
@@ -152,8 +166,9 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_exclusion(args) -> int:
+    tol = _tolerance(args.tol)
     P = _load_problem(args)
-    report = eigenvalue_exclusion(P, _parse_vector(args.v), tol=args.tol)
+    report = eigenvalue_exclusion(P, _parse_vector(args.v), tol=tol)
     _emit(
         {
             "excluded": report.excluded,
@@ -186,69 +201,94 @@ def _add_problem_args(sub):
                      help="basis kind for --random problems")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _no_args(sub):
+    pass
+
+
+def _factor_args(sub):
+    sub.add_argument("-f", "--factor", required=True)
+
+
+def _ansatz_args(sub):
+    _factor_args(sub)
+    sub.add_argument("--side", choices=["m1", "m2", "M1", "M2"])
+
+
+def _blocksym_args(sub):
+    sub.add_argument("--v", required=True, help="comma-separated ansatz vector")
+
+
+def _membership_args(sub):
+    sub.add_argument("--pencil", required=True)
+    sub.add_argument("--side", default="m1", choices=["m1", "m2", "M1", "M2"])
+    sub.add_argument("--tol", type=float, default=1e-8)
+
+
+def _spectrum_args(recover: bool):
+    def add(sub):
+        sub.add_argument("--factor", help="factor JSON (default: anchor pencil)")
+        sub.add_argument("--recover", action="store_true", default=recover)
+        sub.add_argument("--tol", type=float, default=1e-6)
+    return add
+
+
+def _exclusion_args(sub):
+    sub.add_argument("--v", required=True)
+    sub.add_argument("--tol", type=float, default=1e-8)
+
+
+# Every subcommand, once: name -> (help, adder of the arguments after the
+# problem arguments, handler).  The order is the order of the help listing.
+COMMANDS = {
+    "anchor": ("emit the anchor pencil of a problem", _no_args, _cmd_anchor),
+    "ansatz": ("emit the pencil of a (v, B) factor", _ansatz_args, _cmd_ansatz),
+    "blocksym": ("build the block-symmetric pencil for v", _blocksym_args, _cmd_blocksym),
+    "check": ("rank test of a factor", _factor_args, _cmd_check),
+    "membership": ("verify the ansatz identity for a pencil", _membership_args,
+                   _cmd_membership),
+    "eig": ("pencil spectrum report", _spectrum_args(False), _cmd_eig),
+    "recover": ("pencil spectrum report with eigenvector recovery", _spectrum_args(True),
+                _cmd_eig),
+    "exclusion": ("eigenvalue exclusion verdict for v", _exclusion_args, _cmd_exclusion),
+    "oracle": ("brute-force reference spectrum", _no_args, _cmd_oracle),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with ``only`` of that one alone.
+
+    A subcommand parses and fails the same way in both: its own parser, and
+    its prog "orthopencil <name>", do not depend on the others."""
     parser = argparse.ArgumentParser(
         prog="orthopencil",
         description="Construct, classify, and validate linearizations of matrix "
         "polynomials in orthogonal and degree-graded bases.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("anchor", help="emit the anchor pencil of a problem")
-    _add_problem_args(s)
-    s.set_defaults(func=_cmd_anchor)
-
-    s = subs.add_parser("ansatz", help="emit the pencil of a (v, B) factor")
-    _add_problem_args(s)
-    s.add_argument("-f", "--factor", required=True)
-    s.add_argument("--side", choices=["m1", "m2", "M1", "M2"])
-    s.set_defaults(func=_cmd_ansatz)
-
-    s = subs.add_parser("blocksym", help="build the block-symmetric pencil for v")
-    _add_problem_args(s)
-    s.add_argument("--v", required=True, help="comma-separated ansatz vector")
-    s.set_defaults(func=_cmd_blocksym)
-
-    s = subs.add_parser("check", help="rank test of a factor")
-    _add_problem_args(s)
-    s.add_argument("-f", "--factor", required=True)
-    s.set_defaults(func=_cmd_check)
-
-    s = subs.add_parser("membership", help="verify the ansatz identity for a pencil")
-    _add_problem_args(s)
-    s.add_argument("--pencil", required=True)
-    s.add_argument("--side", default="m1", choices=["m1", "m2", "M1", "M2"])
-    s.add_argument("--tol", type=float, default=1e-8)
-    s.set_defaults(func=_cmd_membership)
-
-    for name in ("eig", "recover"):
-        s = subs.add_parser(
-            name,
-            help="pencil spectrum report" if name == "eig"
-            else "pencil spectrum report with eigenvector recovery",
-        )
-        _add_problem_args(s)
-        s.add_argument("--factor", help="factor JSON (default: anchor pencil)")
-        s.add_argument("--recover", action="store_true", default=(name == "recover"))
-        s.add_argument("--tol", type=float, default=1e-6)
-        s.set_defaults(func=_cmd_eig)
-
-    s = subs.add_parser("exclusion", help="eigenvalue exclusion verdict for v")
-    _add_problem_args(s)
-    s.add_argument("--v", required=True)
-    s.add_argument("--tol", type=float, default=1e-8)
-    s.set_defaults(func=_cmd_exclusion)
-
-    s = subs.add_parser("oracle", help="brute-force reference spectrum")
-    _add_problem_args(s)
-    s.set_defaults(func=_cmd_oracle)
-
+    for name, (help_text, add_args, handler) in COMMANDS.items():
+        if only is None or name == only:
+            s = subs.add_parser(name, help=help_text)
+            _add_problem_args(s)
+            add_args(s)
+            s.set_defaults(func=handler)
     return parser
 
 
+def _parse(argv):
+    """argv parsed as the full parser parses it, building only the named
+    subcommand's parser unless the first token names none (no argv, -h, an
+    unknown command) or arguments are left over (the full parser's
+    "unrecognized arguments" error then prints)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (SingularPencilError, SingularMatrixPolynomialError) as exc:

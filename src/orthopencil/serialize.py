@@ -84,9 +84,18 @@ def problem_to_obj(P: MatrixPolynomial) -> dict:
     }
 
 
+def _required(obj: dict, what: str, *keys):
+    """obj[key] for each key, or a ValueError that names the first missing one."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} JSON is missing key {key!r}")
+    return [obj[key] for key in keys]
+
+
 def problem_from_obj(obj: dict) -> MatrixPolynomial:
-    basis = basis_from_obj(obj["basis"])
-    coeffs = [np.array(m, dtype=float) for m in obj["coefficients"]]
+    basis, coefficients = _required(obj, "problem", "basis", "coefficients")
+    basis = basis_from_obj(basis)
+    coeffs = [np.array(m, dtype=float) for m in coefficients]
     P = MatrixPolynomial(tuple(coeffs), basis)
     n = int(obj.get("n", P.n))
     k = int(obj.get("k", P.k))
@@ -102,12 +111,8 @@ def pencil_to_obj(L: Pencil) -> dict:
 
 
 def pencil_from_obj(obj: dict) -> Pencil:
-    return Pencil(
-        X=np.array(obj["X"], dtype=float),
-        Y=np.array(obj["Y"], dtype=float),
-        n=int(obj["n"]),
-        k=int(obj["k"]),
-    )
+    X, Y, n, k = _required(obj, "pencil", "X", "Y", "n", "k")
+    return Pencil(X=np.array(X, dtype=float), Y=np.array(Y, dtype=float), n=int(n), k=int(k))
 
 
 def factor_to_obj(f: AnsatzFactor) -> dict:
@@ -115,9 +120,10 @@ def factor_to_obj(f: AnsatzFactor) -> dict:
 
 
 def factor_from_obj(obj: dict) -> AnsatzFactor:
+    v, B = _required(obj, "factor", "v", "B")
     return AnsatzFactor(
-        v=np.array(obj["v"], dtype=float),
-        B=np.array(obj["B"], dtype=float),
+        v=np.array(v, dtype=float),
+        B=np.array(B, dtype=float),
         side=obj.get("side", "M1"),
     )
 
@@ -228,6 +234,10 @@ def _encode(value, indent: int) -> str:
         if texts is not None:
             return layout[0] % tuple(texts)
         return _block([_encode(item, indent + 2) for item in value], indent)
+    if not isinstance(value, (list, tuple, dict)):
+        # a lone scalar is one line either way; without indent the C encoder
+        # writes it
+        return json.dumps(value, default=_coerce_scalars)
     text = json.dumps(value, indent=2, sort_keys=True, default=_coerce_scalars)
     return text.replace("\n", "\n" + " " * indent)
 
@@ -244,8 +254,10 @@ def dump_json(obj) -> str:
       leaves without indent (both encoders write floats by float.__repr__,
       and NaN and the infinities by the same names);
     - a dict with string keys, and any other list, is laid out item by item;
-    - anything else (a string, a lone scalar, a tuple, a dict with a
-      non-string key) is json.dumps with indent, re-indented to its depth.
+    - a string or a lone scalar is json.dumps without indent, in the C
+      encoder;
+    - a tuple or a dict with a non-string key is json.dumps with indent,
+      re-indented to its depth.
     The result is byte-identical to json.dumps(obj, indent=2, sort_keys=True).
     """
     return _encode(obj, 0)

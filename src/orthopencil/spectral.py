@@ -136,9 +136,10 @@ def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
     """
     if anchor is None:
         return _qz(X, Y, left)
-    res = _companion_solve(X, Y, anchor, left, multiplier)
+    tied = _tied_anchor(X, Y, anchor, left, multiplier)
+    res = _companion_solve(X, Y, anchor, left, multiplier, tied)
     if res is None:
-        _, F, want_left, want_right = _tied_anchor(X, Y, anchor, left, multiplier)
+        _, F, want_left, want_right = tied
         res = _through_anchor(X, Y, F, _qz(F.X, F.Y, want_left, want_right), left, multiplier)
     return res
 
@@ -254,11 +255,12 @@ def _through_anchor(X, Y, F, eigs, left, multiplier):
                                   left=left_vecs, residual=residual, sums=sums)
 
 
-def _companion_solve(X, Y, P, left=False, multiplier=None):
+def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None):
     """The certified geev solve of the anchor route, mapped to the pencil
     (X, Y), or None: when P_k fails its gate, geev does not converge, or the
-    certificate fails."""
-    P, F, want_left, want_right = _tied_anchor(X, Y, P, left, multiplier)
+    certificate fails.  ``tied`` is _tied_anchor's result, if the caller has
+    built it."""
+    P, F, want_left, want_right = tied or _tied_anchor(X, Y, P, left, multiplier)
     n, k, size = P.n, P.k, X.shape[0]
     rcond, lead = _scaled_lu(F.X[:n, :n])
     if not rcond > 10.0 * n * np.finfo(float).eps:

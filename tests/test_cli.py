@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orthopencil import AnsatzFactor, anchor_pencil, builtin_basis, identity_factor, MatrixPolynomial
-from orthopencil.cli import run
+from orthopencil.cli import build_parser, main, run
 from orthopencil.serialize import (
     dump_json,
     factor_to_obj,
@@ -289,3 +289,79 @@ def test_non_finite_v_is_malformed(capsys, command, token):
     assert run([command, "--random", "2,3,1", "--v", f"{token},1,1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--v must be finite" in captured.err
+
+
+@pytest.mark.parametrize("token", ["-1", "0", "nan", "inf"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, cheb_problem_file, token):
+    path, P = cheb_problem_file
+    pencil = tmp_path / "pencil.json"
+    pencil.write_text(dump_json(pencil_to_obj(anchor_pencil(P))))
+    p = ["-p", str(path)]
+    argvs = [
+        # a true member (residual at rounding level), reported as none at --tol -1
+        ["membership", *p, "--pencil", str(pencil)],
+        ["eig", *p], ["recover", *p],
+        ["exclusion", *p, "--v", "1,0,0"],
+    ]
+    for argv in argvs:
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+        assert run([*argv, "--tol", token]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: --tol must be finite and positive"), argv
+
+
+def test_missing_key_is_named(tmp_path, capsys, cheb_problem_file):
+    path, P = cheb_problem_file
+    pencil = tmp_path / "pencil.json"
+    pencil.write_text(dump_json(pencil_to_obj(anchor_pencil(P))))
+    # a pencil where a factor or a problem belongs
+    for argv, message in [
+        (["check", "-p", str(path), "-f", str(pencil)], "factor JSON is missing key 'v'"),
+        (["anchor", "-p", str(pencil)], "problem JSON is missing key 'basis'"),
+        (["membership", "-p", str(path), "--pencil", str(path)], "pencil JSON is missing key 'X'"),
+    ]:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+COMMAND_NAMES = ("anchor", "ansatz", "blocksym", "check", "membership", "eig", "recover",
+                 "exclusion", "oracle")
+# argvs that stop in the parser: help, no or an unknown command, a missing
+# required option, a bad choice, a bad type, and arguments left over
+PARSER_EXITS = [[name, "-h"] for name in COMMAND_NAMES] + [
+    [], ["-h"], ["nope"], ["-x"],
+    ["blocksym", "--random", "2,3,1"], ["anchor", "--basis", "fourier"],
+    ["membership", "--pencil", "p.json", "--side", "m3"], ["eig", "--tol", "abc"],
+    ["eig", "--random", "2,3,1", "extra"], ["eig", "--random", "2,3,1", "--bogus", "1"],
+    ["anchor", "--random"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_run_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    # run builds one command's parser; what it prints must not show it
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for parse in (build_parser().parse_args, run):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outcomes.append((exc.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if "-h" in argv else 2)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    argv = ["eig", "--random", "3,4,1"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["orthopencil", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0 and capsys.readouterr().out == expected
+
+
+def test_one_command_parser_offers_that_command_alone():
+    assert build_parser("eig").format_usage() == "usage: orthopencil [-h] {eig} ...\n"
+    assert "{" + ",".join(COMMAND_NAMES) + "}" in build_parser().format_usage()

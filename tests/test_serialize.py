@@ -82,6 +82,30 @@ def test_factor_round_trip(rng):
     assert np.array_equal(f.v, g.v) and np.array_equal(f.B, g.B)
 
 
+@pytest.mark.parametrize("key", ["basis", "coefficients"])
+def test_problem_names_a_missing_key(rng, key):
+    obj = problem_to_obj(random_problem(rng, 2, 3))
+    del obj[key]
+    with pytest.raises(ValueError, match=f"^problem JSON is missing key '{key}'$"):
+        problem_from_obj(obj)
+
+
+@pytest.mark.parametrize("key", ["X", "Y", "n", "k"])
+def test_pencil_names_a_missing_key(rng, key):
+    obj = pencil_to_obj(anchor_pencil(random_problem(rng, 2, 3)))
+    del obj[key]
+    with pytest.raises(ValueError, match=f"^pencil JSON is missing key '{key}'$"):
+        pencil_from_obj(obj)
+
+
+@pytest.mark.parametrize("key", ["v", "B"])
+def test_factor_names_a_missing_key(rng, key):
+    obj = factor_to_obj(AnsatzFactor(rng.standard_normal(3), rng.standard_normal((6, 4))))
+    del obj[key]
+    with pytest.raises(ValueError, match=f"^factor JSON is missing key '{key}'$"):
+        factor_from_obj(obj)
+
+
 def test_spectrum_report_sorted_and_complete(rng):
     P = random_problem(rng, 2, 3)
     triples = pencil_eigen(anchor_pencil(P))
