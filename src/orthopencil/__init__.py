@@ -46,7 +46,6 @@ from .matpoly import MatrixPolynomial, is_regular, monomial_coefficients, revers
 from .oracle import (
     ScalarPoly,
     Spectrum,
-    compare_spectra,
     det_poly,
     poly_roots,
     reference_spectrum,

@@ -1,12 +1,16 @@
 """Independent brute-force spectral reference.
 
 Everything here goes through the monomial basis: the determinant of P is
-expanded symbolically in the coefficients (cofactor expansion over a matrix
-of scalar polynomials), its roots come from the balanced companion matrix,
-and the number of infinite eigenvalues is kn minus the determinant degree.
-Sizes are guarded (n <= 6, k <= 8) because the point of this module is
-auditability, not speed; all derived expectations elsewhere in the package
-are checked against it.
+expanded symbolically in the coefficients by a Laplace expansion along the
+rows of a matrix of scalar polynomials, its roots come from the balanced
+companion matrix, and the number of infinite eigenvalues is kn minus the
+determinant degree.  The expansion memoizes each minor by its column set (its
+rows are always the last ones), so an n x n determinant takes
+n(2^(n-1) - 1) polynomial products instead of O(n!); it stays division-free,
+and each minor is built by the same additions and products in the same order
+as the plain expansion.  Sizes are guarded (n <= 6, k <= 8) because the point
+of this module is auditability, not speed; all derived expectations
+elsewhere in the package are checked against it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import SingularMatrixPolynomialError
 from .matpoly import MatrixPolynomial, monomial_coefficients
@@ -26,7 +29,6 @@ __all__ = [
     "poly_roots",
     "Spectrum",
     "reference_spectrum",
-    "compare_spectra",
 ]
 
 MAX_ORACLE_N = 6
@@ -87,30 +89,36 @@ def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _det_recursive(M, rows, cols) -> np.ndarray:
-    if len(rows) == 1:
-        return M[rows[0]][cols[0]]
+def _det_recursive(M, cols, memo) -> np.ndarray:
+    """Minor of M on its last len(cols) rows and the columns cols, expanded
+    along its first row; memo maps a column tuple to its finished minor."""
+    if len(cols) == 1:
+        return M[-1][cols[0]]
+    det = memo.get(cols)
+    if det is not None:
+        return det
+    row = M[len(M) - len(cols)]
     acc = np.zeros(1)
-    sub_rows = rows[1:]
     for t, c in enumerate(cols):
-        entry = M[rows[0]][c]
+        entry = row[c]
         if not np.any(entry):
             continue
-        minor = _det_recursive(M, sub_rows, cols[:t] + cols[t + 1 :])
+        minor = _det_recursive(M, cols[:t] + cols[t + 1 :], memo)
         term = _poly_mul(entry, minor)
         acc = _poly_add(acc, term if t % 2 == 0 else -term)
+    memo[cols] = acc
     return acc
 
 
 def det_poly(P: MatrixPolynomial, tol: float = 1e-12) -> ScalarPoly:
-    """Determinant of P as a scalar polynomial, by cofactor expansion."""
+    """Determinant of P as a scalar polynomial, by memoized cofactor expansion."""
     if P.n > MAX_ORACLE_N or P.k > MAX_ORACLE_K:
         raise ValueError(
             f"oracle size guard: n <= {MAX_ORACLE_N} and k <= {MAX_ORACLE_K} required"
         )
     A = monomial_coefficients(P)
     M = [[A[:, r, c].copy() for c in range(P.n)] for r in range(P.n)]
-    det = _det_recursive(M, list(range(P.n)), list(range(P.n)))
+    det = _det_recursive(M, tuple(range(P.n)), {})
     return trim_poly(det, tol)
 
 
@@ -139,39 +147,3 @@ def reference_spectrum(P: MatrixPolynomial) -> Spectrum:
         raise SingularMatrixPolynomialError("det P vanishes identically; P is singular")
     finite = poly_roots(det) if det.degree >= 1 else np.zeros(0, dtype=complex)
     return Spectrum(finite, P.k * P.n - det.degree)
-
-
-@dataclass(frozen=True)
-class SpectrumComparison:
-    matched: bool
-    max_distance: float
-    pairs: tuple
-    infinite_match: bool
-    size_mismatch: bool
-
-
-def compare_spectra(a: Spectrum, b: Spectrum, tol: float = 1e-6) -> SpectrumComparison:
-    """Optimal bipartite matching of the finite eigenvalues by distance.
-
-    Symmetric in its arguments.  Lists of unequal length are matched up to the
-    shorter length and flagged.  (A greedy nearest-pair matching would do for
-    well separated spectra; the assignment solver is exact and just as cheap
-    at these sizes.)
-    """
-    fa, fb = a.finite, b.finite
-    size_mismatch = fa.size != fb.size
-    if fa.size == 0 or fb.size == 0:
-        return SpectrumComparison(
-            matched=not size_mismatch and a.infinite_count == b.infinite_count,
-            max_distance=0.0,
-            pairs=(),
-            infinite_match=a.infinite_count == b.infinite_count,
-            size_mismatch=size_mismatch,
-        )
-    cost = np.abs(fa.reshape(-1, 1) - fb.reshape(1, -1))
-    rows, cols = linear_sum_assignment(cost)
-    pairs = tuple((int(r), int(c)) for r, c in zip(rows, cols))
-    max_distance = float(cost[rows, cols].max())
-    infinite_match = a.infinite_count == b.infinite_count
-    matched = (not size_mismatch) and infinite_match and max_distance <= tol
-    return SpectrumComparison(matched, max_distance, pairs, infinite_match, size_mismatch)

@@ -48,6 +48,7 @@ eigenvalue with a 1-D vector is the case m = 1 and returns a 1-D vector.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,7 +332,7 @@ class Eigentriple:
 
     @property
     def is_infinite(self) -> bool:
-        return bool(np.isinf(self.eigenvalue))
+        return cmath.isinf(self.eigenvalue)
 
 
 # Finite eigenvalues whose real parts are chained by steps of at most this

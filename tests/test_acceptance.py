@@ -17,7 +17,6 @@ from orthopencil import (
     build_dm_pencil,
     builtin_basis,
     check_linearization,
-    compare_spectra,
     dimension_m,
     dm_basis,
     eigenvalue_exclusion,
@@ -37,6 +36,7 @@ from orthopencil import (
     spectrum_of,
     verify_membership,
 )
+from spectra import compare_spectra
 from conftest import random_problem, stepped_dg_basis
 
 

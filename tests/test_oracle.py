@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,13 +11,15 @@ from orthopencil import (
     Spectrum,
     SingularMatrixPolynomialError,
     builtin_basis,
-    compare_spectra,
     det_poly,
+    monomial_coefficients,
     poly_roots,
     reference_spectrum,
 )
+from orthopencil import oracle
 from orthopencil.oracle import trim_poly
-from conftest import random_problem
+from spectra import compare_spectra
+from conftest import ALL_KINDS, random_problem
 
 
 def test_det_of_constant_identity():
@@ -144,3 +150,81 @@ def test_compare_spectra_cases(rng):
     assert not rep3.matched and not rep3.infinite_match
     rep4 = compare_spectra(a, Spectrum(np.array([1.0, 2.0, 3.0 + 2e-6]), 1), tol=1e-6)
     assert not rep4.matched and rep4.max_distance == pytest.approx(2e-6)
+
+
+def _plain_det(M, rows, cols):
+    """The unmemoized cofactor expansion along the first row, with the zero
+    entry skip, column order and addition order that det_poly keeps."""
+    if len(rows) == 1:
+        return M[rows[0]][cols[0]]
+    acc = np.zeros(1)
+    for t, c in enumerate(cols):
+        entry = M[rows[0]][c]
+        if not np.any(entry):
+            continue
+        minor = _plain_det(M, rows[1:], cols[:t] + cols[t + 1 :])
+        term = oracle._poly_mul(entry, minor)
+        acc = oracle._poly_add(acc, term if t % 2 == 0 else -term)
+    return acc
+
+
+def _coefficients(rng, P, style):
+    """P with dense, half-zero or small-integer coefficients."""
+    if style == "integer":
+        coeffs = [rng.integers(-3, 4, c.shape).astype(float) for c in P.coeffs]
+    else:
+        coeffs = [c.copy() for c in P.coeffs]
+        if style == "half_zero":
+            for c in coeffs:
+                c[rng.random(c.shape) < 0.5] = 0.0
+    if not coeffs[-1].any():
+        coeffs[-1][0, 0] = 1.0  # P_k must be nonzero
+    return MatrixPolynomial(tuple(coeffs), P.basis)
+
+
+def test_det_poly_bit_identical_to_plain_expansion(rng):
+    for kind in ALL_KINDS:
+        for n in range(1, 7):
+            for k in range(1, 9):
+                for style in ("dense", "half_zero", "integer"):
+                    P = _coefficients(rng, random_problem(rng, n, k, kind), style)
+                    A = monomial_coefficients(P)
+                    M = [[A[:, r, c].copy() for c in range(n)] for r in range(n)]
+                    want = trim_poly(_plain_det(M, list(range(n)), list(range(n))))
+                    got = det_poly(P).coeffs
+                    # int64 views: a -0.0 where the plain expansion has 0.0 fails
+                    assert got.shape == want.coeffs.shape, (kind, n, k, style)
+                    assert np.array_equal(got.view(np.int64), want.coeffs.view(np.int64)), (
+                        kind, n, k, style)
+
+
+def test_det_poly_product_count(rng, monkeypatch):
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(None)
+        return np.convolve(a, b)
+
+    monkeypatch.setattr(oracle, "_poly_mul", counting_mul)
+    det_poly(random_problem(rng, 6, 3, "chebyshev1"))
+    # one product per column of each minor on the last j rows: sum_j C(6, j) j
+    assert len(calls) == 6 * (2 ** 5 - 1) == 186
+
+
+def test_cli_never_loads_scipy_optimize():
+    # a child interpreter: this one has loaded the test-only spectrum matcher
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import contextlib, io, sys\n"
+        "import orthopencil.cli as cli\n"
+        "for argv in (['eig', '--random', '3,3,1'], ['recover', '--random', '3,3,1'],\n"
+        "             ['oracle', '--random', '3,3,1'],\n"
+        "             ['exclusion', '--random', '3,3,1', '--v', '1,0,0']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(argv) == 0, argv\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

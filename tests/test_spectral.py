@@ -13,7 +13,6 @@ from orthopencil import (
     build_dm_pencil,
     builtin_basis,
     check_linearization,
-    compare_spectra,
     eigenvalue_exclusion,
     eval_pencil,
     exclusion_left,
@@ -29,6 +28,7 @@ from orthopencil import (
     spectrum_of,
 )
 from orthopencil.spectral import GeneralizedEigenResult
+from spectra import compare_spectra
 from conftest import BASIS_KINDS, random_problem
 
 EPS = np.finfo(float).eps
