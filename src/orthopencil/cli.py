@@ -274,12 +274,34 @@ def build_parser(only=None) -> argparse.ArgumentParser:
     return parser
 
 
+def _is_vector(token: str) -> bool:
+    try:
+        [float(t) for t in token.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_vectors(argv):
+    """argv with "--v" and a vector after it that starts with a minus sign
+    joined as "--v=<vector>".  argparse reads such a token as an option
+    unless it is a single number, so "--v -1,0.5,0" would lose its value."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--v" and token.startswith("-") and _is_vector(token):
+            out[-1] = f"--v={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _parse(argv):
     """argv parsed as the full parser parses it, building only the named
     subcommand's parser unless the first token names none (no argv, -h, an
     unknown command) or arguments are left over (the full parser's
-    "unrecognized arguments" error then prints)."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+    "unrecognized arguments" error then prints).  A --v vector may start
+    with a minus sign (see _attach_vectors)."""
+    argv = _attach_vectors(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in COMMANDS:
         args, extras = build_parser(argv[0]).parse_known_args(argv)
         if not extras:

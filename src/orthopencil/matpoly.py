@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import BasisSpec, DegreeGradedBasis, ThreeTermBasis, _phi_sequence, to_monomial
 from .errors import DimensionMismatchError
@@ -104,34 +103,36 @@ class RegularityVerdict:
 REGULARITY_POINTS = 3
 
 
-def _scaled_lu(M: np.ndarray):
-    """(rcond, (lu, piv, rows)): getrf of D M and gecon's estimate of its rcond.
+def _scaled_inverse(M: np.ndarray):
+    """(rcond, (inverse, rows)): (D M)^-1 and the exact 1-norm rcond of D M.
 
-    D = diag(1 / rows) scales every row of M to unit 2-norm, so the estimate
+    D = diag(1 / rows) scales every row of M to unit 2-norm, so the rcond
     1 / (||D M||_1 ||(D M)^-1||_1) does not depend on the units of any row.
-    A zero row or an exactly zero pivot gives (0.0, None)."""
+    It is never larger than LAPACK gecon's estimate of it, which bounds
+    ||(D M)^-1||_1 from below.  A zero row, an exactly zero pivot or an
+    inverse that is not finite gives (0.0, None)."""
     rows = np.linalg.norm(M, axis=1)
     if not np.all(rows > 0.0):
         return 0.0, None
     M = M / rows[:, None]
-    anorm = float(np.linalg.norm(M, 1))
-    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (M,))
-    lu, piv, info = getrf(M)
-    if info > 0:
+    try:
+        inverse = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
         return 0.0, None
-    value, _ = gecon(lu, anorm, norm="1")
-    return float(value), (lu, piv, rows)
+    if not np.all(np.isfinite(inverse)):
+        return 0.0, None
+    return float(1.0 / (np.linalg.norm(M, 1) * np.linalg.norm(inverse, 1))), (inverse, rows)
 
 
 def _rcond(M: np.ndarray) -> float:
-    """The row-scaled rcond of M (see _scaled_lu)."""
-    return _scaled_lu(M)[0]
+    """The row-scaled rcond of M (see _scaled_inverse)."""
+    return _scaled_inverse(M)[0]
 
 
 def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:
     """Regularity of the size x size matrix function evaluate(lam).
 
-    M(lam) is LU-factored at up to REGULARITY_POINTS random points of the
+    M(lam) is inverted at up to REGULARITY_POINTS random points of the
     disk |lam| < 2; it is regular as soon as one point has
     rcond(M(lam)) > 10 * size * eps, rows scaled to unit norm first.  The
     test is invariant to the scale of every row, and it does not read large

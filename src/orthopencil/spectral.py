@@ -17,15 +17,21 @@ solved through F, with or without left eigenvectors:
 - an M2 pencil L = F^B S, with S = [v^T kron I_n; B^B].  F^B is bitwise the
   transpose of the anchor pencil G of P^T, so L = G^T S.
 
-Two solvers find F's eigentriples.  When the row-scaled rcond of P_k clears
-10 * n * eps, geev solves the companion (comrade, colleague) matrix -X^-1 Y
-after one n x n LU, and its result is kept only under a certificate at every
+Two solvers find F's eigentriples.  When the row-scaled rcond of c*P_k
+clears 10 * n * eps, geev solves the companion (comrade, colleague) matrix
+-X^-1 Y, whose first block row is one GEMM by the n x n row-scaled inverse
+of c*P_k, and its result is kept only under a certificate at every
 eigenvalue: eta_L, the residual that pencil_eigen reports, and the backward
 error eta_P of each eigenvector of P it gives (see ``backward_errors``) are
 at most 10 * kn * eps, and no eigenvalue is classed infinite.  Otherwise
 scipy's QZ solves F itself (G for M2), which is backward stable for P
 (Lawrence, Van Barel and Van Dooren, SIMAX 37, 2016) and gives the infinite
 eigenvalues of a singular P_k.
+
+numpy.linalg serves every solve that needs neither left eigenvectors nor QZ:
+the inverses, and geev for right vectors alone.  scipy.linalg is imported
+only by the two solvers that need it, geev with left vectors (``_geev``) and
+QZ (``_qz``), so ``eig`` on an anchor or M1 pencil never loads it.
 
 Both go through one map to L, which has the anchor's eigenvalues: F's right
 eigenvectors and left eigenvectors T^-T z for F's left ones z (M1), and G's
@@ -52,21 +58,19 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ansatz import AnsatzFactor, check_linearization, make_m1, make_m2, side_multiplier
 from .basis import _phi_sequence, phi_vector, to_monomial
 from .errors import DimensionMismatchError, RecoveryError, SingularPencilError
 from .matpoly import (
     MatrixPolynomial,
-    _rcond,
-    _scaled_lu,
+    _scaled_inverse,
     require_ansatz_degree,
     reversal_monomial,
     sampled_regularity,
 )
 from .oracle import Spectrum, reference_spectrum, trim_poly
-from .pencil import Pencil, anchor_pencil, eval_pencil
+from .pencil import Pencil, anchor_pencil, eval_pencil, leading_multiplier
 
 __all__ = [
     "Eigentriple",
@@ -106,11 +110,12 @@ class GeneralizedEigenResult:
 @dataclass(frozen=True)
 class _Multiplier:
     """The constant multiplier of an M1 pencil (T, with L = T F) or of an M2
-    pencil (S, with L = G^T S), and its row-scaled LU."""
+    pencil (S, with L = G^T S), and its row-scaled inverse
+    (matpoly._scaled_inverse)."""
 
     side: str
     matrix: np.ndarray
-    lu: tuple
+    inverse: tuple
 
 
 # A companion-form solve is accepted when eta_L and eta_P are at most this
@@ -123,7 +128,7 @@ _REGULARITY_SEED = 90210
 
 
 def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
-             multiplier=None) -> GeneralizedEigenResult:
+             multiplier=None, lead=None) -> GeneralizedEigenResult:
     """Default dense solver for the pencil X*lam + Y.
 
     With no ``anchor``, scipy's QZ on the pair (Y, -X); with left false no
@@ -133,12 +138,13 @@ def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
     pencil_eigen), its M1 or M2 pencil with that multiplier; it is solved
     through the anchor (module docstring), by the certified geev or else QZ
     on the anchor, which agree to within the eigenvalues' condition numbers
-    times their backward errors, not bit for bit.
+    times their backward errors, not bit for bit.  ``lead`` is the anchor's
+    c*P_k block as matpoly._scaled_inverse gives it, if the caller has it.
     """
     if anchor is None:
         return _qz(X, Y, left)
     tied = _tied_anchor(X, Y, anchor, left, multiplier)
-    res = _companion_solve(X, Y, anchor, left, multiplier, tied)
+    res = _companion_solve(X, Y, anchor, left, multiplier, tied, lead)
     if res is None:
         _, F, want_left, want_right = tied
         res = _through_anchor(X, Y, F, _qz(F.X, F.Y, want_left, want_right), left, multiplier)
@@ -147,30 +153,42 @@ def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
 
 def _qz(X, Y, left, right=True):
     """scipy's QZ on the pair (Y, -X), with left vectors z^T (X*lam + Y) = 0."""
+    import scipy.linalg  # off the import path: numpy.linalg has no QZ
+
     out = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
     return GeneralizedEigenResult(alpha=out[0][0], beta=out[0][1],
                                   right=out[-1] if right else None,
                                   left=np.conj(out[1]) if left else None)
 
 
-def _lu_solve(factors, B, trans=0):
-    """M^-1 B (trans 0) or M^-T B (trans 1) from the row-scaled LU of M
-    (D M = LU with D = diag(1 / rows), see matpoly._scaled_lu).  A complex B
-    is solved as its real and imaginary parts side by side."""
-    lu, piv, rows = factors
-    if not trans:
-        B = B / rows[:, None]
-    m = B.shape[1]
-    cplx = np.iscomplexobj(B)
-    getrs = scipy.linalg.get_lapack_funcs("getrs", (lu,))
-    out, _ = getrs(lu, piv, np.hstack([B.real, B.imag]) if cplx else B, trans=trans)
-    if cplx:
-        out = out[:, :m] + 1j * out[:, m:]
-    return out / rows[:, None] if trans else out
+def _geev(A, left, right):
+    """(w, VL, VR): geev of the real matrix A, complex, None for a side not
+    asked for; y^H A = w y^H for the columns y of VL.  numpy's geev gives
+    right vectors alone, and scipy's is called only for left ones.  Raises
+    LinAlgError when geev does not converge; A may be overwritten."""
+    if not left:
+        w, VR = np.linalg.eig(A)
+        return w.astype(complex, copy=False), None, VR.astype(complex, copy=False)
+    import scipy.linalg  # off the import path: numpy.linalg has no left vectors
+
+    out = scipy.linalg.eig(A, left=True, right=right, overwrite_a=True, check_finite=False)
+    return out[0], out[1], out[2] if right else None
+
+
+def _solve(factors, B, transpose=False):
+    """M^-1 B, or M^-T B with ``transpose``, from M's row-scaled inverse
+    (matpoly._scaled_inverse): with D = diag(1 / rows), M^-1 = (D M)^-1 D
+    and M^-T = D (D M)^-T, so either is one GEMM (see _real_matmul)."""
+    inverse, rows = factors
+    if transpose:
+        return _real_matmul(inverse.T, B) / rows[:, None]
+    return _real_matmul(inverse, B / rows[:, None])
 
 
 def _real_matmul(M, V):
-    """M @ V for real M and complex V, as one real GEMM on [Re V, Im V]."""
+    """M @ V for real M, as one real GEMM on [Re V, Im V] when V is complex."""
+    if not np.iscomplexobj(V):
+        return M @ V
     m = V.shape[1]
     R = M @ np.hstack([V.real, V.imag])
     return R[:, :m] + 1j * R[:, m:]
@@ -244,11 +262,11 @@ def _through_anchor(X, Y, F, eigs, left, multiplier):
     n, side = F.n, "anchor" if multiplier is None else multiplier.side
     right, left_vecs, sums, Z = eigs.right, eigs.left, None, eigs.left
     if side == "M2":
-        right, left_vecs = _lu_solve(multiplier.lu, Z), eigs.right
+        right, left_vecs = _solve(multiplier.inverse, Z), eigs.right
         sums = Z[:n] / np.linalg.norm(right, axis=0)
     elif left:
         if side == "M1":
-            left_vecs = _lu_solve(multiplier.lu, Z, trans=1)
+            left_vecs = _solve(multiplier.inverse, Z, transpose=True)
         sums = Z[:n] / np.linalg.norm(left_vecs, axis=0)
     lams, _ = _eigenvalues(eigs.alpha, eigs.beta)
     residual = _structured_residuals(X, Y, F, lams, right, multiplier)
@@ -256,32 +274,29 @@ def _through_anchor(X, Y, F, eigs, left, multiplier):
                                   left=left_vecs, residual=residual, sums=sums)
 
 
-def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None):
+def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None, lead=None):
     """The certified geev solve of the anchor route, mapped to the pencil
-    (X, Y), or None: when P_k fails its gate, geev does not converge, or the
-    certificate fails.  ``tied`` is _tied_anchor's result, if the caller has
-    built it."""
+    (X, Y), or None: when c*P_k fails its gate, geev does not converge, or
+    the certificate fails.  ``tied`` is _tied_anchor's result and ``lead``
+    _scaled_inverse of the anchor's c*P_k block, if the caller has them."""
     P, F, want_left, want_right = tied or _tied_anchor(X, Y, P, left, multiplier)
     n, k, size = P.n, P.k, X.shape[0]
-    rcond, lead = _scaled_lu(F.X[:n, :n])
+    rcond, inverse = lead or _scaled_inverse(F.X[:n, :n])
     if not rcond > 10.0 * n * np.finfo(float).eps:
         return None
-    first = _lu_solve(lead, F.Y[:n])
+    first = _solve(inverse, F.Y[:n])
     if not np.all(np.isfinite(first)):
         return None
     # only the first block row of -X^-1 Y differs from -Y
     A = np.negative(F.Y, order="F")
     A[:n] = -first
     try:
-        out = scipy.linalg.eig(A, left=want_left, right=want_right, overwrite_a=True,
-                               check_finite=False)
-    except scipy.linalg.LinAlgError:  # geev did not converge; QZ may
+        lams, VL, VR = _geev(A, want_left, want_right)
+    except np.linalg.LinAlgError:  # geev did not converge; QZ may
         return None
-    lams = out[0]
     if not np.all(np.isfinite(lams)) or np.any(_INF_TOL * (np.abs(lams) + 1.0) >= 1.0):
         return None
     bound = _CERTIFIED_ETA * size * np.finfo(float).eps
-    VR = out[-1] if want_right else None
     if VR is not None:
         _, U = _kron_fit(P, lams, VR.reshape(k, n, -1))
         if not np.all(backward_errors(P, lams, U) <= bound):
@@ -290,8 +305,8 @@ def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None):
     if want_left:
         # from y^H A = lam y^H the anchor's left eigenvector is z = X^-T conj(y);
         # only its first block, a left eigenvector of P, needs a solve
-        Z = np.conj(out[1])
-        Z[:n] = _lu_solve(lead, Z[:n], trans=1)
+        Z = np.conj(VL)
+        Z[:n] = _solve(inverse, Z[:n], transpose=True)
         if not np.all(backward_errors(P, lams, Z[:n], "left") <= bound):
             return None
     eigs = GeneralizedEigenResult(alpha=lams, beta=np.ones(size), right=VR, left=Z)
@@ -370,18 +385,20 @@ def pencil_eigen(L: Pencil, solver=None, left: bool = True, anchor=None,
     ``anchor`` is the polynomial P when L is its anchor pencil or, with
     ``factor`` (v, B), its M1 or M2 pencil with that factor; the default
     solver then solves L through its anchor (see qz_solve).  L is regular if
-    the reciprocal condition number of P_k (LAPACK gecon, 1-norm, rows
-    scaled to unit norm; P_k^T for M2) is above 10 * n * eps and, with a
-    factor, that of the side multiplier T (or S) is above 10 * kn * eps, as
-    L = T F.  Otherwise regularity is tested by LU factorizations of
-    X*lam + Y at up to 3 points of the disk |lam| < 2, the same pseudo-random
-    ones on every call: the pencil is regular as soon as one has a
-    row-scaled rcond above 10 * kn * eps.  If none has, or the multiplier
-    has an exactly zero pivot, SingularPencilError is raised, carrying the
-    largest rcond seen; eigenvalues of a singular pencil are meaningless.
+    the reciprocal condition number of the anchor's c*P_k block (the exact
+    1-norm one, from its inverse, rows scaled to unit norm; c*P_k^T for M2)
+    is above 10 * n * eps and, with a factor, that of the side multiplier T
+    (or S) is above 10 * kn * eps, as L = T F.  Otherwise regularity is
+    tested by inverting X*lam + Y at up to 3 points of the disk |lam| < 2,
+    the same pseudo-random ones on every call: the pencil is regular as soon
+    as one has a row-scaled rcond above 10 * kn * eps.  If none has, or the
+    multiplier has no finite inverse, SingularPencilError is raised,
+    carrying the largest rcond seen; eigenvalues of a singular pencil are
+    meaningless.
 
     The solver is called as solver(X, Y, left), the default one as
-    qz_solve(X, Y, left, anchor=..., multiplier=...).  With left false no
+    qz_solve(X, Y, left, anchor=..., multiplier=..., lead=...), which reuses
+    the inverse of c*P_k that the gate computed.  With left false no
     left eigenvectors are asked for and every triple's ``left`` is None.
     Residuals are ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||) for unit right
     vectors u (||X u|| / ||X|| at infinite eigenvalues).
@@ -389,16 +406,19 @@ def pencil_eigen(L: Pencil, solver=None, left: bool = True, anchor=None,
     parts equal up to rounding are ordered by imaginary part.
     """
     n, eps = L.n, np.finfo(float).eps
-    multiplier, regular = None, False
+    multiplier, lead, regular = None, None, False
     if anchor is not None:
-        lead = L.X[:n, :n] if factor is None else anchor.coeffs[-1]
-        if factor is not None and factor.side == "M2":
-            lead = lead.T  # the anchor route solves the anchor of P^T
-        regular = _rcond(lead) > 10.0 * n * eps
+        block = L.X[:n, :n]
+        if factor is not None:
+            # c*P_k as the tied anchor holds it; the anchor of P^T for M2
+            block = leading_multiplier(anchor.basis, anchor.k) * anchor.coeffs[-1]
+            block = np.ascontiguousarray(block.T) if factor.side == "M2" else block
+        lead = _scaled_inverse(block)
+        regular = lead[0] > 10.0 * n * eps
         if factor is not None:
             T = side_multiplier(factor)
-            rcond, lu = _scaled_lu(T)
-            multiplier = _Multiplier(factor.side, T, lu)
+            rcond, inverse = _scaled_inverse(T)
+            multiplier = _Multiplier(factor.side, T, inverse)
             regular = regular and rcond > 10.0 * L.k * n * eps
     if not regular:
         verdict = sampled_regularity(lambda lam: eval_pencil(L, lam), L.k * n,
@@ -409,10 +429,10 @@ def pencil_eigen(L: Pencil, solver=None, left: bool = True, anchor=None,
                 f"at {verdict.trials} sampled points (threshold 10*kn*eps)",
                 rcond=verdict.rcond,
             )
-    if multiplier is not None and multiplier.lu is None:
+    if multiplier is not None and multiplier.inverse is None:
         raise SingularPencilError("pencil is singular: its multiplier is singular", rcond=0.0)
     if solver is None:
-        res = qz_solve(L.X, L.Y, left, anchor=anchor, multiplier=multiplier)
+        res = qz_solve(L.X, L.Y, left, anchor=anchor, multiplier=multiplier, lead=lead)
     else:
         res = solver(L.X, L.Y, left)
     lams, infinite = _eigenvalues(res.alpha, res.beta)

@@ -365,3 +365,13 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
 def test_one_command_parser_offers_that_command_alone():
     assert build_parser("eig").format_usage() == "usage: orthopencil [-h] {eig} ...\n"
     assert "{" + ",".join(COMMAND_NAMES) + "}" in build_parser().format_usage()
+
+
+@pytest.mark.parametrize("command", ["blocksym", "exclusion"])
+def test_v_may_start_with_a_minus_sign(capsys, command):
+    # argparse alone reads "-1,0.5,0" as an option and exits 2
+    spaced = _run(capsys, [command, "--random", "2,3,1", "--v", "-1,0.5,0"])
+    joined = _run(capsys, [command, "--random", "2,3,1", "--v=-1,0.5,0"])
+    assert spaced[0] == 0 and spaced == joined
+    assert run([command, "--random", "2,3,1", "--v", "-inf,1,1"]) == 2
+    assert "--v must be finite" in capsys.readouterr().err

@@ -39,7 +39,7 @@ from orthopencil import (
 from orthopencil import cli, spectral
 from orthopencil.ansatz import side_multiplier
 from orthopencil.errors import SingularPencilError
-from orthopencil.matpoly import RegularityVerdict, _rcond, _scaled_lu
+from orthopencil.matpoly import RegularityVerdict, _rcond, _scaled_inverse
 from orthopencil.serialize import dump_json, factor_to_obj, problem_to_obj, spectrum_report_obj
 from orthopencil.spectral import backward_errors
 from conftest import ALL_KINDS, random_problem
@@ -106,14 +106,20 @@ def _assert_triples_match_qz(L, side, triples):
 
 
 def _spy_eig(monkeypatch):
-    """Record the matrices of every scipy.linalg.eig call: (a, b), b None for geev."""
-    calls, inner = [], spectral.scipy.linalg.eig
+    """Record the matrices of every geev and QZ call: (a, b), b None for geev;
+    a QZ call records the pair (Y, -X) it solves."""
+    calls, geev, qz = [], spectral._geev, spectral._qz
 
-    def spy(a, b=None, *args, **kwargs):
-        calls.append((np.array(a), None if b is None else np.array(b)))
-        return inner(a, b, *args, **kwargs)
+    def spy_geev(A, *args):
+        calls.append((np.array(A), None))
+        return geev(A, *args)
 
-    monkeypatch.setattr(spectral.scipy.linalg, "eig", spy)
+    def spy_qz(X, Y, *args):
+        calls.append((np.array(Y), -np.array(X)))
+        return qz(X, Y, *args)
+
+    monkeypatch.setattr(spectral, "_geev", spy_geev)
+    monkeypatch.setattr(spectral, "_qz", spy_qz)
     return calls
 
 
@@ -171,11 +177,13 @@ def test_singular_lead_gives_infinite_eigenvalues_by_qz(monkeypatch, rng):
 
 
 # Leads on which geev's result fails exactly one check of the certificate
-# (measured): (kind, cond, seed, side) -> the check.
+# (measured at one BLAS thread, the failing check at 1.3 to 5.8 times its
+# bound, the passing one at most 0.7 times its own): (kind, cond, seed,
+# side) -> the check.
 SINGLE_FAILURES = {
-    ("chebyshev1", 300.0, 0, "M2"): "eta_P of the left eigenvectors of P^T",
-    ("chebyshev1", 300.0, 1, "anchor"): "eta_P of the right eigenvectors",
-    ("monomial", 300.0, 2, "anchor"): "eta_L",
+    ("chebyshev1", 300.0, 10, "M2"): "eta_P of the left eigenvectors of P^T",
+    ("chebyshev1", 1000.0, 6, "anchor"): "eta_P of the right eigenvectors",
+    ("monomial", 300.0, 47, "anchor"): "eta_L",
 }
 
 
@@ -478,7 +486,7 @@ def _gate(f):
     if f is None:
         return None
     T = side_multiplier(f)
-    return spectral._Multiplier(f.side, T, _scaled_lu(T)[1])
+    return spectral._Multiplier(f.side, T, _scaled_inverse(T)[1])
 
 
 def _small_column(f, rng, noise):
@@ -574,7 +582,7 @@ def test_multiplier_with_a_zero_pivot_is_singular(rng, monkeypatch):
                         lambda *a: RegularityVerdict(True, 0j, 1.0, 1))
     for side in ("M1", "M2"):
         f = _deficient(_block_symmetric(P, side, rng), rng)
-        assert _scaled_lu(side_multiplier(f))[1] is None
+        assert _scaled_inverse(side_multiplier(f))[1] is None
         L = make_m1(P, f) if side == "M1" else make_m2(P, f)
         with pytest.raises(SingularPencilError):
             pencil_eigen(L, anchor=P, factor=f)

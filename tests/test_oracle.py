@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from orthopencil import (
+    AnsatzFactor,
     MatrixPolynomial,
     ScalarPoly,
     Spectrum,
     SingularMatrixPolynomialError,
+    anchor_pencil,
+    build_dm_pencil,
     builtin_basis,
     det_poly,
     monomial_coefficients,
@@ -18,6 +21,7 @@ from orthopencil import (
 )
 from orthopencil import oracle
 from orthopencil.oracle import trim_poly
+from orthopencil.serialize import dump_json, factor_to_obj, pencil_to_obj, problem_to_obj
 from spectra import compare_spectra
 from conftest import ALL_KINDS, random_problem
 
@@ -211,20 +215,71 @@ def test_det_poly_product_count(rng, monkeypatch):
     assert len(calls) == 6 * (2 ** 5 - 1) == 186
 
 
-def test_cli_never_loads_scipy_optimize():
-    # a child interpreter: this one has loaded the test-only spectrum matcher
+def _child(script):
+    """Run script in a child interpreter that imports orthopencil from where
+    this one did: this one has loaded scipy for the test-only helpers."""
     src = os.path.dirname(os.path.dirname(oracle.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    script = (
-        "import contextlib, io, sys\n"
-        "import orthopencil.cli as cli\n"
-        "for argv in (['eig', '--random', '3,3,1'], ['recover', '--random', '3,3,1'],\n"
-        "             ['oracle', '--random', '3,3,1'],\n"
-        "             ['exclusion', '--random', '3,3,1', '--v', '1,0,0']):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.run(argv) == 0, argv\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
-    )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_all(argvs, then):
+    """A child script that runs every argv through cli.run, each to exit 0,
+    and then the statement ``then``."""
+    return (
+        "import contextlib, io, sys\n"
+        "import orthopencil.cli as cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(argv) == 0, argv\n"
+        f"{then}\n"
+    )
+
+
+def test_cli_never_loads_scipy_optimize():
+    argvs = [["eig", "--random", "3,3,1"], ["recover", "--random", "3,3,1"],
+             ["oracle", "--random", "3,3,1"], ["exclusion", "--random", "3,3,1", "--v", "1,0,0"]]
+    _child(_run_all(argvs, "assert 'scipy.optimize' not in sys.modules"))
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / f"{name}.json"
+    path.write_text(dump_json(obj))
+    return str(path)
+
+
+def _block_symmetric_files(tmp_path, P):
+    """Paths of P's problem JSON and of a block-symmetric M1 and M2 factor."""
+    f, _ = build_dm_pencil(P, np.array([1.0, -0.5, 0.25]))
+    return [_write(tmp_path, "p", problem_to_obj(P))] + [
+        _write(tmp_path, side, factor_to_obj(AnsatzFactor(f.v, f.B, side)))
+        for side in ("M1", "M2")]
+
+
+def test_numpy_paths_never_load_scipy_linalg(tmp_path):
+    # geev for right vectors alone and every inverse are numpy's
+    P = random_problem(np.random.default_rng(3), 3, 3, "chebyshev1")
+    path, m1, _ = _block_symmetric_files(tmp_path, P)
+    pencil = _write(tmp_path, "pencil", pencil_to_obj(anchor_pencil(P)))
+    p = ["-p", path]
+    argvs = [["anchor", *p], ["ansatz", *p, "-f", m1], ["blocksym", *p, "--v", "1,-0.5,0.25"],
+             ["check", *p, "-f", m1], ["membership", *p, "--pencil", pencil], ["eig", *p],
+             ["eig", *p, "--factor", m1], ["exclusion", *p, "--v", "1,0,0"], ["oracle", *p]]
+    _child(_run_all(argvs, "assert 'scipy.linalg' not in sys.modules"))
+
+
+def test_scipy_paths_import_scipy_linalg_themselves(tmp_path):
+    # left eigenvectors (recover, M2 pencils) and QZ (a singular P_k) are
+    # scipy's, imported where they are solved
+    rng = np.random.default_rng(3)
+    P = random_problem(rng, 3, 3, "chebyshev1")
+    path, _, m2 = _block_symmetric_files(tmp_path, P)
+    coeffs = [c.copy() for c in P.coeffs]
+    coeffs[-1][:, 1] = 0.0
+    singular = _write(tmp_path, "singular", problem_to_obj(MatrixPolynomial(tuple(coeffs),
+                                                                            P.basis)))
+    argvs = [["recover", "-p", path], ["eig", "-p", path, "--factor", m2],
+             ["eig", "-p", singular]]
+    _child(_run_all(argvs, "assert 'scipy.linalg' in sys.modules"))
