@@ -1,10 +1,12 @@
 """Command-line front end: JSON in, JSON report out.
 
-Each call builds only the parser of the subcommand that its first argument
-names, so a small op does not pay for the other commands' options.  The
-full parser is built when the first argument names no command (no
-arguments, --help, an unknown name) or when arguments are left over; help,
-errors and exit codes are the same either way.
+Every command and its options are declared once, in the COMMANDS table.  A
+well-formed argv is read straight from that table (``_direct_parse``), which
+gives the same Namespace argparse would.  The argparse parser is built only
+for the argv that the table read declines: no arguments, help, an unknown
+command or option, abbreviations and other unusual spellings, bad values.
+It parses those the usual way or prints the usual usage, help and error
+text, so what a user sees and the exit codes do not depend on the path.
 
 Exit codes: 0 success (verdict payloads carry pass/fail, not exit codes),
 2 malformed input, 3 dimension mismatch, 4 singular pencil / singular
@@ -152,13 +154,18 @@ def _cmd_eig(args) -> int:
         # Kronecker-structured eigenvectors (right for side M1, left for M2)
         # are fitted, and the other side's block sums pass through a one-block
         # recover_left, which returns them as they are and checks them.  Both
-        # face --tol.  Columns follow the sorted triples.
+        # face --tol, with the backward errors the certified solve computed
+        # when it found them (the QZ fallback leaves them to recover_*).
+        # Columns follow the sorted triples.
         lams = np.array([t.eigenvalue for t in triples])
         kron = np.stack([t.right if side == "M1" else t.left for t in triples], axis=1)
         sums = np.stack([t.weighted_sum for t in triples], axis=1)
+        fit_eta = sum_eta = None
+        if triples[0].eta is not None:
+            fit_eta, sum_eta = np.stack([t.eta for t in triples], axis=1)
         nullside, flipped = ("right", "left") if side == "M1" else ("left", "right")
-        fitted = recover_right(P, lams, kron, tol=tol, nullside=nullside)
-        summed = recover_left(np.ones(1), sums, P, lams, tol=tol, nullside=flipped)
+        fitted = recover_right(P, lams, kron, tol=tol, nullside=nullside, eta=fit_eta)
+        summed = recover_left(np.ones(1), sums, P, lams, tol=tol, nullside=flipped, eta=sum_eta)
         rights, lefts = (fitted, summed) if side == "M1" else (summed, fitted)
         rights, lefts = rights.T, lefts.T
     _emit(spectrum_report_obj(triples, rights, lefts))
@@ -194,83 +201,67 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _add_problem_args(sub):
-    sub.add_argument("-p", "--problem", help="problem JSON file")
-    sub.add_argument("--random", help="random problem as n,k,seed (seed mandatory)")
-    sub.add_argument("--basis", default="chebyshev1", choices=RANDOM_BASIS_KINDS,
-                     help="basis kind for --random problems")
+# The options every command takes first: where its problem comes from.  An
+# option is (flags, add_argument keywords).
+_PROBLEM_OPTIONS = (
+    (("-p", "--problem"), {"help": "problem JSON file"}),
+    (("--random",), {"help": "random problem as n,k,seed (seed mandatory)"}),
+    (("--basis",), {"default": "chebyshev1", "choices": RANDOM_BASIS_KINDS,
+                    "help": "basis kind for --random problems"}),
+)
+_SIDES = ["m1", "m2", "M1", "M2"]
+_FACTOR = (("-f", "--factor"), {"required": True})
 
 
-def _no_args(sub):
-    pass
+def _tol(default: float):
+    return (("--tol",), {"type": float, "default": default})
 
 
-def _factor_args(sub):
-    sub.add_argument("-f", "--factor", required=True)
+def _spectrum_options(recover: bool):
+    return (
+        (("--factor",), {"help": "factor JSON (default: anchor pencil)"}),
+        (("--recover",), {"action": "store_true", "default": recover}),
+        _tol(1e-6),
+    )
 
 
-def _ansatz_args(sub):
-    _factor_args(sub)
-    sub.add_argument("--side", choices=["m1", "m2", "M1", "M2"])
-
-
-def _blocksym_args(sub):
-    sub.add_argument("--v", required=True, help="comma-separated ansatz vector")
-
-
-def _membership_args(sub):
-    sub.add_argument("--pencil", required=True)
-    sub.add_argument("--side", default="m1", choices=["m1", "m2", "M1", "M2"])
-    sub.add_argument("--tol", type=float, default=1e-8)
-
-
-def _spectrum_args(recover: bool):
-    def add(sub):
-        sub.add_argument("--factor", help="factor JSON (default: anchor pencil)")
-        sub.add_argument("--recover", action="store_true", default=recover)
-        sub.add_argument("--tol", type=float, default=1e-6)
-    return add
-
-
-def _exclusion_args(sub):
-    sub.add_argument("--v", required=True)
-    sub.add_argument("--tol", type=float, default=1e-8)
-
-
-# Every subcommand, once: name -> (help, adder of the arguments after the
-# problem arguments, handler).  The order is the order of the help listing.
+# Every subcommand, once: name -> (help, options after the problem options,
+# handler).  build_parser and _direct_parse both read it.  The order is the
+# order of the help listing.
 COMMANDS = {
-    "anchor": ("emit the anchor pencil of a problem", _no_args, _cmd_anchor),
-    "ansatz": ("emit the pencil of a (v, B) factor", _ansatz_args, _cmd_ansatz),
-    "blocksym": ("build the block-symmetric pencil for v", _blocksym_args, _cmd_blocksym),
-    "check": ("rank test of a factor", _factor_args, _cmd_check),
-    "membership": ("verify the ansatz identity for a pencil", _membership_args,
+    "anchor": ("emit the anchor pencil of a problem", (), _cmd_anchor),
+    "ansatz": ("emit the pencil of a (v, B) factor",
+               (_FACTOR, (("--side",), {"choices": _SIDES})), _cmd_ansatz),
+    "blocksym": ("build the block-symmetric pencil for v",
+                 ((("--v",), {"required": True, "help": "comma-separated ansatz vector"}),),
+                 _cmd_blocksym),
+    "check": ("rank test of a factor", (_FACTOR,), _cmd_check),
+    "membership": ("verify the ansatz identity for a pencil",
+                   ((("--pencil",), {"required": True}),
+                    (("--side",), {"default": "m1", "choices": _SIDES}), _tol(1e-8)),
                    _cmd_membership),
-    "eig": ("pencil spectrum report", _spectrum_args(False), _cmd_eig),
-    "recover": ("pencil spectrum report with eigenvector recovery", _spectrum_args(True),
+    "eig": ("pencil spectrum report", _spectrum_options(False), _cmd_eig),
+    "recover": ("pencil spectrum report with eigenvector recovery", _spectrum_options(True),
                 _cmd_eig),
-    "exclusion": ("eigenvalue exclusion verdict for v", _exclusion_args, _cmd_exclusion),
-    "oracle": ("brute-force reference spectrum", _no_args, _cmd_oracle),
+    "exclusion": ("eigenvalue exclusion verdict for v",
+                  ((("--v",), {"required": True}), _tol(1e-8)), _cmd_exclusion),
+    "oracle": ("brute-force reference spectrum", (), _cmd_oracle),
 }
 
 
-def build_parser(only=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or with ``only`` of that one alone.
-
-    A subcommand parses and fails the same way in both: its own parser, and
-    its prog "orthopencil <name>", do not depend on the others."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand, built from COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="orthopencil",
         description="Construct, classify, and validate linearizations of matrix "
         "polynomials in orthogonal and degree-graded bases.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, handler) in COMMANDS.items():
-        if only is None or name == only:
-            s = subs.add_parser(name, help=help_text)
-            _add_problem_args(s)
-            add_args(s)
-            s.set_defaults(func=handler)
+    for name, (help_text, options, handler) in COMMANDS.items():
+        s = subs.add_parser(name, help=help_text)
+        for flags, keywords in _PROBLEM_OPTIONS + options:
+            s.add_argument(*flags, **keywords)
+        s.set_defaults(func=handler)
     return parser
 
 
@@ -295,18 +286,79 @@ def _attach_vectors(argv):
     return out
 
 
+def _dest(flags) -> str:
+    """The attribute argparse stores an option under: its first long flag."""
+    return next(f for f in flags if f.startswith("--"))[2:].replace("-", "_")
+
+
+def _direct_parse(argv):
+    """The Namespace that build_parser().parse_args(argv) returns, read
+    straight from COMMANDS, or None when argv is not in the plain forms.
+
+    The plain forms are a command name first, then options each spelled
+    exactly as declared: a store_true flag alone, any other flag followed by
+    a value that does not start with "-", or "--long=value".  Values get
+    their type and are checked against their choices as argparse does, the
+    last repeat wins, and every required option must be given.  Anything
+    else (no argv, help, an unknown command or option, an abbreviation,
+    "-pFILE", "--", a bad type or choice, a missing option, a leftover
+    token) gives None, and the full parser then parses argv, or prints its
+    usage, help or error."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, options, handler = COMMANDS[argv[0]]
+    values, flagged, required = {"command": argv[0]}, {}, set()
+    for flags, keywords in _PROBLEM_OPTIONS + options:
+        dest = _dest(flags)
+        switch = keywords.get("action") == "store_true"
+        values[dest] = keywords.get("default", False if switch else None)
+        if keywords.get("required"):
+            required.add(dest)
+        for flag in flags:
+            flagged[flag] = (dest, keywords, switch)
+    i, end = 1, len(argv)
+    while i < end:
+        token = argv[i]
+        i += 1
+        if token in flagged:
+            dest, keywords, switch = flagged[token]
+            if switch:
+                values[dest] = True
+                required.discard(dest)
+                continue
+            if i == end or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+        else:
+            flag, equals, value = token.partition("=")
+            if not (equals and flag.startswith("--") and flag in flagged):
+                return None
+            dest, keywords, switch = flagged[flag]
+            if switch:
+                return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+        required.discard(dest)
+    if required:
+        return None
+    values["func"] = handler
+    return argparse.Namespace(**values)
+
+
 def _parse(argv):
-    """argv parsed as the full parser parses it, building only the named
-    subcommand's parser unless the first token names none (no argv, -h, an
-    unknown command) or arguments are left over (the full parser's
-    "unrecognized arguments" error then prints).  A --v vector may start
-    with a minus sign (see _attach_vectors)."""
+    """argv parsed as build_parser() parses it: by _direct_parse, or when
+    that declines by the full parser, which also prints help and errors.  A
+    --v vector may start with a minus sign (see _attach_vectors)."""
     argv = _attach_vectors(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv)
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    args = _direct_parse(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def run(argv=None) -> int:

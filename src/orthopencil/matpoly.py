@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,16 +73,22 @@ class MatrixPolynomial:
         """max-abs entry over all coefficients; a scale for relative tolerances."""
         return max(np.max(np.abs(m)) for m in self.coeffs)
 
-    def evaluation_scale(self, lam) -> float:
+    @cached_property
+    def coefficient_norms(self) -> tuple:
+        """||P_0||_F .. ||P_k||_F, computed once per polynomial."""
+        return tuple(np.linalg.norm(Pi) for Pi in self.coeffs)
+
+    def evaluation_scale(self, lam, phis=None) -> float:
         """sum_i |phi_i(lam)| * ||P_i||_F, the magnitude bound for P(lam).
 
         This is the backward-error denominator for eigenvector residuals: the
         norm of the evaluated matrix itself vanishes at eigenvalues when
         n = 1, so it cannot serve as a scale there.  A 1-D array of m points
-        gives an array of m scales.
+        gives an array of m scales.  ``phis`` is _phi_sequence(basis, k, lam),
+        if the caller has it.
         """
-        phis = _phi_sequence(self.basis, self.k, lam)
-        total = sum(np.abs(phi) * np.linalg.norm(Pi) for phi, Pi in zip(phis, self.coeffs))
+        phis = _phi_sequence(self.basis, self.k, lam) if phis is None else phis
+        total = sum(np.abs(phi) * norm for phi, norm in zip(phis, self.coefficient_norms))
         return total if np.ndim(total) else float(total)
 
 

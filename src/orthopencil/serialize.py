@@ -54,7 +54,22 @@ def basis_to_obj(basis) -> dict:
     return obj
 
 
+def _json_kind(value) -> str:
+    """The JSON name of the type of a value that json.load returned."""
+    for types, name in ((type(None), "null"), (bool, "a boolean"), ((int, float), "a number"),
+                        (str, "a string"), (list, "an array")):
+        if isinstance(value, types):  # bool before int: a bool is an int
+            return name
+    return type(value).__name__
+
+
+def _require_object(obj, what: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {_json_kind(obj)}")
+
+
 def basis_from_obj(obj: dict):
+    _require_object(obj, "problem JSON 'basis'")
     kind = obj.get("kind")
     if kind == "degree_graded":
         return DegreeGradedBasis(
@@ -85,7 +100,9 @@ def problem_to_obj(P: MatrixPolynomial) -> dict:
 
 
 def _required(obj: dict, what: str, *keys):
-    """obj[key] for each key, or a ValueError that names the first missing one."""
+    """obj[key] for each key, or a ValueError that names the first missing
+    one, or that obj is not an object."""
+    _require_object(obj, f"{what} JSON")
     for key in keys:
         if key not in obj:
             raise ValueError(f"{what} JSON is missing key {key!r}")

@@ -43,13 +43,21 @@ gives the other, free of the cancellation that forming that sum from L's
 eigenvector suffers when T is ill-conditioned.  Residuals are read off the
 anchor's structure and one GEMM by the multiplier.
 
+The certificate computes eta_P once per side, from one basis sequence and
+one scale sum_i |phi_i| ||P_i||_F at the eigenvalues, and with ||P_i||_F
+computed once per polynomial.  When it keeps geev's result for both sides,
+each triple carries those two values (``Eigentriple.eta``), and recovery
+checks them against its tolerance instead of computing them again.
+
 Eigenvector recovery is batched: ``recover_right`` takes the m eigenvalues
 and the kn x m matrix of their pencil eigenvectors and returns the n x m
 eigenvectors of P, and ``recover_left`` maps kn x m to n x m the same way.
-One call costs one ``phi_vector`` and k + 1 GEMMs for the residuals of all m
-eigenvalues, whatever m is; every structure and residual check is made for
-every column, and a failure names the first failing column.  A scalar
-eigenvalue with a 1-D vector is the case m = 1 and returns a 1-D vector.
+One call costs one ``phi_vector`` for the Kronecker fit and, unless the
+caller passes the certificate's ``eta``, k + 1 GEMMs for the residuals of
+all m eigenvalues, whatever m is.  Every structure and residual check is
+made for every column, and a failure names the first failing column.  A
+scalar eigenvalue with a 1-D vector is the case m = 1 and returns a 1-D
+vector.
 """
 
 from __future__ import annotations
@@ -96,7 +104,10 @@ class GeneralizedEigenResult:
     and, when the side without Kronecker structure is solved (left for the
     anchor and M1, right for M2), ``sums``: the n x m block sums
     (v kron I_n)^T w / ||w|| of its eigenvectors w, read off the anchor.
-    Other solvers leave both None.
+    When the certified geev found both sides, ``eta`` is 2 x m: row 0 the
+    backward error eta_P of the Kronecker fit of each eigenvector on the
+    structured side, row 1 that of its block sum.  Other solvers leave all
+    three None.
     """
 
     alpha: np.ndarray
@@ -105,6 +116,7 @@ class GeneralizedEigenResult:
     left: np.ndarray | None
     residual: np.ndarray | None = None
     sums: np.ndarray | None = None
+    eta: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -271,7 +283,7 @@ def _through_anchor(X, Y, F, eigs, left, multiplier):
     lams, _ = _eigenvalues(eigs.alpha, eigs.beta)
     residual = _structured_residuals(X, Y, F, lams, right, multiplier)
     return GeneralizedEigenResult(alpha=eigs.alpha, beta=eigs.beta, right=right,
-                                  left=left_vecs, residual=residual, sums=sums)
+                                  left=left_vecs, residual=residual, sums=sums, eta=eigs.eta)
 
 
 def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None, lead=None):
@@ -297,9 +309,15 @@ def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None, lead=None)
     if not np.all(np.isfinite(lams)) or np.any(_INF_TOL * (np.abs(lams) + 1.0) >= 1.0):
         return None
     bound = _CERTIFIED_ETA * size * np.finfo(float).eps
+    # one basis sequence and one scale serve the fit and both sides
+    phis = _phi_sequence(P.basis, k, lams)
+    scale = P.evaluation_scale(lams, phis)
+    eta = []
     if VR is not None:
-        _, U = _kron_fit(P, lams, VR.reshape(k, n, -1))
-        if not np.all(backward_errors(P, lams, U) <= bound):
+        phi = np.array(phis[k - 1::-1], dtype=complex)  # phi_vector's order
+        _, U = _kron_fit(P, lams, VR.reshape(k, n, -1), phi)
+        eta.append(_eta(P, phis, scale, U))
+        if not np.all(eta[-1] <= bound):
             return None
     Z = None
     if want_left:
@@ -307,9 +325,11 @@ def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None, lead=None)
         # only its first block, a left eigenvector of P, needs a solve
         Z = np.conj(VL)
         Z[:n] = _solve(inverse, Z[:n], transpose=True)
-        if not np.all(backward_errors(P, lams, Z[:n], "left") <= bound):
+        eta.append(_eta(P, phis, scale, Z[:n], "left"))
+        if not np.all(eta[-1] <= bound):
             return None
-    eigs = GeneralizedEigenResult(alpha=lams, beta=np.ones(size), right=VR, left=Z)
+    eigs = GeneralizedEigenResult(alpha=lams, beta=np.ones(size), right=VR, left=Z,
+                                  eta=np.array(eta) if len(eta) == 2 else None)
     res = _through_anchor(X, Y, F, eigs, left, multiplier)
     return res if np.all(res.residual <= bound) else None
 
@@ -337,13 +357,17 @@ class Eigentriple:
     pencil through its anchor and the side without Kronecker structure
     (left for the anchor and M1, right for M2): the block sum
     (v kron I_n)^T w of that side's unit eigenvector w, read off the
-    anchor's eigenvector, an eigenvector of P (v = e_1 for the anchor)."""
+    anchor's eigenvector, an eigenvector of P (v = e_1 for the anchor).
+    ``eta`` is set when the certified geev found both sides: the backward
+    errors eta_P of the eigenvector of P fitted to the Kronecker-structured
+    side and of ``weighted_sum``, as the certificate computed them."""
 
     eigenvalue: complex
     right: np.ndarray
     left: np.ndarray | None
     residual: float
     weighted_sum: np.ndarray | None = None
+    eta: np.ndarray | None = None
 
     @property
     def is_infinite(self) -> bool:
@@ -447,7 +471,8 @@ def pencil_eigen(L: Pencil, solver=None, left: bool = True, anchor=None,
     left = None if res.left is None else res.left / np.linalg.norm(res.left, axis=0)
     triples = [
         Eigentriple(lams[idx], right[:, idx], None if left is None else left[:, idx],
-                    float(residuals[idx]), None if res.sums is None else res.sums[:, idx])
+                    float(residuals[idx]), None if res.sums is None else res.sums[:, idx],
+                    None if res.eta is None else res.eta[:, idx])
         for idx in range(len(lams))
     ]
     return _sort_triples(triples)
@@ -477,29 +502,34 @@ def backward_errors(P: MatrixPolynomial, lams, U, nullside: str = "right") -> np
     """
     _check_nullside(nullside)
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    U = np.asarray(U, dtype=complex)
-    m = lams.size
     phis = _phi_sequence(P.basis, P.k, lams)
+    return _eta(P, phis, P.evaluation_scale(lams, phis), np.asarray(U, dtype=complex), nullside)
+
+
+def _eta(P, phis, scale, U, nullside="right"):
+    """backward_errors from the basis values ``phis`` (_phi_sequence) at the
+    eigenvalues and the scales sum_i |phi_i| ||P_i||_F made from them."""
+    m = U.shape[1]
     parts = np.hstack([U.real, U.imag])
     R = np.zeros(U.shape, dtype=complex)
     for Pi, phi in zip(P.coeffs, phis):
         T = (Pi if nullside == "right" else Pi.T) @ parts
         R += phi * (T[:, :m] + 1j * T[:, m:])
-    scale = np.maximum(P.evaluation_scale(lams), 1e-300)
-    return np.linalg.norm(R, axis=0) / (scale * np.linalg.norm(U, axis=0))
+    return np.linalg.norm(R, axis=0) / (np.maximum(scale, 1e-300) * np.linalg.norm(U, axis=0))
 
 
-def _kron_fit(P, alpha, blocks):
+def _kron_fit(P, alpha, blocks, phi=None):
     """(phi, U): the k x m basis vectors at the m finite points alpha, and the
     least-squares fit u_j = sum_i conj(phi_ij) w_ij / sum_i |phi_ij|^2 of
-    phi_j kron u_j to the k x n x m blocks w_ij of the pencil eigenvectors."""
-    phi = phi_vector(P.basis, P.k, alpha)
+    phi_j kron u_j to the k x n x m blocks w_ij of the pencil eigenvectors.
+    ``phi`` is phi_vector(P.basis, P.k, alpha), if the caller has it."""
+    phi = phi_vector(P.basis, P.k, alpha) if phi is None else phi
     U = np.einsum("im,iam->am", phi.conj(), blocks) / np.sum(np.abs(phi) ** 2, axis=0)
     return phi, U
 
 
 def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
-                  nullside: str = "right") -> np.ndarray:
+                  nullside: str = "right", eta=None) -> np.ndarray:
     """Eigenvectors of P from Kronecker-structured pencil eigenvectors.
 
     Column j of W (kn x m) belongs to eigenvalues[j] and yields column j of
@@ -517,7 +547,9 @@ def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
     "left" tests u^T P(alpha) = 0 (for left eigenvectors of transposed-ansatz
     pencils, which carry the same Kronecker structure).  It is
     ``backward_errors``, or at infinite eigenvalues the residual of the
-    leading monomial coefficient relative to its norm.
+    leading monomial coefficient relative to its norm.  ``eta`` gives those
+    residuals of the m columns when the caller has them (an Eigentriple's
+    ``eta`` from the certified solve); they are then checked, not computed.
     """
     _check_nullside(nullside)
     require_ansatz_degree(P)
@@ -537,7 +569,7 @@ def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
     # finite: w - phi kron u; infinite: w - e_1 kron u, the blocks below the first
     recon = np.einsum("im,am->iam", np.where(infinite, np.eye(k, 1), phi), U)
     mismatch = np.linalg.norm(blocks - recon, axis=(0, 1)) / np.linalg.norm(W, axis=0)
-    residual = _vector_residuals(P, lams, U, nullside)
+    residual = _vector_residuals(P, lams, U, nullside) if eta is None else np.reshape(eta, -1)
     bad = np.flatnonzero((mismatch > tol) | ~(residual <= tol))
     if bad.size and mismatch[bad[0]] > tol:
         j = bad[0]
@@ -583,7 +615,7 @@ def _require_residuals(lams, residual, tol):
 
 
 def recover_left(v, U, P: MatrixPolynomial | None = None, eigenvalues=None,
-                 tol: float = 1e-6, nullside: str = "left") -> np.ndarray:
+                 tol: float = 1e-6, nullside: str = "left", eta=None) -> np.ndarray:
     """Blockwise weighted sums sum_i v_i u_i of pencil left eigenvectors.
 
     U is kn x m, one eigenvector per column, and the result n x m; a 1-D u
@@ -596,7 +628,8 @@ def recover_left(v, U, P: MatrixPolynomial | None = None, eigenvalues=None,
     checks its own: ``backward_errors`` with ``nullside`` ("left" tests
     u^T P(lam) = 0, "right" P(lam) u = 0; at infinite eigenvalues the leading
     monomial coefficient) must be at most tol, or RecoveryError names the
-    first column that fails.  A zero column fails."""
+    first column that fails.  A zero column fails.  ``eta``, as in
+    recover_right, gives those residuals if the caller has them."""
     v = np.asarray(v, dtype=float).reshape(-1)
     U = np.asarray(U, dtype=complex)
     k = v.size
@@ -609,7 +642,9 @@ def recover_left(v, U, P: MatrixPolynomial | None = None, eigenvalues=None,
         cols = sums.reshape(sums.shape[0], -1)
         if cols.shape != (P.n, lams.size):
             raise RecoveryError(f"sums must be {P.n} x {lams.size}, got {cols.shape}")
-        _require_residuals(lams, _vector_residuals(P, lams, cols, nullside), tol)
+        if eta is None:
+            eta = _vector_residuals(P, lams, cols, nullside)
+        _require_residuals(lams, np.reshape(eta, -1), tol)
     return sums
 
 

@@ -5,9 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthopencil import AnsatzFactor, anchor_pencil, builtin_basis, identity_factor, MatrixPolynomial
-from orthopencil.cli import build_parser, main, run
+from orthopencil.cli import (
+    _PROBLEM_OPTIONS, COMMANDS, _direct_parse, build_parser, main, run,
+)
 from orthopencil.serialize import (
     dump_json,
     factor_to_obj,
@@ -326,6 +330,25 @@ def test_missing_key_is_named(tmp_path, capsys, cheb_problem_file):
         assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
+@pytest.mark.parametrize("value, kind", [(None, "null"), ("chebyshev1", "a string"),
+                                         (["chebyshev1"], "an array"), (3, "a number"),
+                                         (True, "a boolean")])
+def test_non_object_is_named(tmp_path, capsys, cheb_problem_file, value, kind):
+    path, _ = cheb_problem_file
+    problem = json.loads(path.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**problem, "basis": value}))
+    assert run(["eig", "-p", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: problem JSON 'basis' must be an object, got {kind}\n"
+    # a problem, pencil or factor file whose top level is not an object
+    bad.write_text(json.dumps(value))
+    for argv, what in [(["anchor", "-p", str(bad)], "problem"),
+                       (["membership", "-p", str(path), "--pencil", str(bad)], "pencil"),
+                       (["check", "-p", str(path), "-f", str(bad)], "factor")]:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {what} JSON must be an object, got {kind}\n"
+
+
 COMMAND_NAMES = ("anchor", "ansatz", "blocksym", "check", "membership", "eig", "recover",
                  "exclusion", "oracle")
 # argvs that stop in the parser: help, no or an unknown command, a missing
@@ -362,11 +385,6 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     assert exc.value.code == 0 and capsys.readouterr().out == expected
 
 
-def test_one_command_parser_offers_that_command_alone():
-    assert build_parser("eig").format_usage() == "usage: orthopencil [-h] {eig} ...\n"
-    assert "{" + ",".join(COMMAND_NAMES) + "}" in build_parser().format_usage()
-
-
 @pytest.mark.parametrize("command", ["blocksym", "exclusion"])
 def test_v_may_start_with_a_minus_sign(capsys, command):
     # argparse alone reads "-1,0.5,0" as an option and exits 2
@@ -375,3 +393,102 @@ def test_v_may_start_with_a_minus_sign(capsys, command):
     assert spaced[0] == 0 and spaced == joined
     assert run([command, "--random", "2,3,1", "--v", "-inf,1,1"]) == 2
     assert "--v must be finite" in capsys.readouterr().err
+
+
+# option values of every kind: paths and specs, floats good and bad, values
+# that start with a minus sign, good and bad choices
+_VALUES = ("p.json", "3,4,1", "1,0.5,-2", "", "0.5", "1e-9", "nan", "abc", "-1", "-1,0.5,0",
+           "-x", "chebyshev2", "legendre", "fourier", "m2", "M1", "m3")
+# tokens that no command declares
+_ODD_TOKENS = (["--"], ["-h"], ["--help"], ["extra"], ["-pp.json"], ["-p=p.json"], ["-"])
+
+
+def _value(keywords):
+    """A value an option takes (a choice, a float, a path) or any of _VALUES."""
+    good = keywords.get("choices") or (("0.5", "1e-9") if "type" in keywords else ("p.json",))
+    return st.sampled_from(tuple(good)) | st.sampled_from(_VALUES)
+
+
+@st.composite
+def _argvs(draw):
+    """A command and tokens drawn from its flags: exact, "=" forms, alone,
+    prefixes, odd tokens, with or without every required option first."""
+    name = draw(st.sampled_from(COMMAND_NAMES))
+    options = _PROBLEM_OPTIONS + COMMANDS[name][1]
+    pair = st.sampled_from(options).flatmap(
+        lambda option: st.tuples(st.sampled_from(option[0]), _value(option[1])))
+    # repeated branches weigh the plain forms, which the direct parse accepts
+    token = st.one_of(
+        pair.map(list), pair.map(list), pair.map(list), pair.map(lambda fv: ["=".join(fv)]),
+        pair.map(lambda fv: ["=".join(fv)]), pair.map(lambda fv: [fv[0]]),
+        st.tuples(pair, st.integers(1, 5)).map(lambda t: [t[0][0][:t[1]], t[0][1]]),
+        st.sampled_from(_ODD_TOKENS),
+    )
+    argv = [name]
+    if draw(st.booleans()):
+        for flags, keywords in options:
+            if keywords.get("required"):
+                argv += [flags[-1], draw(_value(keywords))]
+    for group in draw(st.lists(token, max_size=6)):
+        argv += group
+    return argv
+
+
+def _fields(args):
+    """vars(args) with every value by its repr, so that a NaN --tol equals itself."""
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+@settings(max_examples=400)
+@given(argv=_argvs())
+def test_direct_parse_agrees_with_argparse(argv):
+    args = _direct_parse(argv)
+    if args is not None:
+        try:
+            expected = build_parser().parse_args(argv)
+        except SystemExit:  # argparse refuses what the direct parse accepted
+            pytest.fail(f"argparse refuses {argv}")
+        assert _fields(args) == _fields(expected)
+
+
+def test_plain_argv_takes_the_direct_path(tmp_path, rng):
+    argvs = _every_command(_command_files(tmp_path, rng)) + [
+        ["eig", "--random", "3,4,1", "--basis", "legendre", "--tol=1e-9"],
+        ["recover", "--random=4,5,2", "--recover", "--factor", "f.json"],
+        ["membership", "-p", "p.json", "--pencil", "l.json", "--side", "m2", "--side", "M1"],
+        ["exclusion", "--random", "2,3,1", "--v=-1,0.5,0"],
+        ["ansatz", "--problem", "p.json", "--factor=f.json", "--side=m2"],
+    ]
+    for argv in argvs:
+        args = _direct_parse(argv)
+        assert args is not None, argv
+        assert _fields(args) == _fields(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope"], ["eig", "-h"], ["eig", "--help"], ["eig", "--rand", "3,4,1"],
+    ["eig", "-pp.json"], ["eig", "-p=p.json"], ["eig", "--recover=yes"], ["eig", "--", "x"],
+    ["eig", "--tol", "-0.5"], ["eig", "--tol=abc"], ["eig", "--basis", "fourier"],
+    ["eig", "--random"], ["eig", "--random", "3,4,1", "extra"], ["blocksym", "--random", "2,3,1"],
+    ["eig", "--v", "1,2"], ["eig", "-p", "", "--factor"],
+])
+def test_unusual_argv_goes_to_the_full_parser(argv):
+    assert _direct_parse(argv) is None
+
+
+@pytest.mark.parametrize("spelled", [
+    ["--rand", "3,4,1"], ["--random", "3,4,1", "--bas", "chebyshev1"],
+    ["--prob={problem}"], ["-p{problem}"], ["--problem", "{problem}", "--tol", "-0.5",
+                                              "--tol", "1e-6"],
+])
+def test_declined_spellings_print_what_the_plain_one_prints(capsys, cheb_problem_file, spelled):
+    # each parses by the full parser to the same Namespace as the plain argv
+    path, _ = cheb_problem_file
+    spelled = ["eig"] + [t.format(problem=path) for t in spelled]
+    plain = ["eig", "--random", "3,4,1"] if "3,4,1" in spelled else ["eig", "-p", str(path)]
+    assert _direct_parse(spelled) is None and _direct_parse(plain) is not None
+    outputs = []
+    for argv in (plain, spelled):
+        assert run(argv) == 0, argv
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

@@ -36,7 +36,7 @@ from orthopencil import (
     recover_left,
     recover_right,
 )
-from orthopencil import cli, spectral
+from orthopencil import basis, cli, matpoly, spectral
 from orthopencil.ansatz import side_multiplier
 from orthopencil.errors import SingularPencilError
 from orthopencil.matpoly import RegularityVerdict, _rcond, _scaled_inverse
@@ -255,6 +255,38 @@ def test_one_qz_solve_per_eig_op(tmp_path, rng, monkeypatch, capsys):
                 assert calls["eval_pencil"] == 0, argv
             else:
                 assert calls["eval_pencil"] >= 1, argv
+
+
+@pytest.mark.parametrize("solve", ("certified", "qz"))
+def test_recover_computes_each_backward_error_once(tmp_path, rng, monkeypatch, capsys, solve):
+    # The certificate computes eta_P of the fitted vectors and of the block
+    # sums from one basis sequence, and recover_right and recover_left check
+    # those values; recover_right's Kronecker fit evaluates the basis once
+    # more.  After the QZ fallback recover_right and recover_left compute
+    # them, each once.
+    P = random_problem(rng, 6, 5, "legendre")
+    path = _write_problem(tmp_path, P, "p")
+    argvs = [["recover", "-p", path]]
+    argvs += [["recover", "-p", path, "--factor",
+               _write_factor(tmp_path, side, _block_symmetric(P, side, rng))]
+              for side in ("M1", "M2")]
+    phi_sequence = basis._phi_sequence
+    for argv in argvs:
+        calls = {"_eta": 0, "_phi_sequence": 0}
+
+        def counted(*args):
+            calls["_phi_sequence"] += 1
+            return phi_sequence(*args)
+
+        if solve == "qz":
+            monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
+        _counting(monkeypatch, "_eta", calls)
+        for module in (basis, matpoly, spectral):
+            monkeypatch.setattr(module, "_phi_sequence", counted)
+        assert cli.run(argv) == 0, argv
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert calls == {"_eta": 2, "_phi_sequence": 2 if solve == "certified" else 3}, argv
 
 
 def _block_symmetric(P, side, rng):
