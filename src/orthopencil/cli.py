@@ -16,7 +16,6 @@ polynomial where regularity is required.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -37,6 +36,7 @@ from .serialize import (
     dump_json,
     factor_from_obj,
     factor_to_obj,
+    load_json,
     pencil_from_obj,
     pencil_to_obj,
     problem_from_obj,
@@ -45,11 +45,6 @@ from .serialize import (
 from .spectral import eigenvalue_exclusion, pencil_eigen, recover_left, recover_right
 
 RANDOM_BASIS_KINDS = ("monomial", "chebyshev1", "chebyshev2", "legendre")
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _random_problem(spec: str, kind: str) -> MatrixPolynomial:
@@ -68,7 +63,7 @@ def _load_problem(args) -> MatrixPolynomial:
         return _random_problem(args.random, args.basis)
     if not getattr(args, "problem", None):
         raise ValueError("a problem is required: pass -p problem.json or --random n,k,seed")
-    return problem_from_obj(_load_json(args.problem))
+    return problem_from_obj(load_json(args.problem))
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -95,7 +90,7 @@ def _cmd_anchor(args) -> int:
 
 def _cmd_ansatz(args) -> int:
     P = _load_problem(args)
-    f = factor_from_obj(_load_json(args.factor))
+    f = factor_from_obj(load_json(args.factor))
     if args.side:
         f = type(f)(f.v, f.B, args.side.upper())
     L = make_m1(P, f) if f.side == "M1" else make_m2(P, f)
@@ -113,7 +108,7 @@ def _cmd_blocksym(args) -> int:
 
 def _cmd_check(args) -> int:
     P = _load_problem(args)
-    f = factor_from_obj(_load_json(args.factor))
+    f = factor_from_obj(load_json(args.factor))
     if f.k != P.k or f.n != P.n:
         raise DimensionMismatchError(
             f"factor is for (k, n) = ({f.k}, {f.n}), problem has ({P.k}, {P.n})"
@@ -134,7 +129,7 @@ def _cmd_check(args) -> int:
 def _cmd_membership(args) -> int:
     tol = _tolerance(args.tol)
     P = _load_problem(args)
-    L = pencil_from_obj(_load_json(args.pencil))
+    L = pencil_from_obj(load_json(args.pencil))
     report = verify_membership(L, P, side=args.side.upper(), tol=tol)
     _emit({"member": report.member, "v": report.v.tolist(), "residual": report.residual})
     return 0
@@ -143,7 +138,7 @@ def _cmd_membership(args) -> int:
 def _cmd_eig(args) -> int:
     tol = _tolerance(args.tol)
     P = _load_problem(args)
-    f = factor_from_obj(_load_json(args.factor)) if args.factor else None
+    f = factor_from_obj(load_json(args.factor)) if args.factor else None
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if f.side == "M1" else make_m2(P, f))
     side = "M1" if f is None else f.side
     # without recovery no left eigenvector is used, so the solver skips them
@@ -371,8 +366,8 @@ def run(argv=None) -> int:
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OrthopencilError, ValueError, TypeError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    # a JSON syntax error and invalid UTF-8 are ValueErrors
+    except (OrthopencilError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

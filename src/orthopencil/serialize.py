@@ -5,17 +5,24 @@ ascending degree order P_0 .. P_k.  Floats round-trip exactly through json
 (shortest-repr serialization preserves every double).
 
 The ``*_to_obj`` functions and ``spectrum_report_obj`` build the plain
-objects; ``dump_json`` writes any of them, or any other JSON value, as
-json.dumps(indent=2, sort_keys=True) does, from the shape of the value
-alone: it knows no report's keys.
+objects.  The ``*_from_obj`` readers check the JSON type of every field they
+read and name the field when it is wrong.
+
+``load_json`` and ``dump_json`` are the CLI's JSON reader and writer.  Both
+run through orjson and give exactly what the standard json module gives:
+``load_json`` the value, or the error, of json.load on the file opened as
+UTF-8 text, and ``dump_json`` the text of json.dumps(indent=2,
+sort_keys=True).  Where orjson refuses a document or a value, or could read
+or write it otherwise than json, they hand it to json.
 """
 
 from __future__ import annotations
 
+import io
 import json
-from itertools import chain
 
 import numpy as np
+import orjson
 
 from .ansatz import AnsatzFactor
 from .basis import BUILTIN_KINDS, DegreeGradedBasis, ThreeTermBasis
@@ -33,6 +40,7 @@ __all__ = [
     "factor_to_obj",
     "factor_from_obj",
     "spectrum_report_obj",
+    "load_json",
     "dump_json",
 ]
 
@@ -57,34 +65,98 @@ def basis_to_obj(basis) -> dict:
 def _json_kind(value) -> str:
     """The JSON name of the type of a value that json.load returned."""
     for types, name in ((type(None), "null"), (bool, "a boolean"), ((int, float), "a number"),
-                        (str, "a string"), (list, "an array")):
+                        (str, "a string"), (list, "an array"), (dict, "an object")):
         if isinstance(value, types):  # bool before int: a bool is an int
             return name
     return type(value).__name__
 
 
-def _require_object(obj, what: str):
+def _required(obj: dict, what: str, *keys):
+    """obj[key] for each key, or a ValueError that names the first missing
+    one, or that obj (called ``what``) is not an object."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be an object, got {_json_kind(obj)}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} is missing key {key!r}")
+    return [obj[key] for key in keys]
+
+
+def _wrong_type(what: str, expected: str, value) -> ValueError:
+    """The error for a field ``what`` whose value is not ``expected``; an
+    array is not described further, a scalar by its JSON type."""
+    got = "" if type(value) is list else f", got {_json_kind(value)}"
+    return ValueError(f"{what} must be {expected}{got}")
+
+
+def _is_number(value) -> bool:
+    return type(value) is int or type(value) is float  # a bool is not a number here
+
+
+def _integer(value, what: str) -> int:
+    """A JSON number with no fraction as an int.  A float qualifies: JSON
+    does not tell 2 from 2.0, and load_json reads an integer beyond 64 bits
+    as a float."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    got = repr(value) if type(value) is float else _json_kind(value)
+    raise ValueError(f"{what} must be an integer, got {got}")
+
+
+def _numbers(value, what: str) -> tuple:
+    """A JSON array of numbers as a tuple."""
+    if type(value) is not list or not all(map(_is_number, value)):
+        raise _wrong_type(what, "an array of numbers", value)
+    return tuple(value)
+
+
+_ARRAYS = {1: "an array of numbers", 2: "a matrix of numbers (an array of equal-length rows)",
+           3: "an array of matrices of numbers, all of one size"}
+
+
+def _float_array(value, what: str, ndim: int) -> np.ndarray:
+    """A rectangular JSON array of numbers nested ``ndim`` deep, as floats.
+
+    numpy reads the nesting and the leaf types in one pass: a ragged array
+    does not convert, and a string, null, array or object where a number
+    belongs gives a text or object dtype.  An object dtype also holds the
+    integers beyond 64 bits that json reads, so its leaves are checked one
+    by one.  numpy reads a boolean among numbers as 0 or 1."""
+    array = None
+    if type(value) is list:
+        try:
+            array = np.array(value)
+        except ValueError:  # ragged
+            pass
+    if array is not None and array.ndim == ndim and (
+            array.dtype.kind in "iuf"
+            or array.dtype.kind == "O" and all(map(_is_number, array.flat))):
+        try:
+            return np.asarray(array, dtype=float)
+        except OverflowError:  # an integer beyond the largest float
+            raise ValueError(f"{what} must be finite") from None
+    raise _wrong_type(what, _ARRAYS[ndim], value)
 
 
 def basis_from_obj(obj: dict):
-    _require_object(obj, "problem JSON 'basis'")
-    kind = obj.get("kind")
+    (kind,) = _required(obj, "problem JSON 'basis'", "kind")
+    if type(kind) is not str:
+        raise _wrong_type("problem JSON 'basis.kind'", "a string", kind)
+
+    def numbers(key):
+        return _numbers(obj.get(key, []), f"problem JSON 'basis.{key}'")
+
     if kind == "degree_graded":
-        return DegreeGradedBasis(
-            shift=tuple(obj.get("shift", ())),
-            lower=tuple(tuple(row) for row in obj.get("lower", ())),
-        )
+        lower = obj.get("lower", [])
+        if type(lower) is not list or not all(
+                type(row) is list and all(map(_is_number, row)) for row in lower):
+            raise _wrong_type("problem JSON 'basis.lower'", "an array of arrays of numbers", lower)
+        return DegreeGradedBasis(shift=numbers("shift"), lower=tuple(map(tuple, lower)))
     if kind == "custom":
-        return ThreeTermBasis(
-            kind="custom",
-            alpha=tuple(obj.get("alpha", ())),
-            beta=tuple(obj.get("beta", ())),
-            gamma=tuple(obj.get("gamma", ())),
-        )
+        return ThreeTermBasis(kind="custom", alpha=numbers("alpha"), beta=numbers("beta"),
+                              gamma=numbers("gamma"))
     if kind == "newton":
-        return ThreeTermBasis(kind="newton", nodes=tuple(obj.get("nodes", ())))
+        return ThreeTermBasis(kind="newton", nodes=numbers("nodes"))
     if kind in BUILTIN_KINDS:
         return ThreeTermBasis(kind=kind)
     raise ValueError(f"unknown basis kind {kind!r}")
@@ -99,23 +171,15 @@ def problem_to_obj(P: MatrixPolynomial) -> dict:
     }
 
 
-def _required(obj: dict, what: str, *keys):
-    """obj[key] for each key, or a ValueError that names the first missing
-    one, or that obj is not an object."""
-    _require_object(obj, f"{what} JSON")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{what} JSON is missing key {key!r}")
-    return [obj[key] for key in keys]
-
-
 def problem_from_obj(obj: dict) -> MatrixPolynomial:
-    basis, coefficients = _required(obj, "problem", "basis", "coefficients")
+    basis, coefficients = _required(obj, "problem JSON", "basis", "coefficients")
     basis = basis_from_obj(basis)
-    coeffs = [np.array(m, dtype=float) for m in coefficients]
+    coeffs = _float_array(coefficients, "problem JSON 'coefficients'", 3)
+    n, k = (_integer(obj[key], f"problem JSON {key!r}") if key in obj else None
+            for key in ("n", "k"))
     P = MatrixPolynomial(tuple(coeffs), basis)
-    n = int(obj.get("n", P.n))
-    k = int(obj.get("k", P.k))
+    n = P.n if n is None else n
+    k = P.k if k is None else k
     if n != P.n or k != P.k:
         raise DimensionMismatchError(
             f"declared (n, k) = ({n}, {k}) but coefficients give ({P.n}, {P.k})"
@@ -128,8 +192,9 @@ def pencil_to_obj(L: Pencil) -> dict:
 
 
 def pencil_from_obj(obj: dict) -> Pencil:
-    X, Y, n, k = _required(obj, "pencil", "X", "Y", "n", "k")
-    return Pencil(X=np.array(X, dtype=float), Y=np.array(Y, dtype=float), n=int(n), k=int(k))
+    X, Y, n, k = _required(obj, "pencil JSON", "X", "Y", "n", "k")
+    return Pencil(X=_float_array(X, "pencil JSON 'X'", 2), Y=_float_array(Y, "pencil JSON 'Y'", 2),
+                  n=_integer(n, "pencil JSON 'n'"), k=_integer(k, "pencil JSON 'k'"))
 
 
 def factor_to_obj(f: AnsatzFactor) -> dict:
@@ -137,12 +202,12 @@ def factor_to_obj(f: AnsatzFactor) -> dict:
 
 
 def factor_from_obj(obj: dict) -> AnsatzFactor:
-    v, B = _required(obj, "factor", "v", "B")
-    return AnsatzFactor(
-        v=np.array(v, dtype=float),
-        B=np.array(B, dtype=float),
-        side=obj.get("side", "M1"),
-    )
+    v, B = _required(obj, "factor JSON", "v", "B")
+    side = obj.get("side", "M1")
+    if type(side) is not str:
+        raise _wrong_type("factor JSON 'side'", "a string", side)
+    return AnsatzFactor(v=_float_array(v, "factor JSON 'v'", 1),
+                        B=_float_array(B, "factor JSON 'B'", 2), side=side)
 
 
 def spectrum_report_obj(triples, recovered_right=None, recovered_left=None) -> dict:
@@ -177,6 +242,24 @@ def spectrum_report_obj(triples, recovered_right=None, recovered_left=None) -> d
     return report
 
 
+def load_json(path):
+    """The JSON value in the file at ``path``, as json.load of the file
+    opened as UTF-8 text returns it, or the error json raises.
+
+    orjson reads the bytes.  A document it refuses (NaN or Infinity, a
+    number beyond the float range, a byte-order mark, a lone surrogate,
+    invalid UTF-8, a syntax error) goes to json, through the same text
+    decoding as before, so its value, or the error and its message, is
+    json's.  One value differs: an integer below -2**63 or at or above 2**64
+    comes as the nearest float, where json gives the int."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
 def _coerce_scalars(value):
     if isinstance(value, (np.bool_,)):
         return bool(value)
@@ -187,94 +270,87 @@ def _coerce_scalars(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
-def _texts(numbers):
-    """The texts json writes for a flat list of numbers, in order, from one
-    json.dumps in the C encoder; None if any of them is a string, a list or
-    an object with keys."""
-    text = json.dumps(numbers, default=_coerce_scalars)
-    # a string or list in place of a number shows in the text; so does an
-    # object with keys, and an empty one is "{}" in both encoders
-    if '"' in text or "[" in text[1:]:
+_DIGITS = frozenset("0123456789")
+
+
+def _number_on_line(text: str, at: int):
+    """(start, end) of the number that holds ``text[at]``, or None when
+    ``at`` lies in a key or the value on its line is a string.
+
+    ``text`` holds no backslash, so no string in it holds a quote: a line is
+    indentation, an optional '"key": ', one value and an optional comma."""
+    start = text.rfind("\n", 0, at) + 1
+    end = text.find("\n", at)
+    end = len(text) if end == -1 else end
+    key = text.find('": ', start, end)
+    start = key + 3 if key != -1 else start + len(text[start:end]) - len(text[start:end].lstrip())
+    if at < start or text[start] == '"':
         return None
-    return text[1:-1].split(", ") if numbers else []
+    return start, end - 1 if text[end - 1] == "," else end
 
 
-def _block(items, indent: int, brackets: str = "[]") -> str:
-    """The layout json.dumps(indent=2) gives a list (brackets "{}": an object)
-    whose item texts are ``items`` and whose first line is indented by
-    ``indent``."""
-    if not items:
-        return brackets
-    inner = "\n" + " " * (indent + 2)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * indent + brackets[1]
+def _repr_numbers(text: str) -> str:
+    """orjson's ``text`` with each number that orjson writes otherwise than
+    float.__repr__ written by repr.
+
+    orjson leaves out the "+" and the leading zero of an exponent (1e16 and
+    1.5e-7 where repr writes 1e+16 and 1.5e-07), and it writes numbers in
+    [1e-5, 1e-4) without one (0.00001 for 1e-05).  It writes the same digits
+    as repr, so repr(float(token)) is the number json writes.  The
+    candidates are found with str.find: an "e" with a digit before it and a
+    digit, or a minus sign and a single digit, after it; and a "0.0000"."""
+    edits = {}
+    at = text.find("e")
+    while at != -1:
+        after = text[at + 1:at + 2]
+        if text[at - 1] in _DIGITS and (after in _DIGITS or after == "-" and (
+                text[at + 3:at + 4] not in _DIGITS)):
+            span = _number_on_line(text, at)
+            if span is not None:
+                edits[span[0]] = span[1]
+        at = text.find("e", at + 1)
+    at = text.find("0.0000")
+    while at != -1:
+        if text[at - 1:at] not in _DIGITS:
+            span = _number_on_line(text, at)
+            if span is not None:
+                edits[span[0]] = span[1]
+        at = text.find("0.0000", at + 1)
+    pieces, done = [], 0
+    for start in sorted(edits):
+        end = edits[start]
+        pieces += (text[done:start], repr(float(text[start:end])))
+        done = end
+    return "".join(pieces) + text[done:] if pieces else text
 
 
-def _template(value: list, indent: int):
-    """(template, leaves) of a list that one % can fill, or None.
-
-    Two shapes qualify: a non-empty list of dicts with the same string keys
-    (one template per record, keys in sort order), and a rectangular nested
-    list (one template for the whole shape, joined level by level).  The
-    leaves are the values the template's %s stand for, in order; _texts
-    decides whether they are scalars."""
-    first = value[0] if value else None
-    if type(first) is dict:
-        keys = first.keys()
-        if not all(type(key) is str for key in keys) or any(
-                type(record) is not dict or record.keys() != keys for record in value):
-            return None
-        keys = sorted(keys)
-        record = _block([json.dumps(key).replace("%", "%%") + ": %s" for key in keys],
-                        indent + 2, "{}")
-        return _block([record] * len(value), indent), [r[key] for r in value for key in keys]
-    shape, level = [], [value]
-    while level and type(level[0]) is list:
-        if set(map(type, level)) != {list} or len(set(map(len, level))) != 1:
-            return None
-        shape.append(len(level[0]))
-        level = list(chain.from_iterable(level))
-    template = "%s"
-    for depth in reversed(range(len(shape))):
-        template = _block([template] * shape[depth], indent + 2 * depth)
-    return template, level
-
-
-def _encode(value, indent: int) -> str:
-    """The text of value as json.dumps(indent=2, sort_keys=True) writes it at
-    an item whose first line is indented by ``indent``."""
-    if type(value) is dict and all(type(key) is str for key in value):
-        return _block([f"{json.dumps(key)}: {_encode(value[key], indent + 2)}"
-                       for key in sorted(value)], indent, "{}")
-    if type(value) is list:
-        layout = _template(value, indent)
-        texts = None if layout is None else _texts(layout[1])
-        if texts is not None:
-            return layout[0] % tuple(texts)
-        return _block([_encode(item, indent + 2) for item in value], indent)
-    if not isinstance(value, (list, tuple, dict)):
-        # a lone scalar is one line either way; without indent the C encoder
-        # writes it
-        return json.dumps(value, default=_coerce_scalars)
-    text = json.dumps(value, indent=2, sort_keys=True, default=_coerce_scalars)
-    return text.replace("\n", "\n" + " " * indent)
+_ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
 
 
 def dump_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), numpy scalars coerced.
 
-    CPython's json falls back to its pure-Python encoder whenever indent is
-    set, so the layout is built here from the shape of obj alone, and every
-    number's text comes from the C encoder:
-    - a rectangular nested list, or a list of records (dicts with the same
-      string keys), whose leaves are scalars gets a % template of its
-      shape, filled by one % with the texts of one json.dumps of its
-      leaves without indent (both encoders write floats by float.__repr__,
-      and NaN and the infinities by the same names);
-    - a dict with string keys, and any other list, is laid out item by item;
-    - a string or a lone scalar is json.dumps without indent, in the C
-      encoder;
-    - a tuple or a dict with a non-string key is json.dumps with indent,
-      re-indented to its depth.
-    The result is byte-identical to json.dumps(obj, indent=2, sort_keys=True).
+    orjson writes the text: its OPT_INDENT_2 | OPT_SORT_KEYS layout is
+    json's line for line, and it writes every float with the shortest digits
+    that round-trip, as float.__repr__ does.  Where it writes a number in
+    another form, _repr_numbers rewrites it by repr.  json.dumps writes the
+    text instead when orjson could differ from it:
+    - orjson raises: a key that is not a string, an integer beyond 64 bits,
+      a value neither encoder knows, nesting deeper than orjson allows;
+    - the text holds null, which is also how orjson writes NaN and the
+      infinities (json writes NaN, Infinity and -Infinity);
+    - the text holds a backslash: json and orjson escape strings
+      differently;
+    - the text holds a character outside printable ASCII, which json
+      writes as a \\u escape.
+    So the result is byte-identical to json.dumps(obj, indent=2,
+    sort_keys=True) for every value that json encodes.  (orjson also
+    encodes some values that json refuses, such as dataclasses and enums.)
     """
-    return _encode(obj, 0)
+    try:
+        out = orjson.dumps(obj, default=_coerce_scalars, option=_ORJSON_OPTIONS)
+    except orjson.JSONEncodeError:
+        out = None
+    if out is None or b"null" in out or b"\\" in out or b"\x7f" in out or not out.isascii():
+        return json.dumps(obj, indent=2, sort_keys=True, default=_coerce_scalars)
+    return _repr_numbers(out.decode("ascii"))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthopencil import AnsatzFactor, anchor_pencil, builtin_basis, identity_factor, MatrixPolynomial
+from orthopencil import cli
 from orthopencil.cli import (
     _PROBLEM_OPTIONS, COMMANDS, _direct_parse, build_parser, main, run,
 )
@@ -230,7 +231,9 @@ def _every_command(paths):
 
 def test_every_report_is_indented_sorted_json(tmp_path, rng, capsys):
     argvs = _every_command(_command_files(tmp_path, rng))
-    argvs += [["eig", "--random", "3,4,1", "--basis", "legendre"], ["recover", "--random", "4,5,2"]]
+    argvs += [["eig", "--random", "3,4,1", "--basis", "legendre"], ["recover", "--random", "4,5,2"],
+              ["recover", "--random", "8,14,1"], ["blocksym", "--random", "6,8,3", "--v=-1,0,0,0,0,0,0,1"],
+              ["exclusion", "--random", "6,8,1", "--v=1,1,1,1,1,1,1,1"]]
     for argv in argvs:
         assert run(argv) == 0, argv
         out = capsys.readouterr().out
@@ -328,6 +331,126 @@ def test_missing_key_is_named(tmp_path, capsys, cheb_problem_file):
     ]:
         assert run(argv) == 2, argv
         assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+_MATRIX = "a matrix of numbers (an array of equal-length rows)"
+_DG_BASIS = {"kind": "degree_graded", "shift": [0.0, 0.5, 0.0], "lower": [[0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("target, key, value, message", [
+    ("problem", "coefficients", 3,
+     "'coefficients' must be an array of matrices of numbers, all of one size, got a number"),
+    ("problem", "coefficients", [[[1.0]], [[1.0, 2.0]]],
+     "'coefficients' must be an array of matrices of numbers, all of one size"),
+    ("problem", "coefficients", [[["1", "2"], ["3", "4"]]] * 4,
+     "'coefficients' must be an array of matrices of numbers, all of one size"),
+    # an integer beyond the float range: orjson refuses it, json reads it
+    ("problem", "coefficients", [[[10**400, 0], [0, 1]]] * 4, "'coefficients' must be finite"),
+    ("problem", "n", None, "'n' must be an integer, got null"),
+    ("problem", "n", "2", "'n' must be an integer, got a string"),
+    ("problem", "n", 2.5, "'n' must be an integer, got 2.5"),
+    ("problem", "k", True, "'k' must be an integer, got a boolean"),
+    ("problem", "basis", {**_DG_BASIS, "shift": 3},
+     "'basis.shift' must be an array of numbers, got a number"),
+    ("problem", "basis", {**_DG_BASIS, "lower": [[0.0], 1]},
+     "'basis.lower' must be an array of arrays of numbers"),
+    ("problem", "basis", {"kind": "newton", "nodes": None},
+     "'basis.nodes' must be an array of numbers, got null"),
+    ("problem", "basis", {"kind": "custom", "alpha": ["1", 1, 1], "beta": [0] * 3, "gamma": [0] * 3},
+     "'basis.alpha' must be an array of numbers"),
+    ("problem", "basis", {"kind": 3}, "'basis.kind' must be a string, got a number"),
+    ("problem", "basis", {}, "'basis' is missing key 'kind'"),
+    ("pencil", "X", "X", f"'X' must be {_MATRIX}, got a string"),
+    ("pencil", "Y", [1.0, 2.0], f"'Y' must be {_MATRIX}"),
+    ("pencil", "n", 2.5, "'n' must be an integer, got 2.5"),
+    ("pencil", "k", "4", "'k' must be an integer, got a string"),
+    ("factor", "v", {}, "'v' must be an array of numbers, got an object"),
+    ("factor", "B", [[1.0, None]], f"'B' must be {_MATRIX}"),
+    ("factor", "side", 1, "'side' must be a string, got a number"),
+])
+def test_wrong_type_is_named(tmp_path, capsys, cheb_problem_file, target, key, value, message):
+    path, P = cheb_problem_file
+    objs = {"problem": problem_to_obj(P), "pencil": pencil_to_obj(anchor_pencil(P)),
+            "factor": factor_to_obj(identity_factor(3, 2))}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**objs[target], key: value}))
+    argv = {"problem": ["eig", "-p", str(bad)],
+            "pencil": ["membership", "-p", str(path), "--pencil", str(bad)],
+            "factor": ["check", "-p", str(path), "-f", str(bad)]}[target]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {target} JSON {message}\n"
+
+
+def _json_load(path):
+    """The reader the CLI had before load_json: json.load of the file as UTF-8
+    text."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _edit(text: str, case: str) -> bytes:
+    """An indented problem JSON text, spoilt or altered as ``case`` says."""
+    data = text.encode()
+    if case in ("NaN", "Infinity", "1e400"):
+        # in place of the first coefficient entry
+        start = text.index('"coefficients"')
+        start = next(i for i in range(start, len(text)) if text[i] in "-0123456789")
+        end = text.index(",", start)
+        return (text[:start] + case + text[end:]).encode()
+    if case == "bom":
+        return b"\xef\xbb\xbf" + data
+    if case == "bad utf-8":
+        return data.replace(b'"basis"', b'"basis\xff"')
+    if case == "trailing comma":
+        return data[:data.rindex(b"}")].rstrip() + b",\n}"
+    if case == "crlf syntax error":
+        # universal newlines shift json's char offsets; so must the fallback
+        return data.replace(b"\n", b"\r\n").replace(b'"n":', b'"n"')
+    assert case == "lone surrogate"
+    return data.replace(b'"k":', b'"\\ud800": 0, "k":')
+
+
+@pytest.mark.parametrize("case, code", [
+    ("NaN", 2), ("Infinity", 2), ("1e400", 2), ("bom", 2), ("bad utf-8", 2),
+    ("trailing comma", 2), ("crlf syntax error", 2), ("lone surrogate", 0),
+])
+def test_json_orjson_refuses_reads_as_before(tmp_path, capsys, monkeypatch, cheb_problem_file,
+                                             case, code):
+    path, _ = cheb_problem_file
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_edit(path.read_text(), case))
+    argv = ["eig", "-p", str(bad)]
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "load_json", _json_load)
+        assert run(argv) == code
+        assert capsys.readouterr() == captured
+    if case == "bom":
+        assert captured.err == ("error: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                                "line 1 column 1 (char 0)\n")
+
+
+def test_integers_beyond_64_bits_and_whole_floats_for_n(tmp_path, capsys, cheb_problem_file):
+    path, P = cheb_problem_file
+    bad = tmp_path / "bad.json"
+
+    def eig_with(**fields):
+        bad.write_text(json.dumps({**problem_to_obj(P), **fields}))
+        return run(["eig", "-p", str(bad)]), capsys.readouterr()
+
+    mismatch = "error: declared (n, k) = ({}, 3) but coefficients give (2, 3)\n"
+    # 2**64 is a float: the message is json's
+    code, captured = eig_with(n=2**64)
+    assert (code, captured.err) == (3, mismatch.format(2**64))
+    # orjson reads integers beyond 64 bits as the nearest float, so the
+    # declared n is printed as that float's integer; the exit code is json's
+    code, captured = eig_with(n=2**64 + 1)
+    assert (code, captured.err) == (3, mismatch.format(2**64))
+    code, captured = eig_with(n=-2**63 - 1)
+    assert (code, captured.err) == (3, mismatch.format(-2**63))
+    assert eig_with(n=2.0, k=3.0)[0] == 0
 
 
 @pytest.mark.parametrize("value, kind", [(None, "null"), ("chebyshev1", "a string"),

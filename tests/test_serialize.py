@@ -14,6 +14,7 @@ from orthopencil import (
     builtin_basis,
     pencil_eigen,
 )
+from orthopencil import serialize
 from orthopencil.serialize import (
     _coerce_scalars,
     basis_from_obj,
@@ -21,6 +22,7 @@ from orthopencil.serialize import (
     dump_json,
     factor_from_obj,
     factor_to_obj,
+    load_json,
     pencil_from_obj,
     pencil_to_obj,
     problem_from_obj,
@@ -126,10 +128,19 @@ def test_spectrum_report_with_vectors(rng):
     assert report["eigenvectors"]["right"][0][0] == [1.0, 0.0]
 
 
-# Floats where the two json encoders could part: NaN, the infinities, signed
-# zero, the extremes of the normal range and subnormals.
+# Floats where orjson and json could part: NaN, the infinities, signed zero,
+# the extremes of the normal range, subnormals, and the numbers orjson writes
+# in another form than repr: below 1e-4 (0.00001 for 1e-05, 1e-7 for 1e-07)
+# and from 1e16 up (1e16 for 1e+16).
 SPECIAL_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, -1e300,
-                  5e-324, 2.2250738585072014e-308 / 3, 1.0, 0.1, 123456789.0, 1e16)
+                  5e-324, 2.2250738585072014e-308 / 3, 1.0, 0.1, 123456789.0, 1e16,
+                  1e-05, -1.5e-05, 9.999999999999999e-05, 0.0001, 1e-07, 1.5e-07, -2e-09,
+                  1e-10, 9999999999999998.0, -1e+16, 1.2345e+17, 1e+22, 1.7976931348623157e+308)
+# |x| in (0, 1e-4) and from 1e16 up, of either sign
+_REWRITTEN_FLOATS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e-4, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1e16, allow_infinity=False),
+).flatmap(lambda x: st.sampled_from((x, -x)))
 # numpy scalars (np.float64 is a float; the others json cannot encode by
 # itself, so dump_json coerces them)
 NUMPY_SCALARS = (np.float64, lambda x: np.float32(np.clip(x, -1e38, 1e38)),
@@ -143,6 +154,9 @@ def _reports(draw):
     sides = draw(st.sampled_from(((), ("right",), ("left",), ("right", "left"))))
     pool = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8))
     pool += list(SPECIAL_FLOATS)
+    if draw(st.booleans()):
+        # finite only, as real reports are: orjson writes all of it
+        pool = [x for x in pool if np.isfinite(x)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def number():
@@ -163,18 +177,23 @@ def _reports(draw):
     return report
 
 
-# Strings and keys with % in them: a template must not read them as format
-# specifiers.
-_STRINGS = st.one_of(st.text(max_size=6), st.sampled_from(("%", "%s", "%%", "a%d", "re", "")))
+# Strings and keys that look like what dump_json searches orjson's text for
+# (an exponent, "0.0000", null) or that it must hand to json (a backslash, a
+# quote, a control character, DEL, non-ASCII text), and format specifiers.
+_STRINGS = st.one_of(st.text(max_size=6), st.sampled_from((
+    "%", "%s", "%%", "a%d", "re", "", "1e5", "1e-7", "2e16", "x1e+5", "0.00001", "-0.0000",
+    "null", "a\\b", "\\", '"', '": 1e5', "\x7f", "\x1f", "\u00e9", "caf\u00e9 1e-7", "\u2028",
+    "\U0001f600")))
 _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL_FLOATS),
+    _REWRITTEN_FLOATS,
     st.integers(), st.booleans(), st.none(),
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
     st.floats(width=32).map(np.float32),
     st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
 )
 _SCALARS = st.one_of(_NUMBERS, _STRINGS)
-# mostly numbers: a string among the leaves sends the list item by item
+# mostly numbers, as in the reports
 _LEAVES = st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, _SCALARS)
 
 
@@ -243,6 +262,100 @@ def test_dump_json_leaves_other_shapes_to_json():
     ]
     for obj in cases:
         assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_dump_json_writes_finite_reports_with_orjson_alone(rng, monkeypatch):
+    P = random_problem(rng, 3, 4, "chebyshev2")
+    L = anchor_pencil(P)
+    triples = pencil_eigen(L)
+    reports = [
+        pencil_to_obj(L),
+        factor_to_obj(AnsatzFactor(rng.standard_normal(4), rng.standard_normal((12, 9)))),
+        spectrum_report_obj(triples, recovered_right=[t.right[:3] for t in triples]),
+        # the numbers orjson writes in another form than repr
+        {"tiny": [1e-05, -9.5e-05, 1e-07, -2.5e-09], "huge": [1e+16, -1.5e+17, 1e+300]},
+    ]
+    expected = [json.dumps(obj, indent=2, sort_keys=True) for obj in reports]
+    monkeypatch.setattr(serialize, "json", None)  # a fall back to json raises AttributeError
+    assert [dump_json(obj) for obj in reports] == expected
+
+
+@pytest.mark.parametrize("obj", [
+    {"nan": float("nan")}, [float("inf")], {"none": None}, {"del": "\x7f"}, {"\u00e9": 1.0},
+    ["a\\b"], ['say "1e5"'], {1: 2.0}, [2**64], [-2**63 - 1],
+])
+def test_dump_json_hands_json_what_orjson_writes_otherwise(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_dump_json_hands_json_nesting_beyond_orjson():
+    obj = 1e-05
+    for _ in range(300):  # orjson stops at 255 levels
+        obj = [obj]
+    assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _same_as_json(got, want) -> bool:
+    """got is json's value want: the same types, floats bit for bit; an
+    integer beyond 64 bits may come as the nearest float."""
+    if type(want) is int and not -2**63 <= want < 2**64 and type(got) is float:
+        return got == float(want)
+    if type(got) is not type(want):
+        return False
+    if type(want) is float:
+        return got.hex() == want.hex()
+    if type(want) is list:
+        return len(got) == len(want) and all(map(_same_as_json, got, want))
+    if type(want) is dict:
+        return list(got) == list(want) and all(map(_same_as_json, got.values(), want.values()))
+    return got == want
+
+
+@st.composite
+def _long_decimals(draw):
+    """17 to 30 significant digits, with or without an exponent."""
+    size = draw(st.integers(17, 30))
+    digits = draw(st.sampled_from("123456789")) + draw(
+        st.text("0123456789", min_size=size - 1, max_size=size - 1))
+    point = draw(st.integers(1, size))
+    exponent = draw(st.one_of(st.just(""), st.integers(-345, 310).map("e{}".format),
+                              st.integers(0, 30).map("E+{:03d}".format),
+                              st.integers(0, 30).map("e-{:02d}".format)))
+    return f"{draw(st.sampled_from(('', '-')))}{digits[:point]}.{digits[point:] or '0'}{exponent}"
+
+
+_NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _long_decimals(),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308).map(repr),
+    st.sampled_from(("4.9406564584124654e-324", "2.4703282292062327e-324",
+                     "2.4703282292062328e-324", "2.2250738585072011e-308", "1e-400", "-1e-400",
+                     "-0", "-0.0", "0e0", "1.7976931348623158e308", "1E400", "NaN", "-Infinity")),
+    st.integers(-2**63, 2**64 - 1).map(str),
+    st.sampled_from((2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**30)).map(str),
+    st.integers(-2**200, 2**200).map(str),
+)
+# a JSON text of nested arrays and objects over number tokens, with the
+# whitespace json and orjson both skip
+_DOCUMENTS = st.recursive(
+    _NUMBER_TOKENS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5).map(lambda items: "[" + ",\r\n ".join(items) + "]"),
+        st.lists(children, max_size=4).map(
+            lambda items: "{" + ", ".join(f'"k{i}\u00e9": {t}' for i, t in enumerate(items)) + "}"),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500)
+@given(document=_DOCUMENTS)
+def test_load_json_reads_what_json_reads(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("load") / "doc.json"
+    path.write_bytes(document.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert _same_as_json(load_json(path), want)
 
 
 def test_spectrum_report_drops_vectors_of_infinite_eigenvalues():
