@@ -1,9 +1,11 @@
 """Linearizations of matrix polynomials in orthogonal and degree-graded bases.
 
-The package builds the anchor pencils of a matrix polynomial, parameterizes
-the pencil spaces defined by the right/left ansatz identities, constructs the
-block-symmetric members, recovers eigenvectors, and cross-checks everything
-against a brute-force spectral oracle.
+The package builds the anchor pencil of a matrix polynomial P, parameterizes
+the pencil spaces defined by the right/left ansatz identities, and constructs
+the block-symmetric members.  Every pencil of P, the anchor or an M1/M2
+member, is solved through P's anchor (``pencil_eigen(L, P, factor)``), and
+P's eigenvectors are recovered from it.  A brute-force spectral oracle gives
+an independent reference spectrum.
 """
 
 from .ansatz import (
@@ -55,15 +57,12 @@ from .pencil import (
     anchor_pencil,
     block_transpose,
     eval_pencil,
-    leading_principal,
     pencil_block_transpose,
-    reversal_pencil,
     sample_points,
 )
 from .spectral import (
     Eigentriple,
     eigenvalue_exclusion,
-    exclusion_left,
     pencil_eigen,
     qz_solve,
     recover_left,

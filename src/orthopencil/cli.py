@@ -142,7 +142,7 @@ def _cmd_eig(args) -> int:
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if f.side == "M1" else make_m2(P, f))
     side = "M1" if f is None else f.side
     # without recovery no left eigenvector is used, so the solver skips them
-    triples = pencil_eigen(L, left=args.recover, anchor=P, factor=f)
+    triples = pencil_eigen(L, P, f, left=args.recover)
     rights = lefts = None
     if args.recover:
         # pencil_eigen read P's vectors on both sides off the anchor: L's

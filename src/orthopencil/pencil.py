@@ -24,12 +24,10 @@ from .matpoly import MatrixPolynomial, require_ansatz_degree
 __all__ = [
     "Pencil",
     "eval_pencil",
-    "reversal_pencil",
     "block_transpose",
     "pencil_block_transpose",
     "sample_points",
     "anchor_pencil",
-    "leading_principal",
 ]
 
 
@@ -63,11 +61,6 @@ class Pencil:
 def eval_pencil(L: Pencil, lam) -> np.ndarray:
     """X*lam + Y."""
     return L.X * lam + L.Y
-
-
-def reversal_pencil(L: Pencil) -> Pencil:
-    """Swap the two coefficients: the reversal of X*lam + Y is Y*lam + X."""
-    return Pencil(X=L.Y, Y=L.X, n=L.n, k=L.k)
 
 
 def block_transpose(A: np.ndarray, n: int) -> np.ndarray:
@@ -157,10 +150,3 @@ def anchor_pencil(P: MatrixPolynomial) -> Pencil:
     Y = np.vstack([np.hstack(yblocks), np.kron(Ys, eye)])
     return Pencil(X, Y, n, k)
 
-
-def leading_principal(L: Pencil, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-left s x s submatrices of (X, Y); s need not align with the blocks."""
-    size = L.k * L.n
-    if not 1 <= s <= size:
-        raise DimensionMismatchError(f"submatrix size must be in 1..{size}")
-    return L.X[:s, :s].copy(), L.Y[:s, :s].copy()

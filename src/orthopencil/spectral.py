@@ -1,21 +1,19 @@
 """Pencil eigenproblems, eigenvector recovery, and exclusion checks.
 
-The dense generalized eigensolver is an injected dependency: any callable
-``solver(X, Y, left)`` returning a GeneralizedEigenResult for the pencil
-X*lam + Y can be used, and the default is ``qz_solve``.  With ``left`` false
-the caller uses no left eigenvectors, so the solver may skip them and return
-``left=None``.  The solver gives each eigenvalue in homogeneous form
-(alpha, beta); an eigenvalue is infinite when |beta| <= 1e-8 (|alpha| +
-|beta|), which makes it a zero eigenvalue of the reversal Y*lam + X.
-
-``qz_solve`` runs scipy's QZ on a pencil's own (X, Y) only when it has no
-anchor.  Every pencil that ``pencil_eigen`` can tie to an anchor pencil F is
-solved through F, with or without left eigenvectors:
+Every pencil ``pencil_eigen`` solves belongs to a matrix polynomial P and is
+solved through P's anchor pencil F, with or without left eigenvectors:
 
 - the anchor pencil of P itself, X = diag(c*P_k, I);
 - an M1 pencil L = T F, with T = [v kron I_n, B];
 - an M2 pencil L = F^B S, with S = [v^T kron I_n; B^B].  F^B is bitwise the
   transpose of the anchor pencil G of P^T, so L = G^T S.
+
+For regular P, L is a strong linearization exactly when the multiplier T (or
+S) is invertible, which is the rank test of ``ansatz.check_linearization``.
+Each eigenvalue comes in homogeneous form (alpha, beta); it is infinite when
+|beta| <= 1e-8 (|alpha| + |beta|), which makes it a zero eigenvalue of the
+reversal Y*lam + X.  With ``left`` false the caller uses no left
+eigenvectors, and none are computed.
 
 Two solvers find F's eigentriples.  When the row-scaled rcond of c*P_k
 clears 10 * n * eps, geev solves the companion (comrade, colleague) matrix
@@ -67,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzFactor, check_linearization, make_m1, make_m2, side_multiplier
+from .ansatz import AnsatzFactor, side_multiplier
 from .basis import _phi_sequence, phi_vector, to_monomial
 from .errors import DimensionMismatchError, RecoveryError, SingularPencilError
 from .matpoly import (
@@ -88,26 +86,26 @@ __all__ = [
     "backward_errors",
     "recover_right",
     "recover_left",
-    "exclusion_left",
     "eigenvalue_exclusion",
 ]
 
 
 @dataclass(frozen=True)
 class GeneralizedEigenResult:
-    """Raw solver output for the pencil X*lam + Y.
+    """Solver output for the pencil X*lam + Y.
 
     ``alpha``/``beta`` give eigenvalues alpha/beta; ``right`` and ``left``
     hold eigenvectors as columns, with the convention (X*lam + Y) right = 0
-    and left^T (X*lam + Y) = 0.  A pencil solved through its anchor also
-    gets ``residual``, the normalized right residuals read off the anchor,
-    and, when the side without Kronecker structure is solved (left for the
-    anchor and M1, right for M2), ``sums``: the n x m block sums
+    and left^T (X*lam + Y) = 0.  ``qz_solve``'s result also holds
+    ``residual``, the normalized right residuals read off the anchor, and,
+    when the side without Kronecker structure is solved (left for the anchor
+    and M1, right for M2), ``sums``: the n x m block sums
     (v kron I_n)^T w / ||w|| of its eigenvectors w, read off the anchor.
     When the certified geev found both sides, ``eta`` is 2 x m: row 0 the
     backward error eta_P of the Kronecker fit of each eigenvector on the
-    structured side, row 1 that of its block sum.  Other solvers leave all
-    three None.
+    structured side, row 1 that of its block sum.  The anchor's own
+    eigentriples, before the map to the pencil, have no ``residual`` and
+    no ``sums``.
     """
 
     alpha: np.ndarray
@@ -139,22 +137,19 @@ _INF_TOL = 1e-8
 _REGULARITY_SEED = 90210
 
 
-def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool = True, anchor=None,
+def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool, anchor: MatrixPolynomial,
              multiplier=None, lead=None) -> GeneralizedEigenResult:
-    """Default dense solver for the pencil X*lam + Y.
+    """The eigentriples of the pencil X*lam + Y, solved through its anchor.
 
-    With no ``anchor``, scipy's QZ on the pair (Y, -X); with left false no
-    left eigenvectors are computed (``left`` is None in the result), and the
-    rest is the same either way.  Otherwise ``anchor`` is the polynomial P,
-    and (X, Y) is its anchor pencil or, with ``multiplier`` (made by
-    pencil_eigen), its M1 or M2 pencil with that multiplier; it is solved
-    through the anchor (module docstring), by the certified geev or else QZ
-    on the anchor, which agree to within the eigenvalues' condition numbers
-    times their backward errors, not bit for bit.  ``lead`` is the anchor's
-    c*P_k block as matpoly._scaled_inverse gives it, if the caller has it.
+    ``anchor`` is the polynomial P, and (X, Y) is its anchor pencil or, with
+    ``multiplier`` (made by pencil_eigen), its M1 or M2 pencil with that
+    multiplier.  It is solved through the anchor (module docstring), by the
+    certified geev or else QZ on the anchor, which agree to within the
+    eigenvalues' condition numbers times their backward errors, not bit for
+    bit.  With left false no left eigenvectors are computed (``left`` is None
+    in the result).  ``lead`` is the anchor's c*P_k block as
+    matpoly._scaled_inverse gives it, if the caller has it.
     """
-    if anchor is None:
-        return _qz(X, Y, left)
     tied = _tied_anchor(X, Y, anchor, left, multiplier)
     res = _companion_solve(X, Y, anchor, left, multiplier, tied, lead)
     if res is None:
@@ -243,13 +238,6 @@ def _structured_residuals(X, Y, F, lams, U, multiplier=None):
         R = _apply_anchor(F, lams, U)
         if side == "M1":
             R = _real_matmul(multiplier.matrix, R)
-    return _relative(R, X, Y, lams, U)
-
-
-def _relative(R, X, Y, lams, U):
-    """||r_j|| / ((||X|| |lam_j| + ||Y||) ||u_j||) for the columns r_j of the
-    residual R of the columns u_j of U, and ||r_j|| / (||X|| ||u_j||) where
-    lam_j is infinite."""
     nx = np.linalg.norm(X)
     scales = np.where(np.isinf(lams), nx, nx * np.abs(lams) + np.linalg.norm(Y))
     return np.linalg.norm(R, axis=0) / (np.linalg.norm(U, axis=0) * np.maximum(scales, 1e-300))
@@ -280,7 +268,7 @@ def _through_anchor(X, Y, F, eigs, left, multiplier):
         if side == "M1":
             left_vecs = _solve(multiplier.inverse, Z, transpose=True)
         sums = Z[:n] / np.linalg.norm(left_vecs, axis=0)
-    lams, _ = _eigenvalues(eigs.alpha, eigs.beta)
+    lams = _eigenvalues(eigs.alpha, eigs.beta)
     residual = _structured_residuals(X, Y, F, lams, right, multiplier)
     return GeneralizedEigenResult(alpha=eigs.alpha, beta=eigs.beta, right=right,
                                   left=left_vecs, residual=residual, sums=sums, eta=eigs.eta)
@@ -335,16 +323,15 @@ def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None, lead=None)
 
 
 def _eigenvalues(alpha, beta):
-    """(lams, infinite): alpha_j / beta_j as Python complex numbers, complex
-    infinity where |beta_j| <= _INF_TOL (|alpha_j| + |beta_j|)."""
-    lams, infinite = [], []
+    """alpha_j / beta_j as Python complex numbers, complex infinity where
+    |beta_j| <= _INF_TOL (|alpha_j| + |beta_j|)."""
+    lams = []
     for a, b in zip(np.asarray(alpha, dtype=complex).tolist(),
                     np.asarray(beta, dtype=complex).tolist()):
         # Python complex division: numpy's vectorized one (and its abs)
         # differs in the last bits, which would change the reported eigenvalues
-        infinite.append(abs(b) <= _INF_TOL * (abs(a) + abs(b)))
-        lams.append(complex(np.inf) if infinite[-1] else a / b)
-    return lams, np.array(infinite, dtype=bool)
+        lams.append(complex(np.inf) if abs(b) <= _INF_TOL * (abs(a) + abs(b)) else a / b)
+    return lams
 
 
 @dataclass(frozen=True)
@@ -402,48 +389,43 @@ def _sort_triples(triples):
     return [t for _, t in keyed] + [t for t in triples if t.is_infinite]
 
 
-def pencil_eigen(L: Pencil, solver=None, left: bool = True, anchor=None,
-                 factor: AnsatzFactor | None = None) -> list[Eigentriple]:
-    """All kn eigenvalues of a regular pencil, infinite ones included.
+def pencil_eigen(L: Pencil, P: MatrixPolynomial, factor: AnsatzFactor | None = None,
+                 left: bool = True) -> list[Eigentriple]:
+    """All kn eigenvalues of a regular pencil of P, infinite ones included.
 
-    ``anchor`` is the polynomial P when L is its anchor pencil or, with
-    ``factor`` (v, B), its M1 or M2 pencil with that factor; the default
-    solver then solves L through its anchor (see qz_solve).  L is regular if
-    the reciprocal condition number of the anchor's c*P_k block (the exact
-    1-norm one, from its inverse, rows scaled to unit norm; c*P_k^T for M2)
-    is above 10 * n * eps and, with a factor, that of the side multiplier T
-    (or S) is above 10 * kn * eps, as L = T F.  Otherwise regularity is
-    tested by inverting X*lam + Y at up to 3 points of the disk |lam| < 2,
-    the same pseudo-random ones on every call: the pencil is regular as soon
-    as one has a row-scaled rcond above 10 * kn * eps.  If none has, or the
-    multiplier has no finite inverse, SingularPencilError is raised,
-    carrying the largest rcond seen; eigenvalues of a singular pencil are
-    meaningless.
+    L is the anchor pencil of P or, with ``factor`` (v, B), its M1 or M2
+    pencil with that factor; it is solved through the anchor (see qz_solve).
+    L is regular if the reciprocal condition number of the anchor's c*P_k
+    block (the exact 1-norm one, from its inverse, rows scaled to unit norm;
+    c*P_k^T for M2) is above 10 * n * eps and, with a factor, that of the
+    side multiplier T (or S) is above 10 * kn * eps, as L = T F.  Otherwise
+    regularity is tested by inverting X*lam + Y at up to 3 points of the
+    disk |lam| < 2, the same pseudo-random ones on every call: the pencil is
+    regular as soon as one has a row-scaled rcond above 10 * kn * eps.  If
+    none has, or the multiplier has no finite inverse, SingularPencilError
+    is raised, carrying the largest rcond seen; eigenvalues of a singular
+    pencil are meaningless.
 
-    The solver is called as solver(X, Y, left), the default one as
-    qz_solve(X, Y, left, anchor=..., multiplier=..., lead=...), which reuses
-    the inverse of c*P_k that the gate computed.  With left false no
-    left eigenvectors are asked for and every triple's ``left`` is None.
-    Residuals are ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||) for unit right
-    vectors u (||X u|| / ||X|| at infinite eigenvalues).
-    Results are sorted by (real, imag) with infinite eigenvalues last; real
-    parts equal up to rounding are ordered by imaginary part.
+    qz_solve reuses the inverse of c*P_k that the gate computed.  With left
+    false no left eigenvectors are asked for and every triple's ``left`` is
+    None.  Residuals are ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||) for unit
+    right vectors u (||X u|| / ||X|| at infinite eigenvalues), read off the
+    anchor.  Results are sorted by (real, imag) with infinite eigenvalues
+    last; real parts equal up to rounding are ordered by imaginary part.
     """
     n, eps = L.n, np.finfo(float).eps
-    multiplier, lead, regular = None, None, False
-    if anchor is not None:
-        block = L.X[:n, :n]
-        if factor is not None:
-            # c*P_k as the tied anchor holds it; the anchor of P^T for M2
-            block = leading_multiplier(anchor.basis, anchor.k) * anchor.coeffs[-1]
-            block = np.ascontiguousarray(block.T) if factor.side == "M2" else block
-        lead = _scaled_inverse(block)
-        regular = lead[0] > 10.0 * n * eps
-        if factor is not None:
-            T = side_multiplier(factor)
-            rcond, inverse = _scaled_inverse(T)
-            multiplier = _Multiplier(factor.side, T, inverse)
-            regular = regular and rcond > 10.0 * L.k * n * eps
+    multiplier, block = None, L.X[:n, :n]
+    if factor is not None:
+        # c*P_k as the tied anchor holds it; the anchor of P^T for M2
+        block = leading_multiplier(P.basis, P.k) * P.coeffs[-1]
+        block = np.ascontiguousarray(block.T) if factor.side == "M2" else block
+    lead = _scaled_inverse(block)
+    regular = lead[0] > 10.0 * n * eps
+    if factor is not None:
+        T = side_multiplier(factor)
+        rcond, inverse = _scaled_inverse(T)
+        multiplier = _Multiplier(factor.side, T, inverse)
+        regular = regular and rcond > 10.0 * L.k * n * eps
     if not regular:
         verdict = sampled_regularity(lambda lam: eval_pencil(L, lam), L.k * n,
                                      np.random.default_rng(_REGULARITY_SEED))
@@ -455,23 +437,13 @@ def pencil_eigen(L: Pencil, solver=None, left: bool = True, anchor=None,
             )
     if multiplier is not None and multiplier.inverse is None:
         raise SingularPencilError("pencil is singular: its multiplier is singular", rcond=0.0)
-    if solver is None:
-        res = qz_solve(L.X, L.Y, left, anchor=anchor, multiplier=multiplier, lead=lead)
-    else:
-        res = solver(L.X, L.Y, left)
-    lams, infinite = _eigenvalues(res.alpha, res.beta)
-    norms = np.linalg.norm(res.right, axis=0)
-    residuals = res.residual
-    if residuals is None:  # no anchor: the dense residuals of L itself
-        values = np.array(lams, dtype=complex)
-        R = (_real_matmul(L.X, res.right) * np.where(infinite, 1.0, values)
-             + _real_matmul(L.Y, res.right) * ~infinite)
-        residuals = _relative(R, L.X, L.Y, values, res.right)
-    right = res.right / norms
+    res = qz_solve(L.X, L.Y, left, P, multiplier=multiplier, lead=lead)
+    lams = _eigenvalues(res.alpha, res.beta)
+    right = res.right / np.linalg.norm(res.right, axis=0)
     left = None if res.left is None else res.left / np.linalg.norm(res.left, axis=0)
     triples = [
         Eigentriple(lams[idx], right[:, idx], None if left is None else left[:, idx],
-                    float(residuals[idx]), None if res.sums is None else res.sums[:, idx],
+                    float(res.residual[idx]), None if res.sums is None else res.sums[:, idx],
                     None if res.eta is None else res.eta[:, idx])
         for idx in range(len(lams))
     ]
@@ -646,90 +618,6 @@ def recover_left(v, U, P: MatrixPolynomial | None = None, eigenvalues=None,
             eta = _vector_residuals(P, lams, cols, nullside)
         _require_residuals(lams, np.reshape(eta, -1), tol)
     return sums
-
-
-@dataclass(frozen=True)
-class ExclusionLeftReport:
-    passed: bool
-    min_margin: float
-    margins: tuple
-    eigenvalues: tuple
-    rank_full: bool
-    witness: np.ndarray | None
-
-
-def exclusion_left(P: MatrixPolynomial, factor: AnsatzFactor,
-                   tol: float = 1e-8) -> ExclusionLeftReport:
-    """Left-eigenvector exclusion test for a factored pencil.
-
-    For side M1 the pencil is a strong linearization iff u^T (v kron I_n) != 0
-    for every left eigenvector u at every eigenvalue; for side M2 the dual
-    check uses right eigenvectors.  When the pencil itself is singular a
-    constant nullvector of [v kron I_n, B] is returned as the witness (it is
-    a left eigenvector for every point and annihilates v kron I_n).  The rank
-    test on the factor is reported alongside; the two verdicts agree for
-    regular P.
-    """
-    chk = check_linearization(factor)
-    L = make_m1(P, factor) if factor.side == "M1" else make_m2(P, factor)
-    try:
-        triples = pencil_eigen(L)
-    except SingularPencilError:
-        if not chk.is_strong_linearization:
-            # M1: a left nullvector of the multiplier annihilates the pencil
-            # from the left at every point and maps v kron I to zero; M2 uses
-            # the dual (right) nullvector of the stacked multiplier.
-            q = np.linalg.svd(side_multiplier(factor))[0 if factor.side == "M1" else 2]
-            q = q[:, -1] if factor.side == "M1" else q[-1, :]
-            return ExclusionLeftReport(False, 0.0, (0.0,), (), False, q)
-        # singular pencil despite a full-rank factor: P itself is singular;
-        # fall back to nullvectors sampled at a few points
-        return _sampled_nullvector_exclusion(P, factor, L, tol)
-    pairs = [(t.eigenvalue, t.left if factor.side == "M1" else t.right) for t in triples]
-    pairs = [(lam, vec) for lam, vec in pairs if vec is not None]
-    margins = np.zeros(0)
-    if pairs:
-        vecs = np.stack([vec for _, vec in pairs], axis=1)
-        margins = np.linalg.norm(recover_left(factor.v, vecs), axis=0)
-    low = np.flatnonzero(margins <= tol)
-    witness = pairs[low[0]][1] if low.size else None
-    passed = bool(margins.size and margins.min() > tol)
-    return ExclusionLeftReport(
-        passed, float(margins.min()) if margins.size else 0.0, tuple(margins.tolist()),
-        tuple(lam for lam, _ in pairs), chk.is_strong_linearization, witness,
-    )
-
-
-def _sampled_nullvector_exclusion(P, factor, L, tol) -> ExclusionLeftReport:
-    """Constant-nullvector specialization for singular pencils of singular P.
-
-    At each sample point the (left for M1, right for M2) nullvectors of the
-    evaluated pencil are checked against v; rational-function nullspaces are
-    not examined.
-    """
-    from .pencil import sample_points
-
-    margins = []
-    values = []
-    witness = None
-    for lam in sample_points(P.k + 2):
-        M = eval_pencil(L, lam)
-        U, s, Vh = np.linalg.svd(M)
-        cutoff = max(s[0], 1.0) * 1e-10
-        for idx in range(s.size):
-            if s[idx] > cutoff:
-                continue
-            vec = U[:, idx].conj() if factor.side == "M1" else Vh[idx, :].conj()
-            margin = float(np.linalg.norm(recover_left(factor.v, vec)))
-            margins.append(margin)
-            values.append(complex(lam))
-            if margin <= tol and witness is None:
-                witness = vec
-    passed = bool(margins) and min(margins) > tol
-    return ExclusionLeftReport(
-        passed, min(margins) if margins else 0.0, tuple(margins), tuple(values),
-        True, witness,
-    )
 
 
 @dataclass(frozen=True)

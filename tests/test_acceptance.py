@@ -216,7 +216,7 @@ def test_criterion_06_and_07_spectral_agreement_and_recovery():
     with criterion(6, "anchor and random members match the oracle spectrum to 1e-6"):
         for P, spec, factors in instances:
             for f in factors:
-                triples = pencil_eigen(make_m1(P, f))
+                triples = pencil_eigen(make_m1(P, f), P, f)
                 rep = compare_spectra(spectrum_of(triples), spec, tol=1e-6)
                 assert rep.matched, f"max distance {rep.max_distance:.3e}"
         # forced infinite eigenvalues: counts must match the oracle
@@ -235,13 +235,13 @@ def test_criterion_06_and_07_spectral_agreement_and_recovery():
                     continue
             assert spec.infinite_count >= 1
             for f in [identity_factor(k, n), _full_rank_factor(rng, k, n)]:
-                ps = spectrum_of(pencil_eigen(make_m1(P, f)))
+                ps = spectrum_of(pencil_eigen(make_m1(P, f), P, f))
                 assert ps.infinite_count == spec.infinite_count
                 assert compare_spectra(ps, spec, tol=1e-6).matched
 
     with criterion(7, "right/left eigenvector recovery residuals below 1e-6"):
         for P, spec, factors in instances:
-            triples = pencil_eigen(make_m1(P, factors[1]))
+            triples = pencil_eigen(make_m1(P, factors[1]), P, factors[1])
             v = factors[1].v
             for t in triples:
                 if t.is_infinite:

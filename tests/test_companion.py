@@ -1,13 +1,13 @@
-"""The anchor route of qz_solve: the companion-form geev and QZ on the anchor.
+"""qz_solve's two solvers: the companion-form geev and QZ on the anchor.
 
-An anchor pencil, or an M1 or M2 pencil of P, is solved through the anchor.
-When P_k is well conditioned geev solves the anchor's companion matrix, and
-its result is kept only under the eta_L and eta_P certificate; otherwise QZ
-solves the anchor itself.  The references here are sigma_min(P(lam)) /
-sum_i |phi_i(lam)| ||P_i||_F from an SVD of the evaluated polynomial,
-residuals of recovered vectors from the evaluated polynomial, and QZ on the
-pencil's own matrices (``pencil_eigen`` with no anchor); none shares code
-with the anchor route.
+pencil_eigen solves an anchor pencil, or an M1 or M2 pencil of P, through
+P's anchor.  When P_k is well conditioned geev solves the anchor's companion
+matrix, and its result is kept only under the eta_L and eta_P certificate;
+otherwise QZ solves the anchor itself.  The references here are
+sigma_min(P(lam)) / sum_i |phi_i(lam)| ||P_i||_F from an SVD of the
+evaluated polynomial, residuals of recovered vectors from the evaluated
+polynomial, and QZ on the pencil's own matrices (``spectra.qz_on_pencil``);
+none shares a solver with the anchor route.
 """
 
 import contextlib
@@ -29,7 +29,6 @@ from orthopencil import (
     build_dm_pencil,
     builtin_basis,
     check_linearization,
-    exclusion_left,
     make_m1,
     make_m2,
     pencil_eigen,
@@ -43,6 +42,7 @@ from orthopencil.matpoly import RegularityVerdict, _rcond, _scaled_inverse
 from orthopencil.serialize import dump_json, factor_to_obj, problem_to_obj, spectrum_report_obj
 from orthopencil.spectral import backward_errors
 from conftest import ALL_KINDS, random_problem
+from spectra import qz_on_pencil
 
 EPS = np.finfo(float).eps
 # (n, k): kn from 6 to 240
@@ -88,7 +88,7 @@ def _assert_matches_qz(L, side, lams, infinite_count, residuals):
     residuals within kn eps for an anchor pencil; for M1/M2 the spectrum
     within 1e-8 relative and residuals at most 10 kn eps."""
     kn = L.k * L.n
-    qz = pencil_eigen(L, left=False)
+    qz = qz_on_pencil(L, left=False)
     ref = [t for t in qz if not t.is_infinite]
     assert infinite_count == len(qz) - len(ref)
     if side == "anchor":
@@ -129,7 +129,7 @@ def _spy_eig(monkeypatch):
 def test_anchor_eigenvalues_are_certified(kind, shape, seed):
     n, k = shape
     P = random_problem(np.random.default_rng(seed), n, k, kind)
-    triples = pencil_eigen(anchor_pencil(P), left=False, anchor=P)
+    triples = pencil_eigen(anchor_pencil(P), P, left=False)
     assert len(triples) == k * n and not any(t.is_infinite for t in triples)
     lams, cert = _certificate(P, triples)
     sigma = _sigma_eta(P, lams)
@@ -143,8 +143,8 @@ def test_fast_path_matches_qz(rng):
         P = random_problem(rng, 10, 12, kind)
         L = anchor_pencil(P)
         assert spectral._companion_solve(L.X, L.Y, P) is not None
-        fast = np.array([t.eigenvalue for t in pencil_eigen(L, left=False, anchor=P)])
-        qz = np.array([t.eigenvalue for t in pencil_eigen(L, left=False)])
+        fast = np.array([t.eigenvalue for t in pencil_eigen(L, P, left=False)])
+        qz = np.array([t.eigenvalue for t in qz_on_pencil(L, left=False)])
         # the same spectrum, matched nearest to nearest both ways
         dist = np.abs(fast[:, None] - qz[None, :])
         assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-9
@@ -157,7 +157,7 @@ def test_ill_conditioned_lead_falls_back_to_qz(cond):
     # the geev solve was tried (P_k is invertible) and failed its certificate
     assert _rcond(L.X[:3, :3]) > 10 * 3 * EPS
     assert spectral._companion_solve(L.X, L.Y, P) is None
-    triples = pencil_eigen(L, left=False, anchor=P)
+    triples = pencil_eigen(L, P, left=False)
     _assert_triples_match_qz(L, "anchor", triples)
     assert _sigma_eta(P, np.array([t.eigenvalue for t in triples])).max() <= 100 * 12 * EPS
 
@@ -168,7 +168,7 @@ def test_singular_lead_gives_infinite_eigenvalues_by_qz(monkeypatch, rng):
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev2"))
     L = anchor_pencil(P)
     calls = _spy_eig(monkeypatch)
-    triples = pencil_eigen(L, left=False, anchor=P)
+    triples = pencil_eigen(L, P, left=False)
     # no geev: QZ alone, on the anchor
     assert len(calls) == 1 and calls[0][1] is not None
     assert sum(t.is_infinite for t in triples) >= 1
@@ -197,7 +197,7 @@ def test_each_certificate_check_rejects_on_its_own(case):
         f = AnsatzFactor(f.v, f.B, side)
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
     assert spectral._companion_solve(L.X, L.Y, P, False, _gate(f)) is None
-    _assert_triples_match_qz(L, side, pencil_eigen(L, left=False, anchor=P, factor=f))
+    _assert_triples_match_qz(L, side, pencil_eigen(L, P, f, left=False))
 
 
 def _write_problem(tmp_path, P, name):
@@ -379,7 +379,7 @@ def test_recover_is_certified_on_every_pencil(kind, side, shape, seed):
     for vec_side in ("right", "left"):
         assert _vector_eta(P, lams, _vectors(report, vec_side), vec_side).max() <= bound, vec_side
     # the same spectrum as QZ's, matched nearest to nearest both ways
-    _assert_same_spectrum(lams, np.array([t.eigenvalue for t in pencil_eigen(L, left=False)]))
+    _assert_same_spectrum(lams, np.array([t.eigenvalue for t in qz_on_pencil(L, left=False)]))
 
 
 def test_block_sums_are_read_off_the_anchor(tmp_path):
@@ -391,7 +391,7 @@ def test_block_sums_are_read_off_the_anchor(tmp_path):
     P = random_problem(rng, n, k, "chebyshev2")
     f, _ = build_dm_pencil(P, rng.uniform(-1.0, 1.0, k))
     f = AnsatzFactor(f.v, f.B, "M2")
-    triples = pencil_eigen(make_m2(P, f))
+    triples = qz_on_pencil(make_m2(P, f))
     lams = np.array([t.eigenvalue for t in triples])
     summed = recover_left(f.v, np.stack([t.right for t in triples], axis=1))
     assert _vector_eta(P, lams, summed.T, "right").max() > 100 * k * n * EPS
@@ -404,7 +404,7 @@ def test_block_sums_are_read_off_the_anchor(tmp_path):
         assert _vector_eta(P, lams, _vectors(report, side), side).max() <= 10 * k * n * EPS
     # the printed right vectors are the certified first blocks of the anchor's
     # eigenvectors, not sums formed from the pencil's own eigenvectors
-    triples = pencil_eigen(make_m2(P, f), anchor=P, factor=f)
+    triples = pencil_eigen(make_m2(P, f), P, f)
     assert np.array_equal(_vectors(report, "right"),
                           np.stack([t.weighted_sum for t in triples]))
 
@@ -480,7 +480,7 @@ def test_companion_vectors_are_eigenvectors_of_the_pencil(rng, side):
     assert spectral._companion_solve(L.X, L.Y, P, True, _gate(f)) is not None
     kn = L.k * L.n
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
-    for t in pencil_eigen(L, anchor=P, factor=f):
+    for t in pencil_eigen(L, P, f):
         M = L.X * t.eigenvalue + L.Y
         scale = nx * abs(t.eigenvalue) + ny
         residual = np.linalg.norm(M @ t.right) / scale
@@ -617,33 +617,29 @@ def test_multiplier_with_a_zero_pivot_is_singular(rng, monkeypatch):
         assert _scaled_inverse(side_multiplier(f))[1] is None
         L = make_m1(P, f) if side == "M1" else make_m2(P, f)
         with pytest.raises(SingularPencilError):
-            pencil_eigen(L, anchor=P, factor=f)
+            pencil_eigen(L, P, f)
 
 
 @pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
-def test_injected_solver_is_called_with_the_pencil_only(rng, side):
+def test_qz_solve_gets_the_pencil_and_P(rng, monkeypatch, side):
+    # bench/tracer.py times the dense solve as spectral.qz_solve: pencil_eigen
+    # calls it once, with L's own matrices and P
     P = random_problem(rng, 3, 5, "chebyshev2")
     f = None if side == "anchor" else _block_symmetric(P, side, rng)
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
-    seen = []
+    expected = _report(pencil_eigen(L, P, f))
+    seen, inner = [], spectral.qz_solve
 
-    def solver(*args, **kwargs):
+    def spy(*args, **kwargs):
         seen.append((args, kwargs))
-        return spectral.qz_solve(*args)
+        return inner(*args, **kwargs)
 
-    triples = pencil_eigen(L, solver=solver, anchor=P, factor=f)
+    monkeypatch.setattr(spectral, "qz_solve", spy)
+    triples = pencil_eigen(L, P, f)
     assert len(seen) == 1
-    (X, Y, left), kwargs = seen[0]
-    assert X is L.X and Y is L.Y and left is True and kwargs == {}
-    assert _report(triples) == _report(pencil_eigen(L))
-
-
-def test_exclusion_left_stays_on_qz(rng, monkeypatch):
-    calls = []
-    monkeypatch.setattr(spectral, "_companion_solve", lambda *a: calls.append(a))
-    P = random_problem(rng, 3, 4, "chebyshev1")
-    for side in ("M1", "M2"):
-        good = _block_symmetric(P, side, rng)
-        assert exclusion_left(P, good).passed
-        assert not exclusion_left(P, _deficient(good, rng)).passed
-    assert calls == []
+    (X, Y, left, anchor), kwargs = seen[0]
+    assert X is L.X and Y is L.Y and left is True and anchor is P
+    assert (kwargs["multiplier"] is None) == (f is None)
+    assert _report(triples) == expected
+    _assert_same_spectrum(np.array([t.eigenvalue for t in triples]),
+                          np.array([t.eigenvalue for t in qz_on_pencil(L, left=False)]))

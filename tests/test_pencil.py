@@ -9,10 +9,8 @@ from orthopencil import (
     block_transpose,
     builtin_basis,
     eval_pencil,
-    leading_principal,
     pencil_block_transpose,
     phi_vector,
-    reversal_pencil,
     sample_points,
 )
 from conftest import ALL_KINDS, BASIS_KINDS, monomial_dg_basis, random_problem, stepped_dg_basis
@@ -204,37 +202,19 @@ def test_eval_and_reversal(rng):
     F = anchor_pencil(P)
     assert np.array_equal(eval_pencil(F, 0.0), F.Y)
     assert np.array_equal(eval_pencil(F, 1.0), F.X + F.Y)
-    R = reversal_pencil(F)
-    assert np.array_equal(R.X, F.Y) and np.array_equal(R.Y, F.X)
-    RR = reversal_pencil(R)
-    assert np.array_equal(RR.X, F.X) and np.array_equal(RR.Y, F.Y)
 
 
 def test_reversal_nullvectors_have_first_block_form(rng):
-    # with a rank-deficient leading coefficient, the reversal at 0 has right
-    # nullvectors supported on the first block only
+    # with a rank-deficient leading coefficient, the reversal Y*lam + X at 0,
+    # which is X, has right nullvectors supported on the first block only
     coeffs = [rng.uniform(-1, 1, (3, 3)) for _ in range(4)]
     coeffs[-1][2] = coeffs[-1][0]
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev1"))
     F = anchor_pencil(P)
-    rev0 = eval_pencil(reversal_pencil(F), 0.0)
-    _, s, Vh = np.linalg.svd(rev0)
+    _, s, Vh = np.linalg.svd(F.X)
     null = Vh[-1].conj()
     assert s[-1] < 1e-12 * s[0]
     assert np.max(np.abs(null[P.n :])) < 1e-10
-
-
-def test_leading_principal(rng):
-    P = _cheb3(rng)
-    F = anchor_pencil(P)
-    n = P.n
-    Xs, Ys = leading_principal(F, n)
-    assert np.array_equal(Xs, 2 * P.coeffs[3])
-    assert np.array_equal(Ys, P.coeffs[2])
-    Xfull, Yfull = leading_principal(F, 3 * n)
-    assert np.array_equal(Xfull, F.X) and np.array_equal(Yfull, F.Y)
-    with pytest.raises(DimensionMismatchError):
-        leading_principal(F, 3 * n + 1)
 
 
 def test_pencil_validation():

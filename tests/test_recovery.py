@@ -57,7 +57,7 @@ def _structured_side(P, rng, side):
         f = AnsatzFactor(rng.uniform(-1, 1, k), rng.uniform(-1, 1, (k * n, (k - 1) * n)), side)
         if check_linearization(f).is_strong_linearization:
             break
-    triples = pencil_eigen(make_m1(P, f) if side == "M1" else make_m2(P, f))
+    triples = pencil_eigen(make_m1(P, f) if side == "M1" else make_m2(P, f), P, f)
     lams = np.array([t.eigenvalue for t in triples])
     W = np.stack([t.right if side == "M1" else t.left for t in triples], axis=1)
     return lams, W
@@ -84,8 +84,8 @@ def test_batched_recovery_matches_per_eigenvalue_formula(rng, kind, side):
 def test_batched_recovery_on_block_symmetric_pencils(rng, kind):
     # a block-symmetric pencil carries the structure on both sides
     P = random_problem(rng, 2, 5, kind)
-    _, L = build_dm_pencil(P, rng.uniform(-1, 1, 5))
-    triples = pencil_eigen(L)
+    f, L = build_dm_pencil(P, rng.uniform(-1, 1, 5))
+    triples = pencil_eigen(L, P, f)
     lams = np.array([t.eigenvalue for t in triples])
     for nullside, attr in (("right", "right"), ("left", "left")):
         W = np.stack([getattr(t, attr) for t in triples], axis=1)
@@ -99,7 +99,7 @@ def test_batched_recovery_with_infinite_eigenvalues(rng, kind):
     coeffs[-1] = coeffs[-1].copy()
     coeffs[-1][:, 0] = 0.0  # singular P_k: infinite eigenvalues
     P = MatrixPolynomial(tuple(coeffs), P.basis)
-    triples = pencil_eigen(anchor_pencil(P))
+    triples = pencil_eigen(anchor_pencil(P), P)
     lams = np.array([t.eigenvalue for t in triples])
     assert np.isinf(lams).any() and np.isfinite(lams).any()
     _assert_matches_reference(P, lams, np.stack([t.right for t in triples], axis=1), "right")
@@ -177,7 +177,7 @@ def test_recover_left_checks_the_other_side(rng, side):
     P = random_problem(rng, 3, 4, "chebyshev2")
     k, n = P.k, P.n
     f = AnsatzFactor(rng.uniform(-1, 1, k), rng.uniform(-1, 1, (k * n, (k - 1) * n)), side)
-    triples = pencil_eigen(make_m1(P, f) if side == "M1" else make_m2(P, f))
+    triples = pencil_eigen(make_m1(P, f) if side == "M1" else make_m2(P, f), P, f)
     lams = np.array([t.eigenvalue for t in triples])
     U = np.stack([t.left if side == "M1" else t.right for t in triples], axis=1)
     nullside = "left" if side == "M1" else "right"

@@ -110,7 +110,7 @@ def test_factor_names_a_missing_key(rng, key):
 
 def test_spectrum_report_sorted_and_complete(rng):
     P = random_problem(rng, 2, 3)
-    triples = pencil_eigen(anchor_pencil(P))
+    triples = pencil_eigen(anchor_pencil(P), P)
     report = _through_json(spectrum_report_obj(triples))
     finite = report["finite"]
     keys = [(e["re"], e["im"]) for e in finite]
@@ -121,7 +121,7 @@ def test_spectrum_report_sorted_and_complete(rng):
 
 def test_spectrum_report_with_vectors(rng):
     P = random_problem(rng, 2, 2)
-    triples = pencil_eigen(anchor_pencil(P))
+    triples = pencil_eigen(anchor_pencil(P), P)
     rights = [np.ones(2) for _ in triples]
     report = spectrum_report_obj(triples, recovered_right=rights)
     assert len(report["eigenvectors"]["right"]) == len(report["finite"])
@@ -267,7 +267,7 @@ def test_dump_json_leaves_other_shapes_to_json():
 def test_dump_json_writes_finite_reports_with_orjson_alone(rng, monkeypatch):
     P = random_problem(rng, 3, 4, "chebyshev2")
     L = anchor_pencil(P)
-    triples = pencil_eigen(L)
+    triples = pencil_eigen(L, P)
     reports = [
         pencil_to_obj(L),
         factor_to_obj(AnsatzFactor(rng.standard_normal(4), rng.standard_normal((12, 9)))),
