@@ -3,9 +3,10 @@
 The package builds the anchor pencil of a matrix polynomial P, parameterizes
 the pencil spaces defined by the right/left ansatz identities, and constructs
 the block-symmetric members.  Every pencil of P, the anchor or an M1/M2
-member, is solved through P's anchor (``pencil_eigen(L, P, factor)``), and
-P's eigenvectors are recovered from it.  A brute-force spectral oracle gives
-an independent reference spectrum.
+member, is solved through P's anchor by ``pencil_eigen(P, factor)``, which
+forms the pencil from P and the factor itself, and P's eigenvectors are
+recovered from it.  A brute-force spectral oracle gives an independent
+reference spectrum.
 """
 
 from .ansatz import (
@@ -64,10 +65,8 @@ from .spectral import (
     Eigentriple,
     eigenvalue_exclusion,
     pencil_eigen,
-    qz_solve,
     recover_left,
     recover_right,
-    spectrum_of,
 )
 
 __version__ = "0.1.0"

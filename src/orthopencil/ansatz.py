@@ -115,24 +115,37 @@ def identity_factor(k: int, n: int, side: str = "M1") -> AnsatzFactor:
     return AnsatzFactor(v, B, side)
 
 
+def _factorization(P: MatrixPolynomial, f: AnsatzFactor | None = None):
+    """(Q, F, T, L): F the anchor of Q = P, T None and L = F without a
+    factor; T = [v kron I_n, B] and L = T F for M1.  For M2, F is the anchor
+    of Q = P^T, entrywise the block transpose of P's anchor transposed,
+    T = [v^T kron I_n; B^B] and L = F^T T, with F^T copied row-major first
+    so that L is bitwise P's block-transposed anchor times T."""
+    if f is None:
+        F = anchor_pencil(P)
+        return P, F, None, F
+    _check_factor_dims(P, f)
+    if f.side == "M1":
+        F, T = anchor_pencil(P), multiplier_matrix(f)
+        return P, F, T, Pencil(T @ F.X, T @ F.Y, P.n, P.k)
+    Q = MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis)
+    G, S = anchor_pencil(Q), side_multiplier(f)
+    return Q, G, S, Pencil(np.ascontiguousarray(G.X.T) @ S, np.ascontiguousarray(G.Y.T) @ S,
+                           P.n, P.k)
+
+
 def make_m1(P: MatrixPolynomial, f: AnsatzFactor) -> Pencil:
     """The pencil [v kron I_n, B] times the anchor of P."""
     if f.side != "M1":
         raise ValueError("factor side must be M1")
-    _check_factor_dims(P, f)
-    F = anchor_pencil(P)
-    T = multiplier_matrix(f)
-    return Pencil(T @ F.X, T @ F.Y, P.n, P.k)
+    return _factorization(P, f)[3]
 
 
 def make_m2(P: MatrixPolynomial, f: AnsatzFactor) -> Pencil:
     """The pencil anchor^B times [v^T kron I_n; B^B] (block-transposes)."""
     if f.side != "M2":
         raise ValueError("factor side must be M2")
-    _check_factor_dims(P, f)
-    FB = pencil_block_transpose(anchor_pencil(P))
-    S = side_multiplier(f)
-    return Pencil(FB.X @ S, FB.Y @ S, P.n, P.k)
+    return _factorization(P, f)[3]
 
 
 def recover_factors(L: Pencil, P: MatrixPolynomial, side: str = "M1") -> AnsatzFactor:

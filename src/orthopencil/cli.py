@@ -139,10 +139,9 @@ def _cmd_eig(args) -> int:
     tol = _tolerance(args.tol)
     P = _load_problem(args)
     f = factor_from_obj(load_json(args.factor)) if args.factor else None
-    L = anchor_pencil(P) if f is None else (make_m1(P, f) if f.side == "M1" else make_m2(P, f))
     side = "M1" if f is None else f.side
     # without recovery no left eigenvector is used, so the solver skips them
-    triples = pencil_eigen(L, P, f, left=args.recover)
+    triples = pencil_eigen(P, f, left=args.recover)
     rights = lefts = None
     if args.recover:
         # pencil_eigen read P's vectors on both sides off the anchor: L's

@@ -19,6 +19,7 @@ or write it otherwise than json, they hand it to json.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 
 import numpy as np
@@ -121,7 +122,7 @@ def _float_array(value, what: str, ndim: int) -> np.ndarray:
     does not convert, and a string, null, array or object where a number
     belongs gives a text or object dtype.  An object dtype also holds the
     integers beyond 64 bits that json reads, so its leaves are checked one
-    by one.  numpy reads a boolean among numbers as 0 or 1."""
+    by one.  numpy reads a boolean among numbers as 0 or 1 (_holds_boolean)."""
     array = None
     if type(value) is list:
         try:
@@ -129,13 +130,24 @@ def _float_array(value, what: str, ndim: int) -> np.ndarray:
         except ValueError:  # ragged
             pass
     if array is not None and array.ndim == ndim and (
-            array.dtype.kind in "iuf"
+            array.dtype.kind in "iuf" and not _holds_boolean(value, array)
             or array.dtype.kind == "O" and all(map(_is_number, array.flat))):
         try:
             return np.asarray(array, dtype=float)
         except OverflowError:  # an integer beyond the largest float
             raise ValueError(f"{what} must be finite") from None
     raise _wrong_type(what, _ARRAYS[ndim], value)
+
+
+def _holds_boolean(value, array) -> bool:
+    """Whether a leaf of the nested list ``value``, read by numpy as the
+    numeric ``array``, is a boolean.  One reads as 0 or 1, so the leaves of
+    an array with neither are not visited."""
+    if not ((array == 0) | (array == 1)).any():
+        return False
+    for _ in range(array.ndim - 1):
+        value = itertools.chain.from_iterable(value)
+    return bool in map(type, value)
 
 
 def basis_from_obj(obj: dict):

@@ -1,12 +1,16 @@
 """Pencil eigenproblems, eigenvector recovery, and exclusion checks.
 
-Every pencil ``pencil_eigen`` solves belongs to a matrix polynomial P and is
-solved through P's anchor pencil F, with or without left eigenvectors:
+``pencil_eigen(P, factor)`` solves a pencil of the matrix polynomial P,
+which it forms from P and the factor, through P's anchor pencil F, with or
+without left eigenvectors:
 
 - the anchor pencil of P itself, X = diag(c*P_k, I);
 - an M1 pencil L = T F, with T = [v kron I_n, B];
 - an M2 pencil L = F^B S, with S = [v^T kron I_n; B^B].  F^B is bitwise the
   transpose of the anchor pencil G of P^T, so L = G^T S.
+
+One route per call (``_Route``) holds F (G for M2), L, the multiplier and
+the inverses of the multiplier and of c*P_k, and every step reads them.
 
 For regular P, L is a strong linearization exactly when the multiplier T (or
 S) is invertible, which is the rank test of ``ansatz.check_linearization``.
@@ -65,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzFactor, side_multiplier
+from .ansatz import AnsatzFactor, _factorization
 from .basis import _phi_sequence, phi_vector, to_monomial
 from .errors import DimensionMismatchError, RecoveryError, SingularPencilError
 from .matpoly import (
@@ -75,14 +79,12 @@ from .matpoly import (
     reversal_monomial,
     sampled_regularity,
 )
-from .oracle import Spectrum, reference_spectrum, trim_poly
-from .pencil import Pencil, anchor_pencil, eval_pencil, leading_multiplier
+from .oracle import reference_spectrum, trim_poly
+from .pencil import Pencil, eval_pencil
 
 __all__ = [
     "Eigentriple",
-    "qz_solve",
     "pencil_eigen",
-    "spectrum_of",
     "backward_errors",
     "recover_right",
     "recover_left",
@@ -118,14 +120,31 @@ class GeneralizedEigenResult:
 
 
 @dataclass(frozen=True)
-class _Multiplier:
-    """The constant multiplier of an M1 pencil (T, with L = T F) or of an M2
-    pencil (S, with L = G^T S), and its row-scaled inverse
-    (matpoly._scaled_inverse)."""
+class _Route:
+    """One pencil of P and its factors, built once per pencil_eigen call
+    (_route): ``F`` is the anchor of ``P`` (P^T for side M2), ``L`` the
+    pencil solved (F, T F or F^T S, as make_m1 and make_m2 form it), and
+    ``lead`` and ``scaled`` are matpoly._scaled_inverse of F's c*P_k block
+    and of the ``multiplier`` T (or S): (rcond, (inverse, rows))."""
 
+    P: MatrixPolynomial
+    F: Pencil
     side: str
-    matrix: np.ndarray
-    inverse: tuple
+    L: Pencil
+    lead: tuple
+    multiplier: np.ndarray | None
+    scaled: tuple | None
+
+    def anchor_sides(self, left):
+        """(left, right): the sides of F's eigenvectors that L's need."""
+        return left or self.side == "M2", left or self.side != "M2"
+
+
+def _route(P: MatrixPolynomial, factor: AnsatzFactor | None = None) -> _Route:
+    """The route of P's anchor pencil, or with ``factor`` of its M1 or M2 pencil."""
+    Q, F, T, L = _factorization(P, factor)
+    return _Route(Q, F, "anchor" if T is None else factor.side, L,
+                  _scaled_inverse(F.X[:Q.n, :Q.n]), T, None if T is None else _scaled_inverse(T))
 
 
 # A companion-form solve is accepted when eta_L and eta_P are at most this
@@ -137,24 +156,14 @@ _INF_TOL = 1e-8
 _REGULARITY_SEED = 90210
 
 
-def qz_solve(X: np.ndarray, Y: np.ndarray, left: bool, anchor: MatrixPolynomial,
-             multiplier=None, lead=None) -> GeneralizedEigenResult:
-    """The eigentriples of the pencil X*lam + Y, solved through its anchor.
-
-    ``anchor`` is the polynomial P, and (X, Y) is its anchor pencil or, with
-    ``multiplier`` (made by pencil_eigen), its M1 or M2 pencil with that
-    multiplier.  It is solved through the anchor (module docstring), by the
-    certified geev or else QZ on the anchor, which agree to within the
-    eigenvalues' condition numbers times their backward errors, not bit for
-    bit.  With left false no left eigenvectors are computed (``left`` is None
-    in the result).  ``lead`` is the anchor's c*P_k block as
-    matpoly._scaled_inverse gives it, if the caller has it.
-    """
-    tied = _tied_anchor(X, Y, anchor, left, multiplier)
-    res = _companion_solve(X, Y, anchor, left, multiplier, tied, lead)
+def qz_solve(route: _Route, left: bool) -> GeneralizedEigenResult:
+    """The eigentriples of the route's pencil L, solved through its anchor F
+    (module docstring) by the certified geev or else QZ on F, which agree to
+    within the eigenvalues' condition numbers times their backward errors,
+    not bit for bit.  With left false ``left`` is None in the result."""
+    res = _companion_solve(route, left)
     if res is None:
-        _, F, want_left, want_right = tied
-        res = _through_anchor(X, Y, F, _qz(F.X, F.Y, want_left, want_right), left, multiplier)
+        res = _through_anchor(route, _qz(route.F.X, route.F.Y, *route.anchor_sides(left)), left)
     return res
 
 
@@ -224,64 +233,50 @@ def _apply_anchor(F, lams, U, transpose=False):
     return R
 
 
-def _structured_residuals(X, Y, F, lams, U, multiplier=None):
+def _structured_residuals(route, lams, U):
     """||(X*lam_j + Y) u_j|| / ((||X|| |lam_j| + ||Y||) ||u_j||) for every column
     u_j of U, and ||X u_j|| / (||X|| ||u_j||) where lam_j is infinite, where
-    the pencil (X, Y) is the anchor F itself, T F (M1) or F^T S (M2, F the
-    anchor of P^T): one GEMM with the multiplier, and the anchor's structure
-    for the rest."""
-    side = "anchor" if multiplier is None else multiplier.side
+    (X, Y) is the route's pencil L: F itself, T F (M1) or F^T S (M2).  One
+    GEMM with the multiplier, and the anchor's structure for the rest."""
+    F, T = route.F, route.multiplier
     lams = np.asarray(lams, dtype=complex)
-    if side == "M2":
-        R = _apply_anchor(F, lams, _real_matmul(multiplier.matrix, U), transpose=True)
+    if route.side == "M2":
+        R = _apply_anchor(F, lams, _real_matmul(T, U), transpose=True)
     else:
         R = _apply_anchor(F, lams, U)
-        if side == "M1":
-            R = _real_matmul(multiplier.matrix, R)
-    nx = np.linalg.norm(X)
-    scales = np.where(np.isinf(lams), nx, nx * np.abs(lams) + np.linalg.norm(Y))
+        if route.side == "M1":
+            R = _real_matmul(T, R)
+    nx = np.linalg.norm(route.L.X)
+    scales = np.where(np.isinf(lams), nx, nx * np.abs(lams) + np.linalg.norm(route.L.Y))
     return np.linalg.norm(R, axis=0) / (np.linalg.norm(U, axis=0) * np.maximum(scales, 1e-300))
 
 
-def _tied_anchor(X, Y, P, left, multiplier):
-    """(P, F, want_left, want_right): the polynomial whose anchor pencil F the
-    pencil (X, Y) is tied to (P^T for M2), F, and the sides of F's
-    eigenvectors that the pencil's asked-for sides need."""
-    side = "anchor" if multiplier is None else multiplier.side
-    if side == "M2":
-        P = MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis)
-    F = Pencil(X, Y, P.n, P.k) if multiplier is None else anchor_pencil(P)
-    # an M2 pencil's right eigenvectors come from the anchor's left ones
-    return P, F, left or side == "M2", left or side != "M2"
-
-
-def _through_anchor(X, Y, F, eigs, left, multiplier):
-    """The result for the pencil (X, Y) from the eigentriples ``eigs`` of the
-    anchor F it is tied to (right vectors, and left vectors z with
-    z^T F(lam) = 0): the map and the residuals of the module docstring."""
-    n, side = F.n, "anchor" if multiplier is None else multiplier.side
+def _through_anchor(route, eigs, left):
+    """The result for the route's pencil L from the eigentriples ``eigs`` of
+    its anchor F (right vectors, and left vectors z with z^T F(lam) = 0):
+    the map and the residuals of the module docstring."""
+    n = route.P.n
     right, left_vecs, sums, Z = eigs.right, eigs.left, None, eigs.left
-    if side == "M2":
-        right, left_vecs = _solve(multiplier.inverse, Z), eigs.right
+    if route.side == "M2":
+        right, left_vecs = _solve(route.scaled[1], Z), eigs.right
         sums = Z[:n] / np.linalg.norm(right, axis=0)
     elif left:
-        if side == "M1":
-            left_vecs = _solve(multiplier.inverse, Z, transpose=True)
+        if route.side == "M1":
+            left_vecs = _solve(route.scaled[1], Z, transpose=True)
         sums = Z[:n] / np.linalg.norm(left_vecs, axis=0)
     lams = _eigenvalues(eigs.alpha, eigs.beta)
-    residual = _structured_residuals(X, Y, F, lams, right, multiplier)
+    residual = _structured_residuals(route, lams, right)
     return GeneralizedEigenResult(alpha=eigs.alpha, beta=eigs.beta, right=right,
                                   left=left_vecs, residual=residual, sums=sums, eta=eigs.eta)
 
 
-def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None, lead=None):
-    """The certified geev solve of the anchor route, mapped to the pencil
-    (X, Y), or None: when c*P_k fails its gate, geev does not converge, or
-    the certificate fails.  ``tied`` is _tied_anchor's result and ``lead``
-    _scaled_inverse of the anchor's c*P_k block, if the caller has them."""
-    P, F, want_left, want_right = tied or _tied_anchor(X, Y, P, left, multiplier)
-    n, k, size = P.n, P.k, X.shape[0]
-    rcond, inverse = lead or _scaled_inverse(F.X[:n, :n])
+def _companion_solve(route, left=False):
+    """The certified geev solve of the route's anchor, mapped to its pencil,
+    or None: when c*P_k fails its gate, geev does not converge, or the
+    certificate fails."""
+    P, F = route.P, route.F
+    n, k, size = P.n, P.k, F.X.shape[0]
+    rcond, inverse = route.lead
     if not rcond > 10.0 * n * np.finfo(float).eps:
         return None
     first = _solve(inverse, F.Y[:n])
@@ -290,6 +285,7 @@ def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None, lead=None)
     # only the first block row of -X^-1 Y differs from -Y
     A = np.negative(F.Y, order="F")
     A[:n] = -first
+    want_left, want_right = route.anchor_sides(left)
     try:
         lams, VL, VR = _geev(A, want_left, want_right)
     except np.linalg.LinAlgError:  # geev did not converge; QZ may
@@ -318,7 +314,7 @@ def _companion_solve(X, Y, P, left=False, multiplier=None, tied=None, lead=None)
             return None
     eigs = GeneralizedEigenResult(alpha=lams, beta=np.ones(size), right=VR, left=Z,
                                   eta=np.array(eta) if len(eta) == 2 else None)
-    res = _through_anchor(X, Y, F, eigs, left, multiplier)
+    res = _through_anchor(route, eigs, left)
     return res if np.all(res.residual <= bound) else None
 
 
@@ -389,12 +385,12 @@ def _sort_triples(triples):
     return [t for _, t in keyed] + [t for t in triples if t.is_infinite]
 
 
-def pencil_eigen(L: Pencil, P: MatrixPolynomial, factor: AnsatzFactor | None = None,
+def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
                  left: bool = True) -> list[Eigentriple]:
-    """All kn eigenvalues of a regular pencil of P, infinite ones included.
+    """All kn eigenvalues of P's anchor pencil, or with ``factor`` (v, B) of
+    its M1 or M2 pencil L, infinite ones included, solved through the anchor
+    on one route (_route, qz_solve).
 
-    L is the anchor pencil of P or, with ``factor`` (v, B), its M1 or M2
-    pencil with that factor; it is solved through the anchor (see qz_solve).
     L is regular if the reciprocal condition number of the anchor's c*P_k
     block (the exact 1-norm one, from its inverse, rows scaled to unit norm;
     c*P_k^T for M2) is above 10 * n * eps and, with a factor, that of the
@@ -403,31 +399,19 @@ def pencil_eigen(L: Pencil, P: MatrixPolynomial, factor: AnsatzFactor | None = N
     disk |lam| < 2, the same pseudo-random ones on every call: the pencil is
     regular as soon as one has a row-scaled rcond above 10 * kn * eps.  If
     none has, or the multiplier has no finite inverse, SingularPencilError
-    is raised, carrying the largest rcond seen; eigenvalues of a singular
-    pencil are meaningless.
+    is raised, carrying the largest rcond seen.
 
-    qz_solve reuses the inverse of c*P_k that the gate computed.  With left
-    false no left eigenvectors are asked for and every triple's ``left`` is
-    None.  Residuals are ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||) for unit
-    right vectors u (||X u|| / ||X|| at infinite eigenvalues), read off the
-    anchor.  Results are sorted by (real, imag) with infinite eigenvalues
-    last; real parts equal up to rounding are ordered by imaginary part.
+    With left false every triple's ``left`` is None.  Residuals are
+    ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||) for unit right vectors u
+    (||X u|| / ||X|| at infinite eigenvalues), read off the anchor.  Results
+    are sorted by (real, imag) with infinite eigenvalues last; real parts
+    equal up to rounding are ordered by imaginary part.
     """
-    n, eps = L.n, np.finfo(float).eps
-    multiplier, block = None, L.X[:n, :n]
-    if factor is not None:
-        # c*P_k as the tied anchor holds it; the anchor of P^T for M2
-        block = leading_multiplier(P.basis, P.k) * P.coeffs[-1]
-        block = np.ascontiguousarray(block.T) if factor.side == "M2" else block
-    lead = _scaled_inverse(block)
-    regular = lead[0] > 10.0 * n * eps
-    if factor is not None:
-        T = side_multiplier(factor)
-        rcond, inverse = _scaled_inverse(T)
-        multiplier = _Multiplier(factor.side, T, inverse)
-        regular = regular and rcond > 10.0 * L.k * n * eps
-    if not regular:
-        verdict = sampled_regularity(lambda lam: eval_pencil(L, lam), L.k * n,
+    route = _route(P, factor)
+    size, eps = route.L.X.shape[0], np.finfo(float).eps
+    if not (route.lead[0] > 10.0 * route.P.n * eps
+            and (route.scaled is None or route.scaled[0] > 10.0 * size * eps)):
+        verdict = sampled_regularity(lambda lam: eval_pencil(route.L, lam), size,
                                      np.random.default_rng(_REGULARITY_SEED))
         if not verdict.regular:
             raise SingularPencilError(
@@ -435,9 +419,9 @@ def pencil_eigen(L: Pencil, P: MatrixPolynomial, factor: AnsatzFactor | None = N
                 f"at {verdict.trials} sampled points (threshold 10*kn*eps)",
                 rcond=verdict.rcond,
             )
-    if multiplier is not None and multiplier.inverse is None:
+    if route.scaled is not None and route.scaled[1] is None:
         raise SingularPencilError("pencil is singular: its multiplier is singular", rcond=0.0)
-    res = qz_solve(L.X, L.Y, left, P, multiplier=multiplier, lead=lead)
+    res = qz_solve(route, left)
     lams = _eigenvalues(res.alpha, res.beta)
     right = res.right / np.linalg.norm(res.right, axis=0)
     left = None if res.left is None else res.left / np.linalg.norm(res.left, axis=0)
@@ -448,11 +432,6 @@ def pencil_eigen(L: Pencil, P: MatrixPolynomial, factor: AnsatzFactor | None = N
         for idx in range(len(lams))
     ]
     return _sort_triples(triples)
-
-
-def spectrum_of(triples) -> Spectrum:
-    finite = np.array([t.eigenvalue for t in triples if not t.is_infinite], dtype=complex)
-    return Spectrum(finite, sum(t.is_infinite for t in triples))
 
 
 def _check_nullside(nullside):

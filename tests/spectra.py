@@ -2,9 +2,10 @@
 
 ``compare_spectra`` pairs two spectra's finite eigenvalues; it is kept out of
 the package so that importing orthopencil never loads scipy.optimize.
+``spectrum_of`` reads the Spectrum of a list of eigentriples.
 ``qz_on_pencil`` solves a pencil by QZ on its own (X, Y), with dense
 residuals, as a reference for ``pencil_eigen``, which solves every pencil
-through the anchor of its polynomial.  The library and the CLI use neither.
+through the anchor of its polynomial.  The library and the CLI use none of them.
 """
 
 from dataclasses import dataclass
@@ -36,6 +37,12 @@ def qz_on_pencil(L, left=True):
         spectral.Eigentriple(lams[j], right[:, j], None if lefts is None else lefts[:, j],
                              float(residuals[j]))
         for j in range(len(lams))])
+
+
+def spectrum_of(triples) -> Spectrum:
+    """The finite eigenvalues and the infinite count of pencil_eigen's triples."""
+    finite = np.array([t.eigenvalue for t in triples if not t.is_infinite], dtype=complex)
+    return Spectrum(finite, sum(t.is_infinite for t in triples))
 
 
 @dataclass(frozen=True)

@@ -367,6 +367,13 @@ _DG_BASIS = {"kind": "degree_graded", "shift": [0.0, 0.5, 0.0], "lower": [[0.0],
     ("factor", "v", {}, "'v' must be an array of numbers, got an object"),
     ("factor", "B", [[1.0, None]], f"'B' must be {_MATRIX}"),
     ("factor", "side", 1, "'side' must be a string, got a number"),
+    # numpy reads a boolean among numbers as 0 or 1
+    ("problem", "coefficients", [[[0.5, True], [0.25, 2.0]]] * 4,
+     "'coefficients' must be an array of matrices of numbers, all of one size"),
+    ("pencil", "X", [[0.5, False], [1, 2]], f"'X' must be {_MATRIX}"),
+    ("factor", "B", [[0.5, 1.5, 2.0, -1.0]] * 3 + [[0.5, 1.5, True, -1.0]] * 3,
+     f"'B' must be {_MATRIX}"),
+    ("factor", "v", [0.5, 2.0, False], "'v' must be an array of numbers"),
 ])
 def test_wrong_type_is_named(tmp_path, capsys, cheb_problem_file, target, key, value, message):
     path, P = cheb_problem_file

@@ -1,9 +1,11 @@
 """qz_solve's two solvers: the companion-form geev and QZ on the anchor.
 
-pencil_eigen solves an anchor pencil, or an M1 or M2 pencil of P, through
-P's anchor.  When P_k is well conditioned geev solves the anchor's companion
-matrix, and its result is kept only under the eta_L and eta_P certificate;
-otherwise QZ solves the anchor itself.  The references here are
+pencil_eigen(P, factor) solves P's anchor pencil, or the M1 or M2 pencil of
+P and the factor, through P's anchor, on one route built per call
+(``spectral._route``).  When P_k is well conditioned geev solves the
+anchor's companion matrix, and its result is kept only under the eta_L and
+eta_P certificate; otherwise QZ solves the anchor itself.  Tests that call
+a solver directly pass it the route of (P, factor).  The references here are
 sigma_min(P(lam)) / sum_i |phi_i(lam)| ||P_i||_F from an SVD of the
 evaluated polynomial, residuals of recovered vectors from the evaluated
 polynomial, and QZ on the pencil's own matrices (``spectra.qz_on_pencil``);
@@ -35,7 +37,7 @@ from orthopencil import (
     recover_left,
     recover_right,
 )
-from orthopencil import basis, cli, matpoly, spectral
+from orthopencil import ansatz, basis, blocksym, cli, matpoly, pencil, spectral
 from orthopencil.ansatz import side_multiplier
 from orthopencil.errors import SingularPencilError
 from orthopencil.matpoly import RegularityVerdict, _rcond, _scaled_inverse
@@ -129,7 +131,7 @@ def _spy_eig(monkeypatch):
 def test_anchor_eigenvalues_are_certified(kind, shape, seed):
     n, k = shape
     P = random_problem(np.random.default_rng(seed), n, k, kind)
-    triples = pencil_eigen(anchor_pencil(P), P, left=False)
+    triples = pencil_eigen(P, left=False)
     assert len(triples) == k * n and not any(t.is_infinite for t in triples)
     lams, cert = _certificate(P, triples)
     sigma = _sigma_eta(P, lams)
@@ -141,10 +143,9 @@ def test_anchor_eigenvalues_are_certified(kind, shape, seed):
 def test_fast_path_matches_qz(rng):
     for kind in ("monomial", "chebyshev1", "legendre"):
         P = random_problem(rng, 10, 12, kind)
-        L = anchor_pencil(P)
-        assert spectral._companion_solve(L.X, L.Y, P) is not None
-        fast = np.array([t.eigenvalue for t in pencil_eigen(L, P, left=False)])
-        qz = np.array([t.eigenvalue for t in qz_on_pencil(L, left=False)])
+        assert spectral._companion_solve(spectral._route(P)) is not None
+        fast = np.array([t.eigenvalue for t in pencil_eigen(P, left=False)])
+        qz = np.array([t.eigenvalue for t in qz_on_pencil(anchor_pencil(P), left=False)])
         # the same spectrum, matched nearest to nearest both ways
         dist = np.abs(fast[:, None] - qz[None, :])
         assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-9
@@ -156,8 +157,8 @@ def test_ill_conditioned_lead_falls_back_to_qz(cond):
     L = anchor_pencil(P)
     # the geev solve was tried (P_k is invertible) and failed its certificate
     assert _rcond(L.X[:3, :3]) > 10 * 3 * EPS
-    assert spectral._companion_solve(L.X, L.Y, P) is None
-    triples = pencil_eigen(L, P, left=False)
+    assert spectral._companion_solve(spectral._route(P)) is None
+    triples = pencil_eigen(P, left=False)
     _assert_triples_match_qz(L, "anchor", triples)
     assert _sigma_eta(P, np.array([t.eigenvalue for t in triples])).max() <= 100 * 12 * EPS
 
@@ -168,7 +169,7 @@ def test_singular_lead_gives_infinite_eigenvalues_by_qz(monkeypatch, rng):
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev2"))
     L = anchor_pencil(P)
     calls = _spy_eig(monkeypatch)
-    triples = pencil_eigen(L, P, left=False)
+    triples = pencil_eigen(P, left=False)
     # no geev: QZ alone, on the anchor
     assert len(calls) == 1 and calls[0][1] is not None
     assert sum(t.is_infinite for t in triples) >= 1
@@ -196,8 +197,8 @@ def test_each_certificate_check_rejects_on_its_own(case):
         f, _ = build_dm_pencil(P, np.random.default_rng(seed).uniform(-1.0, 1.0, P.k))
         f = AnsatzFactor(f.v, f.B, side)
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
-    assert spectral._companion_solve(L.X, L.Y, P, False, _gate(f)) is None
-    _assert_triples_match_qz(L, side, pencil_eigen(L, P, f, left=False))
+    assert spectral._companion_solve(spectral._route(P, f), False) is None
+    _assert_triples_match_qz(L, side, pencil_eigen(P, f, left=False))
 
 
 def _write_problem(tmp_path, P, name):
@@ -215,14 +216,14 @@ def test_zero_column_polynomial_still_exits_4(tmp_path, rng, capsys):
     assert "singular" in capsys.readouterr().err
 
 
-def _counting(monkeypatch, name, calls):
-    inner = getattr(spectral, name)
+def _counting(monkeypatch, name, calls, module=spectral):
+    inner = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls[name] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def test_one_qz_solve_per_eig_op(tmp_path, rng, monkeypatch, capsys):
@@ -235,8 +236,7 @@ def test_one_qz_solve_per_eig_op(tmp_path, rng, monkeypatch, capsys):
         "fallback": _ill_conditioned_lead(1e4),
         "singular_lead": MatrixPolynomial(tuple(singular_lead), builtin_basis("legendre")),
     }
-    fast = anchor_pencil(problems["fast"])
-    assert spectral._companion_solve(fast.X, fast.Y, problems["fast"]) is not None
+    assert spectral._companion_solve(spectral._route(problems["fast"])) is not None
     for name, P in problems.items():
         path = _write_problem(tmp_path, P, name)
         factors = [_write_factor(tmp_path, f"{name}-{side}", _block_symmetric(P, side, rng))
@@ -404,7 +404,7 @@ def test_block_sums_are_read_off_the_anchor(tmp_path):
         assert _vector_eta(P, lams, _vectors(report, side), side).max() <= 10 * k * n * EPS
     # the printed right vectors are the certified first blocks of the anchor's
     # eigenvectors, not sums formed from the pencil's own eigenvectors
-    triples = pencil_eigen(make_m2(P, f), P, f)
+    triples = pencil_eigen(P, f)
     assert np.array_equal(_vectors(report, "right"),
                           np.stack([t.weighted_sum for t in triples]))
 
@@ -477,10 +477,10 @@ def test_companion_vectors_are_eigenvectors_of_the_pencil(rng, side):
     P = random_problem(rng, 6, 8, "legendre")
     f = None if side == "anchor" else _block_symmetric(P, side, rng)
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
-    assert spectral._companion_solve(L.X, L.Y, P, True, _gate(f)) is not None
+    assert spectral._companion_solve(spectral._route(P, f), True) is not None
     kn = L.k * L.n
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
-    for t in pencil_eigen(L, P, f):
+    for t in pencil_eigen(P, f):
         M = L.X * t.eigenvalue + L.Y
         scale = nx * abs(t.eigenvalue) + ny
         residual = np.linalg.norm(M @ t.right) / scale
@@ -497,12 +497,11 @@ def test_structured_residuals_match_the_dense_pencil(rng, kind, side):
     P = random_problem(rng, 4, 6, kind)
     f = None if side == "anchor" else _block_symmetric(P, side, rng)
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
-    F = anchor_pencil(P if side != "M2" else MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis))
     m = 7
     lams = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     lams[[1, 4]] = np.inf  # beta = 0: the residual is ||X u|| / (||X|| ||u||)
     U = rng.standard_normal((24, m)) + 1j * rng.standard_normal((24, m))
-    got = spectral._structured_residuals(L.X, L.Y, F, lams, U, _gate(f))
+    got = spectral._structured_residuals(spectral._route(P, f), lams, U)
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
     for j in range(m):
         if np.isinf(lams[j]):
@@ -511,14 +510,6 @@ def test_structured_residuals_match_the_dense_pencil(rng, kind, side):
             dense = np.linalg.norm((L.X * lams[j] + L.Y) @ U[:, j]) / (
                 (nx * abs(lams[j]) + ny) * np.linalg.norm(U[:, j]))
         assert abs(got[j] - dense) <= 1e-12 * dense
-
-
-def _gate(f):
-    """The multiplier pencil_eigen hands to qz_solve for factor f, or None."""
-    if f is None:
-        return None
-    T = side_multiplier(f)
-    return spectral._Multiplier(f.side, T, _scaled_inverse(T)[1])
 
 
 def _small_column(f, rng, noise):
@@ -615,19 +606,19 @@ def test_multiplier_with_a_zero_pivot_is_singular(rng, monkeypatch):
     for side in ("M1", "M2"):
         f = _deficient(_block_symmetric(P, side, rng), rng)
         assert _scaled_inverse(side_multiplier(f))[1] is None
-        L = make_m1(P, f) if side == "M1" else make_m2(P, f)
         with pytest.raises(SingularPencilError):
-            pencil_eigen(L, P, f)
+            pencil_eigen(P, f)
 
 
 @pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
 def test_qz_solve_gets_the_pencil_and_P(rng, monkeypatch, side):
     # bench/tracer.py times the dense solve as spectral.qz_solve: pencil_eigen
-    # calls it once, with L's own matrices and P
+    # calls it once, with the route of (P, f), which holds P (P^T for M2), its
+    # anchor and the pencil users build from (P, f)
     P = random_problem(rng, 3, 5, "chebyshev2")
     f = None if side == "anchor" else _block_symmetric(P, side, rng)
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
-    expected = _report(pencil_eigen(L, P, f))
+    expected = _report(pencil_eigen(P, f))
     seen, inner = [], spectral.qz_solve
 
     def spy(*args, **kwargs):
@@ -635,11 +626,41 @@ def test_qz_solve_gets_the_pencil_and_P(rng, monkeypatch, side):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "qz_solve", spy)
-    triples = pencil_eigen(L, P, f)
+    triples = pencil_eigen(P, f)
     assert len(seen) == 1
-    (X, Y, left, anchor), kwargs = seen[0]
-    assert X is L.X and Y is L.Y and left is True and anchor is P
-    assert (kwargs["multiplier"] is None) == (f is None)
+    (route, left), kwargs = seen[0]
+    assert left is True and kwargs == {} and route.side == side
+    assert np.array_equal(route.L.X, L.X) and np.array_equal(route.L.Y, L.Y)
+    Q = P if side != "M2" else MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis)
+    assert all(np.array_equal(a, b) for a, b in zip(route.P.coeffs, Q.coeffs))
+    F = anchor_pencil(Q)
+    assert np.array_equal(route.F.X, F.X) and np.array_equal(route.F.Y, F.Y)
+    assert (route.multiplier is None) == (f is None)
+    if f is not None:
+        assert np.array_equal(route.multiplier, side_multiplier(f))
     assert _report(triples) == expected
     _assert_same_spectrum(np.array([t.eigenvalue for t in triples]),
                           np.array([t.eigenvalue for t in qz_on_pencil(L, left=False)]))
+
+
+def test_one_anchor_and_one_multiplier_per_eig_op(tmp_path, rng, monkeypatch, capsys):
+    # eig and recover build P's anchor (of P^T for M2) once and, with a
+    # factor, its multiplier once: the pencil, the gates, the solve and the
+    # map to the pencil share them
+    P = random_problem(rng, 4, 5, "legendre")
+    path = _write_problem(tmp_path, P, "p")
+    argvs = [[cmd, "-p", path] for cmd in ("eig", "recover")]
+    argvs += [[cmd, "-p", path, "--factor",
+               _write_factor(tmp_path, side, _block_symmetric(P, side, rng))]
+              for cmd in ("eig", "recover") for side in ("M1", "M2")]
+    for argv in argvs:
+        calls = {"anchor_pencil": 0, "multiplier_matrix": 0}
+        # every module's name for either builder, wherever it is imported
+        for module in (ansatz, blocksym, cli, pencil, spectral):
+            for name in calls:
+                if name in vars(module):
+                    _counting(monkeypatch, name, calls, module)
+        assert cli.run(argv) == 0, argv
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert calls == {"anchor_pencil": 1, "multiplier_matrix": int("--factor" in argv)}, argv
