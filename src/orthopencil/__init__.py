@@ -4,9 +4,11 @@ The package builds the anchor pencil of a matrix polynomial P, parameterizes
 the pencil spaces defined by the right/left ansatz identities, and constructs
 the block-symmetric members.  Every pencil of P, the anchor or an M1/M2
 member, is solved through P's anchor by ``pencil_eigen(P, factor)``, which
-forms the pencil from P and the factor itself, and P's eigenvectors are
-recovered from it.  A brute-force spectral oracle gives an independent
-reference spectrum.
+forms the pencil from P and the factor itself.  It returns one sorted,
+columnar ``Eigentriples`` (eigenvalues, unit eigenvectors, residuals and
+backward errors as arrays), which is also a sequence of ``Eigentriple``, and
+P's eigenvectors are recovered from its columns.  A brute-force spectral
+oracle gives an independent reference spectrum.
 """
 
 from .ansatz import (
@@ -63,6 +65,7 @@ from .pencil import (
 )
 from .spectral import (
     Eigentriple,
+    Eigentriples,
     eigenvalue_exclusion,
     pencil_eigen,
     recover_left,

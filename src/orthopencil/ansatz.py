@@ -82,7 +82,8 @@ class AnsatzFactor:
 
 
 def _check_factor_dims(P: MatrixPolynomial, f: AnsatzFactor):
-    require_ansatz_degree(P)
+    """DimensionMismatchError unless the factor is for P's (k, n): the one
+    message of every command that takes a factor and a problem."""
     if f.k != P.k or f.n != P.n:
         raise DimensionMismatchError(
             f"factor is for (k, n) = ({f.k}, {f.n}), polynomial has ({P.k}, {P.n})"
@@ -124,6 +125,7 @@ def _factorization(P: MatrixPolynomial, f: AnsatzFactor | None = None):
     if f is None:
         F = anchor_pencil(P)
         return P, F, None, F
+    require_ansatz_degree(P)
     _check_factor_dims(P, f)
     if f.side == "M1":
         F, T = anchor_pencil(P), multiplier_matrix(f)

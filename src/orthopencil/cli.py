@@ -20,7 +20,14 @@ import sys
 
 import numpy as np
 
-from .ansatz import check_linearization, dimension_m, make_m1, make_m2, verify_membership
+from .ansatz import (
+    _check_factor_dims,
+    check_linearization,
+    dimension_m,
+    make_m1,
+    make_m2,
+    verify_membership,
+)
 from .basis import builtin_basis
 from .blocksym import build_dm_pencil
 from .errors import (
@@ -109,10 +116,7 @@ def _cmd_blocksym(args) -> int:
 def _cmd_check(args) -> int:
     P = _load_problem(args)
     f = factor_from_obj(load_json(args.factor))
-    if f.k != P.k or f.n != P.n:
-        raise DimensionMismatchError(
-            f"factor is for (k, n) = ({f.k}, {f.n}), problem has ({P.k}, {P.n})"
-        )
+    _check_factor_dims(P, f)
     chk = check_linearization(f)
     _emit(
         {
@@ -141,28 +145,28 @@ def _cmd_eig(args) -> int:
     f = factor_from_obj(load_json(args.factor)) if args.factor else None
     side = "M1" if f is None else f.side
     # without recovery no left eigenvector is used, so the solver skips them
-    triples = pencil_eigen(P, f, left=args.recover)
+    spectrum = pencil_eigen(P, f, left=args.recover)
     rights = lefts = None
     if args.recover:
         # pencil_eigen read P's vectors on both sides off the anchor: L's
         # Kronecker-structured eigenvectors (right for side M1, left for M2)
         # are fitted, and the other side's block sums pass through a one-block
         # recover_left, which returns them as they are and checks them.  Both
-        # face --tol, with the backward errors the certified solve computed
-        # when it found them (the QZ fallback leaves them to recover_*).
-        # Columns follow the sorted triples.
-        lams = np.array([t.eigenvalue for t in triples])
-        kron = np.stack([t.right if side == "M1" else t.left for t in triples], axis=1)
-        sums = np.stack([t.weighted_sum for t in triples], axis=1)
+        # face --tol, with the fit and the backward errors the certified solve
+        # computed when it found them (the QZ fallback leaves them to
+        # recover_*).  Columns are the spectrum's, already sorted.
+        lams = spectrum.eigenvalues
         fit_eta = sum_eta = None
-        if triples[0].eta is not None:
-            fit_eta, sum_eta = np.stack([t.eta for t in triples], axis=1)
+        if spectrum.eta is not None:
+            fit_eta, sum_eta = spectrum.eta
         nullside, flipped = ("right", "left") if side == "M1" else ("left", "right")
-        fitted = recover_right(P, lams, kron, tol=tol, nullside=nullside, eta=fit_eta)
-        summed = recover_left(np.ones(1), sums, P, lams, tol=tol, nullside=flipped, eta=sum_eta)
+        fitted = recover_right(P, lams, spectrum.right if side == "M1" else spectrum.left,
+                               tol=tol, nullside=nullside, eta=fit_eta, fit=spectrum.fit)
+        summed = recover_left(np.ones(1), spectrum.sums, P, lams, tol=tol, nullside=flipped,
+                              eta=sum_eta)
         rights, lefts = (fitted, summed) if side == "M1" else (summed, fitted)
         rights, lefts = rights.T, lefts.T
-    _emit(spectrum_report_obj(triples, rights, lefts))
+    _emit(spectrum_report_obj(spectrum, rights, lefts))
     return 0
 
 

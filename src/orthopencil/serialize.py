@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import re
 
 import numpy as np
 import orjson
@@ -223,26 +224,32 @@ def factor_from_obj(obj: dict) -> AnsatzFactor:
 
 
 def spectrum_report_obj(triples, recovered_right=None, recovered_left=None) -> dict:
-    """Report for a list of pencil eigentriples in the order given.
+    """Report for pencil eigentriples in the order given.
 
-    The triples must already be sorted by (re, im) with infinite eigenvalues
-    last, as pencil_eigen returns them.  Finite eigenvalues are emitted as
-    {re, im, residual}; infinite ones only contribute to the count.
-    Recovered eigenvectors of P, when supplied, are one vector per triple (a
-    sequence of vectors, or an array with one row per triple) and are
-    encoded as [re, im] pairs.
+    ``triples`` is what pencil_eigen returns, an Eigentriples whose
+    eigenvalue and residual columns are read directly, or any sequence of
+    Eigentriple.  It must already be sorted by (re, im) with infinite
+    eigenvalues last, as pencil_eigen sorts it.  Finite eigenvalues are
+    emitted as {re, im, residual}; infinite ones only contribute to the
+    count.  Recovered eigenvectors of P, when supplied, are one vector per
+    triple (a sequence of vectors, or an array with one row per triple) and
+    are encoded as [re, im] pairs.
     """
-    finite = [i for i, t in enumerate(triples) if not t.is_infinite]
+    lams = getattr(triples, "eigenvalues", None)
+    if lams is None:
+        lams = np.array([t.eigenvalue for t in triples], dtype=complex)
+        residual = np.array([t.residual for t in triples], dtype=float)
+    else:
+        residual = triples.residual
+    finite = np.flatnonzero(~np.isinf(lams))
+    values = lams[finite]
     report = {
         "finite": [
-            {
-                "re": float(triples[i].eigenvalue.real),
-                "im": float(triples[i].eigenvalue.imag),
-                "residual": float(triples[i].residual),
-            }
-            for i in finite
+            {"re": x, "im": y, "residual": r}
+            for x, y, r in zip(values.real.tolist(), values.imag.tolist(),
+                               residual[finite].tolist())
         ],
-        "infinite_count": len(triples) - len(finite),
+        "infinite_count": lams.size - finite.size,
     }
     eigenvectors = {}
     for name, vectors in (("right", recovered_right), ("left", recovered_left)):
@@ -301,6 +308,12 @@ def _number_on_line(text: str, at: int):
     return start, end - 1 if text[end - 1] == "," else end
 
 
+# An "e" with a digit, or a minus sign and then no second digit, after it.
+# The pattern starts with its literal, so the search skips to each "e"
+# instead of trying every position.
+_EXPONENT = re.compile(r"e(?:[0-9]|-(?!.[0-9]))", re.DOTALL)
+
+
 def _repr_numbers(text: str) -> str:
     """orjson's ``text`` with each number that orjson writes otherwise than
     float.__repr__ written by repr.
@@ -309,18 +322,16 @@ def _repr_numbers(text: str) -> str:
     1.5e-7 where repr writes 1e+16 and 1.5e-07), and it writes numbers in
     [1e-5, 1e-4) without one (0.00001 for 1e-05).  It writes the same digits
     as repr, so repr(float(token)) is the number json writes.  The
-    candidates are found with str.find: an "e" with a digit before it and a
-    digit, or a minus sign and a single digit, after it; and a "0.0000"."""
+    candidates are an "e" with a digit before it and a digit, or a minus
+    sign and a single digit, after it (_EXPONENT), and a "0.0000" (found
+    with str.find)."""
     edits = {}
-    at = text.find("e")
-    while at != -1:
-        after = text[at + 1:at + 2]
-        if text[at - 1] in _DIGITS and (after in _DIGITS or after == "-" and (
-                text[at + 3:at + 4] not in _DIGITS)):
+    for match in _EXPONENT.finditer(text):
+        at = match.start()
+        if text[at - 1] in _DIGITS:
             span = _number_on_line(text, at)
             if span is not None:
                 edits[span[0]] = span[1]
-        at = text.find("e", at + 1)
     at = text.find("0.0000")
     while at != -1:
         if text[at - 1:at] not in _DIGITS:

@@ -19,6 +19,15 @@ Each eigenvalue comes in homogeneous form (alpha, beta); it is infinite when
 reversal Y*lam + X.  With ``left`` false the caller uses no left
 eigenvectors, and none are computed.
 
+The result is one sorted, columnar record, ``Eigentriples``: the
+eigenvalues, the unit right and left eigenvectors, the residuals, the block
+sums and the certificate's backward errors as arrays of m = kn columns, all
+put in one order by one permutation (``_order``).  Normalization comes
+before the permutation, and the permuted arrays are C-contiguous, so that
+the numbers do not depend on the order the solver found them in.  The record
+is also a sequence of ``Eigentriple``, built one at a time when indexed; the
+CLI reads the arrays.
+
 Two solvers find F's eigentriples.  When the row-scaled rcond of c*P_k
 clears 10 * n * eps, geev solves the companion (comrade, colleague) matrix
 -X^-1 Y, whose first block row is one GEMM by the n x n row-scaled inverse
@@ -45,32 +54,37 @@ gives the other, free of the cancellation that forming that sum from L's
 eigenvector suffers when T is ill-conditioned.  Residuals are read off the
 anchor's structure and one GEMM by the multiplier.
 
-The certificate computes eta_P once per side, from one basis sequence and
-one scale sum_i |phi_i| ||P_i||_F at the eigenvalues, and with ||P_i||_F
-computed once per polynomial.  When it keeps geev's result for both sides,
-each triple carries those two values (``Eigentriple.eta``), and recovery
-checks them against its tolerance instead of computing them again.
+The certificate works on the sorted record.  One ``phi_vector`` of length
+k + 1 at the eigenvalues serves the Kronecker fit of the structured side,
+the scale sum_i |phi_i| ||P_i||_F and eta_P on both sides, each side one
+GEMM.  When it keeps geev's result for both sides, the record carries the
+fit (``Eigentriples.fit``) and the two rows of eta_P (``Eigentriples.eta``),
+and recovery checks them against its tolerance instead of computing them
+again: a certified ``recover`` fits each side once and evaluates the basis
+once.
 
 Eigenvector recovery is batched: ``recover_right`` takes the m eigenvalues
 and the kn x m matrix of their pencil eigenvectors and returns the n x m
 eigenvectors of P, and ``recover_left`` maps kn x m to n x m the same way.
-One call costs one ``phi_vector`` for the Kronecker fit and, unless the
-caller passes the certificate's ``eta``, k + 1 GEMMs for the residuals of
-all m eigenvalues, whatever m is.  Every structure and residual check is
-made for every column, and a failure names the first failing column.  A
-scalar eigenvalue with a 1-D vector is the case m = 1 and returns a 1-D
-vector.
+Without the certificate's fit and eta, one call costs one ``phi_vector``,
+which serves both the Kronecker fit and the residuals, and one GEMM for the
+residuals of all m eigenvalues, whatever m is.  Every structure and residual
+check is made for every column, and a failure names the first failing
+column.  A scalar eigenvalue with a 1-D vector is the case m = 1 and
+returns a 1-D vector.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ansatz import AnsatzFactor, _factorization
-from .basis import _phi_sequence, phi_vector, to_monomial
+from .basis import phi_vector, to_monomial
 from .errors import DimensionMismatchError, RecoveryError, SingularPencilError
 from .matpoly import (
     MatrixPolynomial,
@@ -84,6 +98,7 @@ from .pencil import Pencil, eval_pencil
 
 __all__ = [
     "Eigentriple",
+    "Eigentriples",
     "pencil_eigen",
     "backward_errors",
     "recover_right",
@@ -94,29 +109,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeneralizedEigenResult:
-    """Solver output for the pencil X*lam + Y.
+    """Solver output for the pencil X*lam + Y, in solver order.
 
     ``alpha``/``beta`` give eigenvalues alpha/beta; ``right`` and ``left``
     hold eigenvectors as columns, with the convention (X*lam + Y) right = 0
-    and left^T (X*lam + Y) = 0.  ``qz_solve``'s result also holds
-    ``residual``, the normalized right residuals read off the anchor, and,
-    when the side without Kronecker structure is solved (left for the anchor
-    and M1, right for M2), ``sums``: the n x m block sums
-    (v kron I_n)^T w / ||w|| of its eigenvectors w, read off the anchor.
-    When the certified geev found both sides, ``eta`` is 2 x m: row 0 the
-    backward error eta_P of the Kronecker fit of each eigenvector on the
-    structured side, row 1 that of its block sum.  The anchor's own
-    eigentriples, before the map to the pencil, have no ``residual`` and
-    no ``sums``.
+    and left^T (X*lam + Y) = 0.  These are the anchor's own eigentriples,
+    before ``_through_anchor`` maps them to the route's pencil.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     right: np.ndarray
     left: np.ndarray | None
-    residual: np.ndarray | None = None
-    sums: np.ndarray | None = None
-    eta: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -156,15 +160,16 @@ _INF_TOL = 1e-8
 _REGULARITY_SEED = 90210
 
 
-def qz_solve(route: _Route, left: bool) -> GeneralizedEigenResult:
-    """The eigentriples of the route's pencil L, solved through its anchor F
-    (module docstring) by the certified geev or else QZ on F, which agree to
-    within the eigenvalues' condition numbers times their backward errors,
-    not bit for bit.  With left false ``left`` is None in the result."""
-    res = _companion_solve(route, left)
-    if res is None:
-        res = _through_anchor(route, _qz(route.F.X, route.F.Y, *route.anchor_sides(left)), left)
-    return res
+def qz_solve(route: _Route, left: bool) -> Eigentriples:
+    """The sorted eigentriples of the route's pencil L, solved through its
+    anchor F (module docstring) by the certified geev or else QZ on F, which
+    agree to within the eigenvalues' condition numbers times their backward
+    errors, not bit for bit.  With left false ``left`` is None in the result."""
+    spectrum = _companion_solve(route, left)
+    if spectrum is None:
+        spectrum = _through_anchor(
+            route, _qz(route.F.X, route.F.Y, *route.anchor_sides(left)), left)
+    return spectrum
 
 
 def _qz(X, Y, left, right=True):
@@ -178,17 +183,45 @@ def _qz(X, Y, left, right=True):
 
 
 def _geev(A, left, right):
-    """(w, VL, VR): geev of the real matrix A, complex, None for a side not
-    asked for; y^H A = w y^H for the columns y of VL.  numpy's geev gives
-    right vectors alone, and scipy's is called only for left ones.  Raises
-    LinAlgError when geev does not converge; A may be overwritten."""
+    """(w, VL, VR): geev of the real matrix A, None for a side not asked
+    for; y^H A = w y^H for the columns y of VL.  w is complex, and so are
+    the vectors unless every eigenvalue is real.  numpy's geev gives right
+    vectors alone; with left vectors LAPACK's geev is called through scipy
+    as scipy.linalg.eig calls it, and the same vectors are formed from its
+    real output without eig's loop over conjugate pairs (_complex_vectors).
+    Raises LinAlgError when geev does not converge; A may be overwritten."""
     if not left:
         w, VR = np.linalg.eig(A)
         return w.astype(complex, copy=False), None, VR.astype(complex, copy=False)
-    import scipy.linalg  # off the import path: numpy.linalg has no left vectors
+    from scipy.linalg import lapack  # off the import path: numpy.linalg has no left vectors
 
-    out = scipy.linalg.eig(A, left=True, right=right, overwrite_a=True, check_finite=False)
-    return out[0], out[1], out[2] if right else None
+    geev, geev_lwork = lapack.get_lapack_funcs(("geev", "geev_lwork"), (A,))
+    lwork = lapack._compute_lwork(geev_lwork, A.shape[0], compute_vl=True, compute_vr=right)
+    wr, wi, VL, VR, info = geev(A, lwork=lwork, compute_vl=True, compute_vr=right,
+                                overwrite_a=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("geev did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geev")
+    w = wr + 1j * wi
+    if np.all(wi == 0.0):
+        return w, VL, VR if right else None
+    return w, _complex_vectors(wi, VL), _complex_vectors(wi, VR) if right else None
+
+
+def _complex_vectors(wi, V):
+    """The complex eigenvectors held in geev's real output V: a conjugate
+    pair (imaginary parts wi_j > 0 and wi_{j+1} < 0) stores v_j = V_j +
+    i V_{j+1} in columns j and j + 1, and v_{j+1} = conj(v_j).  These are
+    the values and the memory layout of scipy.linalg.eig's vectors, whose
+    columns j also include those followed by a negative wi_{j+1}."""
+    out = np.array(V, dtype=complex)
+    pairs = wi > 0
+    pairs[:-1] |= wi[1:] < 0
+    pairs = np.flatnonzero(pairs)
+    out.imag[:, pairs] = V[:, pairs + 1]
+    out[:, pairs + 1] = np.conj(out[:, pairs])
+    return out
 
 
 def _solve(factors, B, transpose=False):
@@ -233,11 +266,12 @@ def _apply_anchor(F, lams, U, transpose=False):
     return R
 
 
-def _structured_residuals(route, lams, U):
+def _structured_residuals(route, lams, U, norms):
     """||(X*lam_j + Y) u_j|| / ((||X|| |lam_j| + ||Y||) ||u_j||) for every column
-    u_j of U, and ||X u_j|| / (||X|| ||u_j||) where lam_j is infinite, where
-    (X, Y) is the route's pencil L: F itself, T F (M1) or F^T S (M2).  One
-    GEMM with the multiplier, and the anchor's structure for the rest."""
+    u_j of U, whose norms are ``norms``, and ||X u_j|| / (||X|| ||u_j||) where
+    lam_j is infinite, where (X, Y) is the route's pencil L: F itself, T F
+    (M1) or F^T S (M2).  One GEMM with the multiplier, and the anchor's
+    structure for the rest."""
     F, T = route.F, route.multiplier
     lams = np.asarray(lams, dtype=complex)
     if route.side == "M2":
@@ -248,32 +282,49 @@ def _structured_residuals(route, lams, U):
             R = _real_matmul(T, R)
     nx = np.linalg.norm(route.L.X)
     scales = np.where(np.isinf(lams), nx, nx * np.abs(lams) + np.linalg.norm(route.L.Y))
-    return np.linalg.norm(R, axis=0) / (np.linalg.norm(U, axis=0) * np.maximum(scales, 1e-300))
+    return np.linalg.norm(R, axis=0) / (norms * np.maximum(scales, 1e-300))
 
 
 def _through_anchor(route, eigs, left):
-    """The result for the route's pencil L from the eigentriples ``eigs`` of
-    its anchor F (right vectors, and left vectors z with z^T F(lam) = 0):
-    the map and the residuals of the module docstring."""
+    """The sorted record (Eigentriples) of the route's pencil L from the
+    eigentriples ``eigs`` of its anchor F (right vectors, and left vectors
+    z with z^T F(lam) = 0): the map and the residuals of the module
+    docstring, every column normalized in solver order and then all put in
+    the order of ``_order`` (np.take, which writes C-contiguous arrays).
+    The vectors are normalized in place, ``eigs``' own included."""
     n = route.P.n
-    right, left_vecs, sums, Z = eigs.right, eigs.left, None, eigs.left
+    right, left_vecs, Z = eigs.right, eigs.left, eigs.left
     if route.side == "M2":
         right, left_vecs = _solve(route.scaled[1], Z), eigs.right
-        sums = Z[:n] / np.linalg.norm(right, axis=0)
+    elif left and route.side == "M1":
+        left_vecs = _solve(route.scaled[1], Z, transpose=True)
+    right_norms = np.linalg.norm(right, axis=0)
+    left_norms = None if left_vecs is None else np.linalg.norm(left_vecs, axis=0)
+    sums = None
+    if route.side == "M2":
+        sums = Z[:n] / right_norms
     elif left:
-        if route.side == "M1":
-            left_vecs = _solve(route.scaled[1], Z, transpose=True)
-        sums = Z[:n] / np.linalg.norm(left_vecs, axis=0)
+        sums = Z[:n] / left_norms
     lams = _eigenvalues(eigs.alpha, eigs.beta)
-    residual = _structured_residuals(route, lams, right)
-    return GeneralizedEigenResult(alpha=eigs.alpha, beta=eigs.beta, right=right,
-                                  left=left_vecs, residual=residual, sums=sums, eta=eigs.eta)
+    residual = _structured_residuals(route, lams, right, right_norms)
+    order = _order(lams)
+    right /= right_norms
+    if left_vecs is not None:
+        left_vecs /= left_norms
+        left_vecs = np.take(left_vecs, order, axis=1)
+    return Eigentriples(lams[order], np.take(right, order, axis=1), left_vecs,
+                        residual[order], None if sums is None else np.take(sums, order, axis=1))
 
 
 def _companion_solve(route, left=False):
     """The certified geev solve of the route's anchor, mapped to its pencil,
     or None: when c*P_k fails its gate, geev does not converge, or the
-    certificate fails."""
+    certificate fails.
+
+    The certificate reads the sorted record: one basis vector and one scale
+    at its eigenvalues serve the Kronecker fit of the structured side and
+    eta_P on both sides, and the record keeps the fit and, when both sides
+    were solved, eta."""
     P, F = route.P, route.F
     n, k, size = P.n, P.k, F.X.shape[0]
     rcond, inverse = route.lead
@@ -292,34 +343,33 @@ def _companion_solve(route, left=False):
         return None
     if not np.all(np.isfinite(lams)) or np.any(_INF_TOL * (np.abs(lams) + 1.0) >= 1.0):
         return None
-    bound = _CERTIFIED_ETA * size * np.finfo(float).eps
-    # one basis sequence and one scale serve the fit and both sides
-    phis = _phi_sequence(P.basis, k, lams)
-    scale = P.evaluation_scale(lams, phis)
-    eta = []
-    if VR is not None:
-        phi = np.array(phis[k - 1::-1], dtype=complex)  # phi_vector's order
-        _, U = _kron_fit(P, lams, VR.reshape(k, n, -1), phi)
-        eta.append(_eta(P, phis, scale, U))
-        if not np.all(eta[-1] <= bound):
-            return None
     Z = None
     if want_left:
         # from y^H A = lam y^H the anchor's left eigenvector is z = X^-T conj(y);
         # only its first block, a left eigenvector of P, needs a solve
         Z = np.conj(VL)
         Z[:n] = _solve(inverse, Z[:n], transpose=True)
-        eta.append(_eta(P, phis, scale, Z[:n], "left"))
-        if not np.all(eta[-1] <= bound):
-            return None
-    eigs = GeneralizedEigenResult(alpha=lams, beta=np.ones(size), right=VR, left=Z,
-                                  eta=np.array(eta) if len(eta) == 2 else None)
-    res = _through_anchor(route, eigs, left)
-    return res if np.all(res.residual <= bound) else None
+    spectrum = _through_anchor(route, GeneralizedEigenResult(lams, np.ones(size), VR, Z), left)
+    bound = _CERTIFIED_ETA * size * np.finfo(float).eps
+    if not np.all(spectrum.residual <= bound):
+        return None
+    # the structured side: L's right vectors (anchor, M1) or left ones (M2)
+    structured = spectrum.left if route.side == "M2" else spectrum.right
+    phi = phi_vector(P.basis, k + 1, spectrum.eigenvalues)
+    scale = P.evaluation_scale(spectrum.eigenvalues, phi[::-1])
+    eta, fit = [], None
+    if structured is not None:
+        fit = (phi, _kron_fit(phi, structured.reshape(k, n, -1)))
+        eta.append(_eta(P, phi, scale, fit[1]))
+    if spectrum.sums is not None:
+        eta.append(_eta(P, phi, scale, spectrum.sums, "left"))
+    if not all(np.all(e <= bound) for e in eta):
+        return None
+    return replace(spectrum, eta=np.array(eta) if len(eta) == 2 else None, fit=fit)
 
 
 def _eigenvalues(alpha, beta):
-    """alpha_j / beta_j as Python complex numbers, complex infinity where
+    """alpha_j / beta_j as a complex array, complex infinity where
     |beta_j| <= _INF_TOL (|alpha_j| + |beta_j|)."""
     lams = []
     for a, b in zip(np.asarray(alpha, dtype=complex).tolist(),
@@ -327,7 +377,7 @@ def _eigenvalues(alpha, beta):
         # Python complex division: numpy's vectorized one (and its abs)
         # differs in the last bits, which would change the reported eigenvalues
         lams.append(complex(np.inf) if abs(b) <= _INF_TOL * (abs(a) + abs(b)) else a / b)
-    return lams
+    return np.array(lams, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -357,39 +407,82 @@ class Eigentriple:
         return cmath.isinf(self.eigenvalue)
 
 
+@dataclass(frozen=True, eq=False)
+class Eigentriples(Sequence):
+    """Every eigentriple of one pencil, sorted, as columns: what
+    pencil_eigen returns.
+
+    ``eigenvalues`` holds the m eigenvalues (complex infinity for infinite
+    ones), ``right`` and ``left`` the unit eigenvectors as the columns of
+    kn x m arrays (``left`` None when no left vectors were asked for), and
+    ``residual`` the m normalized right residuals.  ``sums`` (n x m) holds
+    the block sums that the Eigentriple of a column calls ``weighted_sum``,
+    and ``eta`` (2 x m) the certificate's backward errors, each None when
+    the solve gave none.  ``fit`` is the certificate's Kronecker fit of the
+    structured side, (phi, U): phi_vector(basis, k + 1) at the eigenvalues
+    (phi_k first) and the n x m least-squares fit U, before normalization;
+    recover_right takes it instead of fitting again.  Every array is
+    C-contiguous, and column j of each belongs to eigenvalues[j].
+
+    The record is also a read-only sequence of Eigentriple (length, integer
+    index, iteration): indexing builds the triple of one column, as a view
+    of its arrays."""
+
+    eigenvalues: np.ndarray
+    right: np.ndarray
+    left: np.ndarray | None
+    residual: np.ndarray
+    sums: np.ndarray | None = None
+    eta: np.ndarray | None = None
+    fit: tuple | None = None
+
+    def __len__(self) -> int:
+        return self.eigenvalues.size
+
+    def __getitem__(self, j):
+        j = operator.index(j)
+        if not -len(self) <= j < len(self):
+            raise IndexError("eigentriple index out of range")
+        return Eigentriple(
+            complex(self.eigenvalues[j]), self.right[:, j],
+            None if self.left is None else self.left[:, j], float(self.residual[j]),
+            None if self.sums is None else self.sums[:, j],
+            None if self.eta is None else self.eta[:, j])
+
+
 # Finite eigenvalues whose real parts are chained by steps of at most this
-# many ulps of their modulus are ordered by imaginary part (see _sort_triples).
+# many ulps of their modulus are ordered by imaginary part (see _order).
 _ORDER_ULPS = 8
 
 
-def _sort_triples(triples):
-    """Sort by (real, imag) with infinite eigenvalues last, in solver order.
+def _order(lams):
+    """The permutation that sorts the eigenvalues ``lams`` by (real, imag),
+    with infinite ones last in solver order.
 
     A run of real parts, each within _ORDER_ULPS ulps of the one before it,
     is one group, ordered by imaginary part: the two members of a conjugate
     pair whose computed real parts differ in the last bits are then always
     listed negative-imaginary first, whatever other eigenvalues lie between
-    them.  Equal real parts keep the (real, imag) order."""
-    finite = sorted((t for t in triples if not t.is_infinite),
-                    key=lambda t: (t.eigenvalue.real, t.eigenvalue.imag))
-    tol = _ORDER_ULPS * np.finfo(float).eps
-    group, prev = -1, None
-    keyed = []
-    for t in finite:
-        z = t.eigenvalue
-        if prev is None or z.real - prev.real > tol * max(abs(prev), abs(z)):
-            group += 1
-        prev = z
-        keyed.append(((group, z.imag, z.real), t))
-    keyed.sort(key=lambda pair: pair[0])
-    return [t for _, t in keyed] + [t for t in triples if t.is_infinite]
+    them.  Equal real parts keep the (real, imag) order, and equal
+    eigenvalues the solver order."""
+    infinite = np.isinf(lams)
+    finite = np.flatnonzero(~infinite)
+    finite = finite[np.lexsort((lams[finite].imag, lams[finite].real))]
+    z = lams[finite]
+    # hypot is abs of a Python complex bit for bit; numpy's complex abs is not
+    modulus = np.hypot(z.real, z.imag)
+    group = np.zeros(z.size, dtype=int)
+    group[1:] = np.cumsum(z.real[1:] - z.real[:-1]
+                          > _ORDER_ULPS * np.finfo(float).eps
+                          * np.maximum(modulus[:-1], modulus[1:]))
+    return np.concatenate((finite[np.lexsort((z.real, z.imag, group))], np.flatnonzero(infinite)))
 
 
 def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
-                 left: bool = True) -> list[Eigentriple]:
-    """All kn eigenvalues of P's anchor pencil, or with ``factor`` (v, B) of
+                 left: bool = True) -> Eigentriples:
+    """All kn eigentriples of P's anchor pencil, or with ``factor`` (v, B) of
     its M1 or M2 pencil L, infinite ones included, solved through the anchor
-    on one route (_route, qz_solve).
+    on one route (_route, qz_solve), as one sorted, columnar Eigentriples.
 
     L is regular if the reciprocal condition number of the anchor's c*P_k
     block (the exact 1-norm one, from its inverse, rows scaled to unit norm;
@@ -401,11 +494,19 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     none has, or the multiplier has no finite inverse, SingularPencilError
     is raised, carrying the largest rcond seen.
 
-    With left false every triple's ``left`` is None.  Residuals are
-    ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||) for unit right vectors u
-    (||X u|| / ||X|| at infinite eigenvalues), read off the anchor.  Results
-    are sorted by (real, imag) with infinite eigenvalues last; real parts
-    equal up to rounding are ordered by imaginary part.
+    With left false ``left`` is None.  Residuals are ||(X*lam + Y) u|| /
+    (||X|| |lam| + ||Y||) for unit right vectors u (||X u|| / ||X|| at
+    infinite eigenvalues), read off the anchor.  Columns are sorted by
+    (real, imag) with infinite eigenvalues last; real parts equal up to
+    rounding are ordered by imaginary part (_order).
+
+    With and without ``left`` the eigenvalues are the same, but the
+    residuals agree only to rounding: without left vectors numpy's geev
+    finds the right ones alone, with them scipy's geev finds both sides,
+    and the right vectors differ in the last bits.  So ``eig`` and
+    ``recover`` print the same eigenvalues, and ``eig --random 6,8,1``
+    prints a residual of 2.995530634243387e-16 where ``recover`` prints
+    2.9955306342433874e-16.
     """
     route = _route(P, factor)
     size, eps = route.L.X.shape[0], np.finfo(float).eps
@@ -421,17 +522,7 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
             )
     if route.scaled is not None and route.scaled[1] is None:
         raise SingularPencilError("pencil is singular: its multiplier is singular", rcond=0.0)
-    res = qz_solve(route, left)
-    lams = _eigenvalues(res.alpha, res.beta)
-    right = res.right / np.linalg.norm(res.right, axis=0)
-    left = None if res.left is None else res.left / np.linalg.norm(res.left, axis=0)
-    triples = [
-        Eigentriple(lams[idx], right[:, idx], None if left is None else left[:, idx],
-                    float(res.residual[idx]), None if res.sums is None else res.sums[:, idx],
-                    None if res.eta is None else res.eta[:, idx])
-        for idx in range(len(lams))
-    ]
-    return _sort_triples(triples)
+    return qz_solve(route, left)
 
 
 def _check_nullside(nullside):
@@ -447,40 +538,42 @@ def backward_errors(P: MatrixPolynomial, lams, U, nullside: str = "right") -> np
     2000); its denominator is MatrixPolynomial.evaluation_scale.  nullside
     "left" takes u^T P(lam) instead.  It bounds sigma_min(P(lam)) / (sum_i
     |phi_i(lam)| ||P_i||_F), the backward error of lam alone, from above.
-    The residuals of all m columns cost k + 1 real GEMMs, P_i times the real
-    and imaginary parts of U side by side, each scaled by its row of phi;
-    no m x n x n tensor of P(lam_j) is built.
+    The residuals of all m columns, m = 0 included, cost one real GEMM:
+    [P_k ... P_0] (the transposes for "left") times the real and imaginary
+    parts of the (k + 1)n x m stack phi(lam_j) kron u_j side by side; no
+    m x n x n tensor of P(lam_j) is built.
     """
     _check_nullside(nullside)
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    phis = _phi_sequence(P.basis, P.k, lams)
-    return _eta(P, phis, P.evaluation_scale(lams, phis), np.asarray(U, dtype=complex), nullside)
+    phi = phi_vector(P.basis, P.k + 1, lams)
+    return _eta(P, phi, P.evaluation_scale(lams, phi[::-1]), np.asarray(U, dtype=complex),
+                nullside)
 
 
-def _eta(P, phis, scale, U, nullside="right"):
-    """backward_errors from the basis values ``phis`` (_phi_sequence) at the
-    eigenvalues and the scales sum_i |phi_i| ||P_i||_F made from them."""
-    m = U.shape[1]
-    parts = np.hstack([U.real, U.imag])
-    R = np.zeros(U.shape, dtype=complex)
-    for Pi, phi in zip(P.coeffs, phis):
-        T = (Pi if nullside == "right" else Pi.T) @ parts
-        R += phi * (T[:, :m] + 1j * T[:, m:])
+def _eta(P, phi, scale, U, nullside="right"):
+    """backward_errors from ``phi``, phi_vector(basis, k + 1) at the
+    eigenvalues (phi_k first), and the scales sum_i |phi_i| ||P_i||_F made
+    from it.  The GEMM reads phi kron U as real numbers, each complex column
+    as two real ones side by side, and its product as complex again."""
+    n, m = U.shape
+    coeffs = P.coeffs[::-1]
+    stacked = np.hstack(coeffs) if nullside == "right" else np.vstack(coeffs).T
+    kron = phi[:, None, :] * U
+    R = (stacked @ kron.view(float).reshape(phi.shape[0] * n, 2 * m)).view(complex)
     return np.linalg.norm(R, axis=0) / (np.maximum(scale, 1e-300) * np.linalg.norm(U, axis=0))
 
 
-def _kron_fit(P, alpha, blocks, phi=None):
-    """(phi, U): the k x m basis vectors at the m finite points alpha, and the
-    least-squares fit u_j = sum_i conj(phi_ij) w_ij / sum_i |phi_ij|^2 of
-    phi_j kron u_j to the k x n x m blocks w_ij of the pencil eigenvectors.
-    ``phi`` is phi_vector(P.basis, P.k, alpha), if the caller has it."""
-    phi = phi_vector(P.basis, P.k, alpha) if phi is None else phi
-    U = np.einsum("im,iam->am", phi.conj(), blocks) / np.sum(np.abs(phi) ** 2, axis=0)
-    return phi, U
+def _kron_fit(phi, blocks):
+    """The least-squares fit u_j = sum_i conj(phi_ij) w_ij / sum_i |phi_ij|^2
+    of phi_j kron u_j to the k x n x m blocks w_ij of the pencil
+    eigenvectors, with ``phi`` phi_vector(basis, k + 1) at the eigenvalues,
+    whose first row (phi_k) the fit leaves out."""
+    phi = phi[1:]
+    return np.einsum("im,iam->am", phi.conj(), blocks) / np.sum(np.abs(phi) ** 2, axis=0)
 
 
 def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
-                  nullside: str = "right", eta=None) -> np.ndarray:
+                  nullside: str = "right", eta=None, fit=None) -> np.ndarray:
     """Eigenvectors of P from Kronecker-structured pencil eigenvectors.
 
     Column j of W (kn x m) belongs to eigenvalues[j] and yields column j of
@@ -499,8 +592,11 @@ def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
     pencils, which carry the same Kronecker structure).  It is
     ``backward_errors``, or at infinite eigenvalues the residual of the
     leading monomial coefficient relative to its norm.  ``eta`` gives those
-    residuals of the m columns when the caller has them (an Eigentriple's
+    residuals of the m columns when the caller has them (an Eigentriples'
     ``eta`` from the certified solve); they are then checked, not computed.
+    ``fit`` is the fit (phi, U) of W when the caller has it (an
+    Eigentriples' ``fit``, all eigenvalues finite); only the mismatch of W
+    against it is then computed.
     """
     _check_nullside(nullside)
     require_ansatz_degree(P)
@@ -514,13 +610,18 @@ def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
         raise RecoveryError(f"eigenvectors must be {k * n} x {lams.size}, got {W.shape}")
     blocks = W.reshape(k, n, -1)
     infinite = np.isinf(lams)
-    alpha = np.where(infinite, 0.0, lams)
-    phi, U = _kron_fit(P, alpha, blocks)
-    U = np.where(infinite, blocks[0], U)
+    if fit is None:
+        phi = phi_vector(P.basis, k + 1, np.where(infinite, 0.0, lams))
+        U = np.where(infinite, blocks[0], _kron_fit(phi, blocks))
+    else:
+        phi, U = fit
     # finite: w - phi kron u; infinite: w - e_1 kron u, the blocks below the first
-    recon = np.einsum("im,am->iam", np.where(infinite, np.eye(k, 1), phi), U)
+    recon = np.einsum("im,am->iam", np.where(infinite, np.eye(k, 1), phi[1:]), U)
     mismatch = np.linalg.norm(blocks - recon, axis=(0, 1)) / np.linalg.norm(W, axis=0)
-    residual = _vector_residuals(P, lams, U, nullside) if eta is None else np.reshape(eta, -1)
+    if eta is None:
+        residual = _vector_residuals(P, lams, U, nullside, phi)
+    else:
+        residual = np.reshape(eta, -1)
     bad = np.flatnonzero((mismatch > tol) | ~(residual <= tol))
     if bad.size and mismatch[bad[0]] > tol:
         j = bad[0]
@@ -538,13 +639,16 @@ def _column(lams, j):
     return f"column {j} (eigenvalue {complex(lams[j])})"
 
 
-def _vector_residuals(P, lams, U, nullside):
+def _vector_residuals(P, lams, U, nullside, phi=None):
     """``backward_errors`` of every column of U at its eigenvalue; at an
     infinite one, the residual of the leading monomial coefficient relative
-    to its norm."""
+    to its norm.  ``phi`` is phi_vector(basis, k + 1) at the eigenvalues,
+    with 0 for infinite ones, if the caller has it."""
     infinite = np.isinf(lams)
+    alpha = np.where(infinite, 0.0, lams)
+    phi = phi_vector(P.basis, P.k + 1, alpha) if phi is None else phi
     with np.errstate(invalid="ignore"):  # a zero column gives NaN, which fails
-        residual = backward_errors(P, np.where(infinite, 0.0, lams), U, nullside)
+        residual = _eta(P, phi, P.evaluation_scale(alpha, phi[::-1]), U, nullside)
     if infinite.any():
         lead = reversal_monomial(P)[0]
         lead = lead if nullside == "right" else lead.T

@@ -5,7 +5,10 @@ the package so that importing orthopencil never loads scipy.optimize.
 ``spectrum_of`` reads the Spectrum of a list of eigentriples.
 ``qz_on_pencil`` solves a pencil by QZ on its own (X, Y), with dense
 residuals, as a reference for ``pencil_eigen``, which solves every pencil
-through the anchor of its polynomial.  The library and the CLI use none of them.
+through the anchor of its polynomial.  ``sort_triples`` is the sort rule of
+``pencil_eigen`` written out triple by triple, the reference for the
+permutation (``spectral._order``) that the library computes on arrays.  The
+library and the CLI use none of them.
 """
 
 from dataclasses import dataclass
@@ -26,17 +29,45 @@ def qz_on_pencil(L, left=True):
     out = scipy.linalg.eig(L.Y, -L.X, left=left, right=True, homogeneous_eigvals=True)
     right = out[-1] / np.linalg.norm(out[-1], axis=0)
     lefts = np.conj(out[1]) / np.linalg.norm(out[1], axis=0) if left else None
-    lams = spectral._eigenvalues(*out[0])
-    values = np.array(lams, dtype=complex)
+    values = spectral._eigenvalues(*out[0])
+    lams = values.tolist()
     infinite = np.isinf(values)
     R = (L.X @ right) * np.where(infinite, 1.0, values) + (L.Y @ right) * ~infinite
     nx = np.linalg.norm(L.X)
     scales = np.where(infinite, nx, nx * np.abs(values) + np.linalg.norm(L.Y))
     residuals = np.linalg.norm(R, axis=0) / np.maximum(scales, 1e-300)
-    return spectral._sort_triples([
+    return sort_triples([
         spectral.Eigentriple(lams[j], right[:, j], None if lefts is None else lefts[:, j],
                              float(residuals[j]))
         for j in range(len(lams))])
+
+
+# Finite eigenvalues whose real parts are chained by steps of at most this
+# many ulps of their modulus are ordered by imaginary part (see sort_triples).
+ORDER_ULPS = 8
+
+
+def sort_triples(triples):
+    """Sort by (real, imag) with infinite eigenvalues last, in solver order.
+
+    A run of real parts, each within ORDER_ULPS ulps of the one before it,
+    is one group, ordered by imaginary part: the two members of a conjugate
+    pair whose computed real parts differ in the last bits are then always
+    listed negative-imaginary first, whatever other eigenvalues lie between
+    them.  Equal real parts keep the (real, imag) order."""
+    finite = sorted((t for t in triples if not t.is_infinite),
+                    key=lambda t: (t.eigenvalue.real, t.eigenvalue.imag))
+    tol = ORDER_ULPS * np.finfo(float).eps
+    group, prev = -1, None
+    keyed = []
+    for t in finite:
+        z = t.eigenvalue
+        if prev is None or z.real - prev.real > tol * max(abs(prev), abs(z)):
+            group += 1
+        prev = z
+        keyed.append(((group, z.imag, z.real), t))
+    keyed.sort(key=lambda pair: pair[0])
+    return [t for _, t in keyed] + [t for t in triples if t.is_infinite]
 
 
 def spectrum_of(triples) -> Spectrum:

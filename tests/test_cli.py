@@ -156,6 +156,23 @@ def test_exit_code_dimension_mismatch(tmp_path, capsys, cheb_problem_file):
     capsys.readouterr()
 
 
+def test_factor_size_mismatch_reads_the_same_in_every_command(tmp_path, capsys):
+    # a (k, n) = (3, 4) factor against a (5, 3) problem: eig and check exit 3
+    # with one message; check on a degree-1 problem keeps its exit code 3
+    fpath = tmp_path / "factor.json"
+    fpath.write_text(dump_json(factor_to_obj(identity_factor(3, 4))))
+    errors = []
+    for command in ("eig", "check"):
+        assert run([command, "--random", "3,5,1", "-f" if command == "check" else "--factor",
+                    str(fpath)]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: factor is for (k, n) = (3, 4), polynomial has (5, 3)\n")
+    assert run(["check", "--random", "3,1,1", "-f", str(fpath)]) == 3
+    assert capsys.readouterr().err == (
+        "error: factor is for (k, n) = (3, 4), polynomial has (1, 3)\n")
+
+
 def test_exit_code_singular(tmp_path, capsys, rng):
     coeffs = [rng.uniform(-1, 1, (2, 2)) for _ in range(3)]
     for c in coeffs:

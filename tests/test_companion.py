@@ -140,6 +140,27 @@ def test_anchor_eigenvalues_are_certified(kind, shape, seed):
     assert np.all(cert >= sigma - k * n * EPS)
 
 
+@pytest.mark.parametrize("right", (True, False))
+def test_geev_with_left_vectors_is_scipys_eig(rng, right):
+    # _geev forms scipy.linalg.eig's eigenvalues and vectors from LAPACK's
+    # real output without eig's loop over conjugate pairs: the same bits,
+    # dtype and memory layout, for symmetric matrices (real spectra, real
+    # vectors) and general ones (real eigenvalues and conjugate pairs)
+    import scipy.linalg
+
+    for n in (1, 7, 24, 40):
+        for A in (rng.standard_normal((n, n)), (lambda M: M + M.T)(rng.standard_normal((n, n)))):
+            ref = scipy.linalg.eig(np.asfortranarray(A), left=True, right=right,
+                                   check_finite=False)
+            got = spectral._geev(np.asfortranarray(A), True, right)
+            assert len(ref) == 3 if right else got[2] is None
+            for a, b in zip(ref, got):
+                assert a.dtype == b.dtype and a.strides == b.strides
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+                assert np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
+
+
 def test_fast_path_matches_qz(rng):
     for kind in ("monomial", "chebyshev1", "legendre"):
         P = random_problem(rng, 10, 12, kind)
@@ -261,9 +282,9 @@ def test_one_qz_solve_per_eig_op(tmp_path, rng, monkeypatch, capsys):
 def test_recover_computes_each_backward_error_once(tmp_path, rng, monkeypatch, capsys, solve):
     # The certificate computes eta_P of the fitted vectors and of the block
     # sums from one basis sequence, and recover_right and recover_left check
-    # those values; recover_right's Kronecker fit evaluates the basis once
-    # more.  After the QZ fallback recover_right and recover_left compute
-    # them, each once.
+    # those values and reuse its Kronecker fit.  After the QZ fallback
+    # recover_right and recover_left compute them, each once, from one basis
+    # sequence each: recover_right's serves its fit and its eta_P.
     P = random_problem(rng, 6, 5, "legendre")
     path = _write_problem(tmp_path, P, "p")
     argvs = [["recover", "-p", path]]
@@ -281,12 +302,49 @@ def test_recover_computes_each_backward_error_once(tmp_path, rng, monkeypatch, c
         if solve == "qz":
             monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
         _counting(monkeypatch, "_eta", calls)
-        for module in (basis, matpoly, spectral):
+        for module in (basis, matpoly):
             monkeypatch.setattr(module, "_phi_sequence", counted)
         assert cli.run(argv) == 0, argv
         monkeypatch.undo()
         capsys.readouterr()
-        assert calls == {"_eta": 2, "_phi_sequence": 2 if solve == "certified" else 3}, argv
+        assert calls == {"_eta": 2, "_phi_sequence": 1 if solve == "certified" else 2}, argv
+
+
+def test_certified_recover_does_the_work_once(tmp_path, rng, monkeypatch, capsys):
+    # a certified recover on the anchor, an M1 and an M2 pencil fits the
+    # Kronecker-structured side once, computes eta_P once per side and
+    # evaluates the basis once, all in the certificate
+    P = random_problem(rng, 6, 5, "chebyshev1")
+    path = _write_problem(tmp_path, P, "p")
+    argvs = [["recover", "-p", path]]
+    argvs += [["recover", "-p", path, "--factor",
+               _write_factor(tmp_path, side, _block_symmetric(P, side, rng))]
+              for side in ("M1", "M2")]
+    for argv in argvs:
+        calls = {"_kron_fit": 0, "_eta": 0, "phi_vector": 0, "_companion_solve": 0}
+        sides = []
+        inner_eta, inner_solve = spectral._eta, spectral._companion_solve
+        for name in ("_kron_fit", "phi_vector"):
+            _counting(monkeypatch, name, calls)
+
+        def eta(P, phi, scale, U, nullside="right"):
+            calls["_eta"] += 1
+            sides.append(nullside)
+            return inner_eta(P, phi, scale, U, nullside)
+
+        def solve(*args):
+            calls["_companion_solve"] += 1
+            out = inner_solve(*args)
+            assert out is not None, argv  # certified
+            return out
+
+        monkeypatch.setattr(spectral, "_eta", eta)
+        monkeypatch.setattr(spectral, "_companion_solve", solve)
+        assert cli.run(argv) == 0, argv
+        monkeypatch.undo()
+        assert "eigenvectors" in json.loads(capsys.readouterr().out)
+        assert calls == {"_kron_fit": 1, "_eta": 2, "phi_vector": 1, "_companion_solve": 1}, argv
+        assert sorted(sides) == ["left", "right"], argv
 
 
 def _block_symmetric(P, side, rng):
@@ -501,7 +559,8 @@ def test_structured_residuals_match_the_dense_pencil(rng, kind, side):
     lams = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     lams[[1, 4]] = np.inf  # beta = 0: the residual is ||X u|| / (||X|| ||u||)
     U = rng.standard_normal((24, m)) + 1j * rng.standard_normal((24, m))
-    got = spectral._structured_residuals(spectral._route(P, f), lams, U)
+    got = spectral._structured_residuals(spectral._route(P, f), lams, U,
+                                         np.linalg.norm(U, axis=0))
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
     for j in range(m):
         if np.isinf(lams[j]):

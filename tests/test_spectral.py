@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthopencil import (
     AnsatzFactor,
@@ -28,8 +30,8 @@ from orthopencil import (
 from orthopencil import spectral
 from orthopencil.matpoly import sampled_regularity
 from orthopencil.spectral import GeneralizedEigenResult
-from spectra import compare_spectra, spectrum_of
-from conftest import BASIS_KINDS, random_problem
+from spectra import compare_spectra, sort_triples, spectrum_of
+from conftest import ALL_KINDS, BASIS_KINDS, random_problem
 
 EPS = np.finfo(float).eps
 
@@ -481,19 +483,19 @@ def test_right_only_solve_is_bit_identical(rng):
 
 
 def _fixed_solve(monkeypatch, values):
-    """pencil_eigen of a scalar polynomial of degree len(values) whose solve
-    (spectral.qz_solve) reports the given eigenvalues, in that order, the
-    j-th with eigenvector e_j."""
+    """pencil_eigen of a scalar polynomial of degree len(values) whose anchor
+    solve (spectral._qz, with geev's refused) reports the given eigenvalues,
+    in that order, the j-th with eigenvector e_j."""
     values = np.array(values, dtype=complex)
     finite = np.isfinite(values)
 
-    def solve(route, left):
+    def solve(X, Y, left, right=True):
         vecs = np.eye(values.size, dtype=complex)
         return GeneralizedEigenResult(np.where(finite, values, 1.0), finite.astype(complex), vecs,
-                                      vecs.copy() if left else None,
-                                      residual=np.zeros(values.size))
+                                      vecs.copy() if left else None)
 
-    monkeypatch.setattr(spectral, "qz_solve", solve)
+    monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
+    monkeypatch.setattr(spectral, "_qz", solve)
     P = MatrixPolynomial(tuple(np.ones((1, 1)) for _ in range(values.size + 1)),
                          builtin_basis("monomial"))
     return pencil_eigen(P)
@@ -531,6 +533,75 @@ def test_equal_real_parts_keep_report_order(monkeypatch):
                     key=lambda z: (z.real, z.imag))
     assert got[:-1] == finite
     assert np.isinf(got[-1])
+
+
+def _ulps_away(x, count):
+    for _ in range(abs(count)):
+        x = np.nextafter(x, np.inf if count > 0 else -np.inf)
+    return float(x)
+
+
+@st.composite
+def _eigenvalue_lists(draw):
+    """Eigenvalues as _eigenvalues gives them: real ones, conjugate pairs
+    whose real parts differ by 0 to 8 ulps (sometimes with a real one within
+    a few ulps between or beside them), exact ties and complex infinities,
+    in any order."""
+    parts = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    values = []
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.sampled_from(("real", "pair", "pair", "tie", "infinite")))
+        x = draw(parts)
+        if shape == "real":
+            values.append(complex(x, 0.0))
+        elif shape == "pair":
+            y = draw(st.floats(1e-9, 1e3))
+            values += [complex(x, y), complex(_ulps_away(x, draw(st.integers(-8, 8))), -y)]
+            if draw(st.booleans()):
+                values.append(complex(_ulps_away(x, draw(st.integers(-9, 9))), 0.0))
+        elif shape == "tie":
+            z = draw(st.sampled_from(values)) if values else complex(x, draw(parts))
+            values += [z, z]
+        else:
+            values.append(complex(np.inf))
+    return draw(st.permutations(values))
+
+
+@settings(max_examples=300)
+@given(values=_eigenvalue_lists())
+def test_sort_permutation_is_the_triple_rule(values):
+    # spectral._order on the eigenvalue array against the rule written out
+    # triple by triple (spectra.sort_triples); each triple carries its index
+    triples = [Eigentriple(z, np.array([j]), None, 0.0) for j, z in enumerate(values)]
+    expected = [int(t.right[0]) for t in sort_triples(triples)]
+    assert spectral._order(np.array(values, dtype=complex)).tolist() == expected
+
+
+def _dense_eta(P, lams, U, side):
+    """||P(lam_j) u_j|| (||u_j^T P(lam_j)|| for "left") / (sum_i |phi_i(lam_j)|
+    ||P_i||_F ||u_j||) from P.evaluate."""
+    values = P.evaluate(lams)
+    R = np.einsum("mrc,cm->rm" if side == "right" else "mcr,cm->rm", values, U)
+    return np.linalg.norm(R, axis=0) / (P.evaluation_scale(lams) * np.linalg.norm(U, axis=0))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("side", ("right", "left"))
+def test_backward_errors_match_the_evaluated_polynomial(rng, kind, side):
+    # the single GEMM of [P_k ... P_0] (their transposes for "left") with
+    # phi kron U against the evaluated polynomial, at random points and
+    # vectors and at P's eigenpairs, for m = 0, 1 and kn columns
+    n, k = 4, 5
+    P = random_problem(rng, n, k, kind)
+    spectrum = pencil_eigen(P)
+    pairs = [(spectrum.eigenvalues, spectrum.right[:n] if side == "right" else spectrum.sums)]
+    for m in (0, 1, k * n):
+        lams = 2.0 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+        pairs.append((lams, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))))
+    for lams, U in pairs:
+        eta = spectral.backward_errors(P, lams, U, side)
+        assert eta.shape == (lams.size,)
+        assert np.all(np.abs(eta - _dense_eta(P, lams, U, side)) <= 10 * (k + 1) * n * EPS)
 
 
 def test_recover_uses_every_block():
