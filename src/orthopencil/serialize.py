@@ -226,21 +226,15 @@ def factor_from_obj(obj: dict) -> AnsatzFactor:
 def spectrum_report_obj(triples, recovered_right=None, recovered_left=None) -> dict:
     """Report for pencil eigentriples in the order given.
 
-    ``triples`` is what pencil_eigen returns, an Eigentriples whose
-    eigenvalue and residual columns are read directly, or any sequence of
-    Eigentriple.  It must already be sorted by (re, im) with infinite
-    eigenvalues last, as pencil_eigen sorts it.  Finite eigenvalues are
-    emitted as {re, im, residual}; infinite ones only contribute to the
-    count.  Recovered eigenvectors of P, when supplied, are one vector per
-    triple (a sequence of vectors, or an array with one row per triple) and
-    are encoded as [re, im] pairs.
+    ``triples`` is what pencil_eigen returns, an Eigentriples, whose
+    eigenvalue and residual columns are read directly.  It must already be
+    sorted by (re, im) with infinite eigenvalues last, as pencil_eigen sorts
+    it.  Finite eigenvalues are emitted as {re, im, residual}; infinite ones
+    only contribute to the count.  Recovered eigenvectors of P, when
+    supplied, are one vector per triple (a sequence of vectors, or an array
+    with one row per triple) and are encoded as [re, im] pairs.
     """
-    lams = getattr(triples, "eigenvalues", None)
-    if lams is None:
-        lams = np.array([t.eigenvalue for t in triples], dtype=complex)
-        residual = np.array([t.residual for t in triples], dtype=float)
-    else:
-        residual = triples.residual
+    lams, residual = triples.eigenvalues, triples.residual
     finite = np.flatnonzero(~np.isinf(lams))
     values = lams[finite]
     report = {
@@ -309,8 +303,9 @@ def _number_on_line(text: str, at: int):
 
 
 # An "e" with a digit, or a minus sign and then no second digit, after it.
-# The pattern starts with its literal, so the search skips to each "e"
-# instead of trying every position.
+# The pattern starts with its literal, so the search steps from "e" to "e"
+# in C instead of trying every position; str.find, which scans with memchr,
+# is faster still, so the search starts at the first "e" (_repr_numbers).
 _EXPONENT = re.compile(r"e(?:[0-9]|-(?!.[0-9]))", re.DOTALL)
 
 
@@ -326,7 +321,8 @@ def _repr_numbers(text: str) -> str:
     sign and a single digit, after it (_EXPONENT), and a "0.0000" (found
     with str.find)."""
     edits = {}
-    for match in _EXPONENT.finditer(text):
+    first = text.find("e")  # most pencils and factors hold none
+    for match in () if first == -1 else _EXPONENT.finditer(text, first):
         at = match.start()
         if text[at - 1] in _DIGITS:
             span = _number_on_line(text, at)

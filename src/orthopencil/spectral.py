@@ -183,45 +183,17 @@ def _qz(X, Y, left, right=True):
 
 
 def _geev(A, left, right):
-    """(w, VL, VR): geev of the real matrix A, None for a side not asked
-    for; y^H A = w y^H for the columns y of VL.  w is complex, and so are
-    the vectors unless every eigenvalue is real.  numpy's geev gives right
-    vectors alone; with left vectors LAPACK's geev is called through scipy
-    as scipy.linalg.eig calls it, and the same vectors are formed from its
-    real output without eig's loop over conjugate pairs (_complex_vectors).
-    Raises LinAlgError when geev does not converge; A may be overwritten."""
+    """(w, VL, VR): geev of the real matrix A, complex, None for a side not
+    asked for; y^H A = w y^H for the columns y of VL.  numpy's geev gives
+    right vectors alone, and scipy's is called only for left ones.  Raises
+    LinAlgError when geev does not converge; A may be overwritten."""
     if not left:
         w, VR = np.linalg.eig(A)
         return w.astype(complex, copy=False), None, VR.astype(complex, copy=False)
-    from scipy.linalg import lapack  # off the import path: numpy.linalg has no left vectors
+    import scipy.linalg  # off the import path: numpy.linalg has no left vectors
 
-    geev, geev_lwork = lapack.get_lapack_funcs(("geev", "geev_lwork"), (A,))
-    lwork = lapack._compute_lwork(geev_lwork, A.shape[0], compute_vl=True, compute_vr=right)
-    wr, wi, VL, VR, info = geev(A, lwork=lwork, compute_vl=True, compute_vr=right,
-                                overwrite_a=True)
-    if info > 0:
-        raise np.linalg.LinAlgError("geev did not converge")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of geev")
-    w = wr + 1j * wi
-    if np.all(wi == 0.0):
-        return w, VL, VR if right else None
-    return w, _complex_vectors(wi, VL), _complex_vectors(wi, VR) if right else None
-
-
-def _complex_vectors(wi, V):
-    """The complex eigenvectors held in geev's real output V: a conjugate
-    pair (imaginary parts wi_j > 0 and wi_{j+1} < 0) stores v_j = V_j +
-    i V_{j+1} in columns j and j + 1, and v_{j+1} = conj(v_j).  These are
-    the values and the memory layout of scipy.linalg.eig's vectors, whose
-    columns j also include those followed by a negative wi_{j+1}."""
-    out = np.array(V, dtype=complex)
-    pairs = wi > 0
-    pairs[:-1] |= wi[1:] < 0
-    pairs = np.flatnonzero(pairs)
-    out.imag[:, pairs] = V[:, pairs + 1]
-    out[:, pairs + 1] = np.conj(out[:, pairs])
-    return out
+    out = scipy.linalg.eig(A, left=True, right=right, overwrite_a=True, check_finite=False)
+    return out[0], out[1], out[2] if right else None
 
 
 def _solve(factors, B, transpose=False):
@@ -558,7 +530,7 @@ def _eta(P, phi, scale, U, nullside="right"):
     n, m = U.shape
     coeffs = P.coeffs[::-1]
     stacked = np.hstack(coeffs) if nullside == "right" else np.vstack(coeffs).T
-    kron = phi[:, None, :] * U
+    kron = np.multiply(phi[:, None, :], U, order="C")  # U may be in any layout
     R = (stacked @ kron.view(float).reshape(phi.shape[0] * n, 2 * m)).view(complex)
     return np.linalg.norm(R, axis=0) / (np.maximum(scale, 1e-300) * np.linalg.norm(U, axis=0))
 

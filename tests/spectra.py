@@ -5,7 +5,8 @@ the package so that importing orthopencil never loads scipy.optimize.
 ``spectrum_of`` reads the Spectrum of a list of eigentriples.
 ``qz_on_pencil`` solves a pencil by QZ on its own (X, Y), with dense
 residuals, as a reference for ``pencil_eigen``, which solves every pencil
-through the anchor of its polynomial.  ``sort_triples`` is the sort rule of
+through the anchor of its polynomial; like pencil_eigen it returns an
+Eigentriples (``as_columns``).  ``sort_triples`` is the sort rule of
 ``pencil_eigen`` written out triple by triple, the reference for the
 permutation (``spectral._order``) that the library computes on arrays.  The
 library and the CLI use none of them.
@@ -36,10 +37,19 @@ def qz_on_pencil(L, left=True):
     nx = np.linalg.norm(L.X)
     scales = np.where(infinite, nx, nx * np.abs(values) + np.linalg.norm(L.Y))
     residuals = np.linalg.norm(R, axis=0) / np.maximum(scales, 1e-300)
-    return sort_triples([
+    return as_columns(sort_triples([
         spectral.Eigentriple(lams[j], right[:, j], None if lefts is None else lefts[:, j],
                              float(residuals[j]))
-        for j in range(len(lams))])
+        for j in range(len(lams))]))
+
+
+def as_columns(triples):
+    """The Eigentriples whose columns are a list of Eigentriple, in its order."""
+    return spectral.Eigentriples(
+        np.array([t.eigenvalue for t in triples], dtype=complex),
+        np.stack([t.right for t in triples], axis=1),
+        None if triples[0].left is None else np.stack([t.left for t in triples], axis=1),
+        np.array([t.residual for t in triples], dtype=float))
 
 
 # Finite eigenvalues whose real parts are chained by steps of at most this

@@ -140,27 +140,6 @@ def test_anchor_eigenvalues_are_certified(kind, shape, seed):
     assert np.all(cert >= sigma - k * n * EPS)
 
 
-@pytest.mark.parametrize("right", (True, False))
-def test_geev_with_left_vectors_is_scipys_eig(rng, right):
-    # _geev forms scipy.linalg.eig's eigenvalues and vectors from LAPACK's
-    # real output without eig's loop over conjugate pairs: the same bits,
-    # dtype and memory layout, for symmetric matrices (real spectra, real
-    # vectors) and general ones (real eigenvalues and conjugate pairs)
-    import scipy.linalg
-
-    for n in (1, 7, 24, 40):
-        for A in (rng.standard_normal((n, n)), (lambda M: M + M.T)(rng.standard_normal((n, n)))):
-            ref = scipy.linalg.eig(np.asfortranarray(A), left=True, right=right,
-                                   check_finite=False)
-            got = spectral._geev(np.asfortranarray(A), True, right)
-            assert len(ref) == 3 if right else got[2] is None
-            for a, b in zip(ref, got):
-                assert a.dtype == b.dtype and a.strides == b.strides
-                assert np.array_equal(a, b)
-                assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
-                assert np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
-
-
 def test_fast_path_matches_qz(rng):
     for kind in ("monomial", "chebyshev1", "legendre"):
         P = random_problem(rng, 10, 12, kind)

@@ -61,11 +61,14 @@ def _structured_side(P, rng, side):
 
 
 def _assert_matches_reference(P, lams, W, nullside):
-    U = recover_right(P, lams, W, nullside=nullside)
-    assert U.shape == (P.n, lams.size)
-    for j, lam in enumerate(lams):
-        ref = _recover_one(P, lam, W[:, j], nullside=nullside)
-        assert np.linalg.norm(U[:, j] - ref) <= RTOL * np.linalg.norm(ref), (j, lam)
+    # W as np.stack writes it and in Fortran order, as numpy's and scipy's
+    # eig return eigenvectors
+    for V in (W, np.asfortranarray(W)):
+        U = recover_right(P, lams, V, nullside=nullside)
+        assert U.shape == (P.n, lams.size)
+        for j, lam in enumerate(lams):
+            ref = _recover_one(P, lam, W[:, j], nullside=nullside)
+            assert np.linalg.norm(U[:, j] - ref) <= RTOL * np.linalg.norm(ref), (j, lam)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from orthopencil import (
     AnsatzFactor,
     DimensionMismatchError,
-    Eigentriple,
+    Eigentriples,
     ThreeTermBasis,
     anchor_pencil,
     builtin_basis,
@@ -360,8 +360,9 @@ def test_load_json_reads_what_json_reads(tmp_path_factory, document):
 
 def test_spectrum_report_drops_vectors_of_infinite_eigenvalues():
     u = np.array([1.0, 0.0])
-    triples = [Eigentriple(0.5 + 0j, u, u, 1e-16), Eigentriple(-1j, u, u, 2e-16),
-               Eigentriple(complex(np.inf), u, u, 0.0)]
+    U = np.stack([u, u, u], axis=1)
+    triples = Eigentriples(np.array([0.5, -1j, np.inf], dtype=complex), U, U,
+                           np.array([1e-16, 2e-16, 0.0]))
     vectors = np.array([[1.0, 2.0], [3.0 + 1j, 4.0], [5.0, 6.0]])
     report = spectrum_report_obj(triples, recovered_right=vectors, recovered_left=list(vectors))
     assert report["infinite_count"] == 1

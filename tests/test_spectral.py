@@ -590,7 +590,8 @@ def _dense_eta(P, lams, U, side):
 def test_backward_errors_match_the_evaluated_polynomial(rng, kind, side):
     # the single GEMM of [P_k ... P_0] (their transposes for "left") with
     # phi kron U against the evaluated polynomial, at random points and
-    # vectors and at P's eigenpairs, for m = 0, 1 and kn columns
+    # vectors and at P's eigenpairs, for m = 0, 1 and kn columns, with the
+    # vectors in C and in Fortran order and as a transposed view
     n, k = 4, 5
     P = random_problem(rng, n, k, kind)
     spectrum = pencil_eigen(P)
@@ -598,6 +599,8 @@ def test_backward_errors_match_the_evaluated_polynomial(rng, kind, side):
     for m in (0, 1, k * n):
         lams = 2.0 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
         pairs.append((lams, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))))
+    pairs += [(lams, np.asfortranarray(U)) for lams, U in pairs]
+    pairs += [(lams, np.ascontiguousarray(U.T).T) for lams, U in pairs[:len(pairs) // 2]]
     for lams, U in pairs:
         eta = spectral.backward_errors(P, lams, U, side)
         assert eta.shape == (lams.size,)
