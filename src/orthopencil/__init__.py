@@ -2,13 +2,15 @@
 
 The package builds the anchor pencil of a matrix polynomial P, parameterizes
 the pencil spaces defined by the right/left ansatz identities, and constructs
-the block-symmetric members.  Every pencil of P, the anchor or an M1/M2
-member, is solved through P's anchor by ``pencil_eigen(P, factor)``, which
-forms the pencil from P and the factor itself.  It returns one sorted,
-columnar ``Eigentriples`` (eigenvalues, unit eigenvectors, residuals and
-backward errors as arrays), which is also a sequence of ``Eigentriple``, and
-P's eigenvectors are recovered from its columns.  A brute-force spectral
-oracle gives an independent reference spectrum.
+the block-symmetric members: each is the M1 pencil ``make_m1`` forms from
+a factor whose free block solves the symmetry equations.  Every pencil of P,
+the anchor or an M1/M2 member, is solved through P's anchor by
+``pencil_eigen(P, factor)``, which forms the pencil from P and the factor
+itself.  It returns one sorted, columnar ``Eigentriples`` (eigenvalues,
+unit eigenvectors, residuals and backward errors as arrays), which is also a
+sequence of ``Eigentriple``, and P's eigenvectors are recovered from its
+columns.  A brute-force spectral oracle gives an independent reference
+spectrum.
 """
 
 from .ansatz import (
@@ -27,12 +29,10 @@ from .basis import (
     DegreeGradedBasis,
     ThreeTermBasis,
     builtin_basis,
-    eval_phi,
     phi_vector,
     to_monomial,
 )
 from .blocksym import (
-    OpCounter,
     build_dm,
     build_dm_generic,
     build_dm_pencil,
@@ -47,7 +47,7 @@ from .errors import (
     SingularMatrixPolynomialError,
     SingularPencilError,
 )
-from .matpoly import MatrixPolynomial, is_regular, monomial_coefficients, reversal_monomial
+from .matpoly import MatrixPolynomial, monomial_coefficients, reversal_monomial
 from .oracle import (
     ScalarPoly,
     Spectrum,

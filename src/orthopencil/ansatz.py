@@ -194,14 +194,18 @@ def verify_membership(L: Pencil, P: MatrixPolynomial, side: str = "M1",
 
     Both sides of the identity have degree <= k, so agreement at k + 1
     distinct points certifies membership up to rounding.  The residual is the
-    max-abs mismatch normalized by the sizes of P and of the basis vector at
-    each point.
+    max-abs mismatch over the normwise size of the two sides at each point,
+    (||X||_F |lam| + ||Y||_F) ||phi(lam)|| + ||v|| sum_i |phi_i(lam)| ||P_i||_F.
+    Unlike |P(lam)|, this scale does not vanish when a sample point is an
+    eigenvalue of P.
     """
     f = recover_factors(L, P, side)
     n, k = P.n, P.k
     eye = np.eye(n)
+    nx, ny, nv = np.linalg.norm(L.X), np.linalg.norm(L.Y), np.linalg.norm(f.v)
+    points = sample_points(k + 1)
     worst = 0.0
-    for lam in sample_points(k + 1):
+    for lam, pscale in zip(points, P.evaluation_scale(points)):
         phi = phi_vector(P.basis, k, lam)
         Plam = P.evaluate(lam)
         if side == "M1":
@@ -210,7 +214,7 @@ def verify_membership(L: Pencil, P: MatrixPolynomial, side: str = "M1",
         else:
             lhs = np.kron(phi.reshape(1, -1), eye) @ eval_pencil(L, lam)
             rhs = np.kron(f.v.reshape(1, -1), Plam)
-        scale = max(float(np.max(np.abs(Plam)) * np.linalg.norm(phi)), 1e-300)
+        scale = max(float((nx * abs(lam) + ny) * np.linalg.norm(phi) + nv * pscale), 1e-300)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
     return MembershipReport(bool(worst <= tol), f.v, worst, side, tol)
 

@@ -40,7 +40,6 @@ __all__ = [
     "ThreeTermBasis",
     "DegreeGradedBasis",
     "builtin_basis",
-    "eval_phi",
     "phi_vector",
     "to_monomial",
 ]
@@ -195,13 +194,6 @@ def _phi_sequence(spec: BasisSpec, jmax: int, lam) -> list:
             nxt = nxt - (-c) * values[j]
         values.append(nxt / a)
     return values
-
-
-def eval_phi(spec: BasisSpec, j: int, lam):
-    """Evaluate phi_j at lam (real or complex scalar)."""
-    if j < 0:
-        raise ValueError("degree index must be nonnegative")
-    return _phi_sequence(spec, j, lam)[j]
 
 
 def phi_vector(spec: BasisSpec, k: int, lam) -> np.ndarray:

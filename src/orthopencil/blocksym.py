@@ -12,10 +12,10 @@ column by column and works for both basis families, since it only reads the
 anchor's reconstruction row and recurrence rows.  ``build_dm`` is the paper's
 explicit recurrence for three-term bases; it is kept as the independent
 reference the solver is tested against and is not used by the pencil
-builders.  Both use only scalar-times-matrix products, so the cost is
-O(k^2 n^2).  Blocks on or above the grid diagonal are never computed
-independently; they alias their mirror images, which rules out
-inconsistencies by construction.
+builders.  Both write each strict block of B* together with its mirror
+image, so B holds every block and its mirror, and the two cannot disagree.
+The pencil of a factor is ``make_m1``'s, the one every command forms from
+it; ``build_dm_pencil`` only checks and mirrors its constant coefficient.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzFactor
+from .ansatz import AnsatzFactor, make_m1
 from .basis import ThreeTermBasis
 from .errors import DimensionMismatchError
 from .matpoly import MatrixPolynomial, require_ansatz_degree
@@ -37,7 +37,6 @@ from .pencil import (
 )
 
 __all__ = [
-    "OpCounter",
     "build_dm",
     "build_dm_generic",
     "dm_basis",
@@ -51,48 +50,6 @@ __all__ = [
 SYMMETRY_ULPS = 100
 
 
-@dataclass
-class OpCounter:
-    """Counts scalar-times-matrix products; the builders perform no
-    matrix-matrix multiplication at all."""
-
-    scalar_matrix_mults: int = 0
-
-
-class _Grid:
-    """k x (k-1) grid of n x n blocks, 1-based; row 1 is the forced Z row.
-
-    Entries strictly below the diagonal (i > j) are stored; entries with
-    i <= j resolve through the symmetry map B[i, j] = B[j+1, i-1].
-    """
-
-    def __init__(self, k: int, n: int, zrow: list):
-        self.k = k
-        self.n = n
-        self.data = np.zeros((k + 1, k, n, n))
-        for t, z in enumerate(zrow, start=1):
-            self.data[1, t] = z
-
-    def get(self, i: int, j: int) -> np.ndarray:
-        if i == 1:
-            return self.data[1, j]
-        if i > j:
-            return self.data[i, j]
-        return self.data[j + 1, i - 1]
-
-    def set_strict(self, i: int, j: int, value: np.ndarray):
-        assert i > j >= 1
-        self.data[i, j] = value
-
-    def materialize(self) -> np.ndarray:
-        k, n = self.k, self.n
-        B = np.zeros((k * n, (k - 1) * n))
-        for i in range(1, k + 1):
-            for j in range(1, k):
-                B[(i - 1) * n : i * n, (j - 1) * n : j * n] = self.get(i, j)
-        return B
-
-
 def _prepare(P: MatrixPolynomial, v) -> tuple[np.ndarray, float]:
     require_ansatz_degree(P)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -101,7 +58,25 @@ def _prepare(P: MatrixPolynomial, v) -> tuple[np.ndarray, float]:
     return v, leading_multiplier(P.basis, P.k)
 
 
-def build_dm(P: MatrixPolynomial, v, counter: OpCounter | None = None) -> AnsatzFactor:
+def _free_block(P: MatrixPolynomial, v: np.ndarray, c: float):
+    """(B, blocks): B = [Z; 0] with Z = [v_2 .. v_k] kron (c * P_k), and the
+    (k, n, k-1, n) view of B whose [i-1, :, j-1, :] is block (i, j)."""
+    k, n = P.k, P.n
+    B = np.zeros((k * n, (k - 1) * n))
+    blocks = B.reshape(k, n, k - 1, n)
+    cPk = c * P.coeffs[k]
+    for t in range(1, k):
+        blocks[0, :, t - 1, :] = v[t] * cPk
+    return B, blocks
+
+
+def _set_strict(blocks: np.ndarray, i: int, j: int, value: np.ndarray):
+    """Write block (i, j), i > j >= 1, and its mirror (j + 1, i - 1)."""
+    blocks[i - 1, :, j - 1, :] = value
+    blocks[j, :, i - 2, :] = value
+
+
+def build_dm(P: MatrixPolynomial, v) -> AnsatzFactor:
     """The paper's explicit recurrence for three-term bases (reference only).
 
     Column 1 of the grid comes from the first symmetry equation, column 2
@@ -132,50 +107,46 @@ def build_dm(P: MatrixPolynomial, v, counter: OpCounter | None = None) -> Ansatz
     def vv(i):
         return v[i - 1] if 1 <= i <= k else 0.0
 
-    def smul(s, M):
-        if counter is not None:
-            counter.scalar_matrix_mults += 1
-        return s * M
-
     Pk = P.coeffs[k]
-    cPk = smul(c, Pk)
-    grid = _Grid(k, P.n, [smul(vv(t + 1), cPk) for t in range(1, k)])
+    B, blocks = _free_block(P, v, c)
+
+    def blk(i, j):
+        return blocks[i - 1, :, j - 1, :]
 
     for i in range(2, k + 1):
         s = vv(i - 1) * g(k - i + 1) + vv(i) * (b(k - i) - b(k - 1)) + vv(i + 1) * a(k - i - 1)
-        blk = smul(s / (a(k - 1) * a(k - 2)), Pk)
-        blk = blk + smul(vv(i) / a(k - 2), P.coeffs[k - 1])
-        blk = blk - smul(vv(1) / a(k - 2), P.coeffs[k - i])
-        grid.set_strict(i, 1, blk)
+        new = (s / (a(k - 1) * a(k - 2))) * Pk
+        new = new + (vv(i) / a(k - 2)) * P.coeffs[k - 1]
+        new = new - (vv(1) / a(k - 2)) * P.coeffs[k - i]
+        _set_strict(blocks, i, 1, new)
 
     if k >= 3:
         for i in range(3, k + 1):
-            acc = smul(g(k - i + 1), grid.get(i - 1, 1))
-            acc = acc + smul(b(k - i) - b(k - 2), grid.get(i, 1))
+            acc = g(k - i + 1) * blk(i - 1, 1)
+            acc = acc + (b(k - i) - b(k - 2)) * blk(i, 1)
             if i < k:
-                acc = acc + smul(a(k - i - 1), grid.get(i + 1, 1))
-            blk = smul(1.0 / a(k - 3), acc)
-            blk = blk + smul(vv(i) / a(k - 3), P.coeffs[k - 2])
-            blk = blk - smul(vv(2) / a(k - 3), P.coeffs[k - i])
-            blk = blk - smul(vv(i) * g(k - 1) / (a(k - 3) * a(k - 1)), Pk)
-            grid.set_strict(i, 2, blk)
+                acc = acc + a(k - i - 1) * blk(i + 1, 1)
+            new = (1.0 / a(k - 3)) * acc
+            new = new + (vv(i) / a(k - 3)) * P.coeffs[k - 2]
+            new = new - (vv(2) / a(k - 3)) * P.coeffs[k - i]
+            new = new - (vv(i) * g(k - 1) / (a(k - 3) * a(k - 1))) * Pk
+            _set_strict(blocks, i, 2, new)
 
     for j in range(3, k):
         for i in range(j + 1, k + 1):
-            acc = smul(g(k - i + 1), grid.get(i - 1, j - 1))
-            acc = acc + smul(b(k - i) - b(k - j), grid.get(i, j - 1))
+            acc = g(k - i + 1) * blk(i - 1, j - 1)
+            acc = acc + (b(k - i) - b(k - j)) * blk(i, j - 1)
             if i < k:
-                acc = acc + smul(a(k - i - 1), grid.get(i + 1, j - 1))
-            acc = acc - smul(g(k - j + 1), grid.get(i, j - 2))
-            acc = acc + smul(vv(i), P.coeffs[k - j])
-            acc = acc - smul(vv(j), P.coeffs[k - i])
-            grid.set_strict(i, j, smul(1.0 / a(k - j - 1), acc))
+                acc = acc + a(k - i - 1) * blk(i + 1, j - 1)
+            acc = acc - g(k - j + 1) * blk(i, j - 2)
+            acc = acc + vv(i) * P.coeffs[k - j]
+            acc = acc - vv(j) * P.coeffs[k - i]
+            _set_strict(blocks, i, j, (1.0 / a(k - j - 1)) * acc)
 
-    return AnsatzFactor(v, grid.materialize(), "M1")
+    return AnsatzFactor(v, B, "M1")
 
 
-def build_dm_generic(P: MatrixPolynomial, v,
-                     counter: OpCounter | None = None) -> AnsatzFactor:
+def build_dm_generic(P: MatrixPolynomial, v) -> AnsatzFactor:
     """Solve the symmetry equations of the constant coefficient sequentially.
 
     With Y = multiplier @ anchor(0), block (i, j) of Y equals
@@ -187,26 +158,19 @@ def build_dm_generic(P: MatrixPolynomial, v,
     breaks down.  Works for three-term and degree-graded bases alike.
     """
     v, c = _prepare(P, v)
-    k, n = P.k, P.n
-
-    def smul(s, M):
-        if counter is not None:
-            counter.scalar_matrix_mults += 1
-        return s * M
+    k = P.k
 
     _, m0 = poly_row_blocks(P)  # m0[j-1] is the constant block of column j
     _, M0 = recurrence_rows_scalar(P.basis, k)  # (k-1) x k scalar constant part
-
-    cPk = smul(c, P.coeffs[k])
-    grid = _Grid(k, n, [smul(v[t], cPk) for t in range(1, k)])
+    B, blocks = _free_block(P, v, c)
 
     def y_block(i, j, skip_r=None):
-        acc = smul(v[i - 1], m0[j - 1])
+        acc = v[i - 1] * m0[j - 1]
         for r in range(1, k):
             coeff = M0[r - 1, j - 1]
             if coeff == 0.0 or r == skip_r:
                 continue
-            acc = acc + smul(coeff, grid.get(i, r))
+            acc = acc + coeff * blocks[i - 1, :, r - 1, :]
         return acc
 
     for j in range(1, k):
@@ -219,31 +183,9 @@ def build_dm_generic(P: MatrixPolynomial, v,
         for i in range(j + 1, k + 1):
             rhs = y_block(j, i)
             partial = y_block(i, j, skip_r=j)
-            grid.set_strict(i, j, smul(1.0 / pivot, rhs - partial))
+            _set_strict(blocks, i, j, (1.0 / pivot) * (rhs - partial))
 
-    return AnsatzFactor(v, grid.materialize(), "M1")
-
-
-def _constant_coefficient(P, factor) -> np.ndarray:
-    """Y = multiplier @ anchor(0) assembled blockwise from scalar products.
-
-    The blocks are read straight from the materialized B, whose blocks on and
-    above the grid diagonal already hold their mirror images.
-    """
-    k, n = P.k, P.n
-    v, B = factor.v, factor.B
-    _, m0 = poly_row_blocks(P)
-    _, M0 = recurrence_rows_scalar(P.basis, k)
-    Y = np.zeros((k * n, k * n))
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            blk = v[i - 1] * m0[j - 1]
-            for r in range(1, k):
-                coeff = M0[r - 1, j - 1]
-                if coeff != 0.0:
-                    blk = blk + coeff * B[(i - 1) * n : i * n, (r - 1) * n : r * n]
-            Y[(i - 1) * n : i * n, (j - 1) * n : j * n] = blk
-    return Y
+    return AnsatzFactor(v, B, "M1")
 
 
 def dm_basis(P: MatrixPolynomial) -> list:
@@ -252,23 +194,22 @@ def dm_basis(P: MatrixPolynomial) -> list:
     return [build_dm_generic(P, np.eye(P.k)[j]) for j in range(P.k)]
 
 
-def build_dm_pencil(P: MatrixPolynomial, v,
-                    counter: OpCounter | None = None) -> tuple[AnsatzFactor, Pencil]:
-    """Factor plus the assembled pencil, exactly block-symmetric.
+def build_dm_pencil(P: MatrixPolynomial, v) -> tuple[AnsatzFactor, Pencil]:
+    """The factor of build_dm_generic and its M1 pencil, made exactly
+    block-symmetric.
 
-    The lam-coefficient is [v kron (c * P_k), B] and is bitwise symmetric
-    because B aliases its mirror blocks.  The constant coefficient Y is
-    assembled once, in full, and checked: the elimination uses each
+    The pencil is make_m1's [v kron I_n, B] times the anchor, the same
+    product that ``ansatz``, ``eig --factor`` and ``recover --factor`` form
+    from this factor.  Its lam-coefficient [v kron (c * P_k), B] comes out
+    exactly block-symmetric, because B holds each block and its mirror.  Its
+    constant coefficient Y is checked: the elimination uses each
     off-diagonal symmetry equation exactly once, so a block asymmetry above
     100 * kn * eps * max|Y| is an internal error.  The lower block triangle
-    is then copied onto the upper one, making Y bitwise block-symmetric.
+    of Y is then copied onto the upper one, making Y bitwise block-symmetric.
     """
-    factor = build_dm_generic(P, v, counter)
-    k, n = P.k, P.n
-    X = np.zeros((k * n, k * n))
-    X[:, :n] = np.kron(factor.v.reshape(-1, 1), leading_multiplier(P.basis, k) * P.coeffs[k])
-    X[:, n:] = factor.B
-    Y = _constant_coefficient(P, factor)
+    factor = build_dm_generic(P, v)
+    L = make_m1(P, factor)
+    k, n, Y = P.k, P.n, L.Y
     asym = float(np.max(np.abs(Y - block_transpose(Y, n))))
     bound = SYMMETRY_ULPS * k * n * np.finfo(float).eps * float(np.max(np.abs(Y)))
     if asym > bound:
@@ -276,12 +217,10 @@ def build_dm_pencil(P: MatrixPolynomial, v,
             f"symmetry solver produced an asymmetric pencil (max deviation {asym:.3e}, "
             f"bound {bound:.3e}); this should not happen for a valid basis"
         )
-    for i in range(1, k):
-        for j in range(i + 1, k + 1):
-            Y[(i - 1) * n : i * n, (j - 1) * n : j * n] = Y[
-                (j - 1) * n : j * n, (i - 1) * n : i * n
-            ]
-    return factor, Pencil(X, Y, n, k)
+    blocks = Y.reshape(k, n, k, n)
+    rows, cols = np.triu_indices(k, 1)
+    blocks[rows, :, cols, :] = blocks[cols, :, rows, :]
+    return factor, L
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ __all__ = [
     "MatrixPolynomial",
     "monomial_coefficients",
     "reversal_monomial",
-    "is_regular",
 ]
 
 
@@ -131,11 +130,6 @@ def _scaled_inverse(M: np.ndarray):
     return float(1.0 / (np.linalg.norm(M, 1) * np.linalg.norm(inverse, 1))), (inverse, rows)
 
 
-def _rcond(M: np.ndarray) -> float:
-    """The row-scaled rcond of M (see _scaled_inverse)."""
-    return _scaled_inverse(M)[0]
-
-
 def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:
     """Regularity of the size x size matrix function evaluate(lam).
 
@@ -153,7 +147,7 @@ def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:
     for trial in range(1, REGULARITY_POINTS + 1):
         r = 2.0 * np.sqrt(rng.uniform())
         lam = complex(r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        value = _rcond(evaluate(lam))
+        value = _scaled_inverse(evaluate(lam))[0]
         if value > best:
             best, witness = value, lam
         if value > threshold:
@@ -185,16 +179,3 @@ def reversal_monomial(P: MatrixPolynomial) -> np.ndarray:
     """
     return monomial_coefficients(P)[::-1].copy()
 
-
-def is_regular(P: MatrixPolynomial, rng=None) -> RegularityVerdict:
-    """Randomized regularity test of P: rcond(P(x)) at points of the disk |x| < 2.
-
-    P is regular as soon as one of the 3 sampled points has a reciprocal
-    1-norm condition number of the row-scaled P(x) above 10 * n * eps (see
-    sampled_regularity).  The verdict is probabilistic: det P is a nonzero
-    polynomial for regular P, so random points are almost surely not its
-    roots, and rcond does not depend on the scale of P or of any of its rows.
-    """
-    if rng is None:
-        rng = np.random.default_rng(2024)
-    return sampled_regularity(P.evaluate, P.n, rng)

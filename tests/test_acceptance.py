@@ -14,6 +14,7 @@ from orthopencil import (
     MatrixPolynomial,
     anchor_pencil,
     build_dm,
+    build_dm_generic,
     build_dm_pencil,
     builtin_basis,
     check_linearization,
@@ -85,9 +86,10 @@ def test_criterion_02_golden_dm_matrices():
             np.block([[Z, 2 * P3, Z], [I, 2 * P2, 2 * P3], [Z, 2 * P3, P2 - P0]]),
             np.block([[Z, Z, 2 * P3], [Z, 4 * P3, 2 * P2], [I, 2 * P2, P3 + P1]]),
         ]
-        for j in range(3):
-            f = build_dm(P, np.eye(3)[j])
-            assert np.array_equal(multiplier_matrix(f), expected[j])
+        for build in (build_dm, build_dm_generic):
+            for j in range(3):
+                f = build(P, np.eye(3)[j])
+                assert np.array_equal(multiplier_matrix(f), expected[j])
 
 
 def test_criterion_03_golden_degree_graded_anchor():

@@ -18,6 +18,7 @@ from orthopencil import (
     phi_vector,
     recover_factors,
     sample_points,
+    to_monomial,
     verify_membership,
 )
 from conftest import BASIS_KINDS, random_problem
@@ -137,6 +138,20 @@ def test_verify_membership_m2(rng):
     report = verify_membership(make_m2(P, f), P, side="M2")
     assert report.member
     assert np.allclose(report.v, f.v, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ("monomial", "chebyshev1", "legendre"))
+def test_verify_membership_anchor_of_a_power(kind):
+    # P(x) = x^k I_2 vanishes at the sample point next to 0 that k + 1
+    # Chebyshev points have for even k; the residual's scale must not
+    # vanish with it
+    basis = builtin_basis(kind)
+    for k in range(2, 7):
+        c = np.linalg.solve(to_monomial(basis, k).T, np.eye(k + 1)[k])
+        P = MatrixPolynomial(tuple(ci * np.eye(2) for ci in c), basis)
+        F = anchor_pencil(P)
+        assert verify_membership(F, P, side="M1").member
+        assert verify_membership(pencil_block_transpose(F), P, side="M2").member
 
 
 def test_check_linearization_identity_and_zero():

@@ -6,35 +6,34 @@ from orthopencil import (
     DegreeGradedBasis,
     ThreeTermBasis,
     builtin_basis,
-    eval_phi,
     phi_vector,
     to_monomial,
 )
+from orthopencil.basis import _phi_sequence
 from conftest import BASIS_KINDS, stepped_dg_basis
 
 
 def test_monomial_powers():
     b = builtin_basis("monomial")
-    assert eval_phi(b, 3, 2.0) == 8.0
-    assert eval_phi(b, 0, 17.0) == 1.0
+    assert _phi_sequence(b, 3, 2.0)[3] == 8.0
+    assert _phi_sequence(b, 0, 17.0)[0] == 1.0
 
 
 def test_chebyshev1_recurrence_shape():
     # phi_1 = lam and phi_{j+1} = 2 lam phi_j - phi_{j-1} for j >= 1
     b = builtin_basis("chebyshev1")
     lam = 0.37
-    assert eval_phi(b, 1, lam) == pytest.approx(lam)
+    phi = _phi_sequence(b, 8, lam)
+    assert phi[1] == pytest.approx(lam)
     for j in range(1, 8):
-        lhs = eval_phi(b, j + 1, lam)
-        rhs = 2 * lam * eval_phi(b, j, lam) - eval_phi(b, j - 1, lam)
-        assert lhs == pytest.approx(rhs, rel=1e-14)
+        assert phi[j + 1] == pytest.approx(2 * lam * phi[j] - phi[j - 1], rel=1e-14)
 
 
 def test_chebyshev1_cosine_identity():
     b = builtin_basis("chebyshev1")
     x = 0.3
-    assert eval_phi(b, 2, x) == pytest.approx(np.cos(2 * np.arccos(x)), rel=1e-14)
-    assert eval_phi(b, 2, x) == pytest.approx(-0.82)
+    assert _phi_sequence(b, 2, x)[2] == pytest.approx(np.cos(2 * np.arccos(x)), rel=1e-14)
+    assert _phi_sequence(b, 2, x)[2] == pytest.approx(-0.82)
 
 
 def test_chebyshev2_sine_identity():
@@ -43,37 +42,37 @@ def test_chebyshev2_sine_identity():
     x = np.cos(theta)
     for j in range(6):
         expected = np.sin((j + 1) * theta) / np.sin(theta)
-        assert eval_phi(b, j, x) == pytest.approx(expected, rel=1e-12)
+        assert _phi_sequence(b, j, x)[j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_legendre_value():
     # P_2(x) = (3 x^2 - 1) / 2 evaluated directly
     b = builtin_basis("legendre")
-    assert eval_phi(b, 2, 0.5) == pytest.approx(-0.125)
+    assert _phi_sequence(b, 2, 0.5)[2] == pytest.approx(-0.125)
     xs = np.linspace(-1, 1, 7)
     for x in xs:
-        assert eval_phi(b, 2, x) == pytest.approx((3 * x * x - 1) / 2, abs=1e-14)
+        assert _phi_sequence(b, 2, x)[2] == pytest.approx((3 * x * x - 1) / 2, abs=1e-14)
 
 
 def test_newton_products():
     nodes = (0.5, -1.0, 2.0)
     b = builtin_basis("newton", nodes=nodes)
     lam = 1.25
-    assert eval_phi(b, 2, lam) == pytest.approx((lam - 0.5) * (lam + 1.0))
-    assert eval_phi(b, 3, lam) == pytest.approx((lam - 0.5) * (lam + 1.0) * (lam - 2.0))
+    assert _phi_sequence(b, 2, lam)[2] == pytest.approx((lam - 0.5) * (lam + 1.0))
+    assert _phi_sequence(b, 3, lam)[3] == pytest.approx((lam - 0.5) * (lam + 1.0) * (lam - 2.0))
 
 
 def test_phi_zero_is_one_for_all_specs():
     specs = [builtin_basis(kind) for kind in BASIS_KINDS] + [stepped_dg_basis(4)]
     for spec in specs:
-        assert eval_phi(spec, 0, 0.73) == 1.0
+        assert _phi_sequence(spec, 0, 0.73)[0] == 1.0
 
 
 def test_degree_graded_example_values():
     # phi_2 = lam^2 + lam + 1 for the stepped basis
     dg = stepped_dg_basis(4)
     for lam in (0.0, 1.0, -2.0, 0.5 + 0.5j):
-        assert eval_phi(dg, 2, lam) == pytest.approx(lam * lam + lam + 1)
+        assert _phi_sequence(dg, 2, lam)[2] == pytest.approx(lam * lam + lam + 1)
     row = to_monomial(dg, 2)[2]
     assert np.allclose(row, [1.0, 1.0, 1.0])
 
@@ -108,12 +107,13 @@ def test_recurrence_invariant_random_points(rng):
         b = builtin_basis(kind, nodes=nodes)
         for _ in range(5):
             lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            phi = _phi_sequence(b, 10, lam)
             for j in range(10):
                 a, beta, g = b.recurrence(j)
-                lhs = a * eval_phi(b, j + 1, lam)
-                rhs = (lam - beta) * eval_phi(b, j, lam)
+                lhs = a * phi[j + 1]
+                rhs = (lam - beta) * phi[j]
                 if j >= 1:
-                    rhs -= g * eval_phi(b, j - 1, lam)
+                    rhs -= g * phi[j - 1]
                 assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -128,7 +128,7 @@ def test_to_monomial_matches_recurrence_eval(rng):
             lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             powers = lam ** np.arange(deg + 1)
             for j in (1, 5, deg):
-                direct = eval_phi(spec, j, lam)
+                direct = _phi_sequence(spec, j, lam)[j]
                 via_monomial = C[j] @ powers
                 assert abs(direct - via_monomial) <= 1e-10 * max(abs(direct), 1.0)
 
@@ -151,9 +151,9 @@ def test_custom_basis_roundtrip_against_builtin():
         gamma=tuple(t[2] for t in table),
     )
     for j in range(8):
-        assert eval_phi(custom, j, 0.3) == pytest.approx(eval_phi(cheb, j, 0.3))
+        assert _phi_sequence(custom, j, 0.3)[j] == pytest.approx(_phi_sequence(cheb, j, 0.3)[j])
     with pytest.raises(BasisCoefficientError):
-        eval_phi(custom, 8, 0.3)
+        _phi_sequence(custom, 8, 0.3)
 
 
 def test_gamma0_is_never_read():
@@ -161,7 +161,7 @@ def test_gamma0_is_never_read():
     base = ThreeTermBasis(kind="custom", alpha=(1.0, 0.5), beta=(0.0, 0.0), gamma=(0.0, 0.5))
     spiked = ThreeTermBasis(kind="custom", alpha=(1.0, 0.5), beta=(0.0, 0.0), gamma=(99.0, 0.5))
     for j in range(3):
-        assert eval_phi(base, j, 0.7) == eval_phi(spiked, j, 0.7)
+        assert _phi_sequence(base, j, 0.7)[j] == _phi_sequence(spiked, j, 0.7)[j]
 
 
 def test_basis_validation_errors():
@@ -174,4 +174,4 @@ def test_basis_validation_errors():
     with pytest.raises(ValueError):
         DegreeGradedBasis(shift=(0.0, 0.0), lower=((1.0, 2.0),))
     with pytest.raises(BasisCoefficientError):
-        eval_phi(stepped_dg_basis(3), 5, 1.0)
+        _phi_sequence(stepped_dg_basis(3), 5, 1.0)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from orthopencil import blocksym
 from orthopencil import (
     AnsatzFactor,
     MatrixPolynomial,
-    OpCounter,
     anchor_pencil,
     block_transpose,
     build_dm,
@@ -23,6 +24,10 @@ from orthopencil import (
 from conftest import ALL_KINDS, BASIS_KINDS, monomial_dg_basis, random_problem, stepped_dg_basis
 
 EPS = np.finfo(float).eps
+# (n, k) up to kn = 240: small shapes, every factor shape of the recover-deep
+# benchmark and two with kn >= 200
+DM_SHAPES = ((1, 2), (3, 5), (6, 8), (8, 12), (6, 16), (12, 10), (10, 18), (7, 14),
+             (9, 11), (11, 13), (6, 19), (10, 20), (20, 12))
 
 
 def _cheb_problem(rng, n=2, k=3):
@@ -233,17 +238,6 @@ def test_singular_polynomial_gives_singular_dm_pencils(rng):
             assert abs(np.linalg.det(M)) <= 1e-8 * scale
 
 
-def test_operation_count_is_quadratic_in_k(rng):
-    for k in (3, 5, 8):
-        P = random_problem(rng, 2, k, "chebyshev1")
-        counter = OpCounter()
-        build_dm(P, rng.standard_normal(k), counter=counter)
-        assert counter.scalar_matrix_mults <= 8 * k * k + 10
-        counter2 = OpCounter()
-        build_dm_generic(P, rng.standard_normal(k), counter=counter2)
-        assert counter2.scalar_matrix_mults <= 12 * k * k + 10
-
-
 def test_dispatch_errors(rng):
     dg = MatrixPolynomial(
         tuple(rng.uniform(-1, 1, (2, 2)) for _ in range(4)), stepped_dg_basis(3)
@@ -273,13 +267,34 @@ def test_constant_coefficient_is_checked_then_mirrored(rng, kind):
 
 def test_asymmetric_constant_coefficient_is_an_internal_error(rng, monkeypatch):
     P = random_problem(rng, 2, 4, "legendre")
-    assemble = blocksym._constant_coefficient
+    assemble = blocksym.make_m1
 
     def skewed(P, factor):
-        Y = assemble(P, factor)
-        Y[0, -1] += 1e3 * blocksym.SYMMETRY_ULPS * Y.shape[0] * EPS * np.max(np.abs(Y))
-        return Y
+        L = assemble(P, factor)
+        L.Y[0, -1] += 1e3 * blocksym.SYMMETRY_ULPS * L.Y.shape[0] * EPS * np.max(np.abs(L.Y))
+        return L
 
-    monkeypatch.setattr(blocksym, "_constant_coefficient", skewed)
+    monkeypatch.setattr(blocksym, "make_m1", skewed)
     with pytest.raises(RuntimeError, match="asymmetric"):
         build_dm_pencil(P, rng.uniform(-1.0, 1.0, 4))
+
+
+@given(kind=st.sampled_from(ALL_KINDS), shape=st.sampled_from(DM_SHAPES),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="degree_graded", shape=(10, 20), seed=1)
+@example(kind="legendre", shape=(20, 12), seed=2)
+def test_dm_pencil_is_the_m1_pencil_of_its_factor(kind, shape, seed):
+    # the pencil every command forms from the factor, mirrored: X and the
+    # diagonal and lower blocks of Y are make_m1's bit for bit
+    n, k = shape
+    rng = np.random.default_rng(seed)
+    P = random_problem(rng, n, k, kind)
+    factor, L = build_dm_pencil(P, rng.uniform(-1.0, 1.0, k))
+    M = make_m1(P, factor)
+    assert np.array_equal(L.X, M.X)
+    lower = np.kron(np.tril(np.ones((k, k), dtype=bool)), np.ones((n, n), dtype=bool))
+    assert np.array_equal(L.Y[lower], M.Y[lower])
+    assert np.array_equal(L.X, block_transpose(L.X, n))
+    assert np.array_equal(L.Y, block_transpose(L.Y, n))
+    asym = np.max(np.abs(M.Y - block_transpose(M.Y, n)))
+    assert asym <= 0.1 * blocksym.SYMMETRY_ULPS * k * n * EPS * np.max(np.abs(M.Y))

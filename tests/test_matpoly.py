@@ -6,10 +6,10 @@ from orthopencil import (
     MatrixPolynomial,
     builtin_basis,
     det_poly,
-    is_regular,
     monomial_coefficients,
     reversal_monomial,
 )
+from orthopencil.matpoly import sampled_regularity
 from conftest import ALL_KINDS, BASIS_KINDS, random_problem
 
 
@@ -88,7 +88,7 @@ def test_reversal_scalar_chebyshev_t2():
 
 def test_is_regular_identity():
     P = MatrixPolynomial((np.eye(3),), builtin_basis("chebyshev1"))
-    verdict = is_regular(P)
+    verdict = sampled_regularity(P.evaluate, P.n, np.random.default_rng(2024))
     assert verdict.regular and verdict.witness is not None
 
 
@@ -98,19 +98,20 @@ def test_is_regular_zero_column_is_singular(rng):
         c[:, 1] = 0.0
     coeffs[-1][0, 0] = 1.0  # keep the leading coefficient nonzero
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev1"))
-    assert not is_regular(P, rng=rng).regular
+    assert not sampled_regularity(P.evaluate, P.n, rng).regular
 
 
 def test_is_regular_random_chebyshev(rng):
     P = random_problem(rng, 3, 3, "chebyshev1")
-    assert is_regular(P, rng=rng).regular
+    assert sampled_regularity(P.evaluate, P.n, rng).regular
 
 
 def test_is_regular_at_n50(rng):
     # the scaled-determinant test read some of these as singular
     for kind in ALL_KINDS:
         for k in (2, 6):
-            verdict = is_regular(random_problem(rng, 50, k, kind))
+            P = random_problem(rng, 50, k, kind)
+            verdict = sampled_regularity(P.evaluate, P.n, np.random.default_rng(2024))
             assert verdict.regular and verdict.trials <= 3
             assert verdict.rcond > 10 * 50 * np.finfo(float).eps
 
@@ -123,10 +124,12 @@ def test_is_regular_ignores_row_units(rng):
         coeffs = [c.copy() for c in P.coeffs]
         for c in coeffs:
             c[7] *= s
-        assert is_regular(MatrixPolynomial(tuple(coeffs), P.basis)).regular
+        Q = MatrixPolynomial(tuple(coeffs), P.basis)
+        assert sampled_regularity(Q.evaluate, Q.n, np.random.default_rng(2024)).regular
         for c in coeffs:
             c[:, 3] = 0.0
-        assert not is_regular(MatrixPolynomial(tuple(coeffs), P.basis)).regular
+        Q = MatrixPolynomial(tuple(coeffs), P.basis)
+        assert not sampled_regularity(Q.evaluate, Q.n, np.random.default_rng(2024)).regular
 
 
 def test_determinant_matches_oracle_pointwise(rng):
