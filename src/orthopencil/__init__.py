@@ -7,10 +7,10 @@ a factor whose free block solves the symmetry equations.  Every pencil of P,
 the anchor or an M1/M2 member, is solved through P's anchor by
 ``pencil_eigen(P, factor)``, which forms the pencil from P and the factor
 itself.  It returns one sorted, columnar ``Eigentriples`` (eigenvalues,
-unit eigenvectors, residuals and backward errors as arrays), which is also a
-sequence of ``Eigentriple``, and P's eigenvectors are recovered from its
-columns.  A brute-force spectral oracle gives an independent reference
-spectrum.
+unit eigenvectors, residuals and backward errors as arrays, one column per
+eigenvalue), and P's eigenvectors are recovered from its columns, one
+batched call per side.  A brute-force spectral oracle gives an independent
+reference spectrum.
 """
 
 from .ansatz import (
@@ -64,7 +64,6 @@ from .pencil import (
     sample_points,
 )
 from .spectral import (
-    Eigentriple,
     Eigentriples,
     eigenvalue_exclusion,
     pencil_eigen,

@@ -165,7 +165,6 @@ def _cmd_eig(args) -> int:
         summed = recover_left(np.ones(1), spectrum.sums, P, lams, tol=tol, nullside=flipped,
                               eta=sum_eta)
         rights, lefts = (fitted, summed) if side == "M1" else (summed, fitted)
-        rights, lefts = rights.T, lefts.T
     _emit(spectrum_report_obj(spectrum, rights, lefts))
     return 0
 

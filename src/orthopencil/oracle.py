@@ -110,8 +110,9 @@ def _det_recursive(M, cols, memo) -> np.ndarray:
     return acc
 
 
-def det_poly(P: MatrixPolynomial, tol: float = 1e-12) -> ScalarPoly:
-    """Determinant of P as a scalar polynomial, by memoized cofactor expansion."""
+def det_poly(P: MatrixPolynomial) -> ScalarPoly:
+    """Determinant of P as a scalar polynomial, by memoized cofactor expansion,
+    with leading coefficients below 1e-12 of the largest trimmed (trim_poly)."""
     if P.n > MAX_ORACLE_N or P.k > MAX_ORACLE_K:
         raise ValueError(
             f"oracle size guard: n <= {MAX_ORACLE_N} and k <= {MAX_ORACLE_K} required"
@@ -119,7 +120,7 @@ def det_poly(P: MatrixPolynomial, tol: float = 1e-12) -> ScalarPoly:
     A = monomial_coefficients(P)
     M = [[A[:, r, c].copy() for c in range(P.n)] for r in range(P.n)]
     det = _det_recursive(M, tuple(range(P.n)), {})
-    return trim_poly(det, tol)
+    return trim_poly(det)
 
 
 def poly_roots(p: ScalarPoly) -> np.ndarray:

@@ -80,15 +80,15 @@ def pencil_block_transpose(L: Pencil) -> Pencil:
     return Pencil(block_transpose(L.X, L.n), block_transpose(L.Y, L.n), L.n, L.k)
 
 
-def sample_points(count: int, radius: float = 1.5) -> np.ndarray:
-    """Distinct Chebyshev points of [-radius, radius].
+def sample_points(count: int) -> np.ndarray:
+    """Distinct Chebyshev points of [-1.5, 1.5].
 
     Two matrix polynomials of degree <= d that agree at d + 1 of these points
     are identical, so identity checks at count = d + 1 points are complete up
     to rounding.
     """
     t = np.arange(count)
-    return radius * np.cos((2 * t + 1) * np.pi / (2 * count))
+    return 1.5 * np.cos((2 * t + 1) * np.pi / (2 * count))
 
 
 def leading_multiplier(basis, k: int) -> float:

@@ -231,8 +231,8 @@ def spectrum_report_obj(triples, recovered_right=None, recovered_left=None) -> d
     sorted by (re, im) with infinite eigenvalues last, as pencil_eigen sorts
     it.  Finite eigenvalues are emitted as {re, im, residual}; infinite ones
     only contribute to the count.  Recovered eigenvectors of P, when
-    supplied, are one vector per triple (a sequence of vectors, or an array
-    with one row per triple) and are encoded as [re, im] pairs.
+    supplied, are the n x m columns that recover_right and recover_left
+    return, column j for eigenvalue j, and are encoded as [re, im] pairs.
     """
     lams, residual = triples.eigenvalues, triples.residual
     finite = np.flatnonzero(~np.isinf(lams))
@@ -248,7 +248,7 @@ def spectrum_report_obj(triples, recovered_right=None, recovered_left=None) -> d
     eigenvectors = {}
     for name, vectors in (("right", recovered_right), ("left", recovered_left)):
         if vectors is not None:
-            V = np.asarray(vectors)[finite]
+            V = np.asarray(vectors)[:, finite].T
             eigenvectors[name] = np.stack([V.real, V.imag], -1).tolist()
     if eigenvectors:
         report["eigenvectors"] = eigenvectors

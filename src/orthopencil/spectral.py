@@ -24,9 +24,9 @@ eigenvalues, the unit right and left eigenvectors, the residuals, the block
 sums and the certificate's backward errors as arrays of m = kn columns, all
 put in one order by one permutation (``_order``).  Normalization comes
 before the permutation, and the permuted arrays are C-contiguous, so that
-the numbers do not depend on the order the solver found them in.  The record
-is also a sequence of ``Eigentriple``, built one at a time when indexed; the
-CLI reads the arrays.
+the numbers do not depend on the order the solver found them in.  Column j
+of every array belongs to eigenvalue j; the record has no per-eigenvalue
+view.
 
 Two solvers find F's eigentriples.  When the row-scaled rcond of c*P_k
 clears 10 * n * eps, geev solves the companion (comrade, colleague) matrix
@@ -70,15 +70,11 @@ Without the certificate's fit and eta, one call costs one ``phi_vector``,
 which serves both the Kronecker fit and the residuals, and one GEMM for the
 residuals of all m eigenvalues, whatever m is.  Every structure and residual
 check is made for every column, and a failure names the first failing
-column.  A scalar eigenvalue with a 1-D vector is the case m = 1 and
-returns a 1-D vector.
+column.
 """
 
 from __future__ import annotations
 
-import cmath
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,7 +93,6 @@ from .oracle import reference_spectrum, trim_poly
 from .pencil import Pencil, eval_pencil
 
 __all__ = [
-    "Eigentriple",
     "Eigentriples",
     "pencil_eigen",
     "backward_errors",
@@ -105,22 +100,6 @@ __all__ = [
     "recover_left",
     "eigenvalue_exclusion",
 ]
-
-
-@dataclass(frozen=True)
-class GeneralizedEigenResult:
-    """Solver output for the pencil X*lam + Y, in solver order.
-
-    ``alpha``/``beta`` give eigenvalues alpha/beta; ``right`` and ``left``
-    hold eigenvectors as columns, with the convention (X*lam + Y) right = 0
-    and left^T (X*lam + Y) = 0.  These are the anchor's own eigentriples,
-    before ``_through_anchor`` maps them to the route's pencil.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    right: np.ndarray
-    left: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -168,18 +147,19 @@ def qz_solve(route: _Route, left: bool) -> Eigentriples:
     spectrum = _companion_solve(route, left)
     if spectrum is None:
         spectrum = _through_anchor(
-            route, _qz(route.F.X, route.F.Y, *route.anchor_sides(left)), left)
+            route, *_qz(route.F.X, route.F.Y, *route.anchor_sides(left)), left)
     return spectrum
 
 
-def _qz(X, Y, left, right=True):
-    """scipy's QZ on the pair (Y, -X), with left vectors z^T (X*lam + Y) = 0."""
+def _qz(X, Y, left, right):
+    """(lams, right, left): scipy's QZ on the pair (Y, -X), in solver order,
+    with the eigenvalues of _eigenvalues, eigenvectors as columns, left ones
+    z^T (X*lam + Y) = 0, and None for a side not asked for."""
     import scipy.linalg  # off the import path: numpy.linalg has no QZ
 
     out = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
-    return GeneralizedEigenResult(alpha=out[0][0], beta=out[0][1],
-                                  right=out[-1] if right else None,
-                                  left=np.conj(out[1]) if left else None)
+    return (_eigenvalues(*out[0]), out[-1] if right else None,
+            np.conj(out[1]) if left else None)
 
 
 def _geev(A, left, right):
@@ -257,17 +237,18 @@ def _structured_residuals(route, lams, U, norms):
     return np.linalg.norm(R, axis=0) / (norms * np.maximum(scales, 1e-300))
 
 
-def _through_anchor(route, eigs, left):
+def _through_anchor(route, lams, R, Z, left):
     """The sorted record (Eigentriples) of the route's pencil L from the
-    eigentriples ``eigs`` of its anchor F (right vectors, and left vectors
-    z with z^T F(lam) = 0): the map and the residuals of the module
-    docstring, every column normalized in solver order and then all put in
-    the order of ``_order`` (np.take, which writes C-contiguous arrays).
-    The vectors are normalized in place, ``eigs``' own included."""
+    eigenvalues ``lams`` of its anchor F and its right and left eigenvectors
+    ``R`` and ``Z`` (columns, z^T F(lam) = 0, None for a side not solved):
+    the map and the residuals of the module docstring, every column
+    normalized in solver order and then all put in the order of ``_order``
+    (np.take, which writes C-contiguous arrays).  The vectors are normalized
+    in place, R and Z included."""
     n = route.P.n
-    right, left_vecs, Z = eigs.right, eigs.left, eigs.left
+    right, left_vecs = R, Z
     if route.side == "M2":
-        right, left_vecs = _solve(route.scaled[1], Z), eigs.right
+        right, left_vecs = _solve(route.scaled[1], Z), R
     elif left and route.side == "M1":
         left_vecs = _solve(route.scaled[1], Z, transpose=True)
     right_norms = np.linalg.norm(right, axis=0)
@@ -277,7 +258,6 @@ def _through_anchor(route, eigs, left):
         sums = Z[:n] / right_norms
     elif left:
         sums = Z[:n] / left_norms
-    lams = _eigenvalues(eigs.alpha, eigs.beta)
     residual = _structured_residuals(route, lams, right, right_norms)
     order = _order(lams)
     right /= right_norms
@@ -310,18 +290,22 @@ def _companion_solve(route, left=False):
     A[:n] = -first
     want_left, want_right = route.anchor_sides(left)
     try:
-        lams, VL, VR = _geev(A, want_left, want_right)
+        w, VL, VR = _geev(A, want_left, want_right)
     except np.linalg.LinAlgError:  # geev did not converge; QZ may
         return None
-    if not np.all(np.isfinite(lams)) or np.any(_INF_TOL * (np.abs(lams) + 1.0) >= 1.0):
+    if not np.all(np.isfinite(w)) or np.any(_INF_TOL * (np.abs(w) + 1.0) >= 1.0):
         return None
+    # w / (1 + 0j) as Python's complex division rounds it, the form QZ's
+    # alpha / beta takes (_eigenvalues): w itself, with the sign of a zero
+    # part as re + im*0 and im - re*0 give it (0.0 for geev's -0.0 + 0j)
+    lams = np.stack((w.real + w.imag * 0.0, w.imag - w.real * 0.0), axis=-1).view(complex)[:, 0]
     Z = None
     if want_left:
         # from y^H A = lam y^H the anchor's left eigenvector is z = X^-T conj(y);
         # only its first block, a left eigenvector of P, needs a solve
         Z = np.conj(VL)
         Z[:n] = _solve(inverse, Z[:n], transpose=True)
-    spectrum = _through_anchor(route, GeneralizedEigenResult(lams, np.ones(size), VR, Z), left)
+    spectrum = _through_anchor(route, lams, VR, Z, left)
     bound = _CERTIFIED_ETA * size * np.finfo(float).eps
     if not np.all(spectrum.residual <= bound):
         return None
@@ -352,53 +336,28 @@ def _eigenvalues(alpha, beta):
     return np.array(lams, dtype=complex)
 
 
-@dataclass(frozen=True)
-class Eigentriple:
-    """One eigenvalue of a pencil with unit right/left eigenvectors.
-
-    Infinite eigenvalues are stored as complex infinity; their vectors are
-    eigenvectors of the reversal at zero.  ``residual`` is the normalized
-    right residual.  ``weighted_sum`` is set when pencil_eigen solved the
-    pencil through its anchor and the side without Kronecker structure
-    (left for the anchor and M1, right for M2): the block sum
-    (v kron I_n)^T w of that side's unit eigenvector w, read off the
-    anchor's eigenvector, an eigenvector of P (v = e_1 for the anchor).
-    ``eta`` is set when the certified geev found both sides: the backward
-    errors eta_P of the eigenvector of P fitted to the Kronecker-structured
-    side and of ``weighted_sum``, as the certificate computed them."""
-
-    eigenvalue: complex
-    right: np.ndarray
-    left: np.ndarray | None
-    residual: float
-    weighted_sum: np.ndarray | None = None
-    eta: np.ndarray | None = None
-
-    @property
-    def is_infinite(self) -> bool:
-        return cmath.isinf(self.eigenvalue)
-
-
 @dataclass(frozen=True, eq=False)
-class Eigentriples(Sequence):
+class Eigentriples:
     """Every eigentriple of one pencil, sorted, as columns: what
     pencil_eigen returns.
 
     ``eigenvalues`` holds the m eigenvalues (complex infinity for infinite
     ones), ``right`` and ``left`` the unit eigenvectors as the columns of
     kn x m arrays (``left`` None when no left vectors were asked for), and
-    ``residual`` the m normalized right residuals.  ``sums`` (n x m) holds
-    the block sums that the Eigentriple of a column calls ``weighted_sum``,
-    and ``eta`` (2 x m) the certificate's backward errors, each None when
-    the solve gave none.  ``fit`` is the certificate's Kronecker fit of the
+    ``residual`` the m normalized right residuals.  ``sums`` (n x m) holds,
+    when the pencil was solved through its anchor, the block sums
+    (v kron I_n)^T w of the unit eigenvectors w of the side without
+    Kronecker structure (left for the anchor and M1, right for M2), read off
+    the anchor's eigenvectors: eigenvectors of P (v = e_1 for the anchor).
+    ``eta`` (2 x m) holds, when the certified geev found both sides, the
+    backward errors eta_P of the eigenvectors of P fitted to the
+    Kronecker-structured side and of ``sums``.  Each is None when the solve
+    gave none.  ``fit`` is the certificate's Kronecker fit of the
     structured side, (phi, U): phi_vector(basis, k + 1) at the eigenvalues
     (phi_k first) and the n x m least-squares fit U, before normalization;
     recover_right takes it instead of fitting again.  Every array is
-    C-contiguous, and column j of each belongs to eigenvalues[j].
-
-    The record is also a read-only sequence of Eigentriple (length, integer
-    index, iteration): indexing builds the triple of one column, as a view
-    of its arrays."""
+    C-contiguous, and column j of each belongs to eigenvalues[j]; infinite
+    eigenvalues' vectors are eigenvectors of the reversal at zero."""
 
     eigenvalues: np.ndarray
     right: np.ndarray
@@ -407,19 +366,6 @@ class Eigentriples(Sequence):
     sums: np.ndarray | None = None
     eta: np.ndarray | None = None
     fit: tuple | None = None
-
-    def __len__(self) -> int:
-        return self.eigenvalues.size
-
-    def __getitem__(self, j):
-        j = operator.index(j)
-        if not -len(self) <= j < len(self):
-            raise IndexError("eigentriple index out of range")
-        return Eigentriple(
-            complex(self.eigenvalues[j]), self.right[:, j],
-            None if self.left is None else self.left[:, j], float(self.residual[j]),
-            None if self.sums is None else self.sums[:, j],
-            None if self.eta is None else self.eta[:, j])
 
 
 # Finite eigenvalues whose real parts are chained by steps of at most this
@@ -548,12 +494,11 @@ def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
                   nullside: str = "right", eta=None, fit=None) -> np.ndarray:
     """Eigenvectors of P from Kronecker-structured pencil eigenvectors.
 
-    Column j of W (kn x m) belongs to eigenvalues[j] and yields column j of
-    the n x m result, each of unit norm; a scalar eigenvalue with a 1-D w is
-    the case m = 1 and yields a 1-D vector.  Finite eigenvalues: w must be
-    (basis vector phi at alpha) kron u; u is the least-squares fit over every
-    block, sum_i conj(phi_i) w_i / sum_i |phi_i|^2, and w is checked against
-    phi kron u.  Infinite eigenvalues: w must be e_1 kron u with u in the
+    Column j of W (kn x m) belongs to eigenvalues[j] (m of them) and yields
+    column j of the n x m result, each of unit norm.  Finite eigenvalues: w
+    must be (basis vector phi at alpha) kron u; u is the least-squares fit
+    over every block, sum_i conj(phi_i) w_i / sum_i |phi_i|^2, and w is
+    checked against phi kron u.  Infinite eigenvalues: w must be e_1 kron u with u in the
     nullspace of the leading monomial coefficient.  Raises RecoveryError,
     naming the first failing column and its eigenvalue, when a w lacks the
     Kronecker structure (which signals the source pencil is not a
@@ -573,11 +518,8 @@ def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
     _check_nullside(nullside)
     require_ansatz_degree(P)
     n, k = P.n, P.k
-    lams = np.asarray(eigenvalues, dtype=complex)
-    single = lams.ndim == 0
-    lams = lams.reshape(-1)
+    lams = np.asarray(eigenvalues, dtype=complex).reshape(-1)
     W = np.asarray(W, dtype=complex)
-    W = W.reshape(-1, 1) if single else W
     if W.shape != (k * n, lams.size):
         raise RecoveryError(f"eigenvectors must be {k * n} x {lams.size}, got {W.shape}")
     blocks = W.reshape(k, n, -1)
@@ -603,8 +545,7 @@ def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
             "the source pencil is not a linearization"
         )
     _require_residuals(lams, residual, tol)
-    U = U / np.linalg.norm(U, axis=0)
-    return U[:, 0] if single else U
+    return U / np.linalg.norm(U, axis=0)
 
 
 def _column(lams, j):

@@ -2,16 +2,17 @@
 
 ``compare_spectra`` pairs two spectra's finite eigenvalues; it is kept out of
 the package so that importing orthopencil never loads scipy.optimize.
-``spectrum_of`` reads the Spectrum of a list of eigentriples.
+``spectrum_of`` reads the Spectrum of pencil_eigen's eigenvalue column.
 ``qz_on_pencil`` solves a pencil by QZ on its own (X, Y), with dense
 residuals, as a reference for ``pencil_eigen``, which solves every pencil
-through the anchor of its polynomial; like pencil_eigen it returns an
-Eigentriples (``as_columns``).  ``sort_triples`` is the sort rule of
-``pencil_eigen`` written out triple by triple, the reference for the
+through the anchor of its polynomial; like pencil_eigen it returns a sorted,
+columnar Eigentriples.  ``sort_triples`` is the sort rule of
+``pencil_eigen`` written out eigenvalue by eigenvalue, the reference for the
 permutation (``spectral._order``) that the library computes on arrays.  The
 library and the CLI use none of them.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,32 +25,21 @@ from orthopencil.oracle import Spectrum
 
 def qz_on_pencil(L, left=True):
     """Eigentriples of the pencil L from scipy's QZ on (L.Y, -L.X), sorted as
-    pencil_eigen sorts its own, with unit vectors, left ones z^T L(lam) = 0,
-    and the dense residuals ||(X*lam + Y) u|| / (||X|| |lam| + ||Y||)
-    (||X u|| / ||X|| at infinite eigenvalues)."""
+    pencil_eigen sorts its own (sort_triples), with unit vectors, left ones
+    z^T L(lam) = 0, and the dense residuals ||(X*lam + Y) u|| / (||X|| |lam|
+    + ||Y||) (||X u|| / ||X|| at infinite eigenvalues)."""
     out = scipy.linalg.eig(L.Y, -L.X, left=left, right=True, homogeneous_eigvals=True)
     right = out[-1] / np.linalg.norm(out[-1], axis=0)
     lefts = np.conj(out[1]) / np.linalg.norm(out[1], axis=0) if left else None
     values = spectral._eigenvalues(*out[0])
-    lams = values.tolist()
     infinite = np.isinf(values)
     R = (L.X @ right) * np.where(infinite, 1.0, values) + (L.Y @ right) * ~infinite
     nx = np.linalg.norm(L.X)
     scales = np.where(infinite, nx, nx * np.abs(values) + np.linalg.norm(L.Y))
     residuals = np.linalg.norm(R, axis=0) / np.maximum(scales, 1e-300)
-    return as_columns(sort_triples([
-        spectral.Eigentriple(lams[j], right[:, j], None if lefts is None else lefts[:, j],
-                             float(residuals[j]))
-        for j in range(len(lams))]))
-
-
-def as_columns(triples):
-    """The Eigentriples whose columns are a list of Eigentriple, in its order."""
-    return spectral.Eigentriples(
-        np.array([t.eigenvalue for t in triples], dtype=complex),
-        np.stack([t.right for t in triples], axis=1),
-        None if triples[0].left is None else np.stack([t.left for t in triples], axis=1),
-        np.array([t.residual for t in triples], dtype=float))
+    order = sort_triples(values)
+    return spectral.Eigentriples(values[order], right[:, order],
+                                 None if lefts is None else lefts[:, order], residuals[order])
 
 
 # Finite eigenvalues whose real parts are chained by steps of at most this
@@ -57,33 +47,35 @@ def as_columns(triples):
 ORDER_ULPS = 8
 
 
-def sort_triples(triples):
-    """Sort by (real, imag) with infinite eigenvalues last, in solver order.
+def sort_triples(values):
+    """The indices of the eigenvalues ``values`` sorted by (real, imag), with
+    infinite ones last in solver order.
 
     A run of real parts, each within ORDER_ULPS ulps of the one before it,
     is one group, ordered by imaginary part: the two members of a conjugate
     pair whose computed real parts differ in the last bits are then always
     listed negative-imaginary first, whatever other eigenvalues lie between
     them.  Equal real parts keep the (real, imag) order."""
-    finite = sorted((t for t in triples if not t.is_infinite),
-                    key=lambda t: (t.eigenvalue.real, t.eigenvalue.imag))
+    values = [complex(z) for z in values]
+    finite = sorted((j for j, z in enumerate(values) if not cmath.isinf(z)),
+                    key=lambda j: (values[j].real, values[j].imag))
     tol = ORDER_ULPS * np.finfo(float).eps
     group, prev = -1, None
     keyed = []
-    for t in finite:
-        z = t.eigenvalue
+    for j in finite:
+        z = values[j]
         if prev is None or z.real - prev.real > tol * max(abs(prev), abs(z)):
             group += 1
         prev = z
-        keyed.append(((group, z.imag, z.real), t))
+        keyed.append(((group, z.imag, z.real), j))
     keyed.sort(key=lambda pair: pair[0])
-    return [t for _, t in keyed] + [t for t in triples if t.is_infinite]
+    return [j for _, j in keyed] + [j for j, z in enumerate(values) if cmath.isinf(z)]
 
 
 def spectrum_of(triples) -> Spectrum:
-    """The finite eigenvalues and the infinite count of pencil_eigen's triples."""
-    finite = np.array([t.eigenvalue for t in triples if not t.is_infinite], dtype=complex)
-    return Spectrum(finite, sum(t.is_infinite for t in triples))
+    """The finite eigenvalues and the infinite count of pencil_eigen's columns."""
+    infinite = np.isinf(triples.eigenvalues)
+    return Spectrum(triples.eigenvalues[~infinite], int(infinite.sum()))
 
 
 @dataclass(frozen=True)

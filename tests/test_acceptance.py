@@ -244,14 +244,13 @@ def test_criterion_06_and_07_spectral_agreement_and_recovery():
         for P, spec, factors in instances:
             triples = pencil_eigen(P, factors[1])
             v = factors[1].v
-            for t in triples:
-                if t.is_infinite:
-                    continue
-                scale = max(P.evaluation_scale(t.eigenvalue), 1e-300)
-                Pa = P.evaluate(t.eigenvalue)
-                u = recover_right(P, t.eigenvalue, t.right, tol=1e-6)
+            finite = ~np.isinf(triples.eigenvalues)
+            lams = triples.eigenvalues[finite]
+            U = recover_right(P, lams, triples.right[:, finite], tol=1e-6)
+            W = recover_left(v, triples.left[:, finite])
+            for lam, Pa, u, w in zip(lams, P.evaluate(lams), U.T, W.T):
+                scale = max(P.evaluation_scale(lam), 1e-300)
                 assert np.linalg.norm(Pa @ u) <= 1e-6 * scale
-                w = recover_left(v, t.left)
                 assert np.linalg.norm(w @ Pa) <= 1e-6 * scale
 
 

@@ -57,9 +57,8 @@ def _sigma_eta(P, lams):
 
 
 def _certificate(P, triples):
-    lams = np.array([t.eigenvalue for t in triples])
-    W = np.stack([t.right for t in triples], axis=1)
-    return lams, backward_errors(P, lams, recover_right(P, lams, W, tol=np.inf))
+    lams = triples.eigenvalues
+    return lams, backward_errors(P, lams, recover_right(P, lams, triples.right, tol=np.inf))
 
 
 def _ill_conditioned_lead(cond, seed=0, n=3, k=4, kind="chebyshev1"):
@@ -91,20 +90,20 @@ def _assert_matches_qz(L, side, lams, infinite_count, residuals):
     within 1e-8 relative and residuals at most 10 kn eps."""
     kn = L.k * L.n
     qz = qz_on_pencil(L, left=False)
-    ref = [t for t in qz if not t.is_infinite]
-    assert infinite_count == len(qz) - len(ref)
+    finite = ~np.isinf(qz.eigenvalues)
+    assert infinite_count == np.count_nonzero(~finite)
     if side == "anchor":
-        assert list(lams) == [t.eigenvalue for t in ref]
-        assert np.all(np.abs(np.subtract(residuals, [t.residual for t in ref])) <= kn * EPS)
+        assert list(lams) == qz.eigenvalues[finite].tolist()
+        assert np.all(np.abs(np.subtract(residuals, qz.residual[finite])) <= kn * EPS)
     else:
-        _assert_same_spectrum(np.array(lams, dtype=complex), np.array([t.eigenvalue for t in ref]))
+        _assert_same_spectrum(np.array(lams, dtype=complex), qz.eigenvalues[finite])
         assert max(residuals, default=0.0) <= 10 * kn * EPS
 
 
 def _assert_triples_match_qz(L, side, triples):
-    finite = [t for t in triples if not t.is_infinite]
-    _assert_matches_qz(L, side, [t.eigenvalue for t in finite], len(triples) - len(finite),
-                       [t.residual for t in finite])
+    finite = ~np.isinf(triples.eigenvalues)
+    _assert_matches_qz(L, side, triples.eigenvalues[finite].tolist(),
+                       np.count_nonzero(~finite), triples.residual[finite].tolist())
 
 
 def _spy_eig(monkeypatch):
@@ -132,7 +131,7 @@ def test_anchor_eigenvalues_are_certified(kind, shape, seed):
     n, k = shape
     P = random_problem(np.random.default_rng(seed), n, k, kind)
     triples = pencil_eigen(P, left=False)
-    assert len(triples) == k * n and not any(t.is_infinite for t in triples)
+    assert triples.eigenvalues.size == k * n and not np.isinf(triples.eigenvalues).any()
     lams, cert = _certificate(P, triples)
     sigma = _sigma_eta(P, lams)
     assert sigma.max() <= 100 * k * n * EPS
@@ -144,8 +143,8 @@ def test_fast_path_matches_qz(rng):
     for kind in ("monomial", "chebyshev1", "legendre"):
         P = random_problem(rng, 10, 12, kind)
         assert spectral._companion_solve(spectral._route(P)) is not None
-        fast = np.array([t.eigenvalue for t in pencil_eigen(P, left=False)])
-        qz = np.array([t.eigenvalue for t in qz_on_pencil(anchor_pencil(P), left=False)])
+        fast = pencil_eigen(P, left=False).eigenvalues
+        qz = qz_on_pencil(anchor_pencil(P), left=False).eigenvalues
         # the same spectrum, matched nearest to nearest both ways
         dist = np.abs(fast[:, None] - qz[None, :])
         assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-9
@@ -160,7 +159,7 @@ def test_ill_conditioned_lead_falls_back_to_qz(cond):
     assert spectral._companion_solve(spectral._route(P)) is None
     triples = pencil_eigen(P, left=False)
     _assert_triples_match_qz(L, "anchor", triples)
-    assert _sigma_eta(P, np.array([t.eigenvalue for t in triples])).max() <= 100 * 12 * EPS
+    assert _sigma_eta(P, triples.eigenvalues).max() <= 100 * 12 * EPS
 
 
 def test_singular_lead_gives_infinite_eigenvalues_by_qz(monkeypatch, rng):
@@ -172,7 +171,7 @@ def test_singular_lead_gives_infinite_eigenvalues_by_qz(monkeypatch, rng):
     triples = pencil_eigen(P, left=False)
     # no geev: QZ alone, on the anchor
     assert len(calls) == 1 and calls[0][1] is not None
-    assert sum(t.is_infinite for t in triples) >= 1
+    assert np.isinf(triples.eigenvalues).sum() >= 1
     monkeypatch.undo()
     _assert_triples_match_qz(L, "anchor", triples)
 
@@ -416,7 +415,7 @@ def test_recover_is_certified_on_every_pencil(kind, side, shape, seed):
     for vec_side in ("right", "left"):
         assert _vector_eta(P, lams, _vectors(report, vec_side), vec_side).max() <= bound, vec_side
     # the same spectrum as QZ's, matched nearest to nearest both ways
-    _assert_same_spectrum(lams, np.array([t.eigenvalue for t in qz_on_pencil(L, left=False)]))
+    _assert_same_spectrum(lams, qz_on_pencil(L, left=False).eigenvalues)
 
 
 def test_block_sums_are_read_off_the_anchor(tmp_path):
@@ -429,8 +428,8 @@ def test_block_sums_are_read_off_the_anchor(tmp_path):
     f, _ = build_dm_pencil(P, rng.uniform(-1.0, 1.0, k))
     f = AnsatzFactor(f.v, f.B, "M2")
     triples = qz_on_pencil(make_m2(P, f))
-    lams = np.array([t.eigenvalue for t in triples])
-    summed = recover_left(f.v, np.stack([t.right for t in triples], axis=1))
+    lams = triples.eigenvalues
+    summed = recover_left(f.v, triples.right)
     assert _vector_eta(P, lams, summed.T, "right").max() > 100 * k * n * EPS
     rc, out = _run(["recover", "-p", _write_problem(tmp_path, P, "p"),
                     "--factor", _write_factor(tmp_path, "f", f)])
@@ -442,8 +441,7 @@ def test_block_sums_are_read_off_the_anchor(tmp_path):
     # the printed right vectors are the certified first blocks of the anchor's
     # eigenvectors, not sums formed from the pencil's own eigenvectors
     triples = pencil_eigen(P, f)
-    assert np.array_equal(_vectors(report, "right"),
-                          np.stack([t.weighted_sum for t in triples]))
+    assert np.array_equal(_vectors(report, "right"), triples.sums.T)
 
 
 def test_block_sums_are_read_off_the_anchor_by_qz(tmp_path, monkeypatch):
@@ -517,14 +515,15 @@ def test_companion_vectors_are_eigenvectors_of_the_pencil(rng, side):
     assert spectral._companion_solve(spectral._route(P, f), True) is not None
     kn = L.k * L.n
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
-    for t in pencil_eigen(P, f):
-        M = L.X * t.eigenvalue + L.Y
-        scale = nx * abs(t.eigenvalue) + ny
-        residual = np.linalg.norm(M @ t.right) / scale
+    triples = pencil_eigen(P, f)
+    for j, lam in enumerate(triples.eigenvalues):
+        M = L.X * lam + L.Y
+        scale = nx * abs(lam) + ny
+        residual = np.linalg.norm(M @ triples.right[:, j]) / scale
         # the reported residual is the structured one, equal up to rounding
-        assert abs(t.residual - residual) <= kn * EPS
+        assert abs(triples.residual[j] - residual) <= kn * EPS
         assert residual <= 10 * kn * EPS
-        assert np.linalg.norm(t.left @ M) / scale <= 10 * kn * EPS
+        assert np.linalg.norm(triples.left[:, j] @ M) / scale <= 10 * kn * EPS
 
 
 @pytest.mark.parametrize("kind", ("monomial", "newton", "degree_graded"))
@@ -677,8 +676,7 @@ def test_qz_solve_gets_the_pencil_and_P(rng, monkeypatch, side):
     if f is not None:
         assert np.array_equal(route.multiplier, side_multiplier(f))
     assert _report(triples) == expected
-    _assert_same_spectrum(np.array([t.eigenvalue for t in triples]),
-                          np.array([t.eigenvalue for t in qz_on_pencil(L, left=False)]))
+    _assert_same_spectrum(triples.eigenvalues, qz_on_pencil(L, left=False).eigenvalues)
 
 
 def test_one_anchor_and_one_multiplier_per_eig_op(tmp_path, rng, monkeypatch, capsys):

@@ -55,14 +55,12 @@ def _structured_side(P, rng, side):
         if check_linearization(f).is_strong_linearization:
             break
     triples = pencil_eigen(P, f)
-    lams = np.array([t.eigenvalue for t in triples])
-    W = np.stack([t.right if side == "M1" else t.left for t in triples], axis=1)
-    return lams, W
+    return triples.eigenvalues, triples.right if side == "M1" else triples.left
 
 
 def _assert_matches_reference(P, lams, W, nullside):
-    # W as np.stack writes it and in Fortran order, as numpy's and scipy's
-    # eig return eigenvectors
+    # W in C order, as pencil_eigen's record holds it, and in Fortran order,
+    # as numpy's and scipy's eig return eigenvectors
     for V in (W, np.asfortranarray(W)):
         U = recover_right(P, lams, V, nullside=nullside)
         assert U.shape == (P.n, lams.size)
@@ -86,10 +84,8 @@ def test_batched_recovery_on_block_symmetric_pencils(rng, kind):
     P = random_problem(rng, 2, 5, kind)
     f, _ = build_dm_pencil(P, rng.uniform(-1, 1, 5))
     triples = pencil_eigen(P, f)
-    lams = np.array([t.eigenvalue for t in triples])
-    for nullside, attr in (("right", "right"), ("left", "left")):
-        W = np.stack([getattr(t, attr) for t in triples], axis=1)
-        _assert_matches_reference(P, lams, W, nullside)
+    for nullside, W in (("right", triples.right), ("left", triples.left)):
+        _assert_matches_reference(P, triples.eigenvalues, W, nullside)
 
 
 @pytest.mark.parametrize("kind", ("chebyshev1", "legendre", "degree_graded"))
@@ -100,9 +96,9 @@ def test_batched_recovery_with_infinite_eigenvalues(rng, kind):
     coeffs[-1][:, 0] = 0.0  # singular P_k: infinite eigenvalues
     P = MatrixPolynomial(tuple(coeffs), P.basis)
     triples = pencil_eigen(P)
-    lams = np.array([t.eigenvalue for t in triples])
+    lams = triples.eigenvalues
     assert np.isinf(lams).any() and np.isfinite(lams).any()
-    _assert_matches_reference(P, lams, np.stack([t.right for t in triples], axis=1), "right")
+    _assert_matches_reference(P, lams, triples.right, "right")
 
 
 def test_single_eigenvalue_is_the_one_column_case(rng):
@@ -110,10 +106,9 @@ def test_single_eigenvalue_is_the_one_column_case(rng):
     lams, W = _structured_side(P, rng, "M1")
     U = recover_right(P, lams, W)
     for j in (0, lams.size - 1):
-        u = recover_right(P, lams[j], W[:, j])
-        assert u.shape == (P.n,)
-        assert np.array_equal(u, recover_right(P, lams[j:j + 1], W[:, j:j + 1])[:, 0])
-        assert np.linalg.norm(u - U[:, j]) <= RTOL * np.linalg.norm(u)
+        u = recover_right(P, lams[j:j + 1], W[:, j:j + 1])
+        assert u.shape == (P.n, 1)
+        assert np.linalg.norm(u[:, 0] - U[:, j]) <= RTOL * np.linalg.norm(u)
     assert recover_right(P, lams[:0], W[:, :0]).shape == (P.n, 0)
 
 
@@ -178,8 +173,8 @@ def test_recover_left_checks_the_other_side(rng, side):
     k, n = P.k, P.n
     f = AnsatzFactor(rng.uniform(-1, 1, k), rng.uniform(-1, 1, (k * n, (k - 1) * n)), side)
     triples = pencil_eigen(P, f)
-    lams = np.array([t.eigenvalue for t in triples])
-    U = np.stack([t.left if side == "M1" else t.right for t in triples], axis=1)
+    lams = triples.eigenvalues
+    U = triples.left if side == "M1" else triples.right
     nullside = "left" if side == "M1" else "right"
     sums = recover_left(f.v, U, P, lams, nullside=nullside)
     assert np.array_equal(sums, recover_left(f.v, U))

@@ -122,7 +122,7 @@ def test_spectrum_report_sorted_and_complete(rng):
 def test_spectrum_report_with_vectors(rng):
     P = random_problem(rng, 2, 2)
     triples = pencil_eigen(P)
-    rights = [np.ones(2) for _ in triples]
+    rights = np.ones((2, triples.eigenvalues.size))
     report = spectrum_report_obj(triples, recovered_right=rights)
     assert len(report["eigenvectors"]["right"]) == len(report["finite"])
     assert report["eigenvectors"]["right"][0][0] == [1.0, 0.0]
@@ -271,7 +271,7 @@ def test_dump_json_writes_finite_reports_with_orjson_alone(rng, monkeypatch):
     reports = [
         pencil_to_obj(L),
         factor_to_obj(AnsatzFactor(rng.standard_normal(4), rng.standard_normal((12, 9)))),
-        spectrum_report_obj(triples, recovered_right=[t.right[:3] for t in triples]),
+        spectrum_report_obj(triples, recovered_right=triples.right[:3]),
         # the numbers orjson writes in another form than repr
         {"tiny": [1e-05, -9.5e-05, 1e-07, -2.5e-09], "huge": [1e+16, -1.5e+17, 1e+300]},
     ]
@@ -363,8 +363,9 @@ def test_spectrum_report_drops_vectors_of_infinite_eigenvalues():
     U = np.stack([u, u, u], axis=1)
     triples = Eigentriples(np.array([0.5, -1j, np.inf], dtype=complex), U, U,
                            np.array([1e-16, 2e-16, 0.0]))
-    vectors = np.array([[1.0, 2.0], [3.0 + 1j, 4.0], [5.0, 6.0]])
-    report = spectrum_report_obj(triples, recovered_right=vectors, recovered_left=list(vectors))
+    # one column per eigenvalue, as recover_right and recover_left return them
+    vectors = np.array([[1.0, 3.0 + 1j, 5.0], [2.0, 4.0, 6.0]])
+    report = spectrum_report_obj(triples, recovered_right=vectors, recovered_left=vectors.tolist())
     assert report["infinite_count"] == 1
     expected = [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 1.0], [4.0, 0.0]]]
     assert report["eigenvectors"] == {"right": expected, "left": expected}
