@@ -7,9 +7,11 @@ a factor whose free block solves the symmetry equations.  Every pencil of P,
 the anchor or an M1/M2 member, is solved through P's anchor by
 ``pencil_eigen(P, factor)``, which forms the pencil from P and the factor
 itself.  It returns one sorted, columnar ``Eigentriples`` (eigenvalues,
-unit eigenvectors, residuals and backward errors as arrays, one column per
-eigenvalue), and P's eigenvectors are recovered from its columns, one
-batched call per side.  A brute-force spectral oracle gives an independent
+unit eigenvectors, residuals, and P's eigenvectors with their backward
+errors, as arrays, one column per eigenvalue), read off the anchor's
+eigenvectors in one step after the solve; ``recover_right`` and
+``recover_left`` check P's eigenvectors in the record against a tolerance
+and return them.  A brute-force spectral oracle gives an independent
 reference spectrum.
 """
 
@@ -36,7 +38,6 @@ from .blocksym import (
     build_dm,
     build_dm_generic,
     build_dm_pencil,
-    dm_basis,
     is_block_symmetric,
 )
 from .errors import (

@@ -39,7 +39,6 @@ from .pencil import (
 __all__ = [
     "build_dm",
     "build_dm_generic",
-    "dm_basis",
     "build_dm_pencil",
     "is_block_symmetric",
 ]
@@ -186,12 +185,6 @@ def build_dm_generic(P: MatrixPolynomial, v) -> AnsatzFactor:
             _set_strict(blocks, i, j, (1.0 / pivot) * (rhs - partial))
 
     return AnsatzFactor(v, B, "M1")
-
-
-def dm_basis(P: MatrixPolynomial) -> list:
-    """The k unit-vector constructions; they span the block-symmetric space."""
-    require_ansatz_degree(P)
-    return [build_dm_generic(P, np.eye(P.k)[j]) for j in range(P.k)]
 
 
 def build_dm_pencil(P: MatrixPolynomial, v) -> tuple[AnsatzFactor, Pencil]:

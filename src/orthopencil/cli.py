@@ -143,28 +143,11 @@ def _cmd_eig(args) -> int:
     tol = _tolerance(args.tol)
     P = _load_problem(args)
     f = factor_from_obj(load_json(args.factor)) if args.factor else None
-    side = "M1" if f is None else f.side
     # without recovery no left eigenvector is used, so the solver skips them
     spectrum = pencil_eigen(P, f, left=args.recover)
     rights = lefts = None
     if args.recover:
-        # pencil_eigen read P's vectors on both sides off the anchor: L's
-        # Kronecker-structured eigenvectors (right for side M1, left for M2)
-        # are fitted, and the other side's block sums pass through a one-block
-        # recover_left, which returns them as they are and checks them.  Both
-        # face --tol, with the fit and the backward errors the certified solve
-        # computed when it found them (the QZ fallback leaves them to
-        # recover_*).  Columns are the spectrum's, already sorted.
-        lams = spectrum.eigenvalues
-        fit_eta = sum_eta = None
-        if spectrum.eta is not None:
-            fit_eta, sum_eta = spectrum.eta
-        nullside, flipped = ("right", "left") if side == "M1" else ("left", "right")
-        fitted = recover_right(P, lams, spectrum.right if side == "M1" else spectrum.left,
-                               tol=tol, nullside=nullside, eta=fit_eta, fit=spectrum.fit)
-        summed = recover_left(np.ones(1), spectrum.sums, P, lams, tol=tol, nullside=flipped,
-                              eta=sum_eta)
-        rights, lefts = (fitted, summed) if side == "M1" else (summed, fitted)
+        rights, lefts = recover_right(spectrum, tol), recover_left(spectrum, tol)
     _emit(spectrum_report_obj(spectrum, rights, lefts))
     return 0
 

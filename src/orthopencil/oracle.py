@@ -63,16 +63,21 @@ class ScalarPoly:
         return acc
 
 
-def trim_poly(coeffs, tol: float = 1e-12) -> ScalarPoly:
-    """Drop leading coefficients below tol times the largest magnitude."""
+# trim_poly drops leading coefficients of at most this fraction of the
+# largest magnitude.
+_TRIM_TOL = 1e-12
+
+
+def trim_poly(coeffs) -> ScalarPoly:
+    """Drop leading coefficients of at most _TRIM_TOL times the largest magnitude."""
     c = np.asarray(coeffs, dtype=float).reshape(-1)
     top = np.max(np.abs(c)) if c.size else 0.0
     if top == 0.0:
         return ScalarPoly(np.zeros(1))
     keep = c.size
-    while keep > 1 and abs(c[keep - 1]) <= tol * top:
+    while keep > 1 and abs(c[keep - 1]) <= _TRIM_TOL * top:
         keep -= 1
-    if keep == 1 and abs(c[0]) <= tol * top:
+    if keep == 1 and abs(c[0]) <= _TRIM_TOL * top:
         return ScalarPoly(np.zeros(1))
     return ScalarPoly(c[:keep].copy())
 

@@ -20,8 +20,8 @@ reversal Y*lam + X.  With ``left`` false the caller uses no left
 eigenvectors, and none are computed.
 
 The result is one sorted, columnar record, ``Eigentriples``: the
-eigenvalues, the unit right and left eigenvectors, the residuals, the block
-sums and the certificate's backward errors as arrays of m = kn columns, all
+eigenvalues, the unit right and left eigenvectors, the residuals, and P's
+eigenvectors with their backward errors as arrays of m = kn columns, all
 put in one order by one permutation (``_order``).  Normalization comes
 before the permutation, and the permuted arrays are C-contiguous, so that
 the numbers do not depend on the order the solver found them in.  Column j
@@ -33,8 +33,8 @@ clears 10 * n * eps, geev solves the companion (comrade, colleague) matrix
 -X^-1 Y, whose first block row is one GEMM by the n x n row-scaled inverse
 of c*P_k, and its result is kept only under a certificate at every
 eigenvalue: eta_L, the residual that pencil_eigen reports, and the backward
-error eta_P of each eigenvector of P it gives (see ``backward_errors``) are
-at most 10 * kn * eps, and no eigenvalue is classed infinite.  Otherwise
+error eta_P of each eigenvector of P read off it (see ``backward_errors``)
+are at most 10 * kn * eps, and no eigenvalue is classed infinite.  Otherwise
 scipy's QZ solves F itself (G for M2), which is backward stable for P
 (Lawrence, Van Barel and Van Dooren, SIMAX 37, 2016) and gives the infinite
 eigenvalues of a singular P_k.
@@ -44,38 +44,39 @@ the inverses, and geev for right vectors alone.  scipy.linalg is imported
 only by the two solvers that need it, geev with left vectors (``_geev``) and
 QZ (``_qz``), so ``eig`` on an anchor or M1 pencil never loads it.
 
-Both go through one map to L, which has the anchor's eigenvalues: F's right
+Both go through one step after the solve (``_through_anchor``), which maps
+F's eigenvectors to L's, which have the anchor's eigenvalues: F's right
 eigenvectors and left eigenvectors T^-T z for F's left ones z (M1), and G's
 right eigenvectors as left ones and S^-1 z for G's left ones z as right ones
-(M2).  The eigenvectors of P come straight from the anchor: the Kronecker
-fit of its right eigenvectors gives one side, and the first block of z,
-which is the block sum (v kron I_n)^T of L's eigenvector on the other side,
-gives the other, free of the cancellation that forming that sum from L's
-eigenvector suffers when T is ill-conditioned.  Residuals are read off the
-anchor's structure and one GEMM by the multiplier.
+(M2).  Residuals are read off the anchor's structure and one GEMM by the
+multiplier.
 
-The certificate works on the sorted record.  One ``phi_vector`` of length
-k + 1 at the eigenvalues serves the Kronecker fit of the structured side,
-the scale sum_i |phi_i| ||P_i||_F and eta_P on both sides, each side one
-GEMM.  When it keeps geev's result for both sides, the record carries the
-fit (``Eigentriples.fit``) and the two rows of eta_P (``Eigentriples.eta``),
-and recovery checks them against its tolerance instead of computing them
-again: a certified ``recover`` fits each side once and evaluates the basis
-once.
+The same step reads the eigenvectors of P off the sorted record, on the
+route's polynomial (P, or P^T for M2, so that one set of formulas serves
+both sides): L's Kronecker-structured eigenvectors, phi(lam) kron x (right
+for the anchor and M1, left for M2), give one side by their Kronecker fit,
+and the first block of z, which is the block sum (v kron I_n)^T of L's
+eigenvector on the other side, gives the other, free of the cancellation
+that forming that sum from L's eigenvector suffers when T is
+ill-conditioned.  One ``phi_vector`` of length k + 1 at the eigenvalues (0
+at infinite ones) serves the fit, its mismatch, the scale sum_i |phi_i|
+||P_i||_F and eta_P on both sides, each side one GEMM (``_of_p``).  The
+record keeps them as P's right and left eigenvectors (``Eigentriples.p_right``
+and ``p_left``); for M2 the fit of P^T's right eigenvectors is P's left
+ones and the block sums are P's right ones.
 
-Eigenvector recovery is batched: ``recover_right`` takes the m eigenvalues
-and the kn x m matrix of their pencil eigenvectors and returns the n x m
-eigenvectors of P, and ``recover_left`` maps kn x m to n x m the same way.
-Without the certificate's fit and eta, one call costs one ``phi_vector``,
-which serves both the Kronecker fit and the residuals, and one GEMM for the
-residuals of all m eigenvalues, whatever m is.  Every structure and residual
-check is made for every column, and a failure names the first failing
-column.
+The certificate of the geev solve reads eta_L and eta_P from the record.
+Recovery reads it too: ``recover_right(spectrum, tol)`` and
+``recover_left(spectrum, tol)`` check the recorded mismatch and eta_P of
+every column against tol and return P's n x m eigenvectors, so a
+``recover`` evaluates the basis once and fits once, whichever solver ran.
+A failure names the first failing column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,10 +141,12 @@ _REGULARITY_SEED = 90210
 
 
 def qz_solve(route: _Route, left: bool) -> Eigentriples:
-    """The sorted eigentriples of the route's pencil L, solved through its
-    anchor F (module docstring) by the certified geev or else QZ on F, which
-    agree to within the eigenvalues' condition numbers times their backward
-    errors, not bit for bit.  With left false ``left`` is None in the result."""
+    """The sorted eigentriples of the route's pencil L and the eigenvectors of
+    P, solved through its anchor F (module docstring) by the certified geev
+    or else QZ on F, which agree to within the eigenvalues' condition numbers
+    times their backward errors, not bit for bit; either solve goes through
+    the one post-solve step, _through_anchor.  With left false ``left`` is
+    None in the result."""
     spectrum = _companion_solve(route, left)
     if spectrum is None:
         spectrum = _through_anchor(
@@ -238,13 +241,14 @@ def _structured_residuals(route, lams, U, norms):
 
 
 def _through_anchor(route, lams, R, Z, left):
-    """The sorted record (Eigentriples) of the route's pencil L from the
-    eigenvalues ``lams`` of its anchor F and its right and left eigenvectors
-    ``R`` and ``Z`` (columns, z^T F(lam) = 0, None for a side not solved):
-    the map and the residuals of the module docstring, every column
-    normalized in solver order and then all put in the order of ``_order``
-    (np.take, which writes C-contiguous arrays).  The vectors are normalized
-    in place, R and Z included."""
+    """The sorted record (Eigentriples) of the route's pencil L and of P from
+    the eigenvalues ``lams`` of its anchor F and its right and left
+    eigenvectors ``R`` and ``Z`` (columns, z^T F(lam) = 0, None for a side not
+    solved), the one step after either solver: the map and the residuals of
+    the module docstring, every column normalized in solver order and then all
+    put in the order of ``_order`` (np.take, which writes C-contiguous
+    arrays), and P's eigenvectors read off the sorted columns (_of_p).  The
+    vectors are normalized in place, R and Z included."""
     n = route.P.n
     right, left_vecs = R, Z
     if route.side == "M2":
@@ -260,25 +264,27 @@ def _through_anchor(route, lams, R, Z, left):
         sums = Z[:n] / left_norms
     residual = _structured_residuals(route, lams, right, right_norms)
     order = _order(lams)
+    lams = lams[order]
     right /= right_norms
+    right = np.take(right, order, axis=1)
     if left_vecs is not None:
         left_vecs /= left_norms
         left_vecs = np.take(left_vecs, order, axis=1)
-    return Eigentriples(lams[order], np.take(right, order, axis=1), left_vecs,
-                        residual[order], None if sums is None else np.take(sums, order, axis=1))
+    if sums is not None:
+        sums = np.take(sums, order, axis=1)
+    # on P^T (M2) the fit gives P's left eigenvectors and the sums its right ones
+    fitted, summed = _of_p(route.P, lams, left_vecs if route.side == "M2" else right, sums)
+    p_right, p_left = (summed, fitted) if route.side == "M2" else (fitted, summed)
+    return Eigentriples(lams, right, left_vecs, residual[order], p_right, p_left)
 
 
 def _companion_solve(route, left=False):
-    """The certified geev solve of the route's anchor, mapped to its pencil,
-    or None: when c*P_k fails its gate, geev does not converge, or the
-    certificate fails.
-
-    The certificate reads the sorted record: one basis vector and one scale
-    at its eigenvalues serve the Kronecker fit of the structured side and
-    eta_P on both sides, and the record keeps the fit and, when both sides
-    were solved, eta."""
+    """The certified geev solve of the route's anchor, mapped to its pencil
+    and to P, or None: when c*P_k fails its gate, geev does not converge, or
+    the certificate fails.  The certificate reads the record: eta_L and the
+    eta_P of each side of P solved."""
     P, F = route.P, route.F
-    n, k, size = P.n, P.k, F.X.shape[0]
+    n, size = P.n, F.X.shape[0]
     rcond, inverse = route.lead
     if not rcond > 10.0 * n * np.finfo(float).eps:
         return None
@@ -307,65 +313,74 @@ def _companion_solve(route, left=False):
         Z[:n] = _solve(inverse, Z[:n], transpose=True)
     spectrum = _through_anchor(route, lams, VR, Z, left)
     bound = _CERTIFIED_ETA * size * np.finfo(float).eps
-    if not np.all(spectrum.residual <= bound):
+    checked = [spectrum.residual] + [side.eta for side in (spectrum.p_right, spectrum.p_left)
+                                     if side is not None]
+    if not all(np.all(values <= bound) for values in checked):
         return None
-    # the structured side: L's right vectors (anchor, M1) or left ones (M2)
-    structured = spectrum.left if route.side == "M2" else spectrum.right
-    phi = phi_vector(P.basis, k + 1, spectrum.eigenvalues)
-    scale = P.evaluation_scale(spectrum.eigenvalues, phi[::-1])
-    eta, fit = [], None
-    if structured is not None:
-        fit = (phi, _kron_fit(phi, structured.reshape(k, n, -1)))
-        eta.append(_eta(P, phi, scale, fit[1]))
-    if spectrum.sums is not None:
-        eta.append(_eta(P, phi, scale, spectrum.sums, "left"))
-    if not all(np.all(e <= bound) for e in eta):
-        return None
-    return replace(spectrum, eta=np.array(eta) if len(eta) == 2 else None, fit=fit)
+    return spectrum
 
 
 def _eigenvalues(alpha, beta):
     """alpha_j / beta_j as a complex array, complex infinity where
-    |beta_j| <= _INF_TOL (|alpha_j| + |beta_j|)."""
-    lams = []
-    for a, b in zip(np.asarray(alpha, dtype=complex).tolist(),
-                    np.asarray(beta, dtype=complex).tolist()):
-        # Python complex division: numpy's vectorized one (and its abs)
-        # differs in the last bits, which would change the reported eigenvalues
-        lams.append(complex(np.inf) if abs(b) <= _INF_TOL * (abs(a) + abs(b)) else a / b)
-    return np.array(lams, dtype=complex)
+    |beta_j| <= _INF_TOL (|alpha_j| + |beta_j|).
+
+    The quotient is CPython's complex division, written out on arrays: it
+    divides by the larger of |Re beta| and |Im beta|, and abs is hypot.
+    numpy's own complex division and abs differ in the last bits, which would
+    change the reported eigenvalues."""
+    a, b = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    size = np.hypot(b.real, b.imag)
+    infinite = size <= _INF_TOL * (np.hypot(a.real, a.imag) + size)
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    # both branches are computed; Python's division overflows without a word
+    with np.errstate(all="ignore"):
+        ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
+        denom = np.where(by_real, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        lams = np.empty(a.shape, dtype=complex)
+        lams.real = np.where(by_real, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
+        lams.imag = np.where(by_real, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+    lams[infinite] = np.inf
+    return lams
+
+
+class _OfP(NamedTuple):
+    """Eigenvectors of P on one side, read off the pencil's: the n x m
+    ``vectors`` as recovery returns them, their backward errors ``eta``
+    (eta_P), and ``mismatch``, the Kronecker mismatch of the pencil
+    eigenvectors they were fitted to, or None for block sums."""
+
+    vectors: np.ndarray
+    eta: np.ndarray
+    mismatch: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
 class Eigentriples:
-    """Every eigentriple of one pencil, sorted, as columns: what
-    pencil_eigen returns.
+    """Every eigentriple of one pencil and the eigenvectors of P, sorted, as
+    columns: what pencil_eigen returns.
 
     ``eigenvalues`` holds the m eigenvalues (complex infinity for infinite
-    ones), ``right`` and ``left`` the unit eigenvectors as the columns of
-    kn x m arrays (``left`` None when no left vectors were asked for), and
-    ``residual`` the m normalized right residuals.  ``sums`` (n x m) holds,
-    when the pencil was solved through its anchor, the block sums
-    (v kron I_n)^T w of the unit eigenvectors w of the side without
-    Kronecker structure (left for the anchor and M1, right for M2), read off
-    the anchor's eigenvectors: eigenvectors of P (v = e_1 for the anchor).
-    ``eta`` (2 x m) holds, when the certified geev found both sides, the
-    backward errors eta_P of the eigenvectors of P fitted to the
-    Kronecker-structured side and of ``sums``.  Each is None when the solve
-    gave none.  ``fit`` is the certificate's Kronecker fit of the
-    structured side, (phi, U): phi_vector(basis, k + 1) at the eigenvalues
-    (phi_k first) and the n x m least-squares fit U, before normalization;
-    recover_right takes it instead of fitting again.  Every array is
-    C-contiguous, and column j of each belongs to eigenvalues[j]; infinite
-    eigenvalues' vectors are eigenvectors of the reversal at zero."""
+    ones), ``right`` and ``left`` the pencil's unit eigenvectors as the
+    columns of kn x m arrays (``left`` None when no left vectors were asked
+    for), and ``residual`` the m normalized right residuals.  ``p_right``
+    and ``p_left`` hold P's right and left eigenvectors (_OfP), read off the
+    anchor's eigenvectors by the post-solve step: the unit Kronecker fit of
+    the pencil's structured side, with its mismatch, and the block sums
+    (v kron I_n)^T w of the unit eigenvectors w of the other side as they
+    are (the anchor and M1: the fit is P's right side; M2: its left side),
+    each with its backward errors eta_P.  ``p_left`` is None when no left
+    vectors were asked for, and both are None in a record not made by
+    pencil_eigen.  recover_right and recover_left check and return them.
+    Every array is C-contiguous, and column j of each belongs to
+    eigenvalues[j]; infinite eigenvalues' vectors are eigenvectors of the
+    reversal at zero."""
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray | None
     residual: np.ndarray
-    sums: np.ndarray | None = None
-    eta: np.ndarray | None = None
-    fit: tuple | None = None
+    p_right: _OfP | None = None
+    p_left: _OfP | None = None
 
 
 # Finite eigenvalues whose real parts are chained by steps of at most this
@@ -400,7 +415,10 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
                  left: bool = True) -> Eigentriples:
     """All kn eigentriples of P's anchor pencil, or with ``factor`` (v, B) of
     its M1 or M2 pencil L, infinite ones included, solved through the anchor
-    on one route (_route, qz_solve), as one sorted, columnar Eigentriples.
+    on one route (_route, qz_solve), as one sorted, columnar Eigentriples
+    that also holds P's eigenvectors, with their backward errors and the
+    Kronecker mismatch, whichever solver ran; recover_right and
+    recover_left check them against a tolerance.
 
     L is regular if the reciprocal condition number of the anchor's c*P_k
     block (the exact 1-norm one, from its inverse, rows scaled to unit norm;
@@ -412,7 +430,7 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     none has, or the multiplier has no finite inverse, SingularPencilError
     is raised, carrying the largest rcond seen.
 
-    With left false ``left`` is None.  Residuals are ||(X*lam + Y) u|| /
+    With left false ``left`` and ``p_left`` are None.  Residuals are ||(X*lam + Y) u|| /
     (||X|| |lam| + ||Y||) for unit right vectors u (||X u|| / ||X|| at
     infinite eigenvalues), read off the anchor.  Columns are sorted by
     (real, imag) with infinite eigenvalues last; real parts equal up to
@@ -443,11 +461,6 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     return qz_solve(route, left)
 
 
-def _check_nullside(nullside):
-    if nullside not in ("right", "left"):
-        raise ValueError("nullside must be 'right' or 'left'")
-
-
 def backward_errors(P: MatrixPolynomial, lams, U, nullside: str = "right") -> np.ndarray:
     """eta_P(lam_j, u_j) for every finite eigenvalue lam_j and column u_j of U.
 
@@ -461,7 +474,8 @@ def backward_errors(P: MatrixPolynomial, lams, U, nullside: str = "right") -> np
     parts of the (k + 1)n x m stack phi(lam_j) kron u_j side by side; no
     m x n x n tensor of P(lam_j) is built.
     """
-    _check_nullside(nullside)
+    if nullside not in ("right", "left"):
+        raise ValueError("nullside must be 'right' or 'left'")
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     phi = phi_vector(P.basis, P.k + 1, lams)
     return _eta(P, phi, P.evaluation_scale(lams, phi[::-1]), np.asarray(U, dtype=complex),
@@ -490,130 +504,114 @@ def _kron_fit(phi, blocks):
     return np.einsum("im,iam->am", phi.conj(), blocks) / np.sum(np.abs(phi) ** 2, axis=0)
 
 
-def recover_right(P: MatrixPolynomial, eigenvalues, W, tol: float = 1e-6,
-                  nullside: str = "right", eta=None, fit=None) -> np.ndarray:
-    """Eigenvectors of P from Kronecker-structured pencil eigenvectors.
+def _of_p(P, lams, W, sums=None):
+    """(right, left): P's eigenvectors (_OfP) at the eigenvalues ``lams``,
+    right ones fitted to the Kronecker-structured right eigenvectors W
+    (kn x m) of a linearization of P, and left ones given as ``sums``
+    (n x m); None for a side whose input is None.  The kernel of the
+    post-solve step, which passes P^T for an M2 pencil.
 
-    Column j of W (kn x m) belongs to eigenvalues[j] (m of them) and yields
-    column j of the n x m result, each of unit norm.  Finite eigenvalues: w
-    must be (basis vector phi at alpha) kron u; u is the least-squares fit
-    over every block, sum_i conj(phi_i) w_i / sum_i |phi_i|^2, and w is
-    checked against phi kron u.  Infinite eigenvalues: w must be e_1 kron u with u in the
-    nullspace of the leading monomial coefficient.  Raises RecoveryError,
-    naming the first failing column and its eigenvalue, when a w lacks the
-    Kronecker structure (which signals the source pencil is not a
-    linearization) or u fails the residual check.
-
-    nullside selects the residual check: "right" tests P(alpha) u = 0,
-    "left" tests u^T P(alpha) = 0 (for left eigenvectors of transposed-ansatz
-    pencils, which carry the same Kronecker structure).  It is
-    ``backward_errors``, or at infinite eigenvalues the residual of the
-    leading monomial coefficient relative to its norm.  ``eta`` gives those
-    residuals of the m columns when the caller has them (an Eigentriples'
-    ``eta`` from the certified solve); they are then checked, not computed.
-    ``fit`` is the fit (phi, U) of W when the caller has it (an
-    Eigentriples' ``fit``, all eigenvalues finite); only the mismatch of W
-    against it is then computed.
-    """
-    _check_nullside(nullside)
-    require_ansatz_degree(P)
+    One phi_vector at the eigenvalues, 0 at infinite ones, serves the fit,
+    its mismatch and the scale sum_i |phi_i| ||P_i||_F of eta_P on both
+    sides.  At a finite eigenvalue u is the least-squares fit over every
+    block (_kron_fit) and w is measured against phi kron u; at an infinite
+    one u is w's first block, measured against e_1 kron u.  eta_P is
+    backward_errors, "right" for u and "left" for the sums, and at infinite
+    eigenvalues the residual of the leading monomial coefficient relative to
+    its norm.  u is returned normalized, the sums as they are, but for the
+    sign of zero parts, which + 0.0 clears; a zero column gives NaN, which
+    fails every check."""
     n, k = P.n, P.k
-    lams = np.asarray(eigenvalues, dtype=complex).reshape(-1)
-    W = np.asarray(W, dtype=complex)
-    if W.shape != (k * n, lams.size):
-        raise RecoveryError(f"eigenvectors must be {k * n} x {lams.size}, got {W.shape}")
-    blocks = W.reshape(k, n, -1)
+    norm = np.linalg.norm
     infinite = np.isinf(lams)
-    if fit is None:
-        phi = phi_vector(P.basis, k + 1, np.where(infinite, 0.0, lams))
-        U = np.where(infinite, blocks[0], _kron_fit(phi, blocks))
-    else:
-        phi, U = fit
-    # finite: w - phi kron u; infinite: w - e_1 kron u, the blocks below the first
-    recon = np.einsum("im,am->iam", np.where(infinite, np.eye(k, 1), phi[1:]), U)
-    mismatch = np.linalg.norm(blocks - recon, axis=(0, 1)) / np.linalg.norm(W, axis=0)
-    if eta is None:
-        residual = _vector_residuals(P, lams, U, nullside, phi)
-    else:
-        residual = np.reshape(eta, -1)
-    bad = np.flatnonzero((mismatch > tol) | ~(residual <= tol))
-    if bad.size and mismatch[bad[0]] > tol:
+    alpha = np.where(infinite, 0.0, lams)
+    phi = phi_vector(P.basis, k + 1, alpha)
+    scale = P.evaluation_scale(alpha, phi[::-1])
+    lead = reversal_monomial(P)[0] if infinite.any() else None
+
+    def eta(V, nullside):
+        residual = _eta(P, phi, scale, V, nullside)
+        if lead is not None:
+            R = (lead if nullside == "right" else lead.T) @ V[:, infinite]
+            residual[infinite] = norm(R, axis=0) / (
+                max(norm(lead), 1e-300) * norm(V[:, infinite], axis=0))
+        return residual
+
+    right = left = None
+    with np.errstate(invalid="ignore"):
+        if W is not None:
+            blocks = W.reshape(k, n, -1)
+            U = np.where(infinite, blocks[0], _kron_fit(phi, blocks))
+            # finite: phi kron u - w; infinite: e_1 kron u - w, the blocks below the first
+            misfit = np.where(infinite, np.eye(k, 1), phi[1:])[:, None, :] * U
+            misfit -= blocks
+            mismatch = _column_norms(misfit.reshape(k * n, -1)) / _column_norms(W)
+            del misfit  # one kn x m temporary at a time: eta makes its own
+            right = _OfP(U / norm(U, axis=0), eta(U, "right"), mismatch)
+        if sums is not None:
+            left = _OfP(sums + 0.0, eta(sums, "left"), None)
+    return right, left
+
+
+def _column_norms(A):
+    """The 2-norms of the columns of the 2-D array A, by one einsum on its
+    real and imaginary parts, which makes no temporary of a complex A's size."""
+    parts = np.ascontiguousarray(A, dtype=complex).view(float)  # re, im as adjacent columns
+    squares = np.einsum("xm,xm->m", parts, parts)
+    return np.sqrt(squares[0::2] + squares[1::2])
+
+
+def recover_right(spectrum: Eigentriples, tol: float = 1e-6) -> np.ndarray:
+    """P's right eigenvectors, the n x m columns of ``spectrum.p_right``,
+    column j for eigenvalue j, once every column passes ``tol``.
+
+    For the anchor and M1 they are the unit Kronecker fit of the pencil's
+    right eigenvectors, and a column whose pencil eigenvector is not
+    phi kron u (e_1 kron u at an infinite eigenvalue) by a relative mismatch
+    above tol raises RecoveryError: the source pencil is not a
+    linearization.  For M2 they are the block sums, as they are.  Then a
+    column whose backward error eta_P (backward_errors, or at an infinite
+    eigenvalue the residual of the leading monomial coefficient) is not at
+    most tol raises RecoveryError.  Each error names the first failing
+    column and its eigenvalue.  Both checks read values the post-solve step
+    recorded; nothing is computed again."""
+    return _checked(spectrum.eigenvalues, spectrum.p_right, "right", tol)
+
+
+def recover_left(spectrum: Eigentriples, tol: float = 1e-6) -> np.ndarray:
+    """P's left eigenvectors u, u^T P(lam) = 0, the n x m columns of
+    ``spectrum.p_left``, checked as recover_right checks the right ones: the
+    block sums, as they are, for the anchor and M1, and the unit Kronecker
+    fit of the pencil's left eigenvectors for M2.  A near-zero sum signals
+    that the exclusion condition failed; a zero one fails.  Raises
+    RecoveryError when the pencil was solved without left eigenvectors."""
+    return _checked(spectrum.eigenvalues, spectrum.p_left, "left", tol)
+
+
+def _checked(lams, side, name, tol):
+    """The vectors of ``side`` (an _OfP) once the mismatch and eta_P of every
+    column are at most tol; RecoveryError for the first column that fails."""
+    if side is None:
+        raise RecoveryError(f"the solve found no {name} eigenvectors of P")
+    mismatch = np.zeros(lams.size) if side.mismatch is None else side.mismatch
+    bad = np.flatnonzero((mismatch > tol) | ~(side.eta <= tol))
+    if bad.size:
         j = bad[0]
-        shape = "e_1 kron u" if infinite[j] else "phi kron u"
+        if mismatch[j] > tol:
+            shape = "e_1 kron u" if np.isinf(lams[j]) else "phi kron u"
+            raise RecoveryError(
+                f"eigenvector {_column(lams, j)} is not {shape} (mismatch {mismatch[j]:.3e}); "
+                "the source pencil is not a linearization"
+            )
         raise RecoveryError(
-            f"eigenvector {_column(lams, j)} is not {shape} (mismatch {mismatch[j]:.3e}); "
-            "the source pencil is not a linearization"
+            f"recovered vector {_column(lams, j)} fails the eigenvector residual check "
+            f"(relative residual {side.eta[j]:.3e})"
         )
-    _require_residuals(lams, residual, tol)
-    return U / np.linalg.norm(U, axis=0)
+    return side.vectors
 
 
 def _column(lams, j):
     return f"column {j} (eigenvalue {complex(lams[j])})"
-
-
-def _vector_residuals(P, lams, U, nullside, phi=None):
-    """``backward_errors`` of every column of U at its eigenvalue; at an
-    infinite one, the residual of the leading monomial coefficient relative
-    to its norm.  ``phi`` is phi_vector(basis, k + 1) at the eigenvalues,
-    with 0 for infinite ones, if the caller has it."""
-    infinite = np.isinf(lams)
-    alpha = np.where(infinite, 0.0, lams)
-    phi = phi_vector(P.basis, P.k + 1, alpha) if phi is None else phi
-    with np.errstate(invalid="ignore"):  # a zero column gives NaN, which fails
-        residual = _eta(P, phi, P.evaluation_scale(alpha, phi[::-1]), U, nullside)
-    if infinite.any():
-        lead = reversal_monomial(P)[0]
-        lead = lead if nullside == "right" else lead.T
-        R = lead @ U[:, infinite]
-        residual[infinite] = np.linalg.norm(R, axis=0) / (
-            max(np.linalg.norm(lead), 1e-300) * np.linalg.norm(U[:, infinite], axis=0))
-    return residual
-
-
-def _require_residuals(lams, residual, tol):
-    """RecoveryError naming the first column whose residual is not at most tol."""
-    bad = np.flatnonzero(~(residual <= tol))
-    if bad.size:
-        j = bad[0]
-        raise RecoveryError(
-            f"recovered vector {_column(lams, j)} fails the eigenvector residual check "
-            f"(relative residual {residual[j]:.3e})"
-        )
-
-
-def recover_left(v, U, P: MatrixPolynomial | None = None, eigenvalues=None,
-                 tol: float = 1e-6, nullside: str = "left", eta=None) -> np.ndarray:
-    """Blockwise weighted sums sum_i v_i u_i of pencil left eigenvectors.
-
-    U is kn x m, one eigenvector per column, and the result n x m; a 1-D u
-    gives a 1-D result.  For a strong linearization with ansatz vector v
-    each column is a left eigenvector of P; a near-zero column signals the
-    exclusion condition failed.  For side M2 the same sums of right
-    eigenvectors are right eigenvectors of P.
-
-    With P and the eigenvalues, every column is checked as recover_right
-    checks its own: ``backward_errors`` with ``nullside`` ("left" tests
-    u^T P(lam) = 0, "right" P(lam) u = 0; at infinite eigenvalues the leading
-    monomial coefficient) must be at most tol, or RecoveryError names the
-    first column that fails.  A zero column fails.  ``eta``, as in
-    recover_right, gives those residuals if the caller has them."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    U = np.asarray(U, dtype=complex)
-    k = v.size
-    if U.shape[0] % k:
-        raise RecoveryError("eigenvector length must be a multiple of len(v)")
-    sums = (v @ U.reshape(k, -1)).reshape((U.shape[0] // k,) + U.shape[1:])
-    if P is not None:
-        _check_nullside(nullside)
-        lams = np.asarray(eigenvalues, dtype=complex).reshape(-1)
-        cols = sums.reshape(sums.shape[0], -1)
-        if cols.shape != (P.n, lams.size):
-            raise RecoveryError(f"sums must be {P.n} x {lams.size}, got {cols.shape}")
-        if eta is None:
-            eta = _vector_residuals(P, lams, cols, nullside)
-        _require_residuals(lams, np.reshape(eta, -1), tol)
-    return sums
 
 
 @dataclass(frozen=True)

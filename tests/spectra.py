@@ -8,8 +8,12 @@ residuals, as a reference for ``pencil_eigen``, which solves every pencil
 through the anchor of its polynomial; like pencil_eigen it returns a sorted,
 columnar Eigentriples.  ``sort_triples`` is the sort rule of
 ``pencil_eigen`` written out eigenvalue by eigenvalue, the reference for the
-permutation (``spectral._order``) that the library computes on arrays.  The
-library and the CLI use none of them.
+permutation (``spectral._order``) that the library computes on arrays.
+``block_sum`` is the paper's block sum (v kron I_n)^T U of pencil
+eigenvectors, and ``recovered`` a record of P's eigenvectors made from given
+pencil eigenvectors by the kernel of pencil_eigen's post-solve step, for
+recover_right and recover_left to check.  The library and the CLI use none
+of them.
 """
 
 import cmath
@@ -40,6 +44,24 @@ def qz_on_pencil(L, left=True):
     order = sort_triples(values)
     return spectral.Eigentriples(values[order], right[:, order],
                                  None if lefts is None else lefts[:, order], residuals[order])
+
+
+def block_sum(v, U):
+    """(v kron I_n)^T U: the sums of v_i times the i-th block of each column of U (kn x m)."""
+    k, (kn, m) = len(v), U.shape
+    return np.tensordot(np.asarray(v, dtype=float), U.reshape(k, kn // k, m), 1)
+
+
+def recovered(P, lams, W, sums=None):
+    """A record whose right eigenvectors of P are fitted to the
+    Kronecker-structured pencil eigenvectors W (kn x m) and whose left ones
+    are ``sums`` (n x m), by the kernel of pencil_eigen's post-solve step
+    (spectral._of_p); its pencil fields are placeholders."""
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    W = np.asarray(W, dtype=complex)
+    sums = None if sums is None else np.asarray(sums, dtype=complex)
+    return spectral.Eigentriples(lams, W, None, np.zeros(lams.size),
+                                 *spectral._of_p(P, lams, W, sums))
 
 
 # Finite eigenvalues whose real parts are chained by steps of at most this

@@ -34,7 +34,6 @@ from orthopencil import (
     make_m1,
     make_m2,
     pencil_eigen,
-    recover_left,
     recover_right,
 )
 from orthopencil import ansatz, basis, blocksym, cli, matpoly, pencil, spectral
@@ -44,7 +43,7 @@ from orthopencil.matpoly import RegularityVerdict, _scaled_inverse
 from orthopencil.serialize import dump_json, factor_to_obj, problem_to_obj, spectrum_report_obj
 from orthopencil.spectral import backward_errors
 from conftest import ALL_KINDS, random_problem
-from spectra import qz_on_pencil
+from spectra import block_sum, qz_on_pencil
 
 EPS = np.finfo(float).eps
 # (n, k): kn from 6 to 240
@@ -58,7 +57,7 @@ def _sigma_eta(P, lams):
 
 def _certificate(P, triples):
     lams = triples.eigenvalues
-    return lams, backward_errors(P, lams, recover_right(P, lams, triples.right, tol=np.inf))
+    return lams, backward_errors(P, lams, recover_right(triples, tol=np.inf))
 
 
 def _ill_conditioned_lead(cond, seed=0, n=3, k=4, kind="chebyshev1"):
@@ -258,11 +257,9 @@ def test_one_qz_solve_per_eig_op(tmp_path, rng, monkeypatch, capsys):
 
 @pytest.mark.parametrize("solve", ("certified", "qz"))
 def test_recover_computes_each_backward_error_once(tmp_path, rng, monkeypatch, capsys, solve):
-    # The certificate computes eta_P of the fitted vectors and of the block
-    # sums from one basis sequence, and recover_right and recover_left check
-    # those values and reuse its Kronecker fit.  After the QZ fallback
-    # recover_right and recover_left compute them, each once, from one basis
-    # sequence each: recover_right's serves its fit and its eta_P.
+    # The post-solve step computes eta_P of the fitted vectors and of the
+    # block sums from one basis sequence after either solver, and
+    # recover_right and recover_left check those values.
     P = random_problem(rng, 6, 5, "legendre")
     path = _write_problem(tmp_path, P, "p")
     argvs = [["recover", "-p", path]]
@@ -285,13 +282,15 @@ def test_recover_computes_each_backward_error_once(tmp_path, rng, monkeypatch, c
         assert cli.run(argv) == 0, argv
         monkeypatch.undo()
         capsys.readouterr()
-        assert calls == {"_eta": 2, "_phi_sequence": 1 if solve == "certified" else 2}, argv
+        assert calls == {"_eta": 2, "_phi_sequence": 1}, argv
 
 
-def test_certified_recover_does_the_work_once(tmp_path, rng, monkeypatch, capsys):
-    # a certified recover on the anchor, an M1 and an M2 pencil fits the
+@pytest.mark.parametrize("solve", ("certified", "qz"))
+def test_certified_recover_does_the_work_once(tmp_path, rng, monkeypatch, capsys, solve):
+    # a recover on the anchor, an M1 and an M2 pencil fits the
     # Kronecker-structured side once, computes eta_P once per side and
-    # evaluates the basis once, all in the certificate
+    # evaluates the basis once, all in the post-solve step, whether geev's
+    # result is certified or QZ solves the anchor
     P = random_problem(rng, 6, 5, "chebyshev1")
     path = _write_problem(tmp_path, P, "p")
     argvs = [["recover", "-p", path]]
@@ -310,14 +309,16 @@ def test_certified_recover_does_the_work_once(tmp_path, rng, monkeypatch, capsys
             sides.append(nullside)
             return inner_eta(P, phi, scale, U, nullside)
 
-        def solve(*args):
+        def spy(*args):
             calls["_companion_solve"] += 1
+            if solve == "qz":
+                return None
             out = inner_solve(*args)
             assert out is not None, argv  # certified
             return out
 
         monkeypatch.setattr(spectral, "_eta", eta)
-        monkeypatch.setattr(spectral, "_companion_solve", solve)
+        monkeypatch.setattr(spectral, "_companion_solve", spy)
         assert cli.run(argv) == 0, argv
         monkeypatch.undo()
         assert "eigenvectors" in json.loads(capsys.readouterr().out)
@@ -429,7 +430,7 @@ def test_block_sums_are_read_off_the_anchor(tmp_path):
     f = AnsatzFactor(f.v, f.B, "M2")
     triples = qz_on_pencil(make_m2(P, f))
     lams = triples.eigenvalues
-    summed = recover_left(f.v, triples.right)
+    summed = block_sum(f.v, triples.right)
     assert _vector_eta(P, lams, summed.T, "right").max() > 100 * k * n * EPS
     rc, out = _run(["recover", "-p", _write_problem(tmp_path, P, "p"),
                     "--factor", _write_factor(tmp_path, "f", f)])
@@ -441,7 +442,7 @@ def test_block_sums_are_read_off_the_anchor(tmp_path):
     # the printed right vectors are the certified first blocks of the anchor's
     # eigenvectors, not sums formed from the pencil's own eigenvectors
     triples = pencil_eigen(P, f)
-    assert np.array_equal(_vectors(report, "right"), triples.sums.T)
+    assert np.array_equal(_vectors(report, "right"), triples.p_right.vectors.T)
 
 
 def test_block_sums_are_read_off_the_anchor_by_qz(tmp_path, monkeypatch):

@@ -1,4 +1,10 @@
-"""Batched eigenvector recovery against the per-eigenvalue formula it replaced."""
+"""Batched eigenvector recovery against the per-eigenvalue formula it replaced.
+
+pencil_eigen's post-solve step reads P's eigenvectors off the pencil's
+(spectral._of_p) and recover_right and recover_left check what it recorded.
+Tests of given pencil eigenvectors make the record with that kernel
+(spectra.recovered); P^T stands for P where the structured vectors are left
+ones, as the step passes it for an M2 pencil."""
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from orthopencil import (
     reversal_monomial,
 )
 from conftest import ALL_KINDS, random_problem
+from spectra import block_sum, recovered
 
 RTOL = 1e-12
 
@@ -58,11 +65,16 @@ def _structured_side(P, rng, side):
     return triples.eigenvalues, triples.right if side == "M1" else triples.left
 
 
+def _transposed(P):
+    return MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis)
+
+
 def _assert_matches_reference(P, lams, W, nullside):
     # W in C order, as pencil_eigen's record holds it, and in Fortran order,
     # as numpy's and scipy's eig return eigenvectors
+    Q = P if nullside == "right" else _transposed(P)
     for V in (W, np.asfortranarray(W)):
-        U = recover_right(P, lams, V, nullside=nullside)
+        U = recover_right(recovered(Q, lams, V))
         assert U.shape == (P.n, lams.size)
         for j, lam in enumerate(lams):
             ref = _recover_one(P, lam, W[:, j], nullside=nullside)
@@ -104,12 +116,12 @@ def test_batched_recovery_with_infinite_eigenvalues(rng, kind):
 def test_single_eigenvalue_is_the_one_column_case(rng):
     P = random_problem(rng, 3, 4, "chebyshev2")
     lams, W = _structured_side(P, rng, "M1")
-    U = recover_right(P, lams, W)
+    U = recover_right(recovered(P, lams, W))
     for j in (0, lams.size - 1):
-        u = recover_right(P, lams[j:j + 1], W[:, j:j + 1])
+        u = recover_right(recovered(P, lams[j:j + 1], W[:, j:j + 1]))
         assert u.shape == (P.n, 1)
         assert np.linalg.norm(u[:, 0] - U[:, j]) <= RTOL * np.linalg.norm(u)
-    assert recover_right(P, lams[:0], W[:, :0]).shape == (P.n, 0)
+    assert recover_right(recovered(P, lams[:0], W[:, :0])).shape == (P.n, 0)
 
 
 def test_one_bad_column_is_named(rng):
@@ -118,7 +130,7 @@ def test_one_bad_column_is_named(rng):
     W = W.copy()
     W[:, 5] = rng.standard_normal(W.shape[0]) + 1j * rng.standard_normal(W.shape[0])
     with pytest.raises(RecoveryError, match=r"column 5 \(eigenvalue .*not phi kron u"):
-        recover_right(P, lams, W)
+        recover_right(recovered(P, lams, W))
 
 
 def test_residual_failure_names_the_first_column(rng):
@@ -127,27 +139,34 @@ def test_residual_failure_names_the_first_column(rng):
     # structured vectors of P checked against another polynomial
     Q = MatrixPolynomial(P.coeffs[:-1] + (2.0 * P.coeffs[-1],), P.basis)
     with pytest.raises(RecoveryError, match=r"column 0 \(eigenvalue .*residual"):
-        recover_right(Q, lams, W)
+        recover_right(recovered(Q, lams, W))
 
 
-def test_shape_mismatch_is_rejected(rng):
+def test_left_vectors_of_a_right_only_solve_are_an_error(rng):
     P = random_problem(rng, 2, 3)
-    with pytest.raises(RecoveryError, match="must be 6 x 2"):
-        recover_right(P, np.array([0.5, 1.0]), np.ones((6, 3)))
+    triples = pencil_eigen(P, left=False)
+    assert recover_right(triples).shape == (2, 6)
+    with pytest.raises(RecoveryError, match="no left eigenvectors"):
+        recover_left(triples)
 
 
 @pytest.mark.parametrize("m", (0, 1, 7))
 def test_batched_recover_left_is_the_blockwise_sum(rng, m):
+    # the block sum of the tests' helper, column by column, and recover_left
+    # returns the sums the record holds as they are
     k, n = 4, 3
+    P = random_problem(rng, n, k, "legendre")
     v = rng.uniform(-1, 1, k)
     U = rng.standard_normal((k * n, m)) + 1j * rng.standard_normal((k * n, m))
-    out = recover_left(v, U)
+    out = block_sum(v, U)
     assert out.shape == (n, m)
     for j in range(m):
         u = U[:, j]
         expected = sum(v[i] * u[i * n:(i + 1) * n] for i in range(k))
         assert np.linalg.norm(out[:, j] - expected) <= 1e-12 * np.linalg.norm(u)
-        assert np.linalg.norm(recover_left(v, u) - out[:, j]) <= 1e-12 * np.linalg.norm(u)
+    lams = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    W = np.kron(np.ones((k, 1)), out)  # any kn x m; only the left side is read
+    assert np.array_equal(recover_left(recovered(P, lams, W, out), tol=np.inf), out)
 
 
 def test_infinite_column_outside_the_leading_nullspace_is_named(rng):
@@ -160,9 +179,9 @@ def test_infinite_column_outside_the_leading_nullspace_is_named(rng):
     W = np.zeros((12, 2), dtype=complex)
     W[0, 0] = 1.0  # e_1 kron e_1: in the nullspace
     W[1, 1] = 1.0  # e_1 kron e_2: not
-    assert np.array_equal(recover_right(P, lams[:1], W[:, :1])[:, 0], [1.0, 0.0, 0.0])
+    assert np.array_equal(recover_right(recovered(P, lams[:1], W[:, :1]))[:, 0], [1.0, 0.0, 0.0])
     with pytest.raises(RecoveryError, match=r"column 1 \(eigenvalue .*residual"):
-        recover_right(P, lams, W)
+        recover_right(recovered(P, lams, W))
 
 
 @pytest.mark.parametrize("side", ("M1", "M2"))
@@ -174,21 +193,22 @@ def test_recover_left_checks_the_other_side(rng, side):
     f = AnsatzFactor(rng.uniform(-1, 1, k), rng.uniform(-1, 1, (k * n, (k - 1) * n)), side)
     triples = pencil_eigen(P, f)
     lams = triples.eigenvalues
-    U = triples.left if side == "M1" else triples.right
-    nullside = "left" if side == "M1" else "right"
-    sums = recover_left(f.v, U, P, lams, nullside=nullside)
-    assert np.array_equal(sums, recover_left(f.v, U))
+    # on P^T for M2, as the post-solve step works: its left vectors are P's right ones
+    Q, W, U = (P, triples.right, triples.left) if side == "M1" else (
+        _transposed(P), triples.left, triples.right)
+    sums = block_sum(f.v, U)
+    assert np.array_equal(recover_left(recovered(Q, lams, W, sums)), sums)
     with pytest.raises(RecoveryError, match=r"column 0 \(eigenvalue .*residual"):
-        recover_left(f.v, U, P, lams, tol=1e-30, nullside=nullside)
+        recover_left(recovered(Q, lams, W, sums), tol=1e-30)
     bad = U.copy()
     bad[:, 3] = rng.standard_normal(k * n)
     with pytest.raises(RecoveryError, match=r"column 3 \(eigenvalue .*residual"):
-        recover_left(f.v, bad, P, lams, nullside=nullside)
+        recover_left(recovered(Q, lams, W, block_sum(f.v, bad)))
     # a zero sum has no direction at all: it fails rather than passing as NaN
     zero = U.copy()
     zero[:, 1] = 0.0
     with pytest.raises(RecoveryError, match=r"column 1 \(eigenvalue .*residual nan"):
-        recover_left(f.v, zero, P, lams, nullside=nullside)
+        recover_left(recovered(Q, lams, W, block_sum(f.v, zero)))
 
 
 def test_recover_left_checks_infinite_columns_by_the_lead(rng):
@@ -202,6 +222,9 @@ def test_recover_left_checks_infinite_columns_by_the_lead(rng):
     U = np.zeros((12, 2), dtype=complex)
     U[0, 0] = 1.0  # e_1^T annihilates P_k from the left
     U[1, 1] = 1.0  # e_2^T does not
-    assert np.array_equal(recover_left(v, U[:, :1], P, lams[:1]), U[:3, :1])
+    W = np.zeros((12, 2), dtype=complex)
+    W[0] = 1.0  # e_1 kron e_1 on the right: P_k e_1 = 0 fails, but is not read
+    one = recovered(P, lams[:1], W[:, :1], block_sum(v, U[:, :1]))
+    assert np.array_equal(recover_left(one), U[:3, :1])
     with pytest.raises(RecoveryError, match=r"column 1 \(eigenvalue .*residual"):
-        recover_left(v, U, P, lams)
+        recover_left(recovered(P, lams, W, block_sum(v, U)))

@@ -28,7 +28,7 @@ from orthopencil import (
 )
 from orthopencil import spectral
 from orthopencil.matpoly import sampled_regularity
-from spectra import compare_spectra, sort_triples, spectrum_of
+from spectra import block_sum, compare_spectra, recovered, sort_triples, spectrum_of
 from conftest import ALL_KINDS, BASIS_KINDS, random_problem
 
 EPS = np.finfo(float).eps
@@ -85,7 +85,7 @@ def test_recover_right_scalar_basis_vector():
         (np.array([[2.0]]), np.array([[-3.0]]), np.array([[1.0]])), builtin_basis("monomial")
     )
     triples = pencil_eigen(P)
-    U = recover_right(P, triples.eigenvalues, triples.right)
+    U = recover_right(triples)
     assert np.all(np.abs(np.abs(U[0]) - 1.0) < 1e-12)
     # the pencil eigenvectors themselves must be proportional to Phi_k(alpha)
     ratio = triples.right / phi_vector(P.basis, 2, triples.eigenvalues)
@@ -96,7 +96,7 @@ def test_recover_right_residuals(rng):
     for n in (2, 3, 4):
         P = random_problem(rng, n, 3, "chebyshev1")
         triples = pencil_eigen(P)
-        U = recover_right(P, triples.eigenvalues, triples.right)
+        U = recover_right(triples)
         for Pa, u in zip(P.evaluate(triples.eigenvalues), U.T):
             assert np.linalg.norm(Pa @ u) <= 1e-6 * np.linalg.norm(Pa)
 
@@ -111,7 +111,7 @@ def test_recover_right_infinite(rng):
     from orthopencil import reversal_monomial
 
     lead = reversal_monomial(P)[0]
-    U = recover_right(P, triples.eigenvalues[infinite], triples.right[:, infinite])
+    U = recover_right(triples)[:, infinite]
     assert np.all(np.linalg.norm(lead @ U, axis=0) <= 1e-8 * max(np.linalg.norm(lead), 1.0))
 
 
@@ -121,20 +121,25 @@ def test_recover_right_rejects_non_kronecker(rng):
     alpha = spec.finite[0]
     w = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
     with pytest.raises(RecoveryError):
-        recover_right(P, [alpha], w)
+        recover_right(recovered(P, [alpha], w))
 
 
 def test_recover_left_blockwise_sum(rng):
-    u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    # the block sum (v kron I_n)^T u that the tests take as the paper's formula
+    u = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
     v = np.array([1.0, 0.0, 0.0])
-    assert np.array_equal(recover_left(v, u), u[:2])
-    # Kronecker-structured left vector: recovery scales y by the inner product
+    assert np.array_equal(block_sum(v, u), u[:2])
+    # Kronecker-structured left vector: the sum scales y by the inner product
     phi = phi_vector(builtin_basis("chebyshev1"), 3, 0.7)
     y = rng.standard_normal(2)
-    u2 = np.kron(phi, y)
+    u2 = np.kron(phi, y).reshape(-1, 1)
     v2 = rng.standard_normal(3)
     expected = (phi @ v2) * y
-    assert np.allclose(recover_left(v2, u2), expected)
+    assert np.allclose(block_sum(v2, u2)[:, 0], expected)
+    # the record's left vectors of the anchor are these sums with v = e_1
+    P = random_problem(rng, 2, 3, "chebyshev1")
+    triples = pencil_eigen(P)
+    assert np.allclose(recover_left(triples), block_sum(v, triples.left), rtol=0, atol=1e-12)
 
 
 def test_recover_left_residuals(rng):
@@ -142,7 +147,7 @@ def test_recover_left_residuals(rng):
     f = _full_rank_factor(rng, 3, 3)
     triples = pencil_eigen(P, f)
     finite = ~np.isinf(triples.eigenvalues)
-    W = recover_left(f.v, triples.left[:, finite])
+    W = block_sum(f.v, triples.left[:, finite])
     for Pa, w in zip(P.evaluate(triples.eigenvalues[finite]), W.T):
         assert np.linalg.norm(w @ Pa) <= 1e-6 * np.linalg.norm(Pa) * np.linalg.norm(w)
         assert np.linalg.norm(w) > 1e-8
@@ -159,7 +164,7 @@ def test_left_recovery_bijective_images(rng):
         abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
     )
     assert sep > 1e-6
-    assert np.all(np.linalg.norm(recover_left(f.v, triples.left), axis=0) > 1e-6)
+    assert np.all(np.linalg.norm(block_sum(f.v, triples.left), axis=0) > 1e-6)
 
 
 def _exclusion_margins(P, f):
@@ -168,7 +173,7 @@ def _exclusion_margins(P, f):
     strong linearization iff none is zero."""
     triples = pencil_eigen(P, f)
     vecs = triples.left if f.side == "M1" else triples.right
-    return np.linalg.norm(recover_left(f.v, vecs), axis=0)
+    return np.linalg.norm(block_sum(f.v, vecs), axis=0)
 
 
 def _assert_singular_with_witness(P, f):
@@ -188,7 +193,7 @@ def _assert_singular_with_witness(P, f):
         q = np.linalg.svd(A)[2][-1]
         assert np.linalg.norm(A @ q) <= 1e-8
         assert np.linalg.norm(eval_pencil(L, 0.7 + 0.2j) @ q) <= 1e-8 * np.linalg.norm(L.Y)
-    assert np.linalg.norm(recover_left(f.v, q)) <= 1e-8
+    assert np.linalg.norm(block_sum(f.v, q.reshape(-1, 1))) <= 1e-8
 
 
 def test_exclusion_left_anchor_passes(rng):
@@ -584,6 +589,45 @@ def test_sort_permutation_is_the_triple_rule(values):
     assert spectral._order(values).tolist() == sort_triples(values)
 
 
+# Parts of alpha and beta: any float of modulus up to 1e300 (so that Python's
+# abs cannot overflow), signed zeros, and round values that make ties.
+_PARTS = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 1e-8, 1e-300, -1e300)))
+
+
+@st.composite
+def _homogeneous_pairs(draw):
+    """(alpha, beta) with beta drawn freely, with |Re beta| = |Im beta|, or
+    within a few ulps of the infinity threshold |beta| = 1e-8 (|alpha| + |beta|)."""
+    a = complex(draw(_PARTS), draw(_PARTS))
+    shape = draw(st.sampled_from(("free", "tie", "threshold")))
+    if shape == "free":
+        b = complex(draw(_PARTS), draw(_PARTS))
+    elif shape == "tie":
+        x = draw(_PARTS)
+        b = complex(x, draw(st.sampled_from((x, -x))))
+    else:
+        size = _ulps_away(1e-8 / (1 - 1e-8) * abs(a), draw(st.integers(-4, 4)))
+        b = size * complex(draw(st.sampled_from((1.0, -1.0, 0.6, -0.8))),
+                           draw(st.sampled_from((0.0, -0.0, 0.8, -0.6))))
+    return a, b
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(_homogeneous_pairs(), max_size=12))
+def test_eigenvalues_are_pythons_complex_division(pairs):
+    # spectral._eigenvalues against the loop it replaced, bit for bit:
+    # Python's a / b, and complex infinity where abs(b) <= 1e-8 (abs(a) + abs(b))
+    alpha = np.array([a for a, _ in pairs], dtype=complex)
+    beta = np.array([b for _, b in pairs], dtype=complex)
+    got = spectral._eigenvalues(alpha, beta)
+    want = np.array([complex(np.inf) if abs(b) <= 1e-8 * (abs(a) + abs(b)) else a / b
+                     for a, b in pairs], dtype=complex)
+    assert got.shape == want.shape
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def _dense_eta(P, lams, U, side):
     """||P(lam_j) u_j|| (||u_j^T P(lam_j)|| for "left") / (sum_i |phi_i(lam_j)|
     ||P_i||_F ||u_j||) from P.evaluate."""
@@ -602,7 +646,8 @@ def test_backward_errors_match_the_evaluated_polynomial(rng, kind, side):
     n, k = 4, 5
     P = random_problem(rng, n, k, kind)
     spectrum = pencil_eigen(P)
-    pairs = [(spectrum.eigenvalues, spectrum.right[:n] if side == "right" else spectrum.sums)]
+    pairs = [(spectrum.eigenvalues,
+              spectrum.right[:n] if side == "right" else spectrum.p_left.vectors)]
     for m in (0, 1, k * n):
         lams = 2.0 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
         pairs.append((lams, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))))
@@ -627,7 +672,7 @@ def test_recover_uses_every_block():
     f = AnsatzFactor(f.v, f.B, "M2")
     triples = pencil_eigen(P, f)
     lams = triples.eigenvalues
-    X = recover_right(P, lams, triples.left, nullside="left")
+    X = recover_left(triples)
     eta = np.linalg.norm(np.einsum("cm,mcr->rm", X, P.evaluate(lams)), axis=0) / (
         P.evaluation_scale(lams))
     assert eta.max() <= 100 * P.k * P.n * EPS
