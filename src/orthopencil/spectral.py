@@ -28,53 +28,74 @@ the numbers do not depend on the order the solver found them in.  Column j
 of every array belongs to eigenvalue j; the record has no per-eigenvalue
 view.
 
-Two solvers find F's eigentriples.  When the row-scaled rcond of c*P_k
-clears 10 * n * eps, geev solves the companion (comrade, colleague) matrix
--X^-1 Y, whose first block row is one GEMM by the n x n row-scaled inverse
-of c*P_k, and its result is kept only under a certificate at every
-eigenvalue: eta_L, the residual that pencil_eigen reports, and the backward
-error eta_P of each eigenvector of P read off it (see ``backward_errors``)
-are at most 10 * kn * eps, and no eigenvalue is classed infinite.  Otherwise
-scipy's QZ solves F itself (G for M2), which is backward stable for P
-(Lawrence, Van Barel and Van Dooren, SIMAX 37, 2016) and gives the infinite
-eigenvalues of a singular P_k.
+Three rungs find F's eigentriples, each tried when the one before it is
+refused or not tried.  When the row-scaled rcond of c*P_k clears 10 * n *
+eps, the first two solve the companion (comrade, colleague) matrix -X^-1 Y,
+whose first block row is one GEMM by the n x n row-scaled inverse of c*P_k:
 
-numpy.linalg serves every solve that needs neither left eigenvectors nor QZ:
-the inverses, and geev for right vectors alone.  scipy.linalg is imported
-only by the two solvers that need it, geev with left vectors (``_geev``) and
-QZ (``_qz``), so ``eig`` on an anchor or M1 pencil never loads it.
+- the eigvals rung, tried where one comparison on (n, k) says it pays
+  (``_solves_from_p``): geev without vectors gives the eigenvalues, and P
+  gives the eigenvectors.  Every right eigenvector of the anchor is
+  phi(lam) kron x with P(lam) x = 0, the eigenvector result of the paper,
+  so x is one n x n solve: P(lam_j) at all kn eigenvalues is one GEMM,
+  and one batched solve per side gives the right vectors x_j and the left
+  ones y_j of P (one of each conjugate pair, the other by conjugation).
+  The anchor's left eigenvectors are built from the y_j (``_anchor_left``).
+  Two guards send a problem on: two eigenvalues that agree to sqrt(eps)
+  relative go to geev, which gives independent vectors where one solve
+  would repeat one x; and an exactly singular P(lam_j) is solved at a shift
+  a few ulps off, with lam_j reported as it is.
+- geev with vectors, whose eigenvectors are the anchor's.
+- QZ on F itself (G for M2), with scipy, which is backward stable for P
+  (Lawrence, Van Barel and Van Dooren, SIMAX 37, 2016) and gives the
+  infinite eigenvalues of a singular P_k.
 
-Both go through one step after the solve (``_through_anchor``), which maps
-F's eigenvectors to L's, which have the anchor's eigenvalues: F's right
-eigenvectors and left eigenvectors T^-T z for F's left ones z (M1), and G's
-right eigenvectors as left ones and S^-1 z for G's left ones z as right ones
-(M2).  Residuals are read off the anchor's structure and one GEMM by the
-multiplier.
+The first two are kept only under a certificate at every eigenvalue: eta_L,
+the residual that pencil_eigen reports, and the backward error eta_P of
+each eigenvector of P solved (see ``backward_errors``) are at most
+10 * kn * eps, and no eigenvalue is classed infinite.
+
+numpy.linalg serves every solve that needs neither left eigenvectors from
+geev nor QZ: the inverses, eigvals, the batched solves, and geev for right
+vectors alone.  scipy.linalg is imported only by geev with left vectors
+(``_geev``) and QZ (``_qz``), so ``eig`` on an anchor or M1 pencil never
+loads it, and neither does ``recover`` on the eigvals rung.
+
+Every rung goes through one step after the solve (``_through_anchor``),
+which maps F's eigenvectors to L's, which have the anchor's eigenvalues:
+F's right eigenvectors and left eigenvectors T^-T z for F's left ones z
+(M1), and G's right eigenvectors as left ones and S^-1 z, an LU solve on
+the row-scaled S, for G's left ones z as right ones (M2).  Residuals are
+read off the anchor's structure and one GEMM by the multiplier.
 
 The same step reads the eigenvectors of P off the sorted record, on the
 route's polynomial (P, or P^T for M2, so that one set of formulas serves
-both sides): L's Kronecker-structured eigenvectors, phi(lam) kron x (right
-for the anchor and M1, left for M2), give one side by their Kronecker fit,
-and the first block of z, which is the block sum (v kron I_n)^T of L's
-eigenvector on the other side, gives the other, free of the cancellation
-that forming that sum from L's eigenvector suffers when T is
-ill-conditioned.  One ``phi_vector`` of length k + 1 at the eigenvalues (0
-at infinite ones) serves the fit, its mismatch, the scale sum_i |phi_i|
-||P_i||_F and eta_P on both sides, each side one GEMM (``_of_p``).  The
-record keeps them as P's right and left eigenvectors (``Eigentriples.p_right``
-and ``p_left``); for M2 the fit of P^T's right eigenvectors is P's left
-ones and the block sums are P's right ones.
+both sides).  On the eigvals rung they are the solved x_j and the first
+blocks y_j of the anchor's left eigenvectors, with the eta_P the rung
+computed.  After geev or QZ, L's Kronecker-structured eigenvectors,
+phi(lam) kron x (right for the anchor and M1, left for M2), give one side
+by their Kronecker fit, and the first block of z, which is the block sum
+(v kron I_n)^T of L's eigenvector on the other side, gives the other, free
+of the cancellation that forming that sum from L's eigenvector suffers when
+T is ill-conditioned.  One ``phi_vector`` of length k + 1 at the
+eigenvalues (0 at infinite ones) serves the fit, its mismatch, the scale
+sum_i |phi_i| ||P_i||_F and eta_P on both sides, each side one GEMM
+(``_of_p``).  The record keeps them as P's right and left eigenvectors
+(``Eigentriples.p_right`` and ``p_left``); for M2 the vectors of P^T's
+right side are P's left ones and the block sums are P's right ones.
 
-The certificate of the geev solve reads eta_L and eta_P from the record.
-Recovery reads it too: ``recover_right(spectrum, tol)`` and
+The certificate reads eta_L and eta_P from the record.  Recovery reads it
+too: ``recover_right(spectrum, tol)`` and
 ``recover_left(spectrum, tol)`` check the recorded mismatch and eta_P of
 every column against tol and return P's n x m eigenvectors, so a
-``recover`` evaluates the basis once and fits once, whichever solver ran.
+``recover`` evaluates the basis once, whichever rung ran, and fits once
+after geev or QZ.
 A failure names the first failing column.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,6 +159,16 @@ _CERTIFIED_ETA = 10.0
 _INF_TOL = 1e-8
 # Seed of the points at which pencil_eigen tests regularity.
 _REGULARITY_SEED = 90210
+# The eigvals rung is tried when (kn)^3 > _GATE_FIXED + _GATE_SOLVES * k n^4
+# (_solves_from_p): never for kn <= 40, and for larger kn where k^2 / n is
+# above about 2.5.
+_GATE_FIXED = 40.0 ** 3
+_GATE_SOLVES = 2.5
+# Seed of the eigvals rung's right-hand side (_rhs).
+_RHS_SEED = 20161
+# ulps of max(|lam|, 1) by which the eigvals rung moves its shifts when a
+# P(lam_j) is exactly singular.
+_SHIFT_ULPS = 4.0
 
 
 def qz_solve(route: _Route, left: bool) -> Eigentriples:
@@ -189,12 +220,27 @@ def _solve(factors, B, transpose=False):
     return _real_matmul(inverse, B / rows[:, None])
 
 
+def _solve_scaled(M, rows, B):
+    """M^-1 B by an LU solve of the row-scaled D M, D = diag(1 / rows):
+    (D M)^-1 (D B), real, on [Re B, Im B] when B is complex.  Its error does
+    not grow with cond(M) as that of the product by an explicit inverse
+    (_solve) does."""
+    scaled = M / rows[:, None]
+    return _real_columns(lambda V: np.linalg.solve(scaled, V / rows[:, None]), B)
+
+
 def _real_matmul(M, V):
     """M @ V for real M, as one real GEMM on [Re V, Im V] when V is complex."""
+    return _real_columns(M.__matmul__, V)
+
+
+def _real_columns(apply, V):
+    """apply(V) for a real linear map ``apply`` of columns, applied once to
+    [Re V, Im V] side by side when V is complex."""
     if not np.iscomplexobj(V):
-        return M @ V
+        return apply(V)
     m = V.shape[1]
-    R = M @ np.hstack([V.real, V.imag])
+    R = apply(np.hstack([V.real, V.imag]))
     return R[:, :m] + 1j * R[:, m:]
 
 
@@ -212,6 +258,7 @@ def _apply_anchor(F, lams, U, transpose=False):
     lams = np.where(infinite, 1.0, lams)
     if transpose:
         R = top.T @ V[:n] + (Ys.T @ V[n:].reshape(k - 1, n * m)).reshape(-1, m)
+        R = R.astype(complex, copy=False)  # real for real vectors; lams is complex
         R[:n] += (lead.T @ U[:n]) * lams
     else:
         R = np.empty(U.shape, dtype=complex)
@@ -240,19 +287,25 @@ def _structured_residuals(route, lams, U, norms):
     return np.linalg.norm(R, axis=0) / (norms * np.maximum(scales, 1e-300))
 
 
-def _through_anchor(route, lams, R, Z, left):
+def _through_anchor(route, lams, R, Z, left, known=None):
     """The sorted record (Eigentriples) of the route's pencil L and of P from
     the eigenvalues ``lams`` of its anchor F and its right and left
     eigenvectors ``R`` and ``Z`` (columns, z^T F(lam) = 0, None for a side not
-    solved), the one step after either solver: the map and the residuals of
+    solved), the one step after every rung: the map and the residuals of
     the module docstring, every column normalized in solver order and then all
     put in the order of ``_order`` (np.take, which writes C-contiguous
     arrays), and P's eigenvectors read off the sorted columns (_of_p).  The
-    vectors are normalized in place, R and Z included."""
+    vectors are normalized in place, R and Z included.
+
+    ``known`` is (U, eta_U, eta_sums) from the eigvals rung, in solver
+    order: the right eigenvectors U of the route's polynomial, whose
+    Kronecker products with phi are R, and the eta_P of U and of the first
+    blocks of Z.  Then U itself is the fitted side, with no fit and no
+    mismatch, and nothing of _of_p is computed again."""
     n = route.P.n
     right, left_vecs = R, Z
     if route.side == "M2":
-        right, left_vecs = _solve(route.scaled[1], Z), R
+        right, left_vecs = _solve_scaled(route.multiplier, route.scaled[1][1], Z), R
     elif left and route.side == "M1":
         left_vecs = _solve(route.scaled[1], Z, transpose=True)
     right_norms = np.linalg.norm(right, axis=0)
@@ -272,19 +325,31 @@ def _through_anchor(route, lams, R, Z, left):
         left_vecs = np.take(left_vecs, order, axis=1)
     if sums is not None:
         sums = np.take(sums, order, axis=1)
-    # on P^T (M2) the fit gives P's left eigenvectors and the sums its right ones
-    fitted, summed = _of_p(route.P, lams, left_vecs if route.side == "M2" else right, sums)
+    if known is None:
+        # on P^T (M2) the fit gives P's left eigenvectors and the sums its right ones
+        fitted, summed = _of_p(route.P, lams, left_vecs if route.side == "M2" else right, sums)
+    else:
+        U, eta_u, eta_sums = known
+        fitted = summed = None
+        if U is not None:
+            fitted = _OfP(np.take(U / np.linalg.norm(U, axis=0), order, axis=1), eta_u[order],
+                          None)
+        if sums is not None:
+            summed = _OfP(sums + 0.0, eta_sums[order], None)
     p_right, p_left = (summed, fitted) if route.side == "M2" else (fitted, summed)
     return Eigentriples(lams, right, left_vecs, residual[order], p_right, p_left)
 
 
 def _companion_solve(route, left=False):
-    """The certified geev solve of the route's anchor, mapped to its pencil
-    and to P, or None: when c*P_k fails its gate, geev does not converge, or
-    the certificate fails.  The certificate reads the record: eta_L and the
-    eta_P of each side of P solved."""
+    """The certified solve of the route's anchor through its companion
+    matrix, mapped to its pencil and to P, or None: when c*P_k fails its
+    gate, or both rungs are refused.  Where _solves_from_p passes, the
+    eigvals rung (_eigvals_solve) is tried first; if it is refused, or not
+    tried, geev with vectors solves the same matrix.  Either result is kept
+    only under the certificate (_certified), which reads the record: eta_L
+    and the eta_P of each side of P solved."""
     P, F = route.P, route.F
-    n, size = P.n, F.X.shape[0]
+    n = P.n
     rcond, inverse = route.lead
     if not rcond > 10.0 * n * np.finfo(float).eps:
         return None
@@ -294,17 +359,18 @@ def _companion_solve(route, left=False):
     # only the first block row of -X^-1 Y differs from -Y
     A = np.negative(F.Y, order="F")
     A[:n] = -first
+    if _solves_from_p(n, P.k):
+        spectrum = _eigvals_solve(route, A, left)  # leaves A as it is
+        if spectrum is not None:
+            return spectrum
     want_left, want_right = route.anchor_sides(left)
     try:
         w, VL, VR = _geev(A, want_left, want_right)
     except np.linalg.LinAlgError:  # geev did not converge; QZ may
         return None
-    if not np.all(np.isfinite(w)) or np.any(_INF_TOL * (np.abs(w) + 1.0) >= 1.0):
+    lams = _companion_eigenvalues(w)
+    if lams is None:
         return None
-    # w / (1 + 0j) as Python's complex division rounds it, the form QZ's
-    # alpha / beta takes (_eigenvalues): w itself, with the sign of a zero
-    # part as re + im*0 and im - re*0 give it (0.0 for geev's -0.0 + 0j)
-    lams = np.stack((w.real + w.imag * 0.0, w.imag - w.real * 0.0), axis=-1).view(complex)[:, 0]
     Z = None
     if want_left:
         # from y^H A = lam y^H the anchor's left eigenvector is z = X^-T conj(y);
@@ -312,12 +378,260 @@ def _companion_solve(route, left=False):
         Z = np.conj(VL)
         Z[:n] = _solve(inverse, Z[:n], transpose=True)
     spectrum = _through_anchor(route, lams, VR, Z, left)
-    bound = _CERTIFIED_ETA * size * np.finfo(float).eps
+    return spectrum if _certified(spectrum) else None
+
+
+def _certified(spectrum):
+    """Whether eta_L and the eta_P of each side of P solved are at most
+    _CERTIFIED_ETA * kn * eps in every column."""
+    bound = _certified_bound(spectrum.right.shape[0])
     checked = [spectrum.residual] + [side.eta for side in (spectrum.p_right, spectrum.p_left)
                                      if side is not None]
-    if not all(np.all(values <= bound) for values in checked):
+    return all(np.all(values <= bound) for values in checked)
+
+
+def _certified_bound(size):
+    return _CERTIFIED_ETA * size * np.finfo(float).eps
+
+
+def _companion_eigenvalues(w):
+    """The eigenvalues w of a companion matrix as QZ's alpha / beta would
+    give them, or None when one is not finite or would be classed infinite."""
+    if not np.all(np.isfinite(w)) or np.any(_INF_TOL * (np.abs(w) + 1.0) >= 1.0):
         return None
-    return spectrum
+    # w / (1 + 0j) as Python's complex division rounds it, the form QZ's
+    # alpha / beta takes (_eigenvalues): w itself, with the sign of a zero
+    # part as re + im*0 and im - re*0 give it (0.0 for geev's -0.0 + 0j)
+    return np.stack((w.real + w.imag * 0.0, w.imag - w.real * 0.0), axis=-1).view(complex)[:, 0]
+
+
+def _solves_from_p(n, k):
+    """The gate of the eigvals rung, one comparison on (n, k): geev's
+    eigenvector stage, about (kn)^3, must cost more than the n x n solves at
+    all kn eigenvalues, about k n^4, and a fixed cost.  Measured on the
+    anchor's companion solve at one BLAS thread (interleaved, the least of
+    7 to 25 calls, four bases): the rung took 0.6 to 0.85 of the time of
+    geev with vectors for n <= 16 and 48 <= kn <= 240, about 0.9 at (20, 8),
+    (18, 10) and (20, 10), 0.95 to 1.0 at (24, 7) and (22, 7), and 1.0 to
+    1.07 at (28, 6) and (40, 6); at the small end it lost up to kn = 24 and
+    broke even at kn = 30.  So it is tried where k^2 / n > 2.5 and kn > 40."""
+    return (k * n) ** 3 > _GATE_FIXED + _GATE_SOLVES * k * n ** 4
+
+
+def _eigvals_solve(route, A, left):
+    """The eigvals rung: the anchor's eigenvalues from geev without vectors
+    on the companion matrix A, and each eigenvector from P at it, or None
+    when the rung is refused.
+
+    Every right eigenvector of the anchor (of any M1 pencil) is
+    phi(lam) kron x with P(lam) x = 0, so x costs one n x n solve: P(lam_j)
+    at all m = kn eigenvalues is one real GEMM of phi against the stacked
+    coefficients, and one batched solve P(lam_j) x_j = b with a fixed b
+    (_rhs) gives every x_j, one inverse-iteration step from the eigenvalue.
+    With left vectors a second batched solve, on P(lam_j)^T, gives the left
+    eigenvectors y_j of P, and _anchor_left the anchor's.  A column whose
+    eta_P misses the certificate is solved again from the largest column
+    (for y the largest row) of P(lam_j)^-1.  The rung is refused when an
+    eigenvalue is not finite or is classed infinite, when two agree to
+    within sqrt(eps) relative (_has_close_pair: one x would serve both),
+    or when a repaired column or eta_L still misses the certificate.  An
+    exactly singular P(lam_j), which the LU cannot solve, is solved at
+    shifts moved by a few ulps; lam_j is reported as it is.  A is left as
+    it is."""
+    P, F = route.P, route.F
+    n, k = P.n, P.k
+    try:
+        lams = _companion_eigenvalues(np.linalg.eigvals(A))
+    except np.linalg.LinAlgError:
+        return None
+    if lams is None or _has_close_pair(lams):
+        return None
+    want_left, want_right = route.anchor_sides(left)
+    phi = phi_vector(P.basis, k + 1, lams)
+    scale = P.evaluation_scale(lams, phi[::-1])
+    # the conjugate of an eigenvalue has the conjugate vectors, and the same
+    # eta_P: solve at one of each pair, then conjugate (_conjugates)
+    keep, lower = _conjugates(lams)
+    kept, phi_kept, scale_kept = lams[keep], phi[:, keep], scale[keep]
+    try:
+        values, vectors = _null_vectors(P, kept, phi_kept, (want_right, want_left))
+    except np.linalg.LinAlgError:
+        return None
+    etas = [None if V is None else _eta(P, phi_kept, scale_kept, V, side)
+            for V, side in zip(vectors, _SIDES)]
+    if not _repair(P, phi_kept, scale_kept, values, vectors, etas):
+        return None
+    X, Y = vectors
+    R = None if X is None else (phi_kept[1:, None, :] * X).reshape(k * n, -1)
+    Z = None if Y is None else _anchor_left(F, kept, phi_kept, Y)
+    X, R, Z, *etas = (None if a is None else _conjugated(a, keep, lower)
+                      for a in (X, R, Z, *etas))
+    spectrum = _through_anchor(route, lams, R, Z, left, known=(X, *etas))
+    return spectrum if _certified(spectrum) else None
+
+
+_SIDES = ("right", "left")
+
+
+def _repair(P, phi, scale, values, vectors, etas):
+    """Solve again, in place, every column of ``vectors`` (right, left;
+    None for a side not solved) whose eta_P in ``etas`` misses the
+    certificate: x_j from the largest column of P(lam_j)^-1 and y_j from
+    its largest row, with ``values`` the P(lam_j) and ``phi`` and ``scale``
+    as _eta takes them.  False when a column still misses it or a P(lam_j)
+    has no inverse."""
+    bound = _certified_bound(P.k * P.n)
+    bad = [None if eta is None else ~(eta <= bound) for eta in etas]
+    redone = np.logical_or.reduce([b for b in bad if b is not None])
+    if not redone.any():
+        return True
+    try:
+        inverse = np.linalg.inv(values[redone])
+    except np.linalg.LinAlgError:
+        return False
+    for axis, (V, eta, b) in enumerate(zip(vectors, etas, bad)):
+        if b is None or not b.any():
+            continue
+        # P^-1 is about x y^T / sigma_min: each column is a multiple of x
+        # and each row one of y; the largest is the most accurate
+        inv = inverse[b[redone]]
+        best = np.argmax(np.linalg.norm(inv, axis=1 + axis), axis=1)
+        rows = np.arange(inv.shape[0])
+        V[:, b] = (inv[rows, :, best] if axis == 0 else inv[rows, best, :]).T
+        eta[b] = _eta(P, phi[:, b], scale[b], V[:, b], _SIDES[axis])
+        if not np.all(eta <= bound):
+            return False
+    return True
+
+
+def _conjugates(lams):
+    """(keep, lower): a mask of the eigenvalues to solve at and the indices
+    of the others, each the exact conjugate of the one before it.  geev
+    gives the complex eigenvalues of a real matrix as such pairs, the one
+    with positive imaginary part first."""
+    lower = np.flatnonzero(lams.imag < 0.0)
+    keep = np.ones(lams.size, dtype=bool)
+    if lower.size and lower[0] > 0 and np.array_equal(lams[lower], np.conj(lams[lower - 1])):
+        keep[lower] = False
+    else:
+        lower = lower[:0]
+    return keep, lower
+
+
+def _conjugated(a, keep, lower):
+    """The columns (the last axis) of ``a``, given at the eigenvalues
+    ``keep`` of _conjugates, at every eigenvalue: at each of ``lower`` the
+    conjugate of the column before it."""
+    if not lower.size:
+        return a
+    out = np.empty(a.shape[:-1] + keep.shape, dtype=a.dtype)
+    out[..., keep] = a
+    out[..., lower] = np.conj(out[..., lower - 1])
+    return out
+
+
+def _null_vectors(P, lams, phi, solved):
+    """(P(lam_j) as an m x n x n array, [X, Y]): the solutions x_j of
+    P(lam_j) x_j = b and y_j of P(lam_j)^T y_j = b, as the columns of n x m
+    arrays, for the sides ``solved`` (right, left) and None for the others;
+    ``phi`` is phi_vector(basis, k + 1) at the eigenvalues ``lams``.
+
+    Where a P(lam_j) is exactly singular, so that its LU has a zero pivot
+    and cannot solve, it is formed and solved at lam_j + i d, d being
+    _SHIFT_ULPS ulps of max(|lam_j|, 1), and the array holds it there.
+    Raises LinAlgError when that is singular too."""
+    values = _evaluate_at(P, phi)
+    b = _rhs(P.n)
+    vectors = [None, None]
+    for side in (0, 1):
+        if not solved[side]:
+            continue
+        matrices = values if side == 0 else values.transpose(0, 2, 1)
+        try:
+            vectors[side] = np.linalg.solve(matrices, b).T
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        singular = np.linalg.slogdet(matrices)[0] == 0.0
+        if not singular.any():
+            singular[:] = True
+        # the imaginary part of P there makes a zero pivot as unlikely as for
+        # any complex matrix
+        shifts = lams[singular] + 1j * _SHIFT_ULPS * np.finfo(float).eps * np.maximum(
+            np.abs(lams[singular]), 1.0)
+        values[singular] = _evaluate_at(P, phi_vector(P.basis, P.k + 1, shifts))
+        vectors[side] = np.linalg.solve(matrices, b).T
+    return values, vectors
+
+
+def _evaluate_at(P, phi):
+    """P(lam_j) at the m points of ``phi``, phi_vector(basis, k + 1) there,
+    as an m x n x n array: one real GEMM of the stacked coefficients
+    [P_k ... P_0] with the real and imaginary parts of phi."""
+    n, m = P.n, phi.shape[1]
+    stacked = np.stack(P.coeffs[::-1]).reshape(P.k + 1, n * n)
+    # column j of phi as two adjacent real columns, so that the product's
+    # columns read as complex numbers again
+    product = stacked.T @ np.ascontiguousarray(phi).view(float)
+    return product.view(complex).T.reshape(m, n, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _rhs(n):
+    """The fixed complex right-hand side of the eigvals rung's solves, the
+    same on every call for a given n."""
+    rng = np.random.default_rng(_RHS_SEED)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b.setflags(write=False)
+    return b
+
+
+def _has_close_pair(lams):
+    """Whether two of the eigenvalues agree to within sqrt(eps) relative,
+    |lam_i - lam_j| <= sqrt(eps) max(|lam_i|, |lam_j|).  Such a pair has
+    moduli within that factor, so with the moduli sorted only neighbours up
+    to the first offset at which none is that close need a look."""
+    rel = np.sqrt(np.finfo(float).eps)
+    order = np.argsort(np.abs(lams), kind="stable")
+    z, modulus = lams[order], np.abs(lams[order])
+    for offset in range(1, z.size):
+        near = modulus[:-offset] >= (1.0 - rel) * modulus[offset:]
+        if not near.any():
+            return False
+        i = np.flatnonzero(near)
+        if np.any(np.abs(z[i + offset] - z[i]) <= rel * modulus[i + offset]):
+            return True
+    return False
+
+
+def _anchor_left(F, lams, phi, Y):
+    """The anchor's left eigenvectors z_j, z_j^T F(lam_j) = 0, whose first
+    blocks are the left eigenvectors y_j of P (the columns of Y); ``phi`` is
+    phi_vector(basis, k + 1) at the eigenvalues.
+
+    Block column i of z^T F(lam) = 0 reads
+    (lam X_0i + Y_0i)^T y + sum_r M_ri z_(r+1) = 0, with M = Xs*lam + Ys the
+    scalar recurrence rows, k equations for the k - 1 blocks z_2 .. z_k.
+    As z^T F(lam) (Phi_k(lam) kron I_n) = y^T P(lam), the residual of y
+    lands in the one equation left out, divided by its weight in Phi_k.  So
+    the equation of the largest |phi_i| is left out and the other k - 1 are
+    solved, one (k - 1) x (k - 1) scalar system per eigenvalue, nonsingular
+    because the null vector Phi_k of M is not zero there.  (Forward
+    substitution, which leaves out the last one, of weight phi_0 = 1, would
+    scale the residual up by max |phi_i| where |lam| > 1.)"""
+    n, k, m = F.n, F.k, Y.shape[1]
+    Xs, Ys = F.X[n::n, ::n], F.Y[n::n, ::n]
+    G = _real_matmul(F.Y[:n].T, Y)  # (lam X_0i + Y_0i)^T y, block by block
+    G[:n] += _real_matmul(F.X[:n, :n].T, Y) * lams
+    equations = Xs.T * lams[:, None, None] + Ys.T  # m x k x (k - 1): M^T
+    kept = np.arange(k) != np.argmax(np.abs(phi[1:]), axis=0)[:, None]
+    rhs = np.negative(G.reshape(k, n, m).transpose(2, 0, 1))
+    blocks = np.linalg.solve(equations[kept].reshape(m, k - 1, k - 1),
+                             rhs[kept].reshape(m, k - 1, n))
+    Z = np.empty((k * n, m), dtype=complex)
+    Z[:n] = Y
+    Z[n:] = blocks.transpose(1, 2, 0).reshape((k - 1) * n, m)
+    return Z
 
 
 def _eigenvalues(alpha, beta):
@@ -347,7 +661,8 @@ class _OfP(NamedTuple):
     """Eigenvectors of P on one side, read off the pencil's: the n x m
     ``vectors`` as recovery returns them, their backward errors ``eta``
     (eta_P), and ``mismatch``, the Kronecker mismatch of the pencil
-    eigenvectors they were fitted to, or None for block sums."""
+    eigenvectors they were fitted to, or None for block sums and for the
+    vectors the eigvals rung solves from P, which are fitted to nothing."""
 
     vectors: np.ndarray
     eta: np.ndarray
@@ -364,11 +679,12 @@ class Eigentriples:
     columns of kn x m arrays (``left`` None when no left vectors were asked
     for), and ``residual`` the m normalized right residuals.  ``p_right``
     and ``p_left`` hold P's right and left eigenvectors (_OfP), read off the
-    anchor's eigenvectors by the post-solve step: the unit Kronecker fit of
-    the pencil's structured side, with its mismatch, and the block sums
-    (v kron I_n)^T w of the unit eigenvectors w of the other side as they
-    are (the anchor and M1: the fit is P's right side; M2: its left side),
-    each with its backward errors eta_P.  ``p_left`` is None when no left
+    anchor's eigenvectors by the post-solve step: on the structured side
+    the unit vectors the eigvals rung solves from P, or else the unit
+    Kronecker fit of the pencil's eigenvectors, with its mismatch, and on
+    the other side the block sums (v kron I_n)^T w of the unit eigenvectors
+    w as they are (the anchor and M1: the structured side is P's right
+    side; M2: its left side), each with its backward errors eta_P.  ``p_left`` is None when no left
     vectors were asked for, and both are None in a record not made by
     pencil_eigen.  recover_right and recover_left check and return them.
     Every array is C-contiguous, and column j of each belongs to
@@ -416,8 +732,8 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     """All kn eigentriples of P's anchor pencil, or with ``factor`` (v, B) of
     its M1 or M2 pencil L, infinite ones included, solved through the anchor
     on one route (_route, qz_solve), as one sorted, columnar Eigentriples
-    that also holds P's eigenvectors, with their backward errors and the
-    Kronecker mismatch, whichever solver ran; recover_right and
+    that also holds P's eigenvectors, with their backward errors and, after
+    geev or QZ, the Kronecker mismatch of the fitted side; recover_right and
     recover_left check them against a tolerance.
 
     L is regular if the reciprocal condition number of the anchor's c*P_k
@@ -436,13 +752,17 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     (real, imag) with infinite eigenvalues last; real parts equal up to
     rounding are ordered by imaginary part (_order).
 
-    With and without ``left`` the eigenvalues are the same, but the
+    With and without ``left`` the same rung solves (the eigvals rung's gate
+    reads only (n, k)), unless the certificate refuses the left side alone,
+    so ``eig`` and ``recover`` print the same eigenvalues.  On the eigvals
+    rung the right vectors do not depend on ``left`` either: ``eig`` and
+    ``recover --random 6,8,1`` both print a residual of
+    1.7842950814916124e-15 for the first eigenvalue.  On the geev rung the
     residuals agree only to rounding: without left vectors numpy's geev
     finds the right ones alone, with them scipy's geev finds both sides,
-    and the right vectors differ in the last bits.  So ``eig`` and
-    ``recover`` print the same eigenvalues, and ``eig --random 6,8,1``
-    prints a residual of 2.995530634243387e-16 where ``recover`` prints
-    2.9955306342433874e-16.
+    and the right vectors differ in the last bits, so ``eig --random
+    5,8,1`` prints 1.821925799999199e-16 where ``recover`` prints
+    1.8219257999991987e-16.  QZ finds both sides in one call.
     """
     route = _route(P, factor)
     size, eps = route.L.X.shape[0], np.finfo(float).eps
@@ -569,7 +889,9 @@ def recover_right(spectrum: Eigentriples, tol: float = 1e-6) -> np.ndarray:
     right eigenvectors, and a column whose pencil eigenvector is not
     phi kron u (e_1 kron u at an infinite eigenvalue) by a relative mismatch
     above tol raises RecoveryError: the source pencil is not a
-    linearization.  For M2 they are the block sums, as they are.  Then a
+    linearization.  On the eigvals rung they are the unit vectors solved
+    from P, with no mismatch to check.  For M2 they are the block sums, as
+    they are.  Then a
     column whose backward error eta_P (backward_errors, or at an infinite
     eigenvalue the residual of the leading monomial coefficient) is not at
     most tol raises RecoveryError.  Each error names the first failing

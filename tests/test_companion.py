@@ -255,11 +255,25 @@ def test_one_qz_solve_per_eig_op(tmp_path, rng, monkeypatch, capsys):
                 assert calls["eval_pencil"] >= 1, argv
 
 
-@pytest.mark.parametrize("solve", ("certified", "qz"))
-def test_recover_computes_each_backward_error_once(tmp_path, rng, monkeypatch, capsys, solve):
+def _force_rung(monkeypatch, rung):
+    """Make the solve take one rung: "eigvals" opens the eigvals rung's gate,
+    "geev" shuts it, and "qz" refuses the companion solve altogether."""
+    if rung == "qz":
+        monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
+    else:
+        monkeypatch.setattr(spectral, "_solves_from_p", lambda n, k: rung == "eigvals")
+
+
+@pytest.mark.parametrize("rung", ("eigvals", "geev", "qz"))
+def test_recover_computes_each_backward_error_once(tmp_path, monkeypatch, capsys, rung):
     # The post-solve step computes eta_P of the fitted vectors and of the
-    # block sums from one basis sequence after either solver, and
-    # recover_right and recover_left check those values.
+    # block sums from one basis sequence after the geev and QZ rungs; the
+    # eigvals rung computes eta_P of the solved vectors of both sides from
+    # the sequence its solves are built on, and the post-solve step reuses
+    # them.  recover_right and recover_left check those values.  No
+    # P(lam_j) of this P (or P^T) is exactly singular: the guard for one
+    # evaluates the basis once more, at the moved shifts.
+    rng = np.random.default_rng(1)
     P = random_problem(rng, 6, 5, "legendre")
     path = _write_problem(tmp_path, P, "p")
     argvs = [["recover", "-p", path]]
@@ -274,8 +288,7 @@ def test_recover_computes_each_backward_error_once(tmp_path, rng, monkeypatch, c
             calls["_phi_sequence"] += 1
             return phi_sequence(*args)
 
-        if solve == "qz":
-            monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
+        _force_rung(monkeypatch, rung)
         _counting(monkeypatch, "_eta", calls)
         for module in (basis, matpoly):
             monkeypatch.setattr(module, "_phi_sequence", counted)
@@ -285,12 +298,15 @@ def test_recover_computes_each_backward_error_once(tmp_path, rng, monkeypatch, c
         assert calls == {"_eta": 2, "_phi_sequence": 1}, argv
 
 
-@pytest.mark.parametrize("solve", ("certified", "qz"))
-def test_certified_recover_does_the_work_once(tmp_path, rng, monkeypatch, capsys, solve):
-    # a recover on the anchor, an M1 and an M2 pencil fits the
-    # Kronecker-structured side once, computes eta_P once per side and
-    # evaluates the basis once, all in the post-solve step, whether geev's
-    # result is certified or QZ solves the anchor
+@pytest.mark.parametrize("rung", ("eigvals", "geev", "qz"))
+def test_certified_recover_does_the_work_once(tmp_path, monkeypatch, capsys, rung):
+    # a recover on the anchor, an M1 and an M2 pencil computes eta_P once
+    # per side and evaluates the basis once, whichever rung solves it.  The
+    # geev and QZ rungs fit the Kronecker-structured side once, in the
+    # post-solve step; on the eigvals rung that side is the solved vectors
+    # of P themselves, so nothing is fitted and no mismatch is recorded.
+    # No P(lam_j) of this P (or P^T) is exactly singular (see above).
+    rng = np.random.default_rng(1)
     P = random_problem(rng, 6, 5, "chebyshev1")
     path = _write_problem(tmp_path, P, "p")
     argvs = [["recover", "-p", path]]
@@ -299,8 +315,9 @@ def test_certified_recover_does_the_work_once(tmp_path, rng, monkeypatch, capsys
               for side in ("M1", "M2")]
     for argv in argvs:
         calls = {"_kron_fit": 0, "_eta": 0, "phi_vector": 0, "_companion_solve": 0}
-        sides = []
-        inner_eta, inner_solve = spectral._eta, spectral._companion_solve
+        sides, records = [], []
+        inner_eta, inner_solve, inner_record = spectral._eta, spectral._companion_solve, \
+            spectral.Eigentriples
         for name in ("_kron_fit", "phi_vector"):
             _counting(monkeypatch, name, calls)
 
@@ -311,19 +328,128 @@ def test_certified_recover_does_the_work_once(tmp_path, rng, monkeypatch, capsys
 
         def spy(*args):
             calls["_companion_solve"] += 1
-            if solve == "qz":
+            if rung == "qz":
                 return None
             out = inner_solve(*args)
             assert out is not None, argv  # certified
             return out
 
+        def record(*args):
+            records.append(inner_record(*args))
+            return records[-1]
+
+        monkeypatch.setattr(spectral, "_solves_from_p", lambda n, k: rung == "eigvals")
         monkeypatch.setattr(spectral, "_eta", eta)
         monkeypatch.setattr(spectral, "_companion_solve", spy)
+        monkeypatch.setattr(spectral, "Eigentriples", record)
         assert cli.run(argv) == 0, argv
         monkeypatch.undo()
         assert "eigenvectors" in json.loads(capsys.readouterr().out)
-        assert calls == {"_kron_fit": 1, "_eta": 2, "phi_vector": 1, "_companion_solve": 1}, argv
+        fits = 0 if rung == "eigvals" else 1
+        assert calls == {"_kron_fit": fits, "_eta": 2, "phi_vector": 1,
+                         "_companion_solve": 1}, argv
         assert sorted(sides) == ["left", "right"], argv
+        # the fitted side is P's right one for the anchor and M1, its left one for M2
+        (spectrum,) = records
+        fitted = spectrum.p_left if "M2.factor.json" in argv[-1] else spectrum.p_right
+        assert (fitted.mismatch is None) == (rung == "eigvals"), argv
+        assert spectrum.p_left.mismatch is None or spectrum.p_right.mismatch is None
+
+
+def test_exactly_singular_p_stays_on_the_eigvals_rung(monkeypatch):
+    # at a real eigenvalue of this P the LU of P(lam_j) has an exactly zero
+    # pivot, so the batched solve raises; the rung solves that column at a
+    # shift moved by a few ulps and still reports geev's eigenvalue, and
+    # neither the vector geev nor QZ runs
+    P = cli._random_problem("6,8,13", "chebyshev1")
+    for left in (False, True):
+        calls = _spy_eig(monkeypatch)
+        evaluated, found = [], []
+        inner_evaluate, inner_eigvals = spectral._evaluate_at, np.linalg.eigvals
+        monkeypatch.setattr(spectral, "_evaluate_at",
+                            lambda P, phi: evaluated.append(phi.shape[1]) or inner_evaluate(P, phi))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda A: found.append(inner_eigvals(A)) or found[-1])
+        triples = pencil_eigen(P, left=left)
+        monkeypatch.undo()
+        assert calls == [], left
+        # P at every kept eigenvalue, then again at the moved shifts only
+        assert len(evaluated) == 2 and 0 < evaluated[1] < evaluated[0], left
+        (w,) = found
+        lams = spectral._companion_eigenvalues(w)
+        assert np.array_equal(triples.eigenvalues, lams[spectral._order(lams)]), left
+        assert spectral._certified(triples), left
+
+
+def test_a_column_missing_the_certificate_is_solved_again(monkeypatch):
+    # one inverse-iteration step leaves eta_P of a few columns of this P
+    # above 10 kn eps (measured at one BLAS thread: two right vectors and
+    # one left one); those columns alone are solved again from P(lam)^-1,
+    # and the rung keeps the solve
+    P = cli._random_problem("10,12,2", "monomial")
+    calls = _spy_eig(monkeypatch)
+    sizes, inner = [], spectral._eta
+    monkeypatch.setattr(spectral, "_eta",
+                        lambda P, phi, scale, U, side: sizes.append(U.shape[1])
+                        or inner(P, phi, scale, U, side))
+    triples = pencil_eigen(P, left=True)
+    monkeypatch.undo()
+    assert calls == []
+    # eta_P of each side at the kept eigenvalues, then again for the few redone
+    assert len(sizes) > 2 and sizes[0] == sizes[1] and max(sizes[2:]) < sizes[0] // 10
+    assert spectral._certified(triples)
+
+
+@pytest.mark.parametrize("kind", ("monomial", "chebyshev1", "chebyshev2", "legendre"))
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_multiple_eigenvalues_take_the_vector_geev(tmp_path, monkeypatch, capsys, kind, k):
+    # x^k I_2 and phi_k(x) I_2: every eigenvalue is at least double, and one
+    # solve by P(lam) would give one x for both of a pair where geev gives
+    # independent vectors.  With the gate forced open, the eigvals rung
+    # declines before any solve, and eig and recover print what they print
+    # with the gate shut, which is the parent's geev or QZ output
+    P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis(kind))
+    path = _write_problem(tmp_path, P, "p")
+    for cmd in ("eig", "recover"):
+        outputs = []
+        for rung in ("eigvals", "geev"):
+            solved = []
+            inner = spectral._null_vectors
+            _force_rung(monkeypatch, rung)
+            monkeypatch.setattr(spectral, "_null_vectors", lambda *a: solved.append(a) or inner(*a))
+            outputs.append((cli.run([cmd, "-p", path]), *capsys.readouterr()))
+            monkeypatch.undo()
+            assert solved == [], (cmd, rung)
+        assert outputs[0] == outputs[1], cmd
+
+
+def test_m2_solve_with_real_left_vectors(monkeypatch):
+    # every eigenvalue of this P is real, so scipy's geev returns real left
+    # vectors; their map to the M2 pencil's right vectors is real too, and
+    # the residuals, at complex eigenvalues, used to raise UFuncTypeError
+    # (a recover exit 2) instead of coming out complex
+    rng = np.random.default_rng(0)
+    P = random_problem(rng, 2, 3, "custom")
+    f = AnsatzFactor(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, (6, 4)), "M2")
+    calls = _spy_eig(monkeypatch)
+    triples = pencil_eigen(P, f, left=True)
+    monkeypatch.undo()
+    assert len(calls) == 1 and calls[0][1] is None  # the vector geev
+    assert np.all(triples.eigenvalues.imag == 0.0)
+    assert spectral._certified(triples)
+
+
+@pytest.mark.parametrize("rung", ("eigvals", "geev"))
+def test_m2_residuals_are_as_small_as_the_anchors(monkeypatch, rung):
+    # The M2 map takes S^-1 z by an LU solve on the row-scaled S.  Formed
+    # with S's explicit inverse, the largest eta_L of this M2 factor was 76
+    # times the anchor route's on the same P (2.9 against 0.038 kn eps),
+    # an error that grows with cond(S)
+    P = cli._random_problem("10,18,5", "chebyshev1")
+    f, _ = build_dm_pencil(P, np.random.default_rng(5).uniform(-1.0, 1.0, P.k))
+    _force_rung(monkeypatch, rung)
+    anchor = pencil_eigen(P, left=False).residual.max()
+    m2 = pencil_eigen(P, AnsatzFactor(f.v, f.B, "M2"), left=False).residual.max()
+    assert m2 <= 4 * anchor
 
 
 def _block_symmetric(P, side, rng):

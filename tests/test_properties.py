@@ -1,16 +1,20 @@
 """Property tests over basis kind x pencil side x size, up to kn = 240.
 
 Every pencil is solved as the CLI solves it, by pencil_eigen(P, factor)
-through the anchor of P.  The right vectors of an M1/M2 solve are also
-checked on the pencil make_m1/make_m2 builds from (P, factor), with a dense
-residual, so the pencil the solve forms is the one users build.
+through the anchor of P, on whichever rung serves it: the eigvals rung
+(eigenvectors from P at geev's eigenvalues), geev with vectors, or QZ.  The
+right vectors of an M1/M2 solve are also checked on the pencil
+make_m1/make_m2 builds from (P, factor), with a dense residual, so the
+pencil the solve forms is the one users build.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from orthopencil import AnsatzFactor, make_m1, make_m2, pencil_eigen
+from orthopencil import AnsatzFactor, anchor_pencil, make_m1, make_m2, pencil_eigen, spectral
 from conftest import ALL_KINDS, random_problem
 
 EPS = np.finfo(float).eps
@@ -42,16 +46,56 @@ def _dense_residuals(L, triples):
     return np.array(out)
 
 
+def _condition(L, triples):
+    """The absolute condition number (||X|| |lam| + ||Y||) ||z|| ||u|| / |z^T X u|
+    of every eigenvalue of the pencil L, from the two-sided unit vectors."""
+    lams = triples.eigenvalues
+    pairing = np.abs(np.einsum("im,im->m", triples.left, L.X @ triples.right))
+    return (np.linalg.norm(L.X) * np.abs(lams) + np.linalg.norm(L.Y)) / pairing
+
+
 @given(kind=st.sampled_from(ALL_KINDS), side=st.sampled_from(("anchor", "M1", "M2")),
        shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
 @example(kind="monomial", side="M2", shape=(40, 6), seed=1)
+@example(kind="legendre", side="M2", shape=(10, 12), seed=2)
+@example(kind="newton", side="M1", shape=(25, 8), seed=4)
+@example(kind="custom", side="anchor", shape=(10, 12), seed=5)
 def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
     n, k = shape
     P, f = _problem(np.random.default_rng(seed), kind, side, n, k)
-    triples = pencil_eigen(P, f, left=False)  # raises SingularPencilError on a false verdict
+    bound = 10 * k * n * EPS
+    served, inner = [], spectral._companion_solve
+
+    def spy(*args):
+        served.append(inner(*args))
+        return served[-1]
+
+    # raises SingularPencilError on a false verdict
+    with mock.patch.object(spectral, "_companion_solve", spy):
+        triples = pencil_eigen(P, f, left=False)
+        both = pencil_eigen(P, f, left=True)
     assert triples.eigenvalues.size == k * n
-    assert triples.residual.max() <= 100 * k * n * EPS
+    # with and without left vectors the same rung gives the same eigenvalues, bit for bit
+    assert triples.eigenvalues.tobytes() == both.eigenvalues.tobytes()
+    # a certified rung meets eta_L, eta_P <= 10 kn eps in every column, and
+    # QZ, which no certificate guards, still has small residuals
+    certified = [out is not None for out in served]
+    assert certified[0] == certified[1]
+    for record in (triples, both):
+        etas = [record.residual] + [p.eta for p in (record.p_right, record.p_left) if p is not None]
+        assert max(e.max() for e in etas) <= (bound if certified[0] else 10 * bound)
     if f is not None:
         # the pencil solved is the one users build from (P, f)
         L = make_m1(P, f) if side == "M1" else make_m2(P, f)
         assert _dense_residuals(L, triples).max() <= 100 * k * n * EPS
+    else:
+        L = anchor_pencil(P)
+    # the eigenvalues agree with the vector geev's to within twice the
+    # certified backward error times each eigenvalue's condition number
+    with mock.patch.object(spectral, "_solves_from_p", lambda n, k: False):
+        geev = pencil_eigen(P, f, left=True)
+    kappa = _condition(L, geev)
+    dist = np.abs(both.eigenvalues[:, None] - geev.eigenvalues[None, :])
+    nearest = dist.argmin(axis=1)
+    assert np.all(dist.min(axis=1) <= 2 * bound * kappa[nearest])
+    assert np.all(dist.min(axis=0) <= 2 * bound * kappa)
