@@ -424,9 +424,9 @@ def test_multiple_eigenvalues_take_the_vector_geev(tmp_path, monkeypatch, capsys
 
 def test_m2_solve_with_real_left_vectors(monkeypatch):
     # every eigenvalue of this P is real, so scipy's geev returns real left
-    # vectors; their map to the M2 pencil's right vectors is real too, and
-    # the residuals, at complex eigenvalues, used to raise UFuncTypeError
-    # (a recover exit 2) instead of coming out complex
+    # vectors, and their map to the M2 pencil's right vectors is real too:
+    # the residual step must make them complex before it multiplies them by
+    # the eigenvalues in place, or it raises UFuncTypeError (recover exit 2)
     rng = np.random.default_rng(0)
     P = random_problem(rng, 2, 3, "custom")
     f = AnsatzFactor(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, (6, 4)), "M2")
@@ -440,10 +440,10 @@ def test_m2_solve_with_real_left_vectors(monkeypatch):
 
 @pytest.mark.parametrize("rung", ("eigvals", "geev"))
 def test_m2_residuals_are_as_small_as_the_anchors(monkeypatch, rung):
-    # The M2 map takes S^-1 z by an LU solve on the row-scaled S.  Formed
-    # with S's explicit inverse, the largest eta_L of this M2 factor was 76
-    # times the anchor route's on the same P (2.9 against 0.038 kn eps),
-    # an error that grows with cond(S)
+    # The M2 map takes S^-1 z by an LU solve on the row-scaled S.  With S's
+    # explicit inverse the largest eta_L of this M2 factor is 76 times the
+    # anchor route's on the same P (2.9 against 0.038 kn eps on the geev
+    # rung), an error that grows with cond(S)
     P = cli._random_problem("10,18,5", "chebyshev1")
     f, _ = build_dm_pencil(P, np.random.default_rng(5).uniform(-1.0, 1.0, P.k))
     _force_rung(monkeypatch, rung)
