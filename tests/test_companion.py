@@ -1,11 +1,14 @@
-"""qz_solve's two solvers: the companion-form geev and QZ on the anchor.
+"""qz_solve's three rungs: eigvals with eigenvectors from P, geev with
+vectors, both on the anchor's companion matrix, and QZ on the anchor.
 
 pencil_eigen(P, factor) solves P's anchor pencil, or the M1 or M2 pencil of
 P and the factor, through P's anchor, on one route built per call
-(``spectral._route``).  When P_k is well conditioned geev solves the
-anchor's companion matrix, and its result is kept only under the eta_L and
-eta_P certificate; otherwise QZ solves the anchor itself.  Tests that call
-a solver directly pass it the route of (P, factor).  The references here are
+(``spectral._route``).  When P_k is well conditioned the companion matrix is
+solved, by the eigvals rung where its gate on (n, k) opens and otherwise,
+or when that rung is refused, by geev with vectors; either result is kept
+only under the eta_L and eta_P certificate, and else QZ solves the anchor
+itself.  ``_force_rung`` makes a test take one rung.  Tests that call a
+solver directly pass it the route of (P, factor).  The references here are
 sigma_min(P(lam)) / sum_i |phi_i(lam)| ||P_i||_F from an SVD of the
 evaluated polynomial, residuals of recovered vectors from the evaluated
 polynomial, and QZ on the pencil's own matrices (``spectra.qz_on_pencil``);
