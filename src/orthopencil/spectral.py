@@ -159,9 +159,7 @@ _CERTIFIED_ETA = 10.0
 _INF_TOL = 1e-8
 # Seed of the points at which pencil_eigen tests regularity.
 _REGULARITY_SEED = 90210
-# The eigvals rung is tried when (kn)^3 > _GATE_FIXED + _GATE_SOLVES * k n^4
-# (_solves_from_p): never for kn <= 40, and for larger kn where k^2 / n is
-# above about 2.5.
+# The gate of the eigvals rung (_solves_from_p).
 _GATE_FIXED = 40.0 ** 3
 _GATE_SOLVES = 2.5
 # Seed of the eigvals rung's right-hand side (_rhs).
@@ -419,25 +417,15 @@ def _solves_from_p(n, k):
 
 
 def _eigvals_solve(route, A, left):
-    """The eigvals rung: the anchor's eigenvalues from geev without vectors
-    on the companion matrix A, and each eigenvector from P at it, or None
-    when the rung is refused.
-
-    Every right eigenvector of the anchor (of any M1 pencil) is
-    phi(lam) kron x with P(lam) x = 0, so x costs one n x n solve: P(lam_j)
-    at all m = kn eigenvalues is one real GEMM of phi against the stacked
-    coefficients, and one batched solve P(lam_j) x_j = b with a fixed b
-    (_rhs) gives every x_j, one inverse-iteration step from the eigenvalue.
-    With left vectors a second batched solve, on P(lam_j)^T, gives the left
-    eigenvectors y_j of P, and _anchor_left the anchor's.  A column whose
-    eta_P misses the certificate is solved again from the largest column
-    (for y the largest row) of P(lam_j)^-1.  The rung is refused when an
+    """The eigvals rung (module docstring): the anchor's eigenvalues from
+    geev without vectors on the companion matrix A, which is left as it
+    is, and the eigenvectors from P at them, or None when the rung is
+    refused.  x_j and y_j are one inverse-iteration step from the
+    eigenvalue (_null_vectors), and a column whose eta_P misses the
+    certificate is solved again (_repair).  The rung is refused when an
     eigenvalue is not finite or is classed infinite, when two agree to
-    within sqrt(eps) relative (_has_close_pair: one x would serve both),
-    or when a repaired column or eta_L still misses the certificate.  An
-    exactly singular P(lam_j), which the LU cannot solve, is solved at
-    shifts moved by a few ulps; lam_j is reported as it is.  A is left as
-    it is."""
+    within sqrt(eps) relative (_has_close_pair), or when a repaired column
+    or eta_L still misses the certificate."""
     P, F = route.P, route.F
     n, k = P.n, P.k
     try:
