@@ -425,6 +425,23 @@ def test_multiple_eigenvalues_take_the_vector_geev(tmp_path, monkeypatch, capsys
         assert outputs[0] == outputs[1], cmd
 
 
+@pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
+def test_eig_and_recover_print_the_same_spectrum_on_the_eigvals_rung(tmp_path, side):
+    # the gate reads (n, k) alone, so both commands take the eigvals rung,
+    # and the pencil's right vectors do not depend on the left solve: the
+    # eigenvalues and the residuals are the same to the last bit
+    rng = np.random.default_rng(3)
+    P = random_problem(rng, 8, 14, "chebyshev2")
+    assert spectral._solves_from_p(P.n, P.k)
+    argv, _ = _recover_argv(tmp_path, P, side, rng)
+    reports = []
+    for cmd in ("eig", "recover"):
+        rc, out = _run([cmd, *argv[1:]])
+        assert rc == 0
+        reports.append(json.loads(out)["finite"])
+    assert reports[0] == reports[1]
+
+
 def test_m2_solve_with_real_left_vectors(monkeypatch):
     # every eigenvalue of this P is real, so scipy's geev returns real left
     # vectors, and their map to the M2 pencil's right vectors is real too:
