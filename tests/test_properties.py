@@ -60,28 +60,39 @@ def _condition(L, triples):
 @example(kind="legendre", side="M2", shape=(10, 12), seed=2)
 @example(kind="newton", side="M1", shape=(25, 8), seed=4)
 @example(kind="custom", side="anchor", shape=(10, 12), seed=5)
+@example(kind="monomial", side="anchor", shape=(40, 6), seed=0)
 def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
     n, k = shape
     P, f = _problem(np.random.default_rng(seed), kind, side, n, k)
     bound = 10 * k * n * EPS
-    served, inner = [], spectral._companion_solve
+    served, geev_ran = [], []
+    inner, geev = spectral._companion_solve, spectral._geev
 
     def spy(*args):
+        geev_ran.append(False)
         served.append(inner(*args))
         return served[-1]
 
+    def spy_geev(*args):
+        geev_ran[-1] = True
+        return geev(*args)
+
     # raises SingularPencilError on a false verdict
-    with mock.patch.object(spectral, "_companion_solve", spy):
+    with mock.patch.object(spectral, "_companion_solve", spy), \
+            mock.patch.object(spectral, "_geev", spy_geev):
         triples = pencil_eigen(P, f, left=False)
         both = pencil_eigen(P, f, left=True)
     assert triples.eigenvalues.size == k * n
     certified = [out is not None for out in served]
-    if certified[0] == certified[1]:
-        # with and without left vectors the same rung gives the same eigenvalues, bit for bit
-        assert triples.eigenvalues.tobytes() == both.eigenvalues.tobytes()
-    else:
+    if certified[0] != certified[1]:
         # only eta_P of the left side can refuse a solve that passes without it
         assert certified == [True, False]
+    elif not (certified[0] and all(geev_ran) and side != "M2"):
+        # with and without left vectors the same rung gives the same eigenvalues,
+        # bit for bit, except where the vector geev serves both and the solve
+        # without left vectors is numpy's geev: numpy's and scipy's LAPACK
+        # builds then differ in the last bits from kn of about 150 on
+        assert triples.eigenvalues.tobytes() == both.eigenvalues.tobytes()
     # a certified rung meets eta_L, eta_P <= 10 kn eps in every column, and
     # QZ, which no certificate guards, still has small residuals
     for record, kept in zip((triples, both), certified):
@@ -98,7 +109,8 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
     with mock.patch.object(spectral, "_solves_from_p", lambda n, k: False):
         geev = pencil_eigen(P, f, left=True)
     kappa = _condition(L, geev)
-    dist = np.abs(both.eigenvalues[:, None] - geev.eigenvalues[None, :])
-    nearest = dist.argmin(axis=1)
-    assert np.all(dist.min(axis=1) <= 2 * bound * kappa[nearest])
-    assert np.all(dist.min(axis=0) <= 2 * bound * kappa)
+    for record in (triples, both):
+        dist = np.abs(record.eigenvalues[:, None] - geev.eigenvalues[None, :])
+        nearest = dist.argmin(axis=1)
+        assert np.all(dist.min(axis=1) <= 2 * bound * kappa[nearest])
+        assert np.all(dist.min(axis=0) <= 2 * bound * kappa)
