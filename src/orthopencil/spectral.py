@@ -41,6 +41,11 @@ whose first block row is one GEMM by the n x n row-scaled inverse of c*P_k:
   and one batched solve per side gives the right vectors x_j and the left
   ones y_j of P (one of each conjugate pair, the other by conjugation).
   The anchor's left eigenvectors are built from the y_j (``_anchor_left``).
+  Its right ones stay P-sized until they are written: the residual of
+  phi kron x is [P(lam) x; delta kron x], delta the recurrence residuals
+  of the computed phi, and ||phi kron x|| = ||phi|| ||x||, so eta_L of the
+  anchor and of M1 comes from P(lam) x, which eta_P's GEMM already forms
+  (``_residuals_from_p``), and the unit vectors are written once, sorted.
   Two guards send a problem on: two eigenvalues that agree to sqrt(eps)
   relative go to geev, which gives independent vectors where one solve
   would repeat one x; and an exactly singular P(lam_j) is solved at a shift
@@ -66,7 +71,8 @@ which maps F's eigenvectors to L's, which have the anchor's eigenvalues:
 F's right eigenvectors and left eigenvectors T^-T z for F's left ones z
 (M1), and G's right eigenvectors as left ones and S^-1 z, an LU solve on
 the row-scaled S, for G's left ones z as right ones (M2).  Residuals are
-read off the anchor's structure and one GEMM by the multiplier.
+read off the anchor's structure and one GEMM by the multiplier, on the
+eigvals rung off P-sized data for the anchor and M1.
 
 The same step reads the eigenvectors of P off the sorted record, on the
 route's polynomial (P, or P^T for M2, so that one set of formulas serves
@@ -161,7 +167,7 @@ _INF_TOL = 1e-8
 _REGULARITY_SEED = 90210
 # The gate of the eigvals rung (_solves_from_p).
 _GATE_FIXED = 40.0 ** 3
-_GATE_SOLVES = 2.5
+_GATE_SOLVES = 0.45
 # Seed of the eigvals rung's right-hand side (_rhs).
 _RHS_SEED = 20161
 # ulps of max(|lam|, 1) by which the eigvals rung moves its shifts when a
@@ -295,29 +301,35 @@ def _through_anchor(route, lams, R, Z, left, known=None):
     arrays), and P's eigenvectors read off the sorted columns (_of_p).  The
     vectors are normalized in place, R and Z included.
 
-    ``known`` is (U, eta_U, eta_sums) from the eigvals rung, in solver
-    order: the right eigenvectors U of the route's polynomial, whose
-    Kronecker products with phi are R, and the eta_P of U and of the first
-    blocks of Z.  Then U itself is the fitted side, with no fit and no
-    mismatch, and nothing of _of_p is computed again."""
+    ``known`` (_FromP) comes from the eigvals rung, with R None: the vectors
+    x of the route's polynomial that F's right eigenvectors phi kron x are
+    made of, and the eta_P of x and of the first blocks of Z.  Then x itself
+    is P's structured side, with no fit and no mismatch, and nothing of
+    _of_p is computed again.  F's right eigenvectors are written once, unit
+    and sorted (_unit_kron), and for the anchor and M1 their residuals come
+    from P(lam) x and the recurrence residuals of phi (_residuals_from_p)."""
     n = route.P.n
     right, left_vecs = R, Z
     if route.side == "M2":
         right, left_vecs = _solve_scaled(route.multiplier, route.scaled[1][1], Z), R
     elif left and route.side == "M1":
         left_vecs = _solve(route.scaled[1], Z, transpose=True)
-    right_norms = np.linalg.norm(right, axis=0)
+    right_norms = None if right is None else np.linalg.norm(right, axis=0)
     left_norms = None if left_vecs is None else np.linalg.norm(left_vecs, axis=0)
     sums = None
     if route.side == "M2":
         sums = Z[:n] / right_norms
     elif left:
         sums = Z[:n] / left_norms
-    residual = _structured_residuals(route, lams, right, right_norms)
+    if right is None:
+        residual = _residuals_from_p(route, lams, known)
+    else:
+        residual = _structured_residuals(route, lams, right, right_norms)
     order = _order(lams)
     lams = lams[order]
-    right /= right_norms
-    right = np.take(right, order, axis=1)
+    if right is not None:
+        right /= right_norms
+        right = np.take(right, order, axis=1)
     if left_vecs is not None:
         left_vecs /= left_norms
         left_vecs = np.take(left_vecs, order, axis=1)
@@ -327,15 +339,72 @@ def _through_anchor(route, lams, R, Z, left, known=None):
         # on P^T (M2) the fit gives P's left eigenvectors and the sums its right ones
         fitted, summed = _of_p(route.P, lams, left_vecs if route.side == "M2" else right, sums)
     else:
-        U, eta_u, eta_sums = known
         fitted = summed = None
-        if U is not None:
-            fitted = _OfP(np.take(U / np.linalg.norm(U, axis=0), order, axis=1), eta_u[order],
-                          None)
+        if known.x is not None:
+            unit = np.take(known.x / np.linalg.norm(known.x, axis=0), order, axis=1)
+            fitted = _OfP(unit, known.eta_x[order], None)
+            if route.side == "M2":
+                left_vecs = _unit_kron(known.phi, unit, order)
+            else:
+                right = _unit_kron(known.phi, unit, order)
         if sums is not None:
-            summed = _OfP(sums + 0.0, eta_sums[order], None)
+            summed = _OfP(sums + 0.0, known.eta_y[order], None)
     p_right, p_left = (summed, fitted) if route.side == "M2" else (fitted, summed)
     return Eigentriples(lams, right, left_vecs, residual[order], p_right, p_left)
+
+
+class _FromP(NamedTuple):
+    """What the eigvals rung solved, at every eigenvalue in solver order:
+    ``phi``, phi_vector(basis, k + 1) there (phi_k first); the right
+    vectors ``x`` of the route's polynomial (n x m, None when not solved),
+    their residuals ``px`` = P(lam) x, their eta_P ``eta_x`` and its scales
+    sum_i |phi_i| ||P_i||_F; and ``eta_y``, the eta_P of the first blocks of
+    the anchor's left eigenvectors (None when not solved)."""
+
+    phi: np.ndarray
+    x: np.ndarray | None
+    px: np.ndarray | None
+    eta_x: np.ndarray | None
+    scale: np.ndarray
+    eta_y: np.ndarray | None
+
+
+def _unit_kron(phi, unit, order):
+    """The unit vectors (Phi / ||Phi||) kron u, Phi = phi[1:] taken in
+    ``order`` and u the columns of ``unit``, which are in that order
+    already: the anchor's right eigenvectors, kn x m and C-contiguous."""
+    Phi = np.take(phi[1:], order, axis=1)
+    Phi /= np.linalg.norm(Phi, axis=0)
+    (k, m), n = Phi.shape, unit.shape[0]
+    return np.multiply(Phi[:, None, :], unit).reshape(k * n, m)
+
+
+def _residuals_from_p(route, lams, known):
+    """eta_L of the right eigenvectors phi kron x of the anchor or of an M1
+    pencil, from P-sized data (``known``, a _FromP): F(lam) (Phi kron x) is
+    [P(lam) x; delta kron x], where delta = M(lam) Phi are the k - 1
+    recurrence residuals of the computed Phi = phi[1:] (M = Xs*lam + Ys,
+    with Xs = [0, I]), and ||Phi kron x|| = ||Phi|| ||x||.  For the anchor
+    ||P(lam) x|| / ||x|| is eta_P times its scale, so no n-vector is read
+    again; for M1 the residual is one real GEMM by T, at one eigenvalue of
+    each conjugate pair (_conjugates): T is real, so the other column, the
+    conjugate, has the same residual."""
+    F = route.F
+    n = F.n
+    Phi = known.phi[1:]
+    delta = Phi[1:] * lams + F.Y[n::n, ::n] @ Phi
+    nx, ny = np.linalg.norm(route.L.X), np.linalg.norm(route.L.Y)
+    scales = np.maximum(nx * np.abs(lams) + ny, 1e-300) * np.linalg.norm(Phi, axis=0)
+    if route.side == "anchor":
+        return np.hypot(known.eta_x * known.scale, np.linalg.norm(delta, axis=0)) / scales
+    keep, lower = _conjugates(lams)
+    x, m = known.x[:, keep], np.count_nonzero(keep)
+    W = np.empty((F.k * n, m), dtype=complex)
+    W[:n] = known.px[:, keep]
+    W[n:] = (delta[:, None, keep] * x).reshape(-1, m)
+    residual = (np.linalg.norm(_real_matmul(route.multiplier, W), axis=0)
+                / (scales[keep] * np.linalg.norm(x, axis=0)))
+    return _conjugated(residual, keep, lower)
 
 
 def _companion_solve(route, left=False):
@@ -404,15 +473,36 @@ def _companion_eigenvalues(w):
 
 
 def _solves_from_p(n, k):
-    """The gate of the eigvals rung, one comparison on (n, k): geev's
-    eigenvector stage, about (kn)^3, must cost more than the n x n solves at
-    all kn eigenvalues, about k n^4, and a fixed cost.  Measured on the
-    anchor's companion solve at one BLAS thread (interleaved, the least of
-    7 to 25 calls, four bases): the rung took 0.6 to 0.85 of the time of
-    geev with vectors for n <= 16 and 48 <= kn <= 240, about 0.9 at (20, 8),
-    (18, 10) and (20, 10), 0.95 to 1.0 at (24, 7) and (22, 7), and 1.0 to
-    1.07 at (28, 6) and (40, 6); at the small end it lost up to kn = 24 and
-    broke even at kn = 30.  So it is tried where k^2 / n > 2.5 and kn > 40."""
+    """The gate of the eigvals rung, one comparison on (n, k) that ignores
+    ``left``, so that eig and recover of one problem take the same rung:
+    geev's eigenvector stage, about (kn)^3, must cost more than the n x n
+    solves at about half the kn eigenvalues (one of each conjugate pair),
+    about k n^4, and a fixed cost.  Measured on the anchor's companion solve
+    of --random n,k,1 problems at one BLAS thread (interleaved, the least of
+    9 to 15 calls each), the rung's time over that of geev with vectors,
+    over the four random bases, without and with left vectors:
+
+    ======== ===== =========== ===========
+    (n, k)   kn    no left     left
+    ======== ===== =========== ===========
+    (3, 8)   24    1.02 - 1.27 1.05 - 1.30
+    (5, 6)   30    0.94 - 0.95 0.97 - 1.03
+    (10, 4)  40    0.84 - 0.90 0.96 - 1.16
+    (6, 8)   48    0.75 - 0.80 0.80 - 0.89
+    (30, 4)  120   0.73 - 0.76 0.73 - 1.19
+    (24, 7)  168   0.85 - 0.86 0.85 - 0.90
+    (28, 6)  168   0.85 - 0.88 0.90 - 0.93
+    (40, 6)  240   0.86 - 0.89 0.91 - 0.96
+    (48, 5)  240   0.93 - 0.97 1.00 - 1.04
+    (40, 4)  160   0.94 - 0.99 1.07 - 1.13
+    (45, 4)  180   1.00 - 1.02 1.11 - 1.17
+    (50, 3)  150   1.09 - 1.12 1.28 - 1.32
+    (60, 3)  180   1.14 - 1.20 1.42 - 1.45
+    ======== ===== =========== ===========
+
+    So it is tried where kn > 40 and, for large kn, k^2 / n > 0.45: the
+    rung wins from (6, 8) to (40, 6) and breaks even at (48, 5), and geev
+    keeps (40, 4), (45, 4), (50, 3) and every kn <= 40."""
     return (k * n) ** 3 > _GATE_FIXED + _GATE_SOLVES * k * n ** 4
 
 
@@ -427,7 +517,7 @@ def _eigvals_solve(route, A, left):
     within sqrt(eps) relative (_has_close_pair), or when a repaired column
     or eta_L still misses the certificate."""
     P, F = route.P, route.F
-    n, k = P.n, P.k
+    k = P.k
     try:
         lams = _companion_eigenvalues(np.linalg.eigvals(A))
     except np.linalg.LinAlgError:
@@ -445,31 +535,33 @@ def _eigvals_solve(route, A, left):
         values, vectors = _null_vectors(P, kept, phi_kept, (want_right, want_left))
     except np.linalg.LinAlgError:
         return None
-    etas = [None if V is None else _eta(P, phi_kept, scale_kept, V, side)
-            for V, side in zip(vectors, _SIDES)]
-    if not _repair(P, phi_kept, scale_kept, values, vectors, etas):
+    checks = [None if V is None else _eta(P, phi_kept, scale_kept, V, side)
+              for V, side in zip(vectors, _SIDES)]
+    if not _repair(P, phi_kept, scale_kept, values, vectors, checks):
         return None
     X, Y = vectors
-    R = None if X is None else (phi_kept[1:, None, :] * X).reshape(k * n, -1)
     Z = None if Y is None else _anchor_left(F, kept, phi_kept, Y)
-    X, R, Z, *etas = (None if a is None else _conjugated(a, keep, lower)
-                      for a in (X, R, Z, *etas))
-    spectrum = _through_anchor(route, lams, R, Z, left, known=(X, *etas))
+    (eta_x, px), (eta_y, _) = (check or (None, None) for check in checks)
+    X, px, eta_x, Z, eta_y = (None if a is None else _conjugated(a, keep, lower)
+                              for a in (X, px, eta_x, Z, eta_y))
+    spectrum = _through_anchor(route, lams, None, Z, left,
+                               known=_FromP(phi, X, px, eta_x, scale, eta_y))
     return spectrum if _certified(spectrum) else None
 
 
 _SIDES = ("right", "left")
 
 
-def _repair(P, phi, scale, values, vectors, etas):
+def _repair(P, phi, scale, values, vectors, checks):
     """Solve again, in place, every column of ``vectors`` (right, left;
-    None for a side not solved) whose eta_P in ``etas`` misses the
-    certificate: x_j from the largest column of P(lam_j)^-1 and y_j from
-    its largest row, with ``values`` the P(lam_j) and ``phi`` and ``scale``
-    as _eta takes them.  False when a column still misses it or a P(lam_j)
-    has no inverse."""
+    None for a side not solved) whose eta_P in ``checks`` (_eta's (eta,
+    residuals) of each side) misses the certificate: x_j from the largest
+    column of P(lam_j)^-1 and y_j from its largest row, with ``values`` the
+    P(lam_j) and ``phi`` and ``scale`` as _eta takes them.  The checks of the
+    columns solved again are updated in place.  False when a column still
+    misses it or a P(lam_j) has no inverse."""
     bound = _certified_bound(P.k * P.n)
-    bad = [None if eta is None else ~(eta <= bound) for eta in etas]
+    bad = [None if check is None else ~(check[0] <= bound) for check in checks]
     redone = np.logical_or.reduce([b for b in bad if b is not None])
     if not redone.any():
         return True
@@ -477,7 +569,7 @@ def _repair(P, phi, scale, values, vectors, etas):
         inverse = np.linalg.inv(values[redone])
     except np.linalg.LinAlgError:
         return False
-    for axis, (V, eta, b) in enumerate(zip(vectors, etas, bad)):
+    for axis, (V, b) in enumerate(zip(vectors, bad)):
         if b is None or not b.any():
             continue
         # P^-1 is about x y^T / sigma_min: each column is a multiple of x
@@ -486,7 +578,8 @@ def _repair(P, phi, scale, values, vectors, etas):
         best = np.argmax(np.linalg.norm(inv, axis=1 + axis), axis=1)
         rows = np.arange(inv.shape[0])
         V[:, b] = (inv[rows, :, best] if axis == 0 else inv[rows, best, :]).T
-        eta[b] = _eta(P, phi[:, b], scale[b], V[:, b], _SIDES[axis])
+        eta, residuals = checks[axis]
+        eta[b], residuals[:, b] = _eta(P, phi[:, b], scale[b], V[:, b], _SIDES[axis])
         if not np.all(eta <= bound):
             return False
     return True
@@ -608,14 +701,16 @@ def _anchor_left(F, lams, phi, Y):
     substitution, which leaves out the last one, of weight phi_0 = 1, would
     scale the residual up by max |phi_i| where |lam| > 1.)"""
     n, k, m = F.n, F.k, Y.shape[1]
-    Xs, Ys = F.X[n::n, ::n], F.Y[n::n, ::n]
     G = _real_matmul(F.Y[:n].T, Y)  # (lam X_0i + Y_0i)^T y, block by block
     G[:n] += _real_matmul(F.X[:n, :n].T, Y) * lams
-    equations = Xs.T * lams[:, None, None] + Ys.T  # m x k x (k - 1): M^T
-    kept = np.arange(k) != np.argmax(np.abs(phi[1:]), axis=0)[:, None]
+    # the k - 1 rows kept of M^T = Xs^T lam + Ys^T, an m x (k - 1) x (k - 1)
+    # array: Xs = [0, I] puts lam one place left of the diagonal of M^T
+    kept = np.arange(k - 1) + (np.arange(k - 1) >= np.argmax(np.abs(phi[1:]), axis=0)[:, None])
+    equations = F.Y[n::n, ::n].T[kept].astype(complex)
+    j, i = np.nonzero(kept)
+    equations[j, i, kept[j, i] - 1] += lams[j]
     rhs = np.negative(G.reshape(k, n, m).transpose(2, 0, 1))
-    blocks = np.linalg.solve(equations[kept].reshape(m, k - 1, k - 1),
-                             rhs[kept].reshape(m, k - 1, n))
+    blocks = np.linalg.solve(equations, np.take_along_axis(rhs, kept[:, :, None], axis=1))
     Z = np.empty((k * n, m), dtype=complex)
     Z[:n] = Y
     Z[n:] = blocks.transpose(1, 2, 0).reshape((k - 1) * n, m)
@@ -745,7 +840,7 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     so ``eig`` and ``recover`` print the same eigenvalues.  On the eigvals
     rung the right vectors do not depend on ``left`` either: ``eig`` and
     ``recover --random 6,8,1`` both print a residual of
-    1.7842950814916124e-15 for the first eigenvalue.  On the geev rung the
+    1.7843552459841404e-15 for the first eigenvalue.  On the geev rung the
     residuals agree only to rounding: without left vectors numpy's geev
     finds the right ones alone, with them scipy's geev finds both sides,
     and the right vectors differ in the last bits, so ``eig --random
@@ -787,20 +882,22 @@ def backward_errors(P: MatrixPolynomial, lams, U, nullside: str = "right") -> np
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     phi = phi_vector(P.basis, P.k + 1, lams)
     return _eta(P, phi, P.evaluation_scale(lams, phi[::-1]), np.asarray(U, dtype=complex),
-                nullside)
+                nullside)[0]
 
 
 def _eta(P, phi, scale, U, nullside="right"):
-    """backward_errors from ``phi``, phi_vector(basis, k + 1) at the
-    eigenvalues (phi_k first), and the scales sum_i |phi_i| ||P_i||_F made
-    from it.  The GEMM reads phi kron U as real numbers, each complex column
-    as two real ones side by side, and its product as complex again."""
+    """(eta, R): backward_errors from ``phi``, phi_vector(basis, k + 1) at
+    the eigenvalues (phi_k first), and the scales sum_i |phi_i| ||P_i||_F
+    made from it, and the n x m residuals R themselves, the columns
+    P(lam_j) u_j (u_j^T P(lam_j) for "left").  The GEMM reads phi kron U as
+    real numbers, each complex column as two real ones side by side, and
+    its product as complex again."""
     n, m = U.shape
     coeffs = P.coeffs[::-1]
     stacked = np.hstack(coeffs) if nullside == "right" else np.vstack(coeffs).T
     kron = np.multiply(phi[:, None, :], U, order="C")  # U may be in any layout
     R = (stacked @ kron.view(float).reshape(phi.shape[0] * n, 2 * m)).view(complex)
-    return np.linalg.norm(R, axis=0) / (np.maximum(scale, 1e-300) * np.linalg.norm(U, axis=0))
+    return np.linalg.norm(R, axis=0) / (np.maximum(scale, 1e-300) * np.linalg.norm(U, axis=0)), R
 
 
 def _kron_fit(phi, blocks):
@@ -838,7 +935,7 @@ def _of_p(P, lams, W, sums=None):
     lead = reversal_monomial(P)[0] if infinite.any() else None
 
     def eta(V, nullside):
-        residual = _eta(P, phi, scale, V, nullside)
+        residual = _eta(P, phi, scale, V, nullside)[0]
         if lead is not None:
             R = (lead if nullside == "right" else lead.T) @ V[:, infinite]
             residual[infinite] = norm(R, axis=0) / (

@@ -425,6 +425,32 @@ def test_multiple_eigenvalues_take_the_vector_geev(tmp_path, monkeypatch, capsys
         assert outputs[0] == outputs[1], cmd
 
 
+# whether the eigvals rung serves --random n,k,1 (chebyshev1), the crossover
+# that _solves_from_p's table measures
+_GATE = {(3, 8): False, (5, 6): False, (10, 4): False, (6, 8): True, (30, 4): True,
+         (24, 7): True, (28, 6): True, (40, 6): True, (40, 4): False, (50, 3): False}
+
+
+@pytest.mark.parametrize("left", (False, True))
+@pytest.mark.parametrize("shape", list(_GATE))
+def test_the_gate_sends_each_shape_to_its_rung(monkeypatch, shape, left):
+    # the eigvals rung serves a shape where it beat geev with vectors, geev
+    # alone serves the others, and left vectors do not move the line
+    n, k = shape
+    P = cli._random_problem(f"{n},{k},1", "chebyshev1")
+    served, geev_calls = [], []
+    inner_rung, inner_geev = spectral._eigvals_solve, spectral._geev
+    monkeypatch.setattr(spectral, "_eigvals_solve",
+                        lambda *a: served.append(inner_rung(*a)) or served[-1])
+    monkeypatch.setattr(spectral, "_geev", lambda *a: geev_calls.append(a) or inner_geev(*a))
+    pencil_eigen(P, left=left)
+    monkeypatch.undo()
+    if _GATE[shape]:
+        assert len(served) == 1 and served[0] is not None and geev_calls == []
+    else:
+        assert served == [] and len(geev_calls) == 1
+
+
 @pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
 def test_eig_and_recover_print_the_same_spectrum_on_the_eigvals_rung(tmp_path, side):
     # the gate reads (n, k) alone, so both commands take the eigvals rung,
@@ -693,6 +719,34 @@ def test_structured_residuals_match_the_dense_pencil(rng, kind, side):
         else:
             dense = np.linalg.norm((L.X * lams[j] + L.Y) @ U[:, j]) / (
                 (nx * abs(lams[j]) + ny) * np.linalg.norm(U[:, j]))
+        assert abs(got[j] - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("kind", ("monomial", "newton", "degree_graded"))
+@pytest.mark.parametrize("side", ("anchor", "M1"))
+def test_residuals_from_p_match_the_dense_pencil(rng, kind, side):
+    # the eigvals rung's eta_L of phi kron x from P-sized data, at random
+    # points and vectors and with a Phi off the recurrence, so that both
+    # P(lam) x and the recurrence residuals are far above rounding; phi_k is
+    # the one the anchor's first block row implies from the rest of phi
+    P = random_problem(rng, 4, 6, kind)
+    f = None if side == "anchor" else _block_symmetric(P, side, rng)
+    L = anchor_pencil(P) if f is None else make_m1(P, f)
+    m = 7
+    lams = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    x = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
+    phi = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
+    a, s, lower = P.basis.step(6)
+    phi[0] = ((lams - s) * phi[1] + sum(c * phi[6 - d] for d, c in lower.items())) / a
+    scale = P.evaluation_scale(lams, phi[::-1])
+    eta, px = spectral._eta(P, phi, scale, x)
+    got = spectral._residuals_from_p(spectral._route(P, f), lams,
+                                     spectral._FromP(phi, x, px, eta, scale, None))
+    nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
+    for j in range(m):
+        u = np.kron(phi[1:, j], x[:, j])
+        dense = np.linalg.norm((L.X * lams[j] + L.Y) @ u) / (
+            (nx * abs(lams[j]) + ny) * np.linalg.norm(u))
         assert abs(got[j] - dense) <= 1e-12 * dense
 
 

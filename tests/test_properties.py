@@ -65,8 +65,8 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
     n, k = shape
     P, f = _problem(np.random.default_rng(seed), kind, side, n, k)
     bound = 10 * k * n * EPS
-    served, geev_ran = [], []
-    inner, geev = spectral._companion_solve, spectral._geev
+    served, geev_ran, on_rung = [], [], []
+    inner, geev, rung = spectral._companion_solve, spectral._geev, spectral._eigvals_solve
 
     def spy(*args):
         geev_ran.append(False)
@@ -77,11 +77,24 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
         geev_ran[-1] = True
         return geev(*args)
 
+    def spy_rung(*args):
+        out = rung(*args)
+        if out is not None:
+            on_rung.append(out)
+        return out
+
     # raises SingularPencilError on a false verdict
     with mock.patch.object(spectral, "_companion_solve", spy), \
-            mock.patch.object(spectral, "_geev", spy_geev):
+            mock.patch.object(spectral, "_geev", spy_geev), \
+            mock.patch.object(spectral, "_eigvals_solve", spy_rung):
         triples = pencil_eigen(P, f, left=False)
         both = pencil_eigen(P, f, left=True)
+    if not spectral._solves_from_p(n, k):
+        # the eigvals rung at this shape too, its gate forced open
+        with mock.patch.object(spectral, "_eigvals_solve", spy_rung), \
+                mock.patch.object(spectral, "_solves_from_p", lambda n, k: True):
+            pencil_eigen(P, f, left=False)
+            pencil_eigen(P, f, left=True)
     assert triples.eigenvalues.size == k * n
     certified = [out is not None for out in served]
     if certified[0] != certified[1]:
@@ -104,6 +117,10 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
         assert _dense_residuals(L, triples).max() <= 100 * k * n * EPS
     else:
         L = anchor_pencil(P)
+    # eta_L on the eigvals rung, read off P-sized data for the anchor and M1,
+    # is the dense residual of the stored unit vector up to rounding
+    for record in on_rung:
+        assert np.all(np.abs(record.residual - _dense_residuals(L, record)) <= k * n * EPS)
     # the eigenvalues agree with the vector geev's to within twice the
     # certified backward error times each eigenvalue's condition number
     with mock.patch.object(spectral, "_solves_from_p", lambda n, k: False):
