@@ -5,7 +5,9 @@ through the anchor of P, on whichever rung serves it: the eigvals rung
 (eigenvectors from P at geev's eigenvalues), geev with vectors, or QZ.  The
 right vectors of an M1/M2 solve are also checked on the pencil
 make_m1/make_m2 builds from (P, factor), with a dense residual, so the
-pencil the solve forms is the one users build.
+pencil the solve forms is the one users build; every residual the eigvals
+rung reports is that dense residual up to rounding, checked at every shape
+(the gate forced open where it is shut).
 """
 
 from unittest import mock
