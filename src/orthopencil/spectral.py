@@ -28,13 +28,13 @@ the numbers do not depend on the order the solver found them in.  Column j
 of every array belongs to eigenvalue j; the record has no per-eigenvalue
 view.
 
-Three rungs find F's eigentriples, each tried when the one before it is
-refused or not tried.  When the row-scaled rcond of c*P_k clears 10 * n *
-eps, the first two solve the companion (comrade, colleague) matrix -X^-1 Y,
-whose first block row is one GEMM by the n x n row-scaled inverse of c*P_k:
+Two rungs find F's eigentriples, the second tried when the first is
+refused or not tried:
 
-- the eigvals rung, tried where one comparison on (n, k) says it pays
-  (``_solves_from_p``): geev without vectors gives the eigenvalues, and P
+- the eigvals rung (``_companion_solve``), tried when the row-scaled rcond
+  of c*P_k clears 10 * n * eps: geev without vectors on the companion
+  (comrade, colleague) matrix -X^-1 Y, whose first block row is one GEMM by
+  the n x n row-scaled inverse of c*P_k, gives the eigenvalues, and P
   gives the eigenvectors.  Every right eigenvector of the anchor is
   phi(lam) kron x with P(lam) x = 0, the eigenvector result of the paper,
   so x is one n x n solve: P(lam_j) at all kn eigenvalues is one GEMM,
@@ -46,27 +46,24 @@ whose first block row is one GEMM by the n x n row-scaled inverse of c*P_k:
   of the computed phi, and ||phi kron x|| = ||phi|| ||x||, so eta_L of the
   anchor and of M1 comes from P(lam) x, which eta_P's GEMM already forms
   (``_residuals_from_p``), and the unit vectors are written once, sorted.
-  Two guards send a problem on: two eigenvalues that agree to sqrt(eps)
-  relative go to geev, which gives independent vectors where one solve
-  would repeat one x; and an exactly singular P(lam_j) is solved at a shift
-  a few ulps off, with lam_j reported as it is.
-- geev with vectors, whose eigenvectors are the anchor's.
+  Two eigenvalues that agree to sqrt(eps) relative send a problem to QZ,
+  which gives independent vectors where one solve would repeat one x; an
+  exactly singular P(lam_j) is solved at a shift a few ulps off, with
+  lam_j reported as it is.
 - QZ on F itself (G for M2), with scipy, which is backward stable for P
   (Lawrence, Van Barel and Van Dooren, SIMAX 37, 2016) and gives the
   infinite eigenvalues of a singular P_k.
 
-The first two are kept only under a certificate at every eigenvalue: eta_L,
-the residual that pencil_eigen reports, and the backward error eta_P of
-each eigenvector of P solved (see ``backward_errors``) are at most
+The eigvals rung is kept only under a certificate at every eigenvalue:
+eta_L, the residual that pencil_eigen reports, and the backward error eta_P
+of each eigenvector of P solved (see ``backward_errors``) are at most
 10 * kn * eps, and no eigenvalue is classed infinite.
 
-numpy.linalg serves every solve that needs neither left eigenvectors from
-geev nor QZ: the inverses, eigvals, the batched solves, and geev for right
-vectors alone.  scipy.linalg is imported only by geev with left vectors
-(``_geev``) and QZ (``_qz``), so ``eig`` on an anchor or M1 pencil never
-loads it, and neither does ``recover`` on the eigvals rung.
+numpy.linalg serves every solve but QZ: the inverses, eigvals and the
+batched solves.  scipy.linalg is imported only by QZ (``_qz``), so ``eig``
+and ``recover`` never load it where the eigvals rung is certified.
 
-Every rung goes through one step after the solve (``_through_anchor``),
+Both rungs go through one step after the solve (``_through_anchor``),
 which maps F's eigenvectors to L's, which have the anchor's eigenvalues:
 F's right eigenvectors and left eigenvectors T^-T z for F's left ones z
 (M1), and G's right eigenvectors as left ones and S^-1 z, an LU solve on
@@ -78,7 +75,7 @@ The same step reads the eigenvectors of P off the sorted record, on the
 route's polynomial (P, or P^T for M2, so that one set of formulas serves
 both sides).  On the eigvals rung they are the solved x_j and the first
 blocks y_j of the anchor's left eigenvectors, with the eta_P the rung
-computed.  After geev or QZ, L's Kronecker-structured eigenvectors,
+computed.  After QZ, L's Kronecker-structured eigenvectors,
 phi(lam) kron x (right for the anchor and M1, left for M2), give one side
 by their Kronecker fit, and the first block of z, which is the block sum
 (v kron I_n)^T of L's eigenvector on the other side, gives the other, free
@@ -95,7 +92,7 @@ too: ``recover_right(spectrum, tol)`` and
 ``recover_left(spectrum, tol)`` check the recorded mismatch and eta_P of
 every column against tol and return P's n x m eigenvectors, so a
 ``recover`` evaluates the basis once, whichever rung ran, and fits once
-after geev or QZ.
+after QZ.
 A failure names the first failing column.
 """
 
@@ -165,9 +162,6 @@ _CERTIFIED_ETA = 10.0
 _INF_TOL = 1e-8
 # Seed of the points at which pencil_eigen tests regularity.
 _REGULARITY_SEED = 90210
-# The gate of the eigvals rung (_solves_from_p).
-_GATE_FIXED = 40.0 ** 3
-_GATE_SOLVES = 0.45
 # Seed of the eigvals rung's right-hand side (_rhs).
 _RHS_SEED = 20161
 # ulps of max(|lam|, 1) by which the eigvals rung moves its shifts when a
@@ -177,11 +171,11 @@ _SHIFT_ULPS = 4.0
 
 def qz_solve(route: _Route, left: bool) -> Eigentriples:
     """The sorted eigentriples of the route's pencil L and the eigenvectors of
-    P, solved through its anchor F (module docstring) by the certified geev
-    or else QZ on F, which agree to within the eigenvalues' condition numbers
-    times their backward errors, not bit for bit; either solve goes through
-    the one post-solve step, _through_anchor.  With left false ``left`` is
-    None in the result."""
+    P, solved through its anchor F (module docstring) by the certified
+    eigvals rung or else QZ on F, which agree to within the eigenvalues'
+    condition numbers times their backward errors, not bit for bit; either
+    solve goes through the one post-solve step, _through_anchor.  With left
+    false ``left`` is None in the result."""
     spectrum = _companion_solve(route, left)
     if spectrum is None:
         spectrum = _through_anchor(
@@ -198,20 +192,6 @@ def _qz(X, Y, left, right):
     out = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
     return (_eigenvalues(*out[0]), out[-1] if right else None,
             np.conj(out[1]) if left else None)
-
-
-def _geev(A, left, right):
-    """(w, VL, VR): geev of the real matrix A, complex, None for a side not
-    asked for; y^H A = w y^H for the columns y of VL.  numpy's geev gives
-    right vectors alone, and scipy's is called only for left ones.  Raises
-    LinAlgError when geev does not converge; A may be overwritten."""
-    if not left:
-        w, VR = np.linalg.eig(A)
-        return w.astype(complex, copy=False), None, VR.astype(complex, copy=False)
-    import scipy.linalg  # off the import path: numpy.linalg has no left vectors
-
-    out = scipy.linalg.eig(A, left=True, right=right, overwrite_a=True, check_finite=False)
-    return out[0], out[1], out[2] if right else None
 
 
 def _solve(factors, B, transpose=False):
@@ -295,7 +275,7 @@ def _through_anchor(route, lams, R, Z, left, known=None):
     """The sorted record (Eigentriples) of the route's pencil L and of P from
     the eigenvalues ``lams`` of its anchor F and its right and left
     eigenvectors ``R`` and ``Z`` (columns, z^T F(lam) = 0, None for a side not
-    solved), the one step after every rung: the map and the residuals of
+    solved), the one step after either rung: the map and the residuals of
     the module docstring, every column normalized in solver order and then all
     put in the order of ``_order`` (np.take, which writes C-contiguous
     arrays), and P's eigenvectors read off the sorted columns (_of_p).  The
@@ -408,15 +388,19 @@ def _residuals_from_p(route, lams, known):
 
 
 def _companion_solve(route, left=False):
-    """The certified solve of the route's anchor through its companion
-    matrix, mapped to its pencil and to P, or None: when c*P_k fails its
-    gate, or both rungs are refused.  Where _solves_from_p passes, the
-    eigvals rung (_eigvals_solve) is tried first; if it is refused, or not
-    tried, geev with vectors solves the same matrix.  Either result is kept
-    only under the certificate (_certified), which reads the record: eta_L
-    and the eta_P of each side of P solved."""
+    """The eigvals rung (module docstring): the certified solve of the
+    route's anchor, mapped to its pencil and to P, or None when c*P_k fails
+    its gate or the rung is refused.  The anchor's eigenvalues come from
+    geev without vectors on the companion matrix, the eigenvectors from P
+    at them: x_j and y_j are one inverse-iteration step from the eigenvalue
+    (_null_vectors), and a column whose eta_P misses the certificate is
+    solved again (_repair).  The rung is refused when an eigenvalue is not
+    finite or is classed infinite, when two agree to within sqrt(eps)
+    relative (_has_close_pair), or when a repaired column or the record
+    misses the certificate (_certified), which reads eta_L and the eta_P of
+    each side of P solved."""
     P, F = route.P, route.F
-    n = P.n
+    n, k = P.n, P.k
     rcond, inverse = route.lead
     if not rcond > 10.0 * n * np.finfo(float).eps:
         return None
@@ -426,98 +410,6 @@ def _companion_solve(route, left=False):
     # only the first block row of -X^-1 Y differs from -Y
     A = np.negative(F.Y, order="F")
     A[:n] = -first
-    if _solves_from_p(n, P.k):
-        spectrum = _eigvals_solve(route, A, left)  # leaves A as it is
-        if spectrum is not None:
-            return spectrum
-    want_left, want_right = route.anchor_sides(left)
-    try:
-        w, VL, VR = _geev(A, want_left, want_right)
-    except np.linalg.LinAlgError:  # geev did not converge; QZ may
-        return None
-    lams = _companion_eigenvalues(w)
-    if lams is None:
-        return None
-    Z = None
-    if want_left:
-        # from y^H A = lam y^H the anchor's left eigenvector is z = X^-T conj(y);
-        # only its first block, a left eigenvector of P, needs a solve
-        Z = np.conj(VL)
-        Z[:n] = _solve(inverse, Z[:n], transpose=True)
-    spectrum = _through_anchor(route, lams, VR, Z, left)
-    return spectrum if _certified(spectrum) else None
-
-
-def _certified(spectrum):
-    """Whether eta_L and the eta_P of each side of P solved are at most
-    _CERTIFIED_ETA * kn * eps in every column."""
-    bound = _certified_bound(spectrum.right.shape[0])
-    checked = [spectrum.residual] + [side.eta for side in (spectrum.p_right, spectrum.p_left)
-                                     if side is not None]
-    return all(np.all(values <= bound) for values in checked)
-
-
-def _certified_bound(size):
-    return _CERTIFIED_ETA * size * np.finfo(float).eps
-
-
-def _companion_eigenvalues(w):
-    """The eigenvalues w of a companion matrix as QZ's alpha / beta would
-    give them, or None when one is not finite or would be classed infinite."""
-    if not np.all(np.isfinite(w)) or np.any(_INF_TOL * (np.abs(w) + 1.0) >= 1.0):
-        return None
-    # w / (1 + 0j) as Python's complex division rounds it, the form QZ's
-    # alpha / beta takes (_eigenvalues): w itself, with the sign of a zero
-    # part as re + im*0 and im - re*0 give it (0.0 for geev's -0.0 + 0j)
-    return np.stack((w.real + w.imag * 0.0, w.imag - w.real * 0.0), axis=-1).view(complex)[:, 0]
-
-
-def _solves_from_p(n, k):
-    """The gate of the eigvals rung, one comparison on (n, k) that ignores
-    ``left``, so that eig and recover of one problem take the same rung:
-    geev's eigenvector stage, about (kn)^3, must cost more than the n x n
-    solves at about half the kn eigenvalues (one of each conjugate pair),
-    about k n^4, and a fixed cost.  Measured on the anchor's companion solve
-    of --random n,k,1 problems at one BLAS thread (interleaved, the least of
-    9 to 15 calls each), the rung's time over that of geev with vectors,
-    over the four random bases, without and with left vectors:
-
-    ======== ===== =========== ===========
-    (n, k)   kn    no left     left
-    ======== ===== =========== ===========
-    (3, 8)   24    1.02 - 1.27 1.05 - 1.30
-    (5, 6)   30    0.94 - 0.95 0.97 - 1.03
-    (10, 4)  40    0.84 - 0.90 0.96 - 1.16
-    (6, 8)   48    0.75 - 0.80 0.80 - 0.89
-    (30, 4)  120   0.73 - 0.76 0.73 - 1.19
-    (24, 7)  168   0.85 - 0.86 0.85 - 0.90
-    (28, 6)  168   0.85 - 0.88 0.90 - 0.93
-    (40, 6)  240   0.86 - 0.89 0.91 - 0.96
-    (48, 5)  240   0.93 - 0.97 1.00 - 1.04
-    (40, 4)  160   0.94 - 0.99 1.07 - 1.13
-    (45, 4)  180   1.00 - 1.02 1.11 - 1.17
-    (50, 3)  150   1.09 - 1.12 1.28 - 1.32
-    (60, 3)  180   1.14 - 1.20 1.42 - 1.45
-    ======== ===== =========== ===========
-
-    So it is tried where kn > 40 and, for large kn, k^2 / n > 0.45: the
-    rung wins from (6, 8) to (40, 6) and breaks even at (48, 5), and geev
-    keeps (40, 4), (45, 4), (50, 3) and every kn <= 40."""
-    return (k * n) ** 3 > _GATE_FIXED + _GATE_SOLVES * k * n ** 4
-
-
-def _eigvals_solve(route, A, left):
-    """The eigvals rung (module docstring): the anchor's eigenvalues from
-    geev without vectors on the companion matrix A, which is left as it
-    is, and the eigenvectors from P at them, or None when the rung is
-    refused.  x_j and y_j are one inverse-iteration step from the
-    eigenvalue (_null_vectors), and a column whose eta_P misses the
-    certificate is solved again (_repair).  The rung is refused when an
-    eigenvalue is not finite or is classed infinite, when two agree to
-    within sqrt(eps) relative (_has_close_pair), or when a repaired column
-    or eta_L still misses the certificate."""
-    P, F = route.P, route.F
-    k = P.k
     try:
         lams = _companion_eigenvalues(np.linalg.eigvals(A))
     except np.linalg.LinAlgError:
@@ -547,6 +439,30 @@ def _eigvals_solve(route, A, left):
     spectrum = _through_anchor(route, lams, None, Z, left,
                                known=_FromP(phi, X, px, eta_x, scale, eta_y))
     return spectrum if _certified(spectrum) else None
+
+
+def _certified(spectrum):
+    """Whether eta_L and the eta_P of each side of P solved are at most
+    _CERTIFIED_ETA * kn * eps in every column."""
+    bound = _certified_bound(spectrum.right.shape[0])
+    checked = [spectrum.residual] + [side.eta for side in (spectrum.p_right, spectrum.p_left)
+                                     if side is not None]
+    return all(np.all(values <= bound) for values in checked)
+
+
+def _certified_bound(size):
+    return _CERTIFIED_ETA * size * np.finfo(float).eps
+
+
+def _companion_eigenvalues(w):
+    """The eigenvalues w of a companion matrix as QZ's alpha / beta would
+    give them, or None when one is not finite or would be classed infinite."""
+    if not np.all(np.isfinite(w)) or np.any(_INF_TOL * (np.abs(w) + 1.0) >= 1.0):
+        return None
+    # w / (1 + 0j) as Python's complex division rounds it, the form QZ's
+    # alpha / beta takes (_eigenvalues): w itself, with the sign of a zero
+    # part as re + im*0 and im - re*0 give it (0.0 for geev's -0.0 + 0j)
+    return np.stack((w.real + w.imag * 0.0, w.imag - w.real * 0.0), axis=-1).view(complex)[:, 0]
 
 
 _SIDES = ("right", "left")
@@ -816,7 +732,7 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     its M1 or M2 pencil L, infinite ones included, solved through the anchor
     on one route (_route, qz_solve), as one sorted, columnar Eigentriples
     that also holds P's eigenvectors, with their backward errors and, after
-    geev or QZ, the Kronecker mismatch of the fitted side; recover_right and
+    QZ, the Kronecker mismatch of the fitted side; recover_right and
     recover_left check them against a tolerance.
 
     L is regular if the reciprocal condition number of the anchor's c*P_k
@@ -835,17 +751,13 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     (real, imag) with infinite eigenvalues last; real parts equal up to
     rounding are ordered by imaginary part (_order).
 
-    With and without ``left`` the same rung solves (the eigvals rung's gate
-    reads only (n, k)), unless the certificate refuses the left side alone,
-    so ``eig`` and ``recover`` print the same eigenvalues.  On the eigvals
-    rung the right vectors do not depend on ``left`` either: ``eig`` and
-    ``recover --random 6,8,1`` both print a residual of
-    1.7843552459841404e-15 for the first eigenvalue.  On the geev rung the
-    residuals agree only to rounding: without left vectors numpy's geev
-    finds the right ones alone, with them scipy's geev finds both sides,
-    and the right vectors differ in the last bits, so ``eig --random
-    5,8,1`` prints 1.821925799999199e-16 where ``recover`` prints
-    1.8219257999991987e-16.  QZ finds both sides in one call.
+    With and without ``left`` the same rung solves, unless the certificate
+    refuses the left side alone, so ``eig`` and ``recover`` print the same
+    eigenvalues.  On the eigvals rung the right vectors do not depend on
+    ``left`` either, so the residuals are the same too: ``eig`` and
+    ``recover --random 5,8,1`` both print 2.589455432076529e-16 for the
+    first eigenvalue, and ``--random 6,8,1`` 1.7843552459841404e-15.  QZ
+    finds both sides in one call.
     """
     route = _route(P, factor)
     size, eps = route.L.X.shape[0], np.finfo(float).eps

@@ -1,12 +1,11 @@
-"""qz_solve's three rungs: eigvals with eigenvectors from P, geev with
-vectors, both on the anchor's companion matrix, and QZ on the anchor.
+"""qz_solve's two rungs: eigvals on the anchor's companion matrix with
+eigenvectors from P, and QZ on the anchor.
 
 pencil_eigen(P, factor) solves P's anchor pencil, or the M1 or M2 pencil of
 P and the factor, through P's anchor, on one route built per call
-(``spectral._route``).  When P_k is well conditioned the companion matrix is
-solved, by the eigvals rung where its gate on (n, k) opens and otherwise,
-or when that rung is refused, by geev with vectors; either result is kept
-only under the eta_L and eta_P certificate, and else QZ solves the anchor
+(``spectral._route``).  When P_k is well conditioned the eigvals rung solves
+the companion matrix, and its result is kept only under the eta_L and eta_P
+certificate; when the rung is refused or not tried, QZ solves the anchor
 itself.  ``_force_rung`` makes a test take one rung.  Tests that call a
 solver directly pass it the route of (P, factor).  The references here are
 sigma_min(P(lam)) / sum_i |phi_i(lam)| ||P_i||_F from an SVD of the
@@ -108,21 +107,16 @@ def _assert_triples_match_qz(L, side, triples):
                        np.count_nonzero(~finite), triples.residual[finite].tolist())
 
 
-def _spy_eig(monkeypatch):
-    """Record the matrices of every geev and QZ call: (a, b), b None for geev;
-    a QZ call records the pair (Y, -X) it solves."""
-    calls, geev, qz = [], spectral._geev, spectral._qz
+def _spy_qz(monkeypatch):
+    """Record every QZ call as the pair (Y, -X) it solves and what it returns."""
+    calls, qz = [], spectral._qz
 
-    def spy_geev(A, *args):
-        calls.append((np.array(A), None))
-        return geev(A, *args)
+    def spy(X, Y, *args):
+        out = qz(X, Y, *args)
+        calls.append((np.array(Y), -np.array(X), out))
+        return out
 
-    def spy_qz(X, Y, *args):
-        calls.append((np.array(Y), -np.array(X)))
-        return qz(X, Y, *args)
-
-    monkeypatch.setattr(spectral, "_geev", spy_geev)
-    monkeypatch.setattr(spectral, "_qz", spy_qz)
+    monkeypatch.setattr(spectral, "_qz", spy)
     return calls
 
 
@@ -156,7 +150,7 @@ def test_fast_path_matches_qz(rng):
 def test_ill_conditioned_lead_falls_back_to_qz(cond):
     P = _ill_conditioned_lead(cond)
     L = anchor_pencil(P)
-    # the geev solve was tried (P_k is invertible) and failed its certificate
+    # the eigvals rung was tried (P_k is invertible) and was refused
     assert _scaled_inverse(L.X[:3, :3])[0] > 10 * 3 * EPS
     assert spectral._companion_solve(spectral._route(P)) is None
     triples = pencil_eigen(P, left=False)
@@ -169,23 +163,21 @@ def test_singular_lead_gives_infinite_eigenvalues_by_qz(monkeypatch, rng):
     coeffs[-1][:, 1] = 0.0
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev2"))
     L = anchor_pencil(P)
-    calls = _spy_eig(monkeypatch)
+    calls = _spy_qz(monkeypatch)
     triples = pencil_eigen(P, left=False)
-    # no geev: QZ alone, on the anchor
-    assert len(calls) == 1 and calls[0][1] is not None
+    # one QZ, on the anchor
+    assert len(calls) == 1 and np.array_equal(calls[0][1], -L.X)
     assert np.isinf(triples.eigenvalues).sum() >= 1
     monkeypatch.undo()
     _assert_triples_match_qz(L, "anchor", triples)
 
 
-# Leads on which geev's result fails exactly one check of the certificate
-# (measured at one BLAS thread, the failing check at 1.3 to 5.8 times its
-# bound, the passing one at most 0.7 times its own): (kind, cond, seed,
-# side) -> the check.
+# Leads on which the eigvals rung's result fails exactly one check of the
+# certificate, in _repair (measured at one BLAS thread, the failing check at
+# 1.5 and 5.1 times its bound): (kind, cond, seed, side) -> the check.
 SINGLE_FAILURES = {
     ("chebyshev1", 300.0, 10, "M2"): "eta_P of the left eigenvectors of P^T",
     ("chebyshev1", 1000.0, 6, "anchor"): "eta_P of the right eigenvectors",
-    ("monomial", 300.0, 47, "anchor"): "eta_L",
 }
 
 
@@ -259,21 +251,18 @@ def test_one_qz_solve_per_eig_op(tmp_path, rng, monkeypatch, capsys):
 
 
 def _force_rung(monkeypatch, rung):
-    """Make the solve take one rung: "eigvals" opens the eigvals rung's gate,
-    "geev" shuts it, and "qz" refuses the companion solve altogether."""
+    """Make the solve take one rung: "eigvals" leaves the solve as it is, and
+    "qz" refuses the eigvals rung."""
     if rung == "qz":
         monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
-    else:
-        monkeypatch.setattr(spectral, "_solves_from_p", lambda n, k: rung == "eigvals")
 
 
-@pytest.mark.parametrize("rung", ("eigvals", "geev", "qz"))
+@pytest.mark.parametrize("rung", ("eigvals", "qz"))
 def test_recover_computes_each_backward_error_once(tmp_path, monkeypatch, capsys, rung):
     # The post-solve step computes eta_P of the fitted vectors and of the
-    # block sums from one basis sequence after the geev and QZ rungs; the
-    # eigvals rung computes eta_P of the solved vectors of both sides from
-    # the sequence its solves are built on, and the post-solve step reuses
-    # them.  recover_right and recover_left check those values.  No
+    # block sums from one basis sequence after QZ; the eigvals rung computes
+    # eta_P of the solved vectors of both sides from the sequence its solves
+    # are built on, and the post-solve step reuses them.  recover_right and recover_left check those values.  No
     # P(lam_j) of this P (or P^T) is exactly singular: the guard for one
     # evaluates the basis once more, at the moved shifts.
     rng = np.random.default_rng(1)
@@ -301,12 +290,12 @@ def test_recover_computes_each_backward_error_once(tmp_path, monkeypatch, capsys
         assert calls == {"_eta": 2, "_phi_sequence": 1}, argv
 
 
-@pytest.mark.parametrize("rung", ("eigvals", "geev", "qz"))
+@pytest.mark.parametrize("rung", ("eigvals", "qz"))
 def test_certified_recover_does_the_work_once(tmp_path, monkeypatch, capsys, rung):
     # a recover on the anchor, an M1 and an M2 pencil computes eta_P once
-    # per side and evaluates the basis once, whichever rung solves it.  The
-    # geev and QZ rungs fit the Kronecker-structured side once, in the
-    # post-solve step; on the eigvals rung that side is the solved vectors
+    # per side and evaluates the basis once, whichever rung solves it.  QZ
+    # fits the Kronecker-structured side once, in the post-solve step; on
+    # the eigvals rung that side is the solved vectors
     # of P themselves, so nothing is fitted and no mismatch is recorded.
     # No P(lam_j) of this P (or P^T) is exactly singular (see above).
     rng = np.random.default_rng(1)
@@ -341,7 +330,6 @@ def test_certified_recover_does_the_work_once(tmp_path, monkeypatch, capsys, run
             records.append(inner_record(*args))
             return records[-1]
 
-        monkeypatch.setattr(spectral, "_solves_from_p", lambda n, k: rung == "eigvals")
         monkeypatch.setattr(spectral, "_eta", eta)
         monkeypatch.setattr(spectral, "_companion_solve", spy)
         monkeypatch.setattr(spectral, "Eigentriples", record)
@@ -362,11 +350,11 @@ def test_certified_recover_does_the_work_once(tmp_path, monkeypatch, capsys, run
 def test_exactly_singular_p_stays_on_the_eigvals_rung(monkeypatch):
     # at a real eigenvalue of this P the LU of P(lam_j) has an exactly zero
     # pivot, so the batched solve raises; the rung solves that column at a
-    # shift moved by a few ulps and still reports geev's eigenvalue, and
-    # neither the vector geev nor QZ runs
+    # shift moved by a few ulps and still reports the eigenvalue eigvals
+    # found, and QZ does not run
     P = cli._random_problem("6,8,13", "chebyshev1")
     for left in (False, True):
-        calls = _spy_eig(monkeypatch)
+        calls = _spy_qz(monkeypatch)
         evaluated, found = [], []
         inner_evaluate, inner_eigvals = spectral._evaluate_at, np.linalg.eigvals
         monkeypatch.setattr(spectral, "_evaluate_at",
@@ -389,7 +377,7 @@ def test_a_column_missing_the_certificate_is_solved_again(monkeypatch):
     # one left one); those columns alone are solved again from P(lam)^-1,
     # and the rung keeps the solve
     P = cli._random_problem("10,12,2", "monomial")
-    calls = _spy_eig(monkeypatch)
+    calls = _spy_qz(monkeypatch)
     sizes, inner = [], spectral._eta
     monkeypatch.setattr(spectral, "_eta",
                         lambda P, phi, scale, U, side: sizes.append(U.shape[1])
@@ -404,92 +392,97 @@ def test_a_column_missing_the_certificate_is_solved_again(monkeypatch):
 
 @pytest.mark.parametrize("kind", ("monomial", "chebyshev1", "chebyshev2", "legendre"))
 @pytest.mark.parametrize("k", (2, 3, 4))
-def test_multiple_eigenvalues_take_the_vector_geev(tmp_path, monkeypatch, capsys, kind, k):
+def test_multiple_eigenvalues_take_qz(tmp_path, monkeypatch, capsys, kind, k):
     # x^k I_2 and phi_k(x) I_2: every eigenvalue is at least double, and one
-    # solve by P(lam) would give one x for both of a pair where geev gives
-    # independent vectors.  With the gate forced open, the eigvals rung
-    # declines before any solve, and eig and recover print what they print
-    # with the gate shut, which is the parent's geev or QZ output
+    # solve by P(lam) would give one x for both of a pair where QZ gives
+    # independent vectors.  The eigvals rung declines before any solve, QZ
+    # solves the anchor, and eig and recover each print what they print with
+    # the rung refused outright
     P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis(kind))
     path = _write_problem(tmp_path, P, "p")
     for cmd in ("eig", "recover"):
         outputs = []
-        for rung in ("eigvals", "geev"):
+        for rung in ("eigvals", "qz"):
             solved = []
             inner = spectral._null_vectors
             _force_rung(monkeypatch, rung)
+            calls = _spy_qz(monkeypatch)
             monkeypatch.setattr(spectral, "_null_vectors", lambda *a: solved.append(a) or inner(*a))
             outputs.append((cli.run([cmd, "-p", path]), *capsys.readouterr()))
             monkeypatch.undo()
-            assert solved == [], (cmd, rung)
+            assert solved == [] and len(calls) == 1, (cmd, rung)
         assert outputs[0] == outputs[1], cmd
 
 
-# whether the eigvals rung serves --random n,k,1 (chebyshev1), the crossover
-# that _solves_from_p's table measures
-_GATE = {(3, 8): False, (5, 6): False, (10, 4): False, (6, 8): True, (30, 4): True,
-         (24, 7): True, (28, 6): True, (40, 6): True, (40, 4): False, (50, 3): False}
+# --random n,k,1 (chebyshev1) shapes from kn = 24 to 240 and k^2 / n from
+# 0.18 to 21, small kn and n >> k included
+_GATE_SHAPES = ((3, 8), (5, 6), (10, 4), (6, 8), (30, 4), (24, 7), (28, 6), (40, 6), (40, 4),
+                (50, 3))
 
 
 @pytest.mark.parametrize("left", (False, True))
-@pytest.mark.parametrize("shape", list(_GATE))
+@pytest.mark.parametrize("shape", _GATE_SHAPES)
 def test_the_gate_sends_each_shape_to_its_rung(monkeypatch, shape, left):
-    # the eigvals rung serves a shape where it beat geev with vectors, geev
-    # alone serves the others, and left vectors do not move the line
+    # P_k of each problem clears the rcond gate of _companion_solve, so the
+    # eigvals rung solves it and is certified, with and without left
+    # vectors, and QZ does not run
     n, k = shape
     P = cli._random_problem(f"{n},{k},1", "chebyshev1")
-    served, geev_calls = [], []
-    inner_rung, inner_geev = spectral._eigvals_solve, spectral._geev
-    monkeypatch.setattr(spectral, "_eigvals_solve",
-                        lambda *a: served.append(inner_rung(*a)) or served[-1])
-    monkeypatch.setattr(spectral, "_geev", lambda *a: geev_calls.append(a) or inner_geev(*a))
+    served, inner = [], spectral._companion_solve
+    monkeypatch.setattr(spectral, "_companion_solve",
+                        lambda *a: served.append(inner(*a)) or served[-1])
+    calls = _spy_qz(monkeypatch)
     pencil_eigen(P, left=left)
     monkeypatch.undo()
-    if _GATE[shape]:
-        assert len(served) == 1 and served[0] is not None and geev_calls == []
-    else:
-        assert served == [] and len(geev_calls) == 1
+    assert len(served) == 1 and served[0] is not None and calls == []
 
 
 @pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
-def test_eig_and_recover_print_the_same_spectrum_on_the_eigvals_rung(tmp_path, side):
-    # the gate reads (n, k) alone, so both commands take the eigvals rung,
-    # and the pencil's right vectors do not depend on the left solve: the
-    # eigenvalues and the residuals are the same to the last bit
-    rng = np.random.default_rng(3)
-    P = random_problem(rng, 8, 14, "chebyshev2")
-    assert spectral._solves_from_p(P.n, P.k)
-    argv, _ = _recover_argv(tmp_path, P, side, rng)
-    reports = []
-    for cmd in ("eig", "recover"):
-        rc, out = _run([cmd, *argv[1:]])
-        assert rc == 0
-        reports.append(json.loads(out)["finite"])
-    assert reports[0] == reports[1]
+def test_eig_and_recover_print_the_same_spectrum_on_the_eigvals_rung(tmp_path, monkeypatch,
+                                                                     side):
+    # both commands take the eigvals rung, and the pencil's right vectors do
+    # not depend on the left solve: the eigenvalues and the residuals are the
+    # same to the last bit, at kn = 40 as at 112
+    for seed, (n, k) in ((3, (8, 14)), (1, (5, 8))):
+        rng = np.random.default_rng(seed)
+        P = random_problem(rng, n, k, "chebyshev2")
+        argv, _ = _recover_argv(tmp_path, P, side, rng)
+        reports = []
+        calls = _spy_qz(monkeypatch)
+        for cmd in ("eig", "recover"):
+            rc, out = _run([cmd, *argv[1:]])
+            assert rc == 0
+            reports.append(json.loads(out)["finite"])
+        monkeypatch.undo()
+        assert calls == [], (n, k)
+        assert reports[0] == reports[1], (n, k)
 
 
 def test_m2_solve_with_real_left_vectors(monkeypatch):
-    # every eigenvalue of this P is real, so scipy's geev returns real left
-    # vectors, and their map to the M2 pencil's right vectors is real too:
-    # the residual step must make them complex before it multiplies them by
-    # the eigenvalues in place, or it raises UFuncTypeError (recover exit 2)
+    # every eigenvalue of this P is real, so QZ on the anchor of P^T returns
+    # real left vectors, and their map to the M2 pencil's right vectors is
+    # real too: the residual step must make them complex before it
+    # multiplies them by the eigenvalues in place, or it raises
+    # UFuncTypeError (recover exit 2)
     rng = np.random.default_rng(0)
     P = random_problem(rng, 2, 3, "custom")
     f = AnsatzFactor(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, (6, 4)), "M2")
-    calls = _spy_eig(monkeypatch)
+    _force_rung(monkeypatch, "qz")
+    calls = _spy_qz(monkeypatch)
     triples = pencil_eigen(P, f, left=True)
     monkeypatch.undo()
-    assert len(calls) == 1 and calls[0][1] is None  # the vector geev
+    ((_, _, (_, _, left)),) = calls
+    assert not np.iscomplexobj(left)
     assert np.all(triples.eigenvalues.imag == 0.0)
     assert spectral._certified(triples)
 
 
-@pytest.mark.parametrize("rung", ("eigvals", "geev"))
+@pytest.mark.parametrize("rung", ("eigvals", "qz"))
 def test_m2_residuals_are_as_small_as_the_anchors(monkeypatch, rung):
     # The M2 map takes S^-1 z by an LU solve on the row-scaled S.  With S's
-    # explicit inverse the largest eta_L of this M2 factor is 76 times the
-    # anchor route's on the same P (2.9 against 0.038 kn eps on the geev
-    # rung), an error that grows with cond(S)
+    # explicit inverse the largest eta_L of this M2 factor is 480 times the
+    # anchor route's on the same P when QZ solves both (4.3 against 0.0089
+    # kn eps), an error that grows with cond(S)
     P = cli._random_problem("10,18,5", "chebyshev1")
     f, _ = build_dm_pencil(P, np.random.default_rng(5).uniform(-1.0, 1.0, P.k))
     _force_rung(monkeypatch, rung)
@@ -558,7 +551,7 @@ def _assert_report_matches_qz(P, L, side, out):
        shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
 @example(kind="degree_graded", side="M2", shape=(12, 20), seed=3)
 @example(kind="newton", side="M1", shape=(40, 6), seed=4)
-# geev's eta_P is 27 kn eps here, so QZ runs (its own is 34 kn eps)
+# the eigvals rung's largest eta_P is 0.97 times the certificate's bound here
 @example(kind="custom", side="anchor", shape=(10, 12), seed=5)
 def test_recover_is_certified_on_every_pencil(kind, side, shape, seed):
     n, k = shape
@@ -618,8 +611,8 @@ def test_block_sums_are_read_off_the_anchor(tmp_path):
 
 
 def test_block_sums_are_read_off_the_anchor_by_qz(tmp_path, monkeypatch):
-    # the pencil of test_block_sums_are_read_off_the_anchor with geev's
-    # result refused: QZ on the anchor gives the sums, with no cancellation
+    # the pencil of test_block_sums_are_read_off_the_anchor with the eigvals
+    # rung refused: QZ on the anchor gives the sums, with no cancellation
     n, k = 5, 12
     rng = np.random.default_rng(20)
     P = random_problem(rng, n, k, "chebyshev2")
@@ -670,10 +663,10 @@ def test_singular_lead_recover_gets_infinite_eigenvalues_by_qz(tmp_path, monkeyp
     coeffs[-1][:, 1] = 0.0
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev1"))
     cases = _recover_cases(tmp_path, P, rng)
-    calls = _spy_eig(monkeypatch)
+    calls = _spy_qz(monkeypatch)
     outs = [_run(argv) for _, argv, _ in cases]
-    # no geev: one QZ per op, on the anchor
-    assert len(calls) == 3 and all(b is not None for _, b in calls)
+    # one QZ per op
+    assert len(calls) == 3
     monkeypatch.undo()
     for (side, _, L), (rc, out) in zip(cases, outs):
         assert rc == 0 and json.loads(out)["infinite_count"] >= 1
@@ -780,14 +773,14 @@ def test_rank_deficient_multiplier_still_exits_4(tmp_path, rng, side, noise):
         assert _run([cmd, "-p", _write_problem(tmp_path, P, "p"), "--factor", f])[0] == 4
 
 
-@pytest.mark.parametrize("solver", ("geev", "qz"))
+@pytest.mark.parametrize("solver", ("eigvals", "qz"))
 @pytest.mark.parametrize("noise", (1e-9, 1e-6))
 @pytest.mark.parametrize("side", ("M1", "M2"))
 def test_ill_conditioned_multiplier_recovers_from_the_anchor(tmp_path, monkeypatch, side,
                                                              noise, solver):
     # QZ on L = T F itself loses digits to cond(T) in its eigenvalues and
-    # vectors; through the anchor only F's conditioning counts, whether geev
-    # or (with geev's result refused) QZ solves it
+    # vectors; through the anchor only F's conditioning counts, whether the
+    # eigvals rung or (with the rung refused) QZ solves it
     n, k = 10, 12
     rng = np.random.default_rng(7)
     P = random_problem(rng, n, k, "chebyshev2")
@@ -810,8 +803,8 @@ def test_ill_conditioned_multiplier_recovers_from_the_anchor(tmp_path, monkeypat
 
 @pytest.mark.parametrize("lead", ("ill_conditioned", "singular"))
 def test_factor_pencils_never_reach_qz(tmp_path, monkeypatch, rng, lead):
-    # geev is refused (kappa(P_k) = 1e4) or not tried (singular P_k): QZ
-    # solves the anchor, never the M1/M2 pencil's own matrices
+    # the eigvals rung is refused (kappa(P_k) = 1e4) or not tried (singular
+    # P_k): QZ solves the anchor, never the M1/M2 pencil's own matrices
     P = _ill_conditioned_lead(1e4)
     if lead == "singular":
         coeffs = list(P.coeffs)
@@ -825,12 +818,12 @@ def test_factor_pencils_never_reach_qz(tmp_path, monkeypatch, rng, lead):
         F = anchor_pencil(P if side == "M1" else MatrixPolynomial(
             tuple(c.T for c in P.coeffs), P.basis))
         for cmd in ("eig", "recover"):
-            calls = _spy_eig(monkeypatch)
+            calls = _spy_qz(monkeypatch)
             rc, _ = _run([cmd, "-p", path, "--factor", _write_factor(tmp_path, side, f)])
             monkeypatch.undo()
             assert rc == 0
-            pairs = [(a, b) for a, b in calls if b is not None]
-            assert len(pairs) == 1 and len(calls) == (1 if lead == "singular" else 2)
+            pairs = [(a, b) for a, b, _ in calls]
+            assert len(pairs) == 1
             assert not any(np.array_equal(a, L.Y) or np.array_equal(b, -L.X) for a, b in pairs)
             assert np.array_equal(pairs[0][0], F.Y) and np.array_equal(pairs[0][1], -F.X)
 

@@ -226,22 +226,22 @@ def _child(script):
 
 
 def _run_all(argvs, then):
-    """A child script that runs every argv through cli.run, each to exit 0,
-    and then the statement ``then``."""
+    """A child script that runs every argv through cli.run, each to exit 0
+    and each followed by the assertion ``then``."""
     return (
         "import contextlib, io, sys\n"
         "import orthopencil.cli as cli\n"
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.run(argv) == 0, argv\n"
-        f"{then}\n"
+        f"    assert {then}, argv\n"
     )
 
 
 def test_cli_never_loads_scipy_optimize():
     argvs = [["eig", "--random", "3,3,1"], ["recover", "--random", "3,3,1"],
              ["oracle", "--random", "3,3,1"], ["exclusion", "--random", "3,3,1", "--v", "1,0,0"]]
-    _child(_run_all(argvs, "assert 'scipy.optimize' not in sys.modules"))
+    _child(_run_all(argvs, "'scipy.optimize' not in sys.modules"))
 
 
 def _write(tmp_path, name, obj):
@@ -259,27 +259,27 @@ def _block_symmetric_files(tmp_path, P):
 
 
 def test_numpy_paths_never_load_scipy_linalg(tmp_path):
-    # geev for right vectors alone and every inverse are numpy's
+    # every inverse, eigvals and the eigvals rung's solves are numpy's, so a
+    # certified eig or recover, with both sides' vectors and on M2, needs
+    # no scipy
     P = random_problem(np.random.default_rng(3), 3, 3, "chebyshev1")
-    path, m1, _ = _block_symmetric_files(tmp_path, P)
+    path, m1, m2 = _block_symmetric_files(tmp_path, P)
     pencil = _write(tmp_path, "pencil", pencil_to_obj(anchor_pencil(P)))
     p = ["-p", path]
     argvs = [["anchor", *p], ["ansatz", *p, "-f", m1], ["blocksym", *p, "--v", "1,-0.5,0.25"],
              ["check", *p, "-f", m1], ["membership", *p, "--pencil", pencil], ["eig", *p],
-             ["eig", *p, "--factor", m1], ["exclusion", *p, "--v", "1,0,0"], ["oracle", *p]]
-    _child(_run_all(argvs, "assert 'scipy.linalg' not in sys.modules"))
+             ["eig", *p, "--factor", m1], ["eig", *p, "--factor", m2], ["recover", *p],
+             ["exclusion", *p, "--v", "1,0,0"], ["oracle", *p]]
+    _child(_run_all(argvs, "'scipy.linalg' not in sys.modules"))
 
 
 def test_scipy_paths_import_scipy_linalg_themselves(tmp_path):
-    # left eigenvectors (recover, M2 pencils) and QZ (a singular P_k) are
-    # scipy's, imported where they are solved
-    rng = np.random.default_rng(3)
-    P = random_problem(rng, 3, 3, "chebyshev1")
-    path, _, m2 = _block_symmetric_files(tmp_path, P)
+    # QZ (a singular P_k) is scipy's, imported where it is solved: each op
+    # runs in its own child, so that one op's import cannot pass another
+    P = random_problem(np.random.default_rng(3), 3, 3, "chebyshev1")
     coeffs = [c.copy() for c in P.coeffs]
     coeffs[-1][:, 1] = 0.0
     singular = _write(tmp_path, "singular", problem_to_obj(MatrixPolynomial(tuple(coeffs),
                                                                             P.basis)))
-    argvs = [["recover", "-p", path], ["eig", "-p", path, "--factor", m2],
-             ["eig", "-p", singular]]
-    _child(_run_all(argvs, "assert 'scipy.linalg' in sys.modules"))
+    for cmd in ("eig", "recover"):
+        _child(_run_all([[cmd, "-p", singular]], "'scipy.linalg' in sys.modules"))

@@ -2,12 +2,13 @@
 
 Every pencil is solved as the CLI solves it, by pencil_eigen(P, factor)
 through the anchor of P, on whichever rung serves it: the eigvals rung
-(eigenvectors from P at geev's eigenvalues), geev with vectors, or QZ.  The
-right vectors of an M1/M2 solve are also checked on the pencil
-make_m1/make_m2 builds from (P, factor), with a dense residual, so the
-pencil the solve forms is the one users build; every residual the eigvals
-rung reports is that dense residual up to rounding, checked at every shape
-(the gate forced open where it is shut).
+(eigenvectors from P at geev's eigenvalues) or QZ.  The right vectors of an
+M1/M2 solve are also checked on the pencil make_m1/make_m2 builds from
+(P, factor), with a dense residual, so the pencil the solve forms is the one
+users build; every residual the eigvals rung reports is that dense residual
+up to rounding.  The reference eigenvalues come from QZ on the pencil's own
+matrices (``spectra.qz_on_pencil``), which shares no solver with the anchor
+route.
 """
 
 from unittest import mock
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from orthopencil import AnsatzFactor, anchor_pencil, make_m1, make_m2, pencil_eigen, spectral
 from conftest import ALL_KINDS, random_problem
+from spectra import qz_on_pencil
 
 EPS = np.finfo(float).eps
 # (n, k): kn from 6 to 240
@@ -67,46 +69,24 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
     n, k = shape
     P, f = _problem(np.random.default_rng(seed), kind, side, n, k)
     bound = 10 * k * n * EPS
-    served, geev_ran, on_rung = [], [], []
-    inner, geev, rung = spectral._companion_solve, spectral._geev, spectral._eigvals_solve
+    served, inner = [], spectral._companion_solve
 
     def spy(*args):
-        geev_ran.append(False)
         served.append(inner(*args))
         return served[-1]
 
-    def spy_geev(*args):
-        geev_ran[-1] = True
-        return geev(*args)
-
-    def spy_rung(*args):
-        out = rung(*args)
-        if out is not None:
-            on_rung.append(out)
-        return out
-
     # raises SingularPencilError on a false verdict
-    with mock.patch.object(spectral, "_companion_solve", spy), \
-            mock.patch.object(spectral, "_geev", spy_geev), \
-            mock.patch.object(spectral, "_eigvals_solve", spy_rung):
+    with mock.patch.object(spectral, "_companion_solve", spy):
         triples = pencil_eigen(P, f, left=False)
         both = pencil_eigen(P, f, left=True)
-    if not spectral._solves_from_p(n, k):
-        # the eigvals rung at this shape too, its gate forced open
-        with mock.patch.object(spectral, "_eigvals_solve", spy_rung), \
-                mock.patch.object(spectral, "_solves_from_p", lambda n, k: True):
-            pencil_eigen(P, f, left=False)
-            pencil_eigen(P, f, left=True)
     assert triples.eigenvalues.size == k * n
     certified = [out is not None for out in served]
     if certified[0] != certified[1]:
         # only eta_P of the left side can refuse a solve that passes without it
         assert certified == [True, False]
-    elif not (certified[0] and all(geev_ran) and side != "M2"):
-        # with and without left vectors the same rung gives the same eigenvalues,
-        # bit for bit, except where the vector geev serves both and the solve
-        # without left vectors is numpy's geev: numpy's and scipy's LAPACK
-        # builds then differ in the last bits from kn of about 150 on
+    else:
+        # with and without left vectors the same rung gives the same
+        # eigenvalues, bit for bit
         assert triples.eigenvalues.tobytes() == both.eigenvalues.tobytes()
     # a certified rung meets eta_L, eta_P <= 10 kn eps in every column, and
     # QZ, which no certificate guards, still has small residuals
@@ -121,15 +101,15 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
         L = anchor_pencil(P)
     # eta_L on the eigvals rung, read off P-sized data for the anchor and M1,
     # is the dense residual of the stored unit vector up to rounding
-    for record in on_rung:
-        assert np.all(np.abs(record.residual - _dense_residuals(L, record)) <= k * n * EPS)
-    # the eigenvalues agree with the vector geev's to within twice the
-    # certified backward error times each eigenvalue's condition number
-    with mock.patch.object(spectral, "_solves_from_p", lambda n, k: False):
-        geev = pencil_eigen(P, f, left=True)
-    kappa = _condition(L, geev)
+    for record in served:
+        if record is not None:
+            assert np.all(np.abs(record.residual - _dense_residuals(L, record)) <= k * n * EPS)
+    # the eigenvalues agree with QZ's on L to within twice the certified
+    # backward error times each eigenvalue's condition number
+    reference = qz_on_pencil(L)
+    kappa = _condition(L, reference)
     for record in (triples, both):
-        dist = np.abs(record.eigenvalues[:, None] - geev.eigenvalues[None, :])
+        dist = np.abs(record.eigenvalues[:, None] - reference.eigenvalues[None, :])
         nearest = dist.argmin(axis=1)
         assert np.all(dist.min(axis=1) <= 2 * bound * kappa[nearest])
         assert np.all(dist.min(axis=0) <= 2 * bound * kappa)

@@ -469,10 +469,10 @@ def test_residuals_match_per_pair_formula(rng):
 @pytest.mark.parametrize("k", (2, 3, 4))
 @pytest.mark.parametrize("left", (False, True))
 def test_zero_eigenvalues_carry_no_sign_bit(k, left):
-    # x^k I_2: geev finds the zero eigenvalues of the nilpotent companion
-    # matrix with signed zero parts; pencil_eigen reports them as QZ's
-    # division by beta = 1 rounds them, which here leaves no sign bit, so eig
-    # prints "re": 0.0 and "im": 0.0
+    # x^k I_2: every eigenvalue is a multiple zero, so the eigvals rung
+    # declines and QZ solves the anchor; pencil_eigen reports them as the
+    # division of alpha by beta rounds them, which here leaves no sign bit,
+    # so eig prints "re": 0.0 and "im": 0.0
     P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis("monomial"))
     lams = pencil_eigen(P, left=left).eigenvalues
     assert lams.size == 2 * k and np.all(lams == 0)
@@ -480,8 +480,8 @@ def test_zero_eigenvalues_carry_no_sign_bit(k, left):
 
 
 def test_right_only_solve_is_bit_identical(rng):
-    # the eigenvalues bit for bit, by geev (numpy's without left vectors,
-    # scipy's with them) and, for the ill-conditioned lead, by QZ on the anchor
+    # the eigenvalues bit for bit, by the eigvals rung and, for the
+    # ill-conditioned lead, by QZ on the anchor
     q1, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     lead = q1 @ np.diag(np.logspace(0.0, -5.0, 6)) @ q1.T
     ill = random_problem(rng, 6, 8, "chebyshev1")
@@ -497,8 +497,8 @@ def test_right_only_solve_is_bit_identical(rng):
 
 def _fixed_solve(monkeypatch, values):
     """pencil_eigen of a scalar polynomial of degree len(values) whose anchor
-    solve (spectral._qz, with geev's refused) reports the given eigenvalues,
-    in that order, the j-th with eigenvector e_j."""
+    solve (spectral._qz, with the eigvals rung refused) reports the given
+    eigenvalues, in that order, the j-th with eigenvector e_j."""
     values = np.array(values, dtype=complex)
     finite = np.isfinite(values)
 
