@@ -262,9 +262,10 @@ def test_recover_computes_each_backward_error_once(tmp_path, monkeypatch, capsys
     # The post-solve step computes eta_P of the fitted vectors and of the
     # block sums from one basis sequence after QZ; the eigvals rung computes
     # eta_P of the solved vectors of both sides from the sequence its solves
-    # are built on, and the post-solve step reuses them.  recover_right and recover_left check those values.  No
-    # P(lam_j) of this P (or P^T) is exactly singular: the guard for one
-    # evaluates the basis once more, at the moved shifts.
+    # are built on, and the post-solve step reuses them.  recover_right and
+    # recover_left check those values.  No P(lam_j) of this P (or P^T) is
+    # exactly singular: the guard for one evaluates the basis once more, at
+    # the moved shifts.
     rng = np.random.default_rng(1)
     P = random_problem(rng, 6, 5, "legendre")
     path = _write_problem(tmp_path, P, "p")
