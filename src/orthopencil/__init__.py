@@ -8,9 +8,9 @@ the anchor or an M1/M2 member, is solved through P's anchor by
 ``pencil_eigen(P, factor)``, which forms the pencil from P and the factor
 itself.  It returns one sorted, columnar ``Eigentriples`` (eigenvalues,
 unit eigenvectors, residuals, and P's eigenvectors with their backward
-errors, as arrays, one column per eigenvalue), read off the solve in one
-step after it (P's eigenvectors are solved from P at the eigenvalues
-wherever that solve is certified, and else read off the anchor's);
+errors, as arrays, one column per eigenvalue): the eigenvalues come from
+eigvals on the companion matrix where that solve is certified and else from
+QZ on the anchor, and every eigenvector from P at them, on one path;
 ``recover_right`` and ``recover_left`` check P's eigenvectors in the record
 against a tolerance and return them.  A brute-force spectral oracle gives
 an independent reference spectrum.

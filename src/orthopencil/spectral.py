@@ -28,71 +28,70 @@ the numbers do not depend on the order the solver found them in.  Column j
 of every array belongs to eigenvalue j; the record has no per-eigenvalue
 view.
 
-Two rungs find F's eigentriples, the second tried when the first is
-refused or not tried:
+Two rungs find F's eigenvalues, the second tried when the first is refused
+or not tried, and one path finds every eigenvector, from P at them:
 
 - the eigvals rung (``_companion_solve``), tried when the row-scaled rcond
   of c*P_k clears 10 * n * eps: geev without vectors on the companion
   (comrade, colleague) matrix -X^-1 Y, whose first block row is one GEMM by
-  the n x n row-scaled inverse of c*P_k, gives the eigenvalues, and P
-  gives the eigenvectors.  Every right eigenvector of the anchor is
-  phi(lam) kron x with P(lam) x = 0, the eigenvector result of the paper,
-  so x is one n x n solve: P(lam_j) at all kn eigenvalues is one GEMM,
-  and one batched solve per side gives the right vectors x_j and the left
-  ones y_j of P (one of each conjugate pair, the other by conjugation).
-  The anchor's left eigenvectors are built from the y_j (``_anchor_left``).
-  Its right ones stay P-sized until they are written: the residual of
-  phi kron x is [P(lam) x; delta kron x], delta the recurrence residuals
-  of the computed phi, and ||phi kron x|| = ||phi|| ||x||, so eta_L of the
-  anchor and of M1 comes from P(lam) x, which eta_P's GEMM already forms
-  (``_residuals_from_p``), and the unit vectors are written once, sorted.
-  Two eigenvalues that agree to sqrt(eps) relative send a problem to QZ,
-  which gives independent vectors where one solve would repeat one x; an
-  exactly singular P(lam_j) is solved at a shift a few ulps off, with
-  lam_j reported as it is.
-- QZ on F itself (G for M2), with scipy, which is backward stable for P
-  (Lawrence, Van Barel and Van Dooren, SIMAX 37, 2016) and gives the
-  infinite eigenvalues of a singular P_k.
+  the n x n row-scaled inverse of c*P_k.  Two eigenvalues that agree to
+  sqrt(eps) relative send a problem to QZ.
+- QZ on F itself (G for M2), eigenvalues only, with scipy, which is backward
+  stable for P (Lawrence, Van Barel and Van Dooren, SIMAX 37, 2016) and
+  gives the infinite eigenvalues of a singular P_k.
+
+One eigenvector path (``_from_p``) serves both.  Every right eigenvector of
+the anchor is phi(lam) kron x with P(lam) x = 0, the eigenvector result of
+the paper, so x is one n x n solve: P(lam_j) at all kn eigenvalues is one
+GEMM, and one batched solve per side gives the right vectors x_j and the
+left ones y_j of P (one of each conjugate pair, the other by conjugation),
+with a column whose backward error eta_P misses the certificate solved
+again.  At an infinite eigenvalue the matrix is c*P_k, whose null vectors
+are x and y, and F's eigenvectors are e_1 kron x.  An exactly singular
+matrix is solved a few ulps off (``_null_vectors``), with lam_j reported as
+it is.  The rung solves every column against one fixed right-hand side; QZ,
+which serves multiple eigenvalues, solves the j-th eigenvalue in sorted
+order against the (j mod n)-th of n fixed ones, so that a semisimple
+multiple eigenvalue gets independent vectors.  The anchor's left
+eigenvectors are built from the y_j (``_anchor_left``).  Its right ones
+stay P-sized until they are written: the residual of phi kron x is
+[P(lam) x; delta kron x], delta the recurrence residuals of the computed
+phi, and ||phi kron x|| = ||phi|| ||x||, so eta_L of the anchor and of M1
+comes from P(lam) x, which eta_P's GEMM already forms
+(``_residuals_from_p``), and the unit vectors are written once, sorted.
 
 The eigvals rung is kept only under a certificate at every eigenvalue:
-eta_L, the residual that pencil_eigen reports, and the backward error eta_P
-of each eigenvector of P solved (see ``backward_errors``) are at most
-10 * kn * eps, and no eigenvalue is classed infinite.
+eta_L, the residual that pencil_eigen reports, and eta_P of each
+eigenvector of P solved (see ``backward_errors``) are at most 10 * kn * eps,
+and no eigenvalue is classed infinite.  After QZ nothing is refused: a
+column that misses the certificate is kept, and recovery judges it.
 
 numpy.linalg serves every solve but QZ: the inverses, eigvals and the
 batched solves.  scipy.linalg is imported only by QZ (``_qz``), so ``eig``
 and ``recover`` never load it where the eigvals rung is certified.
 
-Both rungs go through one step after the solve (``_through_anchor``),
-which maps F's eigenvectors to L's, which have the anchor's eigenvalues:
-F's right eigenvectors and left eigenvectors T^-T z for F's left ones z
-(M1), and G's right eigenvectors as left ones and S^-1 z, an LU solve on
-the row-scaled S, for G's left ones z as right ones (M2).  Residuals are
-read off the anchor's structure and one GEMM by the multiplier, on the
-eigvals rung off P-sized data for the anchor and M1.
+The eigenvector path ends in one step (``_through_anchor``), which maps F's
+eigenvectors to L's, which have the anchor's eigenvalues: F's right
+eigenvectors and left eigenvectors T^-T z for F's left ones z (M1), and G's
+right eigenvectors as left ones and S^-1 z, an LU solve on the row-scaled
+S, for G's left ones z as right ones (M2).  Residuals come from P-sized data
+for the anchor and M1, and for M2 from S^-1 z, read off the anchor's
+structure and one GEMM by S (``_structured_residuals``).
 
-The same step reads the eigenvectors of P off the sorted record, on the
+The same step puts the eigenvectors of P in the sorted record, on the
 route's polynomial (P, or P^T for M2, so that one set of formulas serves
-both sides).  On the eigvals rung they are the solved x_j and the first
-blocks y_j of the anchor's left eigenvectors, with the eta_P the rung
-computed.  After QZ, L's Kronecker-structured eigenvectors,
-phi(lam) kron x (right for the anchor and M1, left for M2), give one side
-by their Kronecker fit, and the first block of z, which is the block sum
-(v kron I_n)^T of L's eigenvector on the other side, gives the other, free
-of the cancellation that forming that sum from L's eigenvector suffers when
-T is ill-conditioned.  One ``phi_vector`` of length k + 1 at the
-eigenvalues (0 at infinite ones) serves the fit, its mismatch, the scale
-sum_i |phi_i| ||P_i||_F and eta_P on both sides, each side one GEMM
-(``_of_p``).  The record keeps them as P's right and left eigenvectors
+both sides): the solved x_j, and the first blocks y_j of the anchor's left
+eigenvectors, which are the block sums (v kron I_n)^T of L's eigenvectors
+on that side, free of the cancellation that forming that sum from L's
+eigenvector suffers when T is ill-conditioned, each with the eta_P the
+path computed.  The record keeps them as P's right and left eigenvectors
 (``Eigentriples.p_right`` and ``p_left``); for M2 the vectors of P^T's
 right side are P's left ones and the block sums are P's right ones.
 
 The certificate reads eta_L and eta_P from the record.  Recovery reads it
-too: ``recover_right(spectrum, tol)`` and
-``recover_left(spectrum, tol)`` check the recorded mismatch and eta_P of
-every column against tol and return P's n x m eigenvectors, so a
-``recover`` evaluates the basis once, whichever rung ran, and fits once
-after QZ.
+too: ``recover_right(spectrum, tol)`` and ``recover_left(spectrum, tol)``
+check the recorded eta_P of every column against tol and return P's n x m
+eigenvectors, so a ``recover`` evaluates the basis once, whichever rung ran.
 A failure names the first failing column.
 """
 
@@ -111,11 +110,10 @@ from .matpoly import (
     MatrixPolynomial,
     _scaled_inverse,
     require_ansatz_degree,
-    reversal_monomial,
     sampled_regularity,
 )
 from .oracle import reference_spectrum, trim_poly
-from .pencil import Pencil, eval_pencil
+from .pencil import Pencil, eval_pencil, leading_multiplier
 
 __all__ = [
     "Eigentriples",
@@ -162,36 +160,38 @@ _CERTIFIED_ETA = 10.0
 _INF_TOL = 1e-8
 # Seed of the points at which pencil_eigen tests regularity.
 _REGULARITY_SEED = 90210
-# Seed of the eigvals rung's right-hand side (_rhs).
+# Seed of the right-hand sides of the solves from P (_rhs).
 _RHS_SEED = 20161
-# ulps of max(|lam|, 1) by which the eigvals rung moves its shifts when a
-# P(lam_j) is exactly singular.
+# ulps by which _null_vectors moves a singular matrix: of max(|lam|, 1) in
+# lam, or along I once the matrix is scaled to unit norm.
 _SHIFT_ULPS = 4.0
 
 
 def qz_solve(route: _Route, left: bool) -> Eigentriples:
     """The sorted eigentriples of the route's pencil L and the eigenvectors of
-    P, solved through its anchor F (module docstring) by the certified
-    eigvals rung or else QZ on F, which agree to within the eigenvalues'
-    condition numbers times their backward errors, not bit for bit; either
-    solve goes through the one post-solve step, _through_anchor.  With left
-    false ``left`` is None in the result."""
+    P, solved through its anchor F (module docstring): the eigenvalues of the
+    certified eigvals rung or else of QZ on F, which agree to within the
+    eigenvalues' condition numbers times their backward errors, not bit for
+    bit, and the eigenvectors from P at them (_from_p).  With left false
+    ``left`` is None in the result."""
     spectrum = _companion_solve(route, left)
     if spectrum is None:
-        spectrum = _through_anchor(
-            route, *_qz(route.F.X, route.F.Y, *route.anchor_sides(left)), left)
+        lams = _qz(route.F.X, route.F.Y)
+        # the j-th eigenvalue in sorted order takes right-hand side j mod n,
+        # so neighbours in that order, such as the copies of a semisimple
+        # multiple eigenvalue, get independent vectors
+        place = np.empty(lams.size, dtype=int)
+        place[_order(lams)] = np.arange(lams.size)
+        spectrum = _from_p(route, lams, left, place % route.P.n)
     return spectrum
 
 
-def _qz(X, Y, left, right):
-    """(lams, right, left): scipy's QZ on the pair (Y, -X), in solver order,
-    with the eigenvalues of _eigenvalues, eigenvectors as columns, left ones
-    z^T (X*lam + Y) = 0, and None for a side not asked for."""
+def _qz(X, Y):
+    """The eigenvalues (_eigenvalues) of the pair (Y, -X), X*lam + Y = 0, in
+    solver order, from scipy's QZ without eigenvectors."""
     import scipy.linalg  # off the import path: numpy.linalg has no QZ
 
-    out = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
-    return (_eigenvalues(*out[0]), out[-1] if right else None,
-            np.conj(out[1]) if left else None)
+    return _eigenvalues(*scipy.linalg.eigvals(Y, -X, homogeneous_eigvals=True))
 
 
 def _solve(factors, B, transpose=False):
@@ -228,9 +228,9 @@ def _real_columns(apply, V):
     return R[:, :m] + 1j * R[:, m:]
 
 
-def _apply_anchor(F, lams, U, transpose=False):
-    """F(lam_j) u_j, or F(lam_j)^T u_j, for every column u_j of U, and X u_j
-    (X^T u_j) where lam_j is infinite.
+def _apply_anchor(F, lams, U):
+    """F(lam_j)^T u_j for every column u_j of U, and X^T u_j where lam_j is
+    infinite.
 
     Read off the anchor's structure, X = diag(c*P_k, I) and Y = kron(Ys, I_n)
     below the first block row, so no kn x kn product is formed."""
@@ -240,14 +240,8 @@ def _apply_anchor(F, lams, U, transpose=False):
     infinite = np.isinf(lams)
     V = np.where(infinite, 0.0, U) if infinite.any() else U  # Y's operand
     lams = np.where(infinite, 1.0, lams)
-    if transpose:
-        R = top.T @ V[:n] + (Ys.T @ V[n:].reshape(k - 1, n * m)).reshape(-1, m)
-        R = R.astype(complex, copy=False)  # real for real vectors; lams is complex
-        R[:n] += (lead.T @ U[:n]) * lams
-    else:
-        R = np.empty(U.shape, dtype=complex)
-        R[:n] = (lead @ U[:n]) * lams + top @ V
-        R[n:] = (Ys @ V.reshape(k, n * m)).reshape(-1, m)
+    R = top.T @ V[:n] + (Ys.T @ V[n:].reshape(k - 1, n * m)).reshape(-1, m)
+    R[:n] += (lead.T @ U[:n]) * lams
     R[n:] += U[n:] * lams
     return R
 
@@ -255,43 +249,34 @@ def _apply_anchor(F, lams, U, transpose=False):
 def _structured_residuals(route, lams, U, norms):
     """||(X*lam_j + Y) u_j|| / ((||X|| |lam_j| + ||Y||) ||u_j||) for every column
     u_j of U, whose norms are ``norms``, and ||X u_j|| / (||X|| ||u_j||) where
-    lam_j is infinite, where (X, Y) is the route's pencil L: F itself, T F
-    (M1) or F^T S (M2).  One GEMM with the multiplier, and the anchor's
-    structure for the rest."""
-    F, T = route.F, route.multiplier
+    lam_j is infinite, where (X, Y) is the route's M2 pencil L = F^T S, whose
+    right eigenvectors S^-1 z are not P-sized.  One GEMM with S, and the
+    anchor's structure for the rest."""
     lams = np.asarray(lams, dtype=complex)
-    if route.side == "M2":
-        R = _apply_anchor(F, lams, _real_matmul(T, U), transpose=True)
-    else:
-        R = _apply_anchor(F, lams, U)
-        if route.side == "M1":
-            R = _real_matmul(T, R)
+    R = _apply_anchor(route.F, lams, _real_matmul(route.multiplier, U))
     nx = np.linalg.norm(route.L.X)
     scales = np.where(np.isinf(lams), nx, nx * np.abs(lams) + np.linalg.norm(route.L.Y))
     return np.linalg.norm(R, axis=0) / (norms * np.maximum(scales, 1e-300))
 
 
-def _through_anchor(route, lams, R, Z, left, known=None):
+def _through_anchor(route, lams, Z, left, known):
     """The sorted record (Eigentriples) of the route's pencil L and of P from
-    the eigenvalues ``lams`` of its anchor F and its right and left
-    eigenvectors ``R`` and ``Z`` (columns, z^T F(lam) = 0, None for a side not
-    solved), the one step after either rung: the map and the residuals of
+    the eigenvalues ``lams`` of its anchor F, F's left eigenvectors ``Z``
+    (columns, z^T F(lam) = 0, None for a side not solved) and ``known``
+    (_FromP): the vectors x of the route's polynomial that F's right
+    eigenvectors Phi kron x are made of, and the eta_P of x and of the first
+    blocks of Z.  The one step after the solve: the map and the residuals of
     the module docstring, every column normalized in solver order and then all
     put in the order of ``_order`` (np.take, which writes C-contiguous
-    arrays), and P's eigenvectors read off the sorted columns (_of_p).  The
-    vectors are normalized in place, R and Z included.
-
-    ``known`` (_FromP) comes from the eigvals rung, with R None: the vectors
-    x of the route's polynomial that F's right eigenvectors phi kron x are
-    made of, and the eta_P of x and of the first blocks of Z.  Then x itself
-    is P's structured side, with no fit and no mismatch, and nothing of
-    _of_p is computed again.  F's right eigenvectors are written once, unit
-    and sorted (_unit_kron), and for the anchor and M1 their residuals come
-    from P(lam) x and the recurrence residuals of phi (_residuals_from_p)."""
+    arrays).  x itself is P's structured side, and the first blocks of Z its
+    other side.  F's right eigenvectors are written once, unit and sorted
+    (_unit_kron), and for the anchor and M1 their residuals come from
+    P(lam) x and the recurrence residuals of Phi (_residuals_from_p).  The
+    vectors are normalized in place, Z included."""
     n = route.P.n
-    right, left_vecs = R, Z
+    right, left_vecs = None, Z
     if route.side == "M2":
-        right, left_vecs = _solve_scaled(route.multiplier, route.scaled[1][1], Z), R
+        right, left_vecs = _solve_scaled(route.multiplier, route.scaled[1][1], Z), None
     elif left and route.side == "M1":
         left_vecs = _solve(route.scaled[1], Z, transpose=True)
     right_norms = None if right is None else np.linalg.norm(right, axis=0)
@@ -313,35 +298,32 @@ def _through_anchor(route, lams, R, Z, left, known=None):
     if left_vecs is not None:
         left_vecs /= left_norms
         left_vecs = np.take(left_vecs, order, axis=1)
+    structured = summed = None
+    if known.x is not None:
+        unit = np.take(known.x / np.linalg.norm(known.x, axis=0), order, axis=1)
+        structured = _OfP(unit, known.eta_x[order])
+        if route.side == "M2":
+            left_vecs = _unit_kron(known.Phi, unit, order)
+        else:
+            right = _unit_kron(known.Phi, unit, order)
     if sums is not None:
-        sums = np.take(sums, order, axis=1)
-    if known is None:
-        # on P^T (M2) the fit gives P's left eigenvectors and the sums its right ones
-        fitted, summed = _of_p(route.P, lams, left_vecs if route.side == "M2" else right, sums)
-    else:
-        fitted = summed = None
-        if known.x is not None:
-            unit = np.take(known.x / np.linalg.norm(known.x, axis=0), order, axis=1)
-            fitted = _OfP(unit, known.eta_x[order], None)
-            if route.side == "M2":
-                left_vecs = _unit_kron(known.phi, unit, order)
-            else:
-                right = _unit_kron(known.phi, unit, order)
-        if sums is not None:
-            summed = _OfP(sums + 0.0, known.eta_y[order], None)
-    p_right, p_left = (summed, fitted) if route.side == "M2" else (fitted, summed)
+        summed = _OfP(np.take(sums, order, axis=1) + 0.0, known.eta_y[order])
+    # on P^T (M2) x is P's left eigenvector and the sums its right one
+    p_right, p_left = (summed, structured) if route.side == "M2" else (structured, summed)
     return Eigentriples(lams, right, left_vecs, residual[order], p_right, p_left)
 
 
 class _FromP(NamedTuple):
-    """What the eigvals rung solved, at every eigenvalue in solver order:
-    ``phi``, phi_vector(basis, k + 1) there (phi_k first); the right
-    vectors ``x`` of the route's polynomial (n x m, None when not solved),
-    their residuals ``px`` = P(lam) x, their eta_P ``eta_x`` and its scales
-    sum_i |phi_i| ||P_i||_F; and ``eta_y``, the eta_P of the first blocks of
-    the anchor's left eigenvectors (None when not solved)."""
+    """What the solve from P found, at every eigenvalue in solver order:
+    ``Phi``, the k x m factors of F's right eigenvectors Phi kron x
+    (phi_vector(basis, k) at a finite eigenvalue, e_1 at an infinite one);
+    the right vectors ``x`` of the route's polynomial (n x m, None when not
+    solved), their residuals ``px`` = P(lam) x (c*P_k x at an infinite
+    eigenvalue), their eta_P ``eta_x`` and its scales sum_i |phi_i| ||P_i||_F;
+    and ``eta_y``, the eta_P of the first blocks of the anchor's left
+    eigenvectors (None when not solved)."""
 
-    phi: np.ndarray
+    Phi: np.ndarray
     x: np.ndarray | None
     px: np.ndarray | None
     eta_x: np.ndarray | None
@@ -349,32 +331,35 @@ class _FromP(NamedTuple):
     eta_y: np.ndarray | None
 
 
-def _unit_kron(phi, unit, order):
-    """The unit vectors (Phi / ||Phi||) kron u, Phi = phi[1:] taken in
-    ``order`` and u the columns of ``unit``, which are in that order
-    already: the anchor's right eigenvectors, kn x m and C-contiguous."""
-    Phi = np.take(phi[1:], order, axis=1)
+def _unit_kron(Phi, unit, order):
+    """The unit vectors (Phi / ||Phi||) kron u, Phi taken in ``order`` and u
+    the columns of ``unit``, which are in that order already: the anchor's
+    right eigenvectors, kn x m and C-contiguous."""
+    Phi = np.take(Phi, order, axis=1)
     Phi /= np.linalg.norm(Phi, axis=0)
     (k, m), n = Phi.shape, unit.shape[0]
     return np.multiply(Phi[:, None, :], unit).reshape(k * n, m)
 
 
 def _residuals_from_p(route, lams, known):
-    """eta_L of the right eigenvectors phi kron x of the anchor or of an M1
+    """eta_L of the right eigenvectors Phi kron x of the anchor or of an M1
     pencil, from P-sized data (``known``, a _FromP): F(lam) (Phi kron x) is
     [P(lam) x; delta kron x], where delta = M(lam) Phi are the k - 1
-    recurrence residuals of the computed Phi = phi[1:] (M = Xs*lam + Ys,
-    with Xs = [0, I]), and ||Phi kron x|| = ||Phi|| ||x||.  For the anchor
-    ||P(lam) x|| / ||x|| is eta_P times its scale, so no n-vector is read
-    again; for M1 the residual is one real GEMM by T, at one eigenvalue of
-    each conjugate pair (_conjugates): T is real, so the other column, the
-    conjugate, has the same residual."""
+    recurrence residuals of the computed Phi (M = Xs*lam + Ys, with
+    Xs = [0, I]), and ||Phi kron x|| = ||Phi|| ||x||.  At an infinite
+    eigenvalue F(lam) is X alone, (lam, 1) becomes (1, 0), and X (e_1 kron x)
+    is [c*P_k x; 0].  For the anchor ||P(lam) x|| / ||x|| is eta_P times its
+    scale, so no n-vector is read again; for M1 the residual is one real GEMM
+    by T, at one eigenvalue of each conjugate pair (_conjugates): T is real,
+    so the other column, the conjugate, has the same residual."""
     F = route.F
     n = F.n
-    Phi = known.phi[1:]
-    delta = Phi[1:] * lams + F.Y[n::n, ::n] @ Phi
+    Phi = known.Phi
+    beta = ~np.isinf(lams)
+    alpha = np.where(beta, lams, 1.0)
+    delta = Phi[1:] * alpha + (F.Y[n::n, ::n] @ Phi) * beta
     nx, ny = np.linalg.norm(route.L.X), np.linalg.norm(route.L.Y)
-    scales = np.maximum(nx * np.abs(lams) + ny, 1e-300) * np.linalg.norm(Phi, axis=0)
+    scales = np.maximum(nx * np.abs(alpha) + ny * beta, 1e-300) * np.linalg.norm(Phi, axis=0)
     if route.side == "anchor":
         return np.hypot(known.eta_x * known.scale, np.linalg.norm(delta, axis=0)) / scales
     keep, lower = _conjugates(lams)
@@ -392,15 +377,14 @@ def _companion_solve(route, left=False):
     route's anchor, mapped to its pencil and to P, or None when c*P_k fails
     its gate or the rung is refused.  The anchor's eigenvalues come from
     geev without vectors on the companion matrix, the eigenvectors from P
-    at them: x_j and y_j are one inverse-iteration step from the eigenvalue
-    (_null_vectors), and a column whose eta_P misses the certificate is
-    solved again (_repair).  The rung is refused when an eigenvalue is not
-    finite or is classed infinite, when two agree to within sqrt(eps)
-    relative (_has_close_pair), or when a repaired column or the record
-    misses the certificate (_certified), which reads eta_L and the eta_P of
-    each side of P solved."""
+    at them (_from_p), every column solved against the first right-hand
+    side of _rhs.  The rung is refused when an eigenvalue is not finite or
+    is classed infinite, when two agree to within sqrt(eps) relative
+    (_has_close_pair), when a P(lam_j) stays singular, or when a repaired
+    column or the record misses the certificate (_certified), which reads
+    eta_L and the eta_P of each side of P solved."""
     P, F = route.P, route.F
-    n, k = P.n, P.k
+    n = P.n
     rcond, inverse = route.lead
     if not rcond > 10.0 * n * np.finfo(float).eps:
         return None
@@ -416,29 +400,54 @@ def _companion_solve(route, left=False):
         return None
     if lams is None or _has_close_pair(lams):
         return None
+    try:
+        return _from_p(route, lams, left, np.zeros(lams.size, dtype=int), certify=True)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _from_p(route, lams, left, rows, certify=False):
+    """The sorted record (_through_anchor) of the route's pencil at the
+    anchor's eigenvalues ``lams``, with P's eigenvectors solved from P
+    there, eigenvalue j against row rows[j] of _rhs.  With ``certify`` (the
+    eigvals rung) None as soon as a repaired column (_repair) misses the
+    certificate, and None when the record does (_certified).
+
+    x_j and y_j are one inverse-iteration step from the eigenvalue
+    (_null_vectors), at one eigenvalue of each conjugate pair, and a column
+    whose eta_P misses the certificate is solved again (_repair).  At an
+    infinite eigenvalue P is weighted by c e_0, so the matrix solved is
+    c*P_k and eta_P reads ||c*P_k x|| / (|c| ||P_k||_F ||x||), and F's right
+    eigenvector is e_1 kron x.  Raises LinAlgError when a matrix stays
+    singular at its shift."""
+    P, F = route.P, route.F
+    k = P.k
     want_left, want_right = route.anchor_sides(left)
-    phi = phi_vector(P.basis, k + 1, lams)
+    infinite = np.isinf(lams)
+    phi = phi_vector(P.basis, k + 1, np.where(infinite, 0.0, lams))
+    Phi = phi[1:]
+    if infinite.any():
+        Phi = Phi.copy()
+        Phi[:, infinite] = np.eye(k, 1)
+        phi[:, infinite] = np.eye(k + 1, 1) * leading_multiplier(P.basis, k)
     scale = P.evaluation_scale(lams, phi[::-1])
     # the conjugate of an eigenvalue has the conjugate vectors, and the same
     # eta_P: solve at one of each pair, then conjugate (_conjugates)
     keep, lower = _conjugates(lams)
     kept, phi_kept, scale_kept = lams[keep], phi[:, keep], scale[keep]
-    try:
-        values, vectors = _null_vectors(P, kept, phi_kept, (want_right, want_left))
-    except np.linalg.LinAlgError:
-        return None
+    values, vectors = _null_vectors(P, kept, phi_kept, (want_right, want_left),
+                                    _rhs(P.n)[rows[keep]])
     checks = [None if V is None else _eta(P, phi_kept, scale_kept, V, side)
               for V, side in zip(vectors, _SIDES)]
-    if not _repair(P, phi_kept, scale_kept, values, vectors, checks):
+    if not _repair(P, phi_kept, scale_kept, values, vectors, checks) and certify:
         return None
     X, Y = vectors
-    Z = None if Y is None else _anchor_left(F, kept, phi_kept, Y)
+    Z = None if Y is None else _anchor_left(F, kept, Phi[:, keep], Y)
     (eta_x, px), (eta_y, _) = (check or (None, None) for check in checks)
     X, px, eta_x, Z, eta_y = (None if a is None else _conjugated(a, keep, lower)
                               for a in (X, px, eta_x, Z, eta_y))
-    spectrum = _through_anchor(route, lams, None, Z, left,
-                               known=_FromP(phi, X, px, eta_x, scale, eta_y))
-    return spectrum if _certified(spectrum) else None
+    spectrum = _through_anchor(route, lams, Z, left, _FromP(Phi, X, px, eta_x, scale, eta_y))
+    return spectrum if not certify or _certified(spectrum) else None
 
 
 def _certified(spectrum):
@@ -496,9 +505,7 @@ def _repair(P, phi, scale, values, vectors, checks):
         V[:, b] = (inv[rows, :, best] if axis == 0 else inv[rows, best, :]).T
         eta, residuals = checks[axis]
         eta[b], residuals[:, b] = _eta(P, phi[:, b], scale[b], V[:, b], _SIDES[axis])
-        if not np.all(eta <= bound):
-            return False
-    return True
+    return all(check is None or np.all(check[0] <= bound) for check in checks)
 
 
 def _conjugates(lams):
@@ -527,37 +534,52 @@ def _conjugated(a, keep, lower):
     return out
 
 
-def _null_vectors(P, lams, phi, solved):
-    """(P(lam_j) as an m x n x n array, [X, Y]): the solutions x_j of
-    P(lam_j) x_j = b and y_j of P(lam_j)^T y_j = b, as the columns of n x m
-    arrays, for the sides ``solved`` (right, left) and None for the others;
-    ``phi`` is phi_vector(basis, k + 1) at the eigenvalues ``lams``.
+def _null_vectors(P, lams, phi, solved, b):
+    """(the matrices M_j as an m x n x n array, [X, Y]): the solutions x_j
+    of M_j x_j = b_j and y_j of M_j^T y_j = b_j, as the columns of n x m
+    arrays, for the sides ``solved`` (right, left) and None for the others.
+    ``phi`` weighs P's coefficients at the eigenvalues ``lams`` (_from_p),
+    so M_j is P(lam_j), or c*P_k at an infinite lam_j, and b_j is row j of
+    ``b``.
 
-    Where a P(lam_j) is exactly singular, so that its LU has a zero pivot
-    and cannot solve, it is formed and solved at lam_j + i d, d being
-    _SHIFT_ULPS ulps of max(|lam_j|, 1), and the array holds it there.
-    Raises LinAlgError when that is singular too."""
+    Where an M_j is singular, so that its LU has a zero pivot or its
+    solution is not finite, it is moved, solved again, and the array holds
+    it moved: a finite lam_j to lam_j + i d, d being _SHIFT_ULPS ulps of
+    max(|lam_j|, 1); c*P_k, and a P(lam_j) still singular there, scaled to
+    unit Frobenius norm (unless zero) and moved by i d I, d that many ulps.
+    Raises LinAlgError when that leaves it singular."""
     values = _evaluate_at(P, phi)
-    b = _rhs(P.n)
+    b = b[:, :, None]
+    ulps = _SHIFT_ULPS * np.finfo(float).eps
     vectors = [None, None]
     for side in (0, 1):
         if not solved[side]:
             continue
         matrices = values if side == 0 else values.transpose(0, 2, 1)
-        try:
-            vectors[side] = np.linalg.solve(matrices, b).T
-            continue
-        except np.linalg.LinAlgError:
-            pass
-        singular = np.linalg.slogdet(matrices)[0] == 0.0
-        if not singular.any():
-            singular[:] = True
-        # the imaginary part of P there makes a zero pivot as unlikely as for
-        # any complex matrix
-        shifts = lams[singular] + 1j * _SHIFT_ULPS * np.finfo(float).eps * np.maximum(
-            np.abs(lams[singular]), 1.0)
-        values[singular] = _evaluate_at(P, phi_vector(P.basis, P.k + 1, shifts))
-        vectors[side] = np.linalg.solve(matrices, b).T
+        for attempt in range(3):
+            try:
+                solution = np.linalg.solve(matrices, b)[:, :, 0]
+                singular = ~np.isfinite(solution).all(axis=1)
+            except np.linalg.LinAlgError:
+                singular = np.linalg.slogdet(matrices)[0] == 0.0
+                if not singular.any():
+                    singular[:] = True
+            if not singular.any():
+                vectors[side] = solution.T
+                break
+            if attempt == 2:
+                raise np.linalg.LinAlgError("a moved P(lam) is singular")
+            # the imaginary part of the move makes a zero pivot as unlikely
+            # as for any complex matrix
+            along = singular if attempt else singular & np.isinf(lams)
+            at = singular & ~along
+            if at.any():
+                shifts = lams[at] + 1j * ulps * np.maximum(np.abs(lams[at]), 1.0)
+                values[at] = _evaluate_at(P, phi_vector(P.basis, P.k + 1, shifts))
+            if along.any():
+                size = np.linalg.norm(values[along], axis=(1, 2))
+                values[along] /= np.where(size > 0.0, size, 1.0)[:, None, None]
+                values[along] += 1j * ulps * np.eye(P.n)
     return values, vectors
 
 
@@ -575,10 +597,12 @@ def _evaluate_at(P, phi):
 
 @functools.lru_cache(maxsize=64)
 def _rhs(n):
-    """The fixed complex right-hand side of the eigvals rung's solves, the
-    same on every call for a given n."""
+    """n fixed complex right-hand sides of the solves from P, the rows of an
+    n x n array, the same on every call for a given n: the eigvals rung
+    solves every column against row 0, QZ the j-th eigenvalue in sorted
+    order against row j mod n."""
     rng = np.random.default_rng(_RHS_SEED)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(n)])
     b.setflags(write=False)
     return b
 
@@ -601,10 +625,11 @@ def _has_close_pair(lams):
     return False
 
 
-def _anchor_left(F, lams, phi, Y):
+def _anchor_left(F, lams, Phi, Y):
     """The anchor's left eigenvectors z_j, z_j^T F(lam_j) = 0, whose first
-    blocks are the left eigenvectors y_j of P (the columns of Y); ``phi`` is
-    phi_vector(basis, k + 1) at the eigenvalues.
+    blocks are the left eigenvectors y_j of P (the columns of Y); ``Phi``
+    holds the factors of F's right eigenvectors there (_FromP).  At an
+    infinite eigenvalue F(lam) is X = diag(c*P_k, I) alone, and z = e_1 kron y.
 
     Block column i of z^T F(lam) = 0 reads
     (lam X_0i + Y_0i)^T y + sum_r M_ri z_(r+1) = 0, with M = Xs*lam + Ys the
@@ -617,11 +642,19 @@ def _anchor_left(F, lams, phi, Y):
     substitution, which leaves out the last one, of weight phi_0 = 1, would
     scale the residual up by max |phi_i| where |lam| > 1.)"""
     n, k, m = F.n, F.k, Y.shape[1]
+    infinite = np.isinf(lams)
+    if infinite.any():
+        Z = np.zeros((k * n, m), dtype=complex)
+        Z[:n] = Y
+        finite = ~infinite
+        if finite.any():
+            Z[:, finite] = _anchor_left(F, lams[finite], Phi[:, finite], Y[:, finite])
+        return Z
     G = _real_matmul(F.Y[:n].T, Y)  # (lam X_0i + Y_0i)^T y, block by block
     G[:n] += _real_matmul(F.X[:n, :n].T, Y) * lams
     # the k - 1 rows kept of M^T = Xs^T lam + Ys^T, an m x (k - 1) x (k - 1)
     # array: Xs = [0, I] puts lam one place left of the diagonal of M^T
-    kept = np.arange(k - 1) + (np.arange(k - 1) >= np.argmax(np.abs(phi[1:]), axis=0)[:, None])
+    kept = np.arange(k - 1) + (np.arange(k - 1) >= np.argmax(np.abs(Phi), axis=0)[:, None])
     equations = F.Y[n::n, ::n].T[kept].astype(complex)
     j, i = np.nonzero(kept)
     equations[j, i, kept[j, i] - 1] += lams[j]
@@ -657,15 +690,12 @@ def _eigenvalues(alpha, beta):
 
 
 class _OfP(NamedTuple):
-    """Eigenvectors of P on one side, read off the pencil's: the n x m
-    ``vectors`` as recovery returns them, their backward errors ``eta``
-    (eta_P), and ``mismatch``, the Kronecker mismatch of the pencil
-    eigenvectors they were fitted to, or None for block sums and for the
-    vectors the eigvals rung solves from P, which are fitted to nothing."""
+    """Eigenvectors of P on one side, as the solve from P found them: the
+    n x m ``vectors`` as recovery returns them and their backward errors
+    ``eta`` (eta_P)."""
 
     vectors: np.ndarray
     eta: np.ndarray
-    mismatch: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -677,14 +707,12 @@ class Eigentriples:
     ones), ``right`` and ``left`` the pencil's unit eigenvectors as the
     columns of kn x m arrays (``left`` None when no left vectors were asked
     for), and ``residual`` the m normalized right residuals.  ``p_right``
-    and ``p_left`` hold P's right and left eigenvectors (_OfP), read off the
-    anchor's eigenvectors by the post-solve step: on the structured side
-    the unit vectors the eigvals rung solves from P, or else the unit
-    Kronecker fit of the pencil's eigenvectors, with its mismatch, and on
-    the other side the block sums (v kron I_n)^T w of the unit eigenvectors
-    w as they are (the anchor and M1: the structured side is P's right
-    side; M2: its left side), each with its backward errors eta_P.  ``p_left`` is None when no left
-    vectors were asked for, and both are None in a record not made by
+    and ``p_left`` hold P's right and left eigenvectors (_OfP): on the
+    structured side the unit vectors solved from P, and on the other side
+    the block sums (v kron I_n)^T w of the unit eigenvectors w as they are
+    (the anchor and M1: the structured side is P's right side; M2: its left
+    side), each with its backward errors eta_P.  ``p_left`` is None when no
+    left vectors were asked for, and both are None in a record not made by
     pencil_eigen.  recover_right and recover_left check and return them.
     Every array is C-contiguous, and column j of each belongs to
     eigenvalues[j]; infinite eigenvalues' vectors are eigenvectors of the
@@ -731,9 +759,8 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     """All kn eigentriples of P's anchor pencil, or with ``factor`` (v, B) of
     its M1 or M2 pencil L, infinite ones included, solved through the anchor
     on one route (_route, qz_solve), as one sorted, columnar Eigentriples
-    that also holds P's eigenvectors, with their backward errors and, after
-    QZ, the Kronecker mismatch of the fitted side; recover_right and
-    recover_left check them against a tolerance.
+    that also holds P's eigenvectors, solved from P, with their backward
+    errors; recover_right and recover_left check them against a tolerance.
 
     L is regular if the reciprocal condition number of the anchor's c*P_k
     block (the exact 1-norm one, from its inverse, rows scaled to unit norm;
@@ -757,7 +784,8 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     ``left`` either, so the residuals are the same too: ``eig`` and
     ``recover --random 5,8,1`` both print 2.589455432076529e-16 for the
     first eigenvalue, and ``--random 6,8,1`` 1.7843552459841404e-15.  QZ
-    finds both sides in one call.
+    finds the same eigenvalues with and without ``left``, and P the same
+    right vectors at them, so after QZ the residuals agree as well.
     """
     route = _route(P, factor)
     size, eps = route.L.X.shape[0], np.finfo(float).eps
@@ -812,87 +840,15 @@ def _eta(P, phi, scale, U, nullside="right"):
     return np.linalg.norm(R, axis=0) / (np.maximum(scale, 1e-300) * np.linalg.norm(U, axis=0)), R
 
 
-def _kron_fit(phi, blocks):
-    """The least-squares fit u_j = sum_i conj(phi_ij) w_ij / sum_i |phi_ij|^2
-    of phi_j kron u_j to the k x n x m blocks w_ij of the pencil
-    eigenvectors, with ``phi`` phi_vector(basis, k + 1) at the eigenvalues,
-    whose first row (phi_k) the fit leaves out."""
-    phi = phi[1:]
-    return np.einsum("im,iam->am", phi.conj(), blocks) / np.sum(np.abs(phi) ** 2, axis=0)
-
-
-def _of_p(P, lams, W, sums=None):
-    """(right, left): P's eigenvectors (_OfP) at the eigenvalues ``lams``,
-    right ones fitted to the Kronecker-structured right eigenvectors W
-    (kn x m) of a linearization of P, and left ones given as ``sums``
-    (n x m); None for a side whose input is None.  The kernel of the
-    post-solve step, which passes P^T for an M2 pencil.
-
-    One phi_vector at the eigenvalues, 0 at infinite ones, serves the fit,
-    its mismatch and the scale sum_i |phi_i| ||P_i||_F of eta_P on both
-    sides.  At a finite eigenvalue u is the least-squares fit over every
-    block (_kron_fit) and w is measured against phi kron u; at an infinite
-    one u is w's first block, measured against e_1 kron u.  eta_P is
-    backward_errors, "right" for u and "left" for the sums, and at infinite
-    eigenvalues the residual of the leading monomial coefficient relative to
-    its norm.  u is returned normalized, the sums as they are, but for the
-    sign of zero parts, which + 0.0 clears; a zero column gives NaN, which
-    fails every check."""
-    n, k = P.n, P.k
-    norm = np.linalg.norm
-    infinite = np.isinf(lams)
-    alpha = np.where(infinite, 0.0, lams)
-    phi = phi_vector(P.basis, k + 1, alpha)
-    scale = P.evaluation_scale(alpha, phi[::-1])
-    lead = reversal_monomial(P)[0] if infinite.any() else None
-
-    def eta(V, nullside):
-        residual = _eta(P, phi, scale, V, nullside)[0]
-        if lead is not None:
-            R = (lead if nullside == "right" else lead.T) @ V[:, infinite]
-            residual[infinite] = norm(R, axis=0) / (
-                max(norm(lead), 1e-300) * norm(V[:, infinite], axis=0))
-        return residual
-
-    right = left = None
-    with np.errstate(invalid="ignore"):
-        if W is not None:
-            blocks = W.reshape(k, n, -1)
-            U = np.where(infinite, blocks[0], _kron_fit(phi, blocks))
-            # finite: phi kron u - w; infinite: e_1 kron u - w, the blocks below the first
-            misfit = np.where(infinite, np.eye(k, 1), phi[1:])[:, None, :] * U
-            misfit -= blocks
-            mismatch = _column_norms(misfit.reshape(k * n, -1)) / _column_norms(W)
-            del misfit  # one kn x m temporary at a time: eta makes its own
-            right = _OfP(U / norm(U, axis=0), eta(U, "right"), mismatch)
-        if sums is not None:
-            left = _OfP(sums + 0.0, eta(sums, "left"), None)
-    return right, left
-
-
-def _column_norms(A):
-    """The 2-norms of the columns of the 2-D array A, by one einsum on its
-    real and imaginary parts, which makes no temporary of a complex A's size."""
-    parts = np.ascontiguousarray(A, dtype=complex).view(float)  # re, im as adjacent columns
-    squares = np.einsum("xm,xm->m", parts, parts)
-    return np.sqrt(squares[0::2] + squares[1::2])
-
-
 def recover_right(spectrum: Eigentriples, tol: float = 1e-6) -> np.ndarray:
     """P's right eigenvectors, the n x m columns of ``spectrum.p_right``,
     column j for eigenvalue j, once every column passes ``tol``.
 
-    For the anchor and M1 they are the unit Kronecker fit of the pencil's
-    right eigenvectors, and a column whose pencil eigenvector is not
-    phi kron u (e_1 kron u at an infinite eigenvalue) by a relative mismatch
-    above tol raises RecoveryError: the source pencil is not a
-    linearization.  On the eigvals rung they are the unit vectors solved
-    from P, with no mismatch to check.  For M2 they are the block sums, as
-    they are.  Then a
-    column whose backward error eta_P (backward_errors, or at an infinite
-    eigenvalue the residual of the leading monomial coefficient) is not at
-    most tol raises RecoveryError.  Each error names the first failing
-    column and its eigenvalue.  Both checks read values the post-solve step
+    For the anchor and M1 they are the unit vectors solved from P, for M2
+    the block sums, as they are.  A column whose backward error eta_P
+    (backward_errors, or at an infinite eigenvalue ||P_k u|| / (||P_k||_F
+    ||u||)) is not at most tol raises RecoveryError, which names the first
+    failing column and its eigenvalue.  The check reads values the solve
     recorded; nothing is computed again."""
     return _checked(spectrum.eigenvalues, spectrum.p_right, "right", tol)
 
@@ -900,28 +856,21 @@ def recover_right(spectrum: Eigentriples, tol: float = 1e-6) -> np.ndarray:
 def recover_left(spectrum: Eigentriples, tol: float = 1e-6) -> np.ndarray:
     """P's left eigenvectors u, u^T P(lam) = 0, the n x m columns of
     ``spectrum.p_left``, checked as recover_right checks the right ones: the
-    block sums, as they are, for the anchor and M1, and the unit Kronecker
-    fit of the pencil's left eigenvectors for M2.  A near-zero sum signals
-    that the exclusion condition failed; a zero one fails.  Raises
-    RecoveryError when the pencil was solved without left eigenvectors."""
+    block sums, as they are, for the anchor and M1, and the unit vectors
+    solved from P^T for M2.  A near-zero sum signals that the exclusion
+    condition failed; a zero one fails.  Raises RecoveryError when the
+    pencil was solved without left eigenvectors."""
     return _checked(spectrum.eigenvalues, spectrum.p_left, "left", tol)
 
 
 def _checked(lams, side, name, tol):
-    """The vectors of ``side`` (an _OfP) once the mismatch and eta_P of every
-    column are at most tol; RecoveryError for the first column that fails."""
+    """The vectors of ``side`` (an _OfP) once the eta_P of every column is at
+    most tol; RecoveryError for the first column that fails."""
     if side is None:
         raise RecoveryError(f"the solve found no {name} eigenvectors of P")
-    mismatch = np.zeros(lams.size) if side.mismatch is None else side.mismatch
-    bad = np.flatnonzero((mismatch > tol) | ~(side.eta <= tol))
+    bad = np.flatnonzero(~(side.eta <= tol))
     if bad.size:
         j = bad[0]
-        if mismatch[j] > tol:
-            shape = "e_1 kron u" if np.isinf(lams[j]) else "phi kron u"
-            raise RecoveryError(
-                f"eigenvector {_column(lams, j)} is not {shape} (mismatch {mismatch[j]:.3e}); "
-                "the source pencil is not a linearization"
-            )
         raise RecoveryError(
             f"recovered vector {_column(lams, j)} fails the eigenvector residual check "
             f"(relative residual {side.eta[j]:.3e})"

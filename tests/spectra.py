@@ -10,10 +10,13 @@ columnar Eigentriples.  ``sort_triples`` is the sort rule of
 ``pencil_eigen`` written out eigenvalue by eigenvalue, the reference for the
 permutation (``spectral._order``) that the library computes on arrays.
 ``block_sum`` is the paper's block sum (v kron I_n)^T U of pencil
-eigenvectors, and ``recovered`` a record of P's eigenvectors made from given
-pencil eigenvectors by the kernel of pencil_eigen's post-solve step, for
-recover_right and recover_left to check.  The library and the CLI use none
-of them.
+eigenvectors.  ``kron_fit`` fits phi(lam) kron u to Kronecker-structured
+pencil eigenvectors, such as QZ's, with the mismatch of the fit: the paper's
+recovery result, which pencil_eigen does not need, as it solves P's
+eigenvectors from P.  ``p_eta`` is eta_P of given vectors of P, and
+``recovered`` a record of P's eigenvectors made from given pencil
+eigenvectors by that fit, for recover_right and recover_left to check.  The
+library and the CLI use none of them.
 """
 
 import cmath
@@ -23,7 +26,8 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from orthopencil import spectral
+from orthopencil import phi_vector, spectral
+from orthopencil.spectral import backward_errors
 from orthopencil.oracle import Spectrum
 
 
@@ -52,16 +56,56 @@ def block_sum(v, U):
     return np.tensordot(np.asarray(v, dtype=float), U.reshape(k, kn // k, m), 1)
 
 
+def kron_fit(P, lams, W):
+    """(U, mismatch): the least-squares fit u_j = sum_i conj(phi_ij) w_ij /
+    sum_i |phi_ij|^2 of phi_j kron u_j to the k blocks w_ij of each column
+    w_j of W (kn x m), eigenvectors of a linearization of P whose structured
+    side W is, normalized, and the relative mismatch ||phi_j kron u_j - w_j||
+    / ||w_j||; phi is phi_vector(basis, k), or e_1 at an infinite
+    eigenvalue, where u is w's first block."""
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    W = np.asarray(W, dtype=complex)
+    k, n = P.k, P.n
+    infinite = np.isinf(lams)
+    phi = phi_vector(P.basis, k, np.where(infinite, 0.0, lams))
+    phi[:, infinite] = np.eye(k, 1)
+    blocks = W.reshape(k, n, -1)
+    U = np.einsum("im,iam->am", phi.conj(), blocks) / np.sum(np.abs(phi) ** 2, axis=0)
+    misfit = (phi[:, None, :] * U - blocks).reshape(k * n, -1)
+    mismatch = np.linalg.norm(misfit, axis=0) / np.linalg.norm(W, axis=0)
+    return U / np.linalg.norm(U, axis=0), mismatch
+
+
+def p_eta(P, lams, U, nullside="right"):
+    """eta_P of the columns of U (n x m) as vectors of P on ``nullside``:
+    backward_errors at finite eigenvalues, ||P_k u|| / (||P_k||_F ||u||) at
+    infinite ones; NaN for a zero column."""
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    U = np.asarray(U, dtype=complex)
+    infinite = np.isinf(lams)
+    lead = P.coeffs[-1] if nullside == "right" else P.coeffs[-1].T
+    eta = np.empty(lams.size)
+    with np.errstate(invalid="ignore"):
+        eta[~infinite] = backward_errors(P, lams[~infinite], U[:, ~infinite], nullside)
+        eta[infinite] = np.linalg.norm(lead @ U[:, infinite], axis=0) / (
+            np.linalg.norm(lead) * np.linalg.norm(U[:, infinite], axis=0))
+    return eta
+
+
 def recovered(P, lams, W, sums=None):
     """A record whose right eigenvectors of P are fitted to the
     Kronecker-structured pencil eigenvectors W (kn x m) and whose left ones
-    are ``sums`` (n x m), by the kernel of pencil_eigen's post-solve step
-    (spectral._of_p); its pencil fields are placeholders."""
+    are ``sums`` (n x m), each with its eta_P (kron_fit, p_eta); its pencil
+    fields are placeholders."""
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    W = np.asarray(W, dtype=complex)
-    sums = None if sums is None else np.asarray(sums, dtype=complex)
-    return spectral.Eigentriples(lams, W, None, np.zeros(lams.size),
-                                 *spectral._of_p(P, lams, W, sums))
+    U = kron_fit(P, lams, W)[0]
+    right = spectral._OfP(U, p_eta(P, lams, U))
+    left = None
+    if sums is not None:
+        sums = np.asarray(sums, dtype=complex) + 0.0
+        left = spectral._OfP(sums, p_eta(P, lams, sums, "left"))
+    return spectral.Eigentriples(lams, np.asarray(W, dtype=complex), None,
+                                 np.zeros(lams.size), right, left)
 
 
 # Finite eigenvalues whose real parts are chained by steps of at most this

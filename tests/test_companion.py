@@ -36,6 +36,8 @@ from orthopencil import (
     make_m1,
     make_m2,
     pencil_eigen,
+    phi_vector,
+    recover_left,
     recover_right,
 )
 from orthopencil import ansatz, basis, blocksym, cli, matpoly, pencil, spectral
@@ -45,7 +47,7 @@ from orthopencil.matpoly import RegularityVerdict, _scaled_inverse
 from orthopencil.serialize import dump_json, factor_to_obj, problem_to_obj, spectrum_report_obj
 from orthopencil.spectral import backward_errors
 from conftest import ALL_KINDS, random_problem
-from spectra import block_sum, qz_on_pencil
+from spectra import block_sum, p_eta, qz_on_pencil
 
 EPS = np.finfo(float).eps
 # (n, k): kn from 6 to 240
@@ -294,11 +296,9 @@ def test_recover_computes_each_backward_error_once(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("rung", ("eigvals", "qz"))
 def test_certified_recover_does_the_work_once(tmp_path, monkeypatch, capsys, rung):
     # a recover on the anchor, an M1 and an M2 pencil computes eta_P once
-    # per side and evaluates the basis once, whichever rung solves it.  QZ
-    # fits the Kronecker-structured side once, in the post-solve step; on
-    # the eigvals rung that side is the solved vectors
-    # of P themselves, so nothing is fitted and no mismatch is recorded.
-    # No P(lam_j) of this P (or P^T) is exactly singular (see above).
+    # per side and evaluates the basis once, whichever rung finds the
+    # eigenvalues: either way P's eigenvectors are solved from P.  No
+    # P(lam_j) of this P (or P^T) is exactly singular (see above).
     rng = np.random.default_rng(1)
     P = random_problem(rng, 6, 5, "chebyshev1")
     path = _write_problem(tmp_path, P, "p")
@@ -307,12 +307,10 @@ def test_certified_recover_does_the_work_once(tmp_path, monkeypatch, capsys, run
                _write_factor(tmp_path, side, _block_symmetric(P, side, rng))]
               for side in ("M1", "M2")]
     for argv in argvs:
-        calls = {"_kron_fit": 0, "_eta": 0, "phi_vector": 0, "_companion_solve": 0}
-        sides, records = [], []
-        inner_eta, inner_solve, inner_record = spectral._eta, spectral._companion_solve, \
-            spectral.Eigentriples
-        for name in ("_kron_fit", "phi_vector"):
-            _counting(monkeypatch, name, calls)
+        calls = {"_eta": 0, "phi_vector": 0, "_companion_solve": 0}
+        sides = []
+        inner_eta, inner_solve = spectral._eta, spectral._companion_solve
+        _counting(monkeypatch, "phi_vector", calls)
 
         def eta(P, phi, scale, U, nullside="right"):
             calls["_eta"] += 1
@@ -327,25 +325,13 @@ def test_certified_recover_does_the_work_once(tmp_path, monkeypatch, capsys, run
             assert out is not None, argv  # certified
             return out
 
-        def record(*args):
-            records.append(inner_record(*args))
-            return records[-1]
-
         monkeypatch.setattr(spectral, "_eta", eta)
         monkeypatch.setattr(spectral, "_companion_solve", spy)
-        monkeypatch.setattr(spectral, "Eigentriples", record)
         assert cli.run(argv) == 0, argv
         monkeypatch.undo()
         assert "eigenvectors" in json.loads(capsys.readouterr().out)
-        fits = 0 if rung == "eigvals" else 1
-        assert calls == {"_kron_fit": fits, "_eta": 2, "phi_vector": 1,
-                         "_companion_solve": 1}, argv
+        assert calls == {"_eta": 2, "phi_vector": 1, "_companion_solve": 1}, argv
         assert sorted(sides) == ["left", "right"], argv
-        # the fitted side is P's right one for the anchor and M1, its left one for M2
-        (spectrum,) = records
-        fitted = spectrum.p_left if "M2.factor.json" in argv[-1] else spectrum.p_right
-        assert (fitted.mismatch is None) == (rung == "eigvals"), argv
-        assert spectrum.p_left.mismatch is None or spectrum.p_right.mismatch is None
 
 
 def test_exactly_singular_p_stays_on_the_eigvals_rung(monkeypatch):
@@ -394,10 +380,11 @@ def test_a_column_missing_the_certificate_is_solved_again(monkeypatch):
 @pytest.mark.parametrize("kind", ("monomial", "chebyshev1", "chebyshev2", "legendre"))
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_multiple_eigenvalues_take_qz(tmp_path, monkeypatch, capsys, kind, k):
-    # x^k I_2 and phi_k(x) I_2: every eigenvalue is at least double, and one
-    # solve by P(lam) would give one x for both of a pair where QZ gives
-    # independent vectors.  The eigvals rung declines before any solve, QZ
-    # solves the anchor, and eig and recover each print what they print with
+    # x^k I_2 and phi_k(x) I_2: every eigenvalue is at least double, and the
+    # rung's one right-hand side would give one x for both of a pair.  The
+    # eigvals rung declines before any solve, QZ finds the eigenvalues, P
+    # gives the vectors in one solve, against a right-hand side per place in
+    # the sorted order, and eig and recover each print what they print with
     # the rung refused outright
     P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis(kind))
     path = _write_problem(tmp_path, P, "p")
@@ -411,8 +398,22 @@ def test_multiple_eigenvalues_take_qz(tmp_path, monkeypatch, capsys, kind, k):
             monkeypatch.setattr(spectral, "_null_vectors", lambda *a: solved.append(a) or inner(*a))
             outputs.append((cli.run([cmd, "-p", path]), *capsys.readouterr()))
             monkeypatch.undo()
-            assert solved == [] and len(calls) == 1, (cmd, rung)
+            assert len(solved) == 1 and len(calls) == 1, (cmd, rung)
         assert outputs[0] == outputs[1], cmd
+
+
+@pytest.mark.parametrize("k", (2, 3, 4, 21, 22))
+def test_a_multiple_eigenvalue_gets_independent_vectors(tmp_path, capsys, k):
+    # x^k I_2: 0 is an eigenvalue of multiplicity 2k whose eigenvectors span
+    # C^2 on either side, and recover prints vectors of P of rank 2 for it.
+    # P(0) = 0, so P is solved at the moved point 4i eps, where it is
+    # (4i eps)^k I: subnormal for k = 21, zero for 22, and moved along I
+    P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis("monomial"))
+    assert cli.run(["recover", "-p", _write_problem(tmp_path, P, "p")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["infinite_count"] == 0 and len(report["finite"]) == 2 * k
+    for side in ("right", "left"):
+        assert np.linalg.matrix_rank(_vectors(report, side)) == 2, side
 
 
 # --random n,k,1 (chebyshev1) shapes from kn = 24 to 240 and k^2 / n from
@@ -457,25 +458,6 @@ def test_eig_and_recover_print_the_same_spectrum_on_the_eigvals_rung(tmp_path, m
         monkeypatch.undo()
         assert calls == [], (n, k)
         assert reports[0] == reports[1], (n, k)
-
-
-def test_m2_solve_with_real_left_vectors(monkeypatch):
-    # every eigenvalue of this P is real, so QZ on the anchor of P^T returns
-    # real left vectors, and their map to the M2 pencil's right vectors is
-    # real too: the residual step must make them complex before it
-    # multiplies them by the eigenvalues in place, or it raises
-    # UFuncTypeError (recover exit 2)
-    rng = np.random.default_rng(0)
-    P = random_problem(rng, 2, 3, "custom")
-    f = AnsatzFactor(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, (6, 4)), "M2")
-    _force_rung(monkeypatch, "qz")
-    calls = _spy_qz(monkeypatch)
-    triples = pencil_eigen(P, f, left=True)
-    monkeypatch.undo()
-    ((_, _, (_, _, left)),) = calls
-    assert not np.iscomplexobj(left)
-    assert np.all(triples.eigenvalues.imag == 0.0)
-    assert spectral._certified(triples)
 
 
 @pytest.mark.parametrize("rung", ("eigvals", "qz"))
@@ -674,6 +656,66 @@ def test_singular_lead_recover_gets_infinite_eigenvalues_by_qz(tmp_path, monkeyp
         _assert_report_matches_qz(P, L, side, out)
 
 
+# Problems the eigvals rung refuses: --random 16,9,2 and 10,16,3 in the
+# CLI's four bases, and CI's singular P_k, which has infinite eigenvalues.
+_QZ_PROBLEMS = [(spec, kind) for spec in ("16,9,2", "10,16,3")
+                for kind in cli.RANDOM_BASIS_KINDS] + [("singular", "chebyshev1")]
+
+
+def _qz_problem(spec, kind):
+    if spec == "singular":
+        coeffs = np.random.default_rng(1).uniform(-1.0, 1.0, (4, 3, 3))
+        coeffs[-1][:, 0] = 0.0
+        return MatrixPolynomial(tuple(coeffs), builtin_basis(kind))
+    return cli._random_problem(spec, kind)
+
+
+@pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
+@pytest.mark.parametrize("problem", _QZ_PROBLEMS, ids="-".join)
+def test_qz_gives_eigenvalues_and_p_every_eigenvector(monkeypatch, problem, side):
+    # QZ runs once, on the anchor's pair alone, and returns eigenvalues
+    # only; the eigenvectors of L and of P, infinite ones included, come from
+    # P at them and meet the 100 kn eps that a backward-stable solve gives,
+    # and the infinite count is that of QZ with vectors on the same anchor.
+    # The rung is refused outright: on P^T (M2) it certifies some of these.
+    P = _qz_problem(*problem)
+    f = None if side == "anchor" else _block_symmetric(P, side, np.random.default_rng(0))
+    L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
+    kn = L.k * L.n
+    calls, inner = [], spectral._qz
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, inner(*args, **kwargs)))
+        return calls[-1][2]
+
+    _force_rung(monkeypatch, "qz")
+    monkeypatch.setattr(spectral, "_qz", spy)
+    triples = pencil_eigen(P, f)
+    monkeypatch.undo()
+    ((args, kwargs, out),) = calls
+    assert len(args) == 2 and kwargs == {}
+    assert isinstance(out, np.ndarray) and out.shape == (kn,)
+    Q = P if side != "M2" else MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis)
+    assert np.array_equal(args[0], anchor_pencil(Q).X)
+    lams = triples.eigenvalues
+    infinite = np.isinf(lams)
+    reference = qz_on_pencil(anchor_pencil(Q), left=False).eigenvalues
+    assert np.count_nonzero(infinite) == np.count_nonzero(np.isinf(reference))
+    assert problem[0] != "singular" or infinite.any()
+    bound = 100 * kn * EPS
+    # eta_L as reported and from the dense pencil: ||(X*lam + Y) u|| /
+    # (||X|| |lam| + ||Y||), ||X u|| / ||X|| at infinity
+    assert triples.residual.max() <= bound
+    alpha = np.where(infinite, 1.0, lams)
+    R = np.stack([(L.X * a + L.Y * (not inf)) @ u
+                  for a, inf, u in zip(alpha, infinite, triples.right.T)], axis=1)
+    nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
+    assert (np.linalg.norm(R, axis=0) / (nx * np.abs(alpha) + ny * ~infinite)).max() <= bound
+    for vec_side, vecs in (("right", recover_right(triples, tol=np.inf)),
+                           ("left", recover_left(triples, tol=np.inf))):
+        assert p_eta(P, lams, vecs, vec_side).max() <= bound, vec_side
+
+
 @pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
 def test_companion_vectors_are_eigenvectors_of_the_pencil(rng, side):
     P = random_problem(rng, 6, 8, "legendre")
@@ -696,16 +738,36 @@ def test_companion_vectors_are_eigenvectors_of_the_pencil(rng, side):
 @pytest.mark.parametrize("kind", ("monomial", "newton", "degree_graded"))
 @pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
 def test_structured_residuals_match_the_dense_pencil(rng, kind, side):
-    # random vectors, not eigenvectors: the residuals are far above rounding
+    # the residuals each route reports, at random points and vectors, not
+    # eigenpairs, so that they are far above rounding, and at two infinite
+    # eigenvalues, where the residual is ||X u|| / (||X|| ||u||): for the
+    # anchor and M1 from P-sized data, Phi kron x with Phi = e_1 at an
+    # infinite eigenvalue (_residuals_from_p), and for M2 from S^-1 z
+    # (_structured_residuals)
     P = random_problem(rng, 4, 6, kind)
     f = None if side == "anchor" else _block_symmetric(P, side, rng)
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
+    route = spectral._route(P, f)
     m = 7
     lams = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    lams[[1, 4]] = np.inf  # beta = 0: the residual is ||X u|| / (||X|| ||u||)
-    U = rng.standard_normal((24, m)) + 1j * rng.standard_normal((24, m))
-    got = spectral._structured_residuals(spectral._route(P, f), lams, U,
-                                         np.linalg.norm(U, axis=0))
+    infinite = np.zeros(m, dtype=bool)
+    infinite[[1, 4]] = True
+    lams[infinite] = np.inf
+    if side == "M2":
+        U = rng.standard_normal((24, m)) + 1j * rng.standard_normal((24, m))
+        got = spectral._structured_residuals(route, lams, U, np.linalg.norm(U, axis=0))
+    else:
+        x = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
+        Phi = phi_vector(P.basis, 6, np.where(infinite, 0.0, lams))
+        Phi[:, infinite] = np.eye(6, 1)
+        # P(lam) x, and X's first block c*P_k times x at an infinite eigenvalue
+        px = np.einsum("mrc,cm->rm", P.evaluate(np.where(infinite, 0.0, lams)), x)
+        px[:, infinite] = route.F.X[:4, :4] @ x[:, infinite]
+        scale = np.ones(m)  # eta_P times its scale is all that is read
+        eta = np.linalg.norm(px, axis=0) / np.linalg.norm(x, axis=0)
+        got = spectral._residuals_from_p(route, lams,
+                                         spectral._FromP(Phi, x, px, eta, scale, None))
+        U = (Phi[:, None, :] * x).reshape(24, m)
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
     for j in range(m):
         if np.isinf(lams[j]):
@@ -735,7 +797,7 @@ def test_residuals_from_p_match_the_dense_pencil(rng, kind, side):
     scale = P.evaluation_scale(lams, phi[::-1])
     eta, px = spectral._eta(P, phi, scale, x)
     got = spectral._residuals_from_p(spectral._route(P, f), lams,
-                                     spectral._FromP(phi, x, px, eta, scale, None))
+                                     spectral._FromP(phi[1:], x, px, eta, scale, None))
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
     for j in range(m):
         u = np.kron(phi[1:, j], x[:, j])

@@ -1,10 +1,15 @@
-"""Batched eigenvector recovery against the per-eigenvalue formula it replaced.
+"""P's eigenvectors: the paper's recovery result on QZ's pencil
+eigenvectors, and recover_right and recover_left on the record.
 
-pencil_eigen's post-solve step reads P's eigenvectors off the pencil's
-(spectral._of_p) and recover_right and recover_left check what it recorded.
-Tests of given pencil eigenvectors make the record with that kernel
-(spectra.recovered); P^T stands for P where the structured vectors are left
-ones, as the step passes it for an M2 pencil."""
+pencil_eigen solves P's eigenvectors from P at the eigenvalues, so it fits
+nothing to a pencil eigenvector.  The paper's result stays checked here: QZ
+on a pencil's own matrices (spectra.qz_on_pencil) gives kn-sized
+eigenvectors, and on the structured side each is phi(lam) kron x with x an
+eigenvector of P, by the batched fit (spectra.kron_fit) and by the
+per-eigenvalue formula.  Tests of given pencil eigenvectors make a record
+from that fit (spectra.recovered) for recover_right and recover_left to
+check; P^T stands for P where the structured vectors are left ones, as the
+solve passes it for an M2 pencil."""
 
 import numpy as np
 import pytest
@@ -13,16 +18,20 @@ from orthopencil import (
     AnsatzFactor,
     MatrixPolynomial,
     RecoveryError,
+    anchor_pencil,
     build_dm_pencil,
     check_linearization,
+    make_m1,
+    make_m2,
     pencil_eigen,
     phi_vector,
     recover_left,
     recover_right,
     reversal_monomial,
+    spectral,
 )
 from conftest import ALL_KINDS, random_problem
-from spectra import block_sum, recovered
+from spectra import block_sum, kron_fit, p_eta, qz_on_pencil, recovered
 
 RTOL = 1e-12
 
@@ -54,24 +63,27 @@ def _recover_one(P, eigenvalue, w, tol=1e-6, nullside="right"):
 
 
 def _structured_side(P, rng, side):
-    """Eigenvalues and the kn x kn matrix of Kronecker-structured eigenvectors
-    of a random strong linearization on ``side``."""
+    """QZ's eigenvalues and kn x kn matrix of Kronecker-structured
+    eigenvectors of a random strong linearization L on ``side``, solved on
+    L's own matrices, and pencil_eigen's record of L."""
     k, n = P.k, P.n
     while True:
         f = AnsatzFactor(rng.uniform(-1, 1, k), rng.uniform(-1, 1, (k * n, (k - 1) * n)), side)
         if check_linearization(f).is_strong_linearization:
             break
-    triples = pencil_eigen(P, f)
-    return triples.eigenvalues, triples.right if side == "M1" else triples.left
+    triples = qz_on_pencil(make_m1(P, f) if side == "M1" else make_m2(P, f))
+    return triples.eigenvalues, triples.right if side == "M1" else triples.left, pencil_eigen(P, f)
 
 
 def _transposed(P):
     return MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis)
 
 
-def _assert_matches_reference(P, lams, W, nullside):
-    # W in C order, as pencil_eigen's record holds it, and in Fortran order,
-    # as numpy's and scipy's eig return eigenvectors
+def _assert_matches_reference(P, lams, W, nullside, record=None):
+    """The batched fit of W, in C and in Fortran order, is the per-eigenvalue
+    one, which also checks that W is phi kron u with u an eigenvector of P.
+    With ``record``, pencil_eigen's of the same pencil, u is parallel to the
+    vector of P the record holds at the nearest eigenvalue."""
     Q = P if nullside == "right" else _transposed(P)
     for V in (W, np.asfortranarray(W)):
         U = recover_right(recovered(Q, lams, V))
@@ -79,15 +91,25 @@ def _assert_matches_reference(P, lams, W, nullside):
         for j, lam in enumerate(lams):
             ref = _recover_one(P, lam, W[:, j], nullside=nullside)
             assert np.linalg.norm(U[:, j] - ref) <= RTOL * np.linalg.norm(ref), (j, lam)
+    if record is None:
+        return
+    ours = (record.p_right if nullside == "right" else record.p_left).vectors
+    for j, lam in enumerate(lams):
+        near = (np.argmin(np.abs(record.eigenvalues - lam)) if np.isfinite(lam)
+                else np.argmax(np.isinf(record.eigenvalues)))
+        cosine = abs(np.vdot(ours[:, near], U[:, j])) / np.linalg.norm(ours[:, near])
+        assert cosine >= 1.0 - 1e-8, (j, lam)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("side", ("M1", "M2"))
 def test_batched_recovery_matches_per_eigenvalue_formula(rng, kind, side):
+    # the paper's recovery result on QZ's eigenvectors of L = T F (M1) and
+    # L = F^B S (M2): right eigenvectors carry the structure for M1, left
+    # ones for M2, and the fitted u is the vector pencil_eigen solves from P
     P = random_problem(rng, 3, 4, kind)
-    lams, W = _structured_side(P, rng, side)
-    # right eigenvectors carry the structure for M1, left ones for M2
-    _assert_matches_reference(P, lams, W, "right" if side == "M1" else "left")
+    lams, W, record = _structured_side(P, rng, side)
+    _assert_matches_reference(P, lams, W, "right" if side == "M1" else "left", record)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -95,27 +117,38 @@ def test_batched_recovery_on_block_symmetric_pencils(rng, kind):
     # a block-symmetric pencil carries the structure on both sides
     P = random_problem(rng, 2, 5, kind)
     f, _ = build_dm_pencil(P, rng.uniform(-1, 1, 5))
-    triples = pencil_eigen(P, f)
+    triples = qz_on_pencil(make_m1(P, f))
     for nullside, W in (("right", triples.right), ("left", triples.left)):
         _assert_matches_reference(P, triples.eigenvalues, W, nullside)
 
 
-@pytest.mark.parametrize("kind", ("chebyshev1", "legendre", "degree_graded"))
-def test_batched_recovery_with_infinite_eigenvalues(rng, kind):
-    P = random_problem(rng, 3, 4, kind)
+def _singular_lead(P, axis=1):
+    """P with the first column (axis 1) or row (axis 0) of P_k zeroed, so
+    that e_1 is a right (left) null vector of P_k: infinite eigenvalues."""
     coeffs = list(P.coeffs)
     coeffs[-1] = coeffs[-1].copy()
-    coeffs[-1][:, 0] = 0.0  # singular P_k: infinite eigenvalues
-    P = MatrixPolynomial(tuple(coeffs), P.basis)
-    triples = pencil_eigen(P)
+    if axis:
+        coeffs[-1][:, 0] = 0.0
+    else:
+        coeffs[-1][0] = 0.0
+    return MatrixPolynomial(tuple(coeffs), P.basis)
+
+
+@pytest.mark.parametrize("kind", ("chebyshev1", "legendre", "degree_graded"))
+def test_batched_recovery_with_infinite_eigenvalues(rng, kind):
+    # QZ's right eigenvectors of the anchor are e_1 kron u at its infinite
+    # eigenvalues, and pencil_eigen's vectors of P there are e_1, the null
+    # vector of P_k, as u is
+    P = _singular_lead(random_problem(rng, 3, 4, kind))
+    triples = qz_on_pencil(anchor_pencil(P))
     lams = triples.eigenvalues
     assert np.isinf(lams).any() and np.isfinite(lams).any()
-    _assert_matches_reference(P, lams, triples.right, "right")
+    _assert_matches_reference(P, lams, triples.right, "right", pencil_eigen(P))
 
 
 def test_single_eigenvalue_is_the_one_column_case(rng):
     P = random_problem(rng, 3, 4, "chebyshev2")
-    lams, W = _structured_side(P, rng, "M1")
+    lams, W, _ = _structured_side(P, rng, "M1")
     U = recover_right(recovered(P, lams, W))
     for j in (0, lams.size - 1):
         u = recover_right(recovered(P, lams[j:j + 1], W[:, j:j + 1]))
@@ -126,16 +159,17 @@ def test_single_eigenvalue_is_the_one_column_case(rng):
 
 def test_one_bad_column_is_named(rng):
     P = random_problem(rng, 3, 4, "legendre")
-    lams, W = _structured_side(P, rng, "M1")
+    lams, W, _ = _structured_side(P, rng, "M1")
     W = W.copy()
     W[:, 5] = rng.standard_normal(W.shape[0]) + 1j * rng.standard_normal(W.shape[0])
-    with pytest.raises(RecoveryError, match=r"column 5 \(eigenvalue .*not phi kron u"):
+    assert kron_fit(P, lams, W)[1][5] > 0.1
+    with pytest.raises(RecoveryError, match=r"column 5 \(eigenvalue .*residual"):
         recover_right(recovered(P, lams, W))
 
 
 def test_residual_failure_names_the_first_column(rng):
     P = random_problem(rng, 3, 4, "chebyshev1")
-    lams, W = _structured_side(P, rng, "M1")
+    lams, W, _ = _structured_side(P, rng, "M1")
     # structured vectors of P checked against another polynomial
     Q = MatrixPolynomial(P.coeffs[:-1] + (2.0 * P.coeffs[-1],), P.basis)
     with pytest.raises(RecoveryError, match=r"column 0 \(eigenvalue .*residual"):
@@ -169,19 +203,48 @@ def test_batched_recover_left_is_the_blockwise_sum(rng, m):
     assert np.array_equal(recover_left(recovered(P, lams, W, out), tol=np.inf), out)
 
 
-def test_infinite_column_outside_the_leading_nullspace_is_named(rng):
-    P = random_problem(rng, 3, 4, "legendre")
-    coeffs = list(P.coeffs)
-    coeffs[-1] = coeffs[-1].copy()
-    coeffs[-1][:, 0] = 0.0  # P_k e_1 = 0
-    P = MatrixPolynomial(tuple(coeffs), P.basis)
-    lams = np.array([np.inf, np.inf], dtype=complex)
-    W = np.zeros((12, 2), dtype=complex)
-    W[0, 0] = 1.0  # e_1 kron e_1: in the nullspace
-    W[1, 1] = 1.0  # e_1 kron e_2: not
-    assert np.array_equal(recover_right(recovered(P, lams[:1], W[:, :1]))[:, 0], [1.0, 0.0, 0.0])
-    with pytest.raises(RecoveryError, match=r"column 1 \(eigenvalue .*residual"):
-        recover_right(recovered(P, lams, W))
+def _misplaced(monkeypatch, side, wrong):
+    """Make the solve from P return ``wrong`` as every vector of P on
+    ``side`` (0 right, 1 left) at an infinite eigenvalue, and keep it: the
+    repair, which would solve it again, is off."""
+    inner = spectral._null_vectors
+
+    def solve(P, lams, *args):
+        values, vectors = inner(P, lams, *args)
+        vectors[side][:, np.isinf(lams)] = wrong[:, None]
+        return values, vectors
+
+    monkeypatch.setattr(spectral, "_null_vectors", solve)
+    monkeypatch.setattr(spectral, "_repair", lambda *args: False)
+
+
+def test_infinite_column_outside_the_leading_nullspace_is_named(rng, monkeypatch):
+    # eta_P at an infinite eigenvalue is ||P_k u|| / (||P_k||_F ||u||): the
+    # solve from P finds u = e_1 in the null space of P_k, and a u outside it
+    # is named by recover_right
+    P = _singular_lead(random_problem(rng, 3, 4, "legendre"))
+    triples = pencil_eigen(P)
+    infinite = np.flatnonzero(np.isinf(triples.eigenvalues))
+    assert infinite.size == 1
+    U = recover_right(triples, tol=1e-14)
+    assert np.allclose(np.abs(U[:, infinite[0]]), [1.0, 0.0, 0.0], rtol=0, atol=1e-14)
+    _misplaced(monkeypatch, 0, np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(RecoveryError, match=rf"column {infinite[0]} \(eigenvalue .*residual"):
+        recover_right(pencil_eigen(P))
+
+
+def test_recover_left_checks_infinite_columns_by_the_lead(rng, monkeypatch):
+    P = _singular_lead(random_problem(rng, 3, 4, "legendre"), axis=0)  # e_1^T P_k = 0
+    triples = pencil_eigen(P)
+    infinite = np.flatnonzero(np.isinf(triples.eigenvalues))
+    assert infinite.size == 1
+    Y = recover_left(triples, tol=1e-14)
+    assert np.allclose(np.abs(Y[:, infinite[0]]) / np.linalg.norm(Y[:, infinite[0]]),
+                       [1.0, 0.0, 0.0], rtol=0, atol=1e-14)
+    assert p_eta(P, triples.eigenvalues, Y, "left").max() <= 100 * 12 * np.finfo(float).eps
+    _misplaced(monkeypatch, 1, np.array([0.0, 1.0, 0.0]))  # e_2^T does not annihilate P_k
+    with pytest.raises(RecoveryError, match=rf"column {infinite[0]} \(eigenvalue .*residual"):
+        recover_left(pencil_eigen(P))
 
 
 @pytest.mark.parametrize("side", ("M1", "M2"))
@@ -209,22 +272,3 @@ def test_recover_left_checks_the_other_side(rng, side):
     zero[:, 1] = 0.0
     with pytest.raises(RecoveryError, match=r"column 1 \(eigenvalue .*residual nan"):
         recover_left(recovered(Q, lams, W, block_sum(f.v, zero)))
-
-
-def test_recover_left_checks_infinite_columns_by_the_lead(rng):
-    P = random_problem(rng, 3, 4, "legendre")
-    coeffs = list(P.coeffs)
-    coeffs[-1] = coeffs[-1].copy()
-    coeffs[-1][0] = 0.0  # e_1^T P_k = 0
-    P = MatrixPolynomial(tuple(coeffs), P.basis)
-    v = np.eye(4)[0]
-    lams = np.array([np.inf, np.inf], dtype=complex)
-    U = np.zeros((12, 2), dtype=complex)
-    U[0, 0] = 1.0  # e_1^T annihilates P_k from the left
-    U[1, 1] = 1.0  # e_2^T does not
-    W = np.zeros((12, 2), dtype=complex)
-    W[0] = 1.0  # e_1 kron e_1 on the right: P_k e_1 = 0 fails, but is not read
-    one = recovered(P, lams[:1], W[:, :1], block_sum(v, U[:, :1]))
-    assert np.array_equal(recover_left(one), U[:3, :1])
-    with pytest.raises(RecoveryError, match=r"column 1 \(eigenvalue .*residual"):
-        recover_left(recovered(P, lams, W, block_sum(v, U)))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from orthopencil import (
     AnsatzFactor,
     MatrixPolynomial,
-    RecoveryError,
     SingularPencilError,
     anchor_pencil,
     build_dm,
@@ -28,7 +27,7 @@ from orthopencil import (
 )
 from orthopencil import spectral
 from orthopencil.matpoly import sampled_regularity
-from spectra import block_sum, compare_spectra, recovered, sort_triples, spectrum_of
+from spectra import block_sum, compare_spectra, sort_triples, spectrum_of
 from conftest import ALL_KINDS, BASIS_KINDS, random_problem
 
 EPS = np.finfo(float).eps
@@ -113,15 +112,6 @@ def test_recover_right_infinite(rng):
     lead = reversal_monomial(P)[0]
     U = recover_right(triples)[:, infinite]
     assert np.all(np.linalg.norm(lead @ U, axis=0) <= 1e-8 * max(np.linalg.norm(lead), 1.0))
-
-
-def test_recover_right_rejects_non_kronecker(rng):
-    P = random_problem(rng, 2, 3)
-    spec = reference_spectrum(P)
-    alpha = spec.finite[0]
-    w = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
-    with pytest.raises(RecoveryError):
-        recover_right(recovered(P, [alpha], w))
 
 
 def test_recover_left_blockwise_sum(rng):
@@ -498,14 +488,12 @@ def test_right_only_solve_is_bit_identical(rng):
 def _fixed_solve(monkeypatch, values):
     """pencil_eigen of a scalar polynomial of degree len(values) whose anchor
     solve (spectral._qz, with the eigvals rung refused) reports the given
-    eigenvalues, in that order, the j-th with eigenvector e_j."""
+    eigenvalues, in that order."""
     values = np.array(values, dtype=complex)
     finite = np.isfinite(values)
 
-    def solve(X, Y, left, right):
-        vecs = np.eye(values.size, dtype=complex)
-        lams = spectral._eigenvalues(np.where(finite, values, 1.0), finite.astype(complex))
-        return lams, vecs, vecs.copy() if left else None
+    def solve(X, Y):
+        return spectral._eigenvalues(np.where(finite, values, 1.0), finite.astype(complex))
 
     monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
     monkeypatch.setattr(spectral, "_qz", solve)
@@ -521,8 +509,10 @@ def test_conjugate_pair_order_ignores_last_bit_noise(monkeypatch):
         triples = _fixed_solve(monkeypatch, [complex(plus_re, y), complex(minus_re, -y), -2.0])
         assert triples.eigenvalues.tolist() == [
             -2.0, complex(minus_re, -y), complex(plus_re, y)]
-        # the eigenvectors travel with their eigenvalues
-        assert np.argmax(abs(triples.right), axis=0).tolist() == [2, 1, 0]
+        # the eigenvectors travel with their eigenvalues: column j is
+        # phi(lam_j) kron x_j, whose last entry is phi_0 = 1 times x_j
+        phi = phi_vector(builtin_basis("monomial"), 3, triples.eigenvalues)
+        assert np.allclose(triples.right / triples.right[-1], phi, rtol=1e-14, atol=0)
 
 
 def test_conjugate_pair_with_a_real_eigenvalue_between(monkeypatch):
