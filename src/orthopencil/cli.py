@@ -140,13 +140,15 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    tol = _tolerance(args.tol)
+    """eig, and recover, which also checks and prints P's eigenvectors."""
+    recover = args.command == "recover"
+    tol = _tolerance(args.tol) if recover else None
     P = _load_problem(args)
     f = factor_from_obj(load_json(args.factor)) if args.factor else None
     # without recovery no left eigenvector is used, so the solver skips them
-    spectrum = pencil_eigen(P, f, left=args.recover)
+    spectrum = pencil_eigen(P, f, left=recover)
     rights = lefts = None
-    if args.recover:
+    if recover:
         rights, lefts = recover_right(spectrum, tol), recover_left(spectrum, tol)
     _emit(spectrum_report_obj(spectrum, rights, lefts))
     return 0
@@ -191,18 +193,11 @@ _PROBLEM_OPTIONS = (
 )
 _SIDES = ["m1", "m2", "M1", "M2"]
 _FACTOR = (("-f", "--factor"), {"required": True})
+_PENCIL_FACTOR = (("--factor",), {"help": "factor JSON (default: anchor pencil)"})
 
 
 def _tol(default: float):
     return (("--tol",), {"type": float, "default": default})
-
-
-def _spectrum_options(recover: bool):
-    return (
-        (("--factor",), {"help": "factor JSON (default: anchor pencil)"}),
-        (("--recover",), {"action": "store_true", "default": recover}),
-        _tol(1e-6),
-    )
 
 
 # Every subcommand, once: name -> (help, options after the problem options,
@@ -220,9 +215,9 @@ COMMANDS = {
                    ((("--pencil",), {"required": True}),
                     (("--side",), {"default": "m1", "choices": _SIDES}), _tol(1e-8)),
                    _cmd_membership),
-    "eig": ("pencil spectrum report", _spectrum_options(False), _cmd_eig),
-    "recover": ("pencil spectrum report with eigenvector recovery", _spectrum_options(True),
-                _cmd_eig),
+    "eig": ("pencil spectrum report", (_PENCIL_FACTOR,), _cmd_eig),
+    "recover": ("pencil spectrum report with eigenvector recovery",
+                (_PENCIL_FACTOR, _tol(1e-6)), _cmd_eig),
     "exclusion": ("eigenvalue exclusion verdict for v",
                   ((("--v",), {"required": True}), _tol(1e-8)), _cmd_exclusion),
     "oracle": ("brute-force reference spectrum", (), _cmd_oracle),
@@ -276,36 +271,30 @@ def _direct_parse(argv):
     straight from COMMANDS, or None when argv is not in the plain forms.
 
     The plain forms are a command name first, then options each spelled
-    exactly as declared: a store_true flag alone, any other flag followed by
-    a value that does not start with "-", or "--long=value".  Values get
-    their type and are checked against their choices as argparse does, the
-    last repeat wins, and every required option must be given.  Anything
-    else (no argv, help, an unknown command or option, an abbreviation,
-    "-pFILE", "--", a bad type or choice, a missing option, a leftover
-    token) gives None, and the full parser then parses argv, or prints its
-    usage, help or error."""
+    exactly as declared: a flag followed by a value that does not start with
+    "-", or "--long=value".  Values get their type and are checked against
+    their choices as argparse does, the last repeat wins, and every required
+    option must be given.  Anything else (no argv, help, an unknown command
+    or option, an abbreviation, "-pFILE", "--", a bad type or choice, a
+    missing option, a leftover token) gives None, and the full parser then
+    parses argv, or prints its usage, help or error."""
     if not argv or argv[0] not in COMMANDS:
         return None
     _, options, handler = COMMANDS[argv[0]]
     values, flagged, required = {"command": argv[0]}, {}, set()
     for flags, keywords in _PROBLEM_OPTIONS + options:
         dest = _dest(flags)
-        switch = keywords.get("action") == "store_true"
-        values[dest] = keywords.get("default", False if switch else None)
+        values[dest] = keywords.get("default")
         if keywords.get("required"):
             required.add(dest)
         for flag in flags:
-            flagged[flag] = (dest, keywords, switch)
+            flagged[flag] = (dest, keywords)
     i, end = 1, len(argv)
     while i < end:
         token = argv[i]
         i += 1
         if token in flagged:
-            dest, keywords, switch = flagged[token]
-            if switch:
-                values[dest] = True
-                required.discard(dest)
-                continue
+            dest, keywords = flagged[token]
             if i == end or argv[i].startswith("-"):
                 return None
             value = argv[i]
@@ -314,9 +303,7 @@ def _direct_parse(argv):
             flag, equals, value = token.partition("=")
             if not (equals and flag.startswith("--") and flag in flagged):
                 return None
-            dest, keywords, switch = flagged[flag]
-            if switch:
-                return None
+            dest, keywords = flagged[flag]
         if "type" in keywords:
             try:
                 value = keywords["type"](value)

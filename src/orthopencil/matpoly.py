@@ -130,6 +130,12 @@ def _scaled_inverse(M: np.ndarray):
     return float(1.0 / (np.linalg.norm(M, 1) * np.linalg.norm(inverse, 1))), (inverse, rows)
 
 
+def _regular_rcond(rcond: float, size: int) -> bool:
+    """Whether a size x size matrix with row-scaled rcond ``rcond``
+    (_scaled_inverse) counts as regular: rcond > 10 * size * eps."""
+    return rcond > 10.0 * size * np.finfo(float).eps
+
+
 def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:
     """Regularity of the size x size matrix function evaluate(lam).
 
@@ -142,7 +148,6 @@ def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:
     exponentially.  A singular matrix function gives rcond at rounding level
     (an exactly singular M(lam) gives 0) at every point.
     """
-    threshold = 10.0 * size * np.finfo(float).eps
     best, witness = -1.0, None
     for trial in range(1, REGULARITY_POINTS + 1):
         r = 2.0 * np.sqrt(rng.uniform())
@@ -150,7 +155,7 @@ def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:
         value = _scaled_inverse(evaluate(lam))[0]
         if value > best:
             best, witness = value, lam
-        if value > threshold:
+        if _regular_rcond(value, size):
             return RegularityVerdict(True, lam, value, trial)
     return RegularityVerdict(False, witness, best, REGULARITY_POINTS)
 

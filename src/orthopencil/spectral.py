@@ -70,21 +70,23 @@ numpy.linalg serves every solve but QZ: the inverses, eigvals and the
 batched solves.  scipy.linalg is imported only by QZ (``_qz``), so ``eig``
 and ``recover`` never load it where the eigvals rung is certified.
 
-The eigenvector path ends in one step (``_through_anchor``), which maps F's
-eigenvectors to L's, which have the anchor's eigenvalues: F's right
-eigenvectors and left eigenvectors T^-T z for F's left ones z (M1), and G's
-right eigenvectors as left ones and S^-1 z, an LU solve on the row-scaled
-S, for G's left ones z as right ones (M2).  Residuals come from P-sized data
-for the anchor and M1, and for M2 from S^-1 z, read off the anchor's
+``_from_p`` ends by mapping F's eigenvectors to L's, which have the
+anchor's eigenvalues.  The anchor's left eigenvectors z are mapped once, to
+L's vectors on their side: z itself for the anchor, T^-T z for M1, and for
+M2, where F is G, S^-1 z, an LU solve on the row-scaled S, which are L's
+right vectors.  The other side is phi kron x: F's right eigenvectors for the
+anchor and M1, and for M2 G's right eigenvectors, which are L's left ones,
+so for M2 the two sides swap in one statement.  Residuals come from P-sized
+data for the anchor and M1, and for M2 from S^-1 z, read off the anchor's
 structure and one GEMM by S (``_structured_residuals``).
 
-The same step puts the eigenvectors of P in the sorted record, on the
-route's polynomial (P, or P^T for M2, so that one set of formulas serves
-both sides): the solved x_j, and the first blocks y_j of the anchor's left
+It also puts the eigenvectors of P in the sorted record, on the route's
+polynomial (P, or P^T for M2, so that one set of formulas serves both
+sides): the solved x_j, and the first blocks y_j of the anchor's left
 eigenvectors, which are the block sums (v kron I_n)^T of L's eigenvectors
 on that side, free of the cancellation that forming that sum from L's
-eigenvector suffers when T is ill-conditioned, each with the eta_P the
-path computed.  The record keeps them as P's right and left eigenvectors
+eigenvector suffers when T is ill-conditioned, each with the eta_P the path
+computed.  The record keeps them as P's right and left eigenvectors
 (``Eigentriples.p_right`` and ``p_left``); for M2 the vectors of P^T's
 right side are P's left ones and the block sums are P's right ones.
 
@@ -108,6 +110,7 @@ from .basis import phi_vector, to_monomial
 from .errors import DimensionMismatchError, RecoveryError, SingularPencilError
 from .matpoly import (
     MatrixPolynomial,
+    _regular_rcond,
     _scaled_inverse,
     require_ansatz_degree,
     sampled_regularity,
@@ -228,107 +231,28 @@ def _real_columns(apply, V):
     return R[:, :m] + 1j * R[:, m:]
 
 
-def _apply_anchor(F, lams, U):
-    """F(lam_j)^T u_j for every column u_j of U, and X^T u_j where lam_j is
-    infinite.
-
-    Read off the anchor's structure, X = diag(c*P_k, I) and Y = kron(Ys, I_n)
-    below the first block row, so no kn x kn product is formed."""
-    n, k, m = F.n, F.k, U.shape[1]
-    lead, top = F.X[:n, :n], F.Y[:n]
-    Ys = F.Y[n::n, ::n]
-    infinite = np.isinf(lams)
-    V = np.where(infinite, 0.0, U) if infinite.any() else U  # Y's operand
-    lams = np.where(infinite, 1.0, lams)
-    R = top.T @ V[:n] + (Ys.T @ V[n:].reshape(k - 1, n * m)).reshape(-1, m)
-    R[:n] += (lead.T @ U[:n]) * lams
-    R[n:] += U[n:] * lams
-    return R
-
-
 def _structured_residuals(route, lams, U, norms):
     """||(X*lam_j + Y) u_j|| / ((||X|| |lam_j| + ||Y||) ||u_j||) for every column
     u_j of U, whose norms are ``norms``, and ||X u_j|| / (||X|| ||u_j||) where
     lam_j is infinite, where (X, Y) is the route's M2 pencil L = F^T S, whose
-    right eigenvectors S^-1 z are not P-sized.  One GEMM with S, and the
-    anchor's structure for the rest."""
+    right eigenvectors S^-1 z are not P-sized.
+
+    One GEMM with S, and F(lam_j)^T (S u_j) read off the anchor's structure,
+    X = diag(c*P_k, I) and Y = kron(Ys, I_n) below the first block row, so
+    no kn x kn product is formed."""
+    F = route.F
+    n, k, m = F.n, F.k, U.shape[1]
     lams = np.asarray(lams, dtype=complex)
-    R = _apply_anchor(route.F, lams, _real_matmul(route.multiplier, U))
+    SU = _real_matmul(route.multiplier, U)
+    infinite = np.isinf(lams)
+    V = np.where(infinite, 0.0, SU) if infinite.any() else SU  # Y's operand
+    weights = np.where(infinite, 1.0, lams)  # X's: (lam, 1) becomes (1, 0)
+    R = F.Y[:n].T @ V[:n] + (F.Y[n::n, ::n].T @ V[n:].reshape(k - 1, n * m)).reshape(-1, m)
+    R[:n] += (F.X[:n, :n].T @ SU[:n]) * weights
+    R[n:] += SU[n:] * weights
     nx = np.linalg.norm(route.L.X)
-    scales = np.where(np.isinf(lams), nx, nx * np.abs(lams) + np.linalg.norm(route.L.Y))
+    scales = np.where(infinite, nx, nx * np.abs(lams) + np.linalg.norm(route.L.Y))
     return np.linalg.norm(R, axis=0) / (norms * np.maximum(scales, 1e-300))
-
-
-def _through_anchor(route, lams, Z, left, known):
-    """The sorted record (Eigentriples) of the route's pencil L and of P from
-    the eigenvalues ``lams`` of its anchor F, F's left eigenvectors ``Z``
-    (columns, z^T F(lam) = 0, None for a side not solved) and ``known``
-    (_FromP): the vectors x of the route's polynomial that F's right
-    eigenvectors Phi kron x are made of, and the eta_P of x and of the first
-    blocks of Z.  The one step after the solve: the map and the residuals of
-    the module docstring, every column normalized in solver order and then all
-    put in the order of ``_order`` (np.take, which writes C-contiguous
-    arrays).  x itself is P's structured side, and the first blocks of Z its
-    other side.  F's right eigenvectors are written once, unit and sorted
-    (_unit_kron), and for the anchor and M1 their residuals come from
-    P(lam) x and the recurrence residuals of Phi (_residuals_from_p).  The
-    vectors are normalized in place, Z included."""
-    n = route.P.n
-    right, left_vecs = None, Z
-    if route.side == "M2":
-        right, left_vecs = _solve_scaled(route.multiplier, route.scaled[1][1], Z), None
-    elif left and route.side == "M1":
-        left_vecs = _solve(route.scaled[1], Z, transpose=True)
-    right_norms = None if right is None else np.linalg.norm(right, axis=0)
-    left_norms = None if left_vecs is None else np.linalg.norm(left_vecs, axis=0)
-    sums = None
-    if route.side == "M2":
-        sums = Z[:n] / right_norms
-    elif left:
-        sums = Z[:n] / left_norms
-    if right is None:
-        residual = _residuals_from_p(route, lams, known)
-    else:
-        residual = _structured_residuals(route, lams, right, right_norms)
-    order = _order(lams)
-    lams = lams[order]
-    if right is not None:
-        right /= right_norms
-        right = np.take(right, order, axis=1)
-    if left_vecs is not None:
-        left_vecs /= left_norms
-        left_vecs = np.take(left_vecs, order, axis=1)
-    structured = summed = None
-    if known.x is not None:
-        unit = np.take(known.x / np.linalg.norm(known.x, axis=0), order, axis=1)
-        structured = _OfP(unit, known.eta_x[order])
-        if route.side == "M2":
-            left_vecs = _unit_kron(known.Phi, unit, order)
-        else:
-            right = _unit_kron(known.Phi, unit, order)
-    if sums is not None:
-        summed = _OfP(np.take(sums, order, axis=1) + 0.0, known.eta_y[order])
-    # on P^T (M2) x is P's left eigenvector and the sums its right one
-    p_right, p_left = (summed, structured) if route.side == "M2" else (structured, summed)
-    return Eigentriples(lams, right, left_vecs, residual[order], p_right, p_left)
-
-
-class _FromP(NamedTuple):
-    """What the solve from P found, at every eigenvalue in solver order:
-    ``Phi``, the k x m factors of F's right eigenvectors Phi kron x
-    (phi_vector(basis, k) at a finite eigenvalue, e_1 at an infinite one);
-    the right vectors ``x`` of the route's polynomial (n x m, None when not
-    solved), their residuals ``px`` = P(lam) x (c*P_k x at an infinite
-    eigenvalue), their eta_P ``eta_x`` and its scales sum_i |phi_i| ||P_i||_F;
-    and ``eta_y``, the eta_P of the first blocks of the anchor's left
-    eigenvectors (None when not solved)."""
-
-    Phi: np.ndarray
-    x: np.ndarray | None
-    px: np.ndarray | None
-    eta_x: np.ndarray | None
-    scale: np.ndarray
-    eta_y: np.ndarray | None
 
 
 def _unit_kron(Phi, unit, order):
@@ -341,31 +265,34 @@ def _unit_kron(Phi, unit, order):
     return np.multiply(Phi[:, None, :], unit).reshape(k * n, m)
 
 
-def _residuals_from_p(route, lams, known):
+def _residuals_from_p(route, lams, Phi, x, px, eta, scale):
     """eta_L of the right eigenvectors Phi kron x of the anchor or of an M1
-    pencil, from P-sized data (``known``, a _FromP): F(lam) (Phi kron x) is
-    [P(lam) x; delta kron x], where delta = M(lam) Phi are the k - 1
-    recurrence residuals of the computed Phi (M = Xs*lam + Ys, with
-    Xs = [0, I]), and ||Phi kron x|| = ||Phi|| ||x||.  At an infinite
-    eigenvalue F(lam) is X alone, (lam, 1) becomes (1, 0), and X (e_1 kron x)
-    is [c*P_k x; 0].  For the anchor ||P(lam) x|| / ||x|| is eta_P times its
-    scale, so no n-vector is read again; for M1 the residual is one real GEMM
-    by T, at one eigenvalue of each conjugate pair (_conjugates): T is real,
-    so the other column, the conjugate, has the same residual."""
+    pencil, from P-sized data at every eigenvalue in solver order: the k x m
+    ``Phi`` (e_1 at an infinite eigenvalue), the n x m vectors ``x`` of P,
+    their residuals ``px`` = P(lam) x (c*P_k x at an infinite eigenvalue),
+    their eta_P ``eta`` and its scales ``scale``, sum_i |phi_i| ||P_i||_F.
+
+    F(lam) (Phi kron x) is [P(lam) x; delta kron x], where delta = M(lam)
+    Phi are the k - 1 recurrence residuals of the computed Phi (M = Xs*lam +
+    Ys, with Xs = [0, I]), and ||Phi kron x|| = ||Phi|| ||x||.  At an
+    infinite eigenvalue F(lam) is X alone, (lam, 1) becomes (1, 0), and
+    X (e_1 kron x) is [c*P_k x; 0].  For the anchor ||P(lam) x|| / ||x|| is
+    eta * scale, so no n-vector is read again; for M1 the residual is one
+    real GEMM by T, at one eigenvalue of each conjugate pair (_conjugates):
+    T is real, so the other column, the conjugate, has the same residual."""
     F = route.F
     n = F.n
-    Phi = known.Phi
     beta = ~np.isinf(lams)
     alpha = np.where(beta, lams, 1.0)
     delta = Phi[1:] * alpha + (F.Y[n::n, ::n] @ Phi) * beta
     nx, ny = np.linalg.norm(route.L.X), np.linalg.norm(route.L.Y)
     scales = np.maximum(nx * np.abs(alpha) + ny * beta, 1e-300) * np.linalg.norm(Phi, axis=0)
     if route.side == "anchor":
-        return np.hypot(known.eta_x * known.scale, np.linalg.norm(delta, axis=0)) / scales
+        return np.hypot(eta * scale, np.linalg.norm(delta, axis=0)) / scales
     keep, lower = _conjugates(lams)
-    x, m = known.x[:, keep], np.count_nonzero(keep)
+    x, m = x[:, keep], np.count_nonzero(keep)
     W = np.empty((F.k * n, m), dtype=complex)
-    W[:n] = known.px[:, keep]
+    W[:n] = px[:, keep]
     W[n:] = (delta[:, None, keep] * x).reshape(-1, m)
     residual = (np.linalg.norm(_real_matmul(route.multiplier, W), axis=0)
                 / (scales[keep] * np.linalg.norm(x, axis=0)))
@@ -386,7 +313,7 @@ def _companion_solve(route, left=False):
     P, F = route.P, route.F
     n = P.n
     rcond, inverse = route.lead
-    if not rcond > 10.0 * n * np.finfo(float).eps:
+    if not _regular_rcond(rcond, n):
         return None
     first = _solve(inverse, F.Y[:n])
     if not np.all(np.isfinite(first)):
@@ -407,10 +334,11 @@ def _companion_solve(route, left=False):
 
 
 def _from_p(route, lams, left, rows, certify=False):
-    """The sorted record (_through_anchor) of the route's pencil at the
-    anchor's eigenvalues ``lams``, with P's eigenvectors solved from P
-    there, eigenvalue j against row rows[j] of _rhs.  With ``certify`` (the
-    eigvals rung) None as soon as a repaired column (_repair) misses the
+    """The sorted record (Eigentriples) of the route's pencil L and of P at
+    the anchor's eigenvalues ``lams``, given in solver order, with P's
+    eigenvectors solved from P there, eigenvalue j against row rows[j] of
+    _rhs: the one step after either solver.  With ``certify`` (the eigvals
+    rung) None as soon as a repaired column (_repair) misses the
     certificate, and None when the record does (_certified).
 
     x_j and y_j are one inverse-iteration step from the eigenvalue
@@ -419,7 +347,20 @@ def _from_p(route, lams, left, rows, certify=False):
     infinite eigenvalue P is weighted by c e_0, so the matrix solved is
     c*P_k and eta_P reads ||c*P_k x|| / (|c| ||P_k||_F ||x||), and F's right
     eigenvector is e_1 kron x.  Raises LinAlgError when a matrix stays
-    singular at its shift."""
+    singular at its shift.
+
+    The anchor's left eigenvectors Z, built from the y_j (_anchor_left), are
+    mapped once to L's eigenvectors on their side: Z itself for the anchor,
+    T^-T Z for M1 (_solve), and S^-1 Z for M2 (_solve_scaled), which are L's
+    right ones, as L = F^T S.  The first blocks of Z over the norms of
+    those vectors are their block sums, P's vectors on that side.  The
+    structured side is the unit Phi kron x, written once, sorted
+    (_unit_kron), with x itself as P's vectors on it.  The residuals come
+    from P-sized data (_residuals_from_p), and for M2 from S^-1 Z
+    (_structured_residuals).  On P^T (M2) the structured side is the left
+    one, so there the two sides swap.  Every column is normalized in solver
+    order, Z in place, and then all are put in the order of ``_order``
+    (np.take, which writes C-contiguous arrays)."""
     P, F = route.P, route.F
     k = P.k
     want_left, want_right = route.anchor_sides(left)
@@ -446,7 +387,32 @@ def _from_p(route, lams, left, rows, certify=False):
     (eta_x, px), (eta_y, _) = (check or (None, None) for check in checks)
     X, px, eta_x, Z, eta_y = (None if a is None else _conjugated(a, keep, lower)
                               for a in (X, px, eta_x, Z, eta_y))
-    spectrum = _through_anchor(route, lams, Z, left, _FromP(Phi, X, px, eta_x, scale, eta_y))
+    mapped = Z
+    if route.side == "M1" and Z is not None:
+        mapped = _solve(route.scaled[1], Z, transpose=True)
+    elif route.side == "M2":
+        mapped = _solve_scaled(route.multiplier, route.scaled[1][1], Z)
+    norms = None if mapped is None else np.linalg.norm(mapped, axis=0)
+    sums = None if Z is None else Z[:P.n] / norms
+    if route.side == "M2":
+        residual = _structured_residuals(route, lams, mapped, norms)
+    else:
+        residual = _residuals_from_p(route, lams, Phi, X, px, eta_x, scale)
+    order = _order(lams)
+    if mapped is not None:
+        mapped /= norms
+        mapped = np.take(mapped, order, axis=1)
+    kron = structured = summed = None
+    if X is not None:
+        unit = np.take(X / np.linalg.norm(X, axis=0), order, axis=1)
+        structured = _OfP(unit, eta_x[order])
+        kron = _unit_kron(Phi, unit, order)
+    if sums is not None:
+        summed = _OfP(np.take(sums, order, axis=1) + 0.0, eta_y[order])
+    # on P^T (M2) the structured side is L's left one and x is P's left eigenvector
+    sides = ((kron, structured), (mapped, summed))
+    (right, p_right), (left_vecs, p_left) = sides[::-1] if route.side == "M2" else sides
+    spectrum = Eigentriples(lams[order], right, left_vecs, residual[order], p_right, p_left)
     return spectrum if not certify or _certified(spectrum) else None
 
 
@@ -628,8 +594,9 @@ def _has_close_pair(lams):
 def _anchor_left(F, lams, Phi, Y):
     """The anchor's left eigenvectors z_j, z_j^T F(lam_j) = 0, whose first
     blocks are the left eigenvectors y_j of P (the columns of Y); ``Phi``
-    holds the factors of F's right eigenvectors there (_FromP).  At an
-    infinite eigenvalue F(lam) is X = diag(c*P_k, I) alone, and z = e_1 kron y.
+    holds the factors Phi of F's right eigenvectors Phi kron x there
+    (_from_p).  At an infinite eigenvalue F(lam) is X = diag(c*P_k, I)
+    alone, and z = e_1 kron y.
 
     Block column i of z^T F(lam) = 0 reads
     (lam X_0i + Y_0i)^T y + sum_r M_ri z_(r+1) = 0, with M = Xs*lam + Ys the
@@ -788,9 +755,9 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     right vectors at them, so after QZ the residuals agree as well.
     """
     route = _route(P, factor)
-    size, eps = route.L.X.shape[0], np.finfo(float).eps
-    if not (route.lead[0] > 10.0 * route.P.n * eps
-            and (route.scaled is None or route.scaled[0] > 10.0 * size * eps)):
+    size = route.L.X.shape[0]
+    if not (_regular_rcond(route.lead[0], route.P.n)
+            and (route.scaled is None or _regular_rcond(route.scaled[0], size))):
         verdict = sampled_regularity(lambda lam: eval_pencil(route.L, lam), size,
                                      np.random.default_rng(_REGULARITY_SEED))
         if not verdict.regular:

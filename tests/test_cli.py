@@ -344,7 +344,7 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, cheb_problem_file, to
     argvs = [
         # a true member (residual at rounding level), reported as none at --tol -1
         ["membership", *p, "--pencil", str(pencil)],
-        ["eig", *p], ["recover", *p],
+        ["recover", *p],
         ["exclusion", *p, "--v", "1,0,0"],
     ]
     for argv in argvs:
@@ -524,6 +524,7 @@ PARSER_EXITS = [[name, "-h"] for name in COMMAND_NAMES] + [
     [], ["-h"], ["nope"], ["-x"],
     ["blocksym", "--random", "2,3,1"], ["anchor", "--basis", "fourier"],
     ["membership", "--pencil", "p.json", "--side", "m3"], ["eig", "--tol", "abc"],
+    ["recover", "--tol", "abc"],
     ["eig", "--random", "2,3,1", "extra"], ["eig", "--random", "2,3,1", "--bogus", "1"],
     ["anchor", "--random"],
 ]
@@ -620,8 +621,8 @@ def test_direct_parse_agrees_with_argparse(argv):
 
 def test_plain_argv_takes_the_direct_path(tmp_path, rng):
     argvs = _every_command(_command_files(tmp_path, rng)) + [
-        ["eig", "--random", "3,4,1", "--basis", "legendre", "--tol=1e-9"],
-        ["recover", "--random=4,5,2", "--recover", "--factor", "f.json"],
+        ["recover", "--random", "3,4,1", "--basis", "legendre", "--tol=1e-9"],
+        ["recover", "--random=4,5,2", "--factor", "f.json"],
         ["membership", "-p", "p.json", "--pencil", "l.json", "--side", "m2", "--side", "M1"],
         ["exclusion", "--random", "2,3,1", "--v=-1,0.5,0"],
         ["ansatz", "--problem", "p.json", "--factor=f.json", "--side=m2"],
@@ -638,6 +639,7 @@ def test_plain_argv_takes_the_direct_path(tmp_path, rng):
     ["eig", "--tol", "-0.5"], ["eig", "--tol=abc"], ["eig", "--basis", "fourier"],
     ["eig", "--random"], ["eig", "--random", "3,4,1", "extra"], ["blocksym", "--random", "2,3,1"],
     ["eig", "--v", "1,2"], ["eig", "-p", "", "--factor"],
+    ["recover", "--tol", "-0.5"], ["recover", "--tol=abc"],
 ])
 def test_unusual_argv_goes_to_the_full_parser(argv):
     assert _direct_parse(argv) is None
@@ -651,8 +653,9 @@ def test_unusual_argv_goes_to_the_full_parser(argv):
 def test_declined_spellings_print_what_the_plain_one_prints(capsys, cheb_problem_file, spelled):
     # each parses by the full parser to the same Namespace as the plain argv
     path, _ = cheb_problem_file
-    spelled = ["eig"] + [t.format(problem=path) for t in spelled]
-    plain = ["eig", "--random", "3,4,1"] if "3,4,1" in spelled else ["eig", "-p", str(path)]
+    command = "recover" if "--tol" in spelled else "eig"
+    spelled = [command] + [t.format(problem=path) for t in spelled]
+    plain = [command] + (["--random", "3,4,1"] if "3,4,1" in spelled else ["-p", str(path)])
     assert _direct_parse(spelled) is None and _direct_parse(plain) is not None
     outputs = []
     for argv in (plain, spelled):

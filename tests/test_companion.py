@@ -765,8 +765,7 @@ def test_structured_residuals_match_the_dense_pencil(rng, kind, side):
         px[:, infinite] = route.F.X[:4, :4] @ x[:, infinite]
         scale = np.ones(m)  # eta_P times its scale is all that is read
         eta = np.linalg.norm(px, axis=0) / np.linalg.norm(x, axis=0)
-        got = spectral._residuals_from_p(route, lams,
-                                         spectral._FromP(Phi, x, px, eta, scale, None))
+        got = spectral._residuals_from_p(route, lams, Phi, x, px, eta, scale)
         U = (Phi[:, None, :] * x).reshape(24, m)
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
     for j in range(m):
@@ -796,8 +795,7 @@ def test_residuals_from_p_match_the_dense_pencil(rng, kind, side):
     phi[0] = ((lams - s) * phi[1] + sum(c * phi[6 - d] for d, c in lower.items())) / a
     scale = P.evaluation_scale(lams, phi[::-1])
     eta, px = spectral._eta(P, phi, scale, x)
-    got = spectral._residuals_from_p(spectral._route(P, f), lams,
-                                     spectral._FromP(phi[1:], x, px, eta, scale, None))
+    got = spectral._residuals_from_p(spectral._route(P, f), lams, phi[1:], x, px, eta, scale)
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
     for j in range(m):
         u = np.kron(phi[1:, j], x[:, j])

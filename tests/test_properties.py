@@ -6,7 +6,9 @@ through the anchor of P, on whichever rung serves it: the eigvals rung
 M1/M2 solve are also checked on the pencil make_m1/make_m2 builds from
 (P, factor), with a dense residual, so the pencil the solve forms is the one
 users build; every residual the eigvals rung reports is that dense residual
-up to rounding.  The reference eigenvalues come from QZ on the pencil's own
+up to rounding.  The left vectors of every two-sided solve are checked with
+the dense left residual on the same pencil (the anchor's own for no
+factor).  The reference eigenvalues come from QZ on the pencil's own
 matrices (``spectra.qz_on_pencil``), which shares no solver with the anchor
 route.
 """
@@ -36,16 +38,19 @@ def _problem(rng, kind, side, n, k):
                            rng.uniform(-1.0, 1.0, (k * n, (k - 1) * n)), side)
 
 
-def _dense_residuals(L, triples):
+def _dense_residuals(L, triples, left=False):
     """||L(lam) u|| / ((||X|| |lam| + ||Y||) ||u||) of every right vector u on
-    L's own matrices (||X u|| / (||X|| ||u||) at infinite eigenvalues)."""
-    nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
+    L's own matrices (||X u|| / (||X|| ||u||) at infinite eigenvalues), or
+    with ``left`` ||w^T L(lam)|| / ((||X|| |lam| + ||Y||) ||w||) of every left
+    vector w (||w^T X|| / (||X|| ||w||) at infinite eigenvalues)."""
+    X, Y = (L.X.T, L.Y.T) if left else (L.X, L.Y)
+    nx, ny = np.linalg.norm(X), np.linalg.norm(Y)
     out = []
-    for lam, u in zip(triples.eigenvalues, triples.right.T):
+    for lam, u in zip(triples.eigenvalues, (triples.left if left else triples.right).T):
         if np.isinf(lam):
-            r = np.linalg.norm(L.X @ u) / nx
+            r = np.linalg.norm(X @ u) / nx
         else:
-            r = np.linalg.norm((L.X * lam + L.Y) @ u) / (nx * abs(lam) + ny)
+            r = np.linalg.norm((X * lam + Y) @ u) / (nx * abs(lam) + ny)
         out.append(r / np.linalg.norm(u))
     return np.array(out)
 
@@ -99,6 +104,8 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
         assert _dense_residuals(L, triples).max() <= 100 * k * n * EPS
     else:
         L = anchor_pencil(P)
+    # the left vectors too are L's, whichever side the solve maps them to
+    assert _dense_residuals(L, both, left=True).max() <= 100 * k * n * EPS
     # eta_L on the eigvals rung, read off P-sized data for the anchor and M1,
     # is the dense residual of the stored unit vector up to rounding
     for record in served:
