@@ -184,8 +184,6 @@ class MembershipReport:
     member: bool
     v: np.ndarray
     residual: float
-    side: str
-    tol: float
 
 
 def verify_membership(L: Pencil, P: MatrixPolynomial, side: str = "M1",
@@ -216,7 +214,7 @@ def verify_membership(L: Pencil, P: MatrixPolynomial, side: str = "M1",
             rhs = np.kron(f.v.reshape(1, -1), Plam)
         scale = max(float((nx * abs(lam) + ny) * np.linalg.norm(phi) + nv * pscale), 1e-300)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-    return MembershipReport(bool(worst <= tol), f.v, worst, side, tol)
+    return MembershipReport(bool(worst <= tol), f.v, worst)
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,6 @@ class LinearizationCheck:
     rank: int
     deficiency: int
     sigma_min: float
-    threshold: float
 
 
 def check_linearization(f: AnsatzFactor) -> LinearizationCheck:
@@ -250,7 +247,6 @@ def check_linearization(f: AnsatzFactor) -> LinearizationCheck:
         rank=rank,
         deficiency=size - rank,
         sigma_min=float(s[-1]) if s.size else 0.0,
-        threshold=float(threshold),
     )
 
 

@@ -56,12 +56,6 @@ class ScalarPoly:
     def is_zero(self) -> bool:
         return self.coeffs.size == 1 and self.coeffs[0] == 0.0
 
-    def __call__(self, lam):
-        acc = 0.0 * lam
-        for c in self.coeffs[::-1]:
-            acc = acc * lam + c
-        return acc
-
 
 # trim_poly drops leading coefficients of at most this fraction of the
 # largest magnitude.

@@ -60,11 +60,15 @@ phi, and ||phi kron x|| = ||phi|| ||x||, so eta_L of the anchor and of M1
 comes from P(lam) x, which eta_P's GEMM already forms
 (``_residuals_from_p``), and the unit vectors are written once, sorted.
 
-The eigvals rung is kept only under a certificate at every eigenvalue:
-eta_L, the residual that pencil_eigen reports, and eta_P of each
-eigenvector of P solved (see ``backward_errors``) are at most 10 * kn * eps,
-and no eigenvalue is classed infinite.  After QZ nothing is refused: a
-column that misses the certificate is kept, and recovery judges it.
+The eigvals rung is kept only under a certificate that reads what ``eig``
+and ``recover`` both compute, so that the two keep or refuse it together:
+every eigenvalue is finite, and at every one eta_P (see
+``backward_errors``) of P's eigenvector on the side that ``eig`` solves (x,
+or y on P^T for M2), once repaired, and eta_L, the residual that
+pencil_eigen reports, are at most 10 * kn * eps.  The other side of a
+``recover`` is repaired too and then judged by its tolerance alone, as after
+QZ, where nothing is refused: a column that misses the certificate is kept,
+and recovery judges it.
 
 numpy.linalg serves every solve but QZ: the inverses, eigvals and the
 batched solves.  scipy.linalg is imported only by QZ (``_qz``), so ``eig``
@@ -90,10 +94,10 @@ computed.  The record keeps them as P's right and left eigenvectors
 (``Eigentriples.p_right`` and ``p_left``); for M2 the vectors of P^T's
 right side are P's left ones and the block sums are P's right ones.
 
-The certificate reads eta_L and eta_P from the record.  Recovery reads it
-too: ``recover_right(spectrum, tol)`` and ``recover_left(spectrum, tol)``
-check the recorded eta_P of every column against tol and return P's n x m
-eigenvectors, so a ``recover`` evaluates the basis once, whichever rung ran.
+Recovery reads the record: ``recover_right(spectrum, tol)`` and
+``recover_left(spectrum, tol)`` check the recorded eta_P of every column
+against tol and return P's n x m eigenvectors, so a ``recover`` evaluates
+the basis once, whichever rung ran.
 A failure names the first failing column.
 """
 
@@ -143,10 +147,6 @@ class _Route:
     lead: tuple
     multiplier: np.ndarray | None
     scaled: tuple | None
-
-    def anchor_sides(self, left):
-        """(left, right): the sides of F's eigenvectors that L's need."""
-        return left or self.side == "M2", left or self.side != "M2"
 
 
 def _route(P: MatrixPolynomial, factor: AnsatzFactor | None = None) -> _Route:
@@ -305,27 +305,26 @@ def _companion_solve(route, left=False):
     its gate or the rung is refused.  The anchor's eigenvalues come from
     geev without vectors on the companion matrix, the eigenvectors from P
     at them (_from_p), every column solved against the first right-hand
-    side of _rhs.  The rung is refused when an eigenvalue is not finite or
-    is classed infinite, when two agree to within sqrt(eps) relative
-    (_has_close_pair), when a P(lam_j) stays singular, or when a repaired
-    column or the record misses the certificate (_certified), which reads
-    eta_L and the eta_P of each side of P solved."""
+    side of _rhs.  The eigenvalues w are read as _eigenvalues(w, 1), so
+    that one quotient and one infinity rule serve both rungs.  The rung is
+    refused when eigvals raises (on a companion matrix that is not finite,
+    too), when an eigenvalue is not finite or is classed infinite, when two
+    agree to within sqrt(eps) relative (_has_close_pair), when a P(lam_j)
+    stays singular, or when _from_p finds the certificate missed."""
     P, F = route.P, route.F
     n = P.n
     rcond, inverse = route.lead
     if not _regular_rcond(rcond, n):
         return None
-    first = _solve(inverse, F.Y[:n])
-    if not np.all(np.isfinite(first)):
-        return None
     # only the first block row of -X^-1 Y differs from -Y
     A = np.negative(F.Y, order="F")
-    A[:n] = -first
+    A[:n] = -_solve(inverse, F.Y[:n])
     try:
-        lams = _companion_eigenvalues(np.linalg.eigvals(A))
+        # eigvals raises on a matrix that is not finite
+        lams = _eigenvalues(np.linalg.eigvals(A), 1.0)
     except np.linalg.LinAlgError:
         return None
-    if lams is None or _has_close_pair(lams):
+    if not np.all(np.isfinite(lams)) or _has_close_pair(lams):
         return None
     try:
         return _from_p(route, lams, left, np.zeros(lams.size, dtype=int), certify=True)
@@ -338,8 +337,9 @@ def _from_p(route, lams, left, rows, certify=False):
     the anchor's eigenvalues ``lams``, given in solver order, with P's
     eigenvectors solved from P there, eigenvalue j against row rows[j] of
     _rhs: the one step after either solver.  With ``certify`` (the eigvals
-    rung) None as soon as a repaired column (_repair) misses the
-    certificate, and None when the record does (_certified).
+    rung) None as soon as the eta_P of the side that eig solves misses the
+    certificate after _repair, before the other side is mapped, and None
+    when eta_L misses it, before the sort (module docstring).
 
     x_j and y_j are one inverse-iteration step from the eigenvalue
     (_null_vectors), at one eigenvalue of each conjugate pair, and a column
@@ -363,7 +363,10 @@ def _from_p(route, lams, left, rows, certify=False):
     (np.take, which writes C-contiguous arrays)."""
     P, F = route.P, route.F
     k = P.k
-    want_left, want_right = route.anchor_sides(left)
+    # eig solves one side of P, y on P^T for M2 and x otherwise.  It is
+    # solved first, so that a P(lam_j) that recover's other side moves
+    # (_null_vectors) is moved after it, and both commands solve it alike
+    eig = 1 if route.side == "M2" else 0
     infinite = np.isinf(lams)
     phi = phi_vector(P.basis, k + 1, np.where(infinite, 0.0, lams))
     Phi = phi[1:]
@@ -376,11 +379,15 @@ def _from_p(route, lams, left, rows, certify=False):
     # eta_P: solve at one of each pair, then conjugate (_conjugates)
     keep, lower = _conjugates(lams)
     kept, phi_kept, scale_kept = lams[keep], phi[:, keep], scale[keep]
-    values, vectors = _null_vectors(P, kept, phi_kept, (want_right, want_left),
+    values, vectors = _null_vectors(P, kept, phi_kept, (eig, 1 - eig) if left else (eig,),
                                     _rhs(P.n)[rows[keep]])
     checks = [None if V is None else _eta(P, phi_kept, scale_kept, V, side)
               for V, side in zip(vectors, _SIDES)]
-    if not _repair(P, phi_kept, scale_kept, values, vectors, checks) and certify:
+    _repair(P, phi_kept, scale_kept, values, vectors, checks)
+    # the rung stands or falls by eig's side alone, so that eig and recover
+    # keep it alike
+    bound = _certified_bound(P.k * P.n)
+    if certify and not np.all(checks[eig][0] <= bound):
         return None
     X, Y = vectors
     Z = None if Y is None else _anchor_left(F, kept, Phi[:, keep], Y)
@@ -398,6 +405,8 @@ def _from_p(route, lams, left, rows, certify=False):
         residual = _structured_residuals(route, lams, mapped, norms)
     else:
         residual = _residuals_from_p(route, lams, Phi, X, px, eta_x, scale)
+    if certify and not np.all(residual <= bound):
+        return None
     order = _order(lams)
     if mapped is not None:
         mapped /= norms
@@ -412,32 +421,11 @@ def _from_p(route, lams, left, rows, certify=False):
     # on P^T (M2) the structured side is L's left one and x is P's left eigenvector
     sides = ((kron, structured), (mapped, summed))
     (right, p_right), (left_vecs, p_left) = sides[::-1] if route.side == "M2" else sides
-    spectrum = Eigentriples(lams[order], right, left_vecs, residual[order], p_right, p_left)
-    return spectrum if not certify or _certified(spectrum) else None
-
-
-def _certified(spectrum):
-    """Whether eta_L and the eta_P of each side of P solved are at most
-    _CERTIFIED_ETA * kn * eps in every column."""
-    bound = _certified_bound(spectrum.right.shape[0])
-    checked = [spectrum.residual] + [side.eta for side in (spectrum.p_right, spectrum.p_left)
-                                     if side is not None]
-    return all(np.all(values <= bound) for values in checked)
+    return Eigentriples(lams[order], right, left_vecs, residual[order], p_right, p_left)
 
 
 def _certified_bound(size):
     return _CERTIFIED_ETA * size * np.finfo(float).eps
-
-
-def _companion_eigenvalues(w):
-    """The eigenvalues w of a companion matrix as QZ's alpha / beta would
-    give them, or None when one is not finite or would be classed infinite."""
-    if not np.all(np.isfinite(w)) or np.any(_INF_TOL * (np.abs(w) + 1.0) >= 1.0):
-        return None
-    # w / (1 + 0j) as Python's complex division rounds it, the form QZ's
-    # alpha / beta takes (_eigenvalues): w itself, with the sign of a zero
-    # part as re + im*0 and im - re*0 give it (0.0 for geev's -0.0 + 0j)
-    return np.stack((w.real + w.imag * 0.0, w.imag - w.real * 0.0), axis=-1).view(complex)[:, 0]
 
 
 _SIDES = ("right", "left")
@@ -449,17 +437,18 @@ def _repair(P, phi, scale, values, vectors, checks):
     residuals) of each side) misses the certificate: x_j from the largest
     column of P(lam_j)^-1 and y_j from its largest row, with ``values`` the
     P(lam_j) and ``phi`` and ``scale`` as _eta takes them.  The checks of the
-    columns solved again are updated in place.  False when a column still
-    misses it or a P(lam_j) has no inverse."""
+    columns solved again are updated in place; a column may still miss the
+    certificate, and none is solved again when a P(lam_j) has no inverse.
+    The caller judges the checks."""
     bound = _certified_bound(P.k * P.n)
     bad = [None if check is None else ~(check[0] <= bound) for check in checks]
     redone = np.logical_or.reduce([b for b in bad if b is not None])
     if not redone.any():
-        return True
+        return
     try:
         inverse = np.linalg.inv(values[redone])
     except np.linalg.LinAlgError:
-        return False
+        return
     for axis, (V, b) in enumerate(zip(vectors, bad)):
         if b is None or not b.any():
             continue
@@ -471,7 +460,6 @@ def _repair(P, phi, scale, values, vectors, checks):
         V[:, b] = (inv[rows, :, best] if axis == 0 else inv[rows, best, :]).T
         eta, residuals = checks[axis]
         eta[b], residuals[:, b] = _eta(P, phi[:, b], scale[b], V[:, b], _SIDES[axis])
-    return all(check is None or np.all(check[0] <= bound) for check in checks)
 
 
 def _conjugates(lams):
@@ -500,10 +488,11 @@ def _conjugated(a, keep, lower):
     return out
 
 
-def _null_vectors(P, lams, phi, solved, b):
+def _null_vectors(P, lams, phi, sides, b):
     """(the matrices M_j as an m x n x n array, [X, Y]): the solutions x_j
     of M_j x_j = b_j and y_j of M_j^T y_j = b_j, as the columns of n x m
-    arrays, for the sides ``solved`` (right, left) and None for the others.
+    arrays, for the ``sides`` (0 right, 1 left), solved in that order, and
+    None for the others.
     ``phi`` weighs P's coefficients at the eigenvalues ``lams`` (_from_p),
     so M_j is P(lam_j), or c*P_k at an infinite lam_j, and b_j is row j of
     ``b``.
@@ -518,9 +507,7 @@ def _null_vectors(P, lams, phi, solved, b):
     b = b[:, :, None]
     ulps = _SHIFT_ULPS * np.finfo(float).eps
     vectors = [None, None]
-    for side in (0, 1):
-        if not solved[side]:
-            continue
+    for side in sides:
         matrices = values if side == 0 else values.transpose(0, 2, 1)
         for attempt in range(3):
             try:
@@ -634,24 +621,15 @@ def _anchor_left(F, lams, Phi, Y):
 
 
 def _eigenvalues(alpha, beta):
-    """alpha_j / beta_j as a complex array, complex infinity where
-    |beta_j| <= _INF_TOL (|alpha_j| + |beta_j|).
-
-    The quotient is CPython's complex division, written out on arrays: it
-    divides by the larger of |Re beta| and |Im beta|, and abs is hypot.
-    numpy's own complex division and abs differ in the last bits, which would
-    change the reported eigenvalues."""
+    """alpha_j / beta_j as a complex array, numpy's quotient, and complex
+    infinity where |beta_j| <= _INF_TOL (|alpha_j| + |beta_j|), the sizes
+    taken by hypot."""
     a, b = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
     size = np.hypot(b.real, b.imag)
     infinite = size <= _INF_TOL * (np.hypot(a.real, a.imag) + size)
-    by_real = np.abs(b.real) >= np.abs(b.imag)
-    # both branches are computed; Python's division overflows without a word
+    # beta = 0 divides by zero; such an eigenvalue is infinite
     with np.errstate(all="ignore"):
-        ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
-        denom = np.where(by_real, b.real + b.imag * ratio, b.real * ratio + b.imag)
-        lams = np.empty(a.shape, dtype=complex)
-        lams.real = np.where(by_real, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
-        lams.imag = np.where(by_real, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+        lams = a / b
     lams[infinite] = np.inf
     return lams
 
@@ -745,14 +723,14 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     (real, imag) with infinite eigenvalues last; real parts equal up to
     rounding are ordered by imaginary part (_order).
 
-    With and without ``left`` the same rung solves, unless the certificate
-    refuses the left side alone, so ``eig`` and ``recover`` print the same
-    eigenvalues.  On the eigvals rung the right vectors do not depend on
-    ``left`` either, so the residuals are the same too: ``eig`` and
-    ``recover --random 5,8,1`` both print 2.589455432076529e-16 for the
-    first eigenvalue, and ``--random 6,8,1`` 1.7843552459841404e-15.  QZ
-    finds the same eigenvalues with and without ``left``, and P the same
-    right vectors at them, so after QZ the residuals agree as well.
+    With and without ``left`` the same rung solves, as its certificate reads
+    only what both solves compute, so ``eig`` and ``recover`` print the same
+    eigenvalues.  The vectors of P on the side that ``eig`` solves, from
+    which the residuals come, are solved first and do not depend on
+    ``left`` either, after either solver, so the residuals are the same
+    too: ``eig`` and ``recover --random 5,8,1`` both print
+    2.589455432076529e-16 for the first eigenvalue, and ``--random 6,8,1``
+    1.7843552459841404e-15.
     """
     route = _route(P, factor)
     size = route.L.X.shape[0]
@@ -856,7 +834,6 @@ class EigenvalueExclusionReport:
     min_distance: float
     v1: float
     infinite_count: int
-    poly_coeffs: np.ndarray
 
 
 def eigenvalue_exclusion(P: MatrixPolynomial, v, tol: float = 1e-8) -> EigenvalueExclusionReport:
@@ -877,9 +854,7 @@ def eigenvalue_exclusion(P: MatrixPolynomial, v, tol: float = 1e-8) -> Eigenvalu
         raise ValueError("the ansatz vector v must be finite")
     if np.max(np.abs(v)) == 0.0:
         raise ValueError("the zero ansatz vector is rejected (its polynomial vanishes)")
-    C = to_monomial(P.basis, P.k - 1)
-    coeffs = v[::-1] @ C
-    poly = trim_poly(coeffs)
+    poly = trim_poly(v[::-1] @ to_monomial(P.basis, P.k - 1))
     if poly.degree >= 1:
         roots = np.roots(poly.coeffs[::-1])
     else:
@@ -892,6 +867,5 @@ def eigenvalue_exclusion(P: MatrixPolynomial, v, tol: float = 1e-8) -> Eigenvalu
         min_distance = np.inf
     infinity_ok = spec.infinite_count == 0 or v[0] != 0.0
     excluded = bool(min_distance > tol and infinity_ok)
-    return EigenvalueExclusionReport(
-        excluded, roots, min_distance, float(v[0]), spec.infinite_count, coeffs
-    )
+    return EigenvalueExclusionReport(excluded, roots, min_distance, float(v[0]),
+                                     spec.infinite_count)

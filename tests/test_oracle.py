@@ -133,12 +133,6 @@ def test_trim_poly():
     assert trim_poly([]).is_zero
 
 
-def test_scalar_poly_evaluation():
-    p = ScalarPoly([2.0, -3.0, 1.0])
-    assert p(1.0) == pytest.approx(0.0)
-    assert p(3.0) == pytest.approx(2.0)
-
-
 def test_compare_spectra_cases(rng):
     a = Spectrum(np.array([1.0, 2.0, 3.0]), 1)
     same = compare_spectra(a, a)

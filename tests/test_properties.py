@@ -70,6 +70,7 @@ def _condition(L, triples):
 @example(kind="newton", side="M1", shape=(25, 8), seed=4)
 @example(kind="custom", side="anchor", shape=(10, 12), seed=5)
 @example(kind="monomial", side="anchor", shape=(40, 6), seed=0)
+@example(kind="custom", side="M2", shape=(4, 5), seed=1)
 def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
     n, k = shape
     P, f = _problem(np.random.default_rng(seed), kind, side, n, k)
@@ -85,19 +86,21 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
         triples = pencil_eigen(P, f, left=False)
         both = pencil_eigen(P, f, left=True)
     assert triples.eigenvalues.size == k * n
+    # the certificate reads only what both solves compute, so the same rung
+    # serves with and without left vectors and gives the same eigenvalues
+    # and residuals, bit for bit
     certified = [out is not None for out in served]
-    if certified[0] != certified[1]:
-        # only eta_P of the left side can refuse a solve that passes without it
-        assert certified == [True, False]
-    else:
-        # with and without left vectors the same rung gives the same
-        # eigenvalues, bit for bit
-        assert triples.eigenvalues.tobytes() == both.eigenvalues.tobytes()
-    # a certified rung meets eta_L, eta_P <= 10 kn eps in every column, and
-    # QZ, which no certificate guards, still has small residuals
-    for record, kept in zip((triples, both), certified):
-        etas = [record.residual] + [p.eta for p in (record.p_right, record.p_left) if p is not None]
-        assert max(e.max() for e in etas) <= (bound if kept else 10 * bound)
+    assert certified[0] == certified[1]
+    assert triples.eigenvalues.tobytes() == both.eigenvalues.tobytes()
+    assert triples.residual.tobytes() == both.residual.tobytes()
+    # a certified rung meets eta_L <= 10 kn eps in every column, and so does
+    # eta_P of P's right vectors, the side that eig solves; QZ, which no
+    # certificate guards, still has small residuals
+    for record in (triples, both):
+        etas = (record.residual, record.p_right.eta)
+        assert max(e.max() for e in etas) <= (bound if certified[0] else 10 * bound)
+    # P's left vectors, which only recover solves and judges by its tol
+    assert both.p_left.eta.max() <= 100 * k * n * EPS
     if f is not None:
         # the pencil solved is the one users build from (P, f)
         L = make_m1(P, f) if side == "M1" else make_m2(P, f)

@@ -606,16 +606,37 @@ def _homogeneous_pairs(draw):
 
 @settings(max_examples=300)
 @given(pairs=st.lists(_homogeneous_pairs(), max_size=12))
-def test_eigenvalues_are_pythons_complex_division(pairs):
-    # spectral._eigenvalues against the loop it replaced, bit for bit:
-    # Python's a / b, and complex infinity where abs(b) <= 1e-8 (abs(a) + abs(b))
+def test_eigenvalues_are_numpys_complex_division(pairs):
+    # spectral._eigenvalues bit for bit: numpy's a / b, pair by pair, and
+    # complex infinity where abs(b) <= 1e-8 (abs(a) + abs(b)), abs as Python
+    # gives it (hypot)
     alpha = np.array([a for a, _ in pairs], dtype=complex)
     beta = np.array([b for _, b in pairs], dtype=complex)
     got = spectral._eigenvalues(alpha, beta)
-    want = np.array([complex(np.inf) if abs(b) <= 1e-8 * (abs(a) + abs(b)) else a / b
-                     for a, b in pairs], dtype=complex)
+    with np.errstate(all="ignore"):
+        want = np.array([complex(np.inf) if abs(b) <= 1e-8 * (abs(a) + abs(b))
+                         else np.complex128(a) / np.complex128(b) for a, b in pairs],
+                        dtype=complex)
     assert got.shape == want.shape
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+_SMALL_PARTS = st.one_of(st.floats(-1e7, 1e7, allow_nan=False), st.sampled_from((0.0, -0.0)))
+
+
+@settings(max_examples=300)
+@given(parts=st.lists(st.tuples(_SMALL_PARTS, _SMALL_PARTS), max_size=12))
+def test_companion_eigenvalues_keep_their_signed_zeros(parts):
+    # the eigvals rung reads eigvals' w as _eigenvalues(w, 1): w itself, with
+    # the sign of a zero part as re + im*0 and im - re*0 give it (0.0 for
+    # geev's -0.0 + 0j), for complex w and for the real array eigvals
+    # returns when every eigenvalue is real
+    w = np.array([complex(re, im) for re, im in parts], dtype=complex).reshape(-1)
+    for values in (w, w.real.copy()):
+        want = np.stack((values.real + values.imag * 0.0, values.imag - values.real * 0.0),
+                        axis=-1).view(complex)[:, 0]
+        got = spectral._eigenvalues(values, 1.0)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def _dense_eta(P, lams, U, side):
