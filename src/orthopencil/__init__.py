@@ -49,7 +49,7 @@ from .errors import (
     SingularMatrixPolynomialError,
     SingularPencilError,
 )
-from .matpoly import MatrixPolynomial, monomial_coefficients, reversal_monomial
+from .matpoly import MatrixPolynomial, monomial_coefficients
 from .oracle import (
     ScalarPoly,
     Spectrum,

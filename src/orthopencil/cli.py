@@ -98,8 +98,6 @@ def _cmd_anchor(args) -> int:
 def _cmd_ansatz(args) -> int:
     P = _load_problem(args)
     f = factor_from_obj(load_json(args.factor))
-    if args.side:
-        f = type(f)(f.v, f.B, args.side.upper())
     L = make_m1(P, f) if f.side == "M1" else make_m2(P, f)
     _emit(pencil_to_obj(L))
     return 0
@@ -206,7 +204,7 @@ def _tol(default: float):
 COMMANDS = {
     "anchor": ("emit the anchor pencil of a problem", (), _cmd_anchor),
     "ansatz": ("emit the pencil of a (v, B) factor",
-               (_FACTOR, (("--side",), {"choices": _SIDES})), _cmd_ansatz),
+               (_FACTOR,), _cmd_ansatz),
     "blocksym": ("build the block-symmetric pencil for v",
                  ((("--v",), {"required": True, "help": "comma-separated ansatz vector"}),),
                  _cmd_blocksym),

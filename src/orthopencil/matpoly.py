@@ -13,7 +13,6 @@ from .errors import DimensionMismatchError
 __all__ = [
     "MatrixPolynomial",
     "monomial_coefficients",
-    "reversal_monomial",
 ]
 
 
@@ -67,10 +66,6 @@ class MatrixPolynomial:
         for Pi, phi in zip(self.coeffs, phis):
             out += np.asarray(phi)[..., None, None] * Pi
         return out
-
-    def coefficient_scale(self) -> float:
-        """max-abs entry over all coefficients; a scale for relative tolerances."""
-        return max(np.max(np.abs(m)) for m in self.coeffs)
 
     @cached_property
     def coefficient_norms(self) -> tuple:
@@ -174,13 +169,3 @@ def monomial_coefficients(P: MatrixPolynomial) -> np.ndarray:
             if C[i, m] != 0.0:
                 A[m] += C[i, m] * Pi
     return A
-
-
-def reversal_monomial(P: MatrixPolynomial) -> np.ndarray:
-    """Ascending monomial coefficients of x**k * P(1/x), shape (k+1, n, n).
-
-    Entry [0] is the leading monomial coefficient of P; used by the oracle to
-    count infinite eigenvalues.
-    """
-    return monomial_coefficients(P)[::-1].copy()
-

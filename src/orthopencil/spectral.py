@@ -46,13 +46,14 @@ the paper, so x is one n x n solve: P(lam_j) at all kn eigenvalues is one
 GEMM, and one batched solve per side gives the right vectors x_j and the
 left ones y_j of P (one of each conjugate pair, the other by conjugation),
 with a column whose backward error eta_P misses the certificate solved
-again.  At an infinite eigenvalue the matrix is c*P_k, whose null vectors
-are x and y, and F's eigenvectors are e_1 kron x.  An exactly singular
-matrix is solved a few ulps off (``_null_vectors``), with lam_j reported as
-it is.  The rung solves every column against one fixed right-hand side; QZ,
-which serves multiple eigenvalues, solves the j-th eigenvalue in sorted
-order against the (j mod n)-th of n fixed ones, so that a semisimple
-multiple eigenvalue gets independent vectors.  The anchor's left
+again (``_p_vectors``).  At an infinite eigenvalue the matrix is c*P_k,
+whose null vectors are x and y, and F's eigenvectors are e_1 kron x.  An
+exactly singular matrix is scaled to unit norm and moved a few ulps along
+i I, with lam_j reported as it is.  The rung solves every column against
+one fixed right-hand side; QZ, which serves multiple eigenvalues, solves
+the j-th eigenvalue in sorted order against the (j mod n)-th of n fixed
+ones, so that a semisimple multiple eigenvalue gets independent vectors.
+The anchor's left
 eigenvectors are built from the y_j (``_anchor_left``).  Its right ones
 stay P-sized until they are written: the residual of phi kron x is
 [P(lam) x; delta kron x], delta the recurrence residuals of the computed
@@ -165,8 +166,8 @@ _INF_TOL = 1e-8
 _REGULARITY_SEED = 90210
 # Seed of the right-hand sides of the solves from P (_rhs).
 _RHS_SEED = 20161
-# ulps by which _null_vectors moves a singular matrix: of max(|lam|, 1) in
-# lam, or along I once the matrix is scaled to unit norm.
+# ulps by which _p_vectors moves a singular matrix along i I, once the
+# matrix is scaled to unit Frobenius norm.
 _SHIFT_ULPS = 4.0
 
 
@@ -310,7 +311,8 @@ def _companion_solve(route, left=False):
     refused when eigvals raises (on a companion matrix that is not finite,
     too), when an eigenvalue is not finite or is classed infinite, when two
     agree to within sqrt(eps) relative (_has_close_pair), when a P(lam_j)
-    stays singular, or when _from_p finds the certificate missed."""
+    stays singular once moved (_p_vectors), or when _from_p finds the
+    certificate missed."""
     P, F = route.P, route.F
     n = P.n
     rcond, inverse = route.lead
@@ -338,16 +340,17 @@ def _from_p(route, lams, left, rows, certify=False):
     eigenvectors solved from P there, eigenvalue j against row rows[j] of
     _rhs: the one step after either solver.  With ``certify`` (the eigvals
     rung) None as soon as the eta_P of the side that eig solves misses the
-    certificate after _repair, before the other side is mapped, and None
+    certificate once repaired, before the other side is solved, and None
     when eta_L misses it, before the sort (module docstring).
 
-    x_j and y_j are one inverse-iteration step from the eigenvalue
-    (_null_vectors), at one eigenvalue of each conjugate pair, and a column
-    whose eta_P misses the certificate is solved again (_repair).  At an
-    infinite eigenvalue P is weighted by c e_0, so the matrix solved is
-    c*P_k and eta_P reads ||c*P_k x|| / (|c| ||P_k||_F ||x||), and F's right
-    eigenvector is e_1 kron x.  Raises LinAlgError when a matrix stays
-    singular at its shift.
+    P is evaluated once, at one eigenvalue of each conjugate pair
+    (_evaluate_at), and x_j and y_j are solved from it one side at a time
+    (_p_vectors): one inverse-iteration step from the eigenvalue, one move
+    of a singular matrix, and a column whose eta_P misses the certificate
+    solved again.  At an infinite eigenvalue P is weighted by c e_0, so the
+    matrix solved is c*P_k and eta_P reads ||c*P_k x|| / (|c| ||P_k||_F
+    ||x||), and F's right eigenvector is e_1 kron x.  Raises LinAlgError
+    when a matrix stays singular once moved.
 
     The anchor's left eigenvectors Z, built from the y_j (_anchor_left), are
     mapped once to L's eigenvectors on their side: Z itself for the anchor,
@@ -363,10 +366,7 @@ def _from_p(route, lams, left, rows, certify=False):
     (np.take, which writes C-contiguous arrays)."""
     P, F = route.P, route.F
     k = P.k
-    # eig solves one side of P, y on P^T for M2 and x otherwise.  It is
-    # solved first, so that a P(lam_j) that recover's other side moves
-    # (_null_vectors) is moved after it, and both commands solve it alike
-    eig = 1 if route.side == "M2" else 0
+    m2 = route.side == "M2"
     infinite = np.isinf(lams)
     phi = phi_vector(P.basis, k + 1, np.where(infinite, 0.0, lams))
     Phi = phi[1:]
@@ -379,29 +379,30 @@ def _from_p(route, lams, left, rows, certify=False):
     # eta_P: solve at one of each pair, then conjugate (_conjugates)
     keep, lower = _conjugates(lams)
     kept, phi_kept, scale_kept = lams[keep], phi[:, keep], scale[keep]
-    values, vectors = _null_vectors(P, kept, phi_kept, (eig, 1 - eig) if left else (eig,),
-                                    _rhs(P.n)[rows[keep]])
-    checks = [None if V is None else _eta(P, phi_kept, scale_kept, V, side)
-              for V, side in zip(vectors, _SIDES)]
-    _repair(P, phi_kept, scale_kept, values, vectors, checks)
-    # the rung stands or falls by eig's side alone, so that eig and recover
-    # keep it alike
+    values = _evaluate_at(P, phi_kept)
+    b = _rhs(P.n)[rows[keep]]
+    # eig solves one side of P, y on P^T for M2 and x otherwise, and the
+    # rung stands or falls by it alone.  It is solved, checked and repaired
+    # before recover's other side is touched, so both commands solve it alike
+    first = _p_vectors(P, values, phi_kept, scale_kept, b, "left" if m2 else "right")
     bound = _certified_bound(P.k * P.n)
-    if certify and not np.all(checks[eig][0] <= bound):
+    if certify and not np.all(first[1] <= bound):
         return None
-    X, Y = vectors
+    second = (None, None, None)
+    if left:
+        second = _p_vectors(P, values, phi_kept, scale_kept, b, "right" if m2 else "left")
+    (X, eta_x, px), (Y, eta_y, _) = (second, first) if m2 else (first, second)
     Z = None if Y is None else _anchor_left(F, kept, Phi[:, keep], Y)
-    (eta_x, px), (eta_y, _) = (check or (None, None) for check in checks)
     X, px, eta_x, Z, eta_y = (None if a is None else _conjugated(a, keep, lower)
                               for a in (X, px, eta_x, Z, eta_y))
     mapped = Z
     if route.side == "M1" and Z is not None:
         mapped = _solve(route.scaled[1], Z, transpose=True)
-    elif route.side == "M2":
+    elif m2:
         mapped = _solve_scaled(route.multiplier, route.scaled[1][1], Z)
     norms = None if mapped is None else np.linalg.norm(mapped, axis=0)
     sums = None if Z is None else Z[:P.n] / norms
-    if route.side == "M2":
+    if m2:
         residual = _structured_residuals(route, lams, mapped, norms)
     else:
         residual = _residuals_from_p(route, lams, Phi, X, px, eta_x, scale)
@@ -420,46 +421,12 @@ def _from_p(route, lams, left, rows, certify=False):
         summed = _OfP(np.take(sums, order, axis=1) + 0.0, eta_y[order])
     # on P^T (M2) the structured side is L's left one and x is P's left eigenvector
     sides = ((kron, structured), (mapped, summed))
-    (right, p_right), (left_vecs, p_left) = sides[::-1] if route.side == "M2" else sides
+    (right, p_right), (left_vecs, p_left) = sides[::-1] if m2 else sides
     return Eigentriples(lams[order], right, left_vecs, residual[order], p_right, p_left)
 
 
 def _certified_bound(size):
     return _CERTIFIED_ETA * size * np.finfo(float).eps
-
-
-_SIDES = ("right", "left")
-
-
-def _repair(P, phi, scale, values, vectors, checks):
-    """Solve again, in place, every column of ``vectors`` (right, left;
-    None for a side not solved) whose eta_P in ``checks`` (_eta's (eta,
-    residuals) of each side) misses the certificate: x_j from the largest
-    column of P(lam_j)^-1 and y_j from its largest row, with ``values`` the
-    P(lam_j) and ``phi`` and ``scale`` as _eta takes them.  The checks of the
-    columns solved again are updated in place; a column may still miss the
-    certificate, and none is solved again when a P(lam_j) has no inverse.
-    The caller judges the checks."""
-    bound = _certified_bound(P.k * P.n)
-    bad = [None if check is None else ~(check[0] <= bound) for check in checks]
-    redone = np.logical_or.reduce([b for b in bad if b is not None])
-    if not redone.any():
-        return
-    try:
-        inverse = np.linalg.inv(values[redone])
-    except np.linalg.LinAlgError:
-        return
-    for axis, (V, b) in enumerate(zip(vectors, bad)):
-        if b is None or not b.any():
-            continue
-        # P^-1 is about x y^T / sigma_min: each column is a multiple of x
-        # and each row one of y; the largest is the most accurate
-        inv = inverse[b[redone]]
-        best = np.argmax(np.linalg.norm(inv, axis=1 + axis), axis=1)
-        rows = np.arange(inv.shape[0])
-        V[:, b] = (inv[rows, :, best] if axis == 0 else inv[rows, best, :]).T
-        eta, residuals = checks[axis]
-        eta[b], residuals[:, b] = _eta(P, phi[:, b], scale[b], V[:, b], _SIDES[axis])
 
 
 def _conjugates(lams):
@@ -488,52 +455,57 @@ def _conjugated(a, keep, lower):
     return out
 
 
-def _null_vectors(P, lams, phi, sides, b):
-    """(the matrices M_j as an m x n x n array, [X, Y]): the solutions x_j
-    of M_j x_j = b_j and y_j of M_j^T y_j = b_j, as the columns of n x m
-    arrays, for the ``sides`` (0 right, 1 left), solved in that order, and
-    None for the others.
-    ``phi`` weighs P's coefficients at the eigenvalues ``lams`` (_from_p),
-    so M_j is P(lam_j), or c*P_k at an infinite lam_j, and b_j is row j of
-    ``b``.
+def _p_vectors(P, values, phi, scale, b, side):
+    """(U, eta, R): P's eigenvectors on ``side`` ("right", or "left", the
+    null vectors of the transposes) as the columns of the n x m U, with
+    their eta_P and residuals as _eta gives them, ``phi`` and ``scale`` as
+    _eta takes them.  ``values`` holds the m matrices M_j (_evaluate_at):
+    P(lam_j), or c*P_k at an infinite lam_j (_from_p).
 
-    Where an M_j is singular, so that its LU has a zero pivot or its
-    solution is not finite, it is moved, solved again, and the array holds
-    it moved: a finite lam_j to lam_j + i d, d being _SHIFT_ULPS ulps of
-    max(|lam_j|, 1); c*P_k, and a P(lam_j) still singular there, scaled to
-    unit Frobenius norm (unless zero) and moved by i d I, d that many ulps.
-    Raises LinAlgError when that leaves it singular."""
-    values = _evaluate_at(P, phi)
+    u_j is one inverse-iteration step, M_j u_j = b_j (M_j^T u_j = b_j for
+    "left"), b_j being row j of ``b``.  An M_j that is singular, so that its
+    LU has a zero pivot or its solution is not finite, is scaled to unit
+    Frobenius norm (unless zero) and moved by i d I, d being _SHIFT_ULPS
+    ulps, in ``values`` itself, so that the other side sees it moved, and
+    the batch is solved again; LinAlgError when that leaves one singular.
+    A column whose eta_P then misses the certificate is solved again from
+    M_j^-1, unless one of those M_j has no inverse; it may still miss it,
+    and the caller judges eta."""
+    matrices = values if side == "right" else values.transpose(0, 2, 1)
     b = b[:, :, None]
-    ulps = _SHIFT_ULPS * np.finfo(float).eps
-    vectors = [None, None]
-    for side in sides:
-        matrices = values if side == 0 else values.transpose(0, 2, 1)
-        for attempt in range(3):
-            try:
-                solution = np.linalg.solve(matrices, b)[:, :, 0]
-                singular = ~np.isfinite(solution).all(axis=1)
-            except np.linalg.LinAlgError:
-                singular = np.linalg.slogdet(matrices)[0] == 0.0
-                if not singular.any():
-                    singular[:] = True
-            if not singular.any():
-                vectors[side] = solution.T
-                break
-            if attempt == 2:
-                raise np.linalg.LinAlgError("a moved P(lam) is singular")
-            # the imaginary part of the move makes a zero pivot as unlikely
-            # as for any complex matrix
-            along = singular if attempt else singular & np.isinf(lams)
-            at = singular & ~along
-            if at.any():
-                shifts = lams[at] + 1j * ulps * np.maximum(np.abs(lams[at]), 1.0)
-                values[at] = _evaluate_at(P, phi_vector(P.basis, P.k + 1, shifts))
-            if along.any():
-                size = np.linalg.norm(values[along], axis=(1, 2))
-                values[along] /= np.where(size > 0.0, size, 1.0)[:, None, None]
-                values[along] += 1j * ulps * np.eye(P.n)
-    return values, vectors
+    try:
+        U = np.linalg.solve(matrices, b)[:, :, 0]
+        singular = ~np.isfinite(U).all(axis=1)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(matrices)[0] == 0.0
+        if not singular.any():
+            singular[:] = True
+    if singular.any():
+        # the imaginary part of the move makes a zero pivot as unlikely as
+        # for any complex matrix
+        size = np.linalg.norm(values[singular], axis=(1, 2))
+        values[singular] /= np.where(size > 0.0, size, 1.0)[:, None, None]
+        values[singular] += 1j * _SHIFT_ULPS * np.finfo(float).eps * np.eye(P.n)
+        U = np.linalg.solve(matrices, b)[:, :, 0]
+        if not np.isfinite(U).all():
+            raise np.linalg.LinAlgError("a moved P(lam) is singular")
+    U = U.T
+    eta, R = _eta(P, phi, scale, U, side)
+    bad = ~(eta <= _certified_bound(P.k * P.n))
+    if not bad.any():
+        return U, eta, R
+    try:
+        inverse = np.linalg.inv(values[bad])
+    except np.linalg.LinAlgError:
+        return U, eta, R
+    # M^-1 is about x y^T / sigma_min: each column is a multiple of x and
+    # each row one of y; the largest is the most accurate
+    right = side == "right"
+    best = np.argmax(np.linalg.norm(inverse, axis=1 if right else 2), axis=1)
+    rows = np.arange(inverse.shape[0])
+    U[:, bad] = (inverse[rows, :, best] if right else inverse[rows, best, :]).T
+    eta[bad], R[:, bad] = _eta(P, phi[:, bad], scale[bad], U[:, bad], side)
+    return U, eta, R
 
 
 def _evaluate_at(P, phi):

@@ -124,7 +124,7 @@ def test_criterion_04_ansatz_identity():
             v = rng.standard_normal(k)
             B = rng.standard_normal((k * n, (k - 1) * n))
             pts = sample_points(k + 1)
-            scale = P.coefficient_scale() * max(
+            scale = max(np.max(np.abs(c)) for c in P.coeffs) * max(
                 np.linalg.norm(phi_vector(P.basis, k, lam)) for lam in pts
             )
             eye = np.eye(n)

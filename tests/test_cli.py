@@ -625,7 +625,7 @@ def test_plain_argv_takes_the_direct_path(tmp_path, rng):
         ["recover", "--random=4,5,2", "--factor", "f.json"],
         ["membership", "-p", "p.json", "--pencil", "l.json", "--side", "m2", "--side", "M1"],
         ["exclusion", "--random", "2,3,1", "--v=-1,0.5,0"],
-        ["ansatz", "--problem", "p.json", "--factor=f.json", "--side=m2"],
+        ["ansatz", "--problem", "p.json", "--factor=f.json"],
     ]
     for argv in argvs:
         args = _direct_parse(argv)

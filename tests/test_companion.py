@@ -182,8 +182,9 @@ def test_singular_lead_gives_infinite_eigenvalues_by_qz(monkeypatch, rng):
 
 
 # Leads on which the eigvals rung's result fails exactly one check of the
-# certificate, in _repair (measured at one BLAS thread, the failing check at
-# 1.5 and 5.1 times its bound): (kind, cond, seed, side) -> the check.
+# certificate once _p_vectors has repaired it (measured at one BLAS thread,
+# the failing check at 1.5 and 5.1 times its bound): (kind, cond, seed,
+# side) -> the check.
 SINGLE_FAILURES = {
     ("chebyshev1", 300.0, 10, "M2"): "eta_P of the left eigenvectors of P^T",
     ("chebyshev1", 1000.0, 6, "anchor"): "eta_P of the right eigenvectors",
@@ -343,9 +344,9 @@ def test_certified_recover_does_the_work_once(tmp_path, monkeypatch, capsys, run
 
 def test_exactly_singular_p_stays_on_the_eigvals_rung(monkeypatch):
     # at a real eigenvalue of this P the LU of P(lam_j) has an exactly zero
-    # pivot, so the batched solve raises; the rung solves that column at a
-    # shift moved by a few ulps and still reports the eigenvalue eigvals
-    # found, and QZ does not run
+    # pivot, so the batched solve raises; the rung evaluates P once, moves
+    # that matrix along I and solves it again, still reports the eigenvalue
+    # eigvals found, and QZ does not run
     P = cli._random_problem("6,8,13", "chebyshev1")
     for left in (False, True):
         calls = _spy_qz(monkeypatch)
@@ -357,30 +358,58 @@ def test_exactly_singular_p_stays_on_the_eigvals_rung(monkeypatch):
         triples = pencil_eigen(P, left=left)
         monkeypatch.undo()
         assert calls == [], left
-        # P at every kept eigenvalue, then again at the moved shifts only
-        assert len(evaluated) == 2 and 0 < evaluated[1] < evaluated[0], left
+        assert len(evaluated) == 1, left
         (w,) = found
         lams = spectral._eigenvalues(w, 1.0)
         assert np.array_equal(triples.eigenvalues, lams[spectral._order(lams)]), left
         assert _within_certificate(triples), left
 
 
+def test_a_singular_matrix_is_moved_along_i_and_the_others_are_kept(monkeypatch):
+    # the batch of this P has one exactly singular P(lam_j) at a real
+    # eigenvalue: it comes back scaled to unit Frobenius norm and moved by
+    # 4i eps I, and every other matrix of the batch is bit for bit as P
+    # evaluated it
+    P = cli._random_problem("6,8,13", "chebyshev1")
+    seen, inner = [], spectral._p_vectors
+
+    def spy(P, values, *args):
+        seen.append((values.copy(), values))
+        return inner(P, values, *args)
+
+    monkeypatch.setattr(spectral, "_p_vectors", spy)
+    pencil_eigen(P, left=False)
+    monkeypatch.undo()
+    ((before, after),) = seen
+    moved = np.flatnonzero((before != after).any(axis=(1, 2)))
+    assert moved.size == 1
+    j = moved[0]
+    M = before[j]
+    assert np.linalg.slogdet(M)[0] == 0.0
+    expected = M / np.linalg.norm(M[None], axis=(1, 2))[0] + 4j * np.finfo(float).eps * np.eye(P.n)
+    assert np.array_equal(after[j], expected)
+    kept = np.arange(before.shape[0]) != j
+    assert np.array_equal(after[kept], before[kept])
+
+
 def test_a_column_missing_the_certificate_is_solved_again(monkeypatch):
     # one inverse-iteration step leaves eta_P of a few columns of this P
     # above 10 kn eps (measured at one BLAS thread: two right vectors and
     # one left one); those columns alone are solved again from P(lam)^-1,
-    # and the rung keeps the solve
+    # each side before the next is solved, and the rung keeps the solve
     P = cli._random_problem("10,12,2", "monomial")
     calls = _spy_qz(monkeypatch)
     sizes, inner = [], spectral._eta
     monkeypatch.setattr(spectral, "_eta",
-                        lambda P, phi, scale, U, side: sizes.append(U.shape[1])
+                        lambda P, phi, scale, U, side: sizes.append((side, U.shape[1]))
                         or inner(P, phi, scale, U, side))
     triples = pencil_eigen(P, left=True)
     monkeypatch.undo()
     assert calls == []
-    # eta_P of each side at the kept eigenvalues, then again for the few redone
-    assert len(sizes) > 2 and sizes[0] == sizes[1] and max(sizes[2:]) < sizes[0] // 10
+    # eta_P of each side at the kept eigenvalues, then again for its few redone
+    (right, m), (right_redone, r), (left, m_left), (left_redone, l) = sizes
+    assert (right, right_redone, left, left_redone) == ("right", "right", "left", "left")
+    assert m == m_left and max(r, l) < m // 10
     assert _within_certificate(triples)
 
 
@@ -390,22 +419,23 @@ def test_multiple_eigenvalues_take_qz(tmp_path, monkeypatch, capsys, kind, k):
     # x^k I_2 and phi_k(x) I_2: every eigenvalue is at least double, and the
     # rung's one right-hand side would give one x for both of a pair.  The
     # eigvals rung declines before any solve, QZ finds the eigenvalues, P
-    # gives the vectors in one solve, against a right-hand side per place in
-    # the sorted order, and eig and recover each print what they print with
-    # the rung refused outright
+    # gives the vectors in one solve per side, against a right-hand side per
+    # place in the sorted order, and eig and recover each print what they
+    # print with the rung refused outright
     P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis(kind))
     path = _write_problem(tmp_path, P, "p")
     for cmd in ("eig", "recover"):
         outputs = []
         for rung in ("eigvals", "qz"):
             solved = []
-            inner = spectral._null_vectors
+            inner = spectral._p_vectors
             _force_rung(monkeypatch, rung)
             calls = _spy_qz(monkeypatch)
-            monkeypatch.setattr(spectral, "_null_vectors", lambda *a: solved.append(a) or inner(*a))
+            monkeypatch.setattr(spectral, "_p_vectors", lambda *a: solved.append(a[-1]) or inner(*a))
             outputs.append((cli.run([cmd, "-p", path]), *capsys.readouterr()))
             monkeypatch.undo()
-            assert len(solved) == 1 and len(calls) == 1, (cmd, rung)
+            sides = ["right"] if cmd == "eig" else ["right", "left"]
+            assert solved == sides and len(calls) == 1, (cmd, rung)
         assert outputs[0] == outputs[1], cmd
 
 
@@ -413,8 +443,8 @@ def test_multiple_eigenvalues_take_qz(tmp_path, monkeypatch, capsys, kind, k):
 def test_a_multiple_eigenvalue_gets_independent_vectors(tmp_path, capsys, k):
     # x^k I_2: 0 is an eigenvalue of multiplicity 2k whose eigenvectors span
     # C^2 on either side, and recover prints vectors of P of rank 2 for it.
-    # P(0) = 0, so P is solved at the moved point 4i eps, where it is
-    # (4i eps)^k I: subnormal for k = 21, zero for 22, and moved along I
+    # P(0) = 0, the zero matrix, so it is moved along I and solved as
+    # 4i eps I, for every k
     P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis("monomial"))
     assert cli.run(["recover", "-p", _write_problem(tmp_path, P, "p")]) == 0
     report = json.loads(capsys.readouterr().out)

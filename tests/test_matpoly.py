@@ -7,7 +7,6 @@ from orthopencil import (
     builtin_basis,
     det_poly,
     monomial_coefficients,
-    reversal_monomial,
 )
 from orthopencil.matpoly import sampled_regularity
 from conftest import ALL_KINDS, BASIS_KINDS, random_problem
@@ -59,29 +58,25 @@ def test_evaluate_matches_monomial_conversion(rng):
 
 
 def test_reversal_monomial_examples():
+    # the ascending coefficients of the reversal x^k P(1/x) are P's
+    # monomial coefficients in descending order
     b = builtin_basis("monomial")
     A = np.array([[2.0, 0.0], [1.0, 3.0]])
     B = np.array([[0.0, 1.0], [1.0, 0.0]])
     C = np.eye(2)
     P = MatrixPolynomial((C, B, A), b)
-    rev = reversal_monomial(P)
+    rev = monomial_coefficients(P)[::-1]
     # x^2 P(1/x) = C x^2 + B x + A, ascending [A, B, C]
     assert np.array_equal(rev[0], A)
     assert np.array_equal(rev[1], B)
     assert np.array_equal(rev[2], C)
 
 
-def test_reversal_at_zero_is_leading_monomial_coefficient(rng):
-    P = random_problem(rng, 2, 3, "legendre")
-    rev = reversal_monomial(P)
-    assert np.allclose(rev[0], monomial_coefficients(P)[-1])
-
-
 def test_reversal_scalar_chebyshev_t2():
     P = MatrixPolynomial(
         (np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))), builtin_basis("chebyshev1")
     )
-    rev = reversal_monomial(P)
+    rev = monomial_coefficients(P)[::-1]
     # T_2 = 2x^2 - 1, reversal is -x^2 + 2
     assert np.allclose(rev.reshape(-1), [2.0, 0.0, -1.0])
 

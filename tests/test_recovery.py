@@ -23,11 +23,11 @@ from orthopencil import (
     check_linearization,
     make_m1,
     make_m2,
+    monomial_coefficients,
     pencil_eigen,
     phi_vector,
     recover_left,
     recover_right,
-    reversal_monomial,
     spectral,
 )
 from conftest import ALL_KINDS, random_problem
@@ -45,7 +45,7 @@ def _recover_one(P, eigenvalue, w, tol=1e-6, nullside="right"):
         u = blocks[0]
         if np.linalg.norm(blocks[1:]) > tol * np.linalg.norm(w):
             raise RecoveryError("not e_1 kron u")
-        lead = reversal_monomial(P)[0]
+        lead = monomial_coefficients(P)[-1]
         scale = max(float(np.linalg.norm(lead)), 1e-300)
         res = lead @ u if nullside == "right" else u @ lead
     else:
@@ -205,17 +205,19 @@ def test_batched_recover_left_is_the_blockwise_sum(rng, m):
 
 def _misplaced(monkeypatch, side, wrong):
     """Make the solve from P return ``wrong`` as every vector of P on
-    ``side`` (0 right, 1 left) at an infinite eigenvalue, and keep it: the
-    repair, which would solve it again, is off."""
-    inner = spectral._null_vectors
+    ``side`` ("right" or "left") at an infinite eigenvalue, with its eta_P,
+    and keep it: the repair, which would solve it again, is skipped."""
+    inner = spectral._p_vectors
 
-    def solve(P, lams, *args):
-        values, vectors = inner(P, lams, *args)
-        vectors[side][:, np.isinf(lams)] = wrong[:, None]
-        return values, vectors
+    def solve(P, values, phi, scale, b, solved):
+        U, eta, R = inner(P, values, phi, scale, b, solved)
+        if solved == side:
+            # phi is c e_0 (phi_k first) at an infinite eigenvalue, so phi_0 is 0
+            U[:, phi[-1] == 0.0] = wrong[:, None]
+            eta, R = spectral._eta(P, phi, scale, U, side)
+        return U, eta, R
 
-    monkeypatch.setattr(spectral, "_null_vectors", solve)
-    monkeypatch.setattr(spectral, "_repair", lambda *args: False)
+    monkeypatch.setattr(spectral, "_p_vectors", solve)
 
 
 def test_infinite_column_outside_the_leading_nullspace_is_named(rng, monkeypatch):
@@ -228,7 +230,7 @@ def test_infinite_column_outside_the_leading_nullspace_is_named(rng, monkeypatch
     assert infinite.size == 1
     U = recover_right(triples, tol=1e-14)
     assert np.allclose(np.abs(U[:, infinite[0]]), [1.0, 0.0, 0.0], rtol=0, atol=1e-14)
-    _misplaced(monkeypatch, 0, np.array([0.0, 1.0, 0.0]))
+    _misplaced(monkeypatch, "right", np.array([0.0, 1.0, 0.0]))
     with pytest.raises(RecoveryError, match=rf"column {infinite[0]} \(eigenvalue .*residual"):
         recover_right(pencil_eigen(P))
 
@@ -242,7 +244,7 @@ def test_recover_left_checks_infinite_columns_by_the_lead(rng, monkeypatch):
     assert np.allclose(np.abs(Y[:, infinite[0]]) / np.linalg.norm(Y[:, infinite[0]]),
                        [1.0, 0.0, 0.0], rtol=0, atol=1e-14)
     assert p_eta(P, triples.eigenvalues, Y, "left").max() <= 100 * 12 * np.finfo(float).eps
-    _misplaced(monkeypatch, 1, np.array([0.0, 1.0, 0.0]))  # e_2^T does not annihilate P_k
+    _misplaced(monkeypatch, "left", np.array([0.0, 1.0, 0.0]))  # e_2^T does not annihilate P_k
     with pytest.raises(RecoveryError, match=rf"column {infinite[0]} \(eigenvalue .*residual"):
         recover_left(pencil_eigen(P))
 

@@ -17,6 +17,7 @@ from orthopencil import (
     identity_factor,
     make_m1,
     make_m2,
+    monomial_coefficients,
     multiplier_matrix,
     pencil_eigen,
     phi_vector,
@@ -107,9 +108,7 @@ def test_recover_right_infinite(rng):
     triples = pencil_eigen(P)
     infinite = np.isinf(triples.eigenvalues)
     assert infinite.any()
-    from orthopencil import reversal_monomial
-
-    lead = reversal_monomial(P)[0]
+    lead = monomial_coefficients(P)[-1]
     U = recover_right(triples)[:, infinite]
     assert np.all(np.linalg.norm(lead @ U, axis=0) <= 1e-8 * max(np.linalg.norm(lead), 1.0))
 
