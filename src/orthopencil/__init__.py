@@ -7,8 +7,8 @@ a factor whose free block solves the symmetry equations.  Every pencil of P,
 the anchor or an M1/M2 member, is solved through P's anchor by
 ``pencil_eigen(P, factor)``, which forms the pencil from P and the factor
 itself.  It returns one sorted, columnar ``Eigentriples`` (eigenvalues,
-unit eigenvectors, residuals, and P's eigenvectors with their backward
-errors, as arrays, one column per eigenvalue): the eigenvalues come from
+the pencil's residuals, and P's eigenvectors with their backward errors, as
+arrays, one column per eigenvalue): the eigenvalues come from
 eigvals on the companion matrix where that solve is certified and else from
 QZ on the anchor, and every eigenvector from P at them, on one path;
 ``recover_right`` and ``recover_left`` check P's eigenvectors in the record

@@ -87,7 +87,8 @@ def _tolerance(tol: float) -> float:
 
 
 def _emit(obj):
-    sys.stdout.write(dump_json(obj) + "\n")
+    sys.stdout.write(dump_json(obj))  # adding the newline would copy the text again
+    sys.stdout.write("\n")
 
 
 def _cmd_anchor(args) -> int:
@@ -133,7 +134,7 @@ def _cmd_membership(args) -> int:
     P = _load_problem(args)
     L = pencil_from_obj(load_json(args.pencil))
     report = verify_membership(L, P, side=args.side.upper(), tol=tol)
-    _emit({"member": report.member, "v": report.v.tolist(), "residual": report.residual})
+    _emit({"member": report.member, "v": report.v, "residual": report.residual})
     return 0
 
 

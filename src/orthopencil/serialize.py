@@ -4,9 +4,11 @@ All matrices are row-major nested lists.  Problem coefficients are stored in
 ascending degree order P_0 .. P_k.  Floats round-trip exactly through json
 (shortest-repr serialization preserves every double).
 
-The ``*_to_obj`` functions and ``spectrum_report_obj`` build the plain
-objects.  The ``*_from_obj`` readers check the JSON type of every field they
-read and name the field when it is wrong.
+The ``*_to_obj`` functions and ``spectrum_report_obj`` build the objects
+for ``dump_json``, which holds their matrices and vectors as the ndarrays
+themselves: orjson writes them straight from numpy.  The ``*_from_obj``
+readers check the JSON type of every field they read and name the field
+when it is wrong.
 
 ``load_json`` and ``dump_json`` are the CLI's JSON reader and writer.  Both
 run through orjson and give exactly what the standard json module gives:
@@ -180,7 +182,7 @@ def problem_to_obj(P: MatrixPolynomial) -> dict:
         "basis": basis_to_obj(P.basis),
         "n": P.n,
         "k": P.k,
-        "coefficients": [m.tolist() for m in P.coeffs],
+        "coefficients": list(P.coeffs),
     }
 
 
@@ -201,7 +203,7 @@ def problem_from_obj(obj: dict) -> MatrixPolynomial:
 
 
 def pencil_to_obj(L: Pencil) -> dict:
-    return {"n": L.n, "k": L.k, "X": L.X.tolist(), "Y": L.Y.tolist()}
+    return {"n": L.n, "k": L.k, "X": L.X, "Y": L.Y}
 
 
 def pencil_from_obj(obj: dict) -> Pencil:
@@ -211,7 +213,7 @@ def pencil_from_obj(obj: dict) -> Pencil:
 
 
 def factor_to_obj(f: AnsatzFactor) -> dict:
-    return {"v": f.v.tolist(), "B": f.B.tolist(), "side": f.side}
+    return {"v": f.v, "B": f.B, "side": f.side}
 
 
 def factor_from_obj(obj: dict) -> AnsatzFactor:
@@ -240,8 +242,7 @@ def spectrum_report_obj(triples, recovered_right=None, recovered_left=None) -> d
     report = {
         "finite": [
             {"re": x, "im": y, "residual": r}
-            for x, y, r in zip(values.real.tolist(), values.imag.tolist(),
-                               residual[finite].tolist())
+            for x, y, r in zip(values.real, values.imag, residual[finite])
         ],
         "infinite_count": lams.size - finite.size,
     }
@@ -249,7 +250,7 @@ def spectrum_report_obj(triples, recovered_right=None, recovered_left=None) -> d
     for name, vectors in (("right", recovered_right), ("left", recovered_left)):
         if vectors is not None:
             V = np.asarray(vectors)[:, finite].T
-            eigenvectors[name] = np.stack([V.real, V.imag], -1).tolist()
+            eigenvectors[name] = np.stack([V.real, V.imag], -1)
     if eigenvectors:
         report["eigenvectors"] = eigenvectors
     return report
@@ -274,7 +275,11 @@ def load_json(path):
 
 
 def _coerce_scalars(value):
-    if isinstance(value, (np.bool_,)):
+    """A numpy array that orjson or json hands over (orjson writes a
+    C-contiguous one itself) as its tolist(), a scalar as a Python one."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
@@ -340,36 +345,55 @@ def _repr_numbers(text: str) -> str:
         end = edits[start]
         pieces += (text[done:start], repr(float(text[start:end])))
         done = end
-    return "".join(pieces) + text[done:] if pieces else text
+    pieces.append(text[done:])
+    return "".join(pieces) if edits else text
 
 
-_ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+_ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+def _orjson_differs(obj) -> bool:
+    """Whether obj's dicts, lists and tuples hold a numpy value that orjson writes
+    otherwise than json: a float32, or an array whose byte order is not native."""
+    stack = [obj]
+    while stack:
+        value = stack.pop()
+        if type(value) is float or type(value) is np.float64:  # most leaves, skipped at once
+            continue
+        if isinstance(value, (dict, list, tuple)):
+            stack.extend(value.values() if isinstance(value, dict) else value)
+        elif isinstance(value, (np.ndarray, np.generic)) and (
+                value.dtype == np.float32 or not value.dtype.isnative):
+            return True
+    return False
 
 
 def dump_json(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), numpy scalars coerced.
+    """json.dumps(obj, indent=2, sort_keys=True, default=_coerce_scalars).
 
     orjson writes the text: its OPT_INDENT_2 | OPT_SORT_KEYS layout is
-    json's line for line, and it writes every float with the shortest digits
-    that round-trip, as float.__repr__ does.  Where it writes a number in
-    another form, _repr_numbers rewrites it by repr.  json.dumps writes the
-    text instead when orjson could differ from it:
+    json's line for line, and it writes every float, in a float64 array
+    too, with the shortest digits that round-trip, as float.__repr__ does.
+    Where it writes a number in another form, _repr_numbers rewrites it by
+    repr.  json.dumps writes the text instead when orjson could differ:
     - orjson raises: a key that is not a string, an integer beyond 64 bits,
       a value neither encoder knows, nesting deeper than orjson allows;
+    - obj holds a numpy value that orjson writes otherwise (_orjson_differs);
     - the text holds null, which is also how orjson writes NaN and the
       infinities (json writes NaN, Infinity and -Infinity);
     - the text holds a backslash: json and orjson escape strings
       differently;
     - the text holds a character outside printable ASCII, which json
       writes as a \\u escape.
-    So the result is byte-identical to json.dumps(obj, indent=2,
-    sort_keys=True) for every value that json encodes.  (orjson also
+    So the result is byte-identical to that json.dumps for every value that
+    json encodes.  (orjson also
     encodes some values that json refuses, such as dataclasses and enums.)
     """
-    try:
-        out = orjson.dumps(obj, default=_coerce_scalars, option=_ORJSON_OPTIONS)
-    except orjson.JSONEncodeError:
-        out = None
+    out = None
+    if not _orjson_differs(obj):
+        try:
+            out = orjson.dumps(obj, default=_coerce_scalars, option=_ORJSON_OPTIONS)
+        except orjson.JSONEncodeError:
+            pass
     if out is None or b"null" in out or b"\\" in out or b"\x7f" in out or not out.isascii():
         return json.dumps(obj, indent=2, sort_keys=True, default=_coerce_scalars)
-    return _repr_numbers(out.decode("ascii"))
+    out = out.decode("ascii")  # and orjson's bytes are freed
+    return _repr_numbers(out)

@@ -20,13 +20,12 @@ reversal Y*lam + X.  With ``left`` false the caller uses no left
 eigenvectors, and none are computed.
 
 The result is one sorted, columnar record, ``Eigentriples``: the
-eigenvalues, the unit right and left eigenvectors, the residuals, and P's
-eigenvectors with their backward errors as arrays of m = kn columns, all
-put in one order by one permutation (``_order``).  Normalization comes
-before the permutation, and the permuted arrays are C-contiguous, so that
-the numbers do not depend on the order the solver found them in.  Column j
-of every array belongs to eigenvalue j; the record has no per-eigenvalue
-view.
+eigenvalues, the residuals, and P's eigenvectors with their backward errors
+as arrays of m = kn columns, normalized and then put in one order by one
+permutation (``_order``) as C-contiguous arrays, so that the numbers do not
+depend on the order the solver found them in.  Column j of every array
+belongs to eigenvalue j.  Every vector in it is P-sized: L's kn-sized
+eigenvectors enter it only through their norms.
 
 Two rungs find F's eigenvalues, the second tried when the first is refused
 or not tried, and one path finds every eigenvector, from P at them:
@@ -53,13 +52,11 @@ i I, with lam_j reported as it is.  The rung solves every column against
 one fixed right-hand side; QZ, which serves multiple eigenvalues, solves
 the j-th eigenvalue in sorted order against the (j mod n)-th of n fixed
 ones, so that a semisimple multiple eigenvalue gets independent vectors.
-The anchor's left
-eigenvectors are built from the y_j (``_anchor_left``).  Its right ones
-stay P-sized until they are written: the residual of phi kron x is
-[P(lam) x; delta kron x], delta the recurrence residuals of the computed
-phi, and ||phi kron x|| = ||phi|| ||x||, so eta_L of the anchor and of M1
-comes from P(lam) x, which eta_P's GEMM already forms
-(``_residuals_from_p``), and the unit vectors are written once, sorted.
+The anchor's left eigenvectors are built from the y_j (``_anchor_left``).
+Its right ones are never formed: the residual of phi kron x is [P(lam) x;
+delta kron x], delta the recurrence residuals of the computed phi, and
+||phi kron x|| = ||phi|| ||x||, so eta_L of the anchor and of M1 comes from
+P(lam) x, which eta_P's GEMM already forms (``_residuals_from_p``).
 
 The eigvals rung is kept only under a certificate that reads what ``eig``
 and ``recover`` both compute, so that the two keep or refuse it together:
@@ -75,15 +72,14 @@ numpy.linalg serves every solve but QZ: the inverses, eigvals and the
 batched solves.  scipy.linalg is imported only by QZ (``_qz``), so ``eig``
 and ``recover`` never load it where the eigvals rung is certified.
 
-``_from_p`` ends by mapping F's eigenvectors to L's, which have the
-anchor's eigenvalues.  The anchor's left eigenvectors z are mapped once, to
-L's vectors on their side: z itself for the anchor, T^-T z for M1, and for
-M2, where F is G, S^-1 z, an LU solve on the row-scaled S, which are L's
-right vectors.  The other side is phi kron x: F's right eigenvectors for the
-anchor and M1, and for M2 G's right eigenvectors, which are L's left ones,
-so for M2 the two sides swap in one statement.  Residuals come from P-sized
-data for the anchor and M1, and for M2 from S^-1 z, read off the anchor's
-structure and one GEMM by S (``_structured_residuals``).
+``_from_p`` ends by mapping the anchor's left eigenvectors z once to L's
+eigenvectors on their side, which have the anchor's eigenvalues, and keeps
+their norms: z itself for the anchor, T^-T z for M1, and for M2, where F is
+G, S^-1 z, an LU solve on the row-scaled S, which are L's right vectors.
+The other side is phi kron x: F's right eigenvectors for the anchor and M1,
+and for M2 G's right eigenvectors, which are L's left ones.  Residuals come
+from P-sized data for the anchor and M1, and for M2 from S^-1 z, read off
+the anchor's structure and one GEMM by S (``_structured_residuals``).
 
 It also puts the eigenvectors of P in the sorted record, on the route's
 polynomial (P, or P^T for M2, so that one set of formulas serves both
@@ -98,8 +94,7 @@ right side are P's left ones and the block sums are P's right ones.
 Recovery reads the record: ``recover_right(spectrum, tol)`` and
 ``recover_left(spectrum, tol)`` check the recorded eta_P of every column
 against tol and return P's n x m eigenvectors, so a ``recover`` evaluates
-the basis once, whichever rung ran.
-A failure names the first failing column.
+the basis once, whichever rung ran.  A failure names the first failing column.
 """
 
 from __future__ import annotations
@@ -177,7 +172,7 @@ def qz_solve(route: _Route, left: bool) -> Eigentriples:
     certified eigvals rung or else of QZ on F, which agree to within the
     eigenvalues' condition numbers times their backward errors, not bit for
     bit, and the eigenvectors from P at them (_from_p).  With left false
-    ``left`` is None in the result."""
+    ``p_left`` is None in the result."""
     spectrum = _companion_solve(route, left)
     if spectrum is None:
         lams = _qz(route.F.X, route.F.Y)
@@ -254,16 +249,6 @@ def _structured_residuals(route, lams, U, norms):
     nx = np.linalg.norm(route.L.X)
     scales = np.where(infinite, nx, nx * np.abs(lams) + np.linalg.norm(route.L.Y))
     return np.linalg.norm(R, axis=0) / (norms * np.maximum(scales, 1e-300))
-
-
-def _unit_kron(Phi, unit, order):
-    """The unit vectors (Phi / ||Phi||) kron u, Phi taken in ``order`` and u
-    the columns of ``unit``, which are in that order already: the anchor's
-    right eigenvectors, kn x m and C-contiguous."""
-    Phi = np.take(Phi, order, axis=1)
-    Phi /= np.linalg.norm(Phi, axis=0)
-    (k, m), n = Phi.shape, unit.shape[0]
-    return np.multiply(Phi[:, None, :], unit).reshape(k * n, m)
 
 
 def _residuals_from_p(route, lams, Phi, x, px, eta, scale):
@@ -356,14 +341,11 @@ def _from_p(route, lams, left, rows, certify=False):
     mapped once to L's eigenvectors on their side: Z itself for the anchor,
     T^-T Z for M1 (_solve), and S^-1 Z for M2 (_solve_scaled), which are L's
     right ones, as L = F^T S.  The first blocks of Z over the norms of
-    those vectors are their block sums, P's vectors on that side.  The
-    structured side is the unit Phi kron x, written once, sorted
-    (_unit_kron), with x itself as P's vectors on it.  The residuals come
-    from P-sized data (_residuals_from_p), and for M2 from S^-1 Z
-    (_structured_residuals).  On P^T (M2) the structured side is the left
-    one, so there the two sides swap.  Every column is normalized in solver
-    order, Z in place, and then all are put in the order of ``_order``
-    (np.take, which writes C-contiguous arrays)."""
+    those vectors are their block sums, P's vectors on that side; on the
+    structured side, Phi kron x, which is not formed, they are the unit x
+    (P's left ones for M2).  The residuals come from P-sized data
+    (_residuals_from_p), and for M2 from S^-1 Z (_structured_residuals).
+    Columns are normalized in solver order, then put in _order (np.take)."""
     P, F = route.P, route.F
     k = P.k
     m2 = route.side == "M2"
@@ -409,20 +391,14 @@ def _from_p(route, lams, left, rows, certify=False):
     if certify and not np.all(residual <= bound):
         return None
     order = _order(lams)
-    if mapped is not None:
-        mapped /= norms
-        mapped = np.take(mapped, order, axis=1)
-    kron = structured = summed = None
+    structured = summed = None
     if X is not None:
-        unit = np.take(X / np.linalg.norm(X, axis=0), order, axis=1)
-        structured = _OfP(unit, eta_x[order])
-        kron = _unit_kron(Phi, unit, order)
+        structured = _OfP(np.take(X / np.linalg.norm(X, axis=0), order, axis=1), eta_x[order])
     if sums is not None:
         summed = _OfP(np.take(sums, order, axis=1) + 0.0, eta_y[order])
-    # on P^T (M2) the structured side is L's left one and x is P's left eigenvector
-    sides = ((kron, structured), (mapped, summed))
-    (right, p_right), (left_vecs, p_left) = sides[::-1] if m2 else sides
-    return Eigentriples(lams[order], right, left_vecs, residual[order], p_right, p_left)
+    # on P^T (M2) x is P's left eigenvector and the block sums its right one
+    p_right, p_left = (summed, structured) if m2 else (structured, summed)
+    return Eigentriples(lams[order], residual[order], p_right, p_left)
 
 
 def _certified_bound(size):
@@ -621,23 +597,20 @@ class Eigentriples:
     columns: what pencil_eigen returns.
 
     ``eigenvalues`` holds the m eigenvalues (complex infinity for infinite
-    ones), ``right`` and ``left`` the pencil's unit eigenvectors as the
-    columns of kn x m arrays (``left`` None when no left vectors were asked
-    for), and ``residual`` the m normalized right residuals.  ``p_right``
-    and ``p_left`` hold P's right and left eigenvectors (_OfP): on the
-    structured side the unit vectors solved from P, and on the other side
-    the block sums (v kron I_n)^T w of the unit eigenvectors w as they are
-    (the anchor and M1: the structured side is P's right side; M2: its left
-    side), each with its backward errors eta_P.  ``p_left`` is None when no
-    left vectors were asked for, and both are None in a record not made by
-    pencil_eigen.  recover_right and recover_left check and return them.
-    Every array is C-contiguous, and column j of each belongs to
-    eigenvalues[j]; infinite eigenvalues' vectors are eigenvectors of the
-    reversal at zero."""
+    ones) and ``residual`` the m normalized right residuals of the pencil.
+    ``p_right`` and ``p_left`` hold P's right and left eigenvectors (_OfP):
+    on the structured side the unit vectors x solved from P, and on the
+    other side the block sums (v kron I_n)^T w of the pencil's unit
+    eigenvectors w as they are (the anchor and M1: the structured side is
+    P's right side; M2: its left side), each with its backward errors eta_P.
+    The pencil's own eigenvectors, phi(lam) kron x on the structured side,
+    are not kept.  ``p_left`` is None when no left vectors were asked for,
+    and both are None in a record not made by pencil_eigen.  recover_right
+    and recover_left check and return them.  Every array is C-contiguous,
+    and column j of each belongs to eigenvalues[j]; infinite eigenvalues'
+    vectors are eigenvectors of the reversal at zero."""
 
     eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray | None
     residual: np.ndarray
     p_right: _OfP | None = None
     p_left: _OfP | None = None
@@ -689,7 +662,7 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     none has, or the multiplier has no finite inverse, SingularPencilError
     is raised, carrying the largest rcond seen.
 
-    With left false ``left`` and ``p_left`` are None.  Residuals are ||(X*lam + Y) u|| /
+    With left false ``p_left`` is None.  Residuals are ||(X*lam + Y) u|| /
     (||X|| |lam| + ||Y||) for unit right vectors u (||X u|| / ||X|| at
     infinite eigenvalues), read off the anchor.  Columns are sorted by
     (real, imag) with infinite eigenvalues last; real parts equal up to

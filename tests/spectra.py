@@ -5,8 +5,15 @@ the package so that importing orthopencil never loads scipy.optimize.
 ``spectrum_of`` reads the Spectrum of pencil_eigen's eigenvalue column.
 ``qz_on_pencil`` solves a pencil by QZ on its own (X, Y), with dense
 residuals, as a reference for ``pencil_eigen``, which solves every pencil
-through the anchor of its polynomial; like pencil_eigen it returns a sorted,
-columnar Eigentriples.  ``sort_triples`` is the sort rule of
+through the anchor of its polynomial; it returns a sorted, columnar
+PencilTriples, which holds the pencil's own kn-sized eigenvectors, as
+pencil_eigen's Eigentriples does not.  The pencil's eigenvectors at
+pencil_eigen's eigenvalues are ``kron_vectors`` on the structured side,
+phi(lam) kron x from P's vectors x in the record (the paper's eigenvector
+result), and ``null_vectors`` on the other, from an SVD of the pencil at
+each eigenvalue; ``pencil_vectors`` gives both sides of a record, and
+``phase_misfit`` compares vectors known up to a unit factor.
+``sort_triples`` is the sort rule of
 ``pencil_eigen`` written out eigenvalue by eigenvalue, the reference for the
 permutation (``spectral._order``) that the library computes on arrays.
 ``block_sum`` is the paper's block sum (v kron I_n)^T U of pencil
@@ -26,7 +33,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from orthopencil import phi_vector, spectral
+from orthopencil import anchor_pencil, eval_pencil, make_m1, make_m2, phi_vector, spectral
 from orthopencil.spectral import backward_errors
 from orthopencil.oracle import Spectrum
 
@@ -46,8 +53,71 @@ def qz_on_pencil(L, left=True):
     scales = np.where(infinite, nx, nx * np.abs(values) + np.linalg.norm(L.Y))
     residuals = np.linalg.norm(R, axis=0) / np.maximum(scales, 1e-300)
     order = sort_triples(values)
-    return spectral.Eigentriples(values[order], right[:, order],
-                                 None if lefts is None else lefts[:, order], residuals[order])
+    return PencilTriples(values[order], right[:, order],
+                         None if lefts is None else lefts[:, order], residuals[order])
+
+
+@dataclass(frozen=True, eq=False)
+class PencilTriples:
+    """A pencil's sorted eigenvalues, its unit right and left eigenvectors
+    as the columns of kn x m arrays (``left`` None when not asked for) and
+    its right residuals, as qz_on_pencil solves them."""
+
+    eigenvalues: np.ndarray
+    right: np.ndarray
+    left: np.ndarray | None
+    residual: np.ndarray
+
+
+def kron_vectors(P, lams, U):
+    """The unit phi(lam_j) kron u_j for the columns u_j of U (n x m), phi =
+    phi_vector(basis, k) there, or e_1 at an infinite eigenvalue: the
+    eigenvectors of a linearization of P on its structured side, by the
+    paper's eigenvector result, from P's vectors u_j on that side."""
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    infinite = np.isinf(lams)
+    phi = phi_vector(P.basis, P.k, np.where(infinite, 0.0, lams))
+    phi[:, infinite] = np.eye(P.k, 1)
+    W = (phi[:, None, :] * np.asarray(U)).reshape(P.k * P.n, lams.size)
+    return W / np.linalg.norm(W, axis=0)
+
+
+def null_vectors(L, lams, side="right"):
+    """The unit null vectors of L(lam_j) = X lam_j + Y ("right"), or of its
+    transpose ("left"), X alone at an infinite lam_j, from an SVD: the
+    singular vector of the least singular value, kn x m.  It is the
+    eigenvector up to a unit factor where the eigenvalue is geometrically
+    simple."""
+    columns = []
+    for lam in np.asarray(lams, dtype=complex).reshape(-1):
+        M = L.X.astype(complex) if np.isinf(lam) else eval_pencil(L, lam)
+        M = M.T if side == "left" else M
+        columns.append(np.linalg.svd(M)[2][-1].conj())
+    return np.array(columns, dtype=complex).reshape(-1, L.X.shape[0]).T
+
+
+def pencil_vectors(P, triples, factor=None):
+    """(right, left): unit eigenvectors, kn x m, of the pencil that
+    pencil_eigen(P, factor) solved, at the record's eigenvalues.  The
+    structured side (right for the anchor and M1, left for M2) is
+    kron_vectors of the record's unit vectors of P on that side, None for
+    the left side of M2 solved without left vectors; the other side is
+    null_vectors of the pencil."""
+    lams = triples.eigenvalues
+    if factor is not None and factor.side == "M2":
+        structured = triples.p_left
+        return (null_vectors(make_m2(P, factor), lams),
+                None if structured is None else kron_vectors(P, lams, structured.vectors))
+    L = anchor_pencil(P) if factor is None else make_m1(P, factor)
+    return kron_vectors(P, lams, triples.p_right.vectors), null_vectors(L, lams, "left")
+
+
+def phase_misfit(A, B):
+    """min over theta of ||a_j - e^(i theta) b_j|| for the columns a_j of A
+    and b_j of B: their distance once b_j is turned to a_j's phase."""
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    inner = np.einsum("im,im->m", B.conj(), A)
+    return np.linalg.norm(A - B * np.exp(1j * np.angle(inner)), axis=0)
 
 
 def block_sum(v, U):
@@ -95,8 +165,8 @@ def p_eta(P, lams, U, nullside="right"):
 def recovered(P, lams, W, sums=None):
     """A record whose right eigenvectors of P are fitted to the
     Kronecker-structured pencil eigenvectors W (kn x m) and whose left ones
-    are ``sums`` (n x m), each with its eta_P (kron_fit, p_eta); its pencil
-    fields are placeholders."""
+    are ``sums`` (n x m), each with its eta_P (kron_fit, p_eta); its
+    residuals are placeholders."""
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     U = kron_fit(P, lams, W)[0]
     right = spectral._OfP(U, p_eta(P, lams, U))
@@ -104,8 +174,7 @@ def recovered(P, lams, W, sums=None):
     if sums is not None:
         sums = np.asarray(sums, dtype=complex) + 0.0
         left = spectral._OfP(sums, p_eta(P, lams, sums, "left"))
-    return spectral.Eigentriples(lams, np.asarray(W, dtype=complex), None,
-                                 np.zeros(lams.size), right, left)
+    return spectral.Eigentriples(lams, np.zeros(lams.size), right, left)
 
 
 # Finite eigenvalues whose real parts are chained by steps of at most this

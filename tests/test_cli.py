@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,7 +418,7 @@ def test_wrong_type_is_named(tmp_path, capsys, cheb_problem_file, target, key, v
     objs = {"problem": problem_to_obj(P), "pencil": pencil_to_obj(anchor_pencil(P)),
             "factor": factor_to_obj(identity_factor(3, 2))}
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**objs[target], key: value}))
+    bad.write_text(dump_json({**objs[target], key: value}))
     argv = {"problem": ["eig", "-p", str(bad)],
             "pencil": ["membership", "-p", str(path), "--pencil", str(bad)],
             "factor": ["check", "-p", str(path), "-f", str(bad)]}[target]
@@ -481,7 +482,7 @@ def test_integers_beyond_64_bits_and_whole_floats_for_n(tmp_path, capsys, cheb_p
     bad = tmp_path / "bad.json"
 
     def eig_with(**fields):
-        bad.write_text(json.dumps({**problem_to_obj(P), **fields}))
+        bad.write_text(dump_json({**problem_to_obj(P), **fields}))
         return run(["eig", "-p", str(bad)]), capsys.readouterr()
 
     mismatch = "error: declared (n, k) = ({}, 3) but coefficients give (2, 3)\n"
@@ -662,3 +663,36 @@ def test_declined_spellings_print_what_the_plain_one_prints(capsys, cheb_problem
         assert run(argv) == 0, argv
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_blocksym_holds_little_beyond_its_output(monkeypatch):
+    # blocksym at (10, 18), the largest factor the benchmark writes, prints
+    # 2.7 MB.  Its arrays reach orjson as they are, and the text is copied as
+    # few times as it can be, so the traced peak stays within 4 times that
+    argv = ["blocksym", "--random", "10,18,1",
+            "--v=" + ",".join(map(repr, np.linspace(-1.0, 1.0, 18).tolist()))]
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert run(argv) == 0  # the first call loads what later calls reuse
+    sink.written = 0
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 2_000_000
+    assert peak <= 4 * sink.written

@@ -47,7 +47,7 @@ from orthopencil.matpoly import RegularityVerdict, _scaled_inverse
 from orthopencil.serialize import dump_json, factor_to_obj, problem_to_obj, spectrum_report_obj
 from orthopencil.spectral import backward_errors
 from conftest import ALL_KINDS, random_problem
-from spectra import block_sum, p_eta, qz_on_pencil
+from spectra import block_sum, kron_vectors, p_eta, pencil_vectors, phase_misfit, qz_on_pencil
 
 EPS = np.finfo(float).eps
 # (n, k): kn from 6 to 240
@@ -68,7 +68,7 @@ def _within_certificate(triples):
     """Whether eta_L and the eta_P of each side of P in the record are at
     most 10 kn eps in every column."""
     etas = [triples.residual] + [p.eta for p in (triples.p_right, triples.p_left) if p is not None]
-    return all(np.all(eta <= 10 * triples.right.shape[0] * EPS) for eta in etas)
+    return all(np.all(eta <= 10 * triples.eigenvalues.size * EPS) for eta in etas)
 
 
 def _ill_conditioned_lead(cond, seed=0, n=3, k=4, kind="chebyshev1"):
@@ -206,7 +206,7 @@ def test_each_certificate_check_rejects_on_its_own(case):
 
 def _write_problem(tmp_path, P, name):
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(problem_to_obj(P)))
+    path.write_text(dump_json(problem_to_obj(P)))
     return str(path)
 
 
@@ -525,7 +525,7 @@ def _block_symmetric(P, side, rng):
 
 def _write_factor(tmp_path, name, f):
     path = tmp_path / f"{name}.factor.json"
-    path.write_text(json.dumps(factor_to_obj(f)))
+    path.write_text(dump_json(factor_to_obj(f)))
     return str(path)
 
 
@@ -747,12 +747,17 @@ def test_qz_gives_eigenvalues_and_p_every_eigenvector(monkeypatch, problem, side
     assert np.count_nonzero(infinite) == np.count_nonzero(np.isinf(reference))
     assert problem[0] != "singular" or infinite.any()
     bound = 100 * kn * EPS
-    # eta_L as reported and from the dense pencil: ||(X*lam + Y) u|| /
+    # eta_L as reported, and from the dense pencil for L's eigenvectors on
+    # the structured side, phi kron x of P's vectors in the record (right
+    # ones for the anchor and M1, left ones for M2): ||(X*lam + Y) u|| /
     # (||X|| |lam| + ||Y||), ||X u|| / ||X|| at infinity
     assert triples.residual.max() <= bound
     alpha = np.where(infinite, 1.0, lams)
-    R = np.stack([(L.X * a + L.Y * (not inf)) @ u
-                  for a, inf, u in zip(alpha, infinite, triples.right.T)], axis=1)
+    m2 = side == "M2"
+    X, Y = (L.X.T, L.Y.T) if m2 else (L.X, L.Y)
+    U = kron_vectors(P, lams, (triples.p_left if m2 else triples.p_right).vectors)
+    R = np.stack([(X * a + Y * (not inf)) @ u
+                  for a, inf, u in zip(alpha, infinite, U.T)], axis=1)
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
     assert (np.linalg.norm(R, axis=0) / (nx * np.abs(alpha) + ny * ~infinite)).max() <= bound
     for vec_side, vecs in (("right", recover_right(triples, tol=np.inf)),
@@ -769,14 +774,20 @@ def test_companion_vectors_are_eigenvectors_of_the_pencil(rng, side):
     kn = L.k * L.n
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
     triples = pencil_eigen(P, f)
+    right, left = pencil_vectors(P, triples, f)
     for j, lam in enumerate(triples.eigenvalues):
         M = L.X * lam + L.Y
         scale = nx * abs(lam) + ny
-        residual = np.linalg.norm(M @ triples.right[:, j]) / scale
+        residual = np.linalg.norm(M @ right[:, j]) / scale
         # the reported residual is the structured one, equal up to rounding
         assert abs(triples.residual[j] - residual) <= kn * EPS
         assert residual <= 10 * kn * EPS
-        assert np.linalg.norm(triples.left[:, j] @ M) / scale <= 10 * kn * EPS
+        assert np.linalg.norm(left[:, j] @ M) / scale <= 10 * kn * EPS
+    # P's vectors on the side that is not structured are the block sums of
+    # the pencil's unit eigenvectors there, up to a unit factor
+    v = np.eye(P.k)[0] if f is None else f.v
+    summed, other = (right, recover_right) if side == "M2" else (left, recover_left)
+    assert np.all(phase_misfit(other(triples), block_sum(v, summed)) <= 100 * kn * EPS)
 
 
 @pytest.mark.parametrize("kind", ("monomial", "newton", "degree_graded"))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from orthopencil import AnsatzFactor, anchor_pencil, make_m1, make_m2, pencil_eigen, spectral
 from conftest import ALL_KINDS, random_problem
-from spectra import qz_on_pencil
+from spectra import kron_vectors, null_vectors, qz_on_pencil
 
 EPS = np.finfo(float).eps
 # (n, k): kn from 6 to 240
@@ -38,15 +38,16 @@ def _problem(rng, kind, side, n, k):
                            rng.uniform(-1.0, 1.0, (k * n, (k - 1) * n)), side)
 
 
-def _dense_residuals(L, triples, left=False):
-    """||L(lam) u|| / ((||X|| |lam| + ||Y||) ||u||) of every right vector u on
-    L's own matrices (||X u|| / (||X|| ||u||) at infinite eigenvalues), or
-    with ``left`` ||w^T L(lam)|| / ((||X|| |lam| + ||Y||) ||w||) of every left
-    vector w (||w^T X|| / (||X|| ||w||) at infinite eigenvalues)."""
+def _dense_residuals(L, lams, U, left=False):
+    """||L(lam) u|| / ((||X|| |lam| + ||Y||) ||u||) of every column u of U as
+    a right vector on L's own matrices (||X u|| / (||X|| ||u||) at infinite
+    eigenvalues), or with ``left`` ||u^T L(lam)|| / ((||X|| |lam| + ||Y||)
+    ||u||) as a left vector (||u^T X|| / (||X|| ||u||) at infinite
+    eigenvalues)."""
     X, Y = (L.X.T, L.Y.T) if left else (L.X, L.Y)
     nx, ny = np.linalg.norm(X), np.linalg.norm(Y)
     out = []
-    for lam, u in zip(triples.eigenvalues, (triples.left if left else triples.right).T):
+    for lam, u in zip(lams, U.T):
         if np.isinf(lam):
             r = np.linalg.norm(X @ u) / nx
         else:
@@ -101,19 +102,31 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
         assert max(e.max() for e in etas) <= (bound if certified[0] else 10 * bound)
     # P's left vectors, which only recover solves and judges by its tol
     assert both.p_left.eta.max() <= 100 * k * n * EPS
-    if f is not None:
-        # the pencil solved is the one users build from (P, f)
-        L = make_m1(P, f) if side == "M1" else make_m2(P, f)
-        assert _dense_residuals(L, triples).max() <= 100 * k * n * EPS
-    else:
-        L = anchor_pencil(P)
-    # the left vectors too are L's, whichever side the solve maps them to
-    assert _dense_residuals(L, both, left=True).max() <= 100 * k * n * EPS
+    # L's eigenvectors: phi kron x of P's vectors in the record on the
+    # structured side (right for the anchor and M1, left for M2), and the
+    # SVD's null vectors on the other, at a sample of the eigenvalues
+    m2 = side == "M2"
+    L = anchor_pencil(P) if f is None else (make_m2(P, f) if m2 else make_m1(P, f))
+    lams = both.eigenvalues
+    sample = np.unique(np.linspace(0, lams.size - 1, 8).astype(int))
+    structured = kron_vectors(P, lams, (both.p_left if m2 else both.p_right).vectors)
+    other = null_vectors(L, lams[sample], "right" if m2 else "left")
+    # the pencil solved is the one users build from (P, f)
+    assert _dense_residuals(L, lams, structured, left=m2).max() <= 100 * k * n * EPS
+    assert _dense_residuals(L, lams[sample], other, left=not m2).max() <= 100 * k * n * EPS
     # eta_L on the eigvals rung, read off P-sized data for the anchor and M1,
-    # is the dense residual of the stored unit vector up to rounding
+    # is the dense residual of phi kron x up to rounding; for M2, whose right
+    # vectors are not structured, it is at least the least residual there is,
+    # the SVD null vector's, up to rounding
     for record in served:
-        if record is not None:
-            assert np.all(np.abs(record.residual - _dense_residuals(L, record)) <= k * n * EPS)
+        if record is None:
+            continue
+        if m2:
+            dense = _dense_residuals(L, lams[sample], other)
+            assert np.all(record.residual[sample] >= dense - k * n * EPS)
+        else:
+            dense = _dense_residuals(L, lams, kron_vectors(P, lams, record.p_right.vectors))
+            assert np.all(np.abs(record.residual - dense) <= k * n * EPS)
     # the eigenvalues agree with QZ's on L to within twice the certified
     # backward error times each eigenvalue's condition number
     reference = qz_on_pencil(L)

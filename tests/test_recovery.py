@@ -31,7 +31,15 @@ from orthopencil import (
     spectral,
 )
 from conftest import ALL_KINDS, random_problem
-from spectra import block_sum, kron_fit, p_eta, qz_on_pencil, recovered
+from spectra import (
+    block_sum,
+    kron_fit,
+    p_eta,
+    pencil_vectors,
+    phase_misfit,
+    qz_on_pencil,
+    recovered,
+)
 
 RTOL = 1e-12
 
@@ -259,9 +267,12 @@ def test_recover_left_checks_the_other_side(rng, side):
     triples = pencil_eigen(P, f)
     lams = triples.eigenvalues
     # on P^T for M2, as the post-solve step works: its left vectors are P's right ones
-    Q, W, U = (P, triples.right, triples.left) if side == "M1" else (
-        _transposed(P), triples.left, triples.right)
+    right, left = pencil_vectors(P, triples, f)
+    Q, W, U = (P, right, left) if side == "M1" else (_transposed(P), left, right)
     sums = block_sum(f.v, U)
+    # the record's vectors on that side are these sums, up to a unit factor
+    ours = recover_left(triples) if side == "M1" else recover_right(triples)
+    assert np.all(phase_misfit(ours, sums) <= 100 * k * n * np.finfo(float).eps)
     assert np.array_equal(recover_left(recovered(Q, lams, W, sums)), sums)
     with pytest.raises(RecoveryError, match=r"column 0 \(eigenvalue .*residual"):
         recover_left(recovered(Q, lams, W, sums), tol=1e-30)

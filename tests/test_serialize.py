@@ -9,10 +9,13 @@ from orthopencil import (
     AnsatzFactor,
     DimensionMismatchError,
     Eigentriples,
+    MatrixPolynomial,
     ThreeTermBasis,
     anchor_pencil,
     builtin_basis,
     pencil_eigen,
+    recover_left,
+    recover_right,
 )
 from orthopencil import serialize
 from orthopencil.serialize import (
@@ -123,7 +126,7 @@ def test_spectrum_report_with_vectors(rng):
     P = random_problem(rng, 2, 2)
     triples = pencil_eigen(P)
     rights = np.ones((2, triples.eigenvalues.size))
-    report = spectrum_report_obj(triples, recovered_right=rights)
+    report = _through_json(spectrum_report_obj(triples, recovered_right=rights))
     assert len(report["eigenvectors"]["right"]) == len(report["finite"])
     assert report["eigenvectors"]["right"][0][0] == [1.0, 0.0]
 
@@ -271,11 +274,13 @@ def test_dump_json_writes_finite_reports_with_orjson_alone(rng, monkeypatch):
     reports = [
         pencil_to_obj(L),
         factor_to_obj(AnsatzFactor(rng.standard_normal(4), rng.standard_normal((12, 9)))),
-        spectrum_report_obj(triples, recovered_right=triples.right[:3]),
+        spectrum_report_obj(triples, recover_right(triples), recover_left(triples)),
         # the numbers orjson writes in another form than repr
         {"tiny": [1e-05, -9.5e-05, 1e-07, -2.5e-09], "huge": [1e+16, -1.5e+17, 1e+300]},
+        {"tiny": np.array([1e-05, -9.5e-05, 1e-07]), "huge": np.array([[1e+16], [-1.5e+17]])},
     ]
-    expected = [json.dumps(obj, indent=2, sort_keys=True) for obj in reports]
+    expected = [json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+                for obj in reports]
     monkeypatch.setattr(serialize, "json", None)  # a fall back to json raises AttributeError
     assert [dump_json(obj) for obj in reports] == expected
 
@@ -359,13 +364,48 @@ def test_load_json_reads_what_json_reads(tmp_path_factory, document):
 
 
 def test_spectrum_report_drops_vectors_of_infinite_eigenvalues():
-    u = np.array([1.0, 0.0])
-    U = np.stack([u, u, u], axis=1)
-    triples = Eigentriples(np.array([0.5, -1j, np.inf], dtype=complex), U, U,
+    triples = Eigentriples(np.array([0.5, -1j, np.inf], dtype=complex),
                            np.array([1e-16, 2e-16, 0.0]))
     # one column per eigenvalue, as recover_right and recover_left return them
     vectors = np.array([[1.0, 3.0 + 1j, 5.0], [2.0, 4.0, 6.0]])
-    report = spectrum_report_obj(triples, recovered_right=vectors, recovered_left=vectors.tolist())
+    report = _through_json(spectrum_report_obj(triples, recovered_right=vectors,
+                                               recovered_left=vectors.tolist()))
     assert report["infinite_count"] == 1
     expected = [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 1.0], [4.0, 0.0]]]
     assert report["eigenvectors"] == {"right": expected, "left": expected}
+
+
+def _all_infinite_block():
+    """The right eigenvectors that recover prints for P(x) = I + N x^2, N
+    nilpotent, whose eigenvalues are all infinite: an empty (0, n, 2) array."""
+    P = MatrixPolynomial((np.eye(2), np.zeros((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]])),
+                         builtin_basis("monomial"))
+    triples = pencil_eigen(P)
+    assert np.isinf(triples.eigenvalues).all()
+    return spectrum_report_obj(triples, recover_right(triples))["eigenvectors"]["right"]
+
+
+@pytest.mark.parametrize("array", [
+    # the numbers orjson writes in another form than repr, and signed zero
+    np.array([-0.0, 1e-05, 1.234e-05, 1.5e-07, 1e16]),
+    pytest.param(_all_infinite_block, id="empty-eigenvector-block"),
+    np.arange(6).reshape(2, 3),
+    np.array([[True, False], [False, True]]),
+    # not C-contiguous, which orjson hands to _coerce_scalars
+    np.arange(6.0).reshape(2, 3).T,
+    # NaN, which orjson writes as null, so json writes the text
+    np.array([[0.5, np.nan], [-np.inf, 1e-05]]),
+    # a float32, which orjson would write with the float32's shortest digits,
+    # and a byte order that is not native, which orjson would read as native
+    np.array([0.1, 1e-05], dtype=np.float32),
+    np.array([1.5, -0.0], dtype=">f8"),
+    np.array([[1.5, 2.0]], dtype="<f8").view(">f8").T,
+])
+def test_dump_json_writes_an_array_as_json_writes_its_lists(array):
+    if callable(array):
+        array = array()
+        assert array.shape == (0, 2, 2)
+    for obj in (array, {"a": array, "b": [array, 1.5]}):
+        lists = {"a": array.tolist(), "b": [array.tolist(), 1.5]} if type(obj) is dict else (
+            array.tolist())
+        assert dump_json(obj) == json.dumps(lists, indent=2, sort_keys=True)

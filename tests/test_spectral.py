@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,16 @@ from orthopencil import (
 )
 from orthopencil import spectral
 from orthopencil.matpoly import sampled_regularity
-from spectra import block_sum, compare_spectra, sort_triples, spectrum_of
+from spectra import (
+    block_sum,
+    compare_spectra,
+    kron_vectors,
+    null_vectors,
+    p_eta,
+    phase_misfit,
+    sort_triples,
+    spectrum_of,
+)
 from conftest import ALL_KINDS, BASIS_KINDS, random_problem
 
 EPS = np.finfo(float).eps
@@ -87,9 +98,12 @@ def test_recover_right_scalar_basis_vector():
     triples = pencil_eigen(P)
     U = recover_right(triples)
     assert np.all(np.abs(np.abs(U[0]) - 1.0) < 1e-12)
-    # the pencil eigenvectors themselves must be proportional to Phi_k(alpha)
-    ratio = triples.right / phi_vector(P.basis, 2, triples.eigenvalues)
+    # the anchor's right eigenvectors, from an SVD, are proportional to
+    # Phi_k(alpha), and so phi kron x of the record's x is one of them
+    W = null_vectors(anchor_pencil(P), triples.eigenvalues)
+    ratio = W / phi_vector(P.basis, 2, triples.eigenvalues)
     assert np.max(np.abs(ratio - ratio[0])) < 1e-10
+    assert np.all(phase_misfit(kron_vectors(P, triples.eigenvalues, U), W) < 1e-12)
 
 
 def test_recover_right_residuals(rng):
@@ -125,10 +139,12 @@ def test_recover_left_blockwise_sum(rng):
     v2 = rng.standard_normal(3)
     expected = (phi @ v2) * y
     assert np.allclose(block_sum(v2, u2)[:, 0], expected)
-    # the record's left vectors of the anchor are these sums with v = e_1
+    # the record's left vectors of the anchor are these sums with v = e_1 of
+    # its unit left eigenvectors, up to a unit factor
     P = random_problem(rng, 2, 3, "chebyshev1")
     triples = pencil_eigen(P)
-    assert np.allclose(recover_left(triples), block_sum(v, triples.left), rtol=0, atol=1e-12)
+    W = null_vectors(anchor_pencil(P), triples.eigenvalues, "left")
+    assert np.all(phase_misfit(recover_left(triples), block_sum(v, W)) <= 1e-12)
 
 
 def test_recover_left_residuals(rng):
@@ -136,10 +152,12 @@ def test_recover_left_residuals(rng):
     f = _full_rank_factor(rng, 3, 3)
     triples = pencil_eigen(P, f)
     finite = ~np.isinf(triples.eigenvalues)
-    W = block_sum(f.v, triples.left[:, finite])
+    W = block_sum(f.v, null_vectors(make_m1(P, f), triples.eigenvalues[finite], "left"))
     for Pa, w in zip(P.evaluate(triples.eigenvalues[finite]), W.T):
         assert np.linalg.norm(w @ Pa) <= 1e-6 * np.linalg.norm(Pa) * np.linalg.norm(w)
         assert np.linalg.norm(w) > 1e-8
+    # and the record's left vectors of P are those sums, up to a unit factor
+    assert np.all(phase_misfit(recover_left(triples)[:, finite], W) <= 1e-10)
 
 
 def test_left_recovery_bijective_images(rng):
@@ -153,15 +171,17 @@ def test_left_recovery_bijective_images(rng):
         abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
     )
     assert sep > 1e-6
-    assert np.all(np.linalg.norm(block_sum(f.v, triples.left), axis=0) > 1e-6)
+    W = null_vectors(make_m1(P, f), values, "left")
+    assert np.all(np.linalg.norm(block_sum(f.v, W), axis=0) > 1e-6)
 
 
 def _exclusion_margins(P, f):
     """||(v kron I_n)^T w|| for the unit left eigenvectors w of the M1 pencil
-    of f (right ones for M2), solved through P's anchor.  The pencil is a
-    strong linearization iff none is zero."""
+    of f (right ones for M2), at the eigenvalues solved through P's anchor.
+    The pencil is a strong linearization iff none is zero."""
     triples = pencil_eigen(P, f)
-    vecs = triples.left if f.side == "M1" else triples.right
+    L = make_m1(P, f) if f.side == "M1" else make_m2(P, f)
+    vecs = null_vectors(L, triples.eigenvalues, "left" if f.side == "M1" else "right")
     return np.linalg.norm(block_sum(f.v, vecs), axis=0)
 
 
@@ -243,7 +263,8 @@ def test_eigenvector_inclusion_anchor_to_member(rng):
     B[:, 1] = np.kron(v, np.eye(2)[:, 0])
     L = make_m1(P, AnsatzFactor(v, B))
     triples = pencil_eigen(P)
-    for lam, u in zip(triples.eigenvalues, triples.right.T):
+    W = kron_vectors(P, triples.eigenvalues, triples.p_right.vectors)
+    for lam, u in zip(triples.eigenvalues, W.T):
         if np.isinf(lam):
             M = L.X
         else:
@@ -256,7 +277,8 @@ def test_linearization_iff_shared_eigenvectors(rng):
     F = anchor_pencil(P)
     f = _full_rank_factor(rng, 3, 2)
     triples = pencil_eigen(P, f)
-    for lam, u in zip(triples.eigenvalues, triples.right.T):
+    W = kron_vectors(P, triples.eigenvalues, triples.p_right.vectors)
+    for lam, u in zip(triples.eigenvalues, W.T):
         M = F.X if np.isinf(lam) else eval_pencil(F, lam)
         assert np.linalg.norm(M @ u) <= 1e-7 * max(1.0, np.linalg.norm(M))
     # rank-deficient factor: an eigenvector of the member that is not an
@@ -342,9 +364,13 @@ def test_spectrum_equality_random_members(rng):
 def test_eigentriple_fields(rng):
     P = random_problem(rng, 2, 2)
     triples = pencil_eigen(P)
-    assert triples.right.shape == triples.left.shape == (4, 4)
-    assert np.all(np.abs(np.linalg.norm(triples.right, axis=0) - 1.0) < 1e-12)
-    assert np.all(np.abs(np.linalg.norm(triples.left, axis=0) - 1.0) < 1e-12)
+    # every array of the record is P-sized: n x m vectors, m numbers
+    assert [field.name for field in dataclasses.fields(triples)] == [
+        "eigenvalues", "residual", "p_right", "p_left"]
+    assert triples.eigenvalues.shape == triples.residual.shape == (4,)
+    for side in (triples.p_right, triples.p_left):
+        assert side.vectors.shape == (2, 4) and side.eta.shape == (4,)
+    assert np.all(np.abs(np.linalg.norm(triples.p_right.vectors, axis=0) - 1.0) < 1e-12)
     assert not np.isinf(triples.eigenvalues).any()
 
 
@@ -447,7 +473,8 @@ def test_residuals_match_per_pair_formula(rng):
     triples = pencil_eigen(P)
     assert np.isinf(triples.eigenvalues).any()
     nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
-    for lam, u, residual in zip(triples.eigenvalues, triples.right.T, triples.residual):
+    W = kron_vectors(P, triples.eigenvalues, triples.p_right.vectors)
+    for lam, u, residual in zip(triples.eigenvalues, W.T, triples.residual):
         if np.isinf(lam):
             old = np.linalg.norm(L.X @ u) / nx
         else:
@@ -479,9 +506,18 @@ def test_right_only_solve_is_bit_identical(rng):
         both = pencil_eigen(P)
         right = pencil_eigen(P, left=False)
         assert right.eigenvalues.tolist() == both.eigenvalues.tolist()
-        assert np.all(np.linalg.norm(right.right - both.right, axis=0) <= 48 * EPS)
+        assert np.all(np.linalg.norm(right.p_right.vectors - both.p_right.vectors, axis=0)
+                      <= 48 * EPS)
         assert np.all(np.abs(right.residual - both.residual) <= 48 * EPS)
-        assert right.left is None and both.left is not None
+        assert right.p_left is None and both.p_left is not None
+
+
+def _dense_residuals(L, lams, W):
+    """||(X*lam_j + Y) w_j|| / (||X|| |lam_j| + ||Y||) for the unit columns
+    w_j of W, at finite eigenvalues lam_j."""
+    R = np.einsum("mrc,cm->rm", [eval_pencil(L, lam) for lam in lams], W)
+    nx, ny = np.linalg.norm(L.X), np.linalg.norm(L.Y)
+    return np.linalg.norm(R, axis=0) / (nx * np.abs(lams) + ny)
 
 
 def _fixed_solve(monkeypatch, values):
@@ -508,10 +544,14 @@ def test_conjugate_pair_order_ignores_last_bit_noise(monkeypatch):
         triples = _fixed_solve(monkeypatch, [complex(plus_re, y), complex(minus_re, -y), -2.0])
         assert triples.eigenvalues.tolist() == [
             -2.0, complex(minus_re, -y), complex(plus_re, y)]
-        # the eigenvectors travel with their eigenvalues: column j is
-        # phi(lam_j) kron x_j, whose last entry is phi_0 = 1 times x_j
-        phi = phi_vector(builtin_basis("monomial"), 3, triples.eigenvalues)
-        assert np.allclose(triples.right / triples.right[-1], phi, rtol=1e-14, atol=0)
+        # the numbers of each column travel with its eigenvalue: its eta_P
+        # and its residual are those of lam_j and of phi(lam_j) kron x_j
+        lams, x = triples.eigenvalues, triples.p_right.vectors
+        P = MatrixPolynomial(tuple(np.ones((1, 1)) for _ in range(4)), builtin_basis("monomial"))
+        assert np.allclose(triples.p_right.eta, p_eta(P, lams, x), rtol=1e-14, atol=0)
+        assert np.allclose(triples.residual, _dense_residuals(anchor_pencil(P), lams,
+                                                              kron_vectors(P, lams, x)),
+                           rtol=1e-12, atol=0)
 
 
 def test_conjugate_pair_with_a_real_eigenvalue_between(monkeypatch):
@@ -657,7 +697,7 @@ def test_backward_errors_match_the_evaluated_polynomial(rng, kind, side):
     P = random_problem(rng, n, k, kind)
     spectrum = pencil_eigen(P)
     pairs = [(spectrum.eigenvalues,
-              spectrum.right[:n] if side == "right" else spectrum.p_left.vectors)]
+              spectrum.p_right.vectors if side == "right" else spectrum.p_left.vectors)]
     for m in (0, 1, k * n):
         lams = 2.0 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
         pairs.append((lams, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))))
