@@ -4,11 +4,10 @@ All matrices are row-major nested lists.  Problem coefficients are stored in
 ascending degree order P_0 .. P_k.  Floats round-trip exactly through json
 (shortest-repr serialization preserves every double).
 
-The ``*_to_obj`` functions and ``spectrum_report_obj`` build the objects
-for ``dump_json``, which holds their matrices and vectors as the ndarrays
-themselves: orjson writes them straight from numpy.  The ``*_from_obj``
-readers check the JSON type of every field they read and name the field
-when it is wrong.
+The ``*_to_obj`` functions and ``spectrum_report_obj`` build the objects for
+``dump_json``; their matrices and vectors are the ndarrays themselves, which
+orjson writes straight from numpy.  The ``*_from_obj`` readers check the JSON
+type of every field they read and name the field when it is wrong.
 
 ``load_json`` and ``dump_json`` are the CLI's JSON reader and writer.  Both
 run through orjson and give exactly what the standard json module gives:
@@ -350,16 +349,19 @@ def _repr_numbers(text: str) -> str:
 
 
 _ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+_PLAIN = frozenset((float, int, str, bool, type(None), np.float64))  # not numpy's own
+
+
 def _orjson_differs(obj) -> bool:
     """Whether obj's dicts, lists and tuples hold a numpy value that orjson writes
     otherwise than json: a float32, or an array whose byte order is not native."""
     stack = [obj]
     while stack:
         value = stack.pop()
-        if type(value) is float or type(value) is np.float64:  # most leaves, skipped at once
-            continue
         if isinstance(value, (dict, list, tuple)):
-            stack.extend(value.values() if isinstance(value, dict) else value)
+            items = value.values() if isinstance(value, dict) else value
+            if not _PLAIN.issuperset(map(type, items)):  # else no item needs a look
+                stack.extend(items)
         elif isinstance(value, (np.ndarray, np.generic)) and (
                 value.dtype == np.float32 or not value.dtype.isnative):
             return True

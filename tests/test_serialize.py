@@ -387,19 +387,19 @@ def _all_infinite_block():
 
 @pytest.mark.parametrize("array", [
     # the numbers orjson writes in another form than repr, and signed zero
-    np.array([-0.0, 1e-05, 1.234e-05, 1.5e-07, 1e16]),
+    pytest.param(np.array([-0.0, 1e-05, 1.234e-05, 1.5e-07, 1e16]), id="repr-forms"),
     pytest.param(_all_infinite_block, id="empty-eigenvector-block"),
-    np.arange(6).reshape(2, 3),
-    np.array([[True, False], [False, True]]),
+    pytest.param(np.arange(6).reshape(2, 3), id="int"),
+    pytest.param(np.array([[True, False], [False, True]]), id="bool"),
     # not C-contiguous, which orjson hands to _coerce_scalars
-    np.arange(6.0).reshape(2, 3).T,
+    pytest.param(np.arange(6.0).reshape(2, 3).T, id="transposed"),
     # NaN, which orjson writes as null, so json writes the text
-    np.array([[0.5, np.nan], [-np.inf, 1e-05]]),
+    pytest.param(np.array([[0.5, np.nan], [-np.inf, 1e-05]]), id="nan"),
     # a float32, which orjson would write with the float32's shortest digits,
     # and a byte order that is not native, which orjson would read as native
-    np.array([0.1, 1e-05], dtype=np.float32),
-    np.array([1.5, -0.0], dtype=">f8"),
-    np.array([[1.5, 2.0]], dtype="<f8").view(">f8").T,
+    pytest.param(np.array([0.1, 1e-05], dtype=np.float32), id="float32"),
+    pytest.param(np.array([1.5, -0.0], dtype=">f8"), id="big-endian"),
+    pytest.param(np.array([[1.5, 2.0]]).view(">f8").T, id="big-endian-transposed"),
 ])
 def test_dump_json_writes_an_array_as_json_writes_its_lists(array):
     if callable(array):
