@@ -10,8 +10,10 @@ itself.  ``_force_rung`` makes a test take one rung.  Tests that call a
 solver directly pass it the route of (P, factor).  The references here are
 sigma_min(P(lam)) / sum_i |phi_i(lam)| ||P_i||_F from an SVD of the
 evaluated polynomial, residuals of recovered vectors from the evaluated
-polynomial, and QZ on the pencil's own matrices (``spectra.qz_on_pencil``);
-none shares a solver with the anchor route.
+polynomial, QZ on the pencil's own matrices (``spectra.qz_on_pencil``), and
+the pencil's eigenvectors as phi kron x of P's vectors in the record and as
+SVD null vectors (``spectra.pencil_vectors``); none shares a solver with the
+anchor route.
 """
 
 import contextlib

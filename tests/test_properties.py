@@ -2,13 +2,15 @@
 
 Every pencil is solved as the CLI solves it, by pencil_eigen(P, factor)
 through the anchor of P, on whichever rung serves it: the eigvals rung
-(eigenvectors from P at geev's eigenvalues) or QZ.  The right vectors of an
-M1/M2 solve are also checked on the pencil make_m1/make_m2 builds from
-(P, factor), with a dense residual, so the pencil the solve forms is the one
-users build; every residual the eigvals rung reports is that dense residual
-up to rounding.  The left vectors of every two-sided solve are checked with
-the dense left residual on the same pencil (the anchor's own for no
-factor).  The reference eigenvalues come from QZ on the pencil's own
+(eigenvectors from P at geev's eigenvalues) or QZ.  The pencil's
+eigenvectors, which the record does not keep, are built from it: phi kron x
+of P's vectors on the structured side (``spectra.kron_vectors``), and SVD
+null vectors on the other (``spectra.null_vectors``, at a sample of the
+eigenvalues).  Both are checked with a dense residual on the pencil
+make_m1/make_m2 builds from (P, factor) (the anchor's own for no factor), so
+the pencil the solve forms is the one users build; every residual the
+eigvals rung reports is that of phi kron x up to rounding (for M2, at least
+the SVD's).  The reference eigenvalues come from QZ on the pencil's own
 matrices (``spectra.qz_on_pencil``), which shares no solver with the anchor
 route.
 """
