@@ -349,18 +349,18 @@ def _repr_numbers(text: str) -> str:
 
 
 _ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-_PLAIN = frozenset((float, int, str, bool, type(None), np.float64))  # not numpy's own
 
 
 def _orjson_differs(obj) -> bool:
     """Whether obj's dicts, lists and tuples hold a numpy value that orjson writes
     otherwise than json: a float32, or an array whose byte order is not native."""
+    plain = {float, int, str, bool, type(None), np.float64}  # none of these differs
     stack = [obj]
     while stack:
         value = stack.pop()
         if isinstance(value, (dict, list, tuple)):
             items = value.values() if isinstance(value, dict) else value
-            if not _PLAIN.issuperset(map(type, items)):  # else no item needs a look
+            if not plain.issuperset(map(type, items)):  # else no item needs a look
                 stack.extend(items)
         elif isinstance(value, (np.ndarray, np.generic)) and (
                 value.dtype == np.float32 or not value.dtype.isnative):
