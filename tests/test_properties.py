@@ -9,10 +9,11 @@ null vectors on the other (``spectra.null_vectors``, at a sample of the
 eigenvalues).  Both are checked with a dense residual on the pencil
 make_m1/make_m2 builds from (P, factor) (the anchor's own for no factor), so
 the pencil the solve forms is the one users build; every residual the
-eigvals rung reports is that of phi kron x up to rounding (for M2, at least
-the SVD's).  The reference eigenvalues come from QZ on the pencil's own
-matrices (``spectra.qz_on_pencil``), which shares no solver with the anchor
-route.
+eigvals rung reports is the dense residual of the vector it describes up to
+rounding: phi kron x, or for M2 the mapped S^-1 Z that
+``spectral._structured_residuals`` reads.  The reference eigenvalues come
+from QZ on the pencil's own matrices (``spectra.qz_on_pencil``), which
+shares no solver with the anchor route.
 """
 
 from unittest import mock
@@ -79,20 +80,31 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
     P, f = _problem(np.random.default_rng(seed), kind, side, n, k)
     bound = 10 * k * n * EPS
     served, inner = [], spectral._companion_solve
+    mapped, structured_residuals = [], spectral._structured_residuals
 
     def spy(*args):
-        served.append(inner(*args))
-        return served[-1]
+        # a certified M2 record's residuals are those of the last call to
+        # _structured_residuals, made during this solve
+        record = inner(*args)
+        served.append((record, mapped[-1] if mapped else None))
+        return record
+
+    def spy_residuals(*args):
+        # M2's eigenvalues, its mapped S^-1 Z and their norms in solver
+        # order, and the residuals reported for them
+        mapped.append((*args[1:], structured_residuals(*args)))
+        return mapped[-1][3]
 
     # raises SingularPencilError on a false verdict
-    with mock.patch.object(spectral, "_companion_solve", spy):
+    with mock.patch.object(spectral, "_companion_solve", spy), \
+            mock.patch.object(spectral, "_structured_residuals", spy_residuals):
         triples = pencil_eigen(P, f, left=False)
         both = pencil_eigen(P, f, left=True)
     assert triples.eigenvalues.size == k * n
     # the certificate reads only what both solves compute, so the same rung
     # serves with and without left vectors and gives the same eigenvalues
     # and residuals, bit for bit
-    certified = [out is not None for out in served]
+    certified = [record is not None for record, _ in served]
     assert certified[0] == certified[1]
     assert triples.eigenvalues.tobytes() == both.eigenvalues.tobytes()
     assert triples.residual.tobytes() == both.residual.tobytes()
@@ -116,16 +128,25 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
     # the pencil solved is the one users build from (P, f)
     assert _dense_residuals(L, lams, structured, left=m2).max() <= 100 * k * n * EPS
     assert _dense_residuals(L, lams[sample], other, left=not m2).max() <= 100 * k * n * EPS
-    # eta_L on the eigvals rung, read off P-sized data for the anchor and M1,
-    # is the dense residual of phi kron x up to rounding; for M2, whose right
-    # vectors are not structured, it is at least the least residual there is,
-    # the SVD null vector's, up to rounding
-    for record in served:
+    # eta_L on the eigvals rung is the dense residual up to rounding of the
+    # vector it describes: phi kron x, read off P-sized data, for the anchor
+    # and M1, and for M2, whose right vectors are not structured, the mapped
+    # S^-1 Z that _structured_residuals was given, put in the record's order
+    for record, call in served:
         if record is None:
             continue
         if m2:
-            dense = _dense_residuals(L, lams[sample], other)
-            assert np.all(record.residual[sample] >= dense - k * n * EPS)
+            # the record reports, in its order, the residuals computed for
+            # the vectors and norms passed; those residuals, exact at random
+            # points (test_structured_residuals_match_the_dense_pencil), are
+            # the dense ones up to rounding
+            values, U, norms, out = call
+            order = spectral._order(values)
+            assert record.eigenvalues.tobytes() == values[order].tobytes()
+            assert record.residual.tobytes() == out[order].tobytes()
+            assert np.allclose(norms, np.linalg.norm(U, axis=0), rtol=k * n * EPS, atol=0)
+            dense = _dense_residuals(L, values[order], U[:, order])
+            assert np.all(np.abs(record.residual - dense) <= k * n * EPS)
         else:
             dense = _dense_residuals(L, lams, kron_vectors(P, lams, record.p_right.vectors))
             assert np.all(np.abs(record.residual - dense) <= k * n * EPS)
