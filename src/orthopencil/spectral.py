@@ -33,8 +33,7 @@ or not tried, and one path finds every eigenvector, from P at them:
 - the eigvals rung (``_companion_solve``), tried when the row-scaled rcond
   of c*P_k clears 10 * n * eps: geev without vectors on the companion
   (comrade, colleague) matrix -X^-1 Y, whose first block row is one GEMM by
-  the n x n row-scaled inverse of c*P_k.  Two eigenvalues that agree to
-  sqrt(eps) relative send a problem to QZ.
+  the n x n row-scaled inverse of c*P_k.
 - QZ on F itself (G for M2), eigenvalues only, with scipy, which is backward
   stable for P (Lawrence, Van Barel and Van Dooren, SIMAX 37, 2016) and
   gives the infinite eigenvalues of a singular P_k.
@@ -48,10 +47,10 @@ with a column whose backward error eta_P misses the certificate solved
 again (``_p_vectors``).  At an infinite eigenvalue the matrix is c*P_k,
 whose null vectors are x and y, and F's eigenvectors are e_1 kron x.  An
 exactly singular matrix is scaled to unit norm and moved a few ulps along
-i I, with lam_j reported as it is.  The rung solves every column against
-one fixed right-hand side; QZ, which serves multiple eigenvalues, solves
-the j-th eigenvalue in sorted order against the (j mod n)-th of n fixed
-ones, so that a semisimple multiple eigenvalue gets independent vectors.
+i I, with lam_j reported as it is.  After either solver the eigenvalues
+solved at, one of each conjugate pair, take fixed pseudo-random right-hand
+sides one each, in sorted order, so that the copies of a semisimple
+multiple eigenvalue get independent vectors wherever they sort.
 The anchor's left eigenvectors are built from the y_j (``_anchor_left``).
 Its right ones are never formed: the residual of phi kron x is [P(lam) x;
 delta kron x], delta the recurrence residuals of the computed phi, and
@@ -99,7 +98,6 @@ the basis once, whichever rung ran.  A failure names the first failing column.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -171,17 +169,11 @@ def qz_solve(route: _Route, left: bool) -> Eigentriples:
     P, solved through its anchor F (module docstring): the eigenvalues of the
     certified eigvals rung or else of QZ on F, which agree to within the
     eigenvalues' condition numbers times their backward errors, not bit for
-    bit, and the eigenvectors from P at them (_from_p).  With left false
-    ``p_left`` is None in the result."""
+    bit, and the eigenvectors from P at them (_from_p), by one rule for
+    both.  With left false ``p_left`` is None in the result."""
     spectrum = _companion_solve(route, left)
     if spectrum is None:
-        lams = _qz(route.F.X, route.F.Y)
-        # the j-th eigenvalue in sorted order takes right-hand side j mod n,
-        # so neighbours in that order, such as the copies of a semisimple
-        # multiple eigenvalue, get independent vectors
-        place = np.empty(lams.size, dtype=int)
-        place[_order(lams)] = np.arange(lams.size)
-        spectrum = _from_p(route, lams, left, place % route.P.n)
+        spectrum = _from_p(route, _qz(route.F.X, route.F.Y), left)
     return spectrum
 
 
@@ -290,14 +282,12 @@ def _companion_solve(route, left=False):
     route's anchor, mapped to its pencil and to P, or None when c*P_k fails
     its gate or the rung is refused.  The anchor's eigenvalues come from
     geev without vectors on the companion matrix, the eigenvectors from P
-    at them (_from_p), every column solved against the first right-hand
-    side of _rhs.  The eigenvalues w are read as _eigenvalues(w, 1), so
-    that one quotient and one infinity rule serve both rungs.  The rung is
-    refused when eigvals raises (on a companion matrix that is not finite,
-    too), when an eigenvalue is not finite or is classed infinite, when two
-    agree to within sqrt(eps) relative (_has_close_pair), when a P(lam_j)
-    stays singular once moved (_p_vectors), or when _from_p finds the
-    certificate missed."""
+    at them (_from_p), as after QZ.  The eigenvalues w are read as
+    _eigenvalues(w, 1), so that one quotient and one infinity rule serve
+    both rungs.  The rung is refused when eigvals raises (on a companion
+    matrix that is not finite, too), when an eigenvalue is not finite or is
+    classed infinite, when a P(lam_j) stays singular once moved
+    (_p_vectors), or when _from_p finds the certificate missed."""
     P, F = route.P, route.F
     n = P.n
     rcond, inverse = route.lead
@@ -311,19 +301,20 @@ def _companion_solve(route, left=False):
         lams = _eigenvalues(np.linalg.eigvals(A), 1.0)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(lams)) or _has_close_pair(lams):
+    if not np.all(np.isfinite(lams)):
         return None
     try:
-        return _from_p(route, lams, left, np.zeros(lams.size, dtype=int), certify=True)
+        return _from_p(route, lams, left, certify=True)
     except np.linalg.LinAlgError:
         return None
 
 
-def _from_p(route, lams, left, rows, certify=False):
+def _from_p(route, lams, left, certify=False):
     """The sorted record (Eigentriples) of the route's pencil L and of P at
     the anchor's eigenvalues ``lams``, given in solver order, with P's
-    eigenvectors solved from P there, eigenvalue j against row rows[j] of
-    _rhs: the one step after either solver.  With ``certify`` (the eigvals
+    eigenvectors solved from P there: the one step after either solver.
+    The eigenvalues solved at (_conjugates) take the rows of _rhs in turn,
+    row i for the i-th of them in _order.  With ``certify`` (the eigvals
     rung) None as soon as the eta_P of the side that eig solves misses the
     certificate once repaired, before the other side is solved, and None
     when eta_L misses it, before the sort (module docstring).
@@ -349,6 +340,7 @@ def _from_p(route, lams, left, rows, certify=False):
     P, F = route.P, route.F
     k = P.k
     m2 = route.side == "M2"
+    order = _order(lams)
     infinite = np.isinf(lams)
     phi = phi_vector(P.basis, k + 1, np.where(infinite, 0.0, lams))
     Phi = phi[1:]
@@ -362,7 +354,12 @@ def _from_p(route, lams, left, rows, certify=False):
     keep, lower = _conjugates(lams)
     kept, phi_kept, scale_kept = lams[keep], phi[:, keep], scale[keep]
     values = _evaluate_at(P, phi_kept)
-    b = _rhs(P.n)[rows[keep]]
+    # the kept eigenvalues take the rows of _rhs one each, in sorted order, so
+    # that the copies of a semisimple multiple eigenvalue get independent
+    # vectors wherever they sort
+    rows = np.empty(lams.size, dtype=int)
+    rows[order[keep[order]]] = np.arange(kept.size)
+    b = _rhs(P.n, kept.size)[rows[keep]]
     # eig solves one side of P, y on P^T for M2 and x otherwise, and the
     # rung stands or falls by it alone.  It is solved, checked and repaired
     # before recover's other side is touched, so both commands solve it alike
@@ -390,7 +387,6 @@ def _from_p(route, lams, left, rows, certify=False):
         residual = _residuals_from_p(route, lams, Phi, X, px, eta_x, scale)
     if certify and not np.all(residual <= bound):
         return None
-    order = _order(lams)
     structured = summed = None
     if X is not None:
         structured = _OfP(np.take(X / np.linalg.norm(X, axis=0), order, axis=1), eta_x[order])
@@ -496,34 +492,12 @@ def _evaluate_at(P, phi):
     return product.view(complex).T.reshape(m, n, n)
 
 
-@functools.lru_cache(maxsize=64)
-def _rhs(n):
-    """n fixed complex right-hand sides of the solves from P, the rows of an
-    n x n array, the same on every call for a given n: the eigvals rung
-    solves every column against row 0, QZ the j-th eigenvalue in sorted
-    order against row j mod n."""
-    rng = np.random.default_rng(_RHS_SEED)
-    b = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(n)])
-    b.setflags(write=False)
-    return b
-
-
-def _has_close_pair(lams):
-    """Whether two of the eigenvalues agree to within sqrt(eps) relative,
-    |lam_i - lam_j| <= sqrt(eps) max(|lam_i|, |lam_j|).  Such a pair has
-    moduli within that factor, so with the moduli sorted only neighbours up
-    to the first offset at which none is that close need a look."""
-    rel = np.sqrt(np.finfo(float).eps)
-    order = np.argsort(np.abs(lams), kind="stable")
-    z, modulus = lams[order], np.abs(lams[order])
-    for offset in range(1, z.size):
-        near = modulus[:-offset] >= (1.0 - rel) * modulus[offset:]
-        if not near.any():
-            return False
-        i = np.flatnonzero(near)
-        if np.any(np.abs(z[i + offset] - z[i]) <= rel * modulus[i + offset]):
-            return True
-    return False
+def _rhs(n, m):
+    """m fixed complex right-hand sides of length n for the solves from P, the
+    rows of an m x n array, row i the same for every m: _from_p solves the
+    i-th eigenvalue it solves at, in sorted order, against row i."""
+    draws = np.random.default_rng(_RHS_SEED).standard_normal((m, 2, n))
+    return draws[:, 0] + 1j * draws[:, 1]
 
 
 def _anchor_left(F, lams, Phi, Y):

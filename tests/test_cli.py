@@ -533,7 +533,8 @@ PARSER_EXITS = [[name, "-h"] for name in COMMAND_NAMES] + [
 
 @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
 def test_run_parses_as_the_full_parser(capsys, monkeypatch, argv):
-    # run builds one command's parser; what it prints must not show it
+    # run parses argv straight from COMMANDS (_direct_parse) or, when that
+    # declines, with the full parser; what it prints must not show which
     monkeypatch.setenv("COLUMNS", "80")
     outcomes = []
     for parse in (build_parser().parse_args, run):

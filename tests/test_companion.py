@@ -48,7 +48,7 @@ from orthopencil.errors import SingularPencilError
 from orthopencil.matpoly import RegularityVerdict, _scaled_inverse
 from orthopencil.serialize import dump_json, factor_to_obj, problem_to_obj, spectrum_report_obj
 from orthopencil.spectral import backward_errors
-from conftest import ALL_KINDS, random_problem
+from conftest import ALL_KINDS, BASIS_KINDS, random_problem
 from spectra import block_sum, kron_vectors, p_eta, pencil_vectors, phase_misfit, qz_on_pencil
 
 EPS = np.finfo(float).eps
@@ -417,16 +417,18 @@ def test_a_column_missing_the_certificate_is_solved_again(monkeypatch):
 
 @pytest.mark.parametrize("kind", ("monomial", "chebyshev1", "chebyshev2", "legendre"))
 @pytest.mark.parametrize("k", (2, 3, 4))
-def test_multiple_eigenvalues_take_qz(tmp_path, monkeypatch, capsys, kind, k):
-    # x^k I_2 and phi_k(x) I_2: every eigenvalue is at least double, and the
-    # rung's one right-hand side would give one x for both of a pair.  The
-    # eigvals rung declines before any solve, QZ finds the eigenvalues, P
-    # gives the vectors in one solve per side, against a right-hand side per
-    # place in the sorted order, and eig and recover each print what they
-    # print with the rung refused outright
+def test_multiple_eigenvalues_print_the_same_from_either_solver(tmp_path, monkeypatch, capsys,
+                                                                kind, k):
+    # x^k I_2 and phi_k(x) I_2: every eigenvalue is at least double.  One rule
+    # picks P's right-hand sides after either solver, so eig and recover each
+    # print what they print with the rung refused outright.  The rung keeps
+    # x^k I_2.  At a root of phi_k the weight of eta_P, sum_i |phi_i| ||P_i||_F
+    # = |phi_k(lam)| sqrt(2), is rounding noise, so eig's side misses the
+    # certificate in the rung's one solve and QZ serves
     P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis(kind))
     path = _write_problem(tmp_path, P, "p")
     for cmd in ("eig", "recover"):
+        sides = ["right"] if cmd == "eig" else ["right", "left"]
         outputs = []
         for rung in ("eigvals", "qz"):
             solved = []
@@ -436,23 +438,86 @@ def test_multiple_eigenvalues_take_qz(tmp_path, monkeypatch, capsys, kind, k):
             monkeypatch.setattr(spectral, "_p_vectors", lambda *a: solved.append(a[-1]) or inner(*a))
             outputs.append((cli.run([cmd, "-p", path]), *capsys.readouterr()))
             monkeypatch.undo()
-            sides = ["right"] if cmd == "eig" else ["right", "left"]
-            assert solved == sides and len(calls) == 1, (cmd, rung)
+            if rung == "qz":
+                expected = (sides, 1)
+            elif kind == "monomial":
+                expected = (sides, 0)
+            else:
+                expected = (["right"] + sides, 1)
+            assert (solved, len(calls)) == expected, (cmd, rung)
         assert outputs[0] == outputs[1], cmd
 
 
 @pytest.mark.parametrize("k", (2, 3, 4, 21, 22))
-def test_a_multiple_eigenvalue_gets_independent_vectors(tmp_path, capsys, k):
+def test_a_multiple_eigenvalue_gets_independent_vectors(tmp_path, monkeypatch, capsys, k):
     # x^k I_2: 0 is an eigenvalue of multiplicity 2k whose eigenvectors span
     # C^2 on either side, and recover prints vectors of P of rank 2 for it.
     # P(0) = 0, the zero matrix, so it is moved along I and solved as
-    # 4i eps I, for every k
+    # 4i eps I, for every k.  The eigvals rung serves eig and recover, which
+    # print the same eigenvalues and residuals
     P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis("monomial"))
-    assert cli.run(["recover", "-p", _write_problem(tmp_path, P, "p")]) == 0
-    report = json.loads(capsys.readouterr().out)
+    path = _write_problem(tmp_path, P, "p")
+    calls = _spy_qz(monkeypatch)
+    reports = []
+    for cmd in ("eig", "recover"):
+        assert cli.run([cmd, "-p", path]) == 0, cmd
+        reports.append(json.loads(capsys.readouterr().out))
+    assert calls == []
+    eig, report = reports
+    assert eig["finite"] == report["finite"]
     assert report["infinite_count"] == 0 and len(report["finite"]) == 2 * k
     for side in ("right", "left"):
         assert np.linalg.matrix_rank(_vectors(report, side)) == 2, side
+
+
+# the roots of p in p(x) I_n of _scalar_times_identity, each pattern sharing
+# one real part: copies of one root, a few ulps apart, can sort on either
+# side of those of another, as in the last, whose roots are close
+_SHARED_REAL_PARTS = (
+    (0.5 + 1j, 0.5 - 1j, 0.5 + 2j, 0.5 - 2j, 0.5),
+    (1j, -1j, 2j, -2j),
+    (-0.25 + 0.5j, -0.25 - 0.5j, -0.25),
+    (0.3 + 0.1j, 0.3 - 0.1j, 0.3 + 0.2j, 0.3 - 0.2j, 0.3 + 0.3j, 0.3 - 0.3j),
+)
+
+
+def _from_roots(kind, roots):
+    """The coefficients in basis ``kind`` of the monic polynomial with these roots."""
+    C = basis.to_monomial(builtin_basis(kind), len(roots))
+    return np.linalg.solve(C.T, np.poly(roots).real[::-1])
+
+
+@st.composite
+def _scalar_times_identity(draw):
+    """(kind, n, p): the coefficients p of p(x) I_n in basis ``kind``, from the
+    roots of one of _SHARED_REAL_PARTS at n = 2, 3, 4, or k + 1 random ones,
+    k = 2 .. 6, at n = 2, 3."""
+    kind = draw(st.sampled_from(BASIS_KINDS))
+    if draw(st.booleans()):
+        roots = draw(st.sampled_from(_SHARED_REAL_PARTS))
+        return kind, draw(st.sampled_from((2, 3, 4))), _from_roots(kind, roots)
+    k, seed = draw(st.integers(2, 6)), draw(st.integers(0, 2**32 - 1))
+    return kind, draw(st.sampled_from((2, 3))), np.random.default_rng(seed).uniform(-1.0, 1.0, k + 1)
+
+
+@settings(max_examples=30)
+@given(problem=_scalar_times_identity())
+@example(problem=("chebyshev1", 4, _from_roots("chebyshev1", _SHARED_REAL_PARTS[-1])))
+@example(problem=("monomial", 2, _from_roots("monomial", _SHARED_REAL_PARTS[-1])))
+def test_multiple_eigenvalues_stay_on_the_rung_with_independent_vectors(problem):
+    # every eigenvalue of p(x) I_n has n independent eigenvectors on either
+    # side; the eigvals rung serves it, and each cluster of its copies gets
+    # vectors of P of rank n on both sides, wherever the copies sort
+    kind, n, p = problem
+    P = MatrixPolynomial(tuple(c * np.eye(n) for c in p), builtin_basis(kind))
+    with mock.patch.object(spectral, "_qz", side_effect=AssertionError("QZ ran")):
+        triples = pencil_eigen(P)
+    lams = triples.eigenvalues
+    vectors = recover_right(triples), recover_left(triples)
+    for lam in lams:
+        cluster = np.abs(lams - lam) <= 1e-6 * np.abs(lam)
+        for V in vectors:
+            assert np.linalg.matrix_rank(V[:, cluster]) == min(np.count_nonzero(cluster), n), lam
 
 
 # --random n,k,1 (chebyshev1) shapes from kn = 24 to 240 and k^2 / n from
