@@ -8,9 +8,10 @@ the anchor or an M1/M2 member, is solved through P's anchor by
 ``pencil_eigen(P, factor)``, which forms the pencil from P and the factor
 itself.  It returns one sorted, columnar ``Eigentriples`` (eigenvalues,
 the pencil's residuals, and P's eigenvectors with their backward errors, as
-arrays, one column per eigenvalue): the eigenvalues come from
-eigvals on the companion matrix where that solve is certified and else from
-QZ on the anchor, and every eigenvector from P at them, on one path;
+arrays, one column per eigenvalue): the eigenvalues come from eigvals on
+the companion matrix where that solve is certified and else from eigvals on
+(s X + Y)^-1 X, the anchor (X, Y) at a real shift s, and every eigenvector
+from P at them, on one path;
 ``recover_right`` and ``recover_left`` check P's eigenvectors in the record
 against a tolerance and return them.  A brute-force spectral oracle gives
 an independent reference spectrum.

@@ -27,16 +27,20 @@ depend on the order the solver found them in.  Column j of every array
 belongs to eigenvalue j.  Every vector in it is P-sized: L's kn-sized
 eigenvectors enter it only through their norms.
 
-Two rungs find F's eigenvalues, the second tried when the first is refused
-or not tried, and one path finds every eigenvector, from P at them:
+One solver finds F's eigenvalues (G's for M2), the eigvals rung (``_rung``):
+geev without vectors on one real matrix whose eigenvalues map to them, at
+one of two kinds of shift.  One path finds every eigenvector, from P at
+them:
 
-- the eigvals rung (``_companion_solve``), tried when the row-scaled rcond
-  of c*P_k clears 10 * n * eps: geev without vectors on the companion
-  (comrade, colleague) matrix -X^-1 Y, whose first block row is one GEMM by
-  the n x n row-scaled inverse of c*P_k.
-- QZ on F itself (G for M2), eigenvalues only, with scipy, which is backward
-  stable for P (Lawrence, Van Barel and Van Dooren, SIMAX 37, 2016) and
-  gives the infinite eigenvalues of a singular P_k.
+- at shift infinity (``_companion_solve``), tried when the row-scaled rcond
+  of c*P_k clears 10 * n * eps: the companion (comrade, colleague) matrix
+  -X^-1 Y, whose first block row is one GEMM by the n x n row-scaled
+  inverse of c*P_k, kept only under the certificate below.
+- when that is refused or not tried, at the real shift s of a few fixed
+  ones where P(s) is farthest from singular (``_shift``): W = (s X + Y)^-1
+  X, whose eigenvalues 1 / (s - lam) need P(s) invertible, not P_k, so a
+  singular P_k gives its infinite eigenvalues as zeros of W.  It is not
+  certified.
 
 One eigenvector path (``_from_p``) serves both.  Every right eigenvector of
 the anchor is phi(lam) kron x with P(lam) x = 0, the eigenvector result of
@@ -47,29 +51,30 @@ with a column whose backward error eta_P misses the certificate solved
 again (``_p_vectors``).  At an infinite eigenvalue the matrix is c*P_k,
 whose null vectors are x and y, and F's eigenvectors are e_1 kron x.  An
 exactly singular matrix is scaled to unit norm and moved a few ulps along
-i I, with lam_j reported as it is.  After either solver the eigenvalues
-solved at, one of each conjugate pair, take fixed pseudo-random right-hand
-sides one each, in sorted order, so that the copies of a semisimple
-multiple eigenvalue get independent vectors wherever they sort.
+i I, with lam_j reported as it is; a matrix at rounding level against
+sum_i |phi_i| ||P_i||_F, of which every vector is an eigenvector, is solved
+as I.  At either shift the eigenvalues solved at, one of each conjugate
+pair, take fixed pseudo-random right-hand sides one each, in sorted order,
+so that the copies of a semisimple multiple eigenvalue get independent
+vectors wherever they sort.
 The anchor's left eigenvectors are built from the y_j (``_anchor_left``).
 Its right ones are never formed: the residual of phi kron x is [P(lam) x;
 delta kron x], delta the recurrence residuals of the computed phi, and
 ||phi kron x|| = ||phi|| ||x||, so eta_L of the anchor and of M1 comes from
 P(lam) x, which eta_P's GEMM already forms (``_residuals_from_p``).
 
-The eigvals rung is kept only under a certificate that reads what ``eig``
-and ``recover`` both compute, so that the two keep or refuse it together:
-every eigenvalue is finite, and at every one eta_P (see
+The rung at shift infinity is kept only under a certificate that reads
+what ``eig`` and ``recover`` both compute, so that the two keep or refuse it
+together: every eigenvalue is finite, and at every one eta_P (see
 ``backward_errors``) of P's eigenvector on the side that ``eig`` solves (x,
 or y on P^T for M2), once repaired, and eta_L, the residual that
 pencil_eigen reports, are at most 10 * kn * eps.  The other side of a
-``recover`` is repaired too and then judged by its tolerance alone, as after
-QZ, where nothing is refused: a column that misses the certificate is kept,
-and recovery judges it.
+``recover`` is repaired too and then judged by its tolerance alone, as at a
+finite shift, where nothing is refused: a column that misses the
+certificate is kept, and recovery judges it.
 
-numpy.linalg serves every solve but QZ: the inverses, eigvals and the
-batched solves.  scipy.linalg is imported only by QZ (``_qz``), so ``eig``
-and ``recover`` never load it where the eigvals rung is certified.
+numpy.linalg serves every solve: the inverses, the LU solves, eigvals and
+the batched solves.
 
 ``_from_p`` ends by mapping the anchor's left eigenvectors z once to L's
 eigenvectors on their side, which have the anchor's eigenvalues, and keeps
@@ -159,6 +164,8 @@ _INF_TOL = 1e-8
 _REGULARITY_SEED = 90210
 # Seed of the right-hand sides of the solves from P (_rhs).
 _RHS_SEED = 20161
+# Real shifts for the eigvals rung when it is refused at infinity (_shift).
+_SHIFTS = (0.314, -0.577, 0.707, -0.9, 0.1)
 # ulps by which _p_vectors moves a singular matrix along i I, once the
 # matrix is scaled to unit Frobenius norm.
 _SHIFT_ULPS = 4.0
@@ -167,22 +174,49 @@ _SHIFT_ULPS = 4.0
 def qz_solve(route: _Route, left: bool) -> Eigentriples:
     """The sorted eigentriples of the route's pencil L and the eigenvectors of
     P, solved through its anchor F (module docstring): the eigenvalues of the
-    certified eigvals rung or else of QZ on F, which agree to within the
-    eigenvalues' condition numbers times their backward errors, not bit for
-    bit, and the eigenvectors from P at them (_from_p), by one rule for
-    both.  With left false ``p_left`` is None in the result."""
+    eigvals rung at shift infinity where its certificate keeps them, and
+    else of the same rung at the real shift _shift picks, and the
+    eigenvectors from P at them (_from_p), by one rule for both.  With left
+    false ``p_left`` is None in the result."""
     spectrum = _companion_solve(route, left)
     if spectrum is None:
-        spectrum = _from_p(route, _qz(route.F.X, route.F.Y), left)
+        spectrum = _from_p(route, _rung(route, _shift(route.P)), left)
     return spectrum
 
 
-def _qz(X, Y):
-    """The eigenvalues (_eigenvalues) of the pair (Y, -X), X*lam + Y = 0, in
-    solver order, from scipy's QZ without eigenvectors."""
-    import scipy.linalg  # off the import path: numpy.linalg has no QZ
+def _rung(route, shift):
+    """The eigenvalues of the route's anchor F = (X, Y), X*lam + Y = 0, in
+    solver order, from geev without vectors on one real matrix, so in exact
+    conjugate pairs (_conjugates): at an infinite ``shift`` the companion
+    matrix -X^-1 Y, whose eigenvalues lam are read as _eigenvalues(lam, 1);
+    at a finite real shift s, W = (s X + Y)^-1 X by one LU solve, whose
+    eigenvalues nu = 1 / (s - lam) are read as _eigenvalues(s nu - 1, nu),
+    an infinite lam being nu = 0.  Raises LinAlgError on a matrix that is
+    singular or not finite."""
+    F = route.F
+    n = F.n
+    if np.isinf(shift):
+        # only the first block row of -X^-1 Y differs from -Y
+        A = np.negative(F.Y, order="F")
+        A[:n] = -_solve(route.lead[1], F.Y[:n])
+        return _eigenvalues(np.linalg.eigvals(A), 1.0)
+    nu = np.linalg.eigvals(np.linalg.solve(shift * F.X + F.Y, F.X))
+    return _eigenvalues(shift * nu - 1.0, nu)
 
-    return _eigenvalues(*scipy.linalg.eigvals(Y, -X, homogeneous_eigvals=True))
+
+def _shift(P):
+    """The real shift s of _SHIFTS where P(s), and so the anchor the rung
+    inverts there, is farthest from singular, by the backward error of s as
+    an eigenvalue, sigma_min(P(s)) / sum_i |phi_i(s)| ||P_i||_F; when all
+    are eigenvalues to within the certificate, the best of kn + 1 points of
+    [-1, 1], at most kn of which are eigenvalues of a regular P."""
+    for shifts in (np.array(_SHIFTS), np.linspace(-1.0, 1.0, P.k * P.n + 1)):
+        phi = phi_vector(P.basis, P.k + 1, shifts.astype(complex))
+        sigma = np.linalg.svd(_evaluate_at(P, phi).real, compute_uv=False)[:, -1]
+        distance = sigma / P.evaluation_scale(shifts, phi[::-1])
+        if distance.max() > _certified_bound(P.k * P.n):
+            break
+    return float(shifts[np.argmax(distance)])
 
 
 def _solve(factors, B, transpose=False):
@@ -278,27 +312,20 @@ def _residuals_from_p(route, lams, Phi, x, px, eta, scale):
 
 
 def _companion_solve(route, left=False):
-    """The eigvals rung (module docstring): the certified solve of the
-    route's anchor, mapped to its pencil and to P, or None when c*P_k fails
-    its gate or the rung is refused.  The anchor's eigenvalues come from
-    geev without vectors on the companion matrix, the eigenvectors from P
-    at them (_from_p), as after QZ.  The eigenvalues w are read as
-    _eigenvalues(w, 1), so that one quotient and one infinity rule serve
-    both rungs.  The rung is refused when eigvals raises (on a companion
-    matrix that is not finite, too), when an eigenvalue is not finite or is
-    classed infinite, when a P(lam_j) stays singular once moved
-    (_p_vectors), or when _from_p finds the certificate missed."""
-    P, F = route.P, route.F
-    n = P.n
-    rcond, inverse = route.lead
-    if not _regular_rcond(rcond, n):
+    """The eigvals rung at shift infinity (module docstring): the certified
+    solve of the route's anchor, mapped to its pencil and to P, or None when
+    c*P_k fails its gate or the rung is refused.  The anchor's eigenvalues
+    come from the companion matrix (_rung), the eigenvectors from P at them
+    (_from_p), as at a finite shift.  The rung is refused when eigvals
+    raises (on a companion matrix that is not finite, too), when an
+    eigenvalue is not finite or is classed infinite, when a P(lam_j) stays
+    singular once moved (_p_vectors), or when _from_p finds the certificate
+    missed."""
+    if not _regular_rcond(route.lead[0], route.P.n):
         return None
-    # only the first block row of -X^-1 Y differs from -Y
-    A = np.negative(F.Y, order="F")
-    A[:n] = -_solve(inverse, F.Y[:n])
     try:
         # eigvals raises on a matrix that is not finite
-        lams = _eigenvalues(np.linalg.eigvals(A), 1.0)
+        lams = _rung(route, np.inf)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(lams)):
@@ -312,20 +339,21 @@ def _companion_solve(route, left=False):
 def _from_p(route, lams, left, certify=False):
     """The sorted record (Eigentriples) of the route's pencil L and of P at
     the anchor's eigenvalues ``lams``, given in solver order, with P's
-    eigenvectors solved from P there: the one step after either solver.
+    eigenvectors solved from P there: the one step after either shift.
     The eigenvalues solved at (_conjugates) take the rows of _rhs in turn,
-    row i for the i-th of them in _order.  With ``certify`` (the eigvals
-    rung) None as soon as the eta_P of the side that eig solves misses the
-    certificate once repaired, before the other side is solved, and None
-    when eta_L misses it, before the sort (module docstring).
+    row i for the i-th of them in _order.  With ``certify`` (the rung at
+    shift infinity) None as soon as the eta_P of the side that eig solves
+    misses the certificate once repaired, before the other side is solved,
+    and None when eta_L misses it, before the sort (module docstring).
 
     P is evaluated once, at one eigenvalue of each conjugate pair
     (_evaluate_at), and x_j and y_j are solved from it one side at a time
     (_p_vectors): one inverse-iteration step from the eigenvalue, one move
     of a singular matrix, and a column whose eta_P misses the certificate
-    solved again.  At an infinite eigenvalue P is weighted by c e_0, so the
-    matrix solved is c*P_k and eta_P reads ||c*P_k x|| / (|c| ||P_k||_F
-    ||x||), and F's right eigenvector is e_1 kron x.  Raises LinAlgError
+    solved again; a P(lam_j) at rounding level is solved as I, so u_j =
+    b_j.  At an infinite eigenvalue P is weighted by c e_0, so the matrix
+    solved is c*P_k and eta_P reads ||c*P_k x|| / (|c| ||P_k||_F ||x||),
+    and F's right eigenvector is e_1 kron x.  Raises LinAlgError
     when a matrix stays singular once moved.
 
     The anchor's left eigenvectors Z, built from the y_j (_anchor_left), are
@@ -354,6 +382,13 @@ def _from_p(route, lams, left, certify=False):
     keep, lower = _conjugates(lams)
     kept, phi_kept, scale_kept = lams[keep], phi[:, keep], scale[keep]
     values = _evaluate_at(P, phi_kept)
+    bound = _certified_bound(P.k * P.n)
+    # every vector is an eigenvector of a P(lam_j) at rounding level against
+    # its scale, so the copies of a multiple eigenvalue keep their own b_j;
+    # tested before _p_vectors moves a singular matrix, for both sides alike,
+    # with einsum on views, which makes no m x n x n temporary
+    squares = sum(np.einsum("mij,mij->m", part, part) for part in (values.real, values.imag))
+    values[np.sqrt(squares) <= bound * scale_kept] = np.eye(P.n)
     # the kept eigenvalues take the rows of _rhs one each, in sorted order, so
     # that the copies of a semisimple multiple eigenvalue get independent
     # vectors wherever they sort
@@ -364,7 +399,6 @@ def _from_p(route, lams, left, certify=False):
     # rung stands or falls by it alone.  It is solved, checked and repaired
     # before recover's other side is touched, so both commands solve it alike
     first = _p_vectors(P, values, phi_kept, scale_kept, b, "left" if m2 else "right")
-    bound = _certified_bound(P.k * P.n)
     if certify and not np.all(first[1] <= bound):
         return None
     second = (None, None, None)
@@ -642,12 +676,12 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     (real, imag) with infinite eigenvalues last; real parts equal up to
     rounding are ordered by imaginary part (_order).
 
-    With and without ``left`` the same rung solves, as its certificate reads
-    only what both solves compute, so ``eig`` and ``recover`` print the same
-    eigenvalues.  The vectors of P on the side that ``eig`` solves, from
-    which the residuals come, are solved first and do not depend on
-    ``left`` either, after either solver, so the residuals are the same
-    too: ``eig`` and ``recover --random 5,8,1`` both print
+    With and without ``left`` the rung solves at the same shift, as its
+    certificate reads only what both solves compute, so ``eig`` and
+    ``recover`` print the same eigenvalues.  The vectors of P on the side
+    that ``eig`` solves, from which the residuals come, are solved first and
+    do not depend on ``left`` either, at either shift, so the residuals are
+    the same too: ``eig`` and ``recover --random 5,8,1`` both print
     2.589455432076529e-16 for the first eigenvalue, and ``--random 6,8,1``
     1.7843552459841404e-15.
     """

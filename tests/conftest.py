@@ -5,7 +5,7 @@ from hypothesis import settings
 from orthopencil import DegreeGradedBasis, MatrixPolynomial, ThreeTermBasis, builtin_basis
 
 # Property tests run the same few examples on every run: a small, derandomized
-# sweep with no example database and no per-example deadline (a QZ at kn = 240
+# sweep with no example database and no per-example deadline (a reference QZ at kn = 240
 # takes a good part of a second on a slow host).
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=6,
                           database=None)

@@ -13,6 +13,9 @@ phi(lam) kron x from P's vectors x in the record (the paper's eigenvector
 result), and ``null_vectors`` on the other, from an SVD of the pencil at
 each eigenvalue; ``pencil_vectors`` gives both sides of a record, and
 ``phase_misfit`` compares vectors known up to a unit factor.
+``condition_numbers`` gives each eigenvalue's condition number from
+qz_on_pencil's two-sided vectors, the scale of the distance between two
+backward-stable solves' eigenvalues.
 ``sort_triples`` is the sort rule of
 ``pencil_eigen`` written out eigenvalue by eigenvalue, the reference for the
 permutation (``spectral._order``) that the library computes on arrays.
@@ -55,6 +58,18 @@ def qz_on_pencil(L, left=True):
     order = sort_triples(values)
     return PencilTriples(values[order], right[:, order],
                          None if lefts is None else lefts[:, order], residuals[order])
+
+
+def condition_numbers(L, triples):
+    """The absolute condition number (||X|| |lam| + ||Y||) ||z|| ||u|| / |z^T X u|
+    of every eigenvalue of the pencil L in ``triples`` (qz_on_pencil with
+    left vectors), from its two-sided unit vectors: to first order a
+    perturbation of L of relative size eta moves lam by at most eta times
+    it."""
+    lams = triples.eigenvalues
+    pairing = np.abs(np.einsum("im,im->m", triples.left, L.X @ triples.right))
+    with np.errstate(divide="ignore"):  # an infinite eigenvalue may pair to 0
+        return (np.linalg.norm(L.X) * np.abs(lams) + np.linalg.norm(L.Y)) / pairing
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,16 +1,20 @@
-"""qz_solve's two rungs: eigvals on the anchor's companion matrix with
-eigenvectors from P, and QZ on the anchor.
+"""qz_solve's one eigenvalue solver, the eigvals rung, at shift infinity and
+at a finite real shift, with eigenvectors from P.
 
 pencil_eigen(P, factor) solves P's anchor pencil, or the M1 or M2 pencil of
 P and the factor, through P's anchor, on one route built per call
-(``spectral._route``).  When P_k is well conditioned the eigvals rung solves
-the companion matrix, and its result is kept only under the eta_L and eta_P
-certificate; when the rung is refused or not tried, QZ solves the anchor
-itself.  ``_force_rung`` makes a test take one rung.  Tests that call a
-solver directly pass it the route of (P, factor).  The references here are
+(``spectral._route``).  When P_k is well conditioned the rung solves the
+companion matrix (shift infinity), and its result is kept only under the
+eta_L and eta_P certificate; when it is refused or not tried, the rung
+solves (s X + Y)^-1 X at a real shift s, uncertified.  ``_force_rung``
+makes a test take one shift, and ``_spy_shifted`` records the solves at a
+finite one.  Tests that call a solver directly pass it the route of (P,
+factor).  Tests of the problems that the rung refuses at infinity keep the
+names they had when another solver served them.  The references here are
 sigma_min(P(lam)) / sum_i |phi_i(lam)| ||P_i||_F from an SVD of the
 evaluated polynomial, residuals of recovered vectors from the evaluated
-polynomial, QZ on the pencil's own matrices (``spectra.qz_on_pencil``), and
+polynomial, a dense two-sided reference solve of a pencil's own matrices
+(``spectra.qz_on_pencil``) with its eigenvalues' condition numbers, and
 the pencil's eigenvectors as phi kron x of P's vectors in the record and as
 SVD null vectors (``spectra.pencil_vectors``); none shares a solver with the
 anchor route.
@@ -49,7 +53,8 @@ from orthopencil.matpoly import RegularityVerdict, _scaled_inverse
 from orthopencil.serialize import dump_json, factor_to_obj, problem_to_obj, spectrum_report_obj
 from orthopencil.spectral import backward_errors
 from conftest import ALL_KINDS, BASIS_KINDS, random_problem
-from spectra import block_sum, kron_vectors, p_eta, pencil_vectors, phase_misfit, qz_on_pencil
+from spectra import (block_sum, condition_numbers, kron_vectors, p_eta, pencil_vectors,
+                     phase_misfit, qz_on_pencil)
 
 EPS = np.finfo(float).eps
 # (n, k): kn from 6 to 240
@@ -95,39 +100,49 @@ def _assert_same_spectrum(lams, ref):
         assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-8
 
 
-def _assert_matches_qz(L, side, lams, infinite_count, residuals):
-    """The anchor route's finite eigenvalues, infinite count and residuals
-    against QZ on L's own matrices: the same eigenvalues bit for bit and
-    residuals within kn eps for an anchor pencil; for M1/M2 the spectrum
-    within 1e-8 relative and residuals at most 10 kn eps."""
-    kn = L.k * L.n
-    qz = qz_on_pencil(L, left=False)
+def _solved_anchor(P, side):
+    """The anchor the route of side ``side`` solves: P's, or P^T's for M2."""
+    if side == "M2":
+        P = MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis)
+    return anchor_pencil(P)
+
+
+def _assert_matches_qz(P, side, lams, infinite_count, residuals):
+    """The route's finite eigenvalues, infinite count and residuals against
+    QZ on the anchor it solves (_solved_anchor): the same infinite count,
+    every eigenvalue within 100 kn eps times the condition number of the
+    nearest QZ eigenvalue and every QZ eigenvalue as near one of them (two
+    solves backward stable to 50 kn eps), and residuals at most 10 kn eps."""
+    F = _solved_anchor(P, side)
+    kn = F.X.shape[0]
+    qz = qz_on_pencil(F)
     finite = ~np.isinf(qz.eigenvalues)
     assert infinite_count == np.count_nonzero(~finite)
-    if side == "anchor":
-        assert list(lams) == qz.eigenvalues[finite].tolist()
-        assert np.all(np.abs(np.subtract(residuals, qz.residual[finite])) <= kn * EPS)
-    else:
-        _assert_same_spectrum(np.array(lams, dtype=complex), qz.eigenvalues[finite])
-        assert max(residuals, default=0.0) <= 10 * kn * EPS
+    bound = 100 * kn * EPS * condition_numbers(F, qz)[finite]
+    dist = np.abs(np.array(lams, dtype=complex)[:, None] - qz.eigenvalues[finite][None, :])
+    assert np.all(dist.min(axis=1) <= bound[dist.argmin(axis=1)])
+    assert np.all(dist.min(axis=0) <= bound)
+    assert max(residuals, default=0.0) <= 10 * kn * EPS
 
 
-def _assert_triples_match_qz(L, side, triples):
+def _assert_triples_match_qz(P, side, triples):
     finite = ~np.isinf(triples.eigenvalues)
-    _assert_matches_qz(L, side, triples.eigenvalues[finite].tolist(),
-                       np.count_nonzero(~finite), triples.residual[finite].tolist())
+    _assert_matches_qz(P, side, triples.eigenvalues[finite],
+                       np.count_nonzero(~finite), triples.residual[finite])
 
 
-def _spy_qz(monkeypatch):
-    """Record every QZ call as the pair (Y, -X) it solves and what it returns."""
-    calls, qz = [], spectral._qz
+def _spy_shifted(monkeypatch):
+    """Record every solve of the eigvals rung at a finite shift as (route,
+    shift, the eigenvalues it returns)."""
+    calls, inner = [], spectral._rung
 
-    def spy(X, Y, *args):
-        out = qz(X, Y, *args)
-        calls.append((np.array(Y), -np.array(X), out))
+    def spy(route, shift):
+        out = inner(route, shift)
+        if np.isfinite(shift):
+            calls.append((route, shift, out))
         return out
 
-    monkeypatch.setattr(spectral, "_qz", spy)
+    monkeypatch.setattr(spectral, "_rung", spy)
     return calls
 
 
@@ -165,7 +180,7 @@ def test_ill_conditioned_lead_falls_back_to_qz(cond):
     assert _scaled_inverse(L.X[:3, :3])[0] > 10 * 3 * EPS
     assert spectral._companion_solve(spectral._route(P)) is None
     triples = pencil_eigen(P, left=False)
-    _assert_triples_match_qz(L, "anchor", triples)
+    _assert_triples_match_qz(P, "anchor", triples)
     assert _sigma_eta(P, triples.eigenvalues).max() <= 100 * 12 * EPS
 
 
@@ -174,13 +189,13 @@ def test_singular_lead_gives_infinite_eigenvalues_by_qz(monkeypatch, rng):
     coeffs[-1][:, 1] = 0.0
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev2"))
     L = anchor_pencil(P)
-    calls = _spy_qz(monkeypatch)
+    calls = _spy_shifted(monkeypatch)
     triples = pencil_eigen(P, left=False)
-    # one QZ, on the anchor
-    assert len(calls) == 1 and np.array_equal(calls[0][1], -L.X)
+    # one shifted solve, of the anchor
+    assert len(calls) == 1 and np.array_equal(calls[0][0].F.X, L.X)
     assert np.isinf(triples.eigenvalues).sum() >= 1
     monkeypatch.undo()
-    _assert_triples_match_qz(L, "anchor", triples)
+    _assert_triples_match_qz(P, "anchor", triples)
 
 
 # Leads on which the eigvals rung's result fails exactly one check of the
@@ -201,9 +216,8 @@ def test_each_certificate_check_rejects_on_its_own(case):
     if side != "anchor":
         f, _ = build_dm_pencil(P, np.random.default_rng(seed).uniform(-1.0, 1.0, P.k))
         f = AnsatzFactor(f.v, f.B, side)
-    L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
     assert spectral._companion_solve(spectral._route(P, f), False) is None
-    _assert_triples_match_qz(L, side, pencil_eigen(P, f, left=False))
+    _assert_triples_match_qz(P, side, pencil_eigen(P, f, left=False))
 
 
 def _write_problem(tmp_path, P, name):
@@ -263,21 +277,20 @@ def test_one_qz_solve_per_eig_op(tmp_path, rng, monkeypatch, capsys):
 
 
 def _force_rung(monkeypatch, rung):
-    """Make the solve take one rung: "eigvals" leaves the solve as it is, and
-    "qz" refuses the eigvals rung."""
+    """Make the solve take one shift: "eigvals" leaves the solve as it is, and
+    "qz" refuses the rung at shift infinity, so that it solves at a finite
+    shift, as on the problems that reached QZ before."""
     if rung == "qz":
         monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
 
 
 @pytest.mark.parametrize("rung", ("eigvals", "qz"))
 def test_recover_computes_each_backward_error_once(tmp_path, monkeypatch, capsys, rung):
-    # The post-solve step computes eta_P of the fitted vectors and of the
-    # block sums from one basis sequence after QZ; the eigvals rung computes
-    # eta_P of the solved vectors of both sides from the sequence its solves
-    # are built on, and the post-solve step reuses them.  recover_right and
-    # recover_left check those values.  No P(lam_j) of this P (or P^T) is
-    # exactly singular: the guard for one evaluates the basis once more, at
-    # the moved shifts.
+    # The post-solve step computes eta_P of the solved vectors of both sides
+    # from the one basis sequence its solves are built on, at either shift;
+    # recover_right and recover_left check those values.  The finite shift
+    # is chosen from one more sequence, at the candidate shifts.  No
+    # P(lam_j) of this P (or P^T) is exactly singular.
     rng = np.random.default_rng(1)
     P = random_problem(rng, 6, 5, "legendre")
     path = _write_problem(tmp_path, P, "p")
@@ -300,15 +313,16 @@ def test_recover_computes_each_backward_error_once(tmp_path, monkeypatch, capsys
         assert cli.run(argv) == 0, argv
         monkeypatch.undo()
         capsys.readouterr()
-        assert calls == {"_eta": 2, "_phi_sequence": 1}, argv
+        assert calls == {"_eta": 2, "_phi_sequence": 1 + (rung == "qz")}, argv
 
 
 @pytest.mark.parametrize("rung", ("eigvals", "qz"))
 def test_certified_recover_does_the_work_once(tmp_path, monkeypatch, capsys, rung):
     # a recover on the anchor, an M1 and an M2 pencil computes eta_P once
-    # per side and evaluates the basis once, whichever rung finds the
-    # eigenvalues: either way P's eigenvectors are solved from P.  No
-    # P(lam_j) of this P (or P^T) is exactly singular (see above).
+    # per side and evaluates the basis at the eigenvalues once, at either
+    # shift: either way P's eigenvectors are solved from P.  The finite
+    # shift is chosen from one more phi_vector.  No P(lam_j) of this P (or
+    # P^T) is exactly singular (see above).
     rng = np.random.default_rng(1)
     P = random_problem(rng, 6, 5, "chebyshev1")
     path = _write_problem(tmp_path, P, "p")
@@ -340,7 +354,7 @@ def test_certified_recover_does_the_work_once(tmp_path, monkeypatch, capsys, run
         assert cli.run(argv) == 0, argv
         monkeypatch.undo()
         assert "eigenvectors" in json.loads(capsys.readouterr().out)
-        assert calls == {"_eta": 2, "phi_vector": 1, "_companion_solve": 1}, argv
+        assert calls == {"_eta": 2, "phi_vector": 1 + (rung == "qz"), "_companion_solve": 1}, argv
         assert sorted(sides) == ["left", "right"], argv
 
 
@@ -348,10 +362,10 @@ def test_exactly_singular_p_stays_on_the_eigvals_rung(monkeypatch):
     # at a real eigenvalue of this P the LU of P(lam_j) has an exactly zero
     # pivot, so the batched solve raises; the rung evaluates P once, moves
     # that matrix along I and solves it again, still reports the eigenvalue
-    # eigvals found, and QZ does not run
+    # eigvals found, and no finite shift is tried
     P = cli._random_problem("6,8,13", "chebyshev1")
     for left in (False, True):
-        calls = _spy_qz(monkeypatch)
+        calls = _spy_shifted(monkeypatch)
         evaluated, found = [], []
         inner_evaluate, inner_eigvals = spectral._evaluate_at, np.linalg.eigvals
         monkeypatch.setattr(spectral, "_evaluate_at",
@@ -400,7 +414,7 @@ def test_a_column_missing_the_certificate_is_solved_again(monkeypatch):
     # one left one); those columns alone are solved again from P(lam)^-1,
     # each side before the next is solved, and the rung keeps the solve
     P = cli._random_problem("10,12,2", "monomial")
-    calls = _spy_qz(monkeypatch)
+    calls = _spy_shifted(monkeypatch)
     sizes, inner = [], spectral._eta
     monkeypatch.setattr(spectral, "_eta",
                         lambda P, phi, scale, U, side: sizes.append((side, U.shape[1]))
@@ -419,22 +433,26 @@ def test_a_column_missing_the_certificate_is_solved_again(monkeypatch):
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_multiple_eigenvalues_print_the_same_from_either_solver(tmp_path, monkeypatch, capsys,
                                                                 kind, k):
-    # x^k I_2 and phi_k(x) I_2: every eigenvalue is at least double.  One rule
-    # picks P's right-hand sides after either solver, so eig and recover each
-    # print what they print with the rung refused outright.  The rung keeps
-    # x^k I_2.  At a root of phi_k the weight of eta_P, sum_i |phi_i| ||P_i||_F
-    # = |phi_k(lam)| sqrt(2), is rounding noise, so eig's side misses the
-    # certificate in the rung's one solve and QZ serves
+    # x^k I_2 and phi_k(x) I_2: every eigenvalue is at least double.  The
+    # rung at shift infinity keeps x^k I_2.  At a root of phi_k the weight of
+    # eta_P, sum_i |phi_i| ||P_i||_F = |phi_k(lam)| sqrt(2), is rounding
+    # noise, so eig's side misses the certificate in the rung's one solve
+    # and the rung solves at a finite shift; one rule picks P's right-hand
+    # sides after either shift, so eig and recover each print what they
+    # print with the rung refused outright at infinity.  On x^k I_2 eig and
+    # recover print the same finite list (recover exits 2 on phi_k(x) I_2:
+    # test_cli's strict xfails)
     P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis(kind))
     path = _write_problem(tmp_path, P, "p")
+    printed = []
     for cmd in ("eig", "recover"):
         sides = ["right"] if cmd == "eig" else ["right", "left"]
         outputs = []
-        for rung in ("eigvals", "qz"):
+        for rung in ("eigvals",) if kind == "monomial" else ("eigvals", "qz"):
             solved = []
             inner = spectral._p_vectors
             _force_rung(monkeypatch, rung)
-            calls = _spy_qz(monkeypatch)
+            calls = _spy_shifted(monkeypatch)
             monkeypatch.setattr(spectral, "_p_vectors", lambda *a: solved.append(a[-1]) or inner(*a))
             outputs.append((cli.run([cmd, "-p", path]), *capsys.readouterr()))
             monkeypatch.undo()
@@ -445,19 +463,24 @@ def test_multiple_eigenvalues_print_the_same_from_either_solver(tmp_path, monkey
             else:
                 expected = (["right"] + sides, 1)
             assert (solved, len(calls)) == expected, (cmd, rung)
-        assert outputs[0] == outputs[1], cmd
+        assert outputs[0] == outputs[-1], cmd
+        printed.append(outputs[0][1])
+    if kind == "monomial":
+        eig, recover = (json.loads(out)["finite"] for out in printed)
+        assert eig == recover
 
 
 @pytest.mark.parametrize("k", (2, 3, 4, 21, 22))
 def test_a_multiple_eigenvalue_gets_independent_vectors(tmp_path, monkeypatch, capsys, k):
     # x^k I_2: 0 is an eigenvalue of multiplicity 2k whose eigenvectors span
     # C^2 on either side, and recover prints vectors of P of rank 2 for it.
-    # P(0) = 0, the zero matrix, so it is moved along I and solved as
-    # 4i eps I, for every k.  The eigvals rung serves eig and recover, which
-    # print the same eigenvalues and residuals
+    # P(0) = 0, the zero matrix, at rounding level against its scale (also
+    # 0), so it is solved as I, for every k.  The eigvals rung serves eig and
+    # recover at shift infinity, which print the same eigenvalues and
+    # residuals
     P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis("monomial"))
     path = _write_problem(tmp_path, P, "p")
-    calls = _spy_qz(monkeypatch)
+    calls = _spy_shifted(monkeypatch)
     reports = []
     for cmd in ("eig", "recover"):
         assert cli.run([cmd, "-p", path]) == 0, cmd
@@ -510,7 +533,7 @@ def test_multiple_eigenvalues_stay_on_the_rung_with_independent_vectors(problem)
     # vectors of P of rank n on both sides, wherever the copies sort
     kind, n, p = problem
     P = MatrixPolynomial(tuple(c * np.eye(n) for c in p), builtin_basis(kind))
-    with mock.patch.object(spectral, "_qz", side_effect=AssertionError("QZ ran")):
+    with mock.patch.object(spectral, "_shift", side_effect=AssertionError("rung refused")):
         triples = pencil_eigen(P)
     lams = triples.eigenvalues
     vectors = recover_right(triples), recover_left(triples)
@@ -518,6 +541,29 @@ def test_multiple_eigenvalues_stay_on_the_rung_with_independent_vectors(problem)
         cluster = np.abs(lams - lam) <= 1e-6 * np.abs(lam)
         for V in vectors:
             assert np.linalg.matrix_rank(V[:, cluster]) == min(np.count_nonzero(cluster), n), lam
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+def test_a_matrix_times_a_scalar_polynomial_gives_independent_vectors(kind):
+    # P = p(x) A, A a random n x n: every root of p is an eigenvalue of
+    # multiplicity n, and P(lam) there is rounding noise against sum_i
+    # |phi_i| ||P_i||_F, so every vector is an eigenvector.  Each copy keeps
+    # its own right-hand side, on both sides, and each cluster of copies
+    # gets vectors of P of rank n (one inverse-iteration step from a noise
+    # matrix gave them one direction: 8 cluster sides of rank < n on this
+    # family, e.g. monomial n = 2, k = 4, seed 8 at lam = 0.446)
+    for n in (2, 3):
+        for k in range(2, 7):
+            for seed in range(10):
+                rng = np.random.default_rng((seed, n, k))
+                A, p = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, k + 1)
+                triples = pencil_eigen(MatrixPolynomial(tuple(c * A for c in p),
+                                                        builtin_basis(kind)))
+                lams = triples.eigenvalues
+                for lam in lams:
+                    cluster = np.abs(lams - lam) <= 1e-6 * np.abs(lam)
+                    for V in (recover_right(triples), recover_left(triples)):
+                        assert np.linalg.matrix_rank(V[:, cluster]) == n, (n, k, seed, lam)
 
 
 # --random n,k,1 (chebyshev1) shapes from kn = 24 to 240 and k^2 / n from
@@ -530,14 +576,14 @@ _GATE_SHAPES = ((3, 8), (5, 6), (10, 4), (6, 8), (30, 4), (24, 7), (28, 6), (40,
 @pytest.mark.parametrize("shape", _GATE_SHAPES)
 def test_the_gate_sends_each_shape_to_its_rung(monkeypatch, shape, left):
     # P_k of each problem clears the rcond gate of _companion_solve, so the
-    # eigvals rung solves it and is certified, with and without left
-    # vectors, and QZ does not run
+    # eigvals rung solves it at shift infinity and is certified, with and
+    # without left vectors, and no finite shift is tried
     n, k = shape
     P = cli._random_problem(f"{n},{k},1", "chebyshev1")
     served, inner = [], spectral._companion_solve
     monkeypatch.setattr(spectral, "_companion_solve",
                         lambda *a: served.append(inner(*a)) or served[-1])
-    calls = _spy_qz(monkeypatch)
+    calls = _spy_shifted(monkeypatch)
     pencil_eigen(P, left=left)
     monkeypatch.undo()
     assert len(served) == 1 and served[0] is not None and calls == []
@@ -561,7 +607,7 @@ def test_eig_and_recover_print_the_same_spectrum_on_the_eigvals_rung(tmp_path, m
                      ["--random", "4,5,56", "--basis", "chebyshev1"]]
     for problem in problems:
         reports = []
-        calls = _spy_qz(monkeypatch)
+        calls = _spy_shifted(monkeypatch)
         for cmd in ("eig", "recover"):
             rc, out = _run([cmd, *problem])
             assert rc == 0
@@ -574,9 +620,9 @@ def test_eig_and_recover_print_the_same_spectrum_on_the_eigvals_rung(tmp_path, m
 @pytest.mark.parametrize("rung", ("eigvals", "qz"))
 def test_m2_residuals_are_as_small_as_the_anchors(monkeypatch, rung):
     # The M2 map takes S^-1 z by an LU solve on the row-scaled S.  With S's
-    # explicit inverse the largest eta_L of this M2 factor is 480 times the
-    # anchor route's on the same P when QZ solves both (4.3 against 0.0089
-    # kn eps), an error that grows with cond(S)
+    # explicit inverse the largest eta_L of this M2 factor was 480 times the
+    # anchor route's on the same P when QZ solved both (4.3 against 0.0089
+    # kn eps), an error that grows with cond(S); so at either shift
     P = cli._random_problem("10,18,5", "chebyshev1")
     f, _ = build_dm_pencil(P, np.random.default_rng(5).uniform(-1.0, 1.0, P.k))
     _force_rung(monkeypatch, rung)
@@ -627,17 +673,18 @@ def _vectors(report, side):
     return np.array([[complex(re, im) for re, im in x] for x in report["eigenvectors"][side]])
 
 
-def _assert_report_matches_qz(P, L, side, out):
-    """A CLI report of the anchor route against QZ on L (see _assert_matches_qz);
-    printed eigenvectors of P must have eta_P at most 100 kn eps."""
+def _assert_report_matches_qz(P, side, out):
+    """A CLI report of the route against QZ on its anchor (see
+    _assert_matches_qz); printed eigenvectors of P must have eta_P at most
+    100 kn eps."""
     report = json.loads(out)
     lams = [complex(e["re"], e["im"]) for e in report["finite"]]
-    _assert_matches_qz(L, side, lams, report["infinite_count"],
+    _assert_matches_qz(P, side, lams, report["infinite_count"],
                        [e["residual"] for e in report["finite"]])
     if "eigenvectors" in report and lams:
         for vec_side in ("right", "left"):
             eta = _vector_eta(P, np.array(lams), _vectors(report, vec_side), vec_side)
-            assert eta.max() <= 100 * L.k * L.n * EPS, vec_side
+            assert eta.max() <= 100 * P.k * P.n * EPS, vec_side
 
 
 @settings(max_examples=12)
@@ -665,8 +712,8 @@ def test_recover_is_certified_on_every_pencil(kind, side, shape, seed):
             rc, out = _run(argv)
         assert rc == 0
         if not kept or kept[0] is None:
-            # not certified: QZ solved the anchor
-            _assert_report_matches_qz(P, L, side, out)
+            # not certified: the rung solved the anchor at a finite shift
+            _assert_report_matches_qz(P, side, out)
             return
     report = json.loads(out)
     assert report["infinite_count"] == 0
@@ -706,7 +753,8 @@ def test_block_sums_are_read_off_the_anchor(tmp_path):
 
 def test_block_sums_are_read_off_the_anchor_by_qz(tmp_path, monkeypatch):
     # the pencil of test_block_sums_are_read_off_the_anchor with the eigvals
-    # rung refused: QZ on the anchor gives the sums, with no cancellation
+    # rung refused at shift infinity: the shifted rung on the anchor gives
+    # the sums, with no cancellation
     n, k = 5, 12
     rng = np.random.default_rng(20)
     P = random_problem(rng, n, k, "chebyshev2")
@@ -747,9 +795,9 @@ def test_ill_conditioned_lead_is_the_qz_report(tmp_path, monkeypatch, rng):
     # every solve was tried (P_k and the multipliers are invertible) and failed
     assert len(results) == 6 and all(r is None for r in results)
     monkeypatch.undo()
-    for (side, _, L), (rc, out) in zip(cases, outs):
+    for (side, _, _), (rc, out) in zip(cases, outs):
         assert rc == 0
-        _assert_report_matches_qz(P, L, side, out)
+        _assert_report_matches_qz(P, side, out)
 
 
 def test_singular_lead_recover_gets_infinite_eigenvalues_by_qz(tmp_path, monkeypatch, rng):
@@ -757,17 +805,18 @@ def test_singular_lead_recover_gets_infinite_eigenvalues_by_qz(tmp_path, monkeyp
     coeffs[-1][:, 1] = 0.0
     P = MatrixPolynomial(tuple(coeffs), builtin_basis("chebyshev1"))
     cases = _recover_cases(tmp_path, P, rng)
-    calls = _spy_qz(monkeypatch)
+    calls = _spy_shifted(monkeypatch)
     outs = [_run(argv) for _, argv, _ in cases]
-    # one QZ per op
+    # one shifted solve per op
     assert len(calls) == 3
     monkeypatch.undo()
-    for (side, _, L), (rc, out) in zip(cases, outs):
+    for (side, _, _), (rc, out) in zip(cases, outs):
         assert rc == 0 and json.loads(out)["infinite_count"] >= 1
-        _assert_report_matches_qz(P, L, side, out)
+        _assert_report_matches_qz(P, side, out)
 
 
-# Problems the eigvals rung refuses: --random 16,9,2 and 10,16,3 in the
+# Problems the eigvals rung refuses at shift infinity, which reached QZ
+# before the shifted rung replaced it: --random 16,9,2 and 10,16,3 in the
 # CLI's four bases, and CI's singular P_k, which has infinite eigenvalues.
 _QZ_PROBLEMS = [(spec, kind) for spec in ("16,9,2", "10,16,3")
                 for kind in cli.RANDOM_BASIS_KINDS] + [("singular", "chebyshev1")]
@@ -784,34 +833,29 @@ def _qz_problem(spec, kind):
 @pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
 @pytest.mark.parametrize("problem", _QZ_PROBLEMS, ids="-".join)
 def test_qz_gives_eigenvalues_and_p_every_eigenvector(monkeypatch, problem, side):
-    # QZ runs once, on the anchor's pair alone, and returns eigenvalues
-    # only; the eigenvectors of L and of P, infinite ones included, come from
-    # P at them and meet the 100 kn eps that a backward-stable solve gives,
-    # and the infinite count is that of QZ with vectors on the same anchor.
-    # The rung is refused outright: on P^T (M2) it certifies some of these.
+    # the rung runs once at a finite shift, on the anchor alone, and returns
+    # eigenvalues only; they are QZ's on the same anchor to within their
+    # condition numbers times a backward-stable solve's error, with the same
+    # infinite count.  The eigenvectors of L and of P, infinite ones
+    # included, come from P at them and meet the 100 kn eps that a
+    # backward-stable solve gives.  The rung is refused outright at shift
+    # infinity: on P^T (M2) it certifies some of these.
     P = _qz_problem(*problem)
     f = None if side == "anchor" else _block_symmetric(P, side, np.random.default_rng(0))
     L = anchor_pencil(P) if f is None else (make_m1(P, f) if side == "M1" else make_m2(P, f))
     kn = L.k * L.n
-    calls, inner = [], spectral._qz
-
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs, inner(*args, **kwargs)))
-        return calls[-1][2]
-
     _force_rung(monkeypatch, "qz")
-    monkeypatch.setattr(spectral, "_qz", spy)
+    calls = _spy_shifted(monkeypatch)
     triples = pencil_eigen(P, f)
     monkeypatch.undo()
-    ((args, kwargs, out),) = calls
-    assert len(args) == 2 and kwargs == {}
+    ((route, shift, out),) = calls
+    assert shift in spectral._SHIFTS
     assert isinstance(out, np.ndarray) and out.shape == (kn,)
-    Q = P if side != "M2" else MatrixPolynomial(tuple(c.T for c in P.coeffs), P.basis)
-    assert np.array_equal(args[0], anchor_pencil(Q).X)
+    F = _solved_anchor(P, side)
+    assert np.array_equal(route.F.X, F.X) and np.array_equal(route.F.Y, F.Y)
+    _assert_triples_match_qz(P, side, triples)
     lams = triples.eigenvalues
     infinite = np.isinf(lams)
-    reference = qz_on_pencil(anchor_pencil(Q), left=False).eigenvalues
-    assert np.count_nonzero(infinite) == np.count_nonzero(np.isinf(reference))
     assert problem[0] != "singular" or infinite.any()
     bound = 100 * kn * EPS
     # eta_L as reported, and from the dense pencil for L's eigenvectors on
@@ -830,6 +874,24 @@ def test_qz_gives_eigenvalues_and_p_every_eigenvector(monkeypatch, problem, side
     for vec_side, vecs in (("right", recover_right(triples, tol=np.inf)),
                            ("left", recover_left(triples, tol=np.inf))):
         assert p_eta(P, lams, vecs, vec_side).max() <= bound, vec_side
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+def test_a_polynomial_singular_at_every_fixed_shift_is_solved(kind):
+    # P = diag(p(x), 1) with a root of p at each of _SHIFTS: P_k is singular,
+    # so the rung is not tried at infinity, and P(s) is singular at every
+    # fixed shift, though the row-scaled rcond of diag(p(s), 1) is 1.  The
+    # rung takes one of kn + 1 further points instead, and finds p's roots
+    # and the infinite eigenvalues as QZ does
+    p = _from_roots(kind, spectral._SHIFTS)
+    P = MatrixPolynomial(tuple(np.diag([c, float(i == 0)]) for i, c in enumerate(p)),
+                         builtin_basis(kind))
+    shift = spectral._shift(P)
+    assert shift not in spectral._SHIFTS
+    triples = pencil_eigen(P)
+    _assert_triples_match_qz(P, "anchor", triples)
+    assert np.allclose(np.sort(triples.eigenvalues[:5].real), np.sort(spectral._SHIFTS),
+                       rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("side", ("anchor", "M1", "M2"))
@@ -963,7 +1025,8 @@ def test_ill_conditioned_multiplier_recovers_from_the_anchor(tmp_path, monkeypat
                                                              noise, solver):
     # QZ on L = T F itself loses digits to cond(T) in its eigenvalues and
     # vectors; through the anchor only F's conditioning counts, whether the
-    # eigvals rung or (with the rung refused) QZ solves it
+    # eigvals rung solves it at shift infinity or (refused there) at a
+    # finite shift
     n, k = 10, 12
     rng = np.random.default_rng(7)
     P = random_problem(rng, n, k, "chebyshev2")
@@ -987,7 +1050,8 @@ def test_ill_conditioned_multiplier_recovers_from_the_anchor(tmp_path, monkeypat
 @pytest.mark.parametrize("lead", ("ill_conditioned", "singular"))
 def test_factor_pencils_never_reach_qz(tmp_path, monkeypatch, rng, lead):
     # the eigvals rung is refused (kappa(P_k) = 1e4) or not tried (singular
-    # P_k): QZ solves the anchor, never the M1/M2 pencil's own matrices
+    # P_k) at shift infinity: at a finite shift it solves the anchor, never
+    # the M1/M2 pencil's own matrices
     P = _ill_conditioned_lead(1e4)
     if lead == "singular":
         coeffs = list(P.coeffs)
@@ -998,17 +1062,15 @@ def test_factor_pencils_never_reach_qz(tmp_path, monkeypatch, rng, lead):
     for side in ("M1", "M2"):
         f = _block_symmetric(P, side, rng)
         L = make_m1(P, f) if side == "M1" else make_m2(P, f)
-        F = anchor_pencil(P if side == "M1" else MatrixPolynomial(
-            tuple(c.T for c in P.coeffs), P.basis))
+        F = _solved_anchor(P, side)
         for cmd in ("eig", "recover"):
-            calls = _spy_qz(monkeypatch)
+            calls = _spy_shifted(monkeypatch)
             rc, _ = _run([cmd, "-p", path, "--factor", _write_factor(tmp_path, side, f)])
             monkeypatch.undo()
             assert rc == 0
-            pairs = [(a, b) for a, b, _ in calls]
-            assert len(pairs) == 1
-            assert not any(np.array_equal(a, L.Y) or np.array_equal(b, -L.X) for a, b in pairs)
-            assert np.array_equal(pairs[0][0], F.Y) and np.array_equal(pairs[0][1], -F.X)
+            ((route, _, _),) = calls
+            assert not (np.array_equal(route.F.X, L.X) or np.array_equal(route.F.Y, L.Y))
+            assert np.array_equal(route.F.X, F.X) and np.array_equal(route.F.Y, F.Y)
 
 
 def test_multiplier_with_a_zero_pivot_is_singular(rng, monkeypatch):

@@ -244,36 +244,30 @@ def _write(tmp_path, name, obj):
     return str(path)
 
 
-def _block_symmetric_files(tmp_path, P):
+def _block_symmetric_files(tmp_path, P, name="p"):
     """Paths of P's problem JSON and of a block-symmetric M1 and M2 factor."""
     f, _ = build_dm_pencil(P, np.array([1.0, -0.5, 0.25]))
-    return [_write(tmp_path, "p", problem_to_obj(P))] + [
-        _write(tmp_path, side, factor_to_obj(AnsatzFactor(f.v, f.B, side)))
+    return [_write(tmp_path, name, problem_to_obj(P))] + [
+        _write(tmp_path, f"{name}.{side}", factor_to_obj(AnsatzFactor(f.v, f.B, side)))
         for side in ("M1", "M2")]
 
 
 def test_numpy_paths_never_load_scipy_linalg(tmp_path):
-    # every inverse, eigvals and the eigvals rung's solves are numpy's, so a
-    # certified eig or recover, with both sides' vectors and on M2, needs
-    # no scipy
+    # every inverse, eigvals and solve is numpy's, so eig and recover, with
+    # both sides' vectors and on M1 and M2, need no scipy, on the eigvals
+    # rung at shift infinity and, for a singular P_k, at a finite shift
     P = random_problem(np.random.default_rng(3), 3, 3, "chebyshev1")
     path, m1, m2 = _block_symmetric_files(tmp_path, P)
+    coeffs = [c.copy() for c in P.coeffs]
+    coeffs[-1][:, 1] = 0.0
+    singular = _block_symmetric_files(tmp_path, MatrixPolynomial(tuple(coeffs), P.basis),
+                                      "singular")
     pencil = _write(tmp_path, "pencil", pencil_to_obj(anchor_pencil(P)))
     p = ["-p", path]
     argvs = [["anchor", *p], ["ansatz", *p, "-f", m1], ["blocksym", *p, "--v", "1,-0.5,0.25"],
              ["check", *p, "-f", m1], ["membership", *p, "--pencil", pencil], ["eig", *p],
              ["eig", *p, "--factor", m1], ["eig", *p, "--factor", m2], ["recover", *p],
              ["exclusion", *p, "--v", "1,0,0"], ["oracle", *p]]
+    argvs += [[cmd, "-p", singular[0], *factor] for cmd in ("eig", "recover")
+              for factor in ([], ["--factor", singular[1]], ["--factor", singular[2]])]
     _child(_run_all(argvs, "'scipy.linalg' not in sys.modules"))
-
-
-def test_scipy_paths_import_scipy_linalg_themselves(tmp_path):
-    # QZ (a singular P_k) is scipy's, imported where it is solved: each op
-    # runs in its own child, so that one op's import cannot pass another
-    P = random_problem(np.random.default_rng(3), 3, 3, "chebyshev1")
-    coeffs = [c.copy() for c in P.coeffs]
-    coeffs[-1][:, 1] = 0.0
-    singular = _write(tmp_path, "singular", problem_to_obj(MatrixPolynomial(tuple(coeffs),
-                                                                            P.basis)))
-    for cmd in ("eig", "recover"):
-        _child(_run_all([[cmd, "-p", singular]], "'scipy.linalg' in sys.modules"))

@@ -1,8 +1,9 @@
 """Property tests over basis kind x pencil side x size, up to kn = 240.
 
 Every pencil is solved as the CLI solves it, by pencil_eigen(P, factor)
-through the anchor of P, on whichever rung serves it: the eigvals rung
-(eigenvectors from P at geev's eigenvalues) or QZ.  The pencil's
+through the anchor of P, with eigenvectors from P at geev's eigenvalues:
+the eigvals rung at shift infinity where its certificate keeps it, and
+else at a finite real shift, which one property forces.  The pencil's
 eigenvectors, which the record does not keep, are built from it: phi kron x
 of P's vectors on the structured side (``spectra.kron_vectors``), and SVD
 null vectors on the other (``spectra.null_vectors``, at a sample of the
@@ -12,19 +13,26 @@ the pencil the solve forms is the one users build; every residual the
 eigvals rung reports is the dense residual of the vector it describes up to
 rounding: phi kron x, or for M2 the mapped S^-1 Z that
 ``spectral._structured_residuals`` reads.  The reference eigenvalues come
-from QZ on the pencil's own matrices (``spectra.qz_on_pencil``), which
-shares no solver with the anchor route.
+from a dense two-sided reference solve of a pencil's own matrices
+(``spectra.qz_on_pencil``), which shares no solver with the anchor route.
 """
 
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from orthopencil import AnsatzFactor, anchor_pencil, make_m1, make_m2, pencil_eigen, spectral
+from orthopencil import (AnsatzFactor, MatrixPolynomial, anchor_pencil, cli, make_m1, make_m2,
+                         pencil_eigen, spectral)
+from orthopencil.serialize import dump_json, factor_to_obj, problem_to_obj
 from conftest import ALL_KINDS, random_problem
-from spectra import kron_vectors, null_vectors, qz_on_pencil
+from spectra import condition_numbers, kron_vectors, null_vectors, qz_on_pencil
 
 EPS = np.finfo(float).eps
 # (n, k): kn from 6 to 240
@@ -57,14 +65,6 @@ def _dense_residuals(L, lams, U, left=False):
             r = np.linalg.norm((X * lam + Y) @ u) / (nx * abs(lam) + ny)
         out.append(r / np.linalg.norm(u))
     return np.array(out)
-
-
-def _condition(L, triples):
-    """The absolute condition number (||X|| |lam| + ||Y||) ||z|| ||u|| / |z^T X u|
-    of every eigenvalue of the pencil L, from the two-sided unit vectors."""
-    lams = triples.eigenvalues
-    pairing = np.abs(np.einsum("im,im->m", triples.left, L.X @ triples.right))
-    return (np.linalg.norm(L.X) * np.abs(lams) + np.linalg.norm(L.Y)) / pairing
 
 
 @given(kind=st.sampled_from(ALL_KINDS), side=st.sampled_from(("anchor", "M1", "M2")),
@@ -109,8 +109,8 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
     assert triples.eigenvalues.tobytes() == both.eigenvalues.tobytes()
     assert triples.residual.tobytes() == both.residual.tobytes()
     # a certified rung meets eta_L <= 10 kn eps in every column, and so does
-    # eta_P of P's right vectors, the side that eig solves; QZ, which no
-    # certificate guards, still has small residuals
+    # eta_P of P's right vectors, the side that eig solves; the rung at a
+    # finite shift, which no certificate guards, still has small residuals
     for record in (triples, both):
         etas = (record.residual, record.p_right.eta)
         assert max(e.max() for e in etas) <= (bound if certified[0] else 10 * bound)
@@ -153,9 +153,52 @@ def test_regular_pencils_solve_with_small_residuals(kind, side, shape, seed):
     # the eigenvalues agree with QZ's on L to within twice the certified
     # backward error times each eigenvalue's condition number
     reference = qz_on_pencil(L)
-    kappa = _condition(L, reference)
+    kappa = condition_numbers(L, reference)
     for record in (triples, both):
         dist = np.abs(record.eigenvalues[:, None] - reference.eigenvalues[None, :])
         nearest = dist.argmin(axis=1)
         assert np.all(dist.min(axis=1) <= 2 * bound * kappa[nearest])
         assert np.all(dist.min(axis=0) <= 2 * bound * kappa)
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.run(argv)
+    return rc, out.getvalue()
+
+
+@given(kind=st.sampled_from(ALL_KINDS), side=st.sampled_from(("anchor", "M1", "M2")),
+       shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1), singular=st.booleans())
+@example(kind="chebyshev1", side="M2", shape=(40, 6), seed=0, singular=True)
+@example(kind="newton", side="M1", shape=(10, 12), seed=1, singular=False)
+def test_the_rung_at_a_finite_shift_serves_every_pencil(kind, side, shape, seed, singular):
+    # with the rung refused at shift infinity, eig and recover exit 0 at a
+    # finite shift, also on a P_k with a zero column, which has infinite
+    # eigenvalues: as many as QZ finds on the anchor, every finite one with
+    # eta(lam) = sigma_min(P(lam)) / sum_i |phi_i| ||P_i||_F at most
+    # 100 kn eps, and the same finite list from both commands
+    n, k = shape
+    P, f = _problem(np.random.default_rng(seed), kind, side, n, k)
+    if singular:
+        coeffs = [c.copy() for c in P.coeffs]
+        coeffs[-1][:, 0] = 0.0
+        P = MatrixPolynomial(tuple(coeffs), P.basis)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["-p", str(pathlib.Path(tmp, "p.json"))]
+        pathlib.Path(argv[1]).write_text(dump_json(problem_to_obj(P)))
+        if f is not None:
+            argv += ["--factor", str(pathlib.Path(tmp, "f.json"))]
+            pathlib.Path(argv[3]).write_text(dump_json(factor_to_obj(f)))
+        with mock.patch.object(spectral, "_companion_solve", lambda *a: None):
+            (rc_eig, eig), (rc_recover, recover) = _run(["eig", *argv]), _run(["recover", *argv])
+    assert rc_eig == rc_recover == 0
+    eig, recover = json.loads(eig), json.loads(recover)
+    assert eig["finite"] == recover["finite"]
+    assert eig["infinite_count"] == recover["infinite_count"]
+    reference = qz_on_pencil(anchor_pencil(P), left=False).eigenvalues
+    assert eig["infinite_count"] == np.count_nonzero(np.isinf(reference))
+    assert not singular or eig["infinite_count"] > 0
+    lams = np.array([complex(e["re"], e["im"]) for e in eig["finite"]])
+    sigma = np.linalg.svd(P.evaluate(lams), compute_uv=False)[:, -1]
+    assert np.all(sigma / P.evaluation_scale(lams) <= 100 * k * n * EPS)

@@ -442,11 +442,11 @@ def test_regularity_verdict_ignores_the_scale_of_P(rng, monkeypatch, s):
     assert triples.residual.max() <= 100 * 12 * EPS
     calls = []
 
-    def no_qz(route, left):
+    def no_solve(route, left):
         calls.append(route.L.X.shape[0])
         raise RuntimeError("regularity test passed")
 
-    monkeypatch.setattr(spectral, "qz_solve", no_qz)
+    monkeypatch.setattr(spectral, "qz_solve", no_solve)
     P = _scaled(random_problem(rng, 40, 6, "legendre"), s)
     F = anchor_pencil(P)
     # the gate on c*P_k passes, and so does the sampled test it falls back on
@@ -485,8 +485,8 @@ def test_residuals_match_per_pair_formula(rng):
 @pytest.mark.parametrize("k", (2, 3, 4))
 @pytest.mark.parametrize("left", (False, True))
 def test_zero_eigenvalues_carry_no_sign_bit(k, left):
-    # x^k I_2: every eigenvalue is a multiple zero, so the eigvals rung
-    # declines and QZ solves the anchor; pencil_eigen reports them as the
+    # x^k I_2: every eigenvalue is a multiple zero, which the eigvals rung
+    # finds exactly on the companion matrix; pencil_eigen reports them as the
     # division of alpha by beta rounds them, which here leaves no sign bit,
     # so eig prints "re": 0.0 and "im": 0.0
     P = MatrixPolynomial((np.zeros((2, 2)),) * k + (np.eye(2),), builtin_basis("monomial"))
@@ -496,8 +496,8 @@ def test_zero_eigenvalues_carry_no_sign_bit(k, left):
 
 
 def test_right_only_solve_is_bit_identical(rng):
-    # the eigenvalues bit for bit, by the eigvals rung and, for the
-    # ill-conditioned lead, by QZ on the anchor
+    # the eigenvalues bit for bit, by the eigvals rung at shift infinity
+    # and, for the ill-conditioned lead, at a finite shift
     q1, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     lead = q1 @ np.diag(np.logspace(0.0, -5.0, 6)) @ q1.T
     ill = random_problem(rng, 6, 8, "chebyshev1")
@@ -522,16 +522,16 @@ def _dense_residuals(L, lams, W):
 
 def _fixed_solve(monkeypatch, values):
     """pencil_eigen of a scalar polynomial of degree len(values) whose anchor
-    solve (spectral._qz, with the eigvals rung refused) reports the given
-    eigenvalues, in that order."""
+    solve (spectral._rung at a finite shift, with the rung refused at
+    infinity) reports the given eigenvalues, in that order."""
     values = np.array(values, dtype=complex)
     finite = np.isfinite(values)
 
-    def solve(X, Y):
+    def solve(route, shift):
         return spectral._eigenvalues(np.where(finite, values, 1.0), finite.astype(complex))
 
     monkeypatch.setattr(spectral, "_companion_solve", lambda *a: None)
-    monkeypatch.setattr(spectral, "_qz", solve)
+    monkeypatch.setattr(spectral, "_rung", solve)
     P = MatrixPolynomial(tuple(np.ones((1, 1)) for _ in range(values.size + 1)),
                          builtin_basis("monomial"))
     return pencil_eigen(P)
