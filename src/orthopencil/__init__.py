@@ -40,7 +40,6 @@ from .blocksym import (
     build_dm,
     build_dm_generic,
     build_dm_pencil,
-    is_block_symmetric,
 )
 from .errors import (
     BasisCoefficientError,

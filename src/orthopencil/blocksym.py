@@ -20,8 +20,6 @@ it; ``build_dm_pencil`` only checks and mirrors its constant coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ansatz import AnsatzFactor, make_m1
@@ -40,7 +38,6 @@ __all__ = [
     "build_dm",
     "build_dm_generic",
     "build_dm_pencil",
-    "is_block_symmetric",
 ]
 
 
@@ -215,18 +212,3 @@ def build_dm_pencil(P: MatrixPolynomial, v) -> tuple[AnsatzFactor, Pencil]:
     blocks[rows, :, cols, :] = blocks[cols, :, rows, :]
     return factor, L
 
-
-@dataclass(frozen=True)
-class BlockSymmetryReport:
-    symmetric: bool
-    max_asymmetry: float
-
-
-def is_block_symmetric(L: Pencil, tol: float = 0.0) -> BlockSymmetryReport:
-    """Max-abs deviation between each block and its mirror, over both
-    coefficients; with block size 1 this is ordinary matrix symmetry."""
-    asym = max(
-        float(np.max(np.abs(L.X - block_transpose(L.X, L.n)))),
-        float(np.max(np.abs(L.Y - block_transpose(L.Y, L.n)))),
-    )
-    return BlockSymmetryReport(asym <= tol, asym)

@@ -14,7 +14,13 @@ class BasisCoefficientError(OrthopencilError):
 
 
 class SingularPencilError(OrthopencilError):
-    """A matrix pencil was found to be singular where regularity is required."""
+    """A matrix pencil was found to be singular where regularity is required.
+
+    ``rcond`` holds the margin that failed: for a singular multiplier T (or
+    S) its row-scaled reciprocal condition number, and for a singular P the
+    largest backward error sigma_min(P(s)) / sum_i |phi_i(s)| ||P_i||_F of a
+    real shift s as an eigenvalue, on P with unit rows and columns (see
+    spectral._shift); either is at most 10 * kn * eps."""
 
     def __init__(self, message, rcond=None):
         super().__init__(message)

@@ -86,24 +86,6 @@ class MatrixPolynomial:
         return total if np.ndim(total) else float(total)
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
-    """Outcome of the sampled regularity test (probabilistic).
-
-    ``rcond`` is the largest reciprocal condition number seen, ``witness``
-    the point where it was seen and ``trials`` the number of points
-    evaluated."""
-
-    regular: bool
-    witness: complex | None
-    rcond: float
-    trials: int
-
-
-# Points of the disk |lam| < 2 at which the regularity test evaluates M(lam).
-REGULARITY_POINTS = 3
-
-
 def _scaled_inverse(M: np.ndarray):
     """(rcond, (inverse, rows)): (D M)^-1 and the exact 1-norm rcond of D M.
 
@@ -129,30 +111,6 @@ def _regular_rcond(rcond: float, size: int) -> bool:
     """Whether a size x size matrix with row-scaled rcond ``rcond``
     (_scaled_inverse) counts as regular: rcond > 10 * size * eps."""
     return rcond > 10.0 * size * np.finfo(float).eps
-
-
-def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:
-    """Regularity of the size x size matrix function evaluate(lam).
-
-    M(lam) is inverted at up to REGULARITY_POINTS random points of the
-    disk |lam| < 2; it is regular as soon as one point has
-    rcond(M(lam)) > 10 * size * eps, rows scaled to unit norm first.  The
-    test is invariant to the scale of every row, and it does not read large
-    matrices as singular: rcond of a random regular matrix decays only
-    polynomially with its size, where the scaled determinant decays
-    exponentially.  A singular matrix function gives rcond at rounding level
-    (an exactly singular M(lam) gives 0) at every point.
-    """
-    best, witness = -1.0, None
-    for trial in range(1, REGULARITY_POINTS + 1):
-        r = 2.0 * np.sqrt(rng.uniform())
-        lam = complex(r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        value = _scaled_inverse(evaluate(lam))[0]
-        if value > best:
-            best, witness = value, lam
-        if _regular_rcond(value, size):
-            return RegularityVerdict(True, lam, value, trial)
-    return RegularityVerdict(False, witness, best, REGULARITY_POINTS)
 
 
 def require_ansatz_degree(P: MatrixPolynomial):

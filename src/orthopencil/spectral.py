@@ -13,7 +13,12 @@ One route per call (``_Route``) holds F (G for M2), L, the multiplier and
 the inverses of the multiplier and of c*P_k, and every step reads them.
 
 For regular P, L is a strong linearization exactly when the multiplier T (or
-S) is invertible, which is the rank test of ``ansatz.check_linearization``.
+S) is invertible, which is the rank test of ``ansatz.check_linearization``;
+so L is regular exactly when P is regular and the multiplier invertible.
+pencil_eigen tests the two apart, each once: the multiplier by its
+row-scaled rcond, and P by the finite shift below, which raises
+SingularPencilError where no real s leaves P(s) nonsingular (a rung kept at
+shift infinity, which needs c*P_k nonsingular, shows P regular without it).
 Each eigenvalue comes in homogeneous form (alpha, beta); it is infinite when
 |beta| <= 1e-8 (|alpha| + |beta|), which makes it a zero eigenvalue of the
 reversal Y*lam + X.  With ``left`` false the caller uses no left
@@ -40,7 +45,8 @@ them:
   ones where P(s) is farthest from singular (``_shift``): W = (s X + Y)^-1
   X, whose eigenvalues 1 / (s - lam) need P(s) invertible, not P_k, so a
   singular P_k gives its infinite eigenvalues as zeros of W.  It is not
-  certified.
+  certified.  When no s of those nor of kn + 1 points of [-1, 1] leaves
+  P(s) nonsingular to within 10 * kn * eps, P is singular.
 
 One eigenvector path (``_from_p``) serves both.  Every right eigenvector of
 the anchor is phi(lam) kron x with P(lam) x = 0, the eigenvector result of
@@ -111,13 +117,7 @@ import numpy as np
 from .ansatz import AnsatzFactor, _factorization
 from .basis import phi_vector, to_monomial
 from .errors import DimensionMismatchError, RecoveryError, SingularPencilError
-from .matpoly import (
-    MatrixPolynomial,
-    _regular_rcond,
-    _scaled_inverse,
-    require_ansatz_degree,
-    sampled_regularity,
-)
+from .matpoly import MatrixPolynomial, _regular_rcond, _scaled_inverse, require_ansatz_degree
 from .oracle import reference_spectrum, trim_poly
 from .pencil import Pencil, eval_pencil, leading_multiplier
 
@@ -160,8 +160,6 @@ def _route(P: MatrixPolynomial, factor: AnsatzFactor | None = None) -> _Route:
 _CERTIFIED_ETA = 10.0
 # An eigenvalue alpha / beta is infinite when |beta| <= _INF_TOL (|alpha| + |beta|).
 _INF_TOL = 1e-8
-# Seed of the points at which pencil_eigen tests regularity.
-_REGULARITY_SEED = 90210
 # Seed of the right-hand sides of the solves from P (_rhs).
 _RHS_SEED = 20161
 # Real shifts for the eigvals rung when it is refused at infinity (_shift).
@@ -200,7 +198,7 @@ def _rung(route, shift):
         A = np.negative(F.Y, order="F")
         A[:n] = -_solve(route.lead[1], F.Y[:n])
         return _eigenvalues(np.linalg.eigvals(A), 1.0)
-    nu = np.linalg.eigvals(np.linalg.solve(shift * F.X + F.Y, F.X))
+    nu = np.linalg.eigvals(np.linalg.solve(eval_pencil(F, shift), F.X))
     return _eigenvalues(shift * nu - 1.0, nu)
 
 
@@ -208,15 +206,42 @@ def _shift(P):
     """The real shift s of _SHIFTS where P(s), and so the anchor the rung
     inverts there, is farthest from singular, by the backward error of s as
     an eigenvalue, sigma_min(P(s)) / sum_i |phi_i(s)| ||P_i||_F; when all
-    are eigenvalues to within the certificate, the best of kn + 1 points of
-    [-1, 1], at most kn of which are eigenvalues of a regular P."""
-    for shifts in (np.array(_SHIFTS), np.linspace(-1.0, 1.0, P.k * P.n + 1)):
+    are eigenvalues to within the certificate, 10 * kn * eps, the best of
+    kn + 1 points of [-1, 1], at most kn of which are eigenvalues of a
+    regular P.  When none of those clears it either, P is singular and
+    SingularPencilError is raised, its ``rcond`` the largest backward error
+    seen.
+
+    It is measured on D1 P D2 (_balanced), whose rows and then columns of
+    the stacked coefficients have unit norm, so that neither the units of a
+    row nor those of a column, which M2 sees as rows of P^T, move it."""
+    Q = _balanced(P)
+    size = P.k * P.n
+    best = 0.0
+    for shifts in (np.array(_SHIFTS), np.linspace(-1.0, 1.0, size + 1)):
         phi = phi_vector(P.basis, P.k + 1, shifts.astype(complex))
-        sigma = np.linalg.svd(_evaluate_at(P, phi).real, compute_uv=False)[:, -1]
-        distance = sigma / P.evaluation_scale(shifts, phi[::-1])
-        if distance.max() > _certified_bound(P.k * P.n):
-            break
-    return float(shifts[np.argmax(distance)])
+        sigma = np.linalg.svd(_evaluate_at(Q, phi).real, compute_uv=False)[:, -1]
+        distance = sigma / Q.evaluation_scale(shifts, phi[::-1])
+        if distance.max() > _certified_bound(size):
+            return float(shifts[np.argmax(distance)])
+        best = max(best, float(distance.max()))
+    raise SingularPencilError(
+        f"pencil is singular: P(s) is singular to within 10*kn*eps at all {len(_SHIFTS) + size + 1} "
+        f"real shifts s tried (largest backward error of s as an eigenvalue {best:.3e})",
+        rcond=best,
+    )
+
+
+def _balanced(P):
+    """D1 P D2 for the positive diagonal D1 that scales the rows of the
+    stacked coefficients [P_0 ... P_k] to unit norm and the D2 that then
+    scales their columns so; a zero row or column stays zero.  It has P's
+    eigenvalues and is regular exactly when P is."""
+    C = np.stack(P.coeffs)
+    for axes in ((0, 2), (0, 1)):
+        norms = np.linalg.norm(C, axis=axes, keepdims=True)
+        C = C / np.where(norms > 0.0, norms, 1.0)
+    return MatrixPolynomial(tuple(C), P.basis)
 
 
 def _solve(factors, B, transpose=False):
@@ -660,15 +685,17 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     that also holds P's eigenvectors, solved from P, with their backward
     errors; recover_right and recover_left check them against a tolerance.
 
-    L is regular if the reciprocal condition number of the anchor's c*P_k
-    block (the exact 1-norm one, from its inverse, rows scaled to unit norm;
-    c*P_k^T for M2) is above 10 * n * eps and, with a factor, that of the
-    side multiplier T (or S) is above 10 * kn * eps, as L = T F.  Otherwise
-    regularity is tested by inverting X*lam + Y at up to 3 points of the
-    disk |lam| < 2, the same pseudo-random ones on every call: the pencil is
-    regular as soon as one has a row-scaled rcond above 10 * kn * eps.  If
-    none has, or the multiplier has no finite inverse, SingularPencilError
-    is raised, carrying the largest rcond seen.
+    L = T F (F^T S for M2) is regular exactly when P is regular and the
+    multiplier T (or S) is nonsingular, as the paper shows after Mackey,
+    Mackey, Mehl and Mehrmann (SIMAX 28, 2006), so the two are tested apart.
+    The multiplier counts as nonsingular when its reciprocal condition
+    number (the exact 1-norm one, from its inverse, rows scaled to unit
+    norm) is above 10 * kn * eps; P is regular when the rung at shift
+    infinity is kept, as it needs c*P_k to pass the same test at n, and
+    otherwise when the finite shift finds a real s with P(s) not singular to
+    within 10 * kn * eps (_shift).  Either failure raises
+    SingularPencilError, which carries the multiplier's rcond or the
+    largest backward error of s as an eigenvalue that _shift saw.
 
     With left false ``p_left`` is None.  Residuals are ||(X*lam + Y) u|| /
     (||X|| |lam| + ||Y||) for unit right vectors u (||X u|| / ||X|| at
@@ -686,19 +713,12 @@ def pencil_eigen(P: MatrixPolynomial, factor: AnsatzFactor | None = None,
     1.7843552459841404e-15.
     """
     route = _route(P, factor)
-    size = route.L.X.shape[0]
-    if not (_regular_rcond(route.lead[0], route.P.n)
-            and (route.scaled is None or _regular_rcond(route.scaled[0], size))):
-        verdict = sampled_regularity(lambda lam: eval_pencil(route.L, lam), size,
-                                     np.random.default_rng(_REGULARITY_SEED))
-        if not verdict.regular:
-            raise SingularPencilError(
-                f"pencil is singular: rcond of X*lam + Y is at most {verdict.rcond:.3e} "
-                f"at {verdict.trials} sampled points (threshold 10*kn*eps)",
-                rcond=verdict.rcond,
-            )
-    if route.scaled is not None and route.scaled[1] is None:
-        raise SingularPencilError("pencil is singular: its multiplier is singular", rcond=0.0)
+    if route.scaled is not None and not _regular_rcond(route.scaled[0], route.L.X.shape[0]):
+        raise SingularPencilError(
+            f"pencil is singular: the row-scaled rcond of its multiplier is {route.scaled[0]:.3e} "
+            f"(threshold 10*kn*eps)",
+            rcond=route.scaled[0],
+        )
     return qz_solve(route, left)
 
 

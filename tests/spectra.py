@@ -25,8 +25,11 @@ pencil eigenvectors, such as QZ's, with the mismatch of the fit: the paper's
 recovery result, which pencil_eigen does not need, as it solves P's
 eigenvectors from P.  ``p_eta`` is eta_P of given vectors of P, and
 ``recovered`` a record of P's eigenvectors made from given pencil
-eigenvectors by that fit, for recover_right and recover_left to check.  The
-library and the CLI use none of them.
+eigenvectors by that fit, for recover_right and recover_left to check.
+``sampled_regularity`` is a regularity test of a matrix function by its
+rcond at random points, independent of the finite shift (spectral._shift)
+that gives pencil_eigen's verdict on P, and ``is_block_symmetric`` measures
+a pencil's block asymmetry.  The library and the CLI use none of them.
 """
 
 import cmath
@@ -36,7 +39,16 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from orthopencil import anchor_pencil, eval_pencil, make_m1, make_m2, phi_vector, spectral
+from orthopencil import (
+    anchor_pencil,
+    block_transpose,
+    eval_pencil,
+    make_m1,
+    make_m2,
+    phi_vector,
+    spectral,
+)
+from orthopencil.matpoly import _regular_rcond, _scaled_inverse
 from orthopencil.spectral import backward_errors
 from orthopencil.oracle import Spectrum
 
@@ -262,3 +274,61 @@ def compare_spectra(a: Spectrum, b: Spectrum, tol: float = 1e-6) -> SpectrumComp
     infinite_match = a.infinite_count == b.infinite_count
     matched = (not size_mismatch) and infinite_match and max_distance <= tol
     return SpectrumComparison(matched, max_distance, pairs, infinite_match, size_mismatch)
+
+
+@dataclass(frozen=True)
+class RegularityVerdict:
+    """Outcome of the sampled regularity test (probabilistic).
+
+    ``rcond`` is the largest reciprocal condition number seen, ``witness``
+    the point where it was seen and ``trials`` the number of points
+    evaluated."""
+
+    regular: bool
+    witness: complex | None
+    rcond: float
+    trials: int
+
+
+# Points of the disk |lam| < 2 at which the regularity test evaluates M(lam).
+REGULARITY_POINTS = 3
+
+
+def sampled_regularity(evaluate, size: int, rng) -> RegularityVerdict:
+    """Regularity of the size x size matrix function evaluate(lam).
+
+    M(lam) is inverted at up to REGULARITY_POINTS random points of the
+    disk |lam| < 2; it is regular as soon as one point has
+    rcond(M(lam)) > 10 * size * eps, rows scaled to unit norm first.  The
+    test is invariant to the scale of every row, and it does not read large
+    matrices as singular: rcond of a random regular matrix decays only
+    polynomially with its size, where the scaled determinant decays
+    exponentially.  A singular matrix function gives rcond at rounding level
+    (an exactly singular M(lam) gives 0) at every point.
+    """
+    best, witness = -1.0, None
+    for trial in range(1, REGULARITY_POINTS + 1):
+        r = 2.0 * np.sqrt(rng.uniform())
+        lam = complex(r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        value = _scaled_inverse(evaluate(lam))[0]
+        if value > best:
+            best, witness = value, lam
+        if _regular_rcond(value, size):
+            return RegularityVerdict(True, lam, value, trial)
+    return RegularityVerdict(False, witness, best, REGULARITY_POINTS)
+
+
+@dataclass(frozen=True)
+class BlockSymmetryReport:
+    symmetric: bool
+    max_asymmetry: float
+
+
+def is_block_symmetric(L, tol: float = 0.0) -> BlockSymmetryReport:
+    """Max-abs deviation between each block and its mirror, over both
+    coefficients; with block size 1 this is ordinary matrix symmetry."""
+    asym = max(
+        float(np.max(np.abs(L.X - block_transpose(L.X, L.n)))),
+        float(np.max(np.abs(L.Y - block_transpose(L.Y, L.n)))),
+    )
+    return BlockSymmetryReport(asym <= tol, asym)

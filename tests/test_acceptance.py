@@ -22,7 +22,6 @@ from orthopencil import (
     eigenvalue_exclusion,
     eval_pencil,
     identity_factor,
-    is_block_symmetric,
     make_m1,
     make_m2,
     multiplier_matrix,
@@ -35,8 +34,7 @@ from orthopencil import (
     sample_points,
     verify_membership,
 )
-from orthopencil.matpoly import sampled_regularity
-from spectra import compare_spectra, spectrum_of
+from spectra import compare_spectra, is_block_symmetric, sampled_regularity, spectrum_of
 from conftest import random_problem, stepped_dg_basis
 
 

@@ -14,13 +14,13 @@ from orthopencil import (
     build_dm_pencil,
     builtin_basis,
     eval_pencil,
-    is_block_symmetric,
     make_m1,
     multiplier_matrix,
     recover_factors,
     verify_membership,
 )
 from conftest import ALL_KINDS, BASIS_KINDS, monomial_dg_basis, random_problem, stepped_dg_basis
+from spectra import is_block_symmetric
 
 EPS = np.finfo(float).eps
 # (n, k) up to kn = 240: small shapes, every factor shape of the recover-deep

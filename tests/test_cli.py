@@ -59,7 +59,7 @@ def test_blocksym_command_golden(capsys, cheb_problem_file):
     assert np.array_equal(B[2:4, 0:2], 2 * (P3 - P1))
     assert np.array_equal(B[2:4, 2:4], -2 * P0)
     L = pencil_from_obj(obj["pencil"])
-    from orthopencil import is_block_symmetric
+    from spectra import is_block_symmetric
 
     assert is_block_symmetric(L).symmetric
 

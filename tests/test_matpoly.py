@@ -8,8 +8,8 @@ from orthopencil import (
     det_poly,
     monomial_coefficients,
 )
-from orthopencil.matpoly import sampled_regularity
 from conftest import ALL_KINDS, BASIS_KINDS, random_problem
+from spectra import sampled_regularity
 
 
 def test_constant_identity_polynomial():

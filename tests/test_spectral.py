@@ -29,7 +29,6 @@ from orthopencil import (
     side_multiplier,
 )
 from orthopencil import spectral
-from orthopencil.matpoly import sampled_regularity
 from spectra import (
     block_sum,
     compare_spectra,
@@ -37,6 +36,7 @@ from spectra import (
     null_vectors,
     p_eta,
     phase_misfit,
+    sampled_regularity,
     sort_triples,
     spectrum_of,
 )
@@ -376,8 +376,8 @@ def test_eigentriple_fields(rng):
 
 def test_exclusion_left_singular_polynomial_sampled_path(rng):
     # common zero column: P is singular, so even full-rank factors give
-    # singular pencils; P_k is singular too, so the sampled regularity test
-    # gives the verdict
+    # singular pencils; P_k is singular too, so the finite shift gives the
+    # verdict
     coeffs = [rng.uniform(-1, 1, (3, 3)) for _ in range(4)]
     for c in coeffs:
         c[:, 1] = 0.0
@@ -399,7 +399,7 @@ def test_exclusion_left_singular_polynomial_sampled_path(rng):
 def test_pencil_eigen_regular_at_large_sizes(kind):
     # the scaled-determinant test flagged these regular pencils as singular:
     # |det| over the row-norm product decays exponentially with kn; the
-    # sampled test that pencil_eigen falls back on does not
+    # sampled reference test does not, and pencil_eigen solves them
     rng = np.random.default_rng(4096)
     for n, k in ((50, 6), (16, 15)):
         P = random_problem(rng, n, k, kind)
@@ -435,31 +435,101 @@ def _scaled(P, s):
 @pytest.mark.parametrize("s", (1e-12, 1e12))
 def test_regularity_verdict_ignores_the_scale_of_P(rng, monkeypatch, s):
     # the recurrence rows of the anchor pencil stay O(1) while the rows of P
-    # scale with s; kn = 240 is checked up to the verdict, kn = 12 solved
+    # scale with s; kn = 240 is checked up to the verdict, which qz_solve
+    # makes before the rung, kn = 12 solved
     P = _scaled(random_problem(rng, 4, 3, "chebyshev2"), s)
     triples = pencil_eigen(P, left=False)
     assert triples.eigenvalues.size == 12
     assert triples.residual.max() <= 100 * 12 * EPS
     calls = []
 
-    def no_solve(route, left):
-        calls.append(route.L.X.shape[0])
+    def no_solve(route, shift):
+        calls.append((route.L.X.shape[0], shift))
         raise RuntimeError("regularity test passed")
 
-    monkeypatch.setattr(spectral, "qz_solve", no_solve)
+    monkeypatch.setattr(spectral, "_rung", no_solve)
     P = _scaled(random_problem(rng, 40, 6, "legendre"), s)
     F = anchor_pencil(P)
-    # the gate on c*P_k passes, and so does the sampled test it falls back on
+    # the gate on c*P_k passes, and so does the sampled reference test
     assert sampled_regularity(lambda lam: eval_pencil(F, lam), 240, rng).regular
-    with pytest.raises(RuntimeError, match="regularity test passed"):
-        pencil_eigen(P, left=False)
-    assert calls == [240]
+    # with a zero column in P_k alone, P stays regular, and the finite shift
+    # says so
+    coeffs = [c.copy() for c in P.coeffs]
+    coeffs[-1][:, 3] = 0.0
+    singular_lead = MatrixPolynomial(tuple(coeffs), P.basis)
+    for Q in (P, singular_lead):
+        with pytest.raises(RuntimeError, match="regularity test passed"):
+            pencil_eigen(Q, left=False)
+    assert [size for size, _ in calls] == [240, 240]
+    assert np.isinf(calls[0][1]) and np.isfinite(calls[1][1])
     coeffs = [s * rng.uniform(-1, 1, (40, 40)) for _ in range(7)]
     for c in coeffs:
         c[:, 3] = 0.0
     zero_column = MatrixPolynomial(tuple(coeffs), builtin_basis("legendre"))
     with pytest.raises(SingularPencilError):
         pencil_eigen(zero_column, left=False)
+
+
+def _corner():
+    """P of degree 3, 3 x 3, in chebyshev1, with a zero column in P_k."""
+    c = np.random.default_rng(7).uniform(-1.0, 1.0, (4, 3, 3))
+    c[-1][:, 0] = 0.0
+    return MatrixPolynomial(tuple(c), builtin_basis("chebyshev1"))
+
+
+def _in_other_units(P, axis, index, scale):
+    """P with row (``axis`` "row") or column ``index`` of every P_i times scale."""
+    c = np.stack(P.coeffs)
+    if axis == "row":
+        c[:, index, :] *= scale
+    else:
+        c[:, :, index] *= scale
+    return MatrixPolynomial(tuple(c), P.basis)
+
+
+def _verdict(P, factor=None):
+    """("solved", infinite count) or ("singular", None) of pencil_eigen."""
+    try:
+        triples = pencil_eigen(P, factor, left=False)
+    except SingularPencilError:
+        return "singular", None
+    return "solved", int(np.isinf(triples.eigenvalues).sum())
+
+
+def test_verdicts_on_a_row_or_column_of_P_in_other_units():
+    # P_k is singular, so the finite shift decides; it measures P with its
+    # rows and columns scaled to unit norm, so a column of P at 1e-15 does not
+    # read as singular on the anchor.  The block-symmetric factor of P with a
+    # row at 1e-15 has a multiplier with rcond 4.8e-17, below 10 kn eps, which
+    # check_linearization refuses too, so M1 is singular; M2 solves on P^T,
+    # where the row is a column
+    v = (0.5, -1.0, 0.25)
+    P = _corner()
+    f = build_dm_pencil(P, v)[0]
+    sides = [None] + [AnsatzFactor(f.v, f.B, side) for side in ("M1", "M2")]
+    assert [_verdict(P, factor) for factor in sides] == [("solved", 1)] * 3
+    assert _verdict(_in_other_units(P, "column", 2, 1e-15)) == ("solved", 1)
+    P = _in_other_units(P, "row", 2, 1e-15)
+    f = build_dm_pencil(P, v)[0]
+    assert not check_linearization(f).is_strong_linearization
+    assert _verdict(P) == _verdict(P, AnsatzFactor(f.v, f.B, "M2")) == ("solved", 1)
+    with pytest.raises(SingularPencilError) as exc:
+        pencil_eigen(P, f)
+    assert 1e-17 < exc.value.rcond <= 10 * 9 * EPS
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**31), n=st.integers(2, 4),
+       k=st.integers(2, 4), axis=st.sampled_from(("row", "column")), index=st.integers(0, 3),
+       e=st.integers(0, 50))
+def test_anchor_verdict_ignores_the_units_of_a_row_or_column(kind, seed, n, k, axis, index, e):
+    # with P_k singular the finite shift decides; scaling one row or column
+    # of P by a power of 2 moves neither its verdict nor the infinite count
+    Q = random_problem(np.random.default_rng(seed), n, k, kind)
+    c = np.stack(Q.coeffs)
+    c[-1][:, 0] = 0.0
+    P = MatrixPolynomial(tuple(c), Q.basis)
+    assert _verdict(_in_other_units(P, axis, index % n, 2.0 ** -e)) == _verdict(P)
 
 
 def test_residuals_match_per_pair_formula(rng):
